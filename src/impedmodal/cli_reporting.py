@@ -335,7 +335,8 @@ def run(config: AnalysisConfig) -> int:
                         reference_modes=reference_modes,
                         apparatus_overrides=overrides or None,
                     )
-                except (mai_core.AnalysisError, rational_fit.RefinementError) as exc:
+                except (mai_core.AnalysisError, rational_fit.RefinementError,
+                        mass_oracle.OracleError) as exc:
                     entries.append(
                         {"element": assembly.element_label(net, ref), "error": str(exc)}
                     )

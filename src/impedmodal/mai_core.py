@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
@@ -744,15 +745,21 @@ def scale_element_admittance(
 
 
 def _resolve_perturbed_mode(net, lam_ref, reference_modes):
-    """Re-solve the perturbed system and pick the tracked mode."""
-    if _oracle_capable(net):
-        eig = mass_oracle.eigendecompose(mass_oracle.interconnect(net).A)
-        candidates = [complex(v) for v in eig.eigenvalues]
-    else:
-        model = WholeSystemModel(net)
-        candidates = [rational_fit.refine_mode(model.admittance, lam_ref)]
-    spacing = min_mode_spacing(reference_modes) if reference_modes else None
-    return track_mode(lam_ref, candidates, spacing=spacing)
+    """Re-solve the oracle-capable perturbed system for the mode tracked
+    from ``lam_ref``.
+
+    The candidate is the perturbed state matrix's eigenvalue nearest
+    ``lam_ref``, found by a sparse shift-invert solve at ``lam_ref``
+    (``mass_oracle.nearest_eigenvalue``) rather than a full dense
+    eigendecomposition. ``track_mode`` gates the jump at 0.3 x the minimum
+    spacing of ``reference_modes`` or, when none are given, of all
+    eigenvalues of the perturbed state matrix.
+    """
+    A = mass_oracle.interconnect(net).A
+    lam = mass_oracle.nearest_eigenvalue(A, lam_ref)
+    if not reference_modes:
+        reference_modes = scipy.linalg.eigvals(A)
+    return track_mode(lam_ref, [lam], spacing=min_mode_spacing(reference_modes))
 
 
 def validate_element_prediction(
@@ -766,16 +773,27 @@ def validate_element_prediction(
     """Predict the mode shift for a (1 + eps) element-admittance scaling and
     compare against the re-solved mode of the perturbed system.
 
-    Oracle-capable networks are re-solved through the state-space path with
-    nearest-mode tracking; otherwise the scaled element is overlaid on the
-    admittance evaluator and the mode Newton-refined from its old location.
+    Oracle-capable networks are re-solved through the state-space path: the
+    perturbed state matrix's eigenvalue nearest the old mode, by sparse
+    shift-invert at the mode, gated by ``track_mode`` against
+    ``reference_modes`` (by default all perturbed eigenvalues). Otherwise
+    the scaled element is overlaid on the admittance evaluator and the mode
+    Newton-refined from its old location.
+
+    Raises
+    ------
+    TrackingError
+        If the re-solved mode jumped beyond the tracking gate.
+    mass_oracle.OracleError
+        If the re-solve fails, including ``DefectiveMatrixError`` when the
+        tracked eigenvalue is ill-conditioned.
     """
     rec = element_sensitivity(net, ref, mode.residue)
     y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
     predicted = predict_mode_shift(rec.s_factor, epsilon * y)
     if _oracle_capable(net) and not apparatus_overrides:
         perturbed = scale_element_admittance(net, ref, 1.0 + epsilon)
-        lam_new = _resolve_perturbed_mode(perturbed, mode.lam, reference_modes or [])
+        lam_new = _resolve_perturbed_mode(perturbed, mode.lam, reference_modes)
     else:
         overlay = assembly.PerturbedModel(net, ref, 1.0 + epsilon, apparatus_overrides)
         lam_new = rational_fit.refine_mode(overlay.admittance, mode.lam)

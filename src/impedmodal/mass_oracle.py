@@ -29,6 +29,7 @@ __all__ = [
     "PortSelection",
     "interconnect",
     "eigendecompose",
+    "nearest_eigenvalue",
     "participation_matrix",
     "eigenvalue_sensitivity_matrix",
     "resolvent_residue",
@@ -39,6 +40,8 @@ __all__ = [
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 _I2 = np.eye(2)
+# largest eigenvector-matrix or eigenvalue condition number accepted
+_COND_LIMIT = 1e12
 
 
 class OracleError(Exception):
@@ -285,7 +288,7 @@ def interconnect(net: NetworkDescription) -> StateSpaceModel:
 # ---------------------------------------------------------------------------
 
 
-def eigendecompose(A: np.ndarray, cond_limit: float = 1e12) -> EigenStructure:
+def eigendecompose(A: np.ndarray, cond_limit: float = _COND_LIMIT) -> EigenStructure:
     """Eigenvalues with mutually normalized right/left eigenvectors.
 
     Left eigenvectors are the rows of the inverse of the right-eigenvector
@@ -303,6 +306,87 @@ def eigendecompose(A: np.ndarray, cond_limit: float = 1e12) -> EigenStructure:
         )
     Psi = np.linalg.inv(Phi)
     return EigenStructure(eigenvalues=lam, right=Phi, left=Psi)
+
+
+def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
+    """The eigenvalue of A nearest the shift ``sigma``, with its conditioning
+    checked.
+
+    Shift-invert ARPACK on one sparse LU of A - sigma I: the dominant
+    eigenvalue mu of (A - sigma I)^{-1} gives lambda = sigma + 1/mu. The LU
+    is complex-typed even for a real A: for a real-typed A, scipy's
+    shift-invert mode at a complex shift iterates on the real part of the
+    inverted operator and can return another eigenvalue (about omega0 away
+    on dq networks).
+    The left eigenvector comes from the same LU by conjugate-transposed
+    solves, whose dominant eigenvalue must be conj(mu) again: a second
+    eigenvalue as near to ``sigma`` (a real shift halfway between a
+    conjugate pair) could otherwise lend its left vector. The eigenvalue's
+    condition number ||x|| ||y|| / |y^H x| must not exceed the 1e12 limit of
+    ``eigendecompose``; a defective eigenvalue has y^H x = 0. Fixed start
+    vectors make repeated calls bit-identical. Models with fewer than three
+    states, too small for ARPACK, go through ``eigendecompose``.
+
+    Raises
+    ------
+    DefectiveMatrixError
+        If the eigenvalue's condition number exceeds 1e12.
+    OracleError
+        If ``sigma`` is an eigenvalue (the shift is exactly singular), if two
+        eigenvalues are about equally near it, or if ARPACK does not
+        converge.
+    """
+    # imported here, not at module level: loading scipy.sparse.linalg would
+    # lengthen every CLI start-up, also for runs that never re-solve a mode
+    import scipy.sparse
+    import scipy.sparse.linalg as spla
+
+    A = np.asarray(A)
+    n = A.shape[0]
+    if n < 3:
+        lam = eigendecompose(A).eigenvalues
+        return complex(lam[np.argmin(np.abs(lam - sigma))])
+    shifted = scipy.sparse.csc_matrix(A, dtype=complex) - sigma * scipy.sparse.identity(
+        n, dtype=complex, format="csc"
+    )
+    try:
+        lu = spla.splu(shifted)
+    except RuntimeError as exc:
+        raise OracleError(f"shift {sigma} is an eigenvalue of A: {exc}") from None
+    v0 = np.ones(n, dtype=complex)
+    # ARPACK's default of 20 Arnoldi vectors doubles the solves; the shift
+    # sits near the wanted eigenvalue, so 8 converge within one restart
+    ncv = min(n, 8)
+
+    def dominant(trans: str) -> tuple[complex, np.ndarray]:
+        op = spla.LinearOperator(
+            (n, n), matvec=lambda b: lu.solve(b, trans=trans), dtype=complex
+        )
+        try:
+            mu, vec = spla.eigs(op, k=1, ncv=ncv, v0=v0)
+        except spla.ArpackError as exc:
+            raise OracleError(f"shift-invert eigensolve at {sigma} failed: {exc}") from None
+        return complex(mu[0]), vec[:, 0]
+
+    mu, x = dominant("N")
+    mu_y, y = dominant("H")
+    lam = sigma + 1.0 / mu
+    # |conj(mu_y) - mu| / |mu| is the distance between the two runs'
+    # eigenvalues over |lambda_y - sigma|. Rounding keeps it of the order of
+    # cond * eps (about 2e-4 at the condition limit); two distinct
+    # eigenvalues tied in distance to sigma put it well above 1 %.
+    if abs(np.conj(mu_y) - mu) > 1e-2 * abs(mu):
+        raise OracleError(
+            f"ambiguous nearest eigenvalue: {lam} and {sigma + 1.0 / np.conj(mu_y)} "
+            f"are about equally near the shift {sigma}"
+        )
+    overlap = abs(np.vdot(y, x))
+    cond = np.linalg.norm(x) * np.linalg.norm(y) / overlap if overlap else np.inf
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise DefectiveMatrixError(
+            f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
+        )
+    return lam
 
 
 def _mode_index(eig: EigenStructure, lam: complex) -> int:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from impedmodal import mai_core, mass_oracle
 from impedmodal.cli_reporting import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -41,6 +42,34 @@ def test_analyze_deterministic(tmp_path):
     run(c2)
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
+    """A re-solve that fails for one element leaves an error entry for that
+    element; the command still succeeds and reports every other element."""
+    ok = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "ok"), modes=[1])
+    assert run(ok) == EXIT_OK
+    resolve = mai_core._resolve_perturbed_mode
+    calls = []
+
+    def failing_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise mass_oracle.DefectiveMatrixError("injected defective re-solve")
+        return resolve(*args)
+
+    monkeypatch.setattr(mai_core, "_resolve_perturbed_mode", failing_second_call)
+    failed = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "failed"),
+                            modes=[1])
+    assert run(failed) == EXIT_OK
+    expected = json.loads((tmp_path / "ok" / "validation.json").read_text())
+    got = json.loads((tmp_path / "failed" / "validation.json").read_text())
+    entries = got["modes"][0]["elements"]
+    assert len(entries) == len(expected["modes"][0]["elements"]) == len(calls)
+    assert entries[1] == {"element": expected["modes"][0]["elements"][1]["element"],
+                          "error": "injected defective re-solve"}
+    entries[1] = expected["modes"][0]["elements"][1]
+    assert got == expected
 
 
 def test_emitted_numbers_round_trip(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from impedmodal import mass_oracle
+from impedmodal import mai_core, mass_oracle
 from impedmodal.admittance_assembly import (
     WholeSystemModel,
     block_slice,
@@ -142,6 +142,53 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
             if errors[1e-3] < 1e-4:
                 continue
             assert errors[1e-3] / errors[1e-4] >= 5.0
+
+
+def _dense_resolve(net, lam_ref, reference_modes):
+    """Reference re-solve: the full dense eigendecomposition of the perturbed
+    state matrix, nearest-mode tracked among all its eigenvalues."""
+    eig = mass_oracle.eigendecompose(mass_oracle.interconnect(net).A)
+    return track_mode(lam_ref, eig.eigenvalues, spacing=min_mode_spacing(reference_modes))
+
+
+def _resolve_outcome(resolve, net, lam_ref, reference_modes):
+    try:
+        return resolve(net, lam_ref, reference_modes)
+    except TrackingError:
+        return None
+
+
+@pytest.mark.parametrize("net_seed", [None, 0, 1, 2])
+def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
+    """Every element x mode at eps 1e-3 and 0.05: the sparse shift-invert
+    re-solve tracks the same mode as the dense reference, or fails to track
+    it exactly when the dense reference does."""
+    if net_seed is None:
+        net = three_bus_net
+    else:
+        net = _random_rl_net(np.random.default_rng(net_seed))
+    records = solve_modes(net, method="state_space")
+    refs = [r.lam for r in records]
+    for ref in network_elements(net):
+        for eps in (1e-3, 0.05):
+            perturbed = scale_element_admittance(net, ref, 1.0 + eps)
+            for mode in records:
+                expected = _resolve_outcome(_dense_resolve, perturbed, mode.lam, refs)
+                got = _resolve_outcome(mai_core._resolve_perturbed_mode, perturbed, mode.lam, refs)
+                if expected is None:
+                    assert got is None, (ref, eps, mode.lam)
+                else:
+                    assert got is not None, (ref, eps, mode.lam)
+                    assert abs(got - expected) <= 1e-9 * abs(expected)
+
+
+def test_resolve_without_reference_modes_keeps_gate(three_bus_net, three_bus_modes):
+    """Without reference modes the gate is 0.3 x the perturbed system's own
+    minimum mode spacing: doubling the bus-1 capacitance moves the lowest
+    mode beyond it."""
+    with pytest.raises(TrackingError):
+        validate_element_prediction(three_bus_net, ("shunt", 0), three_bus_modes[0],
+                                    epsilon=1.0)
 
 
 # ---------------------------------------------------------------------------

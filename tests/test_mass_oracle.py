@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from impedmodal.admittance_assembly import WholeSystemModel
 from impedmodal.mass_oracle import (
     DefectiveMatrixError,
+    OracleError,
     PortSelection,
     RepeatedEigenvalueError,
     UnsupportedForOracleError,
@@ -13,6 +15,7 @@ from impedmodal.mass_oracle import (
     eigenvalue_sensitivity_matrix,
     extract_port_transfer,
     interconnect,
+    nearest_eigenvalue,
     parameter_sensitivity_ss,
     participation_matrix,
     resolvent_residue,
@@ -172,6 +175,66 @@ def test_eigendecompose_diagonal_gives_unit_vectors():
 def test_eigendecompose_jordan_block_defective():
     with pytest.raises(DefectiveMatrixError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _real_modal_matrix(pairs, rng):
+    """Real matrix with eigenvalues a +- jw for each (a, w), mixed by a
+    random similarity so that no entry pattern gives the pairs away."""
+    A = scipy.linalg.block_diag(*[np.array([[a, w], [-w, a]]) for a, w in pairs])
+    S = rng.normal(size=A.shape)
+    return S @ A @ np.linalg.inv(S)
+
+
+def test_nearest_eigenvalue_complex_shift_on_real_matrix():
+    """Conjugate pairs plus a cluster within ~3 rad/s of omega0: every shift
+    returns the eigenvalue the dense solve puts nearest to it."""
+    rng = np.random.default_rng(3)
+    pairs = [(-5.0, W0), (-3.0, W0 + 1.3), (-8.0, W0 - 2.1), (-20.0, 50.0), (-1.0, 1000.0)]
+    A = _real_modal_matrix(pairs, rng)
+    dense = np.linalg.eigvals(A)
+    for sigma in (-4.0 + 1j * W0, -2.0 + 1j * (W0 + 2.0), -9.0 - 1j * (W0 - 1.8),
+                  -15.0 + 60j, 990j, -4.0 + 0.5j):
+        lam = nearest_eigenvalue(A, sigma)
+        expected = dense[np.argmin(np.abs(dense - sigma))]
+        assert abs(lam - expected) <= 1e-9 * abs(expected)
+
+
+def test_nearest_eigenvalue_jordan_block_defective():
+    # in floating point an m-fold Jordan eigenvalue reads a condition number
+    # of about eps^(1/m - 1), so a 4-block is the smallest beyond 1e12
+    J = np.eye(4) + np.diag(np.ones(3), 1)
+    A = scipy.linalg.block_diag(J, np.diag([5.0, -3.0, 7.0]))
+    with pytest.raises(DefectiveMatrixError):
+        nearest_eigenvalue(A, 1.05 + 0.02j)
+    assert nearest_eigenvalue(A, 6.0 + 0.5j) == pytest.approx(7.0, rel=1e-12)
+
+
+def test_nearest_eigenvalue_singular_shift_raises():
+    with pytest.raises(OracleError, match="eigenvalue"):
+        nearest_eigenvalue(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
+
+
+def test_nearest_eigenvalue_real_shift_between_conjugate_pair():
+    """-5 +- 20j are equally near the real shift -5: the tie is reported as
+    such, not as a defective eigenvalue from mixing the pair's vectors."""
+    A = _real_modal_matrix([(-5.0, 20.0), (-3.0, 60.0), (-8.0, 100.0)],
+                           np.random.default_rng(3))
+    with pytest.raises(OracleError, match="ambiguous nearest eigenvalue") as info:
+        nearest_eigenvalue(A, -5.0)
+    assert not isinstance(info.value, DefectiveMatrixError)
+    assert nearest_eigenvalue(A, -5.0 + 1e-9j) == pytest.approx(-5.0 + 20j, rel=1e-12)
+
+
+def test_nearest_eigenvalue_bit_identical_repeats():
+    A = np.random.default_rng(8).normal(size=(30, 30))
+    first = nearest_eigenvalue(A, 0.4 + 1.1j)
+    assert all(nearest_eigenvalue(A, 0.4 + 1.1j) == first for _ in range(3))
+
+
+def test_nearest_eigenvalue_two_state_model_uses_dense_path():
+    assert nearest_eigenvalue(np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.9j) == pytest.approx(1j)
+    with pytest.raises(DefectiveMatrixError):
+        nearest_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 def test_participation_hand_example():
