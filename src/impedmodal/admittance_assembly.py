@@ -29,10 +29,13 @@ __all__ = [
     "EvaluationError",
     "SingularSystemError",
     "frame_rotation",
+    "omega_block",
+    "inv2",
     "dq_series_impedance",
     "transformer_stamp",
     "shunt_admittance",
     "apparatus_admittance",
+    "state_space_response",
     "assemble_nodal_admittance",
     "assemble_apparatus_admittance",
     "whole_system_matrices",
@@ -46,6 +49,8 @@ __all__ = [
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 _I2 = np.eye(2)
+# largest condition number of Y(s) that Z(s) = Y(s)^{-1} is formed at
+_Y_COND_LIMIT = 1e13
 
 
 class AssemblyError(Exception):
@@ -76,6 +81,20 @@ def frame_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def omega_block(s: complex, omega0: float) -> np.ndarray:
+    """The dq block sI + w0 J of d/dt in a frame rotating at w0."""
+    return np.array([[s, -omega0], [omega0, s]], dtype=complex)
+
+
+def inv2(M: np.ndarray, singular: Callable[[], Exception]) -> np.ndarray:
+    """Inverse of a 2x2 block by its adjugate; raises ``singular()`` when the
+    determinant is zero or not finite."""
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if det == 0 or not np.isfinite(det):
+        raise singular()
+    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det
+
+
 def dq_series_impedance(R: float, L: float, omega0: float, s: complex) -> np.ndarray:
     """dq impedance block of a series RL element: [[R+sL, -w0 L], [w0 L, R+sL]]."""
     return np.array(
@@ -101,15 +120,12 @@ def shunt_admittance(shunt: ShuntElement, omega0: float, s: complex) -> np.ndarr
     if shunt.kind == "resistive":
         return _I2.astype(complex) / shunt.value
     if shunt.kind == "capacitive":
-        return shunt.value * (s * _I2 + omega0 * _J).astype(complex)
+        return shunt.value * omega_block(s, omega0)
     if shunt.kind == "inductive":
-        z = shunt.value * (s * _I2 + omega0 * _J).astype(complex)
-        det = z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]
-        if det == 0:
-            raise EvaluationError(
-                f"inductive shunt at bus {shunt.bus} is singular at s = {s}"
-            )
-        return np.array([[z[1, 1], -z[0, 1]], [-z[1, 0], z[0, 0]]]) / det
+        return inv2(
+            shunt.value * omega_block(s, omega0),
+            lambda: EvaluationError(f"inductive shunt at bus {shunt.bus} is singular at s = {s}"),
+        )
     raise AssemblyError(f"unknown shunt kind '{shunt.kind}'")
 
 
@@ -147,16 +163,23 @@ def _evaluate_sampled(model: SampledResponse, s: complex) -> np.ndarray:
     return (1.0 - t) * model.blocks[lo] + t * model.blocks[hi]
 
 
-def _evaluate_state_space(model: StateSpaceRealization, s: complex) -> np.ndarray:
-    n = model.n_states
+def state_space_response(A, B, C, D, s: complex) -> np.ndarray:
+    """Transfer matrix C (sI - A)^{-1} B + D at one s.
+
+    Raises ``np.linalg.LinAlgError`` when sI - A is singular.
+    """
+    n = A.shape[0]
     if n == 0:
-        return model.D.astype(complex)
-    M = s * np.eye(n) - model.A
+        return D.astype(complex)
+    X = np.linalg.solve(s * np.eye(n) - A, B.astype(complex))
+    return C @ X + D
+
+
+def _evaluate_state_space(model: StateSpaceRealization, s: complex) -> np.ndarray:
     try:
-        X = np.linalg.solve(M, model.B.astype(complex))
+        return state_space_response(model.A, model.B, model.C, model.D, s)
     except np.linalg.LinAlgError:
         raise EvaluationError(f"(sI - A) is singular at s = {s}: apparatus resonance")
-    return model.C @ X + model.D
 
 
 def apparatus_admittance(model, s: complex, theta: float = 0.0) -> np.ndarray:
@@ -180,13 +203,23 @@ def apparatus_admittance(model, s: complex, theta: float = 0.0) -> np.ndarray:
 
 
 def _branch_series_admittance(branch: SeriesBranch, omega0: float, s: complex) -> np.ndarray:
-    z = dq_series_impedance(branch.R, branch.L, omega0, s)
-    det = z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]
-    if det == 0:
-        raise EvaluationError(
+    return inv2(
+        dq_series_impedance(branch.R, branch.L, omega0, s),
+        lambda: EvaluationError(
             f"branch {branch.from_bus}-{branch.to_bus} series impedance singular at s = {s}"
-        )
-    return np.array([[z[1, 1], -z[0, 1]], [-z[1, 0], z[0, 0]]]) / det
+        ),
+    )
+
+
+def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, omega0: float, s: complex) -> None:
+    """Add the four transformer-stamp blocks of one branch to Y in place."""
+    y = _branch_series_admittance(branch, omega0, s)
+    bii, bij, bji, bjj = transformer_stamp(y, branch.ratio)
+    si, sj = block_slice(branch.from_bus), block_slice(branch.to_bus)
+    Y[si, si] += bii
+    Y[si, sj] += bij
+    Y[sj, si] += bji
+    Y[sj, sj] += bjj
 
 
 def assemble_nodal_admittance(net: NetworkDescription, s: complex) -> np.ndarray:
@@ -195,17 +228,11 @@ def assemble_nodal_admittance(net: NetworkDescription, s: complex) -> np.ndarray
     Y = np.zeros((2 * n, 2 * n), dtype=complex)
     for branch in net.branches:
         try:
-            y = _branch_series_admittance(branch, net.omega0, s)
-            bii, bij, bji, bjj = transformer_stamp(y, branch.ratio)
+            _stamp_branch(Y, branch, net.omega0, s)
         except AssemblyError as exc:
             raise type(exc)(
                 f"branch {branch.from_bus}-{branch.to_bus} ({branch.kind}): {exc}"
             ) from exc
-        si, sj = block_slice(branch.from_bus), block_slice(branch.to_bus)
-        Y[si, si] += bii
-        Y[si, sj] += bij
-        Y[sj, si] += bji
-        Y[sj, sj] += bjj
     for shunt in net.shunts:
         try:
             y = shunt_admittance(shunt, net.omega0, s)
@@ -242,11 +269,11 @@ def assemble_apparatus_admittance(
     return Y
 
 
-def whole_system_matrices(net: NetworkDescription, s: complex, cond_limit: float = 1e13):
+def whole_system_matrices(net: NetworkDescription, s: complex):
     """Whole-system (Y(s), Z(s)). Raises SingularSystemError near a mode."""
     model = WholeSystemModel(net)
     Y = model.admittance(s)
-    return Y, model._invert(Y, s, cond_limit)
+    return Y, model._invert(Y, s)
 
 
 class WholeSystemModel:
@@ -282,14 +309,14 @@ class WholeSystemModel:
     def admittance(self, s: complex) -> np.ndarray:
         return self.nodal_admittance(s) + self.apparatus_admittance_matrix(s)
 
-    def _invert(self, Y: np.ndarray, s: complex, cond_limit: float) -> np.ndarray:
+    def _invert(self, Y: np.ndarray, s: complex) -> np.ndarray:
         cond = np.linalg.cond(Y)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > _Y_COND_LIMIT:
             raise SingularSystemError(s, cond)
         return np.linalg.inv(Y)
 
-    def impedance(self, s: complex, cond_limit: float = 1e13) -> np.ndarray:
-        return self._invert(self.admittance(s), s, cond_limit)
+    def impedance(self, s: complex) -> np.ndarray:
+        return self._invert(self.admittance(s), s)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +375,7 @@ def element_stamp(net: NetworkDescription, ref: ElementRef, s: complex,
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     kind, idx = ref
     if kind == "branch":
-        b = net.branches[idx]
-        y = _branch_series_admittance(b, net.omega0, s)
-        bii, bij, bji, bjj = transformer_stamp(y, b.ratio)
-        si, sj = block_slice(b.from_bus), block_slice(b.to_bus)
-        out[si, si] += bii
-        out[si, sj] += bij
-        out[sj, si] += bji
-        out[sj, sj] += bjj
+        _stamp_branch(out, net.branches[idx], net.omega0, s)
     else:
         y = element_admittance(net, ref, s, overrides)
         bus = net.shunts[idx].bus if kind == "shunt" else net.apparatus[idx].bus

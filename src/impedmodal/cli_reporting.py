@@ -67,7 +67,6 @@ class AnalysisConfig:
     epsilon: float = 0.05
     modes: Optional[list[int]] = None  # None = all
     out_dir: str = "impedmodal_reports"
-    formats: tuple = ("csv", "json")
     validate_predictions: bool = True
     seed: int = 0
 
@@ -80,9 +79,8 @@ class AnalysisConfig:
             raise ConfigError(f"fit order must be >= 2, got {self.order}")
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        for fmt in self.formats:
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"unknown report format '{fmt}'")
+        if self.modes is not None and len(set(self.modes)) != len(self.modes):
+            raise ConfigError(f"mode indices must not repeat, got {self.modes}")
 
 
 @dataclass
@@ -277,10 +275,7 @@ def run(config: AnalysisConfig) -> int:
     net = _load_network(config.network_path)
     out_dir = Path(config.out_dir)
 
-    oracle_capable = all(
-        isinstance(a.model, network_model.StateSpaceRealization) for a in net.apparatus
-    )
-    if not oracle_capable and config.band is None:
+    if not mass_oracle.oracle_capable(net) and config.band is None:
         raise ConfigError(
             "--band MIN:MAX is required when not every apparatus has a "
             "state-space realization (impedance-path mode search)"
@@ -300,15 +295,12 @@ def run(config: AnalysisConfig) -> int:
             )
 
     files: list[str] = []
-    want_csv = "csv" in config.formats
-    want_json = "json" in config.formats
 
     def emit(name: str, text: str) -> None:
         _write_text(out_dir / name, text)
         files.append(name)
 
-    if want_csv:
-        emit("modes.csv", _modes_csv(records))
+    emit("modes.csv", _modes_csv(records))
 
     refs = assembly.network_elements(net)
     validation: dict = {"epsilon": config.epsilon, "modes": []}
@@ -321,11 +313,10 @@ def run(config: AnalysisConfig) -> int:
             )
             for ref in refs
         ]
-        if want_csv:
-            emit(f"mode{k}_elements.csv", _elements_csv(reports))
-            emit(f"mode{k}_layer3.csv", _layer3_csv(reports))
-            for name, table in _heatmaps_for_mode(net, reports).items():
-                emit(f"mode{k}_{name}.csv", emit_heatmap(table))
+        emit(f"mode{k}_elements.csv", _elements_csv(reports))
+        emit(f"mode{k}_layer3.csv", _layer3_csv(reports))
+        for name, table in _heatmaps_for_mode(net, reports).items():
+            emit(f"mode{k}_{name}.csv", emit_heatmap(table))
         if config.validate_predictions:
             entries = []
             for ref in refs:
@@ -352,7 +343,7 @@ def run(config: AnalysisConfig) -> int:
             validation["modes"].append(
                 {"mode": k, "lambda": [rec.lam.real, rec.lam.imag], "elements": entries}
             )
-    if config.validate_predictions and want_json:
+    if config.validate_predictions:
         emit("validation.json", json.dumps(validation, indent=2) + "\n")
 
     summary = {
@@ -381,6 +372,10 @@ def run_sweep(
     band: Optional[tuple[float, float]] = None,
     order: int = 16,
 ) -> int:
+    if not (np.isfinite(factor) and factor > 0):
+        raise ConfigError(f"factor must be finite and positive, got {factor}")
+    if n_steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {n_steps}")
     net = _load_network(network_path)
     index = None
     for idx, b in enumerate(net.branches):
@@ -401,7 +396,7 @@ def run_fit(samples_path: str, order: int, n_iterations: int, out_dir: str) -> i
         text = Path(samples_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read samples file '{samples_path}': {exc}")
-    samples = rational_fit.read_response_csv(text)
+    samples = rational_fit.ResponseSamples(*network_model.read_response_csv(text))
     model = rational_fit.vector_fit(samples, order=order, n_iterations=n_iterations)
     payload = {
         "order": order,

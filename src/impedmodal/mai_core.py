@@ -22,15 +22,15 @@ import scipy.linalg
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
-from .admittance_assembly import ElementRef, WholeSystemModel, block_slice
+from .admittance_assembly import _I2, ElementRef, WholeSystemModel, block_slice, omega_block
 from .network_model import NetworkDescription, StateSpaceRealization
-from .rational_fit import ModeRecord
 
 __all__ = [
     "AnalysisError",
     "TrackingError",
     "DegenerateSplitError",
     "Location",
+    "ModeRecord",
     "SensitivityRecord",
     "LayerReport",
     "SplitBranch",
@@ -62,7 +62,8 @@ __all__ = [
     "parameter_sweep",
 ]
 
-_I2 = np.eye(2)
+# pole-relocation iterations of each impedance-path vector fit
+_FIT_ITERATIONS = 12
 
 
 class AnalysisError(Exception):
@@ -89,6 +90,20 @@ class Location:
     i: int
     j: int = 0
     ratio: float = 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class ModeRecord:
+    """One oscillatory mode with its whole-system impedance residue matrix.
+
+    ``provenance`` names the path that found the mode: "state-space" (an
+    eigenvalue of the interconnected state matrix) or "newton-refined" (a
+    zero of det Y refined from impedance data).
+    """
+
+    lam: complex
+    residue: np.ndarray  # (2n, 2n)
+    provenance: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,25 +331,20 @@ def layer3(
 # ---------------------------------------------------------------------------
 
 
-def _omega_block(lam: complex, omega0: float) -> np.ndarray:
-    return np.array([[lam, -omega0], [omega0, lam]], dtype=complex)
-
-
 def split_branch(R: float, L: float, omega0: float, lam: complex) -> SplitBranch:
     """Split a series RL branch at s = lambda into inductive z1 = L[[s,-w0],[w0,s]]
     and resistive z2 = R I parts joined at a virtual node."""
     if not L > 0:
         raise AnalysisError(f"branch inductance must be positive, got {L}")
-    z1 = L * _omega_block(lam, omega0)
+    z1 = L * omega_block(lam, omega0)
     z2 = R * _I2.astype(complex)
     return SplitBranch(z1=z1, z2=z2, R=R, L=L, omega0=omega0, lam=lam)
 
 
 def _inv2(M: np.ndarray, what: str) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0 or not np.isfinite(det):
-        raise DegenerateSplitError(f"{what} is singular; fall back to the unsplit branch")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det
+    return assembly.inv2(
+        M, lambda: DegenerateSplitError(f"{what} is singular; fall back to the unsplit branch")
+    )
 
 
 def _split_node_blocks(
@@ -408,7 +418,7 @@ def split_parameter_derivatives(split: SplitBranch):
     dy1/dL = -z1^{-1} (dz1/dL) z1^{-1} and dy2/dR = -z2^{-1} z2^{-1}."""
     z1_inv = _inv2(split.z1, "inductive part z1")
     z2_inv = _inv2(split.z2, "resistive part z2")
-    dz1_dL = _omega_block(split.lam, split.omega0)
+    dz1_dL = omega_block(split.lam, split.omega0)
     dy1_dL = -z1_inv @ dz1_dL @ z1_inv
     dy2_dR = -z2_inv @ z2_inv
     return dy1_dL, dy2_dR
@@ -461,9 +471,9 @@ def _shunt_parameter_derivative(net, idx, lam):
     if sh.kind == "resistive":
         return {"value": -_I2.astype(complex) / sh.value**2}
     if sh.kind == "capacitive":
-        return {"value": _omega_block(lam, net.omega0)}
-    z_inv = _inv2(sh.value * _omega_block(lam, net.omega0), "inductive shunt impedance")
-    return {"value": -z_inv @ _omega_block(lam, net.omega0) @ z_inv}
+        return {"value": omega_block(lam, net.omega0)}
+    z_inv = _inv2(sh.value * omega_block(lam, net.omega0), "inductive shunt impedance")
+    return {"value": -z_inv @ omega_block(lam, net.omega0) @ z_inv}
 
 
 def branch_parameter_sensitivity(
@@ -486,46 +496,47 @@ def branch_parameter_sensitivity(
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"branch parameter must be 'L' or 'R', got '{param}'")
+    if via not in ("auto", "split", "direct"):
+        raise AnalysisError(f"unknown route '{via}'")
     b = net.branches[branch_index]
-    if via == "auto":
-        via = "direct" if b.ratio != 1.0 else "split"
-        if via == "split":
-            try:
-                return branch_parameter_sensitivity(net, branch_index, res, lam, param, "split")
-            except DegenerateSplitError:
-                via = "direct"
-    if via == "split":
-        if b.ratio != 1.0:
-            raise AnalysisError("split route applies to unit-ratio (line) branches")
-        split = split_branch(b.R, b.L, net.omega0, lam)
-        aug = split_node_residues(res, b.from_bus, b.to_bus, split.z1, split.z2)
-        dy1_dL, dy2_dR = split_parameter_derivatives(split)
-        if param == "L":
-            d = -(
-                _residue_block(res, b.from_bus, b.from_bus)
-                + aug.Z_ff
-                - aug.Z_if(b.from_bus)
-                - aug.Z_fi(b.from_bus)
-            )
-            s_rho, _ = layer3(d.conj().T, dy1_dL)
-        else:
-            d = -(
-                aug.Z_ff
-                + _residue_block(res, b.to_bus, b.to_bus)
-                - aug.Z_fi(b.to_bus)
-                - aug.Z_if(b.to_bus)
-            )
-            s_rho, _ = layer3(d.conj().T, dy2_dR)
-        return s_rho
-    if via == "direct":
-        rec = element_sensitivity(net, ("branch", branch_index), res)
-        z = assembly.dq_series_impedance(b.R, b.L, net.omega0, lam)
-        y = _inv2(z, "branch series impedance")
-        dz = _omega_block(lam, net.omega0) if param == "L" else _I2.astype(complex)
-        dy_drho = -y @ dz @ y
-        s_rho, _ = layer3(rec.s_factor, dy_drho)
-        return s_rho
-    raise AnalysisError(f"unknown route '{via}'")
+    if via == "split" and b.ratio != 1.0:
+        raise AnalysisError("split route applies to unit-ratio (line) branches")
+    if via == "split" or (via == "auto" and b.ratio == 1.0):
+        try:
+            return _split_sensitivity(net, b, res, lam, param)
+        except DegenerateSplitError:
+            if via == "split":
+                raise
+    rec = element_sensitivity(net, ("branch", branch_index), res)
+    z = assembly.dq_series_impedance(b.R, b.L, net.omega0, lam)
+    y = _inv2(z, "branch series impedance")
+    dz = omega_block(lam, net.omega0) if param == "L" else _I2.astype(complex)
+    s_rho, _ = layer3(rec.s_factor, -y @ dz @ y)
+    return s_rho
+
+
+def _split_sensitivity(net, b, res, lam, param) -> complex:
+    """Layer 3 of line ``b`` through its virtual split node f."""
+    split = split_branch(b.R, b.L, net.omega0, lam)
+    aug = split_node_residues(res, b.from_bus, b.to_bus, split.z1, split.z2)
+    dy1_dL, dy2_dR = split_parameter_derivatives(split)
+    if param == "L":
+        d = -(
+            _residue_block(res, b.from_bus, b.from_bus)
+            + aug.Z_ff
+            - aug.Z_if(b.from_bus)
+            - aug.Z_fi(b.from_bus)
+        )
+        s_rho, _ = layer3(d.conj().T, dy1_dL)
+    else:
+        d = -(
+            aug.Z_ff
+            + _residue_block(res, b.to_bus, b.to_bus)
+            - aug.Z_fi(b.to_bus)
+            - aug.Z_if(b.to_bus)
+        )
+        s_rho, _ = layer3(d.conj().T, dy2_dR)
+    return s_rho
 
 
 def element_layer_report(
@@ -568,19 +579,9 @@ def element_layer_report(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_capable(net: NetworkDescription) -> bool:
-    return all(isinstance(a.model, StateSpaceRealization) for a in net.apparatus)
-
-
-def _critical_vector(model: WholeSystemModel, lam: complex) -> np.ndarray:
-    crit = rational_fit.critical_resonance_mode(model.admittance(lam))
-    return crit.eigenvector
-
-
 def _solve_modes_state_space(net, band):
     ss = mass_oracle.interconnect(net)
     eig = mass_oracle.eigendecompose(ss.A)
-    model = WholeSystemModel(net)
     records = []
     for i, lam in enumerate(eig.eigenvalues):
         lam = complex(lam)
@@ -589,14 +590,7 @@ def _solve_modes_state_space(net, band):
         if band is not None and not (band[0] <= abs(lam.imag) <= band[1]):
             continue
         res = ss.C @ np.outer(eig.right[:, i], eig.left[i, :]) @ ss.B
-        records.append(
-            ModeRecord(
-                lam=lam,
-                residue=res,
-                critical_vector=_critical_vector(model, lam),
-                provenance="state-space",
-            )
-        )
+        records.append(ModeRecord(lam=lam, residue=res, provenance="state-space"))
     return sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
 
 
@@ -614,13 +608,13 @@ def _scan_seeds(model: WholeSystemModel, omegas: np.ndarray) -> list[complex]:
     return seeds
 
 
-def _solve_modes_impedance(model, band, order, n_grid=400, n_iterations=12):
+def _solve_modes_impedance(model, band, order, n_grid=400):
     if band is None:
         raise AnalysisError("impedance-path mode search needs an explicit band")
     w_lo, w_hi = band
     grid = rational_fit.frequency_grid(w_lo, w_hi, n_grid)
     samples = rational_fit.sample_response(model, grid)
-    fit = rational_fit.vector_fit(samples, order=order, n_iterations=n_iterations)
+    fit = rational_fit.vector_fit(samples, order=order, n_iterations=_FIT_ITERATIONS)
     # densify around candidate resonances and refit once
     extra = []
     for p in fit.poles:
@@ -631,7 +625,7 @@ def _solve_modes_impedance(model, band, order, n_grid=400, n_iterations=12):
         dense = np.unique(np.concatenate([grid] + extra))
         dense = dense[(dense >= w_lo) & (dense <= w_hi)]
         samples = rational_fit.sample_response(model, dense)
-        fit = rational_fit.vector_fit(samples, order=order, n_iterations=n_iterations)
+        fit = rational_fit.vector_fit(samples, order=order, n_iterations=_FIT_ITERATIONS)
     seeds = [p for p in fit.poles if p.imag >= 0 and w_lo * 0.5 <= abs(p.imag) <= w_hi * 1.5]
     seeds += _scan_seeds(model, grid[:: max(1, n_grid // 60)])
     modes = rational_fit.find_modes(model.admittance, seeds)
@@ -640,14 +634,7 @@ def _solve_modes_impedance(model, band, order, n_grid=400, n_iterations=12):
         if not (w_lo <= abs(lam.imag) <= w_hi):
             continue
         res = rational_fit.admittance_residue(model.admittance, lam)
-        records.append(
-            ModeRecord(
-                lam=lam,
-                residue=res,
-                critical_vector=_critical_vector(model, lam),
-                provenance="newton-refined",
-            )
-        )
+        records.append(ModeRecord(lam=lam, residue=res, provenance="newton-refined"))
     return records
 
 
@@ -659,7 +646,7 @@ def solve_modes(
     apparatus_overrides=None,
     n_grid: int = 400,
 ) -> list[ModeRecord]:
-    """Find the system's oscillatory modes with residues and critical vectors.
+    """Find the system's oscillatory modes with their impedance residues.
 
     ``method="state_space"`` uses the interconnected oracle (requires every
     apparatus in state-space form); ``"impedance"`` samples Z over ``band``,
@@ -667,7 +654,8 @@ def solve_modes(
     residues locally. ``"auto"`` prefers the state-space path when available.
     """
     if method == "auto":
-        method = "state_space" if _oracle_capable(net) and not apparatus_overrides else "impedance"
+        use_oracle = mass_oracle.oracle_capable(net) and not apparatus_overrides
+        method = "state_space" if use_oracle else "impedance"
     if method == "state_space":
         return _solve_modes_state_space(net, band)
     if method == "impedance":
@@ -791,7 +779,7 @@ def validate_element_prediction(
     rec = element_sensitivity(net, ref, mode.residue)
     y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
     predicted = predict_mode_shift(rec.s_factor, epsilon * y)
-    if _oracle_capable(net) and not apparatus_overrides:
+    if mass_oracle.oracle_capable(net) and not apparatus_overrides:
         perturbed = scale_element_admittance(net, ref, 1.0 + epsilon)
         lam_new = _resolve_perturbed_mode(perturbed, mode.lam, reference_modes)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .admittance_assembly import block_slice, frame_rotation
+from .admittance_assembly import _I2, _J, block_slice, frame_rotation, state_space_response
 from .network_model import NetworkDescription, StateSpaceRealization
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "StateSpaceModel",
     "EigenStructure",
     "PortSelection",
+    "oracle_capable",
     "interconnect",
     "eigendecompose",
     "nearest_eigenvalue",
@@ -38,8 +39,6 @@ __all__ = [
     "transfer_matrix",
 ]
 
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
 # largest eigenvector-matrix or eigenvalue condition number accepted
 _COND_LIMIT = 1e12
 
@@ -132,6 +131,12 @@ class EigenStructure:
 # ---------------------------------------------------------------------------
 # Interconnection
 # ---------------------------------------------------------------------------
+
+
+def oracle_capable(net: NetworkDescription) -> bool:
+    """Whether every apparatus has a state-space realization, the first
+    condition :func:`interconnect` sets on a network."""
+    return all(isinstance(a.model, StateSpaceRealization) for a in net.apparatus)
 
 
 def interconnect(net: NetworkDescription) -> StateSpaceModel:
@@ -288,21 +293,21 @@ def interconnect(net: NetworkDescription) -> StateSpaceModel:
 # ---------------------------------------------------------------------------
 
 
-def eigendecompose(A: np.ndarray, cond_limit: float = _COND_LIMIT) -> EigenStructure:
+def eigendecompose(A: np.ndarray) -> EigenStructure:
     """Eigenvalues with mutually normalized right/left eigenvectors.
 
     Left eigenvectors are the rows of the inverse of the right-eigenvector
     matrix, which enforces left @ right = I up to inversion error.
 
     Raises DefectiveMatrixError when the eigenvector matrix condition number
-    exceeds ``cond_limit`` (near-defective A).
+    exceeds 1e12 (near-defective A).
     """
     A = np.asarray(A)
     lam, Phi = scipy.linalg.eig(A)
     cond = np.linalg.cond(Phi)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise DefectiveMatrixError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds {cond_limit:.1e}"
+            f"eigenvector matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
     Psi = np.linalg.inv(Phi)
     return EigenStructure(eigenvalues=lam, right=Phi, left=Psi)
@@ -461,11 +466,7 @@ def parameter_sensitivity_ss(
 
 def transfer_matrix(model: StateSpaceModel, s: complex) -> np.ndarray:
     """Full transfer matrix C (sI - A)^{-1} B + D at one frequency."""
-    nx = model.n_states
-    if nx == 0:
-        return model.D.astype(complex)
-    X = np.linalg.solve(s * np.eye(nx) - model.A, model.B.astype(complex))
-    return model.C @ X + model.D
+    return state_space_response(model.A, model.B, model.C, model.D, s)
 
 
 def extract_port_transfer(model: StateSpaceModel, sel: PortSelection, s: complex) -> np.ndarray:
@@ -484,11 +485,6 @@ def extract_port_transfer(model: StateSpaceModel, sel: PortSelection, s: complex
             raise OracleError(f"output index {k} outside [0, {ny})")
     rows = np.asarray(sel.outputs, dtype=int)
     cols = np.asarray(sel.inputs, dtype=int)
-    nx = model.n_states
-    B1 = model.B[:, cols]
-    C1 = model.C[rows, :]
-    D1 = model.D[np.ix_(rows, cols)]
-    if nx == 0:
-        return D1.astype(complex)
-    X = np.linalg.solve(s * np.eye(nx) - model.A, B1.astype(complex))
-    return C1 @ X + D1
+    return state_space_response(
+        model.A, model.B[:, cols], model.C[rows, :], model.D[np.ix_(rows, cols)], s
+    )

@@ -33,6 +33,8 @@ __all__ = [
     "parse_network",
     "serialize_network",
     "validate",
+    "read_response_csv",
+    "write_response_csv",
 ]
 
 
@@ -294,12 +296,34 @@ def _parse_shunt(obj: dict, idx: int) -> ShuntElement:
     )
 
 
-def read_sampled_response_csv(text: str, path: Optional[str] = None) -> SampledResponse:
-    """Parse a 2x2 sampled-response CSV: omega, then re/im per entry, row-major.
+def write_response_csv(omegas: np.ndarray, values: np.ndarray) -> str:
+    """Serialize a sampled dim x dim response as CSV: omega (rad/s), then
+    re/im per matrix entry, row-major, under an ``omega,re_1_1,im_1_1,...``
+    header."""
+    dim = values.shape[1]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["omega"] + [f"{part}_{i}_{j}" for i in range(1, dim + 1)
+                     for j in range(1, dim + 1) for part in ("re", "im")]
+    )
+    for w, block in zip(omegas, values):
+        row = [repr(float(w))]
+        for z in block.reshape(-1):
+            row.extend([repr(float(z.real)), repr(float(z.imag))])
+        writer.writerow(row)
+    return out.getvalue()
 
-    Nine columns per row: omega, re_dd, im_dd, re_dq, im_dq, re_qd, im_qd,
-    re_qq, im_qq. A non-numeric first row is treated as a header.
+
+def read_response_csv(text: str, dim: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the CSV layout of :func:`write_response_csv` into frequencies
+    (M,) and complex values (M, dim, dim).
+
+    A non-numeric first row is a header; blank rows are skipped. ``dim``
+    fixes the matrix size (1 + 2 dim^2 columns); otherwise the first data
+    row sets the width. Raises NetworkFormatError on malformed input.
     """
+    width = None if dim is None else 1 + 2 * dim * dim
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -309,35 +333,21 @@ def read_sampled_response_csv(text: str, path: Optional[str] = None) -> SampledR
         except ValueError:
             if lineno == 1:
                 continue  # header
-            raise NetworkFormatError(f"samples CSV line {lineno}: non-numeric value")
-        if len(values) != 9:
+            raise NetworkFormatError(f"response CSV line {lineno}: non-numeric value")
+        if width is None:
+            width = len(values)
+        if len(values) != width:
             raise NetworkFormatError(
-                f"samples CSV line {lineno}: expected 9 columns, got {len(values)}"
+                f"response CSV line {lineno}: expected {width} columns, got {len(values)}"
             )
         rows.append(values)
     if not rows:
-        raise NetworkFormatError("samples CSV contains no data rows")
+        raise NetworkFormatError("response CSV contains no data rows")
+    n = int(round(np.sqrt((width - 1) // 2)))
+    if n < 1 or width != 1 + 2 * n * n:
+        raise NetworkFormatError(f"response CSV width {width} does not describe a square matrix")
     data = np.array(rows, dtype=float)
-    freq = data[:, 0]
-    re = data[:, 1::2]
-    im = data[:, 2::2]
-    blocks = (re + 1j * im).reshape(-1, 2, 2)
-    return SampledResponse(frequencies=freq, blocks=blocks, path=path)
-
-
-def write_sampled_response_csv(resp: SampledResponse) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["omega", "re_dd", "im_dd", "re_dq", "im_dq", "re_qd", "im_qd", "re_qq", "im_qq"]
-    )
-    for w, block in zip(resp.frequencies, resp.blocks):
-        flat = block.reshape(-1)
-        row = [repr(float(w))]
-        for z in flat:
-            row.extend([repr(float(z.real)), repr(float(z.imag))])
-        writer.writerow(row)
-    return out.getvalue()
+    return data[:, 0], (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
 
 
 def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusModel:
@@ -390,7 +400,8 @@ def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusMod
                 text = fh.read()
         except OSError as exc:
             raise NetworkFormatError(f"{where}: cannot read samples file '{path}': {exc}")
-        return read_sampled_response_csv(text, path=path)
+        frequencies, blocks = read_response_csv(text, dim=2)
+        return SampledResponse(frequencies=frequencies, blocks=blocks, path=path)
     raise NetworkFormatError(
         f"{where}: model kind must be 'state_space', 'rational' or 'samples', got '{kind}'"
     )

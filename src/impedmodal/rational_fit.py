@@ -9,8 +9,6 @@ model or from a state-space realization.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -28,7 +26,6 @@ __all__ = [
     "ResidueError",
     "ResponseSamples",
     "RationalModel",
-    "ModeRecord",
     "CriticalMode",
     "sample_response",
     "frequency_grid",
@@ -41,9 +38,15 @@ __all__ = [
     "admittance_residue",
     "residue_at_mode",
     "fit_apparatus_surrogate",
-    "read_response_csv",
-    "write_response_csv",
 ]
+
+# largest condition number of the column-scaled residue least squares
+_FIT_COND_LIMIT = 1e13
+# largest relative deviation over the grid a fit may keep without a warning
+_FIT_REL_TOL = 1e-4
+# eigenvalue magnitudes within this fraction of max(1, ||Y||_F) of the
+# smallest one are ties of the critical resonance mode
+_TIE_TOL = 1e-9
 
 
 class FitError(Exception):
@@ -125,20 +128,6 @@ class RationalModel:
         for p, R in zip(self.poles, self.residues):
             out = out + R / (s - p)
         return out
-
-
-@dataclass(frozen=True, eq=False)
-class ModeRecord:
-    """One oscillatory mode with its impedance residue matrix.
-
-    ``critical_vector`` is the eigenvector of Y(lambda) for the eigenvalue
-    nearest zero (the critical resonance mode).
-    """
-
-    lam: complex
-    residue: np.ndarray  # (2n, 2n)
-    critical_vector: np.ndarray  # (2n,)
-    provenance: str  # "state-space" | "vector-fit" | "newton-refined"
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,13 +242,17 @@ def _basis(s: np.ndarray, poles: np.ndarray, cidx: np.ndarray) -> np.ndarray:
     return Dk
 
 
+def _design_matrix(s: np.ndarray, poles: np.ndarray, cidx: np.ndarray) -> np.ndarray:
+    """Basis columns of the rational model followed by the constant and
+    linear terms, complex (M, N + 2)."""
+    return np.column_stack([_basis(s, poles, cidx), np.ones_like(s), s])
+
+
 def _stack_real(A: np.ndarray) -> np.ndarray:
     return np.vstack([A.real, A.imag])
 
 
-def _relocate_poles(
-    s: np.ndarray, F: np.ndarray, poles: np.ndarray, include_const: bool, include_linear: bool
-) -> np.ndarray:
+def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """One pole-relocation step: returns the zeros of the fitted scaling
     function sigma(s) = 1 + sum c_k phi_k(s), which become the new poles.
 
@@ -270,18 +263,8 @@ def _relocate_poles(
     M, n_resp = F.shape
     N = poles.size
     cidx = _pair_index(poles)
-    Dk = _basis(s, poles, cidx)
-    offs = int(include_const) + int(include_linear)
-    n_local = N + offs
-
-    A_local = np.zeros((M, n_local), dtype=complex)
-    A_local[:, :N] = Dk
-    col = N
-    if include_const:
-        A_local[:, col] = 1.0
-        col += 1
-    if include_linear:
-        A_local[:, col] = s
+    A_local = _design_matrix(s, poles, cidx)
+    Dk = A_local[:, :N]
     Q1, _ = np.linalg.qr(_stack_real(A_local), mode="reduced")
 
     AA = np.zeros((n_resp * 2 * M, N))
@@ -318,13 +301,7 @@ def _relocate_poles(
     return _canonical_poles(np.linalg.eigvals(H))
 
 
-def fit_residues(
-    samples: ResponseSamples,
-    poles: np.ndarray,
-    include_const: bool = True,
-    include_linear: bool = True,
-    cond_limit: float = 1e13,
-):
+def fit_residues(samples: ResponseSamples, poles: np.ndarray):
     """Least-squares residue matrices for fixed poles.
 
     Returns ``(residues, const, linear, rms_rel_error, max_rel_deviation)``.
@@ -337,24 +314,16 @@ def fit_residues(
     M = s.size
     N = poles.size
     cidx = _pair_index(poles)
-    Dk = _basis(s, poles, cidx)
-    offs = int(include_const) + int(include_linear)
-    Ac = np.zeros((M, N + offs), dtype=complex)
-    Ac[:, :N] = Dk
-    col = N
-    if include_const:
-        Ac[:, col] = 1.0
-        col += 1
-    if include_linear:
-        Ac[:, col] = s
+    Ac = _design_matrix(s, poles, cidx)
     A_r = _stack_real(Ac)
     scale = np.linalg.norm(A_r, axis=0)
     scale[scale == 0] = 1.0
     A_s = A_r / scale
     cond = np.linalg.cond(A_s)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _FIT_COND_LIMIT:
         raise ConditioningError(
-            f"residue least-squares matrix condition number {cond:.3e} exceeds {cond_limit:.1e}"
+            f"residue least-squares matrix condition number {cond:.3e} "
+            f"exceeds {_FIT_COND_LIMIT:.1e}"
         )
     F = samples.values.reshape(M, dim * dim)
     B_r = np.vstack([F.real, F.imag])
@@ -371,11 +340,8 @@ def fit_residues(
         else:
             residues[k] = X[k]
             k += 1
-    col = N
-    const = X[col].astype(complex) if include_const else np.zeros(dim * dim, dtype=complex)
-    if include_const:
-        col += 1
-    linear = X[col].astype(complex) if include_linear else np.zeros(dim * dim, dtype=complex)
+    const = X[N].astype(complex)
+    linear = X[N + 1].astype(complex)
 
     fit = Ac @ X  # real coefficients against the complex design matrix
     err = fit - F
@@ -398,10 +364,7 @@ def vector_fit(
     order: int,
     n_iterations: int = 10,
     poles: Optional[np.ndarray] = None,
-    include_const: bool = True,
-    include_linear: bool = True,
     enforce_stable: bool = False,
-    rel_tol: float = 1e-4,
 ) -> RationalModel:
     """Fit a common-pole rational model to a sampled matrix response.
 
@@ -410,8 +373,7 @@ def vector_fit(
     Complex poles/residues come out in exact conjugate pairs because the
     solve runs in the real pair basis.
 
-    A model whose maximum relative deviation over the grid exceeds
-    ``rel_tol``, or whose poles were still moving at the last iteration,
+    A model whose maximum relative deviation over the grid exceeds 1e-4, or whose poles were still moving at the last iteration,
     carries a ``warning`` (underfit / non-convergence) instead of raising.
     """
     M = samples.omegas.size
@@ -426,7 +388,7 @@ def vector_fit(
     drift = np.inf
     iterations_run = 0
     for it in range(n_iterations):
-        new_poles = _relocate_poles(s, F, poles, include_const, include_linear)
+        new_poles = _relocate_poles(s, F, poles)
         if enforce_stable:
             flip = new_poles.real > 0
             new_poles = np.where(flip, new_poles - 2 * new_poles.real, new_poles)
@@ -438,16 +400,14 @@ def vector_fit(
         if drift < 1e-12:
             break
 
-    residues, const, linear, rms_rel, max_rel = fit_residues(
-        samples, poles, include_const, include_linear
-    )
+    residues, const, linear, rms_rel, max_rel = fit_residues(samples, poles)
     # a tight fit counts as converged even if a spurious (near-zero-residue)
     # pole is still wandering
-    converged = drift < 1e-6 or max_rel <= rel_tol
+    converged = drift < 1e-6 or max_rel <= _FIT_REL_TOL
     warning = None
-    if max_rel > rel_tol:
+    if max_rel > _FIT_REL_TOL:
         warning = (
-            f"fit deviation {max_rel:.3e} above tolerance {rel_tol:.1e}: "
+            f"fit deviation {max_rel:.3e} above tolerance {_FIT_REL_TOL:.1e}: "
             "order too low for the sampled dynamics"
         )
         if drift >= 1e-6:
@@ -558,17 +518,17 @@ def find_modes(
     return sorted(modes, key=lambda z: (z.imag, z.real))
 
 
-def critical_resonance_mode(Y: np.ndarray, tie_tol: float = 1e-9) -> CriticalMode:
+def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:
     """Eigenpair of Y with minimal |eigenvalue| (the critical resonance mode).
 
-    Eigenvalues whose magnitude is within ``tie_tol * max(1, ||Y||_F)`` of
-    the minimum are reported as ties.
+    Eigenvalues whose magnitude is within 1e-9 * max(1, ||Y||_F) of the
+    minimum are reported as ties.
     """
     Y = np.asarray(Y, dtype=complex)
     mu, V = np.linalg.eig(Y)
     order = np.argsort(np.abs(mu))
     k = order[0]
-    level = tie_tol * max(1.0, float(np.linalg.norm(Y)))
+    level = _TIE_TOL * max(1.0, float(np.linalg.norm(Y)))
     ties = tuple(
         (mu[j], V[:, j]) for j in order[1:] if abs(mu[j]) - abs(mu[k]) <= level
     )
@@ -634,53 +594,3 @@ def residue_at_mode(
     rows = np.asarray(sel.outputs, dtype=int)
     cols = np.asarray(sel.inputs, dtype=int)
     return model.C[rows, :] @ R @ model.B[:, cols]
-
-
-# ---------------------------------------------------------------------------
-# CSV import/export of sampled responses
-# ---------------------------------------------------------------------------
-
-
-def write_response_csv(samples: ResponseSamples) -> str:
-    """Serialize samples as CSV: omega, then re/im per matrix entry, row-major."""
-    dim = samples.dim
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = ["omega"]
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            header += [f"re_{i}_{j}", f"im_{i}_{j}"]
-    writer.writerow(header)
-    for w, block in zip(samples.omegas, samples.values):
-        row = [repr(float(w))]
-        for z in block.reshape(-1):
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        writer.writerow(row)
-    return out.getvalue()
-
-
-def read_response_csv(text: str) -> ResponseSamples:
-    """Parse the CSV format written by :func:`write_response_csv`."""
-    rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            rows.append([float(c) for c in row])
-        except ValueError:
-            if lineno == 1:
-                continue
-            raise FitError(f"response CSV line {lineno}: non-numeric value")
-    if not rows:
-        raise FitError("response CSV contains no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FitError("response CSV rows have inconsistent column counts")
-    n_entries = (width - 1) // 2
-    dim = int(round(np.sqrt(n_entries)))
-    if width != 1 + 2 * dim * dim:
-        raise FitError(f"response CSV width {width} does not describe a square matrix")
-    data = np.array(rows)
-    omegas = data[:, 0]
-    values = (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, dim, dim)
-    return ResponseSamples(omegas=omegas, values=values)

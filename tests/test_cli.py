@@ -2,9 +2,12 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from impedmodal import mai_core, mass_oracle
 from impedmodal.cli_reporting import (
@@ -183,11 +186,12 @@ def test_sweep_error_column_recomputes(tmp_path):
 def test_fit_cli(tmp_path):
     from impedmodal.admittance_assembly import WholeSystemModel
     from impedmodal.network_model import parse_network
-    from impedmodal.rational_fit import frequency_grid, sample_response, write_response_csv
+    from impedmodal.network_model import write_response_csv
+    from impedmodal.rational_fit import frequency_grid, sample_response
 
     net = parse_network(NETWORK.read_text(), base_dir=str(NETWORK.parent))
     samples = sample_response(WholeSystemModel(net), frequency_grid(5.0, 5e3, 240))
-    (tmp_path / "z.csv").write_text(write_response_csv(samples))
+    (tmp_path / "z.csv").write_text(write_response_csv(samples.omegas, samples.values))
     code = main(["fit", str(tmp_path / "z.csv"), "--order", "16",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -196,10 +200,38 @@ def test_fit_cli(tmp_path):
     assert len(payload["poles"]) == 16
 
 
+@pytest.mark.parametrize("factor, steps", [("0", "3"), ("nan", "3"), ("0.8", "-1")])
+def test_sweep_rejects_bad_factor_or_steps(tmp_path, capsys, factor, steps):
+    code = main([
+        "sweep", str(NETWORK), "--branch", "1:2", "--param", "L",
+        "--factor", factor, "--steps", steps, "--out", str(tmp_path),
+    ])
+    assert code == EXIT_INPUT
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "input" and report["type"] == "ConfigError"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_analyze_rejects_repeated_mode_index(tmp_path, capsys):
+    code = main(["analyze", str(NETWORK), "--modes", "0,0", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_fit_malformed_csv_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("omega,re_1_1,im_1_1\n1.0,2.0,3.0\n2.0,2.0\n")
+    assert main(["fit", str(bad), "--order", "2", "--out", str(tmp_path)]) == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "NetworkFormatError"
+
+
 def test_console_script_entry():
     out = subprocess.run(
         [sys.executable, "-c", "from impedmodal.cli_reporting import main; raise SystemExit(main(['analyze', '--help']))"],
         capture_output=True, text=True,
+        # the child finds the package where this process does, installed or not
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.returncode == 0
     assert "network" in out.stdout

@@ -55,6 +55,21 @@ def three_bus_modes(three_bus_net):
 # ---------------------------------------------------------------------------
 
 
+def test_state_space_solve_modes_assembles_no_admittance(three_bus_net, monkeypatch):
+    """The state-space path takes modes and residues from the state matrix
+    alone; it evaluates Y(s) nowhere."""
+    calls = []
+    admittance = WholeSystemModel.admittance
+
+    def counting(self, s):
+        calls.append(s)
+        return admittance(self, s)
+
+    monkeypatch.setattr(WholeSystemModel, "admittance", counting)
+    assert solve_modes(three_bus_net, method="state_space")
+    assert calls == []
+
+
 def test_zero_residue_zero_sensitivity():
     rec = admittance_sensitivity(np.zeros((6, 6), dtype=complex), Location("node", 2))
     assert np.allclose(rec.dlambda_dy, 0.0)

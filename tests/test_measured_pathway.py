@@ -107,11 +107,12 @@ def test_measured_sensitivities_match_twin(twin_pair):
 
 def test_cli_measured_network(tmp_path, twin_pair):
     """Full CLI run on a network whose apparatus is a samples CSV."""
-    from impedmodal.network_model import write_sampled_response_csv
+    from impedmodal.network_model import write_response_csv
 
     net_ss, net_meas = twin_pair
+    measured = net_meas.apparatus[0].model
     (tmp_path / "measured.csv").write_text(
-        write_sampled_response_csv(net_meas.apparatus[0].model)
+        write_response_csv(measured.frequencies, measured.blocks)
     )
     (tmp_path / "net.json").write_text(serialize_network(net_meas))
     out = tmp_path / "rep"
@@ -131,11 +132,12 @@ def test_cli_measured_network(tmp_path, twin_pair):
 
 def test_cli_measured_network_requires_band(tmp_path, twin_pair):
     from impedmodal.cli_reporting import EXIT_INPUT
-    from impedmodal.network_model import write_sampled_response_csv
+    from impedmodal.network_model import write_response_csv
 
     _, net_meas = twin_pair
+    measured = net_meas.apparatus[0].model
     (tmp_path / "measured.csv").write_text(
-        write_sampled_response_csv(net_meas.apparatus[0].model)
+        write_response_csv(measured.frequencies, measured.blocks)
     )
     (tmp_path / "net.json").write_text(serialize_network(net_meas))
     assert main(["analyze", str(tmp_path / "net.json"), "--out", str(tmp_path)]) == EXIT_INPUT
