@@ -30,9 +30,11 @@ __all__ = [
     "SingularSystemError",
     "frame_rotation",
     "omega_block",
+    "inv2_masked",
     "inv2",
     "dq_series_impedance",
     "transformer_stamp",
+    "shunt_admittances",
     "shunt_admittance",
     "apparatus_admittance",
     "state_space_response",
@@ -86,20 +88,48 @@ def omega_block(s: complex, omega0: float) -> np.ndarray:
     return np.array([[s, -omega0], [omega0, s]], dtype=complex)
 
 
+def inv2_masked(M: np.ndarray):
+    """Inverses of 2x2 blocks, stacked (..., 2, 2), by the adjugate, and a
+    mask that is False where the determinant is zero or not finite (those
+    blocks are left undivided and mean nothing)."""
+    # [()] makes the entries of a single block numpy scalars (cheap per
+    # call). The complex products are written out because numpy's complex
+    # array loops may round them differently from scalar code: a block
+    # must invert to the same bits alone and stacked, or modes that tie
+    # in frequency can swap places between two otherwise equal runs.
+    a, b, c, d = M[..., 0, 0][()], M[..., 0, 1][()], M[..., 1, 0][()], M[..., 1, 1][()]
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    det = (ar * dr - ai * di) - (br * cr - bi * ci) + 1j * ((ar * di + ai * dr) - (br * ci + bi * cr))
+    ok = (det != 0) & np.isfinite(det)
+    adj = np.empty(M.shape, dtype=complex)
+    adj[..., 0, 0] = d
+    adj[..., 0, 1] = -b
+    adj[..., 1, 0] = -c
+    adj[..., 1, 1] = a
+    return np.divide(adj, det[..., None, None], out=adj, where=ok[..., None, None]), ok
+
+
 def inv2(M: np.ndarray, singular: Callable[[], Exception]) -> np.ndarray:
-    """Inverse of a 2x2 block by its adjugate; raises ``singular()`` when the
-    determinant is zero or not finite."""
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0 or not np.isfinite(det):
+    """Inverse of a 2x2 block (or of stacked blocks) by the adjugate; raises
+    ``singular()`` when a determinant is zero or not finite."""
+    inv, ok = inv2_masked(M)
+    if not ok.all():
         raise singular()
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det
+    return inv
 
 
-def dq_series_impedance(R: float, L: float, omega0: float, s: complex) -> np.ndarray:
-    """dq impedance block of a series RL element: [[R+sL, -w0 L], [w0 L, R+sL]]."""
-    return np.array(
-        [[R + s * L, -omega0 * L], [omega0 * L, R + s * L]], dtype=complex
-    )
+def dq_series_impedance(R, L, omega0: float, s: complex) -> np.ndarray:
+    """dq impedance block of a series RL element: [[R+sL, -w0 L], [w0 L, R+sL]];
+    stacked (..., 2, 2) when R or L is an array."""
+    # [()] keeps scalar R and L numpy scalars, which are much cheaper than
+    # 0-d arrays per call
+    R, L = np.asarray(R, dtype=float)[()], np.asarray(L, dtype=float)[()]
+    diag = R + s * L
+    z = np.empty(np.shape(diag) + (2, 2), dtype=complex)
+    z[..., 0, 0] = z[..., 1, 1] = diag
+    z[..., 0, 1] = -omega0 * L
+    z[..., 1, 0] = omega0 * L
+    return z
 
 
 def transformer_stamp(y: np.ndarray, k: float):
@@ -115,18 +145,26 @@ def transformer_stamp(y: np.ndarray, k: float):
     return y / k**2, -y / k, -y / k, y.copy()
 
 
+def shunt_admittances(kind: str, value, omega0: float, s: complex):
+    """dq admittance blocks of passive shunts of one kind, stacked over
+    ``value`` (..., 2, 2), and a mask that is False where an inductive shunt
+    is singular at s (plain True for the other kinds)."""
+    value = np.asarray(value, dtype=float)[..., None, None]
+    if kind == "resistive":
+        return _I2.astype(complex) / value, True
+    if kind == "capacitive":
+        return value * omega_block(s, omega0), True
+    if kind == "inductive":
+        return inv2_masked(value * omega_block(s, omega0))
+    raise AssemblyError(f"unknown shunt kind '{kind}'")
+
+
 def shunt_admittance(shunt: ShuntElement, omega0: float, s: complex) -> np.ndarray:
     """dq admittance block of a single passive shunt."""
-    if shunt.kind == "resistive":
-        return _I2.astype(complex) / shunt.value
-    if shunt.kind == "capacitive":
-        return shunt.value * omega_block(s, omega0)
-    if shunt.kind == "inductive":
-        return inv2(
-            shunt.value * omega_block(s, omega0),
-            lambda: EvaluationError(f"inductive shunt at bus {shunt.bus} is singular at s = {s}"),
-        )
-    raise AssemblyError(f"unknown shunt kind '{shunt.kind}'")
+    y, ok = shunt_admittances(shunt.kind, shunt.value, omega0, s)
+    if not ok:
+        raise EvaluationError(f"inductive shunt at bus {shunt.bus} is singular at s = {s}")
+    return y
 
 
 def _evaluate_rational(model: RationalMatrix, s: complex) -> np.ndarray:
@@ -211,9 +249,9 @@ def _branch_series_admittance(branch: SeriesBranch, omega0: float, s: complex) -
     )
 
 
-def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, omega0: float, s: complex) -> None:
-    """Add the four transformer-stamp blocks of one branch to Y in place."""
-    y = _branch_series_admittance(branch, omega0, s)
+def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, y: np.ndarray) -> None:
+    """Add the four transformer-stamp blocks of one branch with series
+    admittance y to Y in place."""
     bii, bij, bji, bjj = transformer_stamp(y, branch.ratio)
     si, sj = block_slice(branch.from_bus), block_slice(branch.to_bus)
     Y[si, si] += bii
@@ -226,9 +264,14 @@ def assemble_nodal_admittance(net: NetworkDescription, s: complex) -> np.ndarray
     """Nodal admittance Y_N(s) of the passive network (branches + shunts)."""
     n = net.n_buses
     Y = np.zeros((2 * n, 2 * n), dtype=complex)
-    for branch in net.branches:
+    R = [branch.R for branch in net.branches]
+    L = [branch.L for branch in net.branches]
+    ys, ok = inv2_masked(dq_series_impedance(R, L, net.omega0, s))
+    for branch, y, ok_b in zip(net.branches, ys, ok):
         try:
-            _stamp_branch(Y, branch, net.omega0, s)
+            if not ok_b:
+                _branch_series_admittance(branch, net.omega0, s)  # raises its error
+            _stamp_branch(Y, branch, y)
         except AssemblyError as exc:
             raise type(exc)(
                 f"branch {branch.from_bus}-{branch.to_bus} ({branch.kind}): {exc}"
@@ -375,7 +418,8 @@ def element_stamp(net: NetworkDescription, ref: ElementRef, s: complex,
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     kind, idx = ref
     if kind == "branch":
-        _stamp_branch(out, net.branches[idx], net.omega0, s)
+        branch = net.branches[idx]
+        _stamp_branch(out, branch, _branch_series_admittance(branch, net.omega0, s))
     else:
         y = element_admittance(net, ref, s, overrides)
         bus = net.shunts[idx].bus if kind == "shunt" else net.apparatus[idx].bus

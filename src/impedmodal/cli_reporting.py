@@ -77,8 +77,8 @@ class AnalysisConfig:
                 raise ConfigError(f"band must satisfy 0 < min < max, got {lo}:{hi}")
         if self.order < 2:
             raise ConfigError(f"fit order must be >= 2, got {self.order}")
-        if not (self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.modes is not None and len(set(self.modes)) != len(self.modes):
             raise ConfigError(f"mode indices must not repeat, got {self.modes}")
 
@@ -108,15 +108,15 @@ def _write_text(path: Path, text: str) -> None:
 
 def emit_heatmap(table: HeatmapTable) -> str:
     """Render a heatmap table as CSV with bus indices as header row/column."""
+    n = table.n_buses
+    rows = [[str(i)] + [""] * n for i in range(1, n + 1)]
+    for (i, j), v in table.cells.items():
+        if 1 <= i <= n and 1 <= j <= n:
+            rows[i - 1][j] = _fmt(v)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bus"] + [str(j) for j in range(1, table.n_buses + 1)])
-    for i in range(1, table.n_buses + 1):
-        row = [str(i)]
-        for j in range(1, table.n_buses + 1):
-            v = table.cells.get((i, j))
-            row.append("" if v is None else _fmt(v))
-        writer.writerow(row)
+    writer.writerow(["bus"] + [str(j) for j in range(1, n + 1)])
+    writer.writerows(rows)
     for note in table.notes:
         writer.writerow(["note", note])
     return out.getvalue()
@@ -133,6 +133,7 @@ def _heatmaps_for_mode(net, reports):
         name: HeatmapTable(n_buses=net.n_buses)
         for name in ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
     }
+    cells = [t.cells for t in tables.values()]
     pair_count: dict[tuple[int, int], int] = {}
     for rep in reports:
         loc = rep.location
@@ -140,18 +141,13 @@ def _heatmaps_for_mode(net, reports):
             i = j = loc.i
         else:
             i, j = loc.i, loc.j
-        values = {
-            "layer1_cauchy": rep.layer1_cauchy,
-            "layer1_enhanced": rep.layer1_enhanced,
-            "layer2_real": rep.layer2.real,
-            "layer2_imag": rep.layer2.imag,
-        }
+        values = (rep.layer1_cauchy, rep.layer1_enhanced, rep.layer2.real, rep.layer2.imag)
         pair = (min(i, j), max(i, j))
         pair_count[pair] = pair_count.get(pair, 0) + 1
-        for name, value in values.items():
-            t = tables[name]
-            for key in ({(i, j)} if i == j else {(i, j), (j, i)}):
-                t.cells[key] = t.cells.get(key, 0.0) + value
+        keys = ((i, j),) if i == j else ((i, j), (j, i))
+        for table_cells, value in zip(cells, values):
+            for key in keys:
+                table_cells[key] = table_cells.get(key, 0.0) + value
     for (i, j), count in sorted(pair_count.items()):
         if count > 1 and i != j:
             for t in tables.values():
@@ -307,19 +303,16 @@ def run(config: AnalysisConfig) -> int:
     reference_modes = [r.lam for r in records]
     for k in selected:
         rec = records[k]
-        reports = [
-            mai_core.element_layer_report(
-                net, ref, rec, epsilon=config.epsilon, apparatus_overrides=overrides or None
-            )
-            for ref in refs
-        ]
+        reports = mai_core.mode_layer_reports(
+            net, rec, refs, epsilon=config.epsilon, apparatus_overrides=overrides or None
+        )
         emit(f"mode{k}_elements.csv", _elements_csv(reports))
         emit(f"mode{k}_layer3.csv", _layer3_csv(reports))
         for name, table in _heatmaps_for_mode(net, reports).items():
             emit(f"mode{k}_{name}.csv", emit_heatmap(table))
         if config.validate_predictions:
             entries = []
-            for ref in refs:
+            for ref, rep in zip(refs, reports):
                 try:
                     v = mai_core.validate_element_prediction(
                         net, ref, rec, epsilon=config.epsilon,
@@ -328,13 +321,11 @@ def run(config: AnalysisConfig) -> int:
                     )
                 except (mai_core.AnalysisError, rational_fit.RefinementError,
                         mass_oracle.OracleError) as exc:
-                    entries.append(
-                        {"element": assembly.element_label(net, ref), "error": str(exc)}
-                    )
+                    entries.append({"element": rep.element, "error": str(exc)})
                     continue
                 entries.append(
                     {
-                        "element": assembly.element_label(net, ref),
+                        "element": rep.element,
                         "predicted": [v.predicted.real, v.predicted.imag],
                         "actual": [v.actual.real, v.actual.imag],
                         "error_percent": round(100.0 * v.error, 9),
@@ -392,6 +383,10 @@ def run_sweep(
 
 
 def run_fit(samples_path: str, order: int, n_iterations: int, out_dir: str) -> int:
+    if order < 1:
+        raise ConfigError(f"fit order must be >= 1, got {order}")
+    if n_iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {n_iterations}")
     try:
         text = Path(samples_path).read_text(encoding="utf-8")
     except OSError as exc:

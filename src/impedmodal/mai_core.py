@@ -53,6 +53,7 @@ __all__ = [
     "element_location",
     "element_sensitivity",
     "element_layer_report",
+    "mode_layer_reports",
     "branch_parameter_sensitivity",
     "scale_element_admittance",
     "solve_modes",
@@ -140,12 +141,13 @@ class LayerReport:
 @dataclass(frozen=True, eq=False)
 class SplitBranch:
     """Series branch split at a virtual node into inductive z1 and resistive
-    z2 parts, both evaluated at s = lambda."""
+    z2 parts, both evaluated at s = lambda; stacked (m, 2, 2) when R and L
+    are arrays of m branches."""
 
     z1: np.ndarray
     z2: np.ndarray
-    R: float
-    L: float
+    R: float | np.ndarray
+    L: float | np.ndarray
     omega0: float
     lam: complex
 
@@ -160,7 +162,8 @@ class SplitNodeImpedances:
     node f, computed purely from the original matrix (no re-factorization).
 
     ``row`` is Z_f* (2 x 2n) and ``col`` is Z_*f (2n x 2); named accessors
-    pick the 2x2 blocks against a given bus.
+    pick the 2x2 blocks against a given bus. Leading axes, if any, stack
+    several branches.
     """
 
     row: np.ndarray
@@ -170,10 +173,10 @@ class SplitNodeImpedances:
     k: int
 
     def Z_fi(self, i: int) -> np.ndarray:
-        return self.row[:, block_slice(i)]
+        return self.row[..., block_slice(i)]
 
     def Z_if(self, i: int) -> np.ndarray:
-        return self.col[block_slice(i), :]
+        return self.col[..., block_slice(i), :]
 
     @property
     def Z_fj(self) -> np.ndarray:
@@ -217,9 +220,20 @@ class SweepStep:
 # ---------------------------------------------------------------------------
 
 
+def _scalar(x):
+    """A 0-d result as a Python number; stacked results stay arrays."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _conj_t(d: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a 2x2 block or of stacked blocks (..., 2, 2)."""
+    return np.conj(d).swapaxes(-1, -2)
+
+
 def frobenius_inner(X: np.ndarray, Y: np.ndarray) -> complex:
-    """Frobenius inner product with conjugation on the first argument."""
-    return complex(np.sum(np.conj(X) * Y))
+    """Frobenius inner product with conjugation on the first argument; one
+    product per block for stacked (..., 2, 2) arguments."""
+    return _scalar(np.sum(np.conj(X) * Y, axis=(-2, -1)))
 
 
 def _residue_block(res: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -227,6 +241,23 @@ def _residue_block(res: np.ndarray, i: int, j: int) -> np.ndarray:
     if i == 0 or j == 0:
         return np.zeros((2, 2), dtype=complex)
     return res[block_slice(i), block_slice(j)]
+
+
+def _bus_blocks(res: np.ndarray) -> np.ndarray:
+    """The residue matrix as (n + 1, n + 1, 2, 2) bus blocks: block (i, j)
+    at [i, j], and a zero ground row and column at index 0."""
+    n = res.shape[0] // 2
+    blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+    blocks[1:, 1:] = res.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    return blocks
+
+
+def _ratio_sensitivity(ii, jj, ij, ji, k) -> np.ndarray:
+    """dlambda/dy = -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k) of a branch
+    behind an ideal k:1 transformer on the i side, from its four residue
+    blocks (single or stacked). k = 1 is a line, and zero j blocks make it
+    the node formula -Res_ii."""
+    return -(ii / k**2 + jj - ij / k - ji / k)
 
 
 def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRecord:
@@ -241,23 +272,18 @@ def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRe
         return transformer_admittance_sensitivity(
             res, location.i, location.j, location.ratio
         )
-    if location.kind == "node":
-        d = -_residue_block(res, location.i, location.i)
-    elif location.kind == "branch":
-        i, j = location.i, location.j
-        d = -(
-            _residue_block(res, i, i)
-            + _residue_block(res, j, j)
-            - _residue_block(res, i, j)
-            - _residue_block(res, j, i)
-        )
-    else:
+    if location.kind not in ("node", "branch"):
         raise AnalysisError(f"unknown location kind '{location.kind}'")
+    i, j = location.i, location.j  # j = 0 (ground) for a node
+    d = _ratio_sensitivity(
+        _residue_block(res, i, i), _residue_block(res, j, j),
+        _residue_block(res, i, j), _residue_block(res, j, i), 1.0,
+    )
     return SensitivityRecord(
         element=f"{location.kind}({location.i},{location.j})",
         location=location,
         dlambda_dy=d,
-        s_factor=d.conj().T,
+        s_factor=_conj_t(d),
     )
 
 
@@ -271,16 +297,14 @@ def transformer_admittance_sensitivity(
     """
     if k == 0:
         raise AnalysisError("degenerate transformer ratio k = 0")
-    d = -(
-        _residue_block(res, i, i) / k**2
-        + _residue_block(res, j, j)
-        - _residue_block(res, i, j) / k
-        - _residue_block(res, j, i) / k
+    d = _ratio_sensitivity(
+        _residue_block(res, i, i), _residue_block(res, j, j),
+        _residue_block(res, i, j), _residue_block(res, j, i), k,
     )
     loc = Location(kind="transformer", i=i, j=j, ratio=k)
     return SensitivityRecord(
         element=f"transformer({i},{j},k={k})", location=loc,
-        dlambda_dy=d, s_factor=d.conj().T,
+        dlambda_dy=d, s_factor=_conj_t(d),
     )
 
 
@@ -292,11 +316,13 @@ def predict_mode_shift(s_factor: np.ndarray, delta_y: np.ndarray) -> complex:
 
 def layer1_cauchy(s_factor: np.ndarray, y_at_lambda: np.ndarray, epsilon: float) -> float:
     """Cauchy-Schwarz participation bound eps * ||s|| * ||y|| for a relative
-    admittance change of size eps."""
+    admittance change of size eps (one bound per block when stacked)."""
     if epsilon <= 0:
         raise AnalysisError(f"epsilon must be positive, got {epsilon}")
-    return float(
-        epsilon * np.linalg.norm(s_factor) * np.linalg.norm(y_at_lambda)
+    return _scalar(
+        epsilon
+        * np.linalg.norm(s_factor, axis=(-2, -1))
+        * np.linalg.norm(y_at_lambda, axis=(-2, -1))
     )
 
 
@@ -312,7 +338,7 @@ def enhanced_layer1(sigma2: float, omega2: Optional[float] = None) -> float:
     of layer 2, replacing the loose Cauchy bound."""
     if omega2 is None:
         return float(abs(sigma2))
-    return float(np.hypot(sigma2, omega2))
+    return _scalar(np.hypot(sigma2, omega2))
 
 
 def layer3(
@@ -331,13 +357,14 @@ def layer3(
 # ---------------------------------------------------------------------------
 
 
-def split_branch(R: float, L: float, omega0: float, lam: complex) -> SplitBranch:
+def split_branch(R, L, omega0: float, lam: complex) -> SplitBranch:
     """Split a series RL branch at s = lambda into inductive z1 = L[[s,-w0],[w0,s]]
-    and resistive z2 = R I parts joined at a virtual node."""
-    if not L > 0:
+    and resistive z2 = R I parts joined at a virtual node (stacked over
+    arrays R and L)."""
+    if not np.all(np.asarray(L) > 0):
         raise AnalysisError(f"branch inductance must be positive, got {L}")
-    z1 = L * omega_block(lam, omega0)
-    z2 = R * _I2.astype(complex)
+    z1 = np.multiply.outer(L, omega_block(lam, omega0))
+    z2 = np.multiply.outer(R, _I2.astype(complex))
     return SplitBranch(z1=z1, z2=z2, R=R, L=L, omega0=omega0, lam=lam)
 
 
@@ -347,35 +374,56 @@ def _inv2(M: np.ndarray, what: str) -> np.ndarray:
     )
 
 
-def _split_node_blocks(
-    Z: np.ndarray,
-    j: int,
-    k: int,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    y: Optional[np.ndarray],
-    with_identity: bool,
-) -> SplitNodeImpedances:
+def _dy_dL(y: np.ndarray, lam: complex, omega0: float) -> np.ndarray:
+    """dy/dL = -y (sI + w0 J) y of an admittance y = z^-1 whose impedance
+    holds L (sI + w0 J); single or stacked blocks."""
+    return -y @ omega_block(lam, omega0) @ y
+
+
+def _dy_dR(y: np.ndarray) -> np.ndarray:
+    """dy/dR = -y y of an admittance y = z^-1 whose impedance holds R I."""
+    return -y @ y
+
+
+def _split_inverses(z1: np.ndarray, z2: np.ndarray, y: Optional[np.ndarray] = None):
+    """(y, z1^-1, z2^-1, mix) of split parts, single or stacked, with
+    y = (z1 + z2)^-1 and mix = (z1^-1 + z2^-1)^-1, and the mask of the
+    splits where all four exist: it is False for R = 0, or lambda on the
+    branch pole or at +-j w0."""
+    ok = True
     if y is None:
-        y = _inv2(z1 + z2, "split branch impedance z1 + z2")
-    z1_inv = _inv2(z1, "inductive part z1")
-    z2_inv = _inv2(z2, "resistive part z2")
-    row_j = Z[block_slice(j), :]
-    row_k = Z[block_slice(k), :]
-    col_j = Z[:, block_slice(j)]
-    col_k = Z[:, block_slice(k)]
+        y, ok = assembly.inv2_masked(z1 + z2)
+    z1_inv, ok_1 = assembly.inv2_masked(z1)
+    z2_inv, ok_2 = assembly.inv2_masked(z2)
+    mix, ok_mix = assembly.inv2_masked(z1_inv + z2_inv)
+    return (y, z1_inv, z2_inv, mix), ok & ok_1 & ok_2 & ok_mix
+
+
+def _split_node_blocks(Z, j, k, z1, inverses, with_identity: bool) -> SplitNodeImpedances:
+    """Split-node blocks of branch (j, k) from the rows and columns j, k of Z
+    (leading axes stack branches)."""
+    y, z1_inv, z2_inv, mix = inverses
+    sj, sk = block_slice(j), block_slice(k)
+    row_j, row_k = Z[..., sj, :], Z[..., sk, :]
+    col_j, col_k = Z[..., :, sj], Z[..., :, sk]
     # voltage at f from an injection anywhere: f sits past z1 from node j
     row_f = row_j - z1 @ y @ (row_j - row_k)
     # injection at f splits over z1/z2 toward nodes j and k
-    mix = _inv2(z1_inv + z2_inv, "parallel split admittance")
     col_f = (col_j @ z1_inv + col_k @ z2_inv) @ mix
-    Z_jf = col_f[block_slice(j), :]
-    Z_kf = col_f[block_slice(k), :]
-    core = z1_inv @ Z_jf + z2_inv @ Z_kf
+    core = z1_inv @ col_f[..., sj, :] + z2_inv @ col_f[..., sk, :]
     if with_identity:
         core = core + _I2
-    Z_ff = mix @ core
-    return SplitNodeImpedances(row=row_f, col=col_f, Z_ff=Z_ff, j=j, k=k)
+    return SplitNodeImpedances(row=row_f, col=col_f, Z_ff=mix @ core, j=j, k=k)
+
+
+def _checked_split_inverses(z1, z2, y):
+    """:func:`_split_inverses` that raises where a split part is singular."""
+    inverses, ok = _split_inverses(z1, z2, y)
+    if not np.all(ok):
+        raise DegenerateSplitError(
+            "a split part of the branch is singular; fall back to the unsplit branch"
+        )
+    return inverses
 
 
 def split_node_impedances(
@@ -393,7 +441,8 @@ def split_node_impedances(
     current-splitting identity, and Z_ff the KCL closure at f; all agree
     with the explicit (2n+2)-dimensional augmented-matrix inversion.
     """
-    return _split_node_blocks(Z_at_lambda, j, k, z1, z2, y_branch, with_identity=True)
+    inverses = _checked_split_inverses(z1, z2, y_branch)
+    return _split_node_blocks(Z_at_lambda, j, k, z1, inverses, with_identity=True)
 
 
 def split_node_residues(
@@ -410,7 +459,8 @@ def split_node_residues(
     the augmentation identities just drops the constant (identity) term in
     the Z_ff closure.
     """
-    return _split_node_blocks(res, j, k, z1, z2, y_branch, with_identity=False)
+    inverses = _checked_split_inverses(z1, z2, y_branch)
+    return _split_node_blocks(res, j, k, z1, inverses, with_identity=False)
 
 
 def split_parameter_derivatives(split: SplitBranch):
@@ -418,10 +468,7 @@ def split_parameter_derivatives(split: SplitBranch):
     dy1/dL = -z1^{-1} (dz1/dL) z1^{-1} and dy2/dR = -z2^{-1} z2^{-1}."""
     z1_inv = _inv2(split.z1, "inductive part z1")
     z2_inv = _inv2(split.z2, "resistive part z2")
-    dz1_dL = omega_block(split.lam, split.omega0)
-    dy1_dL = -z1_inv @ dz1_dL @ z1_inv
-    dy2_dR = -z2_inv @ z2_inv
-    return dy1_dL, dy2_dR
+    return _dy_dL(z1_inv, split.lam, split.omega0), _dy_dR(z2_inv)
 
 
 def validate_prediction(predicted: complex, actual: complex) -> ValidationRecord:
@@ -466,16 +513,6 @@ def element_sensitivity(
     )
 
 
-def _shunt_parameter_derivative(net, idx, lam):
-    sh = net.shunts[idx]
-    if sh.kind == "resistive":
-        return {"value": -_I2.astype(complex) / sh.value**2}
-    if sh.kind == "capacitive":
-        return {"value": omega_block(lam, net.omega0)}
-    z_inv = _inv2(sh.value * omega_block(lam, net.omega0), "inductive shunt impedance")
-    return {"value": -z_inv @ omega_block(lam, net.omega0) @ z_inv}
-
-
 def branch_parameter_sensitivity(
     net: NetworkDescription,
     branch_index: int,
@@ -502,41 +539,207 @@ def branch_parameter_sensitivity(
     if via == "split" and b.ratio != 1.0:
         raise AnalysisError("split route applies to unit-ratio (line) branches")
     if via == "split" or (via == "auto" and b.ratio == 1.0):
-        try:
-            return _split_sensitivity(net, b, res, lam, param)
-        except DegenerateSplitError:
-            if via == "split":
-                raise
+        j, k = np.array([b.from_bus]), np.array([b.to_bus])
+        split = split_branch(np.array([b.R]), np.array([b.L]), net.omega0, lam)
+        s_L, s_R, ok = _split_layer3(_line_residues(_bus_blocks(res), j, k), split)
+        if ok[0]:
+            return complex((s_L if param == "L" else s_R)[0])
+        if via == "split":
+            raise DegenerateSplitError(
+                f"a split part of branch {b.from_bus}-{b.to_bus} is singular at {lam}; "
+                "fall back to the unsplit branch"
+            )
     rec = element_sensitivity(net, ("branch", branch_index), res)
     z = assembly.dq_series_impedance(b.R, b.L, net.omega0, lam)
     y = _inv2(z, "branch series impedance")
-    dz = omega_block(lam, net.omega0) if param == "L" else _I2.astype(complex)
-    s_rho, _ = layer3(rec.s_factor, -y @ dz @ y)
-    return s_rho
+    s_L, s_R = _direct_layer3(rec.s_factor, y, lam, net.omega0)
+    return s_L if param == "L" else s_R
 
 
-def _split_sensitivity(net, b, res, lam, param) -> complex:
-    """Layer 3 of line ``b`` through its virtual split node f."""
-    split = split_branch(b.R, b.L, net.omega0, lam)
-    aug = split_node_residues(res, b.from_bus, b.to_bus, split.z1, split.z2)
-    dy1_dL, dy2_dR = split_parameter_derivatives(split)
-    if param == "L":
-        d = -(
-            _residue_block(res, b.from_bus, b.from_bus)
-            + aug.Z_ff
-            - aug.Z_if(b.from_bus)
-            - aug.Z_fi(b.from_bus)
+# ---------------------------------------------------------------------------
+# All elements of one mode in one batched pass
+# ---------------------------------------------------------------------------
+
+
+def _direct_layer3(s: np.ndarray, y: np.ndarray, lam: complex, omega0: float):
+    """Layer 3 (L, R) of branches, single or stacked, from the unsplit
+    series admittance y."""
+    s_L, _ = layer3(s, _dy_dL(y, lam, omega0))
+    s_R, _ = layer3(s, _dy_dR(y))
+    return s_L, s_R
+
+
+def _line_residues(blocks: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The residue restricted to the end buses of each line j-k, stacked
+    (m, 4, 4) with bus j first, from the bus blocks of :func:`_bus_blocks`."""
+    jk = np.stack([j, k], axis=-1)
+    sub = blocks[jk[:, :, None], jk[:, None, :]]  # (m, bus, bus, 2, 2)
+    return sub.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+
+
+def _split_layer3(sub: np.ndarray, split: SplitBranch):
+    """Layer 3 (L, R) of lines through their virtual split node f.
+
+    ``sub`` is each line's residue restricted to its end buses (see
+    :func:`_line_residues`), so the identities of :func:`split_node_residues`
+    give only the blocks layer 3 reads (Z_fj, Z_fk, Z_jf, Z_kf, Z_ff), not
+    the 2n-wide row and column. Returns (s_L, s_R, ok); ``ok`` is False
+    where a split part is singular and the direct route applies instead.
+    """
+    inverses, ok = _split_inverses(split.z1, split.z2)
+    _, z1_inv, z2_inv, _ = inverses
+    aug = _split_node_blocks(sub, 1, 2, split.z1, inverses, with_identity=False)
+    # the L part is a branch j-f, the R part a branch f-k
+    d_L = _ratio_sensitivity(sub[:, :2, :2], aug.Z_ff, aug.Z_jf, aug.Z_fj, 1.0)
+    d_R = _ratio_sensitivity(aug.Z_ff, sub[:, 2:, 2:], aug.Z_fi(2), aug.Z_kf, 1.0)
+    s_L, _ = layer3(_conj_t(d_L), _dy_dL(z1_inv, split.lam, split.omega0))
+    s_R, _ = layer3(_conj_t(d_R), _dy_dR(z2_inv))
+    return s_L, s_R, ok
+
+
+def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
+                            omega0: float) -> np.ndarray:
+    """dy/dvalue of shunts of one kind with admittances y (single or stacked)."""
+    if kind == "resistive":
+        return -_I2.astype(complex) / np.asarray(value)[..., None, None] ** 2
+    if kind == "capacitive":
+        return np.broadcast_to(omega_block(lam, omega0), y.shape)
+    return _dy_dL(y, lam, omega0)  # inductive, y = (value (sI + w0 J))^-1
+
+
+def _shunt_parameter_derivative(net, idx, lam):
+    """{"value": dy/dvalue} of one shunt at s = lam."""
+    sh = net.shunts[idx]
+    y = assembly.shunt_admittance(sh, net.omega0, lam)
+    return {"value": _shunt_value_derivative(sh.kind, sh.value, y, lam, net.omega0)}
+
+
+@dataclass(frozen=True, eq=False)
+class _ElementLayout:
+    """Index arrays of a list of elements, for the batched pass.
+
+    ``i``/``j`` are the bus pair (j = 0, ground, for nodes) and ``ratio``
+    the transformer ratio (1 for lines and nodes), one entry per element;
+    ``branches``, the shunt and the apparatus entries hold positions into
+    the element list, with the parameters the pass reads.
+    """
+
+    labels: list
+    locations: list
+    i: np.ndarray
+    j: np.ndarray
+    ratio: np.ndarray
+    branches: np.ndarray  # positions of branches
+    R: np.ndarray
+    L: np.ndarray
+    shunts: dict  # shunt kind -> (positions, values)
+    apparatus: list  # (position, ref) pairs
+
+
+def _element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> _ElementLayout:
+    locations = [element_location(net, ref) for ref in refs]
+    branches, shunts, apparatus = [], {}, []
+    for pos, (kind, idx) in enumerate(refs):
+        if kind == "branch":
+            branches.append(pos)
+        elif kind == "shunt":
+            shunts.setdefault(net.shunts[idx].kind, []).append(pos)
+        else:
+            apparatus.append((pos, (kind, idx)))
+    ratio = np.array([loc.ratio for loc in locations], dtype=float)
+    if np.any(ratio == 0):
+        raise AnalysisError("degenerate transformer ratio k = 0")
+    branch_objs = [net.branches[refs[pos][1]] for pos in branches]
+    return _ElementLayout(
+        labels=[assembly.element_label(net, ref) for ref in refs],
+        locations=locations,
+        i=np.array([loc.i for loc in locations], dtype=int),
+        j=np.array([loc.j for loc in locations], dtype=int),
+        ratio=ratio,
+        branches=np.array(branches, dtype=int),
+        R=np.array([b.R for b in branch_objs], dtype=float),
+        L=np.array([b.L for b in branch_objs], dtype=float),
+        shunts={
+            kind: (np.array(pos, dtype=int),
+                   np.array([net.shunts[refs[p][1]].value for p in pos], dtype=float))
+            for kind, pos in shunts.items()
+        },
+        apparatus=apparatus,
+    )
+
+
+def _element_admittances(net, refs, lay: _ElementLayout, lam: complex, overrides):
+    """Every element's own admittance y(lambda), stacked (N, 2, 2); raises
+    what :func:`admittance_assembly.element_admittance` raises for the first
+    element that cannot be evaluated."""
+    y = np.empty((len(refs), 2, 2), dtype=complex)
+    ok = np.ones(len(refs), dtype=bool)
+    z = assembly.dq_series_impedance(lay.R, lay.L, net.omega0, lam)
+    y[lay.branches], ok[lay.branches] = assembly.inv2_masked(z)
+    for kind, (pos, value) in lay.shunts.items():
+        y[pos], ok[pos] = assembly.shunt_admittances(kind, value, net.omega0, lam)
+    if not ok.all():
+        for ref in refs:  # the first failing element raises its own error
+            assembly.element_admittance(net, ref, lam, overrides)
+    for pos, ref in lay.apparatus:
+        y[pos] = assembly.element_admittance(net, ref, lam, overrides)
+    return y
+
+
+def mode_layer_reports(
+    net: NetworkDescription,
+    mode: ModeRecord,
+    refs: Sequence[ElementRef],
+    epsilon: float = 0.05,
+    apparatus_overrides=None,
+) -> list[LayerReport]:
+    """All three layers of every element in ``refs`` at one mode.
+
+    The same reports as :func:`element_layer_report` for each element, from
+    one pass over stacked (N, 2, 2) arrays: dlambda/dy by the
+    transformer-ratio formula on the residue's bus blocks (ground is a zero
+    block), y(lambda) and layer 3 in closed form. Lines take layer 3
+    through their split node, transformers and degenerate splits the direct
+    route, shunts their ``value`` derivative; apparatus get no layer 3
+    (converter internals are not modeled here) and are evaluated one by
+    one, so ``apparatus_overrides`` apply.
+    """
+    lay = _element_layout(net, refs)
+    lam, w0 = mode.lam, net.omega0
+    blocks = _bus_blocks(mode.residue)
+    i, j = lay.i, lay.j
+    d = _ratio_sensitivity(
+        blocks[i, i], blocks[j, j], blocks[i, j], blocks[j, i], lay.ratio[:, None, None]
+    )
+    s = _conj_t(d)
+    y = _element_admittances(net, refs, lay, lam, apparatus_overrides)
+    l2 = layer2(s, y)
+    l1 = layer1_cauchy(s, y, 1.0)
+
+    l3: list[dict] = [{} for _ in refs]
+    br = lay.branches
+    s_L, s_R = _direct_layer3(s[br], y[br], lam, w0)
+    line = np.flatnonzero(lay.ratio[br] == 1.0)
+    split = split_branch(lay.R[line], lay.L[line], w0, lam)
+    split_L, split_R, ok = _split_layer3(_line_residues(blocks, i[br[line]], j[br[line]]), split)
+    s_L[line[ok]], s_R[line[ok]] = split_L[ok], split_R[ok]
+    for pos, sl, sr in zip(br.tolist(), s_L.tolist(), s_R.tolist()):
+        l3[pos] = {"L": sl, "R": sr}
+    for kind, (pos, value) in lay.shunts.items():
+        s_value, _ = layer3(s[pos], _shunt_value_derivative(kind, value, y[pos], lam, w0))
+        for p, v in zip(pos.tolist(), s_value.tolist()):
+            l3[p] = {"value": v}
+
+    return [
+        LayerReport(
+            element=label, location=loc, layer1_cauchy=c, layer2=v,
+            layer1_enhanced=e, layer3=p, epsilon=epsilon,
         )
-        s_rho, _ = layer3(d.conj().T, dy1_dL)
-    else:
-        d = -(
-            aug.Z_ff
-            + _residue_block(res, b.to_bus, b.to_bus)
-            - aug.Z_fi(b.to_bus)
-            - aug.Z_if(b.to_bus)
+        for label, loc, c, v, e, p in zip(
+            lay.labels, lay.locations, l1.tolist(), l2.tolist(),
+            enhanced_layer1(l2.real, l2.imag).tolist(), l3,
         )
-        s_rho, _ = layer3(d.conj().T, dy2_dR)
-    return s_rho
+    ]
 
 
 def element_layer_report(
@@ -546,32 +749,14 @@ def element_layer_report(
     epsilon: float = 0.05,
     apparatus_overrides=None,
 ) -> LayerReport:
-    """All three layers for one element at one mode.
+    """All three layers for one element at one mode: the one-element case of
+    :func:`mode_layer_reports`.
 
     Layer 3 is filled analytically for branches (L, R) and shunts (value);
     apparatus parameter derivatives must come from the caller through
     :func:`layer3` since converter internals are not modeled here.
     """
-    rec = element_sensitivity(net, ref, mode.residue)
-    y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
-    l2 = layer2(rec.s_factor, y)
-    kind, idx = ref
-    l3: dict[str, complex] = {}
-    if kind == "branch":
-        for param in ("L", "R"):
-            l3[param] = branch_parameter_sensitivity(net, idx, mode.residue, mode.lam, param)
-    elif kind == "shunt":
-        for param, dy in _shunt_parameter_derivative(net, idx, mode.lam).items():
-            l3[param], _ = layer3(rec.s_factor, dy)
-    return LayerReport(
-        element=rec.element,
-        location=rec.location,
-        layer1_cauchy=layer1_cauchy(rec.s_factor, y, 1.0),
-        layer2=l2,
-        layer1_enhanced=enhanced_layer1(l2.real, l2.imag),
-        layer3=l3,
-        epsilon=epsilon,
-    )
+    return mode_layer_reports(net, mode, [ref], epsilon, apparatus_overrides)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ from impedmodal.admittance_assembly import (
     element_admittance,
     element_stamp,
     frame_rotation,
+    inv2,
+    inv2_masked,
     network_elements,
     shunt_admittance,
+    shunt_admittances,
     transformer_stamp,
     whole_system_matrices,
 )
@@ -86,6 +89,39 @@ def test_shunt_admittances():
     y_l = shunt_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), W0, s)
     z_l = 0.5 * np.array([[s, -W0], [W0, s]])
     assert np.allclose(y_l @ z_l, np.eye(2))
+
+
+def test_stacked_blocks_match_single_blocks():
+    s = -3.0 + 1j * 200.0
+    R, L = np.array([0.0, 0.1, 0.5]), np.array([1e-3, 2e-3, 5e-2])
+    z = dq_series_impedance(R, L, W0, s)
+    assert z.shape == (3, 2, 2)
+    for m in range(3):
+        assert np.array_equal(z[m], dq_series_impedance(R[m], L[m], W0, s))
+    y, ok = inv2_masked(z)
+    assert ok.all()
+    assert np.allclose(y @ z, np.eye(2), rtol=0, atol=1e-12)
+    values = np.array([0.5, 2.0])
+    for kind in ("resistive", "capacitive", "inductive"):
+        ys, ok = shunt_admittances(kind, values, W0, s)
+        assert np.all(ok)
+        for v, y_v in zip(values, ys):
+            single = shunt_admittance(ShuntElement(bus=1, kind=kind, value=v), W0, s)
+            assert np.allclose(y_v, single, rtol=1e-14, atol=0)
+
+
+def test_singular_blocks_are_flagged():
+    z = dq_series_impedance(np.array([0.1, 0.0, 0.2]), np.array([1e-3, 1e-3, 1e-3]), W0, 0.0)
+    z[1] = 0.0
+    _, ok = inv2_masked(z)
+    assert ok.tolist() == [True, False, True]
+    with pytest.raises(ValueError):
+        inv2(z, lambda: ValueError("singular"))
+    # an inductive shunt resonates with the frame rotation at s = j w0
+    _, ok = shunt_admittances("inductive", np.array([0.5, 2.0]), W0, 1j * W0)
+    assert not ok.any()
+    with pytest.raises(EvaluationError):
+        shunt_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), W0, 1j * W0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +252,20 @@ def test_two_bus_line_block_structure():
     assert np.allclose(Y[block_slice(1), block_slice(2)], -y)
     assert np.allclose(Y[block_slice(2), block_slice(1)], -y)
     assert np.allclose(Y[block_slice(2), block_slice(2)], y)
+
+
+def test_singular_branch_names_itself():
+    """A lossless line is singular at s = j w0; assembly names that branch."""
+    net = NetworkDescription(
+        n_buses=3,
+        omega0=W0,
+        branches=(
+            SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.1, L=0.01),
+            SeriesBranch(kind="line", from_bus=2, to_bus=3, R=0.0, L=0.01),
+        ),
+    )
+    with pytest.raises(EvaluationError, match=r"branch 2-3 \(line\): branch 2-3 series impedance"):
+        assemble_nodal_admittance(net, 1j * W0)
 
 
 def test_transformer_diagonal_scaling():

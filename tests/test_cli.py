@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from impedmodal import mai_core, mass_oracle
@@ -224,6 +225,50 @@ def test_fit_malformed_csv_is_input_error(tmp_path, capsys):
     bad.write_text("omega,re_1_1,im_1_1\n1.0,2.0,3.0\n2.0,2.0\n")
     assert main(["fit", str(bad), "--order", "2", "--out", str(tmp_path)]) == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["type"] == "NetworkFormatError"
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+def test_analyze_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
+    code = main(["analyze", str(NETWORK), f"--epsilon={epsilon}", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("order, iterations", [("0", "10"), ("-2", "10"), ("4", "-1")])
+def test_fit_rejects_bad_order_or_iterations(tmp_path, capsys, order, iterations):
+    from impedmodal.network_model import write_response_csv
+
+    omegas = np.geomspace(10.0, 320.0, 6)
+    values = (1.0 / (1j * omegas + 5.0)).reshape(-1, 1, 1)
+    (tmp_path / "z.csv").write_text(write_response_csv(omegas, values))
+    code = main(["fit", str(tmp_path / "z.csv"), f"--order={order}",
+                 f"--iterations={iterations}", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_analyze_builds_layers_once_per_mode(tmp_path, monkeypatch):
+    """Each selected mode's layer reports come from one batched call, not
+    one call per (mode, element)."""
+    calls = {"mode": 0, "element": 0}
+    batched, single = mai_core.mode_layer_reports, mai_core.element_layer_report
+
+    def count_mode(*args, **kwargs):
+        calls["mode"] += 1
+        return batched(*args, **kwargs)
+
+    def count_element(*args, **kwargs):
+        calls["element"] += 1
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(mai_core, "mode_layer_reports", count_mode)
+    monkeypatch.setattr(mai_core, "element_layer_report", count_element)
+    assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(tmp_path)]) == EXIT_OK
+    n_modes = json.loads((tmp_path / "summary.json").read_text())["n_modes"]
+    assert n_modes == 7
+    assert calls == {"mode": n_modes, "element": 0}
 
 
 def test_console_script_entry():

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
-from impedmodal import mai_core, mass_oracle
+from pathlib import Path
+
+from impedmodal import cli_reporting, mai_core, mass_oracle, network_model
 from impedmodal.admittance_assembly import (
     WholeSystemModel,
     block_slice,
     dq_series_impedance,
     element_admittance,
+    element_label,
     network_elements,
+    omega_block,
     shunt_admittance,
 )
 from impedmodal.mai_core import (
@@ -20,6 +24,7 @@ from impedmodal.mai_core import (
     admittance_sensitivity,
     branch_parameter_sensitivity,
     element_layer_report,
+    element_location,
     element_sensitivity,
     enhanced_layer1,
     frobenius_inner,
@@ -27,6 +32,7 @@ from impedmodal.mai_core import (
     layer2,
     layer3,
     min_mode_spacing,
+    mode_layer_reports,
     parameter_sweep,
     predict_mode_shift,
     scale_element_admittance,
@@ -464,6 +470,108 @@ def test_split_and_direct_parameter_routes_agree(three_bus_net, three_bus_modes)
                 three_bus_net, 0, mode.residue, mode.lam, param, via="direct"
             )
             assert abs(s_split - s_direct) <= 1e-8 * abs(s_direct)
+
+
+# ---------------------------------------------------------------------------
+# The batched per-mode kernel against the per-element formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_layers(net, ref, mode, overrides):
+    """One element's layers from the one-element formulas: the sensitivity
+    factor, the element admittance, the split-node residue blocks (lines),
+    the unsplit derivative (transformers, R = 0 lines) and closed-form shunt
+    derivatives."""
+    res, lam = mode.residue, mode.lam
+    s = admittance_sensitivity(res, element_location(net, ref)).s_factor
+    y = element_admittance(net, ref, lam, overrides)
+    l2 = frobenius_inner(s, y)
+    out = {"layer1_cauchy": np.linalg.norm(s) * np.linalg.norm(y), "layer2": l2,
+           "layer1_enhanced": abs(l2)}
+    kind, idx = ref
+    if kind == "branch":
+        b = net.branches[idx]
+        if b.ratio == 1.0 and b.R > 0:
+            j, k = b.from_bus, b.to_bus
+            split = split_branch(b.R, b.L, net.omega0, lam)
+            aug = split_node_residues(res, j, k, split.z1, split.z2)
+            dy1_dL, dy2_dR = split_parameter_derivatives(split)
+            d_L = -(res[block_slice(j), block_slice(j)] + aug.Z_ff - aug.Z_if(j) - aug.Z_fi(j))
+            d_R = -(aug.Z_ff + res[block_slice(k), block_slice(k)] - aug.Z_fi(k) - aug.Z_if(k))
+            out["L"] = frobenius_inner(d_L.conj().T, dy1_dL)
+            out["R"] = frobenius_inner(d_R.conj().T, dy2_dR)
+        else:
+            for param in ("L", "R"):
+                out[param] = branch_parameter_sensitivity(net, idx, res, lam, param, via="direct")
+    elif kind == "shunt":
+        sh = net.shunts[idx]
+        om = omega_block(lam, net.omega0)
+        dy = {"resistive": -np.eye(2) / sh.value**2, "capacitive": om,
+              "inductive": -y @ om @ y}[sh.kind]
+        out["value"] = frobenius_inner(s, dy)
+    return out
+
+
+def _kernel_case(name, request):
+    """(network, modes, apparatus overrides) of one differential case."""
+    if name == "three_bus":
+        net = request.getfixturevalue("three_bus_net")
+    elif name.startswith("random"):
+        net = _random_rl_net(np.random.default_rng(int(name[-1])))
+    elif name == "zero_R_line":
+        net = _random_rl_net(np.random.default_rng(7)).with_branch(0, R=0.0)
+    elif name == "inductive_shunt":
+        base = _random_rl_net(np.random.default_rng(8))
+        net = NetworkDescription(
+            n_buses=base.n_buses, omega0=base.omega0, branches=base.branches,
+            shunts=base.shunts + (ShuntElement(bus=2, kind="inductive", value=0.05),),
+        )
+    else:  # measured apparatus through rational surrogates
+        path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+        net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
+        overrides = cli_reporting._apparatus_overrides(net, 12)
+        modes = solve_modes(net, band=(5.0, 5000.0), order=12, apparatus_overrides=overrides)
+        return net, modes, overrides
+    return net, solve_modes(net, method="state_space"), None
+
+
+@pytest.mark.parametrize("case", [
+    "three_bus", "random0", "random1", "random2", "random3", "random4",
+    "zero_R_line", "inductive_shunt", "measured",
+])
+def test_mode_layer_reports_match_element_formulas(case, request):
+    net, modes, overrides = _kernel_case(case, request)
+    refs = network_elements(net)
+    assert modes
+    for mode in modes:
+        reports = mode_layer_reports(net, mode, refs, 0.05, overrides)
+        assert [r.element for r in reports] == [element_label(net, ref) for ref in refs]
+        assert [r.location for r in reports] == [element_location(net, ref) for ref in refs]
+        assert all(r.epsilon == 0.05 for r in reports)
+        expected = [_reference_layers(net, ref, mode, overrides) for ref in refs]
+        got = [
+            {"layer1_cauchy": r.layer1_cauchy, "layer2": r.layer2,
+             "layer1_enhanced": r.layer1_enhanced, **r.layer3}
+            for r in reports
+        ]
+        assert [set(g) for g in got] == [set(e) for e in expected]
+        for key in set().union(*expected):
+            want = np.array([e[key] for e in expected if key in e])
+            have = np.array([g[key] for g in got if key in g])
+            assert np.max(np.abs(have - want)) <= 1e-10 * np.max(np.abs(want)), (mode.lam, key)
+
+
+def test_zero_resistance_line_takes_direct_route(request):
+    net, modes, _ = _kernel_case("zero_R_line", request)
+    mode = modes[0]
+    with pytest.raises(DegenerateSplitError):
+        branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, "L", via="split")
+    for param in ("L", "R"):
+        direct = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param, via="direct")
+        auto = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param)
+        assert auto == pytest.approx(direct, rel=1e-12)
+        batched = element_layer_report(net, ("branch", 0), mode).layer3[param]
+        assert batched == pytest.approx(direct, rel=1e-12)
 
 
 def test_layer3_inductance_prediction_on_resolve(three_bus_net, three_bus_modes):
