@@ -7,6 +7,10 @@ and columns 2(j-1)..2j-1 (0-based slices, 1-based bus numbering).
 The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
 the whole-system impedance is Z(s) = Y(s)^{-1}.
+
+Every evaluator takes a scalar s or a 1-D array of M values of s (a
+frequency grid); an array gives the matrices stacked as (M, ..., ...), each
+equal bit for bit to its value at that s alone.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ class SingularSystemError(AssemblyError):
         self.cond = cond
 
 
+def _first(s, bad) -> complex:
+    """The first s, in grid order, at which ``bad`` (shaped like s) holds."""
+    return complex(np.reshape(s, -1)[np.argmax(np.reshape(bad, -1))])
+
+
 def block_slice(bus: int) -> slice:
     """Row/column slice of the 2x2 dq block belonging to 1-based bus index."""
     return slice(2 * (bus - 1), 2 * bus)
@@ -83,9 +92,15 @@ def frame_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def omega_block(s: complex, omega0: float) -> np.ndarray:
-    """The dq block sI + w0 J of d/dt in a frame rotating at w0."""
-    return np.array([[s, -omega0], [omega0, s]], dtype=complex)
+def omega_block(s, omega0: float) -> np.ndarray:
+    """The dq block sI + w0 J of d/dt in a frame rotating at w0; stacked
+    (M, 2, 2) over an array of s."""
+    s = np.asarray(s, dtype=complex)
+    out = np.empty(s.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = s
+    out[..., 0, 1] = -omega0
+    out[..., 1, 0] = omega0
+    return out
 
 
 def inv2_masked(M: np.ndarray):
@@ -159,73 +174,96 @@ def shunt_admittances(kind: str, value, omega0: float, s: complex):
     raise AssemblyError(f"unknown shunt kind '{kind}'")
 
 
-def shunt_admittance(shunt: ShuntElement, omega0: float, s: complex) -> np.ndarray:
-    """dq admittance block of a single passive shunt."""
+def shunt_admittance(shunt: ShuntElement, omega0: float, s) -> np.ndarray:
+    """dq admittance block of a single passive shunt (stacked over an array
+    of s, except for a resistive shunt, whose one block holds for all s)."""
     y, ok = shunt_admittances(shunt.kind, shunt.value, omega0, s)
-    if not ok:
-        raise EvaluationError(f"inductive shunt at bus {shunt.bus} is singular at s = {s}")
+    if shunt.kind == "inductive" and not ok.all():
+        raise EvaluationError(
+            f"inductive shunt at bus {shunt.bus} is singular at s = {_first(s, ~ok)}"
+        )
     return y
 
 
-def _evaluate_rational(model: RationalMatrix, s: complex) -> np.ndarray:
-    out = np.empty((2, 2), dtype=complex)
+def _evaluate_rational(model: RationalMatrix, s: np.ndarray) -> np.ndarray:
+    num = np.empty(s.shape + (2, 2), dtype=complex)
+    den = np.empty(s.shape + (2, 2), dtype=complex)
     for p in range(2):
         for q in range(2):
-            num, den = model.entry_coeffs(p, q)
-            dv = np.polyval(den, s)
-            if dv == 0:
-                raise EvaluationError(f"rational model entry ({p},{q}) has a pole at s = {s}")
-            out[p, q] = np.polyval(num, s) / dv
-    return out
+            num_coeffs, den_coeffs = model.entry_coeffs(p, q)
+            num[..., p, q] = np.polyval(num_coeffs, s)
+            den[..., p, q] = np.polyval(den_coeffs, s)
+    if np.count_nonzero(den) < den.size:
+        k, p, q = np.argwhere(den.reshape(-1, 2, 2) == 0)[0]
+        raise EvaluationError(
+            f"rational model entry ({p},{q}) has a pole at s = {complex(np.reshape(s, -1)[k])}"
+        )
+    return num / den
 
 
-def _evaluate_sampled(model: SampledResponse, s: complex) -> np.ndarray:
+def _evaluate_sampled(model: SampledResponse, s: np.ndarray) -> np.ndarray:
     # Only evaluable on the imaginary axis; analytic continuation of measured
     # data comes from the rational-fit module instead.
-    if abs(s.real) > 1e-12 * (1.0 + abs(s)):
+    off_axis = np.abs(s.real) > 1e-12 * (1.0 + np.abs(s))
+    if np.any(off_axis):
         raise EvaluationError(
             "sampled apparatus response is only defined on the imaginary axis; "
             "fit a rational surrogate for complex s"
         )
     w = s.imag
     f = model.frequencies
-    if w < f[0] or w > f[-1]:
+    outside = (w < f[0]) | (w > f[-1])
+    if np.any(outside):
         raise EvaluationError(
-            f"frequency {w:g} rad/s outside sampled range [{f[0]:g}, {f[-1]:g}]"
+            f"frequency {_first(w, outside).real:g} rad/s outside sampled range "
+            f"[{f[0]:g}, {f[-1]:g}]"
         )
-    idx = int(np.searchsorted(f, w))
-    if idx < f.size and f[idx] == w:
-        return model.blocks[idx].copy()
-    lo, hi = idx - 1, idx
-    t = (w - f[lo]) / (f[hi] - f[lo])
-    return (1.0 - t) * model.blocks[lo] + t * model.blocks[hi]
+    hi = np.searchsorted(f, w)
+    lo = np.maximum(hi - 1, 0)
+    exact = f[hi] == w
+    t = np.divide(w - f[lo], f[hi] - f[lo], out=np.zeros(w.shape), where=~exact)
+    t = t[..., None, None]
+    y = (1.0 - t) * model.blocks[lo] + t * model.blocks[hi]
+    return np.where(exact[..., None, None], model.blocks[hi], y)
 
 
-def state_space_response(A, B, C, D, s: complex) -> np.ndarray:
-    """Transfer matrix C (sI - A)^{-1} B + D at one s.
+def state_space_response(A, B, C, D, s) -> np.ndarray:
+    """Transfer matrix C (sI - A)^{-1} B + D at s; stacked (M, p, m) over an
+    array of s, one LU solve per s.
 
-    Raises ``np.linalg.LinAlgError`` when sI - A is singular.
+    Raises ``np.linalg.LinAlgError`` when sI - A is singular at some s.
     """
+    s = np.asarray(s, dtype=complex)
     n = A.shape[0]
     if n == 0:
-        return D.astype(complex)
-    X = np.linalg.solve(s * np.eye(n) - A, B.astype(complex))
+        return np.broadcast_to(D, s.shape + D.shape).astype(complex)
+    X = np.linalg.solve(s[..., None, None] * np.eye(n) - A, B.astype(complex))
     return C @ X + D
 
 
-def _evaluate_state_space(model: StateSpaceRealization, s: complex) -> np.ndarray:
+def _evaluate_state_space(model: StateSpaceRealization, s: np.ndarray) -> np.ndarray:
     try:
         return state_space_response(model.A, model.B, model.C, model.D, s)
     except np.linalg.LinAlgError:
-        raise EvaluationError(f"(sI - A) is singular at s = {s}: apparatus resonance")
+        # name the first s of the grid at which the solve fails
+        for x in np.reshape(s, -1):
+            try:
+                state_space_response(model.A, model.B, model.C, model.D, x)
+            except np.linalg.LinAlgError:
+                raise EvaluationError(
+                    f"(sI - A) is singular at s = {complex(x)}: apparatus resonance"
+                ) from None
+        raise
 
 
-def apparatus_admittance(model, s: complex, theta: float = 0.0) -> np.ndarray:
+def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
     """Apparatus dq admittance at s, rotated into the global frame.
 
     The local response Y_local(s) is similarity-transformed by the frame
-    rotation: T(theta) Y_local T(theta)^{-1}.
+    rotation: T(theta) Y_local T(theta)^{-1}. Stacked (M, 2, 2) over an
+    array of s.
     """
+    s = np.asarray(s, dtype=complex)
     if isinstance(model, StateSpaceRealization):
         y = _evaluate_state_space(model, s)
     elif isinstance(model, RationalMatrix):
@@ -240,13 +278,14 @@ def apparatus_admittance(model, s: complex, theta: float = 0.0) -> np.ndarray:
     return T @ y @ T.T  # T^{-1} = T^T for a rotation
 
 
-def _branch_series_admittance(branch: SeriesBranch, omega0: float, s: complex) -> np.ndarray:
-    return inv2(
-        dq_series_impedance(branch.R, branch.L, omega0, s),
-        lambda: EvaluationError(
-            f"branch {branch.from_bus}-{branch.to_bus} series impedance singular at s = {s}"
-        ),
-    )
+def _branch_series_admittance(branch: SeriesBranch, omega0: float, s) -> np.ndarray:
+    y, ok = inv2_masked(dq_series_impedance(branch.R, branch.L, omega0, s))
+    if not ok.all():
+        raise EvaluationError(
+            f"branch {branch.from_bus}-{branch.to_bus} series impedance singular "
+            f"at s = {_first(s, ~ok)}"
+        )
+    return y
 
 
 def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, y: np.ndarray) -> None:
@@ -254,24 +293,27 @@ def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, y: np.ndarray) -> None:
     admittance y to Y in place."""
     bii, bij, bji, bjj = transformer_stamp(y, branch.ratio)
     si, sj = block_slice(branch.from_bus), block_slice(branch.to_bus)
-    Y[si, si] += bii
-    Y[si, sj] += bij
-    Y[sj, si] += bji
-    Y[sj, sj] += bjj
+    Y[..., si, si] += bii
+    Y[..., si, sj] += bij
+    Y[..., sj, si] += bji
+    Y[..., sj, sj] += bjj
 
 
-def assemble_nodal_admittance(net: NetworkDescription, s: complex) -> np.ndarray:
+def assemble_nodal_admittance(net: NetworkDescription, s) -> np.ndarray:
     """Nodal admittance Y_N(s) of the passive network (branches + shunts)."""
+    s = np.asarray(s, dtype=complex)
     n = net.n_buses
-    Y = np.zeros((2 * n, 2 * n), dtype=complex)
+    Y = np.zeros(s.shape + (2 * n, 2 * n), dtype=complex)
     R = [branch.R for branch in net.branches]
     L = [branch.L for branch in net.branches]
-    ys, ok = inv2_masked(dq_series_impedance(R, L, net.omega0, s))
-    for branch, y, ok_b in zip(net.branches, ys, ok):
+    # (..., n_branches, 2, 2): every branch at every s in one pass
+    ys, ok = inv2_masked(dq_series_impedance(R, L, net.omega0, s[..., None]))
+    branch_ok = ok.all(axis=tuple(range(s.ndim)))
+    for b, branch in enumerate(net.branches):
         try:
-            if not ok_b:
+            if not branch_ok[b]:
                 _branch_series_admittance(branch, net.omega0, s)  # raises its error
-            _stamp_branch(Y, branch, y)
+            _stamp_branch(Y, branch, ys[..., b, :, :])
         except AssemblyError as exc:
             raise type(exc)(
                 f"branch {branch.from_bus}-{branch.to_bus} ({branch.kind}): {exc}"
@@ -282,23 +324,24 @@ def assemble_nodal_admittance(net: NetworkDescription, s: complex) -> np.ndarray
         except AssemblyError as exc:
             raise type(exc)(f"shunt at bus {shunt.bus} ({shunt.kind}): {exc}") from exc
         sb = block_slice(shunt.bus)
-        Y[sb, sb] += y
+        Y[..., sb, sb] += y
     return Y
 
 
 def assemble_apparatus_admittance(
     net: NetworkDescription,
-    s: complex,
+    s,
     overrides: Optional[dict[int, Callable[[complex], np.ndarray]]] = None,
 ) -> np.ndarray:
     """Block-diagonal apparatus admittance Y_G(s); zero block where no apparatus.
 
     ``overrides`` maps apparatus indices to replacement evaluators (already in
     the global frame), used e.g. to substitute rational surrogates for
-    sampled models at complex s.
+    sampled models at complex s. An evaluator is called once with all of s.
     """
+    s = np.asarray(s, dtype=complex)
     n = net.n_buses
-    Y = np.zeros((2 * n, 2 * n), dtype=complex)
+    Y = np.zeros(s.shape + (2 * n, 2 * n), dtype=complex)
     for idx, app in enumerate(net.apparatus):
         if overrides and idx in overrides:
             y = np.asarray(overrides[idx](s), dtype=complex)
@@ -308,11 +351,11 @@ def assemble_apparatus_admittance(
             except AssemblyError as exc:
                 raise type(exc)(f"apparatus at bus {app.bus}: {exc}") from exc
         sb = block_slice(app.bus)
-        Y[sb, sb] += y
+        Y[..., sb, sb] += y
     return Y
 
 
-def whole_system_matrices(net: NetworkDescription, s: complex):
+def whole_system_matrices(net: NetworkDescription, s):
     """Whole-system (Y(s), Z(s)). Raises SingularSystemError near a mode."""
     model = WholeSystemModel(net)
     Y = model.admittance(s)
@@ -322,7 +365,8 @@ def whole_system_matrices(net: NetworkDescription, s: complex):
 class WholeSystemModel:
     """Evaluator for Y_N(s), Y_G(s), Y(s) and Z(s) over one network.
 
-    Pure functions of s; safe for concurrent evaluation. ``apparatus_overrides``
+    Pure functions of s (a scalar, or a 1-D array for the stacked (M, 2n, 2n)
+    matrices over a grid); safe for concurrent evaluation. ``apparatus_overrides``
     substitutes per-apparatus admittance evaluators (global frame), which keeps
     networks with measured (sampled) apparatus evaluable at complex s.
     """
@@ -343,22 +387,24 @@ class WholeSystemModel:
     def dim(self) -> int:
         return 2 * self.net.n_buses
 
-    def nodal_admittance(self, s: complex) -> np.ndarray:
+    def nodal_admittance(self, s) -> np.ndarray:
         return assemble_nodal_admittance(self.net, s)
 
-    def apparatus_admittance_matrix(self, s: complex) -> np.ndarray:
+    def apparatus_admittance_matrix(self, s) -> np.ndarray:
         return assemble_apparatus_admittance(self.net, s, self.apparatus_overrides)
 
-    def admittance(self, s: complex) -> np.ndarray:
+    def admittance(self, s) -> np.ndarray:
         return self.nodal_admittance(s) + self.apparatus_admittance_matrix(s)
 
-    def _invert(self, Y: np.ndarray, s: complex) -> np.ndarray:
+    def _invert(self, Y: np.ndarray, s) -> np.ndarray:
         cond = np.linalg.cond(Y)
-        if not np.isfinite(cond) or cond > _Y_COND_LIMIT:
-            raise SingularSystemError(s, cond)
+        singular = ~np.isfinite(cond) | (cond > _Y_COND_LIMIT)
+        if np.any(singular):
+            k = np.argmax(np.reshape(singular, -1))
+            raise SingularSystemError(_first(s, singular), float(np.reshape(cond, -1)[k]))
         return np.linalg.inv(Y)
 
-    def impedance(self, s: complex) -> np.ndarray:
+    def impedance(self, s) -> np.ndarray:
         return self._invert(self.admittance(s), s)
 
 
@@ -393,7 +439,7 @@ def element_label(net: NetworkDescription, ref: ElementRef) -> str:
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-def element_admittance(net: NetworkDescription, ref: ElementRef, s: complex,
+def element_admittance(net: NetworkDescription, ref: ElementRef, s,
                        overrides=None) -> np.ndarray:
     """The element's own 2x2 admittance block y(s); for branches this is the
     series admittance that enters the transformer stamp."""
@@ -410,12 +456,12 @@ def element_admittance(net: NetworkDescription, ref: ElementRef, s: complex,
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-def element_stamp(net: NetworkDescription, ref: ElementRef, s: complex,
+def element_stamp(net: NetworkDescription, ref: ElementRef, s,
                   overrides=None) -> np.ndarray:
     """Contribution of one element to the whole-system Y(s), as a full
     2n x 2n matrix (used to overlay scaled-element perturbations)."""
     n = net.n_buses
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out = np.zeros(np.shape(s) + (2 * n, 2 * n), dtype=complex)
     kind, idx = ref
     if kind == "branch":
         branch = net.branches[idx]
@@ -424,7 +470,7 @@ def element_stamp(net: NetworkDescription, ref: ElementRef, s: complex,
         y = element_admittance(net, ref, s, overrides)
         bus = net.shunts[idx].bus if kind == "shunt" else net.apparatus[idx].bus
         sb = block_slice(bus)
-        out[sb, sb] += y
+        out[..., sb, sb] += y
     return out
 
 
@@ -441,7 +487,7 @@ class PerturbedModel(WholeSystemModel):
         self.element = element
         self.factor = factor
 
-    def admittance(self, s: complex) -> np.ndarray:
+    def admittance(self, s) -> np.ndarray:
         Y = super().admittance(s)
         if self.factor != 1.0:
             Y += (self.factor - 1.0) * element_stamp(

@@ -57,6 +57,13 @@ class ConfigError(Exception):
     """Invalid analysis configuration."""
 
 
+def _check_band(band: Optional[tuple[float, float]]) -> None:
+    if band is not None:
+        lo, hi = band
+        if not (np.isfinite(hi) and 0 < lo < hi):
+            raise ConfigError(f"band must be finite with 0 < min < max, got {lo}:{hi}")
+
+
 @dataclass
 class AnalysisConfig:
     """Everything one ``analyze`` run needs; validated before running."""
@@ -71,10 +78,7 @@ class AnalysisConfig:
     seed: int = 0
 
     def check(self) -> None:
-        if self.band is not None:
-            lo, hi = self.band
-            if not (0 < lo < hi):
-                raise ConfigError(f"band must satisfy 0 < min < max, got {lo}:{hi}")
+        _check_band(self.band)
         if self.order < 2:
             raise ConfigError(f"fit order must be >= 2, got {self.order}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -367,6 +371,7 @@ def run_sweep(
         raise ConfigError(f"factor must be finite and positive, got {factor}")
     if n_steps < 0:
         raise ConfigError(f"steps must be >= 0, got {n_steps}")
+    _check_band(band)
     net = _load_network(network_path)
     index = None
     for idx, b in enumerate(net.branches):

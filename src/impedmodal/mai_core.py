@@ -774,18 +774,14 @@ def _solve_modes_state_space(net, band):
             continue  # conjugate partner carries the same information
         if band is not None and not (band[0] <= abs(lam.imag) <= band[1]):
             continue
-        res = ss.C @ np.outer(eig.right[:, i], eig.left[i, :]) @ ss.B
+        res = np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B)
         records.append(ModeRecord(lam=lam, residue=res, provenance="state-space"))
     return sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
 
 
 def _scan_seeds(model: WholeSystemModel, omegas: np.ndarray) -> list[complex]:
     """Coarse scan: local minima of the smallest singular value of Y(jw)."""
-    mins = []
-    for w in omegas:
-        Y = model.admittance(1j * w)
-        mins.append(np.linalg.svd(Y, compute_uv=False)[-1])
-    mins = np.asarray(mins)
+    mins = np.linalg.svd(model.admittance(1j * omegas), compute_uv=False)[:, -1]
     seeds = []
     for m in range(1, len(omegas) - 1):
         if mins[m] < mins[m - 1] and mins[m] < mins[m + 1]:

@@ -44,6 +44,12 @@ __all__ = [
 _FIT_COND_LIMIT = 1e13
 # largest relative deviation over the grid a fit may keep without a warning
 _FIT_REL_TOL = 1e-4
+# bytes of one batch of projected relocation blocks [A_sigma | b] (each
+# response's is 2M x (N+1) floats); a batch is reduced to its R factors
+# before the next is formed, which bounds the working memory of a step
+_RELOCATION_BATCH_BYTES = 4 * 2**20
+# modes whose imaginary parts agree to this relative level tie in frequency
+_FREQ_TIE = 1e-9
 # eigenvalue magnitudes within this fraction of max(1, ||Y||_F) of the
 # smallest one are ties of the critical resonance mode
 _TIE_TOL = 1e-9
@@ -123,10 +129,14 @@ class RationalModel:
     def dim(self) -> int:
         return self.const.shape[0]
 
-    def evaluate(self, s: complex) -> np.ndarray:
-        out = self.const + s * self.linear
-        for p, R in zip(self.poles, self.residues):
-            out = out + R / (s - p)
+    def evaluate(self, s) -> np.ndarray:
+        """Model value at s; stacked (M, dim, dim) over an array of s."""
+        s = np.asarray(s, dtype=complex)
+        terms = self.residues / (s[..., None] - self.poles)[..., None, None]
+        out = self.const + s[..., None, None] * self.linear
+        # added pole by pole, in order: one s gives the same bits alone and stacked
+        for k in range(self.poles.size):
+            out = out + terms[..., k, :, :]
         return out
 
 
@@ -156,20 +166,21 @@ def frequency_grid(omega_min: float, omega_max: float, n_points: int = 400) -> n
 def sample_response(model, grid: Sequence[float]) -> ResponseSamples:
     """Evaluate Z(j omega) over a strictly increasing grid of frequencies.
 
-    ``model`` is a WholeSystemModel (its ``impedance`` method is used) or any
-    callable s -> matrix. A singular system at a grid point propagates with
-    the offending frequency in the message.
+    ``model`` is a WholeSystemModel, whose ``impedance`` is evaluated once
+    over the whole grid, or any callable s -> matrix, called point by point.
+    A singular system at a grid point propagates with the first offending
+    frequency in the message.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise FitError("frequency grid must be a nonempty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise FitError("frequency grid must be strictly increasing")
-    evaluate = model.impedance if hasattr(model, "impedance") else model
-    values = []
-    for w in grid:
-        values.append(np.asarray(evaluate(1j * w), dtype=complex))
-    return ResponseSamples(omegas=grid, values=np.array(values))
+    if hasattr(model, "impedance"):
+        values = model.impedance(1j * grid)
+    else:
+        values = np.array([np.asarray(model(1j * w), dtype=complex) for w in grid])
+    return ResponseSamples(omegas=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +268,12 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     function sigma(s) = 1 + sum c_k phi_k(s), which become the new poles.
 
     The per-response coefficients share one basis block, so they are
-    eliminated by a single QR and the sigma coefficients solved from the
-    stacked projected least squares over all responses at once.
+    eliminated by projecting every response's block [A_sigma | b] against
+    that block's orthonormal basis Q1. Each projected 2M x (N+1) block is
+    then compressed to its (N+1) x (N+1) R factor (fast vector fitting:
+    Deschrijver, Mrozowski, Dhaene & De Zutter, IEEE MWCL 2008), which keeps
+    its least-squares content, and the sigma coefficients are solved from
+    the stacked R factors. Memory grows with n_resp (N+1)^2, not n_resp M N.
     """
     M, n_resp = F.shape
     N = poles.size
@@ -267,18 +282,30 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     Dk = A_local[:, :N]
     Q1, _ = np.linalg.qr(_stack_real(A_local), mode="reduced")
 
-    AA = np.zeros((n_resp * 2 * M, N))
-    bb = np.zeros(n_resp * 2 * M)
-    for c in range(n_resp):
-        A_sigma = _stack_real(-Dk * F[:, c][:, None])
-        b_r = np.concatenate([F[:, c].real, F[:, c].imag])
-        rows = slice(c * 2 * M, (c + 1) * 2 * M)
-        AA[rows] = A_sigma - Q1 @ (Q1.T @ A_sigma)
-        bb[rows] = b_r - Q1 @ (Q1.T @ b_r)
+    # blocks are built transposed, (batch, N+1, 2M), so that one product
+    # projects a whole batch and each block is a Fortran-ordered 2M x (N+1)
+    # matrix for its QR
+    neg_DkT = np.ascontiguousarray(-Dk.T)
+    R = np.empty((n_resp, N + 1, N + 1))
+    batch = max(1, _RELOCATION_BATCH_BYTES // (2 * M * (N + 1) * 8))
+    for start in range(0, n_resp, batch):
+        Ft = np.ascontiguousarray(F[:, start:start + batch].T)  # (b, M)
+        A_sigma = neg_DkT * Ft[:, None, :]  # (b, N, M)
+        block = np.empty((Ft.shape[0], N + 1, 2 * M))
+        block[:, :N, :M], block[:, :N, M:] = A_sigma.real, A_sigma.imag
+        block[:, N, :M], block[:, N, M:] = Ft.real, Ft.imag
+        rows = block.reshape(-1, 2 * M)
+        rows -= (rows @ Q1) @ Q1.T
+        R[start:start + batch] = np.linalg.qr(block.transpose(0, 2, 1), mode="r")
 
-    scale = np.linalg.norm(AA, axis=0)
+    # the stacked R blocks have the column norms and singular values of the
+    # uncompressed stack, so the scaling and the rank threshold (numpy's
+    # implicit eps * rows for that stack) carry over unchanged
+    RA = R[:, :, :N].reshape(-1, N)
+    scale = np.linalg.norm(RA, axis=0)
     scale[scale == 0] = 1.0
-    x, *_ = np.linalg.lstsq(AA / scale, bb, rcond=None)
+    rcond = np.finfo(float).eps * (2 * M * n_resp)
+    x, *_ = np.linalg.lstsq(RA / scale, R[:, :, N].reshape(-1), rcond=rcond)
     c_sigma = x / scale
 
     # companion of sigma in the real pair basis
@@ -503,7 +530,9 @@ def find_modes(
 ) -> list[complex]:
     """Refine many seeds, merging duplicates; failures are skipped.
 
-    Returned modes are sorted by (imaginary, real) part for determinism.
+    Returned modes are sorted by imaginary part; modes whose imaginary
+    parts agree to 1e-9 relative (two modes at one frequency, which Newton
+    leaves ordered by rounding noise alone) are sorted by real part.
     """
     modes: list[complex] = []
     for seed in seeds:
@@ -515,7 +544,14 @@ def find_modes(
         except RefinementError:
             continue
         modes.append(lam)
-    return sorted(modes, key=lambda z: (z.imag, z.real))
+    ordered: list[complex] = []
+    run: list[complex] = []
+    for lam in sorted(modes, key=lambda z: (z.imag, z.real)):
+        if run and lam.imag - run[-1].imag > _FREQ_TIE * (1.0 + abs(lam.imag)):
+            ordered.extend(sorted(run, key=lambda z: z.real))
+            run = []
+        run.append(lam)
+    return ordered + sorted(run, key=lambda z: z.real)
 
 
 def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:

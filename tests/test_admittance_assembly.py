@@ -26,6 +26,7 @@ from impedmodal.admittance_assembly import (
     whole_system_matrices,
 )
 from impedmodal.network_model import (
+    ApparatusAttachment,
     NetworkDescription,
     RationalMatrix,
     SampledResponse,
@@ -34,7 +35,9 @@ from impedmodal.network_model import (
     StateSpaceRealization,
 )
 
-from conftest import W0, rl_shunt_admittance
+from impedmodal.rational_fit import fit_apparatus_surrogate
+
+from conftest import W0, rl_load_apparatus, rl_shunt_admittance
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +368,132 @@ def test_rl_shunt_admittance_fixture_poles():
     near = rl_shunt_admittance(lam + 1e-8)
     far = rl_shunt_admittance(lam + 100.0)
     assert np.linalg.norm(near) > 1e5 * np.linalg.norm(far)
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation over a grid of s
+# ---------------------------------------------------------------------------
+
+
+def _rational_apparatus() -> RationalMatrix:
+    # y_dd = (0.2 s + 3)/(s^2 + 40 s + 9e4), y_dq = -0.01, y_qd = 0.01,
+    # y_qq = (0.3 s + 1)/(s + 50)
+    return RationalMatrix(
+        numerators=(((0.2, 3.0), (-0.01,)), ((0.01,), (0.3, 1.0))),
+        denominators=(((1.0, 40.0, 9e4), (1.0,)), ((1.0,), (1.0, 50.0))),
+    )
+
+
+def _sampled_apparatus() -> SampledResponse:
+    freqs = np.geomspace(5.0, 5000.0, 60)
+    blocks = np.array([rl_shunt_admittance(1j * w, R=0.4, L=0.02) for w in freqs])
+    return SampledResponse(frequencies=freqs, blocks=blocks)
+
+
+def _mixed_net(sampled: bool) -> NetworkDescription:
+    """Every element kind: a line, a transformer, resistive, capacitive and
+    inductive shunts, and state-space, rational and (optionally) sampled
+    apparatus, all three with theta != 0."""
+    apparatus = [
+        ApparatusAttachment(bus=1, model=rl_load_apparatus(0.1, 0.005), theta=0.3),
+        ApparatusAttachment(bus=2, model=_rational_apparatus(), theta=-0.4),
+    ]
+    if sampled:
+        apparatus.append(ApparatusAttachment(bus=3, model=_sampled_apparatus(), theta=0.7))
+    return NetworkDescription(
+        n_buses=3,
+        omega0=W0,
+        branches=(
+            SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.05, L=0.002),
+            SeriesBranch(kind="transformer", from_bus=2, to_bus=3, R=0.03, L=0.0015,
+                         ratio=0.932),
+        ),
+        shunts=(
+            ShuntElement(bus=1, kind="capacitive", value=0.001),
+            ShuntElement(bus=2, kind="inductive", value=0.3),
+            ShuntElement(bus=3, kind="resistive", value=1.5),
+            ShuntElement(bus=3, kind="capacitive", value=0.0012),
+        ),
+        apparatus=tuple(apparatus),
+    )
+
+
+def _assert_stacked_equals_pointwise(evaluate, s_grid, dim):
+    stacked = evaluate(s_grid)
+    assert stacked.shape == (s_grid.size, dim, dim)
+    pointwise = np.array([evaluate(complex(s)) for s in s_grid])
+    assert pointwise.shape == (s_grid.size, dim, dim)
+    assert np.array_equal(stacked, pointwise)
+
+
+def _models(net, overrides=None):
+    yield WholeSystemModel(net, overrides)
+    refs = [("branch", 1), ("shunt", 1)] + [("apparatus", i) for i in range(len(net.apparatus))]
+    for ref in refs:
+        yield PerturbedModel(net, ref, 1.07, overrides)
+
+
+def test_stacked_evaluation_on_axis_every_model_kind():
+    net = _mixed_net(sampled=True)
+    f = net.apparatus[2].model.frequencies
+    # between the samples, on them, and at both ends of the sampled range
+    omegas = np.union1d(np.geomspace(5.0, 5000.0, 97), f[::7])
+    s_grid = 1j * omegas
+    for model in _models(net):
+        _assert_stacked_equals_pointwise(model.admittance, s_grid, 6)
+        _assert_stacked_equals_pointwise(model.impedance, s_grid, 6)
+
+
+def test_stacked_evaluation_off_axis_with_surrogate_override():
+    net = _mixed_net(sampled=True)
+    surrogate = fit_apparatus_surrogate(net.apparatus[2].model, order=4)
+    T = frame_rotation(net.apparatus[2].theta)
+    overrides = {2: lambda s: T @ surrogate.evaluate(s) @ T.T}
+    s_grid = np.concatenate([-7.0 + 1j * np.geomspace(5.0, 5000.0, 41),
+                             [3.0 + 0.0j, -40.0 - 250.0j]])
+    for model in _models(net, overrides):
+        _assert_stacked_equals_pointwise(model.admittance, s_grid, 6)
+        _assert_stacked_equals_pointwise(model.impedance, s_grid, 6)
+    stacked = surrogate.evaluate(s_grid)
+    assert np.array_equal(stacked, np.array([surrogate.evaluate(complex(s)) for s in s_grid]))
+
+
+def test_stacked_element_helpers_match_pointwise():
+    net = _mixed_net(sampled=False)
+    s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
+    for ref in network_elements(net):
+        stacked = element_stamp(net, ref, s_grid)
+        assert np.array_equal(stacked, np.array([element_stamp(net, ref, complex(s))
+                                                 for s in s_grid]))
+    for app in net.apparatus:
+        stacked = apparatus_admittance(app.model, s_grid, app.theta)
+        assert np.array_equal(stacked, np.array([apparatus_admittance(app.model, complex(s),
+                                                                      app.theta)
+                                                 for s in s_grid]))
+
+
+def test_stacked_singular_point_names_first_offender(rc_bus_net):
+    lam = complex(-10.0, W0)  # exact mode of the RC bus, as is its conjugate
+    s_grid = np.array([-10.0 + 300.0j, -10.0 + 310.0j, lam, -10.0 + 320.0j, lam.conjugate()])
+    model = WholeSystemModel(rc_bus_net)
+    with pytest.raises(SingularSystemError) as exc:
+        model.impedance(s_grid)
+    assert exc.value.s == lam
+    assert exc.value.cond > 1e13
+    with pytest.raises(SingularSystemError) as single:
+        model.impedance(lam)
+    assert str(exc.value) == str(single.value)
+
+
+def test_stacked_branch_and_shunt_errors_name_the_point():
+    net = NetworkDescription(
+        n_buses=2,
+        omega0=W0,
+        branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.0, L=0.01),),
+        shunts=(ShuntElement(bus=1, kind="inductive", value=0.5),),
+    )
+    s_grid = 1j * np.array([100.0, W0, 400.0])
+    with pytest.raises(EvaluationError, match=r"branch 1-2 \(line\): .* at s = 314\.159"):
+        assemble_nodal_admittance(net, s_grid)
+    with pytest.raises(EvaluationError, match=r"inductive shunt at bus 1 is singular at s = 314\.159"):
+        shunt_admittance(net.shunts[0], W0, s_grid)

@@ -349,3 +349,26 @@ def test_heatmap_parallel_branches_summed(tmp_path):
     with open(tmp_path / "mode0_elements.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert sum(1 for r in rows if r["element"].startswith("line:")) == 2
+
+
+BAD_BANDS = ["5:inf", "nan:5000", "5:nan", "5000:5", "0:10", "-5:10"]
+
+
+@pytest.mark.parametrize("band", BAD_BANDS)
+def test_analyze_rejects_bad_band(tmp_path, capsys, band):
+    measured = REPO / "networks" / "measured_two_bus.json"
+    code = main(["analyze", str(measured), f"--band={band}", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("band", BAD_BANDS)
+def test_sweep_rejects_bad_band(tmp_path, capsys, band):
+    code = main([
+        "sweep", str(NETWORK), "--branch", "1:2", "--param", "L", "--factor", "1.05",
+        "--steps", "3", f"--band={band}", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+    assert not (tmp_path / "sweep.csv").exists()

@@ -23,6 +23,7 @@ from impedmodal.rational_fit import (
     sample_response,
     vector_fit,
 )
+from impedmodal.rational_fit import _canonical_poles, _design_matrix, _pair_index, _relocate_poles
 
 from conftest import W0, rl_shunt_admittance, rl_shunt_impedance
 
@@ -77,6 +78,22 @@ def test_sample_grid_must_increase(rc_bus_net):
         sample_response(WholeSystemModel(rc_bus_net), [10.0, 5.0])
 
 
+def test_sample_evaluates_the_grid_in_one_call(three_bus_net):
+    class Counting(WholeSystemModel):
+        calls = 0
+
+        def impedance(self, s):
+            Counting.calls += 1
+            return super().impedance(s)
+
+    grid = np.geomspace(5.0, 5000.0, 50)
+    samples = sample_response(Counting(three_bus_net), grid)
+    assert Counting.calls == 1
+    model = WholeSystemModel(three_bus_net)
+    by_point = sample_response(lambda s: model.impedance(s), grid)  # a bare callable
+    assert np.array_equal(samples.values, by_point.values)
+
+
 # ---------------------------------------------------------------------------
 # Vector fitting
 # ---------------------------------------------------------------------------
@@ -109,6 +126,85 @@ def test_fit_underfit_warns():
     model = vector_fit(ResponseSamples(omegas=grid, values=vals), order=1, n_iterations=8)
     assert model.warning is not None
     assert model.max_rel_deviation > 1e-4
+
+
+def _synthetic_response(omegas, dim, n_pairs, seed):
+    """Samples of sum_k R_k/(s - p_k) + conj, plus a constant, with known
+    stable poles spread over the band and random residue matrices."""
+    rng = np.random.default_rng(seed)
+    w = np.geomspace(omegas[0] * 1.5, omegas[-1] / 1.5, n_pairs)
+    poles = -w * rng.uniform(0.02, 0.2, n_pairs) + 1j * w
+    res = rng.normal(size=(n_pairs, dim, dim)) + 1j * rng.normal(size=(n_pairs, dim, dim))
+    res *= w[:, None, None]
+    s = 1j * omegas[:, None]
+    values = (np.einsum("mk,kij->mij", 1.0 / (s - poles), res)
+              + np.einsum("mk,kij->mij", 1.0 / (s - poles.conj()), res.conj()))
+    values += rng.normal(size=(dim, dim))
+    return ResponseSamples(omegas=omegas, values=values)
+
+
+def _uncompressed_relocation(s, F, poles):
+    """One pole-relocation step solved from the full stacked least squares
+    over all responses (no per-response compression), for reference."""
+    M, n_resp = F.shape
+    N = poles.size
+    cidx = _pair_index(poles)
+    A = _design_matrix(s, poles, cidx)
+    Q1, _ = np.linalg.qr(np.vstack([A.real, A.imag]))
+    AA = np.zeros((n_resp * 2 * M, N))
+    bb = np.zeros(n_resp * 2 * M)
+    for c in range(n_resp):
+        A_sigma = -A[:, :N] * F[:, c][:, None]
+        A_sigma = np.vstack([A_sigma.real, A_sigma.imag])
+        b = np.concatenate([F[:, c].real, F[:, c].imag])
+        rows = slice(c * 2 * M, (c + 1) * 2 * M)
+        AA[rows] = A_sigma - Q1 @ (Q1.T @ A_sigma)
+        bb[rows] = b - Q1 @ (Q1.T @ b)
+    scale = np.linalg.norm(AA, axis=0)
+    x, *_ = np.linalg.lstsq(AA / scale, bb, rcond=None)
+    c_sigma = x / scale
+    # zeros of sigma: eigenvalues of the pole matrix less b c_sigma^T, in the
+    # real pair basis
+    H = np.zeros((N, N))
+    bvec = np.zeros(N)
+    for k in range(N):
+        if cidx[k] == 0:
+            H[k, k], bvec[k] = poles[k].real, 1.0
+        elif cidx[k] == 1:
+            H[k:k + 2, k:k + 2] = [[poles[k].real, poles[k].imag],
+                                   [-poles[k].imag, poles[k].real]]
+            bvec[k] = 2.0
+    return _canonical_poles(np.linalg.eigvals(H - np.outer(bvec, c_sigma)))
+
+
+def test_compressed_relocation_matches_uncompressed_step():
+    omegas = np.geomspace(5.0, 5000.0, 300)
+    samples = _synthetic_response(omegas, dim=3, n_pairs=4, seed=7)
+    s = 1j * omegas
+    F = samples.values.reshape(omegas.size, -1)
+    poles = _canonical_poles(initial_poles(omegas[0], omegas[-1], 9))
+    new = _relocate_poles(s, F, poles)
+    ref = _uncompressed_relocation(s, F, poles)
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref) / np.abs(ref)) <= 1e-8
+
+
+def test_relocation_memory_is_bounded_for_many_responses():
+    """A 20x20 response (400 entries) on 600 points at order 40: the stacked
+    uncompressed relocation matrix alone would take 400 * 1200 * 40 * 8 B,
+    about 150 MiB."""
+    import tracemalloc
+
+    omegas = np.geomspace(5.0, 5000.0, 600)
+    samples = _synthetic_response(omegas, dim=20, n_pairs=20, seed=3)
+    tracemalloc.start()
+    try:
+        model = vector_fit(samples, order=40, n_iterations=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert model.max_rel_deviation < 1e-6
 
 
 def test_fit_needs_enough_samples():
@@ -197,6 +293,21 @@ def test_find_modes_deduplicates(rc_bus_net):
     modes = find_modes(model.admittance, [-8 + 300j, -12 + 320j, -8 + 300j])
     assert len(modes) == 1
     assert abs(modes[0] - RC_MODE) <= 1e-8 * abs(RC_MODE)
+
+
+def test_find_modes_orders_frequency_ties_by_real_part():
+    """Two modes at one frequency, 1e-13 apart in imaginary part: the order
+    follows their real parts, not the rounding of their frequencies."""
+    a = complex(-5.0, 300.0 * (1 + 1e-13))
+    b = complex(-3.0, 300.0)
+    c = complex(-1.0, 200.0)
+
+    def Y(s):
+        return np.diag([s - a, s - b, s - c])
+
+    modes = find_modes(Y, [b + 0.5, a + 0.5j, c - 0.5])
+    assert len(modes) == 3
+    assert np.allclose(modes, [c, a, b], rtol=1e-12, atol=0)
 
 
 def test_refined_zeros_match_state_space(two_bus_net):
