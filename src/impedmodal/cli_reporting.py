@@ -304,7 +304,9 @@ def run(config: AnalysisConfig) -> int:
 
     refs = assembly.network_elements(net)
     validation: dict = {"epsilon": config.epsilon, "modes": []}
-    reference_modes = [r.lam for r in records]
+    oracle = None
+    if config.validate_predictions and mass_oracle.oracle_capable(net) and not overrides:
+        oracle = mass_oracle.Interconnection(net)
     for k in selected:
         rec = records[k]
         reports = mai_core.mode_layer_reports(
@@ -315,17 +317,14 @@ def run(config: AnalysisConfig) -> int:
         for name, table in _heatmaps_for_mode(net, reports).items():
             emit(f"mode{k}_{name}.csv", emit_heatmap(table))
         if config.validate_predictions:
+            outcomes = mai_core.validate_mode_predictions(
+                net, rec, refs, oracle, epsilon=config.epsilon,
+                apparatus_overrides=overrides or None,
+            )
             entries = []
-            for ref, rep in zip(refs, reports):
-                try:
-                    v = mai_core.validate_element_prediction(
-                        net, ref, rec, epsilon=config.epsilon,
-                        reference_modes=reference_modes,
-                        apparatus_overrides=overrides or None,
-                    )
-                except (mai_core.AnalysisError, rational_fit.RefinementError,
-                        mass_oracle.OracleError) as exc:
-                    entries.append({"element": rep.element, "error": str(exc)})
+            for rep, v in zip(reports, outcomes):
+                if isinstance(v, Exception):
+                    entries.append({"element": rep.element, "error": str(v)})
                     continue
                 entries.append(
                     {

@@ -23,7 +23,7 @@ import scipy.linalg
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
 from .admittance_assembly import _I2, ElementRef, WholeSystemModel, block_slice, omega_block
-from .network_model import NetworkDescription, StateSpaceRealization
+from .network_model import NetworkDescription
 
 __all__ = [
     "AnalysisError",
@@ -60,6 +60,7 @@ __all__ = [
     "track_mode",
     "min_mode_spacing",
     "validate_element_prediction",
+    "validate_mode_predictions",
     "parameter_sweep",
 ]
 
@@ -846,13 +847,11 @@ def solve_modes(
 
 
 def min_mode_spacing(modes: Sequence[complex]) -> float:
-    vals = [complex(m) for m in modes]
-    if len(vals) < 2:
+    vals = np.asarray(modes, dtype=complex).ravel()
+    if vals.size < 2:
         return np.inf
-    dists = [
-        abs(a - b) for idx, a in enumerate(vals) for b in vals[idx + 1:]
-    ]
-    return float(min(dists))
+    upper = np.triu_indices(vals.size, 1)
+    return float(np.abs(vals[:, None] - vals[None, :])[upper].min())
 
 
 def track_mode(
@@ -862,8 +861,9 @@ def track_mode(
     factor: float = 0.3,
 ) -> complex:
     """Nearest-mode matching: the candidate closest to ``lam_ref``; raises
-    TrackingError when the jump exceeds ``factor`` times the minimum
-    inter-mode distance (the mode branch was lost)."""
+    TrackingError when the jump exceeds ``factor`` times ``spacing``, by
+    default the minimum inter-mode distance of the candidates (the mode
+    branch was lost)."""
     if not len(candidates):
         raise TrackingError("no candidate modes to match against")
     cands = np.asarray([complex(c) for c in candidates])
@@ -874,7 +874,7 @@ def track_mode(
     if np.isfinite(spacing) and dist[k] > factor * spacing:
         raise TrackingError(
             f"nearest mode {cands[k]} is {dist[k]:.3e} away from {lam_ref}, "
-            f"beyond {factor} x min spacing {spacing:.3e}"
+            f"beyond {factor} x spacing {spacing:.3e}"
         )
     return complex(cands[k])
 
@@ -884,51 +884,45 @@ def scale_element_admittance(
 ) -> NetworkDescription:
     """Network with one element's admittance scaled by ``factor`` uniformly
     over s, realized by the corresponding physical parameter scaling
-    (series impedance down, shunt conductance/capacitance up)."""
+    (series impedance down, shunt conductance/capacitance up), as
+    :func:`mass_oracle.scaled_element`, which raises
+    ``UnsupportedForOracleError`` for an apparatus without a state-space
+    realization (scale it with the ``PerturbedModel`` overlay instead)."""
     from dataclasses import replace
 
     kind, idx = ref
-    if kind == "branch":
-        b = net.branches[idx]
-        return net.with_branch(idx, R=b.R / factor, L=b.L / factor)
-    if kind == "shunt":
-        sh = net.shunts[idx]
-        value = sh.value * factor if sh.kind == "capacitive" else sh.value / factor
-        shunts = list(net.shunts)
-        shunts[idx] = replace(sh, value=value)
-        return replace(net, shunts=tuple(shunts))
-    if kind == "apparatus":
-        app = net.apparatus[idx]
-        if not isinstance(app.model, StateSpaceRealization):
-            raise AnalysisError(
-                "scaling a non-state-space apparatus needs the overlay model "
-                "(PerturbedModel) instead of a network rewrite"
-            )
-        model = StateSpaceRealization(
-            A=app.model.A, B=app.model.B * factor, C=app.model.C, D=app.model.D * factor
-        )
-        apparatus = list(net.apparatus)
-        apparatus[idx] = replace(app, model=model)
-        return replace(net, apparatus=tuple(apparatus))
-    raise AnalysisError(f"unknown element kind '{kind}'")
+    field = {"branch": "branches", "shunt": "shunts", "apparatus": "apparatus"}.get(kind)
+    if field is None:
+        raise AnalysisError(f"unknown element kind '{kind}'")
+    elements = list(getattr(net, field))
+    elements[idx] = mass_oracle.scaled_element(net, ref, factor)
+    return replace(net, **{field: tuple(elements)})
 
 
-def _resolve_perturbed_mode(net, lam_ref, reference_modes):
-    """Re-solve the oracle-capable perturbed system for the mode tracked
-    from ``lam_ref``.
+def _nearest_other_distance(eigenvalues: np.ndarray, i: int) -> float:
+    """Distance from eigenvalue ``i`` to the nearest other one (inf when
+    there is none): the scale of the tracking gate."""
+    others = np.delete(np.asarray(eigenvalues), i)
+    return float(np.min(np.abs(others - eigenvalues[i]))) if others.size else np.inf
 
-    The candidate is the perturbed state matrix's eigenvalue nearest
-    ``lam_ref``, found by a sparse shift-invert solve at ``lam_ref``
-    (``mass_oracle.nearest_eigenvalue``) rather than a full dense
-    eigendecomposition. ``track_mode`` gates the jump at 0.3 x the minimum
-    spacing of ``reference_modes`` or, when none are given, of all
-    eigenvalues of the perturbed state matrix.
-    """
-    A = mass_oracle.interconnect(net).A
-    lam = mass_oracle.nearest_eigenvalue(A, lam_ref)
-    if not reference_modes:
-        reference_modes = scipy.linalg.eigvals(A)
-    return track_mode(lam_ref, [lam], spacing=min_mode_spacing(reference_modes))
+
+def _predicted_shift(net, ref, mode, epsilon, apparatus_overrides=None) -> complex:
+    """First-order shift of ``mode`` for a (1 + eps) scaling of element ``ref``."""
+    rec = element_sensitivity(net, ref, mode.residue)
+    y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
+    return predict_mode_shift(rec.s_factor, epsilon * y)
+
+
+def _resolve_perturbed_mode(A, anchor, gap):
+    """The eigenvalue of the perturbed state matrix ``A`` nearest ``anchor``
+    (= lambda + the predicted shift), by sparse shift-invert at the anchor
+    (``mass_oracle.nearest_eigenvalue``), gated by ``track_mode`` at 0.3 x
+    ``gap``, the distance from lambda to its nearest other eigenvalue."""
+    return track_mode(anchor, [mass_oracle.nearest_eigenvalue(A, anchor)], spacing=gap)
+
+
+# the failures one element's validation can end in; each stays with its element
+_VALIDATION_ERRORS = (AnalysisError, rational_fit.RefinementError, mass_oracle.OracleError)
 
 
 def validate_element_prediction(
@@ -942,12 +936,16 @@ def validate_element_prediction(
     """Predict the mode shift for a (1 + eps) element-admittance scaling and
     compare against the re-solved mode of the perturbed system.
 
-    Oracle-capable networks are re-solved through the state-space path: the
-    perturbed state matrix's eigenvalue nearest the old mode, by sparse
-    shift-invert at the mode, gated by ``track_mode`` against
-    ``reference_modes`` (by default all perturbed eigenvalues). Otherwise
-    the scaled element is overlaid on the admittance evaluator and the mode
-    Newton-refined from its old location.
+    Oracle-capable networks are re-solved through the state-space path:
+    the scaled element's rows replace those of the state matrix A, and the
+    eigenvalue nearest lambda + the predicted shift is found by sparse
+    shift-invert there. ``track_mode`` gates it at 0.3 x the distance from
+    lambda to its nearest other eigenvalue, taken among
+    ``reference_modes`` (which must hold the mode) and their conjugates or,
+    by default, among all eigenvalues of A. Otherwise the scaled element
+    is overlaid on the admittance evaluator and the mode Newton-refined
+    from its old location. :func:`validate_mode_predictions` validates
+    every element of a mode at once.
 
     Raises
     ------
@@ -957,16 +955,84 @@ def validate_element_prediction(
         If the re-solve fails, including ``DefectiveMatrixError`` when the
         tracked eigenvalue is ill-conditioned.
     """
-    rec = element_sensitivity(net, ref, mode.residue)
-    y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
-    predicted = predict_mode_shift(rec.s_factor, epsilon * y)
+    predicted = _predicted_shift(net, ref, mode, epsilon, apparatus_overrides)
     if mass_oracle.oracle_capable(net) and not apparatus_overrides:
-        perturbed = scale_element_admittance(net, ref, 1.0 + epsilon)
-        lam_new = _resolve_perturbed_mode(perturbed, mode.lam, reference_modes)
+        system = mass_oracle.Interconnection(net)
+        rows, A_rows = system.element_update(ref, 1.0 + epsilon)
+        A = system.model.A.copy()
+        A[rows] = A_rows
+        if reference_modes:
+            modes = np.asarray(reference_modes, dtype=complex)
+            eigenvalues = np.concatenate([modes, np.conj(modes[modes.imag != 0])])
+        else:
+            eigenvalues = scipy.linalg.eigvals(system.model.A)
+        i = int(np.argmin(np.abs(eigenvalues - mode.lam)))
+        gap = _nearest_other_distance(eigenvalues, i)
+        lam_new = _resolve_perturbed_mode(A, mode.lam + predicted, gap)
     else:
         overlay = assembly.PerturbedModel(net, ref, 1.0 + epsilon, apparatus_overrides)
         lam_new = rational_fit.refine_mode(overlay.admittance, mode.lam)
     return validate_prediction(predicted, lam_new - mode.lam)
+
+
+def validate_mode_predictions(
+    net: NetworkDescription,
+    mode: ModeRecord,
+    refs: Sequence[ElementRef],
+    oracle: Optional[mass_oracle.Interconnection],
+    epsilon: float = 0.05,
+    apparatus_overrides=None,
+) -> list:
+    """:func:`validate_element_prediction` for every element in ``refs`` at
+    one mode, one entry per element: its ``ValidationRecord``, or the
+    error (``AnalysisError``, ``RefinementError`` or ``OracleError``) its
+    validation ended in.
+
+    With the network's ``oracle`` (see :class:`mass_oracle.Interconnection`;
+    its eigenstructure is computed once and reused by every mode), each
+    element's scaling is a low-rank row update of the state matrix A, and
+    :func:`mass_oracle.updated_eigenvalues` re-solves them all in one
+    batched Newton on the secular equation, anchored at lambda + the
+    predicted shift, with shift-invert as its fallback. The gate is
+    0.3 x the distance from lambda to its nearest other eigenvalue of A.
+    Without an oracle every element is validated alone, through the
+    admittance overlay when ``apparatus_overrides`` are given.
+    """
+    if oracle is None:
+        outcomes = []
+        for ref in refs:
+            try:
+                outcomes.append(validate_element_prediction(
+                    net, ref, mode, epsilon, apparatus_overrides=apparatus_overrides))
+            except _VALIDATION_ERRORS as exc:
+                outcomes.append(exc)
+        return outcomes
+    lam = oracle.eig.eigenvalues
+    i = int(np.argmin(np.abs(lam - mode.lam)))
+    gap = _nearest_other_distance(lam, i)
+    outcomes: list = [None] * len(refs)
+    solved, predicted, updates = [], [], []
+    for e, ref in enumerate(refs):
+        try:
+            shift = _predicted_shift(net, ref, mode, epsilon)
+            updates.append(oracle.element_update(ref, 1.0 + epsilon))
+        except _VALIDATION_ERRORS as exc:
+            outcomes[e] = exc
+            continue
+        solved.append(e)
+        predicted.append(shift)
+    anchors = [mode.lam + p for p in predicted]
+    roots = mass_oracle.updated_eigenvalues(oracle, i, updates, anchors)
+    for e, shift, anchor, root in zip(solved, predicted, anchors, roots):
+        if isinstance(root, mass_oracle.OracleError):
+            outcomes[e] = root
+            continue
+        try:
+            lam_new = track_mode(anchor, [root], spacing=gap)
+            outcomes[e] = validate_prediction(shift, lam_new - mode.lam)
+        except AnalysisError as exc:
+            outcomes[e] = exc
+    return outcomes
 
 
 def parameter_sweep(

@@ -11,12 +11,20 @@ sensitivities, and participation factors follow from the eigenvectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .admittance_assembly import _I2, _J, block_slice, frame_rotation, state_space_response
+from .admittance_assembly import (
+    _I2,
+    _J,
+    ElementRef,
+    block_slice,
+    frame_rotation,
+    state_space_response,
+)
 from .network_model import NetworkDescription, StateSpaceRealization
 
 __all__ = [
@@ -28,9 +36,12 @@ __all__ = [
     "EigenStructure",
     "PortSelection",
     "oracle_capable",
+    "Interconnection",
+    "scaled_element",
     "interconnect",
     "eigendecompose",
     "nearest_eigenvalue",
+    "updated_eigenvalues",
     "participation_matrix",
     "eigenvalue_sensitivity_matrix",
     "resolvent_residue",
@@ -41,6 +52,13 @@ __all__ = [
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
 _COND_LIMIT = 1e12
+# Newton on the secular equation: iteration cap, and the step, relative to
+# the iterate, below which it has converged
+_NEWTON_MAX_ITERATIONS = 30
+_NEWTON_STEP_TOL = 1e-13
+# largest relative backward error accepted from a secular root before the
+# shift-invert solve takes over
+_BACKWARD_LIMIT = 1e-12
 
 
 class OracleError(Exception):
@@ -139,6 +157,259 @@ def oracle_capable(net: NetworkDescription) -> bool:
     return all(isinstance(a.model, StateSpaceRealization) for a in net.apparatus)
 
 
+def scaled_element(net: NetworkDescription, ref: ElementRef, factor: float):
+    """Element ``ref`` of ``net`` with its admittance scaled by ``factor``
+    uniformly over s, through the matching physical parameters: series R
+    and L down, shunt conductance and capacitance up (inductance down),
+    apparatus B and D up."""
+    kind, idx = ref
+    if kind == "branch":
+        b = net.branches[idx]
+        return replace(b, R=b.R / factor, L=b.L / factor)
+    if kind == "shunt":
+        sh = net.shunts[idx]
+        value = sh.value * factor if sh.kind == "capacitive" else sh.value / factor
+        return replace(sh, value=value)
+    if kind == "apparatus":
+        app = net.apparatus[idx]
+        m = app.model
+        if not isinstance(m, StateSpaceRealization):
+            raise UnsupportedForOracleError(
+                f"apparatus[{idx}] at bus {app.bus} has no state-space realization"
+            )
+        return replace(app, model=StateSpaceRealization(A=m.A, B=m.B * factor, C=m.C,
+                                                        D=m.D * factor))
+    raise OracleError(f"unknown element kind '{kind}'")
+
+
+class Interconnection:
+    """The closed-system state-space model of one network, with the
+    bookkeeping that rebuilds single rows of its state matrix.
+
+    Every state row belongs to one block: a bus voltage, a branch current,
+    an inductive-shunt current or an apparatus's states. ``model`` is what
+    :func:`interconnect` returns, and raises what it raises.
+    :meth:`element_update` gives the rows of A that scaling one element
+    changes, from the same block formulas, so the scaled network is never
+    rebuilt. ``eig`` is the eigenstructure of A, computed on first use.
+    """
+
+    def __init__(self, net: NetworkDescription):
+        for idx, app in enumerate(net.apparatus):
+            if not isinstance(app.model, StateSpaceRealization):
+                raise UnsupportedForOracleError(
+                    f"apparatus[{idx}] at bus {app.bus} has no state-space realization"
+                )
+        self.net = net
+        n = net.n_buses
+        # the shunts, then the apparatus, at each bus: what its totals sum
+        self._at_bus: dict[int, list[ElementRef]] = {bus: [] for bus in range(1, n + 1)}
+        for si, sh in enumerate(net.shunts):
+            self._at_bus[sh.bus].append(("shunt", si))
+        for ai, app in enumerate(net.apparatus):
+            self._at_bus[app.bus].append(("apparatus", ai))
+        self._rot = [frame_rotation(app.theta) for app in net.apparatus]
+        totals = {bus: self._bus_totals(bus) for bus in range(1, n + 1)}
+
+        # --- state indexing: the first row of each block ------------------
+        state_names: list[str] = []
+        self._start: dict[tuple[str, int], int] = {}
+        for bus in range(1, n + 1):
+            if totals[bus][0] > 0:
+                self._start[("bus", bus)] = len(state_names)
+                state_names += [f"bus{bus}.vd", f"bus{bus}.vq"]
+        for bi, b in enumerate(net.branches):
+            self._start[("branch", bi)] = len(state_names)
+            state_names += [f"branch{bi}:{b.from_bus}-{b.to_bus}.id",
+                            f"branch{bi}:{b.from_bus}-{b.to_bus}.iq"]
+        for si, sh in enumerate(net.shunts):
+            if sh.kind == "inductive":
+                self._start[("shunt", si)] = len(state_names)
+                state_names += [f"shunt{si}:bus{sh.bus}.id", f"shunt{si}:bus{sh.bus}.iq"]
+        for ai, app in enumerate(net.apparatus):
+            if app.model.n_states:
+                self._start[("apparatus", ai)] = len(state_names)
+            state_names += [f"apparatus{ai}:bus{app.bus}.x{k}"
+                            for k in range(app.model.n_states)]
+        self._nx = nx = len(state_names)
+        self._nu = nu = 2 * n
+
+        # --- current drawn from buses by state variables, and the blocks
+        # reading each bus's voltage V = P x + Q u -------------------------
+        drawn = np.zeros((nu, nx))
+        self._readers: dict[int, list[tuple[str, int]]] = {bus: [] for bus in range(1, n + 1)}
+        for block in self._start:
+            kind, idx = block
+            if kind == "bus":
+                continue
+            el, cols = self._element(block), self._rows(block)
+            if kind == "branch":
+                drawn[block_slice(el.from_bus), cols] += _I2 / el.ratio
+                drawn[block_slice(el.to_bus), cols] -= _I2
+                self._readers[el.from_bus].append(block)
+                self._readers[el.to_bus].append(block)
+            else:
+                drawn[block_slice(el.bus), cols] += (
+                    _I2 if kind == "shunt" else self._rot[idx] @ el.model.C)
+                self._readers[el.bus].append(block)
+        self._drawn = drawn
+
+        # --- bus voltages: V = P x + Q u ----------------------------------
+        self._P = np.zeros((nu, nx))
+        self._Q = np.zeros((nu, nu))
+        for bus in range(1, n + 1):
+            rows = block_slice(bus)
+            self._P[rows], self._Q[rows] = self._voltage_map(bus, totals[bus][1])
+
+        # --- state equations, block by block ------------------------------
+        A = np.zeros((nx, nx))
+        B = np.zeros((nx, nu))
+        for block in self._start:
+            rows = self._rows(block)
+            A[rows], B[rows] = self._block_rows(block, self._P, self._Q, totals)
+
+        input_names = tuple(
+            f"bus{bus}.inj_i{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
+        )
+        output_names = tuple(
+            f"bus{bus}.u{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
+        )
+        self.model = StateSpaceModel(
+            A=A, B=B, C=self._P, D=self._Q,
+            state_names=tuple(state_names),
+            input_names=input_names,
+            output_names=output_names,
+        )
+
+    @functools.cached_property
+    def eig(self) -> EigenStructure:
+        return eigendecompose(self.model.A)
+
+    def _element(self, ref: tuple[str, int]):
+        kind, idx = ref
+        return {"branch": self.net.branches, "shunt": self.net.shunts,
+                "apparatus": self.net.apparatus}[kind][idx]
+
+    def _rows(self, block: tuple[str, int]) -> slice:
+        start = self._start[block]
+        size = self._element(block).model.n_states if block[0] == "apparatus" else 2
+        return slice(start, start + size)
+
+    def _bus_totals(self, bus: int, ref=None, element=None) -> tuple[float, np.ndarray]:
+        """(capacitance, static conductance) at ``bus``, with ``element``
+        standing in for element ``ref`` when given."""
+        cap, G = 0.0, np.zeros((2, 2))
+        for r in self._at_bus[bus]:
+            el = element if r == ref else self._element(r)
+            if r[0] == "apparatus":
+                T = self._rot[r[1]]
+                G += T @ el.model.D @ T.T
+            elif el.kind == "capacitive":
+                cap += el.value
+            elif el.kind == "resistive":
+                G += _I2 / el.value
+        return cap, G
+
+    def _voltage_map(self, bus: int, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of P and Q for one bus: its voltage state if the bus carries
+        capacitance, else eliminated through the static conductance G."""
+        P = np.zeros((2, self._nx))
+        Q = np.zeros((2, self._nu))
+        if ("bus", bus) in self._start:
+            start = self._start[("bus", bus)]
+            P[:, start:start + 2] = _I2
+            return P, Q
+        if abs(np.linalg.det(G)) < 1e-12 * max(1.0, np.linalg.norm(G)) ** 2:
+            raise UnsupportedForOracleError(
+                f"bus {bus} voltage is undefined: no capacitive shunt and "
+                "singular static conductance"
+            )
+        Gi = np.linalg.inv(G)
+        P[:] = -Gi @ self._drawn[block_slice(bus)]
+        Q[:, block_slice(bus)] = Gi
+        return P, Q
+
+    def _block_rows(self, block, P, Q, totals, element=None):
+        """Rows of A and B of one block, from the bus voltage map (P, Q),
+        the bus totals and ``element`` in place of the block's own."""
+        kind, idx = block
+        rows = self._rows(block)
+        nr = rows.stop - rows.start
+        A = np.zeros((nr, self._nx))
+        B = np.zeros((nr, self._nu))
+        w0 = self.net.omega0
+
+        def voltage_term(coeff: np.ndarray, bus: int) -> None:
+            vb = block_slice(bus)
+            A[:, :] += coeff @ P[vb, :]
+            B[:, :] += coeff @ Q[vb, :]
+
+        if kind == "bus":
+            cap, G = totals[idx]
+            vb = block_slice(idx)
+            # C V' = u - G V - drawn(x) - w0 C J V
+            A[:, :] -= self._drawn[vb, :] / cap
+            B[:, vb] += _I2 / cap
+            voltage_term(-G / cap, idx)
+            A[:, rows] += -w0 * _J
+            return A, B
+        el = element if element is not None else self._element(block)
+        if kind == "branch":
+            A[:, rows] += -(el.R / el.L) * _I2 - w0 * _J
+            voltage_term(_I2 / (el.L * el.ratio), el.from_bus)
+            voltage_term(-_I2 / el.L, el.to_bus)
+        elif kind == "shunt":  # inductive
+            A[:, rows] += -w0 * _J
+            voltage_term(_I2 / el.value, el.bus)
+        else:
+            A[:, rows] += el.model.A
+            voltage_term(el.model.B @ self._rot[idx].T, el.bus)
+        return A, B
+
+    def element_update(self, ref: ElementRef, factor: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, A_rows)``: the state rows R that scaling element
+        ``ref``'s admittance by ``factor`` (as :func:`scaled_element`)
+        changes, and those rows of the scaled network's state matrix.
+
+        A series element or an inductive shunt writes its own two rows. A
+        capacitive or resistive shunt and an apparatus change their bus's
+        totals: the bus voltage rows, or, at a bus without capacitance,
+        every row reading that bus's eliminated voltage; an apparatus also
+        writes its own rows. Rows the scaling leaves bit-identical are
+        dropped.
+
+        Raises
+        ------
+        UnsupportedForOracleError
+            If the scaling leaves a bus voltage undefined.
+        """
+        el = scaled_element(self.net, ref, factor)
+        kind, idx = ref
+        P, Q = self._P, self._Q
+        totals: dict[int, tuple[float, np.ndarray]] = {}
+        blocks = []
+        if kind == "branch" or (kind == "shunt" and el.kind == "inductive"):
+            blocks.append(ref)
+        else:
+            bus = el.bus
+            totals[bus] = self._bus_totals(bus, ref, el)
+            if ("bus", bus) in self._start:
+                blocks.append(("bus", bus))
+            else:
+                P, Q = P.copy(), Q.copy()
+                P[block_slice(bus)], Q[block_slice(bus)] = self._voltage_map(bus, totals[bus][1])
+                blocks += self._readers[bus]
+            if ref in self._start and ref not in blocks:
+                blocks.append(ref)
+        parts = [(self._rows(block),
+                  self._block_rows(block, P, Q, totals, el if block == ref else None)[0])
+                 for block in blocks]
+        rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in parts])
+        A_rows = np.concatenate([a for _, a in parts])
+        changed = np.any(A_rows != self.model.A[rows], axis=1)
+        return rows[changed], A_rows[changed]
+
+
 def interconnect(net: NetworkDescription) -> StateSpaceModel:
     """Assemble the closed-system state-space model of the whole network.
 
@@ -157,135 +428,7 @@ def interconnect(net: NetworkDescription) -> StateSpaceModel:
         If any apparatus lacks a state-space realization, or a bus voltage
         is undefined (no capacitance and singular static conductance).
     """
-    for idx, app in enumerate(net.apparatus):
-        if not isinstance(app.model, StateSpaceRealization):
-            raise UnsupportedForOracleError(
-                f"apparatus[{idx}] at bus {app.bus} has no state-space realization"
-            )
-
-    n = net.n_buses
-    omega0 = net.omega0
-    nu = 2 * n
-
-    # --- state indexing ---------------------------------------------------
-    state_names: list[str] = []
-    cap_total = np.zeros(n + 1)  # 1-based
-    for sh in net.shunts:
-        if sh.kind == "capacitive":
-            cap_total[sh.bus] += sh.value
-    v_state_of: dict[int, int] = {}
-    for bus in range(1, n + 1):
-        if cap_total[bus] > 0:
-            v_state_of[bus] = len(state_names)
-            state_names += [f"bus{bus}.vd", f"bus{bus}.vq"]
-    branch_state: list[int] = []
-    for bi, b in enumerate(net.branches):
-        branch_state.append(len(state_names))
-        state_names += [f"branch{bi}:{b.from_bus}-{b.to_bus}.id",
-                        f"branch{bi}:{b.from_bus}-{b.to_bus}.iq"]
-    shunt_state: dict[int, int] = {}
-    for si, sh in enumerate(net.shunts):
-        if sh.kind == "inductive":
-            shunt_state[si] = len(state_names)
-            state_names += [f"shunt{si}:bus{sh.bus}.id", f"shunt{si}:bus{sh.bus}.iq"]
-    app_state: list[int] = []
-    app_rot: list[np.ndarray] = []
-    for ai, app in enumerate(net.apparatus):
-        app_state.append(len(state_names))
-        nxa = app.model.n_states
-        state_names += [f"apparatus{ai}:bus{app.bus}.x{k}" for k in range(nxa)]
-        app_rot.append(frame_rotation(app.theta))
-    nx = len(state_names)
-
-    # --- static conductance and state-drawn current per bus ---------------
-    G = np.zeros((n + 1, 2, 2))  # per-bus feedthrough conductance, 1-based
-    for sh in net.shunts:
-        if sh.kind == "resistive":
-            G[sh.bus] += _I2 / sh.value
-    drawn = np.zeros((nu, nx))  # current drawn from buses by state variables
-    for bi, b in enumerate(net.branches):
-        cols = slice(branch_state[bi], branch_state[bi] + 2)
-        drawn[block_slice(b.from_bus), cols] += _I2 / b.ratio
-        drawn[block_slice(b.to_bus), cols] -= _I2
-    for si, start in shunt_state.items():
-        bus = net.shunts[si].bus
-        drawn[block_slice(bus), start:start + 2] += _I2
-    for ai, app in enumerate(net.apparatus):
-        T = app_rot[ai]
-        G[app.bus] += T @ app.model.D @ T.T
-        nxa = app.model.n_states
-        if nxa:
-            cols = slice(app_state[ai], app_state[ai] + nxa)
-            drawn[block_slice(app.bus), cols] += T @ app.model.C
-
-    # --- bus voltages: V = P x + Q u ---------------------------------------
-    P = np.zeros((nu, nx))
-    Q = np.zeros((nu, nu))
-    for bus in range(1, n + 1):
-        rows = block_slice(bus)
-        if bus in v_state_of:
-            P[rows, v_state_of[bus]:v_state_of[bus] + 2] = _I2
-        else:
-            Gb = G[bus]
-            if abs(np.linalg.det(Gb)) < 1e-12 * max(1.0, np.linalg.norm(Gb)) ** 2:
-                raise UnsupportedForOracleError(
-                    f"bus {bus} voltage is undefined: no capacitive shunt and "
-                    "singular static conductance"
-                )
-            Gi = np.linalg.inv(Gb)
-            P[rows, :] = -Gi @ drawn[rows, :]
-            Q[rows, rows] = Gi
-
-    # --- state equations ----------------------------------------------------
-    A = np.zeros((nx, nx))
-    B = np.zeros((nx, nu))
-
-    def add_voltage_term(rows: slice, coeff: np.ndarray, bus: int) -> None:
-        vb = block_slice(bus)
-        A[rows, :] += coeff @ P[vb, :]
-        B[rows, :] += coeff @ Q[vb, :]
-
-    for bus, vs in v_state_of.items():
-        rows = slice(vs, vs + 2)
-        C_bus = cap_total[bus]
-        # C V' = u - G V - drawn(x) - w0 C J V
-        A[rows, :] -= drawn[block_slice(bus), :] / C_bus
-        B[rows, block_slice(bus)] += _I2 / C_bus
-        add_voltage_term(rows, -G[bus] / C_bus, bus)
-        A[rows, vs:vs + 2] += -omega0 * _J
-
-    for bi, b in enumerate(net.branches):
-        rows = slice(branch_state[bi], branch_state[bi] + 2)
-        A[rows, rows] += -(b.R / b.L) * _I2 - omega0 * _J
-        add_voltage_term(rows, _I2 / (b.L * b.ratio), b.from_bus)
-        add_voltage_term(rows, -_I2 / b.L, b.to_bus)
-
-    for si, start in shunt_state.items():
-        sh = net.shunts[si]
-        rows = slice(start, start + 2)
-        A[rows, rows] += -omega0 * _J
-        add_voltage_term(rows, _I2 / sh.value, sh.bus)
-
-    for ai, app in enumerate(net.apparatus):
-        nxa = app.model.n_states
-        if nxa == 0:
-            continue
-        rows = slice(app_state[ai], app_state[ai] + nxa)
-        A[rows, rows] += app.model.A
-        add_voltage_term(rows, app.model.B @ app_rot[ai].T, app.bus)
-
-    input_names = tuple(
-        f"bus{bus}.inj_i{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
-    )
-    output_names = tuple(
-        f"bus{bus}.u{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
-    )
-    return StateSpaceModel(
-        A=A, B=B, C=P, D=Q,
-        state_names=tuple(state_names),
-        input_names=input_names,
-        output_names=output_names,
-    )
+    return Interconnection(net).model
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +535,144 @@ def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
             f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
         )
     return lam
+
+
+def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> list:
+    """Where eigenvalue ``i`` of the network's state matrix A moves under
+    each of several row updates, from the eigenbasis of A alone.
+
+    ``updates`` holds ``(rows, A_rows)`` pairs as from
+    :meth:`Interconnection.element_update`: A' = A + U V^T with U = I[:, R]
+    and V^T = A_rows - A[R]. The eigenvalues of A' are the roots of the
+    secular equation det M(mu) = 0 with
+    M(mu) = I + V^T X diag(1 / (lambda - mu)) X^-1 U = I + W D(mu) Z,
+    where X holds the eigenvectors of A and lambda its eigenvalues (Golub,
+    SIAM Review 1973). Updates of fewer rows are padded with zero rows of
+    V^T and zero columns of U, which leave det M unchanged, so that Newton
+    runs for all updates at once, each from its anchor.
+
+    The pole at lambda_i is divided out: M = M0 + w_i z_i^T / (lambda_i - mu)
+    with M0 the sum without term i, so (lambda_i - mu) det M = det M0 g,
+    g(mu) = lambda_i - mu + z_i^T M0^-1 w_i. Newton runs on g, which is
+    regular at lambda_i: an anchor on lambda_i itself (a zero predicted
+    shift) is a valid start, and at first order g's root is
+    lambda_i + z_i^T w_i, the state-space prediction. At the root,
+    a = M0^-1 w_i and b^T = z_i^T M0^-1 are the null vectors of M, so the
+    eigenvectors follow in O(N^2): x = X c and y^H = r X^-1, with
+    c = D Z a and r = b^T W D off index i and -1 at it.
+
+    Of a converged root and its conjugate (A' is real), the one nearer the
+    anchor is taken. A root that is not finite (an iterate on another pole
+    of M), has not converged within the iteration cap, or whose backward error
+    ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by
+    :func:`nearest_eigenvalue` of A' at its anchor.
+
+    Returns, per update, the eigenvalue or the ``OracleError`` its solve
+    raised: ``DefectiveMatrixError`` when the condition number
+    ||x|| ||y|| / |y^H x| exceeds 1e12.
+    """
+    if not updates:
+        return []
+    A = system.model.A
+    eig = system.eig
+    lam, X, X_inv = eig.eigenvalues, eig.right, eig.left
+    anchors = np.asarray(anchors, dtype=complex)
+    n_up, n = len(updates), A.shape[0]
+    k = max(1, max(len(rows) for rows, _ in updates))
+    rows = np.zeros((n_up, k), dtype=int)
+    Vt = np.zeros((n_up, k, n))
+    for e, (r, a) in enumerate(updates):
+        rows[e, :len(r)] = r
+        Vt[e, :len(r)] = a - A[r]
+    padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
+    W = np.empty((n_up, k, n), dtype=complex)
+    for e in range(n_up):  # each row of V^T reads a few states only
+        cols = np.flatnonzero(Vt[e].any(axis=0))
+        W[e] = Vt[e][:, cols] @ X[cols]
+    Zt = X_inv.T[rows]  # (E, k, N): Z = X^-1 U, transposed
+    Zt[padded] = 0.0
+    Z = Zt.swapaxes(1, 2)
+    eye = np.eye(k)
+
+    def deflated(sel, mu):
+        """D without the pole i, W D, a = M0^-1 w_i and b = M0^-T z_i."""
+        d = 1.0 / (lam - mu[:, None])
+        d[:, i] = 0.0
+        WD = W[sel] * d[:, None, :]
+        M0 = eye + WD @ Z[sel]
+        a = np.linalg.solve(M0, W[sel, :, i, None])[..., 0]
+        b = np.linalg.solve(M0.swapaxes(1, 2), Z[sel, i, :, None])[..., 0]
+        return d, WD, a, b
+
+    def checks(sel):
+        """Backward errors and condition numbers of the roots mu[sel]."""
+        d, WD, a, b = deflated(sel, mu[sel])
+        c = d * np.einsum("enk,ek->en", Z[sel], a)
+        r = np.einsum("ek,ekn->en", b, WD)
+        c[:, i] = r[:, i] = -1.0
+        x = c @ X.T
+        y_h = r @ X_inv
+        # A x as two real products: A is real
+        residual = x.real @ A.T + 1j * (x.imag @ A.T) - mu[sel, None] * x
+        np.add.at(residual, (np.arange(sel.size)[:, None], rows[sel]),
+                  np.einsum("ekn,en->ek", Vt[sel], x))
+        x_norm = np.linalg.norm(x, axis=1)
+        a_norm = np.linalg.norm(A) + np.linalg.norm(Vt[sel], axis=(1, 2))
+        backward = np.linalg.norm(residual, axis=1) / (a_norm * x_norm)
+        cond = x_norm * np.linalg.norm(y_h, axis=1) / np.abs(np.sum(y_h * x, axis=1))
+        return backward, cond
+
+    mu = anchors.copy()
+    converged = np.zeros(n_up, dtype=bool)
+    active = np.ones(n_up, dtype=bool)
+    good = np.zeros(n_up, dtype=bool)
+    cond = np.full(n_up, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_MAX_ITERATIONS):
+            sel = np.flatnonzero(active)
+            if sel.size == 0:
+                break
+            try:
+                d, WD, a, b = deflated(sel, mu[sel])
+            except np.linalg.LinAlgError:
+                break  # an exactly singular M0: these roots take the fallback
+            g = lam[i] - mu[sel] + np.sum(Z[sel, i] * a, axis=1)
+            dg = -1.0 - np.einsum("ek,ekj,ej->e", b, (WD * d[:, None, :]) @ Z[sel], a)
+            step = g / dg
+            mu[sel] -= step
+            finite = np.isfinite(mu[sel])
+            done = finite & (np.abs(step) <= _NEWTON_STEP_TOL * np.abs(mu[sel]))
+            converged[sel[done]] = True
+            active[sel[done | ~finite]] = False
+        sel = np.flatnonzero(converged)
+        if sel.size:
+            try:
+                backward, cond[sel] = checks(sel)
+                good[sel] = backward <= _BACKWARD_LIMIT
+            except np.linalg.LinAlgError:
+                pass  # as above
+
+    # A' is real, so the conjugate of a root is a root too: from an anchor
+    # near the real axis Newton may reach either of a pair
+    conj = np.abs(np.conj(mu) - anchors) < np.abs(mu - anchors)
+    mu[conj] = np.conj(mu[conj])
+    out: list = []
+    for e, (r, a) in enumerate(updates):
+        try:
+            if not good[e]:
+                perturbed = A.copy()
+                perturbed[r] = a
+                out.append(nearest_eigenvalue(perturbed, complex(anchors[e])))
+            elif not cond[e] <= _COND_LIMIT:
+                raise DefectiveMatrixError(
+                    f"eigenvalue {complex(mu[e])} has condition number {cond[e]:.3e} "
+                    f"exceeding {_COND_LIMIT:.1e}"
+                )
+            else:
+                out.append(complex(mu[e]))
+        except OracleError as exc:
+            out.append(exc)
+    return out
 
 
 def _mode_index(eig: EigenStructure, lam: complex) -> int:

@@ -53,7 +53,7 @@ def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
     element; the command still succeeds and reports every other element."""
     ok = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "ok"), modes=[1])
     assert run(ok) == EXIT_OK
-    resolve = mai_core._resolve_perturbed_mode
+    resolve = mass_oracle.Interconnection.element_update
     calls = []
 
     def failing_second_call(*args):
@@ -62,7 +62,7 @@ def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
             raise mass_oracle.DefectiveMatrixError("injected defective re-solve")
         return resolve(*args)
 
-    monkeypatch.setattr(mai_core, "_resolve_perturbed_mode", failing_second_call)
+    monkeypatch.setattr(mass_oracle.Interconnection, "element_update", failing_second_call)
     failed = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "failed"),
                             modes=[1])
     assert run(failed) == EXIT_OK

@@ -165,37 +165,45 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
             assert errors[1e-3] / errors[1e-4] >= 5.0
 
 
-def _dense_resolve(net, lam_ref, reference_modes):
+def _dense_resolve(A, anchor, gap):
     """Reference re-solve: the full dense eigendecomposition of the perturbed
-    state matrix, nearest-mode tracked among all its eigenvalues."""
-    eig = mass_oracle.eigendecompose(mass_oracle.interconnect(net).A)
-    return track_mode(lam_ref, eig.eigenvalues, spacing=min_mode_spacing(reference_modes))
+    state matrix, nearest-mode tracked from the anchor among all its
+    eigenvalues."""
+    eig = mass_oracle.eigendecompose(A)
+    return track_mode(anchor, eig.eigenvalues, spacing=gap)
 
 
-def _resolve_outcome(resolve, net, lam_ref, reference_modes):
+def _resolve_outcome(resolve, A, anchor, gap):
     try:
-        return resolve(net, lam_ref, reference_modes)
+        return resolve(A, anchor, gap)
     except TrackingError:
         return None
+
+
+def _unperturbed_gap(net, lam):
+    eigenvalues = mass_oracle.eigendecompose(mass_oracle.interconnect(net).A).eigenvalues
+    return mai_core._nearest_other_distance(eigenvalues, int(np.argmin(np.abs(eigenvalues - lam))))
 
 
 @pytest.mark.parametrize("net_seed", [None, 0, 1, 2])
 def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
     """Every element x mode at eps 1e-3 and 0.05: the sparse shift-invert
-    re-solve tracks the same mode as the dense reference, or fails to track
-    it exactly when the dense reference does."""
+    re-solve at lambda + the predicted shift tracks the same mode as the
+    dense reference, or fails the gate (0.3 x the distance from lambda to
+    its nearest other eigenvalue) exactly when the dense reference does."""
     if net_seed is None:
         net = three_bus_net
     else:
         net = _random_rl_net(np.random.default_rng(net_seed))
     records = solve_modes(net, method="state_space")
-    refs = [r.lam for r in records]
     for ref in network_elements(net):
         for eps in (1e-3, 0.05):
-            perturbed = scale_element_admittance(net, ref, 1.0 + eps)
+            A = mass_oracle.interconnect(scale_element_admittance(net, ref, 1.0 + eps)).A
             for mode in records:
-                expected = _resolve_outcome(_dense_resolve, perturbed, mode.lam, refs)
-                got = _resolve_outcome(mai_core._resolve_perturbed_mode, perturbed, mode.lam, refs)
+                anchor = mode.lam + mai_core._predicted_shift(net, ref, mode, eps)
+                gap = _unperturbed_gap(net, mode.lam)
+                expected = _resolve_outcome(_dense_resolve, A, anchor, gap)
+                got = _resolve_outcome(mai_core._resolve_perturbed_mode, A, anchor, gap)
                 if expected is None:
                     assert got is None, (ref, eps, mode.lam)
                 else:
@@ -203,13 +211,169 @@ def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
                     assert abs(got - expected) <= 1e-9 * abs(expected)
 
 
-def test_resolve_without_reference_modes_keeps_gate(three_bus_net, three_bus_modes):
-    """Without reference modes the gate is 0.3 x the perturbed system's own
-    minimum mode spacing: doubling the bus-1 capacitance moves the lowest
-    mode beyond it."""
+def test_resolve_lands_on_the_continued_mode(three_bus_net, three_bus_modes):
+    """Doubling the bus-1 capacitance moves the lowest mode further than the
+    system's minimum mode spacing. Scaling it in 200 small steps, each
+    tracked by a dense eigendecomposition, continues the mode to
+    -151.888 + 72.264j, the eigenvalue nearest lambda + the predicted shift,
+    which is what the validation reports."""
+    ref, mode = ("shunt", 0), three_bus_modes[0]
+    continued = mode.lam
+    for t in np.linspace(0.0, 1.0, 201)[1:]:
+        A = mass_oracle.interconnect(scale_element_admittance(three_bus_net, ref, 1.0 + t)).A
+        eigenvalues = mass_oracle.eigendecompose(A).eigenvalues
+        continued = eigenvalues[np.argmin(np.abs(eigenvalues - continued))]
+    assert continued == pytest.approx(-151.888 + 72.264j, abs=1e-3)
+    v = validate_element_prediction(three_bus_net, ref, mode, epsilon=1.0)
+    assert abs(mode.lam + v.actual - continued) <= 1e-9 * abs(continued)
+    oracle = mass_oracle.Interconnection(three_bus_net)
+    batched = mai_core.validate_mode_predictions(
+        three_bus_net, mode, network_elements(three_bus_net), oracle, epsilon=1.0)
+    v_batched = batched[network_elements(three_bus_net).index(ref)]
+    assert abs(mode.lam + v_batched.actual - continued) <= 1e-9 * abs(continued)
+
+
+def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_bus_modes):
+    """Doubling apparatus 0's admittance: the prediction overshoots the
+    lowest mode into the lower half-plane, where the eigenvalue nearest
+    lambda + the predicted shift is the conjugate of the continued mode,
+    117 away against a gate of 0.3 x 104.5. Both routes refuse it."""
+    ref, mode = ("apparatus", 0), three_bus_modes[0]
     with pytest.raises(TrackingError):
-        validate_element_prediction(three_bus_net, ("shunt", 0), three_bus_modes[0],
-                                    epsilon=1.0)
+        validate_element_prediction(three_bus_net, ref, mode, epsilon=1.0)
+    refs = network_elements(three_bus_net)
+    oracle = mass_oracle.Interconnection(three_bus_net)
+    batched = mai_core.validate_mode_predictions(three_bus_net, mode, refs, oracle, epsilon=1.0)
+    assert isinstance(batched[refs.index(ref)], TrackingError)
+
+
+def _algebraic_bus_net(three_bus_net):
+    """three_bus without the bus-3 capacitor: the bus-3 voltage is
+    eliminated through its resistive shunt."""
+    return NetworkDescription(
+        n_buses=3, omega0=W0, branches=three_bus_net.branches,
+        shunts=tuple(sh for sh in three_bus_net.shunts
+                     if not (sh.bus == 3 and sh.kind == "capacitive")),
+        apparatus=three_bus_net.apparatus,
+    )
+
+
+def _low_rank_nets(three_bus_net):
+    algebraic = _algebraic_bus_net(three_bus_net)
+    inductive = NetworkDescription(
+        n_buses=3, omega0=W0, branches=algebraic.branches,
+        shunts=algebraic.shunts + (
+            ShuntElement(bus=2, kind="inductive", value=0.02),
+            ShuntElement(bus=3, kind="inductive", value=0.03),
+        ),
+        apparatus=algebraic.apparatus,
+    )
+    return [three_bus_net, algebraic, inductive] + [
+        _random_rl_net(np.random.default_rng(seed)) for seed in range(5)
+    ]
+
+
+def test_element_update_is_the_interconnected_difference(three_bus_net):
+    """U V^T from ``element_update`` equals the state matrix of the rewritten
+    network minus A, for every element kind, on capacitive and on
+    eliminated buses; every update has rank 2 (up to the rounding of the
+    rebuilt rows)."""
+    for net in _low_rank_nets(three_bus_net):
+        system = mass_oracle.Interconnection(net)
+        A = system.model.A
+        for ref in network_elements(net):
+            for eps in (1e-3, 0.05):
+                rows, A_rows = system.element_update(ref, 1.0 + eps)
+                update = np.zeros_like(A)
+                update[rows] = A_rows - A[rows]
+                scaled = mass_oracle.interconnect(scale_element_admittance(net, ref, 1.0 + eps)).A
+                assert np.linalg.norm(update - (scaled - A)) <= 1e-13 * np.linalg.norm(A), ref
+                rank = np.linalg.matrix_rank(update, tol=1e-9 * np.linalg.norm(update))
+                assert rank == 2, ref
+
+
+def test_eliminated_bus_shunt_updates_four_rows(three_bus_net):
+    """The resistive shunt at the capacitor-less bus 3 reaches the rows of
+    the transformer and of the apparatus there, which read its voltage."""
+    net = _algebraic_bus_net(three_bus_net)
+    system = mass_oracle.Interconnection(net)
+    shunt = next(i for i, sh in enumerate(net.shunts) if sh.bus == 3)
+    rows, _ = system.element_update(("shunt", shunt), 1.05)
+    names = [system.model.state_names[r] for r in rows]
+    assert names == ["branch1:2-3.id", "branch1:2-3.iq",
+                     "apparatus0:bus3.x0", "apparatus0:bus3.x1"]
+
+
+def _perturbed(system, update):
+    A = system.model.A.copy()
+    rows, A_rows = update
+    A[rows] = A_rows
+    return A
+
+
+def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
+    """For every mode and eps in {1e-3, 0.05}, the batched secular roots
+    equal shift-invert at the same anchor within 1e-9 |lambda|, with no
+    fallback taken."""
+    fallbacks = []
+    shift_invert = mass_oracle.nearest_eigenvalue
+    monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
+                        lambda A, sigma: fallbacks.append(sigma) or shift_invert(A, sigma))
+    for net in _low_rank_nets(three_bus_net):
+        system = mass_oracle.Interconnection(net)
+        refs = network_elements(net)
+        for mode in solve_modes(net, method="state_space"):
+            i = int(np.argmin(np.abs(system.eig.eigenvalues - mode.lam)))
+            for eps in (1e-3, 0.05):
+                updates = [system.element_update(ref, 1.0 + eps) for ref in refs]
+                anchors = [mode.lam + mai_core._predicted_shift(net, ref, mode, eps)
+                           for ref in refs]
+                roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
+                assert fallbacks == []
+                for update, anchor, root in zip(updates, anchors, roots):
+                    expected = shift_invert(_perturbed(system, update), anchor)
+                    assert abs(root - expected) <= 1e-9 * abs(mode.lam)
+
+
+def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
+        three_bus_net, three_bus_modes, monkeypatch):
+    """An anchor on the pole lambda_i itself (a zero predicted shift) starts
+    Newton on the deflated secular function, which is regular there; an
+    anchor on another eigenvalue, where M is not defined, and a root failing
+    the backward-error check take the shift-invert fallback. All return
+    shift-invert's eigenvalue at the anchor."""
+    fallbacks = []
+    shift_invert = mass_oracle.nearest_eigenvalue
+    monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
+                        lambda A, sigma: fallbacks.append(sigma) or shift_invert(A, sigma))
+    system = mass_oracle.Interconnection(three_bus_net)
+    refs = network_elements(three_bus_net)
+    mode = three_bus_modes[2]
+    lam = system.eig.eigenvalues
+    i = int(np.argmin(np.abs(lam - mode.lam)))
+    updates = [system.element_update(ref, 1.05) for ref in refs]
+
+    on_pole = [lam[i]] * len(refs)
+    roots = mass_oracle.updated_eigenvalues(system, i, updates, on_pole)
+    assert fallbacks == []
+    for update, anchor, root in zip(updates, on_pole, roots):
+        expected = shift_invert(_perturbed(system, update), anchor)
+        assert abs(root - expected) <= 1e-9 * abs(mode.lam)
+
+    j = int(np.argsort(np.abs(lam - mode.lam))[1])
+    on_other_pole = [lam[j]] * len(refs)
+    roots = mass_oracle.updated_eigenvalues(system, i, updates, on_other_pole)
+    assert len(fallbacks) == len(refs)
+    for update, anchor, root in zip(updates, on_other_pole, roots):
+        assert root == shift_invert(_perturbed(system, update), anchor)
+
+    anchors = [mode.lam + mai_core._predicted_shift(three_bus_net, ref, mode, 0.05)
+               for ref in refs]
+    monkeypatch.setattr(mass_oracle, "_BACKWARD_LIMIT", -1.0)
+    roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
+    assert len(fallbacks) == 2 * len(refs)
+    for update, anchor, root in zip(updates, anchors, roots):
+        assert root == shift_invert(_perturbed(system, update), anchor)
 
 
 # ---------------------------------------------------------------------------
