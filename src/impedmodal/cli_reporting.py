@@ -70,7 +70,7 @@ class AnalysisConfig:
 
     network_path: str
     band: Optional[tuple[float, float]] = None
-    order: int = 16
+    order: int = 16  # of the surrogates of sampled apparatus
     epsilon: float = 0.05
     modes: Optional[list[int]] = None  # None = all
     out_dir: str = "impedmodal_reports"
@@ -281,9 +281,7 @@ def run(config: AnalysisConfig) -> int:
             "state-space realization (impedance-path mode search)"
         )
     overrides = _apparatus_overrides(net, config.order)
-    records = mai_core.solve_modes(
-        net, band=config.band, order=config.order, apparatus_overrides=overrides or None
-    )
+    records = mai_core.solve_modes(net, band=config.band, apparatus_overrides=overrides or None)
     if not records:
         raise mai_core.AnalysisError("no modes found in the requested band")
 
@@ -364,7 +362,6 @@ def run_sweep(
     out_dir: str,
     mode_seed: Optional[complex] = None,
     band: Optional[tuple[float, float]] = None,
-    order: int = 16,
 ) -> int:
     if not (np.isfinite(factor) and factor > 0):
         raise ConfigError(f"factor must be finite and positive, got {factor}")
@@ -379,9 +376,8 @@ def run_sweep(
             break
     if index is None:
         raise ConfigError(f"no branch between buses {branch[0]} and {branch[1]}")
-    steps = mai_core.parameter_sweep(
-        net, index, param, factor, n_steps, mode_seed=mode_seed, band=band, order=order
-    )
+    steps = mai_core.parameter_sweep(net, index, param, factor, n_steps,
+                                     mode_seed=mode_seed, band=band)
     _write_text(Path(out_dir) / "sweep.csv", sweep_report(steps))
     return EXIT_OK
 
@@ -452,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="modes, participation layers and validation")
     p.add_argument("network")
     p.add_argument("--band", default=None, help="mode-search band MIN:MAX in rad/s")
-    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--order", type=int, default=16, help="sampled-apparatus surrogate order")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--modes", default="all")
     p.add_argument("--out", default=None)
@@ -467,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--mode-seed", default=None, help="starting mode RE:IM")
     p.add_argument("--band", default=None)
-    p.add_argument("--order", type=int, default=16)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fit", help="vector-fit a sampled response CSV")
@@ -519,7 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 out_dir=_default_out(args.out),
                 mode_seed=seed,
                 band=_parse_band(args.band) if args.band else None,
-                order=args.order,
             )
         if args.command == "fit":
             return run_fit(

@@ -64,10 +64,6 @@ __all__ = [
     "parameter_sweep",
 ]
 
-# pole-relocation iterations of each impedance-path vector fit
-_FIT_ITERATIONS = 12
-
-
 class AnalysisError(Exception):
     """Base class for participation-analysis failures."""
 
@@ -780,37 +776,17 @@ def _solve_modes_state_space(net, band):
     return sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
 
 
-def _scan_seeds(model: WholeSystemModel, omegas: np.ndarray) -> list[complex]:
-    """Coarse scan: local minima of the smallest singular value of Y(jw)."""
-    mins = np.linalg.svd(model.admittance(1j * omegas), compute_uv=False)[:, -1]
-    seeds = []
-    for m in range(1, len(omegas) - 1):
-        if mins[m] < mins[m - 1] and mins[m] < mins[m + 1]:
-            seeds.append(1j * omegas[m])
-    return seeds
-
-
-def _solve_modes_impedance(model, band, order, n_grid=400):
+def _solve_modes_impedance(model, band):
     if band is None:
         raise AnalysisError("impedance-path mode search needs an explicit band")
     w_lo, w_hi = band
-    grid = rational_fit.frequency_grid(w_lo, w_hi, n_grid)
-    samples = rational_fit.sample_response(model, grid)
-    fit = rational_fit.vector_fit(samples, order=order, n_iterations=_FIT_ITERATIONS)
-    # densify around candidate resonances and refit once
-    extra = []
-    for p in fit.poles:
-        w = abs(p.imag)
-        if p.imag > 0 and w_lo <= w <= w_hi:
-            extra.append(np.linspace(w * 0.9, w * 1.1, 17))
-    if extra:
-        dense = np.unique(np.concatenate([grid] + extra))
-        dense = dense[(dense >= w_lo) & (dense <= w_hi)]
-        samples = rational_fit.sample_response(model, dense)
-        fit = rational_fit.vector_fit(samples, order=order, n_iterations=_FIT_ITERATIONS)
-    seeds = [p for p in fit.poles if p.imag >= 0 and w_lo * 0.5 <= abs(p.imag) <= w_hi * 1.5]
-    seeds += _scan_seeds(model, grid[:: max(1, n_grid // 60)])
+    poles, _ = rational_fit.loewner_poles(model, band)
+    seeds = [p for p in poles if p.imag >= 0 and w_lo * 0.5 <= abs(p.imag) <= w_hi * 1.5]
     modes = rational_fit.find_modes(model.admittance, seeds)
+    for p in seeds:  # census: each realized pole in the band must end in a refined mode
+        if w_lo <= p.imag <= w_hi and all(abs(p - lam) > rational_fit.MERGE_TOL * (1.0 + abs(lam))
+                                          for lam in modes):
+            raise AnalysisError(f"realized pole {p} in the band refined to no mode")
     records = []
     for lam in modes:
         if not (w_lo <= abs(lam.imag) <= w_hi):
@@ -823,17 +799,17 @@ def _solve_modes_impedance(model, band, order, n_grid=400):
 def solve_modes(
     net: NetworkDescription,
     band: Optional[tuple[float, float]] = None,
-    order: int = 16,
+    order: Optional[int] = None,
     method: str = "auto",
     apparatus_overrides=None,
-    n_grid: int = 400,
 ) -> list[ModeRecord]:
     """Find the system's oscillatory modes with their impedance residues.
 
     ``method="state_space"`` uses the interconnected oracle (requires every
-    apparatus in state-space form); ``"impedance"`` samples Z over ``band``,
-    vector-fits for seeds, Newton-refines zeros of det Y and extracts
-    residues locally. ``"auto"`` prefers the state-space path when available.
+    apparatus in state-space form); ``"impedance"`` Newton-refines the poles of
+    a Loewner realization of Z over ``band`` to zeros of det Y (AnalysisError if
+    one in the band ends in no mode) and extracts residues locally. ``"auto"``
+    prefers the state-space path when available; ``order`` is ignored.
     """
     if method == "auto":
         use_oracle = mass_oracle.oracle_capable(net) and not apparatus_overrides
@@ -841,8 +817,7 @@ def solve_modes(
     if method == "state_space":
         return _solve_modes_state_space(net, band)
     if method == "impedance":
-        model = WholeSystemModel(net, apparatus_overrides)
-        return _solve_modes_impedance(model, band, order, n_grid)
+        return _solve_modes_impedance(WholeSystemModel(net, apparatus_overrides), band)
     raise AnalysisError(f"unknown mode-solving method '{method}'")
 
 
@@ -1043,7 +1018,6 @@ def parameter_sweep(
     n_steps: int,
     mode_seed: Optional[complex] = None,
     band: Optional[tuple[float, float]] = None,
-    order: int = 16,
 ) -> list[SweepStep]:
     """Repeatedly scale one branch parameter and confront the layer-3
     prediction with the re-solved mode at every step.
@@ -1057,7 +1031,7 @@ def parameter_sweep(
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")
     if n_steps < 0:
         raise AnalysisError("n_steps must be >= 0")
-    records = solve_modes(net, band=band, order=order)
+    records = solve_modes(net, band=band)
     if not records:
         raise AnalysisError("no modes found to track")
     oscillatory = [r for r in records if r.lam.imag > 0] or records
@@ -1077,7 +1051,7 @@ def parameter_sweep(
         delta_rho = rho * (factor - 1.0)
         predicted = s_rho * delta_rho
         new_net = current_net.with_branch(branch_index, **{param: rho * factor})
-        new_records = solve_modes(new_net, band=band, order=order)
+        new_records = solve_modes(new_net, band=band)
         # predictor-anchored continuation: large parameter steps can move a
         # mode further than the inter-mode spacing, but the first-order
         # prediction lands close to the continued branch

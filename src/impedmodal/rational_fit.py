@@ -1,10 +1,9 @@
 """Mode location and residue extraction from frequency-domain data.
 
-Pipeline: sample the whole-system impedance on a frequency grid, fit a
-common-pole rational model by iterative pole relocation (vector fitting),
-refine candidate modes by Newton iteration on the smallest-magnitude
-eigenvalue of Y(s), and extract residue matrices either from the rational
-model or from a state-space realization.
+The poles of a tangential Loewner realization of Z = Y^-1 seed Newton
+iteration on the smallest-magnitude eigenvalue of Y(s); residues come from
+Y around each mode, a rational model or a state-space realization. Vector
+fitting serves sampled responses (apparatus surrogates, the ``fit`` command).
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
 from . import mass_oracle
 from .mass_oracle import PortSelection, StateSpaceModel
@@ -34,6 +34,7 @@ __all__ = [
     "fit_residues",
     "refine_mode",
     "find_modes",
+    "loewner_poles",
     "critical_resonance_mode",
     "admittance_residue",
     "residue_at_mode",
@@ -44,10 +45,12 @@ __all__ = [
 _FIT_COND_LIMIT = 1e13
 # largest relative deviation over the grid a fit may keep without a warning
 _FIT_REL_TOL = 1e-4
-# bytes of one batch of projected relocation blocks [A_sigma | b] (each
-# response's is 2M x (N+1) floats); a batch is reduced to its R factors
-# before the next is formed, which bounds the working memory of a step
-_RELOCATION_BATCH_BYTES = 4 * 2**20
+# bytes of one batch of relocation blocks [A_sigma | b] (2M x (N+1) floats per
+# response) or of Y at Loewner points, reduced before the next batch is formed
+_BATCH_BYTES = 4 * 2**20
+MERGE_TOL = 1e-6  # a Newton root this near a known mode, relative to 1 + |root|, is it
+_LOEWNER_RANK_TOL = 1e-11  # relative singular value of the Loewner pencil counted as zero
+_LOEWNER_POINTS = (200, 400, 800, 1600)  # sizes of the Loewner pencil, tried in turn
 # modes whose imaginary parts agree to this relative level tie in frequency
 _FREQ_TIE = 1e-9
 # eigenvalue magnitudes within this fraction of max(1, ||Y||_F) of the
@@ -287,7 +290,7 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     # matrix for its QR
     neg_DkT = np.ascontiguousarray(-Dk.T)
     R = np.empty((n_resp, N + 1, N + 1))
-    batch = max(1, _RELOCATION_BATCH_BYTES // (2 * M * (N + 1) * 8))
+    batch = max(1, _BATCH_BYTES // (2 * M * (N + 1) * 8))
     for start in range(0, n_resp, batch):
         Ft = np.ascontiguousarray(F[:, start:start + batch].T)  # (b, M)
         A_sigma = neg_DkT * Ft[:, None, :]  # (b, N, M)
@@ -517,17 +520,12 @@ def refine_mode(
             f"no convergence from seed {seed} after {max_iterations} iterations"
         )
     for known in known_modes:
-        if abs(lam - known) <= 1e-6 * (1.0 + abs(lam)):
+        if abs(lam - known) <= MERGE_TOL * (1.0 + abs(lam)):
             raise DuplicateModeError(lam, known)
     return lam
 
 
-def find_modes(
-    Yfun: Callable[[complex], np.ndarray],
-    seeds: Iterable[complex],
-    tol: float = 1e-10,
-    max_iterations: int = 50,
-) -> list[complex]:
+def find_modes(Yfun: Callable[[complex], np.ndarray], seeds: Iterable[complex]) -> list[complex]:
     """Refine many seeds, merging duplicates; failures are skipped.
 
     Returned modes are sorted by imaginary part; modes whose imaginary
@@ -537,11 +535,8 @@ def find_modes(
     modes: list[complex] = []
     for seed in seeds:
         try:
-            lam = refine_mode(Yfun, seed, known_modes=modes, tol=tol,
-                              max_iterations=max_iterations)
-        except DuplicateModeError:
-            continue
-        except RefinementError:
+            lam = refine_mode(Yfun, seed, known_modes=modes)
+        except RefinementError:  # diverged, or a DuplicateModeError
             continue
         modes.append(lam)
     ordered: list[complex] = []
@@ -552,6 +547,43 @@ def find_modes(
             run = []
         run.append(lam)
     return ordered + sorted(run, key=lambda z: z.real)
+
+
+def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
+    """Poles of Z = Y^-1 (canonical order) and its order, from a tangential
+    Loewner realization (Mayo & Antoulas, LAA 2007) on log-spaced points over
+    ``band``: alternately right and left data, with their conjugates and one
+    fixed-seed random real direction d each (x = Z d from Y x = d; d^T Z from Y^T).
+    The order is the rank of x0 E - A ((E, A) the real Loewner pencil, x0 the
+    band's centre); the poles are the finite eigenvalues of the projected pencil.
+    200 points, doubled while the rank fills over half of them (up to 1600)."""
+    w_lo, w_hi = band
+    x0 = np.sqrt(w_lo * w_hi)
+    model.admittance(x0)  # Newton needs Y off the axis: a model without it fails here
+    batch = 2 * max(1, _BATCH_BYTES // (32 * model.dim ** 2))  # even: keeps parity
+    for n_points in _LOEWNER_POINTS:
+        s = 1j * frequency_grid(w_lo, w_hi, n_points)
+        d = np.random.default_rng(0).standard_normal((n_points, model.dim))
+        x = np.empty(d.shape, dtype=complex)
+        for k in range(0, n_points, batch):  # solve with Y at even points, Y^T at odd
+            Y = model.admittance(s[k:k + batch])
+            Y[1::2] = np.swapaxes(Y[1::2], 1, 2).copy()
+            x[k:k + batch] = np.linalg.solve(Y, d[k:k + batch, :, None])[..., 0]
+        # l_j^T Z r_i at lam_i and at mu_j; the (shifted) Loewner blocks at
+        # (mu, lam) and (mu, conj lam); those at conj mu are their conjugates
+        lam, mu, LW, VR = s[None, 0::2], s[1::2, None], d[1::2] @ x[0::2].T, x[1::2] @ d[0::2].T
+        pairs = [((VR - H) / (mu - z), (mu * VR - z * H) / (mu - z))
+                 for z, H in ((lam, LW), (lam.conj(), LW.conj()))]
+        E, A = [np.block([[(X + Y).real, (X - Y).imag], [-(X + Y).imag, (X - Y).real]])
+                for X, Y in zip(*pairs)]
+        U, sv, Vt = np.linalg.svd(x0 * E - A)
+        rank = int(np.count_nonzero(sv > _LOEWNER_RANK_TOL * sv[0]))
+        if 2 * rank <= n_points:
+            break
+    else:
+        raise FitError(f"Loewner rank {rank} fills more than half of {n_points} points")
+    poles = scipy.linalg.eigvals(*(U[:, :rank].T @ M @ Vt[:rank].T for M in (A, E)))
+    return _canonical_poles(poles[np.isfinite(poles)]), rank
 
 
 def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:

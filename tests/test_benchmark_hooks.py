@@ -1,0 +1,42 @@
+"""What the benchmark harness under perfbench/ relies on in the package.
+
+perfbench/tracing.py wraps the functions named in its TRACED table, and
+perfbench/ladder.py calls solve_modes with an order keyword. Renaming or
+removing either breaks the harness, so it fails here first.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+from impedmodal import mai_core
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _traced_entries():
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TRACED table")
+
+
+def test_every_traced_function_exists():
+    entries = _traced_entries()
+    assert entries
+    for module_name, attr, span in entries:
+        owner = importlib.import_module(f"impedmodal.{module_name}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{span}: impedmodal.{module_name}.{attr} is gone"
+            owner = getattr(owner, part)
+        assert callable(owner), span
+
+
+def test_solve_modes_accepts_the_ladder_call(three_bus_net):
+    records = mai_core.solve_modes(three_bus_net, band=(5.0, 5000.0), order=18,
+                                   method="impedance")
+    assert len(records) == 7
+    assert all(r.provenance == "newton-refined" for r in records)

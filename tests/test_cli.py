@@ -48,6 +48,19 @@ def test_analyze_deterministic(tmp_path):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
 
+def test_impedance_path_analyze_deterministic(tmp_path):
+    """Two runs of the measured network (Loewner realization, Newton,
+    validation) write byte-identical reports."""
+    measured = REPO / "networks" / "measured_two_bus.json"
+    for name in ("a", "b"):
+        assert main(["analyze", str(measured), "--band", "5:5000", "--order", "12",
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    files = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
     """A re-solve that fails for one element leaves an error entry for that
     element; the command still succeeds and reports every other element."""

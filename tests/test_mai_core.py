@@ -1,11 +1,14 @@
 """Three-layer participation analysis, splitting and sweep machinery."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from pathlib import Path
 
-from impedmodal import cli_reporting, mai_core, mass_oracle, network_model
+from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
 from impedmodal.admittance_assembly import (
     WholeSystemModel,
     block_slice,
@@ -694,7 +697,7 @@ def _kernel_case(name, request):
         path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
         net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
         overrides = cli_reporting._apparatus_overrides(net, 12)
-        modes = solve_modes(net, band=(5.0, 5000.0), order=12, apparatus_overrides=overrides)
+        modes = solve_modes(net, band=(5.0, 5000.0), apparatus_overrides=overrides)
         return net, modes, overrides
     return net, solve_modes(net, method="state_space"), None
 
@@ -866,3 +869,115 @@ def test_prediction_equals_trace_form(three_bus_modes):
     assert np.isclose(
         predict_mode_shift(rec.s_factor, dy), np.trace(rec.dlambda_dy @ dy)
     )
+
+
+# ---------------------------------------------------------------------------
+# Impedance-path mode search: Loewner realization, census and recall
+# ---------------------------------------------------------------------------
+
+BAND = (5.0, 5000.0)
+
+
+def _in_band_eigenvalues(net, band=BAND):
+    ev = np.linalg.eigvals(mass_oracle.interconnect(net).A)
+    return ev[(ev.imag > 0) & (ev.imag >= band[0]) & (ev.imag <= band[1])]
+
+
+@pytest.mark.parametrize("case", ["three_bus", "random0", "random1", "random2",
+                                  "random3", "random4"])
+def test_loewner_rank_is_state_count_and_poles_match_eigenvalues(case, request):
+    if case == "three_bus":
+        net = request.getfixturevalue("three_bus_net")
+    else:
+        net = _random_rl_net(np.random.default_rng(int(case[-1])))
+    poles, rank = rational_fit.loewner_poles(WholeSystemModel(net), BAND)
+    assert rank == mass_oracle.interconnect(net).n_states
+    for lam in _in_band_eigenvalues(net):
+        assert np.min(np.abs(poles - lam)) <= 1e-8 * abs(lam)
+
+
+def _rl_ring(n_buses, seed, apparatus):
+    """Ring of n buses: lines i -> i+1 and n -> 1, a capacitor on every bus,
+    a resistor on every third and a series RL load on every odd bus, given
+    as a state-space model or as its exact rational twin."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, i + 1) for i in range(1, n_buses)] + [(1, n_buses)]
+    branches = [{"kind": "line", "from": i, "to": j, "R": rng.uniform(0.02, 0.05),
+                 "L": rng.uniform(0.001, 0.003)} for i, j in pairs]
+    shunts = [{"bus": b, "kind": "capacitive", "value": rng.uniform(5e-4, 1.5e-3)}
+              for b in range(1, n_buses + 1)]
+    shunts += [{"bus": b, "kind": "resistive", "value": rng.uniform(2.0, 3.0)}
+               for b in range(3, n_buses + 1, 3)]
+    apps = []
+    for b in range(1, n_buses + 1, 2):
+        Ra, La = rng.uniform(0.1, 0.2), rng.uniform(0.005, 0.01)
+        if apparatus == "state_space":
+            model = {"kind": "state_space", "A": [[-Ra / La, W0], [-W0, -Ra / La]],
+                     "B": [[1 / La, 0.0], [0.0, 1 / La]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                     "D": [[0.0, 0.0], [0.0, 0.0]]}
+        else:
+            den = [La * La, 2 * Ra * La, Ra * Ra + (W0 * La) ** 2]
+            model = {"kind": "rational", "entries": [
+                [{"num": [La, Ra], "den": den}, {"num": [W0 * La], "den": den}],
+                [{"num": [-W0 * La], "den": den}, {"num": [La, Ra], "den": den}]]}
+        apps.append({"bus": b, "theta": 0.1, "model": model})
+    doc = {"n_buses": n_buses, "omega0": W0, "branches": branches, "shunts": shunts,
+           "apparatus": apps}
+    return network_model.parse_network(json.dumps(doc))
+
+
+def test_impedance_path_recalls_every_mode_of_a_20_bus_ring():
+    """The 50 in-band modes of a 20-bus ring of rational RL loads include a
+    cluster at Im lambda = w0, where vector-fit seeds used to merge into
+    neighbours (41 of 50 found); the realization finds them all."""
+    reference = _in_band_eigenvalues(_rl_ring(20, 0, "state_space"))
+    assert reference.size == 50
+    records = solve_modes(_rl_ring(20, 0, "rational"), band=BAND)
+    assert len(records) == 50
+    for lam in reference:
+        assert min(abs(r.lam - lam) for r in records) <= 1e-8 * abs(lam)
+
+
+def _drop_one_mode(monkeypatch):
+    """Make find_modes lose its middle mode; returns the list it went to."""
+    find_modes, dropped = rational_fit.find_modes, []
+
+    def losing(Yfun, seeds):
+        modes = find_modes(Yfun, seeds)
+        dropped.append(modes.pop(len(modes) // 2))
+        return modes
+
+    monkeypatch.setattr(rational_fit, "find_modes", losing)
+    return dropped
+
+
+def test_census_names_the_realized_pole_left_without_a_mode(three_bus_net, monkeypatch):
+    dropped = _drop_one_mode(monkeypatch)
+    with pytest.raises(AnalysisError, match="realized pole") as exc:
+        solve_modes(three_bus_net, band=BAND, method="impedance")
+    named = complex(re.search(r"pole (\([^)]*\))", str(exc.value)).group(1))
+    assert abs(named - dropped[0]) <= 1e-8 * abs(dropped[0])
+
+
+def test_census_failure_exits_numerical_with_json_error(tmp_path, monkeypatch, capsys):
+    _drop_one_mode(monkeypatch)
+    measured = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+    code = cli_reporting.main(["analyze", str(measured), "--band", "5:5000", "--order", "12",
+                               "--out", str(tmp_path)])
+    assert code == cli_reporting.EXIT_NUMERICAL
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "numerical"
+    assert report["type"] == "AnalysisError"
+    assert "realized pole" in report["message"]
+
+
+def test_model_without_off_axis_values_fails_before_the_realization():
+    """Raw sampled apparatus are defined on the jw axis only, where Newton
+    cannot refine: the search stops at once with that reason instead of
+    growing the Loewner pencil on interpolated data."""
+    from impedmodal.admittance_assembly import EvaluationError
+
+    path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+    net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
+    with pytest.raises(EvaluationError, match="imaginary axis"):
+        solve_modes(net, band=BAND, method="impedance")

@@ -73,7 +73,6 @@ def test_measured_modes_match_state_space_twin(twin_pair):
     overrides = {idx: lambda s: T @ surrogate.evaluate(s) @ T.T}
     records = mai_core.solve_modes(
         net_meas, band=(5.0, 5e3), method="impedance", apparatus_overrides=overrides,
-        order=12, n_grid=280,
     )
     assert records
     for rec in records:
@@ -95,7 +94,6 @@ def test_measured_sensitivities_match_twin(twin_pair):
     overrides = {0: lambda s: T @ surrogate.evaluate(s) @ T.T}
     records = mai_core.solve_modes(
         net_meas, band=(5.0, 5e3), method="impedance", apparatus_overrides=overrides,
-        order=12, n_grid=280,
     )
     rec = max(records, key=lambda r: np.linalg.norm(r.residue))
     R_ss = residue_at_mode(ss, rec.lam)
