@@ -301,41 +301,39 @@ def run(config: AnalysisConfig) -> int:
     emit("modes.csv", _modes_csv(records))
 
     refs = assembly.network_elements(net)
-    validation: dict = {"epsilon": config.epsilon, "modes": []}
-    oracle = None
-    if config.validate_predictions and mass_oracle.oracle_capable(net) and not overrides:
-        oracle = mass_oracle.Interconnection(net)
     for k in selected:
-        rec = records[k]
         reports = mai_core.mode_layer_reports(
-            net, rec, refs, epsilon=config.epsilon, apparatus_overrides=overrides or None
+            net, records[k], refs, epsilon=config.epsilon, apparatus_overrides=overrides or None
         )
         emit(f"mode{k}_elements.csv", _elements_csv(reports))
         emit(f"mode{k}_layer3.csv", _layer3_csv(reports))
         for name, table in _heatmaps_for_mode(net, reports).items():
             emit(f"mode{k}_{name}.csv", emit_heatmap(table))
-        if config.validate_predictions:
-            outcomes = mai_core.validate_mode_predictions(
-                net, rec, refs, oracle, epsilon=config.epsilon,
-                apparatus_overrides=overrides or None,
-            )
+    if config.validate_predictions:
+        outcomes = mai_core.validate_mode_predictions(
+            net, [records[k] for k in selected], refs, epsilon=config.epsilon,
+            apparatus_overrides=overrides or None,
+        )
+        validation: dict = {"epsilon": config.epsilon, "modes": []}
+        labels = [assembly.element_label(net, ref) for ref in refs]
+        for k, mode_outcomes in zip(selected, outcomes):
             entries = []
-            for rep, v in zip(reports, outcomes):
+            for label, v in zip(labels, mode_outcomes):
                 if isinstance(v, Exception):
-                    entries.append({"element": rep.element, "error": str(v)})
+                    entries.append({"element": label, "error": str(v)})
                     continue
                 entries.append(
                     {
-                        "element": rep.element,
+                        "element": label,
                         "predicted": [v.predicted.real, v.predicted.imag],
                         "actual": [v.actual.real, v.actual.imag],
                         "error_percent": round(100.0 * v.error, 9),
                     }
                 )
+            lam = records[k].lam
             validation["modes"].append(
-                {"mode": k, "lambda": [rec.lam.real, rec.lam.imag], "elements": entries}
+                {"mode": k, "lambda": [lam.real, lam.imag], "elements": entries}
             )
-    if config.validate_predictions:
         emit("validation.json", json.dumps(validation, indent=2) + "\n")
 
     summary = {

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
@@ -683,6 +682,18 @@ def _element_admittances(net, refs, lay: _ElementLayout, lam: complex, overrides
     return y
 
 
+def _mode_sensitivities(net, refs, lay: _ElementLayout, mode: ModeRecord, overrides):
+    """The residue's bus blocks, and every element's sensitivity factor s
+    and admittance y(lambda) stacked (N, 2, 2): what the layers and the
+    predicted shifts of one mode are formed from."""
+    blocks = _bus_blocks(mode.residue)
+    i, j = lay.i, lay.j
+    d = _ratio_sensitivity(
+        blocks[i, i], blocks[j, j], blocks[i, j], blocks[j, i], lay.ratio[:, None, None]
+    )
+    return blocks, _conj_t(d), _element_admittances(net, refs, lay, mode.lam, overrides)
+
+
 def mode_layer_reports(
     net: NetworkDescription,
     mode: ModeRecord,
@@ -703,13 +714,8 @@ def mode_layer_reports(
     """
     lay = _element_layout(net, refs)
     lam, w0 = mode.lam, net.omega0
-    blocks = _bus_blocks(mode.residue)
+    blocks, s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
     i, j = lay.i, lay.j
-    d = _ratio_sensitivity(
-        blocks[i, i], blocks[j, j], blocks[i, j], blocks[j, i], lay.ratio[:, None, None]
-    )
-    s = _conj_t(d)
-    y = _element_admittances(net, refs, lay, lam, apparatus_overrides)
     l2 = layer2(s, y)
     l1 = layer1_cauchy(s, y, 1.0)
 
@@ -796,6 +802,12 @@ def _solve_modes_impedance(model, band):
     return records
 
 
+def _oracle_route(net: NetworkDescription, apparatus_overrides) -> bool:
+    """Whether modes are solved and validated through the state-space
+    oracle: every apparatus has a realization and none is overridden."""
+    return mass_oracle.oracle_capable(net) and not apparatus_overrides
+
+
 def solve_modes(
     net: NetworkDescription,
     band: Optional[tuple[float, float]] = None,
@@ -812,8 +824,7 @@ def solve_modes(
     prefers the state-space path when available; ``order`` is ignored.
     """
     if method == "auto":
-        use_oracle = mass_oracle.oracle_capable(net) and not apparatus_overrides
-        method = "state_space" if use_oracle else "impedance"
+        method = "state_space" if _oracle_route(net, apparatus_overrides) else "impedance"
     if method == "state_space":
         return _solve_modes_state_space(net, band)
     if method == "impedance":
@@ -829,16 +840,19 @@ def min_mode_spacing(modes: Sequence[complex]) -> float:
     return float(np.abs(vals[:, None] - vals[None, :])[upper].min())
 
 
+# the tracking gate: a match may lie at most this share of the spacing away
+_GATE_FACTOR = 0.3
+
+
 def track_mode(
     lam_ref: complex,
     candidates: Sequence[complex],
     spacing: Optional[float] = None,
-    factor: float = 0.3,
 ) -> complex:
     """Nearest-mode matching: the candidate closest to ``lam_ref``; raises
-    TrackingError when the jump exceeds ``factor`` times ``spacing``, by
-    default the minimum inter-mode distance of the candidates (the mode
-    branch was lost)."""
+    TrackingError when the jump exceeds 0.3 times ``spacing``, by default
+    the minimum inter-mode distance of the candidates (the mode branch was
+    lost)."""
     if not len(candidates):
         raise TrackingError("no candidate modes to match against")
     cands = np.asarray([complex(c) for c in candidates])
@@ -846,10 +860,10 @@ def track_mode(
     k = int(np.argmin(dist))
     if spacing is None:
         spacing = min_mode_spacing(cands)
-    if np.isfinite(spacing) and dist[k] > factor * spacing:
+    if np.isfinite(spacing) and dist[k] > _GATE_FACTOR * spacing:
         raise TrackingError(
             f"nearest mode {cands[k]} is {dist[k]:.3e} away from {lam_ref}, "
-            f"beyond {factor} x spacing {spacing:.3e}"
+            f"beyond {_GATE_FACTOR} x spacing {spacing:.3e}"
         )
     return complex(cands[k])
 
@@ -881,23 +895,87 @@ def _nearest_other_distance(eigenvalues: np.ndarray, i: int) -> float:
     return float(np.min(np.abs(others - eigenvalues[i]))) if others.size else np.inf
 
 
-def _predicted_shift(net, ref, mode, epsilon, apparatus_overrides=None) -> complex:
-    """First-order shift of ``mode`` for a (1 + eps) scaling of element ``ref``."""
-    rec = element_sensitivity(net, ref, mode.residue)
-    y = assembly.element_admittance(net, ref, mode.lam, apparatus_overrides)
-    return predict_mode_shift(rec.s_factor, epsilon * y)
-
-
-def _resolve_perturbed_mode(A, anchor, gap):
-    """The eigenvalue of the perturbed state matrix ``A`` nearest ``anchor``
-    (= lambda + the predicted shift), by sparse shift-invert at the anchor
-    (``mass_oracle.nearest_eigenvalue``), gated by ``track_mode`` at 0.3 x
-    ``gap``, the distance from lambda to its nearest other eigenvalue."""
-    return track_mode(anchor, [mass_oracle.nearest_eigenvalue(A, anchor)], spacing=gap)
-
-
 # the failures one element's validation can end in; each stays with its element
 _VALIDATION_ERRORS = (AnalysisError, rational_fit.RefinementError, mass_oracle.OracleError)
+
+
+def _secular_outcomes(oracle, mode, predicted, updates) -> list:
+    """Every element's validation at one mode through the oracle: one
+    batched secular solve of the row ``updates`` (or the errors building
+    them raised), each anchored at lambda + its ``predicted`` shift."""
+    lam = oracle.eig.eigenvalues
+    i = int(np.argmin(np.abs(lam - mode.lam)))
+    gap = _nearest_other_distance(lam, i)
+    outcomes = list(updates)
+    solved = [e for e, u in enumerate(updates) if not isinstance(u, Exception)]
+    anchors = [mode.lam + predicted[e] for e in solved]
+    roots = mass_oracle.updated_eigenvalues(oracle, i, [updates[e] for e in solved], anchors)
+    for e, anchor, root in zip(solved, anchors, roots):
+        if isinstance(root, mass_oracle.OracleError):
+            outcomes[e] = root
+            continue
+        try:
+            lam_new = track_mode(anchor, [root], spacing=gap)
+            outcomes[e] = validate_prediction(predicted[e], lam_new - mode.lam)
+        except AnalysisError as exc:
+            outcomes[e] = exc
+    return outcomes
+
+
+def validate_mode_predictions(
+    net: NetworkDescription,
+    modes: Sequence[ModeRecord],
+    refs: Sequence[ElementRef],
+    epsilon: float = 0.05,
+    apparatus_overrides=None,
+) -> list[list]:
+    """Predict each mode's shift for a (1 + eps) scaling of each element and
+    compare it against the re-solved mode of the perturbed system.
+
+    Returns one list per mode with one entry per element: its
+    ``ValidationRecord``, or the error (``AnalysisError``,
+    ``RefinementError`` or ``OracleError``) its validation ended in. The
+    predicted shifts come from the stacked s and y(lambda) of
+    :func:`mode_layer_reports`; a mode where an element's admittance cannot
+    be evaluated gives every element that error. On the oracle route (as
+    in :func:`solve_modes`), each element's row update of the state matrix
+    A is built once for all modes, and :func:`mass_oracle.updated_eigenvalues`
+    re-solves a mode's elements in one batched Newton on the secular
+    equation, anchored at lambda + the predicted shift and gated at 0.3 x
+    the distance from lambda to its nearest other eigenvalue of A.
+    Otherwise the scaled element is overlaid on the admittance evaluator
+    and the mode Newton-refined from its old location.
+    """
+    lay = _element_layout(net, refs)
+    oracle = updates = None
+    if _oracle_route(net, apparatus_overrides):
+        oracle, updates = mass_oracle.Interconnection(net), []
+        for ref in refs:
+            try:
+                updates.append(oracle.element_update(ref, 1.0 + epsilon))
+            except _VALIDATION_ERRORS as exc:
+                updates.append(exc)
+    results = []
+    for mode in modes:
+        try:
+            _, s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
+        except _VALIDATION_ERRORS as exc:
+            results.append([exc] * len(refs))
+            continue
+        predicted = predict_mode_shift(s, epsilon * y).tolist()
+        if oracle is not None:
+            results.append(_secular_outcomes(oracle, mode, predicted, updates))
+            continue
+        outcomes = []
+        for ref, shift in zip(refs, predicted):
+            try:
+                overlay = assembly.PerturbedModel(net, ref, 1.0 + epsilon, apparatus_overrides)
+                lam_new = rational_fit.refine_mode(overlay.admittance, mode.lam)
+                outcomes.append(validate_prediction(shift, lam_new - mode.lam))
+            except _VALIDATION_ERRORS as exc:
+                outcomes.append(exc)
+        results.append(outcomes)
+    return results
 
 
 def validate_element_prediction(
@@ -908,106 +986,17 @@ def validate_element_prediction(
     reference_modes: Optional[Sequence[complex]] = None,
     apparatus_overrides=None,
 ) -> ValidationRecord:
-    """Predict the mode shift for a (1 + eps) element-admittance scaling and
-    compare against the re-solved mode of the perturbed system.
-
-    Oracle-capable networks are re-solved through the state-space path:
-    the scaled element's rows replace those of the state matrix A, and the
-    eigenvalue nearest lambda + the predicted shift is found by sparse
-    shift-invert there. ``track_mode`` gates it at 0.3 x the distance from
-    lambda to its nearest other eigenvalue, taken among
-    ``reference_modes`` (which must hold the mode) and their conjugates or,
-    by default, among all eigenvalues of A. Otherwise the scaled element
-    is overlaid on the admittance evaluator and the mode Newton-refined
-    from its old location. :func:`validate_mode_predictions` validates
-    every element of a mode at once.
-
-    Raises
-    ------
-    TrackingError
-        If the re-solved mode jumped beyond the tracking gate.
-    mass_oracle.OracleError
-        If the re-solve fails, including ``DefectiveMatrixError`` when the
-        tracked eigenvalue is ill-conditioned.
+    """The one-element case of :func:`validate_mode_predictions`, raising
+    the error its validation ends in: ``TrackingError`` beyond the gate,
+    ``OracleError`` (``DefectiveMatrixError`` for an ill-conditioned
+    eigenvalue) or ``RefinementError`` when the re-solve fails.
+    ``reference_modes`` is accepted and not read: the gate takes every
+    eigenvalue of the state matrix.
     """
-    predicted = _predicted_shift(net, ref, mode, epsilon, apparatus_overrides)
-    if mass_oracle.oracle_capable(net) and not apparatus_overrides:
-        system = mass_oracle.Interconnection(net)
-        rows, A_rows = system.element_update(ref, 1.0 + epsilon)
-        A = system.model.A.copy()
-        A[rows] = A_rows
-        if reference_modes:
-            modes = np.asarray(reference_modes, dtype=complex)
-            eigenvalues = np.concatenate([modes, np.conj(modes[modes.imag != 0])])
-        else:
-            eigenvalues = scipy.linalg.eigvals(system.model.A)
-        i = int(np.argmin(np.abs(eigenvalues - mode.lam)))
-        gap = _nearest_other_distance(eigenvalues, i)
-        lam_new = _resolve_perturbed_mode(A, mode.lam + predicted, gap)
-    else:
-        overlay = assembly.PerturbedModel(net, ref, 1.0 + epsilon, apparatus_overrides)
-        lam_new = rational_fit.refine_mode(overlay.admittance, mode.lam)
-    return validate_prediction(predicted, lam_new - mode.lam)
-
-
-def validate_mode_predictions(
-    net: NetworkDescription,
-    mode: ModeRecord,
-    refs: Sequence[ElementRef],
-    oracle: Optional[mass_oracle.Interconnection],
-    epsilon: float = 0.05,
-    apparatus_overrides=None,
-) -> list:
-    """:func:`validate_element_prediction` for every element in ``refs`` at
-    one mode, one entry per element: its ``ValidationRecord``, or the
-    error (``AnalysisError``, ``RefinementError`` or ``OracleError``) its
-    validation ended in.
-
-    With the network's ``oracle`` (see :class:`mass_oracle.Interconnection`;
-    its eigenstructure is computed once and reused by every mode), each
-    element's scaling is a low-rank row update of the state matrix A, and
-    :func:`mass_oracle.updated_eigenvalues` re-solves them all in one
-    batched Newton on the secular equation, anchored at lambda + the
-    predicted shift, with shift-invert as its fallback. The gate is
-    0.3 x the distance from lambda to its nearest other eigenvalue of A.
-    Without an oracle every element is validated alone, through the
-    admittance overlay when ``apparatus_overrides`` are given.
-    """
-    if oracle is None:
-        outcomes = []
-        for ref in refs:
-            try:
-                outcomes.append(validate_element_prediction(
-                    net, ref, mode, epsilon, apparatus_overrides=apparatus_overrides))
-            except _VALIDATION_ERRORS as exc:
-                outcomes.append(exc)
-        return outcomes
-    lam = oracle.eig.eigenvalues
-    i = int(np.argmin(np.abs(lam - mode.lam)))
-    gap = _nearest_other_distance(lam, i)
-    outcomes: list = [None] * len(refs)
-    solved, predicted, updates = [], [], []
-    for e, ref in enumerate(refs):
-        try:
-            shift = _predicted_shift(net, ref, mode, epsilon)
-            updates.append(oracle.element_update(ref, 1.0 + epsilon))
-        except _VALIDATION_ERRORS as exc:
-            outcomes[e] = exc
-            continue
-        solved.append(e)
-        predicted.append(shift)
-    anchors = [mode.lam + p for p in predicted]
-    roots = mass_oracle.updated_eigenvalues(oracle, i, updates, anchors)
-    for e, shift, anchor, root in zip(solved, predicted, anchors, roots):
-        if isinstance(root, mass_oracle.OracleError):
-            outcomes[e] = root
-            continue
-        try:
-            lam_new = track_mode(anchor, [root], spacing=gap)
-            outcomes[e] = validate_prediction(shift, lam_new - mode.lam)
-        except AnalysisError as exc:
-            outcomes[e] = exc
-    return outcomes
+    outcome = validate_mode_predictions(net, [mode], [ref], epsilon, apparatus_overrides)[0][0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def parameter_sweep(
@@ -1054,12 +1043,10 @@ def parameter_sweep(
         new_records = solve_modes(new_net, band=band)
         # predictor-anchored continuation: large parameter steps can move a
         # mode further than the inter-mode spacing, but the first-order
-        # prediction lands close to the continued branch
-        lam_new = track_mode(
-            current.lam + predicted,
-            [r.lam for r in new_records],
-            spacing=min_mode_spacing([r.lam for r in records]),
-        )
+        # prediction lands close to the continued branch; the gate is 0.3 x
+        # the distance from the tracked mode to its nearest other one
+        gap = _nearest_other_distance([r.lam for r in records], records.index(current))
+        lam_new = track_mode(current.lam + predicted, [r.lam for r in new_records], spacing=gap)
         actual = lam_new - current.lam
         err = abs(predicted - actual) / abs(predicted) if predicted != 0 else np.inf
         steps.append(

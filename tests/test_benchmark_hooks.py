@@ -1,15 +1,16 @@
 """What the benchmark harness under perfbench/ relies on in the package.
 
 perfbench/tracing.py wraps the functions named in its TRACED table, and
-perfbench/ladder.py calls solve_modes with an order keyword. Renaming or
-removing either breaks the harness, so it fails here first.
+perfbench/ladder.py calls solve_modes with an order keyword and
+validate_element_prediction with a reference_modes keyword. Renaming or
+removing any of them breaks the harness, so it fails here first.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-from impedmodal import mai_core
+from impedmodal import admittance_assembly, mai_core
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +41,13 @@ def test_solve_modes_accepts_the_ladder_call(three_bus_net):
                                    method="impedance")
     assert len(records) == 7
     assert all(r.provenance == "newton-refined" for r in records)
+
+
+def test_validate_element_prediction_accepts_the_ladder_call(three_bus_net):
+    records = mai_core.solve_modes(three_bus_net)
+    mode = max(records, key=lambda r: r.lam.real)
+    lams = [r.lam for r in records]
+    for ref in admittance_assembly.network_elements(three_bus_net):
+        v = mai_core.validate_element_prediction(three_bus_net, ref, mode, 0.05,
+                                                 reference_modes=lams)
+        assert isinstance(v, mai_core.ValidationRecord)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impedmodal import mai_core, mass_oracle
+from impedmodal import mai_core, mass_oracle, network_model
+from impedmodal.admittance_assembly import network_elements
 from impedmodal.cli_reporting import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -87,6 +88,23 @@ def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
                           "error": "injected defective re-solve"}
     entries[1] = expected["modes"][0]["elements"][1]
     assert got == expected
+
+
+def test_element_updates_are_built_once_per_run(tmp_path, monkeypatch):
+    """Validating three modes builds each element's row update of the state
+    matrix once, not once per mode."""
+    update = mass_oracle.Interconnection.element_update
+    calls = []
+
+    def counting(self, *args):
+        calls.append(args)
+        return update(self, *args)
+
+    monkeypatch.setattr(mass_oracle.Interconnection, "element_update", counting)
+    config = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path), modes=[0, 1, 2])
+    assert run(config) == EXIT_OK
+    net = network_model.parse_network(NETWORK.read_text())
+    assert len(calls) == len(network_elements(net))
 
 
 def test_emitted_numbers_round_trip(tmp_path):

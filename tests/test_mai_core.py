@@ -168,6 +168,18 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
             assert errors[1e-3] / errors[1e-4] >= 5.0
 
 
+def _predicted_shift(net, ref, mode, eps):
+    """First-order shift of ``mode`` for a (1 + eps) scaling of ``ref``."""
+    rec = element_sensitivity(net, ref, mode.residue)
+    return predict_mode_shift(rec.s_factor, eps * element_admittance(net, ref, mode.lam))
+
+
+def _shift_invert_resolve(A, anchor, gap):
+    """The eigenvalue of ``A`` nearest ``anchor`` by sparse shift-invert,
+    gated at 0.3 x ``gap``."""
+    return track_mode(anchor, [mass_oracle.nearest_eigenvalue(A, anchor)], spacing=gap)
+
+
 def _dense_resolve(A, anchor, gap):
     """Reference re-solve: the full dense eigendecomposition of the perturbed
     state matrix, nearest-mode tracked from the anchor among all its
@@ -203,10 +215,10 @@ def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
         for eps in (1e-3, 0.05):
             A = mass_oracle.interconnect(scale_element_admittance(net, ref, 1.0 + eps)).A
             for mode in records:
-                anchor = mode.lam + mai_core._predicted_shift(net, ref, mode, eps)
+                anchor = mode.lam + _predicted_shift(net, ref, mode, eps)
                 gap = _unperturbed_gap(net, mode.lam)
                 expected = _resolve_outcome(_dense_resolve, A, anchor, gap)
-                got = _resolve_outcome(mai_core._resolve_perturbed_mode, A, anchor, gap)
+                got = _resolve_outcome(_shift_invert_resolve, A, anchor, gap)
                 if expected is None:
                     assert got is None, (ref, eps, mode.lam)
                 else:
@@ -229,9 +241,8 @@ def test_resolve_lands_on_the_continued_mode(three_bus_net, three_bus_modes):
     assert continued == pytest.approx(-151.888 + 72.264j, abs=1e-3)
     v = validate_element_prediction(three_bus_net, ref, mode, epsilon=1.0)
     assert abs(mode.lam + v.actual - continued) <= 1e-9 * abs(continued)
-    oracle = mass_oracle.Interconnection(three_bus_net)
     batched = mai_core.validate_mode_predictions(
-        three_bus_net, mode, network_elements(three_bus_net), oracle, epsilon=1.0)
+        three_bus_net, [mode], network_elements(three_bus_net), epsilon=1.0)[0]
     v_batched = batched[network_elements(three_bus_net).index(ref)]
     assert abs(mode.lam + v_batched.actual - continued) <= 1e-9 * abs(continued)
 
@@ -245,9 +256,37 @@ def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_b
     with pytest.raises(TrackingError):
         validate_element_prediction(three_bus_net, ref, mode, epsilon=1.0)
     refs = network_elements(three_bus_net)
-    oracle = mass_oracle.Interconnection(three_bus_net)
-    batched = mai_core.validate_mode_predictions(three_bus_net, mode, refs, oracle, epsilon=1.0)
+    batched = mai_core.validate_mode_predictions(three_bus_net, [mode], refs, epsilon=1.0)[0]
     assert isinstance(batched[refs.index(ref)], TrackingError)
+
+
+@pytest.mark.parametrize("case", ["three_bus", 0, 1, 2, "rational"])
+def test_run_level_validation_agrees_with_the_one_element_call(three_bus_net, case):
+    """Every (mode, element) at eps 0.05 gets the same outcome class from
+    ``validate_mode_predictions`` over all modes and elements as from
+    ``validate_element_prediction`` alone, and the same re-solved shift
+    within 1e-12 |lambda|: on the oracle route and, for the ring of
+    rational apparatus, on the overlay route."""
+    net, band = three_bus_net, None
+    if case == "rational":
+        net, band = _rl_ring(3, 0, "rational"), BAND
+    elif case != "three_bus":
+        net = _random_rl_net(np.random.default_rng(case))
+    modes = solve_modes(net, band=band)
+    assert modes
+    refs = network_elements(net)
+    batched = mai_core.validate_mode_predictions(net, modes, refs, epsilon=0.05)
+    assert len(batched) == len(modes)
+    for mode, outcomes in zip(modes, batched):
+        assert len(outcomes) == len(refs)
+        for ref, got in zip(refs, outcomes):
+            try:
+                alone = validate_element_prediction(net, ref, mode, 0.05)
+            except (AnalysisError, rational_fit.RefinementError, mass_oracle.OracleError) as exc:
+                alone = exc
+            assert type(got) is type(alone), (ref, mode.lam)
+            if not isinstance(got, Exception):
+                assert abs(got.actual - alone.actual) <= 1e-12 * abs(mode.lam), (ref, mode.lam)
 
 
 def _algebraic_bus_net(three_bus_net):
@@ -329,7 +368,7 @@ def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
             i = int(np.argmin(np.abs(system.eig.eigenvalues - mode.lam)))
             for eps in (1e-3, 0.05):
                 updates = [system.element_update(ref, 1.0 + eps) for ref in refs]
-                anchors = [mode.lam + mai_core._predicted_shift(net, ref, mode, eps)
+                anchors = [mode.lam + _predicted_shift(net, ref, mode, eps)
                            for ref in refs]
                 roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
                 assert fallbacks == []
@@ -370,7 +409,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     for update, anchor, root in zip(updates, on_other_pole, roots):
         assert root == shift_invert(_perturbed(system, update), anchor)
 
-    anchors = [mode.lam + mai_core._predicted_shift(three_bus_net, ref, mode, 0.05)
+    anchors = [mode.lam + _predicted_shift(three_bus_net, ref, mode, 0.05)
                for ref in refs]
     monkeypatch.setattr(mass_oracle, "_BACKWARD_LIMIT", -1.0)
     roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
@@ -836,6 +875,23 @@ def test_sweep_tracks_seeded_mode(three_bus_net, three_bus_modes):
     seed = three_bus_modes[3].lam
     steps = parameter_sweep(three_bus_net, 1, "L", 0.95, 2, mode_seed=seed)
     assert abs(steps[0].lam_before - seed) < 1e-9
+
+
+def test_sweep_gate_is_the_distance_to_the_nearest_other_mode():
+    """Scaling the L of line 1-2 of a 10-bus ring by 1.02 per step moves the
+    least-damped mode 0.148 at the first step: beyond 0.3 x the smallest
+    spacing of all modes (0.342), but well inside 0.3 x the distance from
+    the tracked mode to its nearest other one. Every step lands where a
+    dense continuation of four eigendecompositions per step does."""
+    net = _rl_ring(10, 9, "state_space")
+    steps = parameter_sweep(net, 0, "L", 1.02, 10)
+    assert len(steps) == 10
+    continued = steps[0].lam_before
+    for st in steps:
+        for L in np.geomspace(st.rho_before, st.rho_after, 5)[1:]:
+            eigenvalues = np.linalg.eigvals(mass_oracle.interconnect(net.with_branch(0, L=L)).A)
+            continued = eigenvalues[np.argmin(np.abs(eigenvalues - continued))]
+        assert abs(st.actual - continued) <= 1e-9 * abs(continued), st.step
 
 
 def test_sweep_lc_mode_frequency_rises_as_inductance_falls(three_bus_net, three_bus_modes):
