@@ -14,7 +14,8 @@ rational_fit
     Response sampling, vector fitting, Newton mode refinement and residues.
 mai_core
     Three-layer participation analysis, transformer-ratio correction,
-    branch splitting, parameter sensitivities, sweeps and validation.
+    parameter sensitivities from the unsplit element admittances, the
+    paper's branch-splitting identities, sweeps and validation.
 cli_reporting
     Command-line pipeline and CSV/JSON report emission.
 """

@@ -64,6 +64,16 @@ def _check_band(band: Optional[tuple[float, float]]) -> None:
             raise ConfigError(f"band must be finite with 0 < min < max, got {lo}:{hi}")
 
 
+def _check_band_given(net: network_model.NetworkDescription,
+                      band: Optional[tuple[float, float]]) -> None:
+    """The impedance-path mode search needs a band; the oracle does not."""
+    if band is None and not mass_oracle.oracle_capable(net):
+        raise ConfigError(
+            "--band MIN:MAX is required when not every apparatus has a "
+            "state-space realization (impedance-path mode search)"
+        )
+
+
 @dataclass
 class AnalysisConfig:
     """Everything one ``analyze`` run needs; validated before running."""
@@ -75,7 +85,6 @@ class AnalysisConfig:
     modes: Optional[list[int]] = None  # None = all
     out_dir: str = "impedmodal_reports"
     validate_predictions: bool = True
-    seed: int = 0
 
     def check(self) -> None:
         _check_band(self.band)
@@ -269,17 +278,12 @@ def run(config: AnalysisConfig) -> int:
     """Run the full analysis pipeline and write the report files.
 
     Deterministic for identical inputs: fixed element/mode ordering, no free
-    random state (the configured seed is recorded in the summary).
+    random state.
     """
     config.check()
     net = _load_network(config.network_path)
     out_dir = Path(config.out_dir)
-
-    if not mass_oracle.oracle_capable(net) and config.band is None:
-        raise ConfigError(
-            "--band MIN:MAX is required when not every apparatus has a "
-            "state-space realization (impedance-path mode search)"
-        )
+    _check_band_given(net, config.band)
     overrides = _apparatus_overrides(net, config.order)
     records = mai_core.solve_modes(net, band=config.band, apparatus_overrides=overrides or None)
     if not records:
@@ -342,7 +346,6 @@ def run(config: AnalysisConfig) -> int:
         "band": list(config.band) if config.band else None,
         "order": config.order,
         "epsilon": config.epsilon,
-        "seed": config.seed,
         "n_modes": len(records),
         "selected_modes": selected,
         "files": files,
@@ -367,6 +370,7 @@ def run_sweep(
         raise ConfigError(f"steps must be >= 0, got {n_steps}")
     _check_band(band)
     net = _load_network(network_path)
+    _check_band_given(net, band)
     index = None
     for idx, b in enumerate(net.branches):
         if {b.from_bus, b.to_bus} == set(branch):

@@ -3,9 +3,11 @@
 From the residue matrix of the whole-system impedance at a mode, this
 module derives per-element admittance sensitivities (with the transformer
 ratio correction), the three participation layers, per-parameter
-sensitivities via branch impedance splitting with closed-form virtual-node
-impedances, first-order mode-shift predictions, and sweep/validation
-bookkeeping against re-solved modes.
+sensitivities from the derivative of each element's own admittance,
+first-order mode-shift predictions, and sweep/validation bookkeeping
+against re-solved modes. The paper's branch splitting (closed-form
+virtual-node impedances and residues) is kept as public functions; it
+gives the same branch parameter sensitivities, and the tests check that.
 
 Layer semantics: layer 1 bounds/estimates an element's total participation
 in a mode, layer 2 resolves it into damping (real) and frequency
@@ -146,10 +148,6 @@ class SplitBranch:
     L: float | np.ndarray
     omega0: float
     lam: complex
-
-    @property
-    def total_impedance(self) -> np.ndarray:
-        return self.z1 + self.z2
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,20 +379,6 @@ def _dy_dR(y: np.ndarray) -> np.ndarray:
     return -y @ y
 
 
-def _split_inverses(z1: np.ndarray, z2: np.ndarray, y: Optional[np.ndarray] = None):
-    """(y, z1^-1, z2^-1, mix) of split parts, single or stacked, with
-    y = (z1 + z2)^-1 and mix = (z1^-1 + z2^-1)^-1, and the mask of the
-    splits where all four exist: it is False for R = 0, or lambda on the
-    branch pole or at +-j w0."""
-    ok = True
-    if y is None:
-        y, ok = assembly.inv2_masked(z1 + z2)
-    z1_inv, ok_1 = assembly.inv2_masked(z1)
-    z2_inv, ok_2 = assembly.inv2_masked(z2)
-    mix, ok_mix = assembly.inv2_masked(z1_inv + z2_inv)
-    return (y, z1_inv, z2_inv, mix), ok & ok_1 & ok_2 & ok_mix
-
-
 def _split_node_blocks(Z, j, k, z1, inverses, with_identity: bool) -> SplitNodeImpedances:
     """Split-node blocks of branch (j, k) from the rows and columns j, k of Z
     (leading axes stack branches)."""
@@ -413,13 +397,15 @@ def _split_node_blocks(Z, j, k, z1, inverses, with_identity: bool) -> SplitNodeI
 
 
 def _checked_split_inverses(z1, z2, y):
-    """:func:`_split_inverses` that raises where a split part is singular."""
-    inverses, ok = _split_inverses(z1, z2, y)
-    if not np.all(ok):
-        raise DegenerateSplitError(
-            "a split part of the branch is singular; fall back to the unsplit branch"
-        )
-    return inverses
+    """(y, z1^-1, z2^-1, mix) of split parts, single or stacked, with
+    y = (z1 + z2)^-1 (unless given) and mix = (z1^-1 + z2^-1)^-1; raises
+    DegenerateSplitError where one is singular: R = 0, or lambda on the
+    branch pole or at +-j w0."""
+    if y is None:
+        y = _inv2(z1 + z2, "series impedance z1 + z2")
+    z1_inv = _inv2(z1, "inductive part z1")
+    z2_inv = _inv2(z2, "resistive part z2")
+    return y, z1_inv, z2_inv, _inv2(z1_inv + z2_inv, "parallel combination of z1 and z2")
 
 
 def split_node_impedances(
@@ -515,40 +501,25 @@ def branch_parameter_sensitivity(
     res: np.ndarray,
     lam: complex,
     param: str,
-    via: str = "auto",
 ) -> complex:
-    """Parameter sensitivity s_{lambda,rho} of a series branch, rho in {L, R}.
+    """Parameter sensitivity s_{lambda,rho} of a series branch, rho in {L, R}:
+    <s, dy/drho> of the unsplit series admittance y, the same value as the
+    branch's layer 3 in :func:`mode_layer_reports`.
 
-    ``via="split"`` goes through the virtual-node machinery: the split part
-    carrying the parameter is treated as its own branch against node f, with
-    residue blocks from the closed-form augmentation. ``via="direct"``
-    differentiates the unsplit series admittance. Both are exact first-order
-    and agree to numerical precision; ``auto`` uses the split for lines and
-    the direct route for transformers (where the parameter sits behind the
-    ideal-ratio stamp) or degenerate splits.
+    The paper reaches it by splitting the branch at a virtual node
+    (:func:`split_branch`, :func:`split_node_residues`,
+    :func:`split_parameter_derivatives`); that route is equal to first
+    order, but it subtracts nearly equal residue blocks when R is small
+    against the inductive part, and it does not exist for R = 0.
+    Transformers need no special case: the parameter sits in y, behind the
+    ideal-ratio stamp that the sensitivity factor s already carries.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"branch parameter must be 'L' or 'R', got '{param}'")
-    if via not in ("auto", "split", "direct"):
-        raise AnalysisError(f"unknown route '{via}'")
-    b = net.branches[branch_index]
-    if via == "split" and b.ratio != 1.0:
-        raise AnalysisError("split route applies to unit-ratio (line) branches")
-    if via == "split" or (via == "auto" and b.ratio == 1.0):
-        j, k = np.array([b.from_bus]), np.array([b.to_bus])
-        split = split_branch(np.array([b.R]), np.array([b.L]), net.omega0, lam)
-        s_L, s_R, ok = _split_layer3(_line_residues(_bus_blocks(res), j, k), split)
-        if ok[0]:
-            return complex((s_L if param == "L" else s_R)[0])
-        if via == "split":
-            raise DegenerateSplitError(
-                f"a split part of branch {b.from_bus}-{b.to_bus} is singular at {lam}; "
-                "fall back to the unsplit branch"
-            )
-    rec = element_sensitivity(net, ("branch", branch_index), res)
-    z = assembly.dq_series_impedance(b.R, b.L, net.omega0, lam)
-    y = _inv2(z, "branch series impedance")
-    s_L, s_R = _direct_layer3(rec.s_factor, y, lam, net.omega0)
+    ref = ("branch", branch_index)
+    s = element_sensitivity(net, ref, res).s_factor
+    y = assembly.element_admittance(net, ref, lam)
+    s_L, s_R = _direct_layer3(s, y, lam, net.omega0)
     return s_L if param == "L" else s_R
 
 
@@ -563,34 +534,6 @@ def _direct_layer3(s: np.ndarray, y: np.ndarray, lam: complex, omega0: float):
     s_L, _ = layer3(s, _dy_dL(y, lam, omega0))
     s_R, _ = layer3(s, _dy_dR(y))
     return s_L, s_R
-
-
-def _line_residues(blocks: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The residue restricted to the end buses of each line j-k, stacked
-    (m, 4, 4) with bus j first, from the bus blocks of :func:`_bus_blocks`."""
-    jk = np.stack([j, k], axis=-1)
-    sub = blocks[jk[:, :, None], jk[:, None, :]]  # (m, bus, bus, 2, 2)
-    return sub.transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-
-
-def _split_layer3(sub: np.ndarray, split: SplitBranch):
-    """Layer 3 (L, R) of lines through their virtual split node f.
-
-    ``sub`` is each line's residue restricted to its end buses (see
-    :func:`_line_residues`), so the identities of :func:`split_node_residues`
-    give only the blocks layer 3 reads (Z_fj, Z_fk, Z_jf, Z_kf, Z_ff), not
-    the 2n-wide row and column. Returns (s_L, s_R, ok); ``ok`` is False
-    where a split part is singular and the direct route applies instead.
-    """
-    inverses, ok = _split_inverses(split.z1, split.z2)
-    _, z1_inv, z2_inv, _ = inverses
-    aug = _split_node_blocks(sub, 1, 2, split.z1, inverses, with_identity=False)
-    # the L part is a branch j-f, the R part a branch f-k
-    d_L = _ratio_sensitivity(sub[:, :2, :2], aug.Z_ff, aug.Z_jf, aug.Z_fj, 1.0)
-    d_R = _ratio_sensitivity(aug.Z_ff, sub[:, 2:, 2:], aug.Z_fi(2), aug.Z_kf, 1.0)
-    s_L, _ = layer3(_conj_t(d_L), _dy_dL(z1_inv, split.lam, split.omega0))
-    s_R, _ = layer3(_conj_t(d_R), _dy_dR(z2_inv))
-    return s_L, s_R, ok
 
 
 def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
@@ -683,15 +626,15 @@ def _element_admittances(net, refs, lay: _ElementLayout, lam: complex, overrides
 
 
 def _mode_sensitivities(net, refs, lay: _ElementLayout, mode: ModeRecord, overrides):
-    """The residue's bus blocks, and every element's sensitivity factor s
-    and admittance y(lambda) stacked (N, 2, 2): what the layers and the
-    predicted shifts of one mode are formed from."""
+    """Every element's sensitivity factor s and admittance y(lambda) stacked
+    (N, 2, 2): what the layers and the predicted shifts of one mode are
+    formed from."""
     blocks = _bus_blocks(mode.residue)
     i, j = lay.i, lay.j
     d = _ratio_sensitivity(
         blocks[i, i], blocks[j, j], blocks[i, j], blocks[j, i], lay.ratio[:, None, None]
     )
-    return blocks, _conj_t(d), _element_admittances(net, refs, lay, mode.lam, overrides)
+    return _conj_t(d), _element_admittances(net, refs, lay, mode.lam, overrides)
 
 
 def mode_layer_reports(
@@ -706,26 +649,22 @@ def mode_layer_reports(
     The same reports as :func:`element_layer_report` for each element, from
     one pass over stacked (N, 2, 2) arrays: dlambda/dy by the
     transformer-ratio formula on the residue's bus blocks (ground is a zero
-    block), y(lambda) and layer 3 in closed form. Lines take layer 3
-    through their split node, transformers and degenerate splits the direct
-    route, shunts their ``value`` derivative; apparatus get no layer 3
-    (converter internals are not modeled here) and are evaluated one by
-    one, so ``apparatus_overrides`` apply.
+    block), y(lambda) and layer 3 in closed form. Every branch, line or
+    transformer, takes layer 3 (L, R) as <s, dy/drho> of its unsplit series
+    admittance (see :func:`branch_parameter_sensitivity`), shunts their
+    ``value`` derivative; apparatus get no layer 3 (converter internals are
+    not modeled here) and are evaluated one by one, so
+    ``apparatus_overrides`` apply.
     """
     lay = _element_layout(net, refs)
     lam, w0 = mode.lam, net.omega0
-    blocks, s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
-    i, j = lay.i, lay.j
+    s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
     l2 = layer2(s, y)
     l1 = layer1_cauchy(s, y, 1.0)
 
     l3: list[dict] = [{} for _ in refs]
     br = lay.branches
     s_L, s_R = _direct_layer3(s[br], y[br], lam, w0)
-    line = np.flatnonzero(lay.ratio[br] == 1.0)
-    split = split_branch(lay.R[line], lay.L[line], w0, lam)
-    split_L, split_R, ok = _split_layer3(_line_residues(blocks, i[br[line]], j[br[line]]), split)
-    s_L[line[ok]], s_R[line[ok]] = split_L[ok], split_R[ok]
     for pos, sl, sr in zip(br.tolist(), s_L.tolist(), s_R.tolist()):
         l3[pos] = {"L": sl, "R": sr}
     for kind, (pos, value) in lay.shunts.items():
@@ -958,7 +897,7 @@ def validate_mode_predictions(
     results = []
     for mode in modes:
         try:
-            _, s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
+            s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
         except _VALIDATION_ERRORS as exc:
             results.append([exc] * len(refs))
             continue

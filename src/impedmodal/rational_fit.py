@@ -49,6 +49,10 @@ _FIT_REL_TOL = 1e-4
 # response) or of Y at Loewner points, reduced before the next batch is formed
 _BATCH_BYTES = 4 * 2**20
 MERGE_TOL = 1e-6  # a Newton root this near a known mode, relative to 1 + |root|, is it
+# Newton on det Y: converged where the smallest eigenvalue of Y is this small
+# relative to ||Y||, and given up after this many iterations
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERATIONS = 50
 _LOEWNER_RANK_TOL = 1e-11  # relative singular value of the Loewner pencil counted as zero
 _LOEWNER_POINTS = (200, 400, 800, 1600)  # sizes of the Loewner pencil, tried in turn
 # modes whose imaginary parts agree to this relative level tie in frequency
@@ -479,8 +483,6 @@ def refine_mode(
     Yfun: Callable[[complex], np.ndarray],
     seed: complex,
     known_modes: Iterable[complex] = (),
-    tol: float = 1e-10,
-    max_iterations: int = 50,
 ) -> complex:
     """Newton-refine a zero of det Y(s), driving the smallest-magnitude
     eigenvalue of Y to zero (the zero sets coincide, and the smallest
@@ -493,11 +495,11 @@ def refine_mode(
     """
     s = complex(seed)
     lam: Optional[complex] = None
-    for _ in range(max_iterations):
+    for _ in range(_NEWTON_MAX_ITERATIONS):
         Y = np.asarray(Yfun(s), dtype=complex)
         scale = np.linalg.norm(Y)
         mu, v, _ = _min_eig(Y)
-        if abs(mu) <= tol * scale:
+        if abs(mu) <= _NEWTON_TOL * scale:
             lam = s
             break
         h = 1e-6 * (1.0 + abs(s))
@@ -517,7 +519,7 @@ def refine_mode(
             raise RefinementError(f"Newton iteration diverged from seed {seed}")
     if lam is None:
         raise RefinementError(
-            f"no convergence from seed {seed} after {max_iterations} iterations"
+            f"no convergence from seed {seed} after {_NEWTON_MAX_ITERATIONS} iterations"
         )
     for known in known_modes:
         if abs(lam - known) <= MERGE_TOL * (1.0 + abs(lam)):

@@ -141,8 +141,7 @@ def test_criterion_06_transformer_ratio_enhancement(three_bus_net):
     lam = mode.lam
     d_rho = 0.05 * b.L
 
-    s_enh = branch_parameter_sensitivity(three_bus_net, bidx, mode.residue, lam, "L",
-                                         via="direct")
+    s_enh = branch_parameter_sensitivity(three_bus_net, bidx, mode.residue, lam, "L")
     # uncorrected: unit-ratio branch formula applied to the transformer
     plain = admittance_sensitivity(mode.residue, Location("branch", b.from_bus, b.to_bus))
     z = dq_series_impedance(b.R, b.L, three_bus_net.omega0, lam)

@@ -36,7 +36,6 @@ def test_analyze_smoke(tmp_path):
                  "mode0_elements.csv", "mode1_layer2_real.csv", "mode0_layer3.csv"):
         assert (out / name).exists()
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["seed"] == 0
     assert summary["n_modes"] == 7
 
 
@@ -403,3 +402,16 @@ def test_sweep_rejects_bad_band(tmp_path, capsys, band):
     assert code == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["sweep", "--branch", "1:2", "--param", "L", "--factor", "1.05", "--steps", "2"],
+])
+def test_missing_band_without_oracle_is_input_error(tmp_path, capsys, argv):
+    measured = REPO / "networks" / "measured_two_bus.json"
+    code = main([argv[0], str(measured), *argv[1:], "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ConfigError" and "--band" in err["message"]
+    assert list(tmp_path.iterdir()) == []

@@ -666,16 +666,52 @@ def test_split_derivative_scaling_with_L():
     assert np.allclose(d2, d1 / 4.0)
 
 
+def _split_route_layer3(net, idx, mode):
+    """Layer 3 (L, R) of line ``idx`` by the paper's route: the inductive part
+    is a branch j-f and the resistive part a branch f-k against the virtual
+    node f, with residue blocks from the split-node identities."""
+    res = mode.residue
+    b = net.branches[idx]
+    j, k = b.from_bus, b.to_bus
+    split = split_branch(b.R, b.L, net.omega0, mode.lam)
+    aug = split_node_residues(res, j, k, split.z1, split.z2)
+    dy1_dL, dy2_dR = split_parameter_derivatives(split)
+    d_L = -(res[block_slice(j), block_slice(j)] + aug.Z_ff - aug.Z_if(j) - aug.Z_fi(j))
+    d_R = -(aug.Z_ff + res[block_slice(k), block_slice(k)] - aug.Z_fi(k) - aug.Z_if(k))
+    return {"L": frobenius_inner(d_L.conj().T, dy1_dL),
+            "R": frobenius_inner(d_R.conj().T, dy2_dR)}
+
+
 def test_split_and_direct_parameter_routes_agree(three_bus_net, three_bus_modes):
     for mode in three_bus_modes[:3]:
+        s_split = _split_route_layer3(three_bus_net, 0, mode)
         for param in ("L", "R"):
-            s_split = branch_parameter_sensitivity(
-                three_bus_net, 0, mode.residue, mode.lam, param, via="split"
-            )
             s_direct = branch_parameter_sensitivity(
-                three_bus_net, 0, mode.residue, mode.lam, param, via="direct"
+                three_bus_net, 0, mode.residue, mode.lam, param
             )
-            assert abs(s_split - s_direct) <= 1e-8 * abs(s_direct)
+            assert abs(s_split[param] - s_direct) <= 1e-8 * abs(s_direct)
+
+
+def test_low_loss_line_layer3_matches_state_space(three_bus_net):
+    """Layer 3 of a line with R = 5e-5 against the oracle's psi (dA/drho) phi.
+    The split route subtracts nearly equal residue blocks here."""
+    net = three_bus_net.with_branch(0, R=5e-5)
+    b = net.branches[0]
+    A = mass_oracle.interconnect(net).A
+    # the branch rows are affine in 1/L and linear in R, so these are exact
+    dA = {
+        "L": -2.0 * (A - mass_oracle.interconnect(net.with_branch(0, L=2 * b.L)).A) / b.L,
+        "R": (mass_oracle.interconnect(net.with_branch(0, R=2 * b.R)).A - A) / b.R,
+    }
+    eig = mass_oracle.eigendecompose(A)
+    modes = solve_modes(net, method="state_space")
+    assert modes
+    for mode in modes:
+        i = int(np.argmin(np.abs(eig.eigenvalues - mode.lam)))
+        layer3 = element_layer_report(net, ("branch", 0), mode).layer3
+        for param in ("L", "R"):
+            want, _ = mass_oracle.parameter_sensitivity_ss(eig, i, dA[param])
+            assert abs(layer3[param] - want) <= 1e-10 * abs(want), (mode.lam, param)
 
 
 # ---------------------------------------------------------------------------
@@ -698,17 +734,10 @@ def _reference_layers(net, ref, mode, overrides):
     if kind == "branch":
         b = net.branches[idx]
         if b.ratio == 1.0 and b.R > 0:
-            j, k = b.from_bus, b.to_bus
-            split = split_branch(b.R, b.L, net.omega0, lam)
-            aug = split_node_residues(res, j, k, split.z1, split.z2)
-            dy1_dL, dy2_dR = split_parameter_derivatives(split)
-            d_L = -(res[block_slice(j), block_slice(j)] + aug.Z_ff - aug.Z_if(j) - aug.Z_fi(j))
-            d_R = -(aug.Z_ff + res[block_slice(k), block_slice(k)] - aug.Z_fi(k) - aug.Z_if(k))
-            out["L"] = frobenius_inner(d_L.conj().T, dy1_dL)
-            out["R"] = frobenius_inner(d_R.conj().T, dy2_dR)
+            out.update(_split_route_layer3(net, idx, mode))
         else:
             for param in ("L", "R"):
-                out[param] = branch_parameter_sensitivity(net, idx, res, lam, param, via="direct")
+                out[param] = branch_parameter_sensitivity(net, idx, res, lam, param)
     elif kind == "shunt":
         sh = net.shunts[idx]
         om = omega_block(lam, net.omega0)
@@ -770,12 +799,12 @@ def test_mode_layer_reports_match_element_formulas(case, request):
 def test_zero_resistance_line_takes_direct_route(request):
     net, modes, _ = _kernel_case("zero_R_line", request)
     mode = modes[0]
+    b = net.branches[0]
+    split = split_branch(b.R, b.L, net.omega0, mode.lam)
     with pytest.raises(DegenerateSplitError):
-        branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, "L", via="split")
+        split_node_residues(mode.residue, b.from_bus, b.to_bus, split.z1, split.z2)
     for param in ("L", "R"):
-        direct = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param, via="direct")
-        auto = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param)
-        assert auto == pytest.approx(direct, rel=1e-12)
+        direct = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param)
         batched = element_layer_report(net, ("branch", 0), mode).layer3[param]
         assert batched == pytest.approx(direct, rel=1e-12)
 

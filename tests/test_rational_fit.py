@@ -279,7 +279,7 @@ def test_refine_mode_divergence():
     # constant nonsingular response: no zeros anywhere
     flat = lambda s: np.diag([2.0 + 0.0j, 3.0 + 0.0j])
     with pytest.raises(RefinementError):
-        refine_mode(flat, seed=0.0 + 0.0j, max_iterations=10)
+        refine_mode(flat, seed=0.0 + 0.0j)
 
 
 def test_refine_mode_duplicate_detection(rc_bus_net):
