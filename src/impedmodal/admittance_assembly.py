@@ -51,6 +51,7 @@ __all__ = [
     "element_label",
     "element_admittance",
     "element_stamp",
+    "overlay_admittance",
 ]
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -494,3 +495,19 @@ class PerturbedModel(WholeSystemModel):
                 self.net, self.element, s, self.apparatus_overrides
             )
         return Y
+
+
+def overlay_admittance(model: WholeSystemModel, refs, factor: float, s, rows) -> np.ndarray:
+    """Y at each point ``s[m]`` with element ``refs[rows[m]]`` scaled by
+    ``factor``, stacked (M, 2n, 2n): one evaluation of ``model`` over every
+    point, then each element's stamp over its own points. Point m equals
+    ``PerturbedModel(model.net, refs[rows[m]], factor, overrides).admittance(s[m])``
+    bit for bit."""
+    s, rows = np.asarray(s, dtype=complex), np.asarray(rows)
+    Y = model.admittance(s)
+    if factor != 1.0:
+        for e in np.unique(rows).tolist():
+            at = rows == e
+            Y[at] += (factor - 1.0) * element_stamp(model.net, refs[e], s[at],
+                                                    model.apparatus_overrides)
+    return Y

@@ -316,7 +316,7 @@ def run(config: AnalysisConfig) -> int:
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
             net, [records[k] for k in selected], refs, epsilon=config.epsilon,
-            apparatus_overrides=overrides or None,
+            apparatus_overrides=overrides or None, reference_modes=[r.lam for r in records],
         )
         validation: dict = {"epsilon": config.epsilon, "modes": []}
         labels = [assembly.element_label(net, ref) for ref in refs]

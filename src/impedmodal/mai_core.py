@@ -727,7 +727,7 @@ def _solve_modes_impedance(model, band):
     w_lo, w_hi = band
     poles, _ = rational_fit.loewner_poles(model, band)
     seeds = [p for p in poles if p.imag >= 0 and w_lo * 0.5 <= abs(p.imag) <= w_hi * 1.5]
-    modes = rational_fit.find_modes(model.admittance, seeds)
+    modes = rational_fit.find_modes(model, seeds)
     for p in seeds:  # census: each realized pole in the band must end in a refined mode
         if w_lo <= p.imag <= w_hi and all(abs(p - lam) > rational_fit.MERGE_TOL * (1.0 + abs(lam))
                                           for lam in modes):
@@ -835,7 +835,23 @@ def _nearest_other_distance(eigenvalues: np.ndarray, i: int) -> float:
 
 
 # the failures one element's validation can end in; each stays with its element
-_VALIDATION_ERRORS = (AnalysisError, rational_fit.RefinementError, mass_oracle.OracleError)
+_VALIDATION_ERRORS = (AnalysisError, rational_fit.RefinementError, mass_oracle.OracleError,
+                      assembly.AssemblyError)
+
+
+def _gated_outcome(mode, predicted: complex, anchor: complex, root, gap: float):
+    """One element's validation from its re-solved ``root`` near ``anchor``:
+    the error the re-solve ended in, a TrackingError when the root lies
+    beyond 0.3 x ``gap`` from the anchor, or its ValidationRecord."""
+    if isinstance(root, Exception):
+        if not isinstance(root, _VALIDATION_ERRORS):
+            raise root
+        return root
+    try:
+        lam_new = track_mode(anchor, [root], spacing=gap)
+        return validate_prediction(predicted, lam_new - mode.lam)
+    except AnalysisError as exc:
+        return exc
 
 
 def _secular_outcomes(oracle, mode, predicted, updates) -> list:
@@ -850,15 +866,24 @@ def _secular_outcomes(oracle, mode, predicted, updates) -> list:
     anchors = [mode.lam + predicted[e] for e in solved]
     roots = mass_oracle.updated_eigenvalues(oracle, i, [updates[e] for e in solved], anchors)
     for e, anchor, root in zip(solved, anchors, roots):
-        if isinstance(root, mass_oracle.OracleError):
-            outcomes[e] = root
-            continue
-        try:
-            lam_new = track_mode(anchor, [root], spacing=gap)
-            outcomes[e] = validate_prediction(predicted[e], lam_new - mode.lam)
-        except AnalysisError as exc:
-            outcomes[e] = exc
+        outcomes[e] = _gated_outcome(mode, predicted[e], anchor, root, gap)
     return outcomes
+
+
+def _overlay_outcomes(model, refs, mode, predicted, factor, reference) -> list:
+    """Every element's validation at one mode from impedance data: one
+    stacked Newton over all elements, each on Y with its own element scaled
+    by ``factor`` and anchored at lambda + its ``predicted`` shift, gated at
+    0.3 x the distance from lambda to its nearest other ``reference`` mode
+    (the one nearest lambda stands for it)."""
+    gap = _nearest_other_distance(reference, int(np.argmin(np.abs(reference - mode.lam))))
+    anchors = [mode.lam + shift for shift in predicted]
+    roots = rational_fit.refine_modes(
+        lambda s, rows: assembly.overlay_admittance(model, refs, factor, s, rows),
+        anchors, model.dim,
+    )
+    return [_gated_outcome(mode, shift, anchor, root, gap)
+            for shift, anchor, root in zip(predicted, anchors, roots)]
 
 
 def validate_mode_predictions(
@@ -867,23 +892,28 @@ def validate_mode_predictions(
     refs: Sequence[ElementRef],
     epsilon: float = 0.05,
     apparatus_overrides=None,
+    reference_modes: Optional[Sequence[complex]] = None,
 ) -> list[list]:
     """Predict each mode's shift for a (1 + eps) scaling of each element and
     compare it against the re-solved mode of the perturbed system.
 
     Returns one list per mode with one entry per element: its
     ``ValidationRecord``, or the error (``AnalysisError``,
-    ``RefinementError`` or ``OracleError``) its validation ended in. The
-    predicted shifts come from the stacked s and y(lambda) of
-    :func:`mode_layer_reports`; a mode where an element's admittance cannot
-    be evaluated gives every element that error. On the oracle route (as
-    in :func:`solve_modes`), each element's row update of the state matrix
-    A is built once for all modes, and :func:`mass_oracle.updated_eigenvalues`
-    re-solves a mode's elements in one batched Newton on the secular
-    equation, anchored at lambda + the predicted shift and gated at 0.3 x
-    the distance from lambda to its nearest other eigenvalue of A.
-    Otherwise the scaled element is overlaid on the admittance evaluator
-    and the mode Newton-refined from its old location.
+    ``RefinementError``, ``OracleError`` or ``AssemblyError``) its
+    validation ended in. The predicted shifts come from the stacked s and
+    y(lambda) of :func:`mode_layer_reports`; a mode where an element's
+    admittance cannot be evaluated gives every element that error. Each
+    element's re-solve is anchored at lambda + its predicted shift and
+    gated at 0.3 x the distance from lambda to its nearest other mode. On
+    the oracle route (as in :func:`solve_modes`), each element's row update
+    of the state matrix A is built once for all modes,
+    :func:`mass_oracle.updated_eigenvalues` re-solves a mode's elements in
+    one batched Newton on the secular equation, and the gate takes every
+    eigenvalue of A. Otherwise a mode's elements are re-solved in one
+    stacked Newton (:func:`rational_fit.refine_modes`) on the admittance
+    with each one's element scaled (:func:`admittance_assembly.overlay_admittance`),
+    and the gate takes ``reference_modes`` (the run's modes; by default the
+    lambdas of ``modes``) and their conjugates.
     """
     lay = _element_layout(net, refs)
     oracle = updates = None
@@ -894,6 +924,12 @@ def validate_mode_predictions(
                 updates.append(oracle.element_update(ref, 1.0 + epsilon))
             except _VALIDATION_ERRORS as exc:
                 updates.append(exc)
+    else:
+        model = WholeSystemModel(net, apparatus_overrides)
+        reference = np.asarray([mode.lam for mode in modes] if reference_modes is None
+                               else reference_modes, dtype=complex)
+        # the conjugates are zeros of det Y too; a mode given twice is one mode
+        reference = np.unique(np.concatenate([reference, reference.conj()]))
     results = []
     for mode in modes:
         try:
@@ -904,16 +940,9 @@ def validate_mode_predictions(
         predicted = predict_mode_shift(s, epsilon * y).tolist()
         if oracle is not None:
             results.append(_secular_outcomes(oracle, mode, predicted, updates))
-            continue
-        outcomes = []
-        for ref, shift in zip(refs, predicted):
-            try:
-                overlay = assembly.PerturbedModel(net, ref, 1.0 + epsilon, apparatus_overrides)
-                lam_new = rational_fit.refine_mode(overlay.admittance, mode.lam)
-                outcomes.append(validate_prediction(shift, lam_new - mode.lam))
-            except _VALIDATION_ERRORS as exc:
-                outcomes.append(exc)
-        results.append(outcomes)
+        else:
+            results.append(_overlay_outcomes(model, refs, mode, predicted, 1.0 + epsilon,
+                                             reference))
     return results
 
 
@@ -928,11 +957,13 @@ def validate_element_prediction(
     """The one-element case of :func:`validate_mode_predictions`, raising
     the error its validation ends in: ``TrackingError`` beyond the gate,
     ``OracleError`` (``DefectiveMatrixError`` for an ill-conditioned
-    eigenvalue) or ``RefinementError`` when the re-solve fails.
-    ``reference_modes`` is accepted and not read: the gate takes every
-    eigenvalue of the state matrix.
+    eigenvalue), ``RefinementError`` or ``AssemblyError`` when the re-solve
+    fails. ``reference_modes`` (the run's modes; by default the mode alone)
+    and their conjugates set the gate on the impedance route; the oracle
+    route's gate takes every eigenvalue of the state matrix.
     """
-    outcome = validate_mode_predictions(net, [mode], [ref], epsilon, apparatus_overrides)[0][0]
+    outcome = validate_mode_predictions(net, [mode], [ref], epsilon, apparatus_overrides,
+                                        reference_modes)[0][0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

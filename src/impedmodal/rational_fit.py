@@ -1,7 +1,8 @@
 """Mode location and residue extraction from frequency-domain data.
 
-The poles of a tangential Loewner realization of Z = Y^-1 seed Newton
-iteration on the smallest-magnitude eigenvalue of Y(s); residues come from
+The poles of a tangential Loewner realization of Z = Y^-1 seed one stacked
+Newton iteration on the smallest-magnitude eigenvalue of Y(s), the same
+that re-solves perturbed modes for validation; residues come from
 Y around each mode, a rational model or a state-space realization. Vector
 fitting serves sampled responses (apparatus surrogates, the ``fit`` command).
 """
@@ -33,6 +34,7 @@ __all__ = [
     "vector_fit",
     "fit_residues",
     "refine_mode",
+    "refine_modes",
     "find_modes",
     "loewner_poles",
     "critical_resonance_mode",
@@ -473,10 +475,111 @@ def fit_apparatus_surrogate(
 # ---------------------------------------------------------------------------
 
 
-def _min_eig(Y: np.ndarray):
-    mu, V = np.linalg.eig(Y)
-    k = int(np.argmin(np.abs(mu)))
-    return mu[k], V[:, k], mu
+def _pointwise(Yfun: Callable[[complex], np.ndarray]):
+    """A one-point callable s -> Y as a row-aware evaluator, called point by point."""
+    return lambda s, rows: np.array([np.asarray(Yfun(complex(x)), dtype=complex) for x in s])
+
+
+def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outcomes: list):
+    """One Newton iteration of the seeds ``rows``: moves their iterates in
+    ``s``, records in ``outcomes`` the root of each seed that converged and
+    the error of each that failed, and returns the rows still moving."""
+    x = s[rows]
+    h = 1e-6 * (1.0 + np.abs(x))
+    diff_error = None
+    try:
+        Y = np.asarray(Yfun(np.concatenate([x, x + h, x - h]), np.tile(rows, 3)), dtype=complex)
+    except Exception as exc:
+        # kept per row: the caller decides which errors end a seed and which propagate
+        if rows.size > 1:  # evaluated again row by row, to tell which rows fail
+            return np.concatenate([_newton_step(Yfun, s, seeds, rows[m:m + 1], outcomes)
+                                   for m in range(rows.size)])
+        try:  # the row may still have converged where Y itself evaluates
+            Y = np.asarray(Yfun(x, rows), dtype=complex)
+        except Exception as exc_at_x:
+            outcomes[rows[0]] = exc_at_x
+            return rows[:0]
+        diff_error = exc
+    k = rows.size
+    live = np.flatnonzero(np.isfinite(Y[:k]).all(axis=(1, 2)))
+    for m in np.setdiff1d(np.arange(k), live):
+        outcomes[rows[m]] = RefinementError(f"admittance not finite at s = {complex(x[m])}")
+    Y0 = Y[live]
+    mu, V = np.linalg.eig(Y0)
+    at = np.arange(live.size)
+    j = np.argmin(np.abs(mu), axis=1)
+    mu, v = mu[at, j], V[at, :, j]
+    done = np.abs(mu) <= _NEWTON_TOL * np.linalg.norm(Y0, axis=(1, 2))
+    for m in live[done]:
+        outcomes[rows[m]] = complex(x[m])
+    step = live[~done]
+    if diff_error is not None:
+        for m in step:
+            outcomes[rows[m]] = diff_error
+        return rows[:0]
+    Y0, mu, v = Y0[~done], mu[~done], v[~done]
+    dY = (Y[k + step] - Y[2 * k + step]) / (2 * h[step])[:, None, None]
+    muL, W = np.linalg.eig(np.conj(Y0).swapaxes(1, 2))
+    at = np.arange(step.size)
+    w = W[at, :, np.argmin(np.abs(muL - np.conj(mu)[:, None]), axis=1)]
+    # row-wise sums, so that a row's arithmetic does not depend on its batch
+    denom = np.sum(np.conj(w) * v, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dmu = np.sum(np.conj(w) * np.sum(dY * v[:, None, :], axis=2), axis=1) / denom
+        x_new = x[step] - mu / dmu
+    moving = []
+    for m, d, dm, xn in zip(step, denom, dmu, x_new):
+        r = rows[m]
+        if d == 0:
+            outcomes[r] = RefinementError(f"degenerate eigenvector pairing at s = {complex(x[m])}")
+        elif dm == 0 or not np.isfinite(dm):
+            outcomes[r] = RefinementError(f"flat eigenvalue derivative at s = {complex(x[m])}")
+        elif not np.isfinite(xn) or abs(xn) > 1e12:
+            outcomes[r] = RefinementError(f"Newton iteration diverged from seed {seeds[r]}")
+        else:
+            s[r] = xn
+            moving.append(r)
+    return np.array(moving, dtype=int)
+
+
+def refine_modes(
+    Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    seeds: Sequence[complex],
+    dim: Optional[int] = None,
+) -> list:
+    """Newton-refine many seeds at once to zeros of det Y(s), each driving
+    the smallest-magnitude eigenvalue of Y to zero (the zero sets coincide,
+    and the smallest eigenvalue is numerically tame where the determinant
+    explodes).
+
+    ``Yfun(s, rows)`` returns Y at the points of the 1-D array ``s``,
+    stacked (len(s), dim, dim); point m is evaluated for seed ``rows[m]``,
+    so each seed may see its own Y (an overlaid element, say). An iteration
+    evaluates s, s + h and s - h of every seed still moving in one call,
+    holding at most ``_BATCH_BYTES`` of Y (all seeds at once when ``dim`` is
+    None), and runs one stacked eig of Y and one of Y^H: the eigenvalue
+    derivative along s pairs the left and right eigenvectors with the
+    central difference of Y. Converged seeds drop out. Returns, per seed,
+    its root or the exception it ended in: a RefinementError (flat
+    derivative, divergence, no convergence), or what ``Yfun`` raised at its
+    points. A call that raises is repeated seed by seed to tell which seeds
+    fail; the others keep their values.
+    """
+    seeds = np.array(seeds, dtype=complex).reshape(-1)
+    s = seeds.copy()
+    outcomes: list = [None] * s.size
+    batch = s.size if dim is None else max(1, _BATCH_BYTES // (48 * dim**2))
+    active = np.arange(s.size)
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        if not active.size:
+            break
+        active = np.concatenate([_newton_step(Yfun, s, seeds, active[k:k + batch], outcomes)
+                                 for k in range(0, active.size, batch)])
+    for r in active:
+        outcomes[r] = RefinementError(
+            f"no convergence from seed {seeds[r]} after {_NEWTON_MAX_ITERATIONS} iterations"
+        )
+    return outcomes
 
 
 def refine_mode(
@@ -484,63 +587,46 @@ def refine_mode(
     seed: complex,
     known_modes: Iterable[complex] = (),
 ) -> complex:
-    """Newton-refine a zero of det Y(s), driving the smallest-magnitude
-    eigenvalue of Y to zero (the zero sets coincide, and the smallest
-    eigenvalue is numerically tame where the determinant explodes).
+    """Newton-refine a zero of det Y(s) from one seed: the one-seed case of
+    :func:`refine_modes`, with ``Yfun`` called point by point.
 
-    The eigenvalue derivative along s uses the left/right eigenvectors of
-    Y and a central difference of Y itself. Raises RefinementError on
-    divergence and DuplicateModeError when landing within the merge
-    tolerance of a known mode.
+    Raises what the refinement ended in (RefinementError on divergence, or
+    what ``Yfun`` raised) and DuplicateModeError when landing within the
+    merge tolerance of a known mode.
     """
-    s = complex(seed)
-    lam: Optional[complex] = None
-    for _ in range(_NEWTON_MAX_ITERATIONS):
-        Y = np.asarray(Yfun(s), dtype=complex)
-        scale = np.linalg.norm(Y)
-        mu, v, _ = _min_eig(Y)
-        if abs(mu) <= _NEWTON_TOL * scale:
-            lam = s
-            break
-        h = 1e-6 * (1.0 + abs(s))
-        dY = (np.asarray(Yfun(s + h), dtype=complex) - np.asarray(Yfun(s - h), dtype=complex)) / (2 * h)
-        muL, W = np.linalg.eig(Y.conj().T)
-        kl = int(np.argmin(np.abs(muL - np.conj(mu))))
-        w = W[:, kl]
-        denom = np.vdot(w, v)
-        if denom == 0:
-            raise RefinementError(f"degenerate eigenvector pairing at s = {s}")
-        dmu = np.vdot(w, dY @ v) / denom
-        if dmu == 0 or not np.isfinite(dmu):
-            raise RefinementError(f"flat eigenvalue derivative at s = {s}")
-        step = mu / dmu
-        s = s - step
-        if not np.isfinite(s) or abs(s) > 1e12:
-            raise RefinementError(f"Newton iteration diverged from seed {seed}")
-    if lam is None:
-        raise RefinementError(
-            f"no convergence from seed {seed} after {_NEWTON_MAX_ITERATIONS} iterations"
-        )
+    (lam,) = refine_modes(_pointwise(Yfun), [seed])
+    if isinstance(lam, Exception):
+        raise lam
     for known in known_modes:
         if abs(lam - known) <= MERGE_TOL * (1.0 + abs(lam)):
             raise DuplicateModeError(lam, known)
     return lam
 
 
-def find_modes(Yfun: Callable[[complex], np.ndarray], seeds: Iterable[complex]) -> list[complex]:
-    """Refine many seeds, merging duplicates; failures are skipped.
+def find_modes(model, seeds: Iterable[complex]) -> list[complex]:
+    """Refine many seeds in one :func:`refine_modes` and merge them in seed
+    order: a root within the merge tolerance of an earlier one is dropped,
+    and seeds whose refinement fails are skipped (any other error
+    propagates, the first in seed order).
 
-    Returned modes are sorted by imaginary part; modes whose imaginary
-    parts agree to 1e-9 relative (two modes at one frequency, which Newton
-    leaves ordered by rounding noise alone) are sorted by real part.
+    ``model`` is a WholeSystemModel, whose ``admittance`` is evaluated
+    stacked, or any callable s -> Y, called point by point. Returned modes
+    are sorted by imaginary part; modes whose imaginary parts agree to 1e-9
+    relative (two modes at one frequency, which Newton leaves ordered by
+    rounding noise alone) are sorted by real part.
     """
+    if hasattr(model, "admittance"):
+        outcomes = refine_modes(lambda s, rows: model.admittance(s), list(seeds), model.dim)
+    else:
+        outcomes = refine_modes(_pointwise(model), list(seeds))
     modes: list[complex] = []
-    for seed in seeds:
-        try:
-            lam = refine_mode(Yfun, seed, known_modes=modes)
-        except RefinementError:  # diverged, or a DuplicateModeError
+    for lam in outcomes:
+        if isinstance(lam, RefinementError):
             continue
-        modes.append(lam)
+        if isinstance(lam, Exception):
+            raise lam
+        if all(abs(lam - known) > MERGE_TOL * (1.0 + abs(lam)) for known in modes):
+            modes.append(lam)
     ordered: list[complex] = []
     run: list[complex] = []
     for lam in sorted(modes, key=lambda z: (z.imag, z.real)):

@@ -20,6 +20,7 @@ from impedmodal.admittance_assembly import (
     inv2,
     inv2_masked,
     network_elements,
+    overlay_admittance,
     shunt_admittance,
     shunt_admittances,
     transformer_stamp,
@@ -470,6 +471,18 @@ def test_stacked_element_helpers_match_pointwise():
         assert np.array_equal(stacked, np.array([apparatus_admittance(app.model, complex(s),
                                                                       app.theta)
                                                  for s in s_grid]))
+
+
+def test_overlay_admittance_equals_perturbed_model_at_each_point():
+    """Each point of the stacked overlay, its element scaled by 1.07, is
+    the one-element PerturbedModel's Y there, bit for bit."""
+    net = _mixed_net(sampled=False)
+    refs = network_elements(net)
+    s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
+    rows = np.arange(s_grid.size) % len(refs)
+    overlay = overlay_admittance(WholeSystemModel(net), refs, 1.07, s_grid, rows)
+    for s, row, Y in zip(s_grid, rows, overlay):
+        assert np.array_equal(Y, PerturbedModel(net, refs[row], 1.07).admittance(s))
 
 
 def test_stacked_singular_point_names_first_offender(rc_bus_net):

@@ -10,7 +10,9 @@ from pathlib import Path
 
 from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
 from impedmodal.admittance_assembly import (
+    EvaluationError,
     WholeSystemModel,
+    apparatus_admittance,
     block_slice,
     dq_series_impedance,
     element_admittance,
@@ -251,13 +253,19 @@ def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_b
     """Doubling apparatus 0's admittance: the prediction overshoots the
     lowest mode into the lower half-plane, where the eigenvalue nearest
     lambda + the predicted shift is the conjugate of the continued mode,
-    117 away against a gate of 0.3 x 104.5. Both routes refuse it."""
+    117 away against a gate of 0.3 x 104.5. Both routes refuse it, and so
+    does the admittance overlay, whose gate counts the conjugates of the
+    run's modes (here lambda's own, 104.5 away) among the other modes."""
     ref, mode = ("apparatus", 0), three_bus_modes[0]
     with pytest.raises(TrackingError):
         validate_element_prediction(three_bus_net, ref, mode, epsilon=1.0)
     refs = network_elements(three_bus_net)
     batched = mai_core.validate_mode_predictions(three_bus_net, [mode], refs, epsilon=1.0)[0]
     assert isinstance(batched[refs.index(ref)], TrackingError)
+    overlay = mai_core.validate_mode_predictions(
+        three_bus_net, three_bus_modes, refs, epsilon=1.0,
+        apparatus_overrides=_exact_apparatus(three_bus_net))[0]
+    assert isinstance(overlay[refs.index(ref)], TrackingError)
 
 
 @pytest.mark.parametrize("case", ["three_bus", 0, 1, 2, "rational"])
@@ -287,6 +295,82 @@ def test_run_level_validation_agrees_with_the_one_element_call(three_bus_net, ca
             assert type(got) is type(alone), (ref, mode.lam)
             if not isinstance(got, Exception):
                 assert abs(got.actual - alone.actual) <= 1e-12 * abs(mode.lam), (ref, mode.lam)
+
+
+def _exact_apparatus(net):
+    """Every apparatus's own admittance as an override: the same network,
+    validated through the admittance overlay instead of the oracle."""
+    return {i: (lambda s, app=app: apparatus_admittance(app.model, s, app.theta))
+            for i, app in enumerate(net.apparatus)}
+
+
+def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes):
+    """At eps 0.05, each of the 63 (mode, element) pairs validated through
+    the admittance overlay ends like the oracle route's secular re-solve,
+    with the same re-solved shift within 1e-8 |lambda|. Newton from the old
+    lambda instead of lambda + the predicted shift ended 1.3 |lambda| away,
+    at another mode, for 4 elements of the mode at Im lambda = w0."""
+    refs = network_elements(three_bus_net)
+    oracle = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
+    overlay = mai_core.validate_mode_predictions(
+        three_bus_net, three_bus_modes, refs, 0.05,
+        apparatus_overrides=_exact_apparatus(three_bus_net))
+    assert len(three_bus_modes) * len(refs) == 63
+    for mode, want, got in zip(three_bus_modes, oracle, overlay):
+        for ref, a, b in zip(refs, want, got):
+            assert type(b) is type(a), (ref, mode.lam)
+            if not isinstance(a, Exception):
+                assert abs(b.actual - a.actual) <= 1e-8 * abs(mode.lam), (ref, mode.lam)
+
+
+def test_impedance_route_evaluates_the_model_per_mode_not_per_element(
+        three_bus_net, three_bus_modes, monkeypatch):
+    """The overlay route re-solves a mode's 9 elements in one stacked
+    Newton: fewer than 10 evaluations of the whole-system admittance per
+    mode, not about 9 per (mode, element)."""
+    calls = []
+    admittance = WholeSystemModel.admittance
+
+    def counting(self, s):
+        calls.append(np.size(s))
+        return admittance(self, s)
+
+    monkeypatch.setattr(WholeSystemModel, "admittance", counting)
+    mai_core.validate_mode_predictions(
+        three_bus_net, three_bus_modes, network_elements(three_bus_net), 0.05,
+        apparatus_overrides=_exact_apparatus(three_bus_net))
+    assert 0 < len(calls) < 10 * len(three_bus_modes)
+
+
+def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_modes):
+    """Apparatus 0 evaluable only within 1e-3 of the second mode: no error
+    escapes the run. At that mode, the elements predicted to move it by
+    less than 1e-4 keep, bit for bit, the results of an override valid
+    everywhere; those predicted to move it further, and every element at
+    the other modes, end in the EvaluationError."""
+    refs = network_elements(three_bus_net)
+    lam1 = three_bus_modes[1].lam
+    exact = _exact_apparatus(three_bus_net)
+
+    def fragile(s):
+        if np.any(np.abs(np.asarray(s) - lam1) > 1e-3):
+            raise EvaluationError(f"apparatus 0 is defined within 1e-3 of {lam1} only")
+        return exact[0](s)
+
+    want = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05,
+                                              apparatus_overrides=exact)
+    got = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05,
+                                             apparatus_overrides={**exact, 0: fragile})
+    kept = 0
+    for k, (mode_want, mode_got) in enumerate(zip(want, got)):
+        for a, b in zip(mode_want, mode_got):
+            if k == 1 and abs(a.predicted) < 1e-4:
+                assert b == a
+                kept += 1
+            else:
+                assert isinstance(b, EvaluationError)
+                assert k != 1 or abs(a.predicted) > 1e-3
+    assert 0 < kept < len(refs)
 
 
 def _algebraic_bus_net(three_bus_net):
@@ -1060,8 +1144,6 @@ def test_model_without_off_axis_values_fails_before_the_realization():
     """Raw sampled apparatus are defined on the jw axis only, where Newton
     cannot refine: the search stops at once with that reason instead of
     growing the Loewner pencil on interpolated data."""
-    from impedmodal.admittance_assembly import EvaluationError
-
     path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
     net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
     with pytest.raises(EvaluationError, match="imaginary axis"):

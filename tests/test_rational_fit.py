@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from impedmodal import rational_fit
 from impedmodal.admittance_assembly import WholeSystemModel
 from impedmodal.mass_oracle import interconnect
 from impedmodal.network_model import NetworkFormatError, read_response_csv, write_response_csv
@@ -19,6 +20,7 @@ from impedmodal.rational_fit import (
     frequency_grid,
     initial_poles,
     refine_mode,
+    refine_modes,
     residue_at_mode,
     sample_response,
     vector_fit,
@@ -288,11 +290,61 @@ def test_refine_mode_duplicate_detection(rc_bus_net):
         refine_mode(model.admittance, seed=-8.0 + 300.0j, known_modes=[RC_MODE])
 
 
+def test_refine_modes_gives_each_seed_its_bits_alone_in_bounded_batches(two_bus_net,
+                                                                        monkeypatch):
+    """Seeds refined together, two to a batch (the _BATCH_BYTES of Y of two
+    seeds), end on the same bits as each seed refined alone, and no call
+    of the evaluator holds more than _BATCH_BYTES of Y."""
+    from impedmodal.mass_oracle import eigendecompose
+
+    model = WholeSystemModel(two_bus_net)
+    eig = eigendecompose(interconnect(two_bus_net).A)
+    seeds = [complex(lam) * 1.02 + 5.0 for lam in eig.eigenvalues if lam.imag > 0]
+    assert len(seeds) == 3
+    alone = [refine_mode(model.admittance, seed) for seed in seeds]
+    points = []
+
+    def Yfun(s, rows):
+        points.append(len(s))
+        return model.admittance(s)
+
+    monkeypatch.setattr(rational_fit, "_BATCH_BYTES", 2 * 48 * model.dim**2)
+    assert refine_modes(Yfun, seeds, model.dim) == alone
+    assert max(points) * 16 * model.dim**2 <= rational_fit._BATCH_BYTES
+
+
+def test_refine_modes_keeps_each_failure_with_its_seed():
+    """A seed whose Y has no zero ends in its own RefinementError, and one
+    whose evaluation raises ends in that error; the other seeds of the
+    batch converge as they do alone."""
+    a, b = complex(-5.0, 300.0), complex(-3.0, 200.0)
+
+    def Y(s):
+        return np.diag([s - a, s - b])
+
+    def Yfun(s, rows):
+        if np.any(rows == 2):
+            raise ValueError("seed 2 cannot be evaluated")
+        out = np.array([Y(x) for x in s])
+        out[rows == 1] = np.diag([2.0, 3.0])
+        return out
+
+    seeds = [a + 1.0, b - 1.0, a, b + 0.5j]
+    got = refine_modes(Yfun, seeds)
+    assert got[0] == refine_mode(Y, seeds[0])
+    assert isinstance(got[1], RefinementError)
+    assert isinstance(got[2], ValueError)
+    assert got[3] == refine_mode(Y, seeds[3])
+
+
 def test_find_modes_deduplicates(rc_bus_net):
+    """Point by point or stacked over the model, the same one mode."""
     model = WholeSystemModel(rc_bus_net)
-    modes = find_modes(model.admittance, [-8 + 300j, -12 + 320j, -8 + 300j])
+    seeds = [-8 + 300j, -12 + 320j, -8 + 300j]
+    modes = find_modes(model.admittance, seeds)
     assert len(modes) == 1
     assert abs(modes[0] - RC_MODE) <= 1e-8 * abs(RC_MODE)
+    assert find_modes(model, seeds) == modes
 
 
 def test_find_modes_orders_frequency_ties_by_real_part():
