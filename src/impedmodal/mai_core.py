@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
@@ -706,19 +707,28 @@ def element_layer_report(
 # ---------------------------------------------------------------------------
 
 
+def _in_band(eigenvalues: np.ndarray, band) -> np.ndarray:
+    """Indices of the eigenvalues a run reports as modes, in the order it
+    reports them: Im >= 0 (a conjugate partner carries the same
+    information), |Im| within ``band`` when one is given, ascending by
+    (Im, Re)."""
+    lam = eigenvalues
+    keep = lam.imag >= 0
+    if band is not None:
+        keep &= (band[0] <= np.abs(lam.imag)) & (np.abs(lam.imag) <= band[1])
+    idx = np.flatnonzero(keep)
+    return idx[np.lexsort((lam[idx].real, lam[idx].imag))]
+
+
 def _solve_modes_state_space(net, band):
     ss = mass_oracle.interconnect(net)
     eig = mass_oracle.eigendecompose(ss.A)
-    records = []
-    for i, lam in enumerate(eig.eigenvalues):
-        lam = complex(lam)
-        if lam.imag < 0:
-            continue  # conjugate partner carries the same information
-        if band is not None and not (band[0] <= abs(lam.imag) <= band[1]):
-            continue
-        res = np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B)
-        records.append(ModeRecord(lam=lam, residue=res, provenance="state-space"))
-    return sorted(records, key=lambda r: (r.lam.imag, r.lam.real))
+    return [
+        ModeRecord(lam=complex(eig.eigenvalues[i]),
+                   residue=np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B),
+                   provenance="state-space")
+        for i in _in_band(eig.eigenvalues, band)
+    ]
 
 
 def _solve_modes_impedance(model, band):
@@ -969,6 +979,59 @@ def validate_element_prediction(
     return outcome
 
 
+class _ResolvedSweep:
+    """How a sweep gets its modes on the impedance route: ``modes`` gives a
+    step's modes from a whole :func:`solve_modes`, ``residue(k)`` the
+    impedance residue of the k-th of them."""
+
+    def __init__(self, band):
+        self.band = band
+
+    def modes(self, net: NetworkDescription) -> np.ndarray:
+        self.records = solve_modes(net, band=self.band)
+        return np.array([r.lam for r in self.records], dtype=complex)
+
+    def residue(self, k: int) -> np.ndarray:
+        return self.records[k].residue
+
+
+class _OracleSweep:
+    """How a sweep gets its modes on the oracle route, with the interface of
+    :class:`_ResolvedSweep`. The first network's modes come from its
+    eigendecomposition, filtered as in :func:`solve_modes`. Every later
+    network differs in the swept branch alone: its rows are written into
+    working copies of A and B, whose eigenvalues come without eigenvectors."""
+
+    def __init__(self, net: NetworkDescription, branch_index: int, band):
+        self.system = mass_oracle.Interconnection(net)
+        self.ref = ("branch", branch_index)
+        self.band = band
+        self.A = self.B = self.lams = self.index = None
+
+    def modes(self, net: NetworkDescription) -> np.ndarray:
+        self.at_start = self.A is None
+        if self.at_start:
+            lam = self.system.eig.eigenvalues
+            self.A, self.B = self.system.model.A.copy(), self.system.model.B.copy()
+        else:
+            rows, A_rows, B_rows = self.system.element_rows(self.ref, net.branches[self.ref[1]])
+            self.A[rows], self.B[rows] = A_rows, B_rows
+            lam = scipy.linalg.eigvals(self.A)
+        self.index = _in_band(lam, self.band)
+        self.lams = lam[self.index]
+        return self.lams
+
+    def residue(self, k: int) -> np.ndarray:
+        """The impedance residue C x y_h B of mode k, its eigenvectors taken
+        from the eigenbasis at the first network and from one LU after."""
+        if self.at_start:
+            i = self.index[k]
+            x, y_h = self.system.eig.right[:, i], self.system.eig.left[i, :]
+        else:
+            x, y_h = mass_oracle.eigenvector_pair(self.A, self.lams[k])
+        return np.outer(self.system.model.C @ x, y_h @ self.B)
+
+
 def parameter_sweep(
     net: NetworkDescription,
     branch_index: int,
@@ -983,54 +1046,64 @@ def parameter_sweep(
 
     The tracked mode starts at ``mode_seed`` (nearest match) or, by default,
     at the least-damped oscillatory mode. Each prediction is first-order
-    from the previous operating point; the actual mode comes from re-solving
-    the modified network with nearest-mode tracking.
+    from the previous operating point. The actual mode is the nearest of
+    the modified network's modes to lambda + the predicted shift, gated at
+    0.3 x the distance from the tracked mode to its nearest other mode of
+    the previous step (TrackingError beyond it).
+
+    On the oracle route (as in :func:`solve_modes`) the network is
+    assembled and eigendecomposed once. Each step writes the swept branch's
+    rows into working copies of A and B, takes their eigenvalues alone, and
+    the tracked mode's residue from one LU; from the first step on, the
+    conditioning check (DefectiveMatrixError beyond 1e12) covers the tracked
+    eigenvalue, not the whole eigenbasis. Otherwise every step re-solves
+    all modes through :func:`solve_modes`.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")
     if n_steps < 0:
         raise AnalysisError("n_steps must be >= 0")
-    records = solve_modes(net, band=band)
-    if not records:
+    route = (_OracleSweep(net, branch_index, band) if _oracle_route(net, None)
+             else _ResolvedSweep(band))
+    lams = route.modes(net)
+    if not lams.size:
         raise AnalysisError("no modes found to track")
-    oscillatory = [r for r in records if r.lam.imag > 0] or records
     if mode_seed is not None:
-        current = min(records, key=lambda r: abs(r.lam - mode_seed))
+        k = int(np.argmin(np.abs(lams - mode_seed)))
     else:
-        current = max(oscillatory, key=lambda r: r.lam.real)
+        oscillatory = np.flatnonzero(lams.imag > 0)
+        if not oscillatory.size:
+            oscillatory = np.arange(lams.size)
+        k = int(oscillatory[np.argmax(lams[oscillatory].real)])
+    lam = complex(lams[k])
+    residue = route.residue(k)
 
     steps: list[SweepStep] = []
     current_net = net
     for step in range(1, n_steps + 1):
-        b = current_net.branches[branch_index]
-        rho = getattr(b, param)
-        s_rho = branch_parameter_sensitivity(
-            current_net, branch_index, current.residue, current.lam, param
-        )
-        delta_rho = rho * (factor - 1.0)
-        predicted = s_rho * delta_rho
-        new_net = current_net.with_branch(branch_index, **{param: rho * factor})
-        new_records = solve_modes(new_net, band=band)
+        rho = getattr(current_net.branches[branch_index], param)
+        s_rho = branch_parameter_sensitivity(current_net, branch_index, residue, lam, param)
+        predicted = s_rho * (rho * (factor - 1.0))
+        current_net = current_net.with_branch(branch_index, **{param: rho * factor})
+        new_lams = route.modes(current_net)
         # predictor-anchored continuation: large parameter steps can move a
         # mode further than the inter-mode spacing, but the first-order
-        # prediction lands close to the continued branch; the gate is 0.3 x
-        # the distance from the tracked mode to its nearest other one
-        gap = _nearest_other_distance([r.lam for r in records], records.index(current))
-        lam_new = track_mode(current.lam + predicted, [r.lam for r in new_records], spacing=gap)
-        actual = lam_new - current.lam
+        # prediction lands close to the continued branch
+        lam_new = track_mode(lam + predicted, new_lams,
+                             spacing=_nearest_other_distance(lams, k))
+        actual = lam_new - lam
         err = abs(predicted - actual) / abs(predicted) if predicted != 0 else np.inf
         steps.append(
             SweepStep(
                 step=step,
                 rho_before=rho,
                 rho_after=rho * factor,
-                lam_before=current.lam,
-                predicted=current.lam + predicted,
+                lam_before=lam,
+                predicted=lam + predicted,
                 actual=lam_new,
                 error=float(err),
             )
         )
-        current_net = new_net
-        records = new_records
-        current = min(new_records, key=lambda r: abs(r.lam - lam_new))
+        lams, k, lam = new_lams, int(np.argmin(np.abs(new_lams - lam_new))), lam_new
+        residue = route.residue(k)
     return steps

@@ -41,6 +41,7 @@ __all__ = [
     "interconnect",
     "eigendecompose",
     "nearest_eigenvalue",
+    "eigenvector_pair",
     "updated_eigenvalues",
     "participation_matrix",
     "eigenvalue_sensitivity_matrix",
@@ -184,14 +185,15 @@ def scaled_element(net: NetworkDescription, ref: ElementRef, factor: float):
 
 class Interconnection:
     """The closed-system state-space model of one network, with the
-    bookkeeping that rebuilds single rows of its state matrix.
+    bookkeeping that rebuilds single rows of its state model.
 
     Every state row belongs to one block: a bus voltage, a branch current,
     an inductive-shunt current or an apparatus's states. ``model`` is what
     :func:`interconnect` returns, and raises what it raises.
-    :meth:`element_update` gives the rows of A that scaling one element
-    changes, from the same block formulas, so the scaled network is never
-    rebuilt. ``eig`` is the eigenstructure of A, computed on first use.
+    :meth:`element_rows` gives the rows of A and B that replacing one
+    element changes, from the same block formulas, so the changed network
+    is never rebuilt; :meth:`element_update` gives those of A for a scaled
+    element. ``eig`` is the eigenstructure of A, computed on first use.
     """
 
     def __init__(self, net: NetworkDescription):
@@ -366,33 +368,33 @@ class Interconnection:
             voltage_term(el.model.B @ self._rot[idx].T, el.bus)
         return A, B
 
-    def element_update(self, ref: ElementRef, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, A_rows)``: the state rows R that scaling element
-        ``ref``'s admittance by ``factor`` (as :func:`scaled_element`)
-        changes, and those rows of the scaled network's state matrix.
+    def element_rows(self, ref: ElementRef, element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, A_rows, B_rows)``: the state rows R that replacing element
+        ``ref`` by ``element`` (of the same kind and state count) can change,
+        and those rows of the new network's A and B.
 
-        A series element or an inductive shunt writes its own two rows. A
-        capacitive or resistive shunt and an apparatus change their bus's
-        totals: the bus voltage rows, or, at a bus without capacitance,
-        every row reading that bus's eliminated voltage; an apparatus also
-        writes its own rows. Rows the scaling leaves bit-identical are
-        dropped.
+        A series element or an inductive shunt writes its own two rows: no
+        other row reads its R, L or value, and the voltage maps C and D do
+        not depend on them. A capacitive or resistive shunt and an apparatus
+        change their bus's totals: the bus voltage rows, or, at a bus without
+        capacitance, every row reading that bus's eliminated voltage (and
+        then that bus's rows of C and D as well, which are not returned); an
+        apparatus also writes its own rows.
 
         Raises
         ------
         UnsupportedForOracleError
-            If the scaling leaves a bus voltage undefined.
+            If the new element leaves a bus voltage undefined.
         """
-        el = scaled_element(self.net, ref, factor)
-        kind, idx = ref
+        kind, _ = ref
         P, Q = self._P, self._Q
         totals: dict[int, tuple[float, np.ndarray]] = {}
         blocks = []
-        if kind == "branch" or (kind == "shunt" and el.kind == "inductive"):
+        if kind == "branch" or (kind == "shunt" and element.kind == "inductive"):
             blocks.append(ref)
         else:
-            bus = el.bus
-            totals[bus] = self._bus_totals(bus, ref, el)
+            bus = element.bus
+            totals[bus] = self._bus_totals(bus, ref, element)
             if ("bus", bus) in self._start:
                 blocks.append(("bus", bus))
             else:
@@ -402,10 +404,24 @@ class Interconnection:
             if ref in self._start and ref not in blocks:
                 blocks.append(ref)
         parts = [(self._rows(block),
-                  self._block_rows(block, P, Q, totals, el if block == ref else None)[0])
+                  self._block_rows(block, P, Q, totals, element if block == ref else None))
                  for block in blocks]
         rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in parts])
-        A_rows = np.concatenate([a for _, a in parts])
+        return (rows, np.concatenate([a for _, (a, _) in parts]),
+                np.concatenate([b for _, (_, b) in parts]))
+
+    def element_update(self, ref: ElementRef, factor: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, A_rows)``: the rows of A that scaling element ``ref``'s
+        admittance by ``factor`` (as :func:`scaled_element`) changes, from
+        :meth:`element_rows`, so the scaled network is never rebuilt. Rows
+        the scaling leaves bit-identical are dropped.
+
+        Raises
+        ------
+        UnsupportedForOracleError
+            If the scaling leaves a bus voltage undefined.
+        """
+        rows, A_rows, _ = self.element_rows(ref, scaled_element(self.net, ref, factor))
         changed = np.any(A_rows != self.model.A[rows], axis=1)
         return rows[changed], A_rows[changed]
 
@@ -535,6 +551,40 @@ def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
             f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
         )
     return lam
+
+
+def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left eigenvectors ``(x, y_h)`` of A at its eigenvalue
+    ``lam``, normalized so that y_h @ x = 1: x y_h is the residue of
+    (sI - A)^{-1} at ``lam`` (what :func:`resolvent_residue` gives).
+
+    Two steps of inverse iteration each, from a fixed start vector, on one
+    complex LU of A - sigma I, with sigma a few rounding units of ||A|| off
+    ``lam``: at ``lam`` itself the LU can have an exactly zero pivot. The
+    eigenvalue's condition number ||x|| ||y|| / |y^H x| must not exceed the
+    1e12 limit of ``eigendecompose``; a defective eigenvalue has y^H x = 0.
+
+    Raises
+    ------
+    DefectiveMatrixError
+        If the eigenvalue's condition number exceeds 1e12.
+    """
+    n = A.shape[0]
+    sigma = lam + 16 * np.finfo(float).eps * (np.linalg.norm(A) or 1.0)
+    lu = scipy.linalg.lu_factor(A - sigma * np.eye(n), check_finite=False)
+    x = y = np.random.default_rng(0).standard_normal(n).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(2):
+            x = scipy.linalg.lu_solve(lu, x, check_finite=False)
+            y = scipy.linalg.lu_solve(lu, y, trans=2, check_finite=False)
+            x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        overlap = np.vdot(y, x)
+        cond = 1.0 / abs(overlap)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise DefectiveMatrixError(
+            f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
+        )
+    return x, y.conj() / overlap
 
 
 def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> list:

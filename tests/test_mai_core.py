@@ -1017,6 +1017,134 @@ def test_sweep_lc_mode_frequency_rises_as_inductance_falls(three_bus_net, three_
     assert trace[-1] > 1.3 * trace[0]
 
 
+def _resolved_sweep(net, branch_index, param, factor, n_steps, mode_seed=None):
+    """A sweep that re-solves every step's network whole: ``solve_modes`` per
+    step and ``track_mode`` gated at 0.3 x the distance from the tracked
+    mode to its nearest other one. Returns the outcome's kind (``"ok"`` or
+    the error's class) and, per completed step, (predicted, actual,
+    resolved). A prediction is not resolved when the tracked mode's residue
+    is at rounding level against the step's largest: it is noise on any
+    route."""
+    records = solve_modes(net)
+    if mode_seed is None:
+        current = max((r for r in records if r.lam.imag > 0), key=lambda r: r.lam.real)
+    else:
+        current = min(records, key=lambda r: abs(r.lam - mode_seed))
+    steps = []
+    for _ in range(n_steps):
+        rho = getattr(net.branches[branch_index], param)
+        shift = branch_parameter_sensitivity(net, branch_index, current.residue, current.lam,
+                                             param) * (rho * (factor - 1.0))
+        resolved = (np.linalg.norm(current.residue)
+                    > 1e-12 * max(np.linalg.norm(r.residue) for r in records))
+        net = net.with_branch(branch_index, **{param: rho * factor})
+        new = solve_modes(net)
+        gap = mai_core._nearest_other_distance([r.lam for r in records], records.index(current))
+        try:
+            lam = track_mode(current.lam + shift, [r.lam for r in new], spacing=gap)
+        except TrackingError:
+            return "TrackingError", steps
+        steps.append((current.lam + shift, lam, resolved))
+        records, current = new, min(new, key=lambda r: abs(r.lam - lam))
+    return "ok", steps
+
+
+def _assert_sweep_matches(steps, kind, reference, tol):
+    assert kind == "ok"
+    assert len(steps) == len(reference)
+    for st, (predicted, actual, resolved) in zip(steps, reference):
+        assert abs(st.actual - actual) <= 1e-12 * abs(actual)
+        shift = predicted - st.lam_before
+        if resolved:
+            assert abs(st.predicted - predicted) <= tol * abs(shift), st.step
+
+
+@pytest.mark.parametrize("param, factor, n_steps", [("L", 0.8, 7), ("R", 1.5, 5),
+                                                    ("L", 1.25, 5)])
+@pytest.mark.parametrize("branch_index", [0, 1])
+def test_sweep_matches_a_whole_re_solve_per_step(three_bus_net, three_bus_modes, branch_index,
+                                                 param, factor, n_steps):
+    """Every mode of three_bus, swept on line 1-2 and on transformer 2-3,
+    ends as a whole re-solve per step does. After mode 1's first step of
+    L x 1.25 on line 1-2 the tracked mode sits exactly on -20 + j w0, where
+    A - lambda I is exactly singular and the mode is unobservable at the
+    buses: its residue is rounding, and so is the next prediction."""
+    for mode in three_bus_modes:
+        kind, reference = _resolved_sweep(three_bus_net, branch_index, param, factor, n_steps,
+                                          mode.lam)
+        steps = parameter_sweep(three_bus_net, branch_index, param, factor, n_steps,
+                                mode_seed=mode.lam)
+        _assert_sweep_matches(steps, kind, reference, 1e-9)
+
+
+def _ring_with_a_bus_without_capacitance():
+    """A 6-bus ring whose bus 2 carries a resistor instead of a capacitor,
+    so its voltage is eliminated and line 1-2's rows of B are not zero."""
+    from dataclasses import replace
+
+    net = _rl_ring(6, 3, "state_space")
+    shunts = tuple(ShuntElement(bus=2, kind="resistive", value=2.5)
+                   if sh.bus == 2 and sh.kind == "capacitive" else sh for sh in net.shunts)
+    return replace(net, shunts=shunts)
+
+
+def test_sweep_of_a_branch_at_a_bus_without_capacitance():
+    net = _ring_with_a_bus_without_capacitance()
+    kind, reference = _resolved_sweep(net, 0, "L", 1.2, 4)
+    _assert_sweep_matches(parameter_sweep(net, 0, "L", 1.2, 4), kind, reference, 1e-10)
+
+
+@pytest.mark.parametrize("case, branch_index, param, factor", [
+    ("three_bus", 0, "L", 0.8), ("three_bus", 1, "L", 1.25), ("three_bus", 1, "R", 1.5),
+    ("ring", 0, "L", 1.2), ("ring", 0, "R", 0.7),
+])
+def test_sweep_rows_equal_a_rebuilt_network(case, branch_index, param, factor, request):
+    """The rows the oracle route writes for each step leave A and B equal,
+    bit for bit, to those of the step's network assembled anew."""
+    net = (request.getfixturevalue("three_bus_net") if case == "three_bus"
+           else _ring_with_a_bus_without_capacitance())
+    route = mai_core._OracleSweep(net, branch_index, None)
+    route.modes(net)
+    for _ in range(4):
+        rho = getattr(net.branches[branch_index], param)
+        net = net.with_branch(branch_index, **{param: rho * factor})
+        route.modes(net)
+        model = mass_oracle.interconnect(net)
+        assert np.array_equal(route.A, model.A)
+        assert np.array_equal(route.B, model.B)
+
+
+def test_oracle_sweep_assembles_and_decomposes_once(monkeypatch):
+    counts = {"assemble": 0, "eigendecompose": 0}
+    init, eigendecompose = mass_oracle.Interconnection.__init__, mass_oracle.eigendecompose
+
+    def counting_init(self, net):
+        counts["assemble"] += 1
+        init(self, net)
+
+    def counting_eigendecompose(A):
+        counts["eigendecompose"] += 1
+        return eigendecompose(A)
+
+    monkeypatch.setattr(mass_oracle.Interconnection, "__init__", counting_init)
+    monkeypatch.setattr(mass_oracle, "eigendecompose", counting_eigendecompose)
+    steps = parameter_sweep(_rl_ring(10, 9, "state_space"), 0, "L", 1.02, 10)
+    assert len(steps) == 10
+    assert counts == {"assemble": 1, "eigendecompose": 1}
+
+
+def test_impedance_route_sweep_follows_the_oracle_sweep_of_its_twin():
+    """Without a state-space realization every step re-solves all modes
+    from impedance data; the trajectory is the one the oracle route takes
+    on the exact state-space twin."""
+    oracle = parameter_sweep(_rl_ring(4, 1, "state_space"), 0, "L", 1.1, 3, band=BAND)
+    impedance = parameter_sweep(_rl_ring(4, 1, "rational"), 0, "L", 1.1, 3, band=BAND)
+    assert len(impedance) == len(oracle) == 3
+    for a, b in zip(oracle, impedance):
+        assert abs(b.actual - a.actual) <= 1e-9 * abs(a.actual)
+        assert abs(b.predicted - a.predicted) <= 1e-6 * abs(a.predicted - a.lam_before)
+
+
 # ---------------------------------------------------------------------------
 # Frobenius convention
 # ---------------------------------------------------------------------------

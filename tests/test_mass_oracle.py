@@ -13,6 +13,7 @@ from impedmodal.mass_oracle import (
     UnsupportedForOracleError,
     eigendecompose,
     eigenvalue_sensitivity_matrix,
+    eigenvector_pair,
     extract_port_transfer,
     interconnect,
     nearest_eigenvalue,
@@ -212,6 +213,34 @@ def test_nearest_eigenvalue_jordan_block_defective():
 def test_nearest_eigenvalue_singular_shift_raises():
     with pytest.raises(OracleError, match="eigenvalue"):
         nearest_eigenvalue(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
+
+
+def test_eigenvector_pair_gives_the_resolvent_residue():
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(8, 8))
+    for lam in scipy.linalg.eigvals(A):
+        x, y_h = eigenvector_pair(A, lam)
+        assert y_h @ x == pytest.approx(1.0, abs=1e-14)
+        R = resolvent_residue(A, lam)
+        assert np.max(np.abs(np.outer(x, y_h) - R)) <= 1e-10 * np.max(np.abs(R))
+
+
+def test_eigenvector_pair_at_an_exactly_singular_shift():
+    # A - lam I has an exactly zero pivot at lam = 2; the shift sits off it
+    x, y_h = eigenvector_pair(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
+    assert np.allclose(np.outer(x, y_h), np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-14)
+
+
+def test_eigenvector_pair_jordan_block_defective():
+    J = np.eye(4) + np.diag(np.ones(3), 1)
+    A = scipy.linalg.block_diag(J, np.diag([5.0, -3.0, 7.0]))
+    eigenvalues = scipy.linalg.eigvals(A)
+    with pytest.raises(DefectiveMatrixError):
+        eigenvector_pair(A, eigenvalues[np.argmin(np.abs(eigenvalues - (1.05 + 0.02j)))])
+    with pytest.raises(DefectiveMatrixError):
+        eigenvector_pair(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+    x, y_h = eigenvector_pair(A, 7.0)
+    assert np.allclose(np.outer(x, y_h), np.diag([0.0] * 6 + [1.0]), atol=1e-14)
 
 
 def test_nearest_eigenvalue_real_shift_between_conjugate_pair():
