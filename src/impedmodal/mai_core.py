@@ -742,13 +742,10 @@ def _solve_modes_impedance(model, band):
         if w_lo <= p.imag <= w_hi and all(abs(p - lam) > rational_fit.MERGE_TOL * (1.0 + abs(lam))
                                           for lam in modes):
             raise AnalysisError(f"realized pole {p} in the band refined to no mode")
-    records = []
-    for lam in modes:
-        if not (w_lo <= abs(lam.imag) <= w_hi):
-            continue
-        res = rational_fit.admittance_residue(model.admittance, lam)
-        records.append(ModeRecord(lam=lam, residue=res, provenance="newton-refined"))
-    return records
+    lams = [lam for lam in modes if w_lo <= abs(lam.imag) <= w_hi]
+    residues = rational_fit.admittance_residues(model.admittance, lams, model.dim)
+    return [ModeRecord(lam=lam, residue=res, provenance="newton-refined")
+            for lam, res in zip(lams, residues)]
 
 
 def _oracle_route(net: NetworkDescription, apparatus_overrides) -> bool:
@@ -768,8 +765,9 @@ def solve_modes(
 
     ``method="state_space"`` uses the interconnected oracle (requires every
     apparatus in state-space form); ``"impedance"`` Newton-refines the poles of
-    a Loewner realization of Z over ``band`` to zeros of det Y (AnalysisError if
-    one in the band ends in no mode) and extracts residues locally. ``"auto"``
+    a Loewner realization of Z over ``band`` to zeros of det Y by Newton on
+    log det Y (AnalysisError if one in the band ends in no mode), and takes
+    all residues from one stacked evaluation of Y around the modes. ``"auto"``
     prefers the state-space path when available; ``order`` is ignored.
     """
     if method == "auto":
@@ -1045,8 +1043,9 @@ def parameter_sweep(
     prediction with the re-solved mode at every step.
 
     The tracked mode starts at ``mode_seed`` (nearest match) or, by default,
-    at the least-damped oscillatory mode. Each prediction is first-order
-    from the previous operating point. The actual mode is the nearest of
+    at the least-damped oscillatory mode (of real parts within 1e-9
+    relative, the lowest frequency). Each prediction is first-order from
+    the previous operating point. The actual mode is the nearest of
     the modified network's modes to lambda + the predicted shift, gated at
     0.3 x the distance from the tracked mode to its nearest other mode of
     the previous step (TrackingError beyond it).
@@ -1074,7 +1073,10 @@ def parameter_sweep(
         oscillatory = np.flatnonzero(lams.imag > 0)
         if not oscillatory.size:
             oscillatory = np.arange(lams.size)
-        k = int(oscillatory[np.argmax(lams[oscillatory].real)])
+        # real parts within rounding (the mirror pair lambda, lambda + 2j w0) tie
+        top = lams[oscillatory].real.max()
+        tied = oscillatory[lams[oscillatory].real >= top - 1e-9 * (1.0 + abs(top))]
+        k = int(tied[np.argmin(np.abs(lams[tied].imag))])
     lam = complex(lams[k])
     residue = route.residue(k)
 

@@ -1,10 +1,10 @@
 """Mode location and residue extraction from frequency-domain data.
 
 The poles of a tangential Loewner realization of Z = Y^-1 seed one stacked
-Newton iteration on the smallest-magnitude eigenvalue of Y(s), the same
-that re-solves perturbed modes for validation; residues come from
-Y around each mode, a rational model or a state-space realization. Vector
-fitting serves sampled responses (apparatus surrogates, the ``fit`` command).
+Newton iteration on log det Y(s), the same that re-solves perturbed modes
+for validation; residues come from one stacked evaluation of Y around the
+modes, a rational model or a state-space realization. Vector fitting
+serves sampled responses (apparatus surrogates, the ``fit`` command).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "loewner_poles",
     "critical_resonance_mode",
     "admittance_residue",
+    "admittance_residues",
     "residue_at_mode",
     "fit_apparatus_surrogate",
 ]
@@ -48,11 +49,12 @@ _FIT_COND_LIMIT = 1e13
 # largest relative deviation over the grid a fit may keep without a warning
 _FIT_REL_TOL = 1e-4
 # bytes of one batch of relocation blocks [A_sigma | b] (2M x (N+1) floats per
-# response) or of Y at Loewner points, reduced before the next batch is formed
+# response) or of Y at Loewner, Newton or residue points, reduced before the
+# next batch is formed
 _BATCH_BYTES = 4 * 2**20
 MERGE_TOL = 1e-6  # a Newton root this near a known mode, relative to 1 + |root|, is it
-# Newton on det Y: converged where the smallest eigenvalue of Y is this small
-# relative to ||Y||, and given up after this many iterations
+# Newton on log det Y: converged once a step is this small relative to
+# 1 + |s|, and given up after this many iterations
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITERATIONS = 50
 _LOEWNER_RANK_TOL = 1e-11  # relative singular value of the Loewner pencil counted as zero
@@ -477,63 +479,51 @@ def fit_apparatus_surrogate(
 
 def _pointwise(Yfun: Callable[[complex], np.ndarray]):
     """A one-point callable s -> Y as a row-aware evaluator, called point by point."""
-    return lambda s, rows: np.array([np.asarray(Yfun(complex(x)), dtype=complex) for x in s])
+    return lambda s, rows=None: np.array([np.asarray(Yfun(complex(x)), dtype=complex) for x in s])
+
+
+def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) over a stack; where A is exactly singular the
+    solution is infinite, and that matrix holds up no other."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(B.shape, np.inf, dtype=complex)
+        return np.concatenate([_solve_each(A[m:m + 1], B[m:m + 1]) for m in range(len(A))])
 
 
 def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outcomes: list):
-    """One Newton iteration of the seeds ``rows``: moves their iterates in
-    ``s``, records in ``outcomes`` the root of each seed that converged and
-    the error of each that failed, and returns the rows still moving."""
+    """One Newton iteration on log det Y of the seeds ``rows``: moves their
+    iterates in ``s`` by 1/tr(Y^-1 Y'), records in ``outcomes`` the root of
+    each seed whose step fell within tolerance (the iterate less that step)
+    and the error of each that failed, and returns the rows still moving."""
     x = s[rows]
     h = 1e-6 * (1.0 + np.abs(x))
-    diff_error = None
     try:
         Y = np.asarray(Yfun(np.concatenate([x, x + h, x - h]), np.tile(rows, 3)), dtype=complex)
     except Exception as exc:
-        # kept per row: the caller decides which errors end a seed and which propagate
-        if rows.size > 1:  # evaluated again row by row, to tell which rows fail
+        # a batch is evaluated again row by row, so each row keeps its own error
+        if rows.size > 1:
             return np.concatenate([_newton_step(Yfun, s, seeds, rows[m:m + 1], outcomes)
                                    for m in range(rows.size)])
-        try:  # the row may still have converged where Y itself evaluates
-            Y = np.asarray(Yfun(x, rows), dtype=complex)
-        except Exception as exc_at_x:
-            outcomes[rows[0]] = exc_at_x
-            return rows[:0]
-        diff_error = exc
+        outcomes[rows[0]] = exc
+        return rows[:0]
     k = rows.size
     live = np.flatnonzero(np.isfinite(Y[:k]).all(axis=(1, 2)))
     for m in np.setdiff1d(np.arange(k), live):
         outcomes[rows[m]] = RefinementError(f"admittance not finite at s = {complex(x[m])}")
-    Y0 = Y[live]
-    mu, V = np.linalg.eig(Y0)
-    at = np.arange(live.size)
-    j = np.argmin(np.abs(mu), axis=1)
-    mu, v = mu[at, j], V[at, :, j]
-    done = np.abs(mu) <= _NEWTON_TOL * np.linalg.norm(Y0, axis=(1, 2))
-    for m in live[done]:
-        outcomes[rows[m]] = complex(x[m])
-    step = live[~done]
-    if diff_error is not None:
-        for m in step:
-            outcomes[rows[m]] = diff_error
-        return rows[:0]
-    Y0, mu, v = Y0[~done], mu[~done], v[~done]
-    dY = (Y[k + step] - Y[2 * k + step]) / (2 * h[step])[:, None, None]
-    muL, W = np.linalg.eig(np.conj(Y0).swapaxes(1, 2))
-    at = np.arange(step.size)
-    w = W[at, :, np.argmin(np.abs(muL - np.conj(mu)[:, None]), axis=1)]
-    # row-wise sums, so that a row's arithmetic does not depend on its batch
-    denom = np.sum(np.conj(w) * v, axis=1)
+    dY = (Y[k + live] - Y[2 * k + live]) / (2 * h[live])[:, None, None]
+    # the step is 0 where Y is exactly singular: that iterate is its seed's root
     with np.errstate(divide="ignore", invalid="ignore"):
-        dmu = np.sum(np.conj(w) * np.sum(dY * v[:, None, :], axis=2), axis=1) / denom
-        x_new = x[step] - mu / dmu
+        step = 1.0 / _solve_each(Y[live], dY).diagonal(axis1=1, axis2=2).sum(axis=1)
     moving = []
-    for m, d, dm, xn in zip(step, denom, dmu, x_new):
-        r = rows[m]
-        if d == 0:
-            outcomes[r] = RefinementError(f"degenerate eigenvector pairing at s = {complex(x[m])}")
-        elif dm == 0 or not np.isfinite(dm):
-            outcomes[r] = RefinementError(f"flat eigenvalue derivative at s = {complex(x[m])}")
+    for m, dx in zip(live, step):
+        r, xn = rows[m], x[m] - dx
+        if not np.isfinite(dx):
+            outcomes[r] = RefinementError(f"flat log-determinant at s = {complex(x[m])}")
+        elif abs(dx) <= _NEWTON_TOL * (1.0 + abs(x[m])):
+            outcomes[r] = complex(xn)
         elif not np.isfinite(xn) or abs(xn) > 1e12:
             outcomes[r] = RefinementError(f"Newton iteration diverged from seed {seeds[r]}")
         else:
@@ -542,28 +532,23 @@ def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outco
     return np.array(moving, dtype=int)
 
 
-def refine_modes(
-    Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    seeds: Sequence[complex],
-    dim: Optional[int] = None,
-) -> list:
-    """Newton-refine many seeds at once to zeros of det Y(s), each driving
-    the smallest-magnitude eigenvalue of Y to zero (the zero sets coincide,
-    and the smallest eigenvalue is numerically tame where the determinant
-    explodes).
+def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Sequence[complex],
+                 dim: Optional[int] = None) -> list:
+    """Newton-refine many seeds at once to zeros of det Y(s) by Newton on
+    log det Y, whose step is 1/tr(Y^-1 Y') (Jacobi's formula; Ruhe, SIAM J.
+    Numer. Anal. 1973): no eigenvalue branch of Y is chosen.
 
     ``Yfun(s, rows)`` returns Y at the points of the 1-D array ``s``,
     stacked (len(s), dim, dim); point m is evaluated for seed ``rows[m]``,
     so each seed may see its own Y (an overlaid element, say). An iteration
-    evaluates s, s + h and s - h of every seed still moving in one call,
-    holding at most ``_BATCH_BYTES`` of Y (all seeds at once when ``dim`` is
-    None), and runs one stacked eig of Y and one of Y^H: the eigenvalue
-    derivative along s pairs the left and right eigenvectors with the
-    central difference of Y. Converged seeds drop out. Returns, per seed,
-    its root or the exception it ended in: a RefinementError (flat
-    derivative, divergence, no convergence), or what ``Yfun`` raised at its
-    points. A call that raises is repeated seed by seed to tell which seeds
-    fail; the others keep their values.
+    evaluates s and s +- h of every seed still moving in one call, holding
+    at most ``_BATCH_BYTES`` of Y (all seeds when ``dim`` is None), and runs
+    one stacked solve of Y against the central difference. A seed stops
+    once its step is within ``_NEWTON_TOL`` (1 + |s|) and returns the
+    iterate less that step. Returns, per seed, its root or the exception it
+    ended in: a RefinementError (non-finite Y, flat log det Y, divergence,
+    no convergence), or what ``Yfun`` raised at its points; a call that
+    raises is repeated seed by seed, and the others keep their values.
     """
     seeds = np.array(seeds, dtype=complex).reshape(-1)
     s = seeds.copy()
@@ -612,7 +597,7 @@ def find_modes(model, seeds: Iterable[complex]) -> list[complex]:
     ``model`` is a WholeSystemModel, whose ``admittance`` is evaluated
     stacked, or any callable s -> Y, called point by point. Returned modes
     are sorted by imaginary part; modes whose imaginary parts agree to 1e-9
-    relative (two modes at one frequency, which Newton leaves ordered by
+    relative (two modes at one frequency, which the roots leave ordered by
     rounding noise alone) are sorted by real part.
     """
     if hasattr(model, "admittance"):
@@ -696,30 +681,42 @@ def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:
 # ---------------------------------------------------------------------------
 
 
-def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
-    """Residue of Z = Y^{-1} at a simple zero lam of det Y, computed locally
-    from the admittance: Res = u v^T / (v^T Y'(lam) u) with u, v the right
-    and left null vectors of Y(lam) and Y' a high-order finite difference.
-
-    Needs only point evaluations of Y around the mode, so it works for any
-    evaluable system, fitted or analytic.
+def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence[complex],
+                        dim: Optional[int] = None) -> list[np.ndarray]:
+    """Residues of Z = Y^{-1} at simple zeros ``lams`` of det Y, from Y
+    around them alone: Res = u v^T / (v^T Y'(lam) u), with u and v the right
+    and left null vectors of Y(lam) (one inverse-iteration solve each, with Y
+    and Y^T against a fixed-seed real vector; the SVD where Y(lam) is exactly
+    singular) and Y' the fourth-order central difference at h = 1e-5 (1 +
+    |lam|). ``Yfun(s)`` evaluates Y over a 1-D array of points: all five of
+    every mode in one call, or ``_BATCH_BYTES`` of Y at a time when ``dim``
+    is given. Works for any evaluable system, fitted or analytic.
     """
-    Y = np.asarray(Yfun(lam), dtype=complex)
-    mu, V = np.linalg.eig(Y)
-    k = int(np.argmin(np.abs(mu)))
-    u = V[:, k]
-    muT, W = np.linalg.eig(Y.T)
-    kT = int(np.argmin(np.abs(muT)))
-    v = W[:, kT]  # bilinear left null vector: v^T Y ~ 0
-    h = 1e-5 * (1.0 + abs(lam))
-    dY = (
-        8.0 * (np.asarray(Yfun(lam + h), dtype=complex) - np.asarray(Yfun(lam - h), dtype=complex))
-        - (np.asarray(Yfun(lam + 2 * h), dtype=complex) - np.asarray(Yfun(lam - 2 * h), dtype=complex))
-    ) / (12.0 * h)
-    denom = v @ dY @ u
-    if denom == 0:
-        raise ResidueError(f"degenerate null-vector pairing at {lam}: not a simple mode")
-    return np.outer(u, v) / denom
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    batch = max(1, lams.size if dim is None else _BATCH_BYTES // (80 * dim**2))
+    residues = []
+    for k in range(0, lams.size, batch):
+        lam = lams[k:k + batch]
+        h = 1e-5 * (1.0 + np.abs(lam))
+        Y = np.asarray(Yfun((lam + np.outer([0, 1, -1, 2, -2], h)).ravel()), dtype=complex)
+        Y = Y.reshape(5, lam.size, *Y.shape[1:])
+        dY = (8.0 * (Y[1] - Y[2]) - (Y[3] - Y[4])) / (12.0 * h)[:, None, None]
+        b = np.tile(np.random.default_rng(0).standard_normal((Y.shape[-1], 1)), (lam.size, 1, 1))
+        u, v = (_solve_each(A, b)[..., 0] for A in (Y[0], Y[0].swapaxes(1, 2)))
+        bad = ~(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1))
+        if bad.any():
+            U, _, Vh = np.linalg.svd(Y[0][bad])
+            u[bad], v[bad] = Vh[:, -1].conj(), U[:, :, -1].conj()
+        for m, denom in enumerate(np.einsum("ki,kij,kj->k", v, dY, u)):
+            if denom == 0:
+                raise ResidueError(f"degenerate null vectors at {lam[m]}: not a simple mode")
+            residues.append(np.outer(u[m], v[m]) / denom)
+    return residues
+
+
+def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
+    """The one-mode case of :func:`admittance_residues`, ``Yfun`` called point by point."""
+    return admittance_residues(_pointwise(Yfun), [lam])[0]
 
 
 def residue_at_mode(

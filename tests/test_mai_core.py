@@ -304,23 +304,26 @@ def _exact_apparatus(net):
             for i, app in enumerate(net.apparatus)}
 
 
-def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes):
-    """At eps 0.05, each of the 63 (mode, element) pairs validated through
-    the admittance overlay ends like the oracle route's secular re-solve,
-    with the same re-solved shift within 1e-8 |lambda|. Newton from the old
-    lambda instead of lambda + the predicted shift ended 1.3 |lambda| away,
-    at another mode, for 4 elements of the mode at Im lambda = w0."""
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes, eps):
+    """Each of the 63 (mode, element) pairs validated through the admittance
+    overlay ends like the oracle route's secular re-solve, with the same
+    re-solved shift within 1e-12 |lambda|. Newton from the old lambda
+    instead of lambda + the predicted shift ended 1.3 |lambda| away, at
+    another mode, for 4 elements of the mode at Im lambda = w0; at eps 0.3,
+    Newton on the smallest eigenvalue of Y followed a flat eigenvalue
+    branch from those 4 anchors to the conjugate of mode 0."""
     refs = network_elements(three_bus_net)
-    oracle = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
+    oracle = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, eps)
     overlay = mai_core.validate_mode_predictions(
-        three_bus_net, three_bus_modes, refs, 0.05,
+        three_bus_net, three_bus_modes, refs, eps,
         apparatus_overrides=_exact_apparatus(three_bus_net))
     assert len(three_bus_modes) * len(refs) == 63
     for mode, want, got in zip(three_bus_modes, oracle, overlay):
         for ref, a, b in zip(refs, want, got):
             assert type(b) is type(a), (ref, mode.lam)
             if not isinstance(a, Exception):
-                assert abs(b.actual - a.actual) <= 1e-8 * abs(mode.lam), (ref, mode.lam)
+                assert abs(b.actual - a.actual) <= 1e-12 * abs(mode.lam), (ref, mode.lam)
 
 
 def test_impedance_route_evaluates_the_model_per_mode_not_per_element(
@@ -1233,6 +1236,64 @@ def test_impedance_path_recalls_every_mode_of_a_20_bus_ring():
     assert len(records) == 50
     for lam in reference:
         assert min(abs(r.lam - lam) for r in records) <= 1e-8 * abs(lam)
+
+
+@pytest.mark.parametrize("n_buses, seed", [(3, 0), (4, 1), (5, 2)])
+def test_impedance_path_modes_are_polished_roots(n_buses, seed):
+    """Every impedance-path mode of a ring of rational RL loads lies within
+    1e-13 |lambda| of its state-space twin's eigenvalue (the first iterate
+    under tolerance lay up to 5.5e-12 off). Seeds 1e-3 |lambda| off in
+    either direction refine to it within the same bound, away from the
+    cluster at Im lambda = w0, where such seeds may reach another mode."""
+    reference = _in_band_eigenvalues(_rl_ring(n_buses, seed, "state_space"))
+    net = _rl_ring(n_buses, seed, "rational")
+    model = WholeSystemModel(net)
+    records = solve_modes(net, band=BAND)
+    assert len(records) == reference.size
+    for rec in records:
+        assert np.min(np.abs(reference - rec.lam)) <= 1e-13 * abs(rec.lam)
+        if abs(rec.lam.imag - W0) > 1.0:
+            seeds = [rec.lam * (1 + 1e-3), rec.lam * (1 - 1e-3j)]
+            for root in rational_fit.refine_modes(lambda s, rows: model.admittance(s), seeds):
+                assert abs(root - rec.lam) <= 1e-13 * abs(rec.lam), rec.lam
+
+
+@pytest.mark.parametrize("case", ["three_bus", "ring"])
+def test_impedance_path_residues_match_the_state_space_twin(three_bus_net, case):
+    net, twin = three_bus_net, three_bus_net
+    if case == "ring":
+        net, twin = _rl_ring(4, 1, "rational"), _rl_ring(4, 1, "state_space")
+    records = solve_modes(net, band=BAND, method="impedance")
+    exact = solve_modes(twin, band=BAND, method="state_space")
+    assert len(records) == len(exact)
+    for rec in records:
+        want = min(exact, key=lambda m: abs(m.lam - rec.lam)).residue
+        assert np.linalg.norm(rec.residue - want) <= 1e-6 * np.linalg.norm(want), rec.lam
+
+
+def test_impedance_path_residues_take_one_admittance_call(three_bus_net, monkeypatch):
+    """Every mode's residue comes from one stacked evaluation of Y at
+    lambda, lambda +- h and lambda +- 2h: one call with five points per
+    mode, not five calls per mode."""
+    calls, inside = [], []
+    admittance, residues = WholeSystemModel.admittance, rational_fit.admittance_residues
+
+    def counting(self, s):
+        if inside:
+            calls.append(np.size(s))
+        return admittance(self, s)
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return residues(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(WholeSystemModel, "admittance", counting)
+    monkeypatch.setattr(rational_fit, "admittance_residues", flagged)
+    records = solve_modes(three_bus_net, band=BAND, method="impedance")
+    assert calls == [5 * len(records)]
 
 
 def _drop_one_mode(monkeypatch):

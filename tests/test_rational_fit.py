@@ -337,6 +337,32 @@ def test_refine_modes_keeps_each_failure_with_its_seed():
     assert got[3] == refine_mode(Y, seeds[3])
 
 
+def _singular_at(a, b):
+    """Y(s) = [[s - a, 1], [0, s - b]]: at s = a its LU meets a zero pivot."""
+    return lambda s: np.array([[s - a, 1.0], [0.0, s - b]])
+
+
+def test_refine_modes_takes_an_exactly_singular_iterate_as_its_root():
+    """A seed where Y is exactly singular is its own root, and the stacked
+    solve of its batch does not fail for the other seeds, which end on the
+    bits they reach alone."""
+    a, b = complex(-5.0, 300.0), complex(-3.0, 200.0)
+    Y = _singular_at(a, b)
+    seeds = [a + 1.0, a, b - 0.5j]
+    got = refine_modes(lambda s, rows: np.array([Y(x) for x in s]), seeds)
+    assert got[1] == a
+    assert got[0] == refine_mode(Y, seeds[0])
+    assert got[2] == refine_mode(Y, seeds[2])
+    assert abs(got[0] - a) <= 1e-13 * abs(a) and abs(got[2] - b) <= 1e-13 * abs(b)
+
+
+def test_admittance_residue_at_an_exactly_singular_point():
+    a, b = complex(-5.0, 300.0), complex(-3.0, 200.0)
+    want = np.array([[1.0, -1.0 / (a - b)], [0.0, 0.0]])  # of Z = Y^-1 at a
+    got = admittance_residue(_singular_at(a, b), a)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
 def test_find_modes_deduplicates(rc_bus_net):
     """Point by point or stacked over the model, the same one mode."""
     model = WholeSystemModel(rc_bus_net)
