@@ -11,11 +11,10 @@ files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -99,15 +98,23 @@ class AnalysisConfig:
 @dataclass
 class HeatmapTable:
     """n x n grid of optional participation values: diagonal cells carry the
-    apparatus at that bus, off-diagonal cells the branch between the two
-    buses, empty cells mean no such element exists."""
+    apparatus and shunts at that bus, off-diagonal cells the branch between
+    the two buses; a cell not marked ``present`` means no such element
+    exists and is left empty."""
 
     n_buses: int
-    cells: dict = field(default_factory=dict)  # (i, j) -> float
+    values: Optional[np.ndarray] = None  # (n, n), cell (i, j) at [i - 1, j - 1]
+    present: Optional[np.ndarray] = None  # (n, n) bool
     notes: list = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        shape = (self.n_buses, self.n_buses)
+        self.values = np.zeros(shape) if self.values is None else self.values
+        self.present = np.zeros(shape, dtype=bool) if self.present is None else self.present
+
     def set(self, i: int, j: int, value: float) -> None:
-        self.cells[(i, j)] = value
+        self.values[i - 1, j - 1] = value
+        self.present[i - 1, j - 1] = True
 
 
 def _fmt(x: float) -> str:
@@ -122,134 +129,89 @@ def _write_text(path: Path, text: str) -> None:
 def emit_heatmap(table: HeatmapTable) -> str:
     """Render a heatmap table as CSV with bus indices as header row/column."""
     n = table.n_buses
-    rows = [[str(i)] + [""] * n for i in range(1, n + 1)]
-    for (i, j), v in table.cells.items():
-        if 1 <= i <= n and 1 <= j <= n:
-            rows[i - 1][j] = _fmt(v)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["bus"] + [str(j) for j in range(1, n + 1)])
-    writer.writerows(rows)
-    for note in table.notes:
-        writer.writerow(["note", note])
-    return out.getvalue()
+    cells = [""] * (n * n)
+    at = np.flatnonzero(table.present)
+    for k, v in zip(at.tolist(), table.values.ravel()[at].tolist()):
+        cells[k] = f"{v:.12g}"
+    lines = ["bus," + ",".join(map(str, range(1, n + 1)))]
+    lines += [f"{i + 1}," + ",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
+    lines += [f"note,{note}" for note in table.notes]
+    return "\n".join(lines) + "\n"
 
 
-def _heatmaps_for_mode(net, reports):
-    """Build the four per-mode heatmap tables from element layer reports.
+_HEATMAPS = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
+_ELEMENTS_HEAD = ("element,location,layer1_cauchy,layer1_enhanced,layer2_real,layer2_imag,"
+                  "epsilon\n")
 
-    Parallel branches between the same bus pair are summed into the shared
-    cell, with a note naming the aggregation; the long-form element table
-    keeps them separate.
+
+class _ModeWriter:
+    """Renders each mode's element, layer-3 and heatmap files from its
+    :class:`mai_core.ModeLayers`; what depends on the elements alone is
+    prepared once per run.
+
+    An apparatus or shunt fills the diagonal cell of its bus, a branch both
+    cells of its bus pair. Elements that share a cell (parallel branches,
+    or the node elements of one bus) are summed into it in element order,
+    and parallel branches get a note; the element table keeps them apart.
     """
-    tables = {
-        name: HeatmapTable(n_buses=net.n_buses)
-        for name in ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
-    }
-    cells = [t.cells for t in tables.values()]
-    pair_count: dict[tuple[int, int], int] = {}
-    for rep in reports:
-        loc = rep.location
-        if loc.kind == "node":
-            i = j = loc.i
-        else:
-            i, j = loc.i, loc.j
-        values = (rep.layer1_cauchy, rep.layer1_enhanced, rep.layer2.real, rep.layer2.imag)
-        pair = (min(i, j), max(i, j))
-        pair_count[pair] = pair_count.get(pair, 0) + 1
-        keys = ((i, j),) if i == j else ((i, j), (j, i))
-        for table_cells, value in zip(cells, values):
-            for key in keys:
-                table_cells[key] = table_cells.get(key, 0.0) + value
-    for (i, j), count in sorted(pair_count.items()):
-        if count > 1 and i != j:
-            for t in tables.values():
-                t.notes.append(f"{count} parallel branches {i}-{j} summed")
-    return tables
+
+    def __init__(self, net, lay: mai_core.ElementLayout, epsilon: float):
+        self.n, self.tail = net.n_buses, f",{epsilon:.12g}\n"
+        self.element_rows = [f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ",")
+                             for label, loc in zip(lay.labels, lay.locations)]
+        self.layer3_rows = [(e, c, f"{label},{name},")
+                            for e, (label, names) in enumerate(zip(lay.labels, lay.params))
+                            for c, name in enumerate(names)]
+        ij = list(zip(lay.i.tolist(), lay.j.tolist()))  # j = 0 for a node
+        cells = sorted([(e, i - 1, (j or i) - 1) for e, (i, j) in enumerate(ij)]
+                       + [(e, j - 1, i - 1) for e, (i, j) in enumerate(ij) if j])
+        self.element, rows, cols = np.array(cells, dtype=int).reshape(-1, 3).T
+        self.cells = (rows, cols)
+        self.present = np.zeros((self.n, self.n), dtype=bool)
+        self.present[self.cells] = True
+        pairs = Counter((min(i, j), max(i, j)) for i, j in ij if j)
+        self.notes = [f"{count} parallel branches {i}-{j} summed"
+                      for (i, j), count in sorted(pairs.items()) if count > 1]
+
+    def files(self, layers: mai_core.ModeLayers):
+        """(suffix, text) of each of one mode's report files."""
+        l2 = layers.layer2
+        values = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, l2.real, l2.imag], -1)
+        yield "elements", _ELEMENTS_HEAD + "".join(
+            f"{row}{a:.12g},{b:.12g},{c:.12g},{d:.12g}{self.tail}"
+            for row, (a, b, c, d) in zip(self.element_rows, values.tolist()))
+        l3 = layers.layer3.tolist()
+        yield "layer3", "element,parameter,s_rho_real,s_rho_imag\n" + "".join(
+            f"{row}{l3[e][c].real:.12g},{l3[e][c].imag:.12g}\n" for e, c, row in self.layer3_rows)
+        grid = np.zeros((len(_HEATMAPS), self.n, self.n))
+        np.add.at(grid, (slice(None), *self.cells), values[self.element].T)
+        for name, table in zip(_HEATMAPS, grid):
+            yield name, emit_heatmap(HeatmapTable(self.n, table, self.present, self.notes))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text of a header line and rows of fields that need no quoting."""
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 def _modes_csv(records) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["mode", "real", "imag", "frequency_hz", "provenance"])
-    for k, rec in enumerate(records):
-        writer.writerow(
-            [
-                str(k),
-                _fmt(rec.lam.real),
-                _fmt(rec.lam.imag),
-                _fmt(rec.lam.imag / (2 * np.pi)),
-                rec.provenance,
-            ]
-        )
-    return out.getvalue()
-
-
-def _elements_csv(reports) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["element", "location", "layer1_cauchy", "layer1_enhanced",
-         "layer2_real", "layer2_imag", "epsilon"]
-    )
-    for rep in reports:
-        loc = rep.location
-        loc_str = f"{loc.kind}:{loc.i}" if loc.kind == "node" else f"{loc.kind}:{loc.i}-{loc.j}"
-        writer.writerow(
-            [
-                rep.element,
-                loc_str,
-                _fmt(rep.layer1_cauchy),
-                _fmt(rep.layer1_enhanced),
-                _fmt(rep.layer2.real),
-                _fmt(rep.layer2.imag),
-                _fmt(rep.epsilon),
-            ]
-        )
-    return out.getvalue()
-
-
-def _layer3_csv(reports) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["element", "parameter", "s_rho_real", "s_rho_imag"])
-    for rep in reports:
-        for param in sorted(rep.layer3):
-            s_rho = rep.layer3[param]
-            writer.writerow([rep.element, param, _fmt(s_rho.real), _fmt(s_rho.imag)])
-    return out.getvalue()
+    return _csv("mode,real,imag,frequency_hz,provenance", (
+        [str(k), *map(_fmt, (r.lam.real, r.lam.imag, r.lam.imag / (2 * np.pi))), r.provenance]
+        for k, r in enumerate(records)))
 
 
 def sweep_report(steps) -> str:
     """CSV trajectory of a parameter sweep; the trailing ``endpoints`` row
     carries the overall start and end modes."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["step", "rho_before", "rho_after", "predicted_real", "predicted_imag",
-         "actual_real", "actual_imag", "error_percent"]
-    )
-    for st in steps:
-        writer.writerow(
-            [
-                str(st.step),
-                _fmt(st.rho_before),
-                _fmt(st.rho_after),
-                _fmt(st.predicted.real),
-                _fmt(st.predicted.imag),
-                _fmt(st.actual.real),
-                _fmt(st.actual.imag),
-                _fmt(100.0 * st.error),
-            ]
-        )
+    rows = [[str(st.step), *map(_fmt, (st.rho_before, st.rho_after, st.predicted.real,
+                                       st.predicted.imag, st.actual.real, st.actual.imag,
+                                       100.0 * st.error))] for st in steps]
     if steps:
-        start = steps[0].lam_before
-        end = steps[-1].actual
-        writer.writerow(
-            ["endpoints", _fmt(steps[-1].rho_after), "",
-             _fmt(start.real), _fmt(start.imag), _fmt(end.real), _fmt(end.imag), ""]
-        )
-    return out.getvalue()
+        start, end = steps[0].lam_before, steps[-1].actual
+        rows.append(["endpoints", _fmt(steps[-1].rho_after), "", _fmt(start.real),
+                     _fmt(start.imag), _fmt(end.real), _fmt(end.imag), ""])
+    return _csv("step,rho_before,rho_after,predicted_real,predicted_imag,actual_real,"
+                "actual_imag,error_percent", rows)
 
 
 def _load_network(path: str) -> network_model.NetworkDescription:
@@ -297,32 +259,30 @@ def run(config: AnalysisConfig) -> int:
             )
 
     files: list[str] = []
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def emit(name: str, text: str) -> None:
-        _write_text(out_dir / name, text)
+        (out_dir / name).write_text(text, encoding="utf-8")
         files.append(name)
 
     emit("modes.csv", _modes_csv(records))
 
     refs = assembly.network_elements(net)
-    for k in selected:
-        reports = mai_core.mode_layer_reports(
-            net, records[k], refs, epsilon=config.epsilon, apparatus_overrides=overrides or None
-        )
-        emit(f"mode{k}_elements.csv", _elements_csv(reports))
-        emit(f"mode{k}_layer3.csv", _layer3_csv(reports))
-        for name, table in _heatmaps_for_mode(net, reports).items():
-            emit(f"mode{k}_{name}.csv", emit_heatmap(table))
+    lay = mai_core.element_layout(net, refs)
+    writer = _ModeWriter(net, lay, config.epsilon)
+    modes = [records[k] for k in selected]
+    for k, layers in zip(selected, mai_core.mode_layers(net, modes, lay, overrides or None)):
+        for suffix, text in writer.files(layers):
+            emit(f"mode{k}_{suffix}.csv", text)
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
-            net, [records[k] for k in selected], refs, epsilon=config.epsilon,
+            net, modes, refs, epsilon=config.epsilon,
             apparatus_overrides=overrides or None, reference_modes=[r.lam for r in records],
         )
         validation: dict = {"epsilon": config.epsilon, "modes": []}
-        labels = [assembly.element_label(net, ref) for ref in refs]
         for k, mode_outcomes in zip(selected, outcomes):
             entries = []
-            for label, v in zip(labels, mode_outcomes):
+            for label, v in zip(lay.labels, mode_outcomes):
                 if isinstance(v, Exception):
                     entries.append({"element": label, "error": str(v)})
                     continue
@@ -350,7 +310,7 @@ def run(config: AnalysisConfig) -> int:
         "selected_modes": selected,
         "files": files,
     }
-    _write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ in a mode, layer 2 resolves it into damping (real) and frequency
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +55,10 @@ __all__ = [
     "element_location",
     "element_sensitivity",
     "element_layer_report",
+    "ElementLayout",
+    "element_layout",
+    "ModeLayers",
+    "mode_layers",
     "mode_layer_reports",
     "branch_parameter_sensitivity",
     "scale_element_admittance",
@@ -231,13 +235,6 @@ def frobenius_inner(X: np.ndarray, Y: np.ndarray) -> complex:
     return _scalar(np.sum(np.conj(X) * Y, axis=(-2, -1)))
 
 
-def _residue_block(res: np.ndarray, i: int, j: int) -> np.ndarray:
-    """2x2 block of the residue matrix; bus index 0 means ground (zero)."""
-    if i == 0 or j == 0:
-        return np.zeros((2, 2), dtype=complex)
-    return res[block_slice(i), block_slice(j)]
-
-
 def _bus_blocks(res: np.ndarray) -> np.ndarray:
     """The residue matrix as (n + 1, n + 1, 2, 2) bus blocks: block (i, j)
     at [i, j], and a zero ground row and column at index 0."""
@@ -261,25 +258,19 @@ def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRe
     Node element at bus i:   dlambda/dy = -Res_ii
     Branch between i and j:  dlambda/dy = -(Res_ii + Res_jj - Res_ij - Res_ji)
 
-    Transformer locations are dispatched to the ratio-corrected formula.
+    Transformer locations take the ratio-corrected formula of
+    :func:`transformer_admittance_sensitivity`.
     """
-    if location.kind == "transformer":
-        return transformer_admittance_sensitivity(
-            res, location.i, location.j, location.ratio
-        )
-    if location.kind not in ("node", "branch"):
-        raise AnalysisError(f"unknown location kind '{location.kind}'")
-    i, j = location.i, location.j  # j = 0 (ground) for a node
-    d = _ratio_sensitivity(
-        _residue_block(res, i, i), _residue_block(res, j, j),
-        _residue_block(res, i, j), _residue_block(res, j, i), 1.0,
-    )
-    return SensitivityRecord(
-        element=f"{location.kind}({location.i},{location.j})",
-        location=location,
-        dlambda_dy=d,
-        s_factor=_conj_t(d),
-    )
+    kind, i, j = location.kind, location.i, location.j  # j = 0 (ground) for a node
+    if kind not in ("node", "branch", "transformer"):
+        raise AnalysisError(f"unknown location kind '{kind}'")
+    k = location.ratio if kind == "transformer" else 1.0
+    if k == 0:
+        raise AnalysisError("degenerate transformer ratio k = 0")
+    b = _bus_blocks(res)
+    d = _ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
+    name = f"transformer({i},{j},k={k})" if kind == "transformer" else f"{kind}({i},{j})"
+    return SensitivityRecord(element=name, location=location, dlambda_dy=d, s_factor=_conj_t(d))
 
 
 def transformer_admittance_sensitivity(
@@ -290,17 +281,7 @@ def transformer_admittance_sensitivity(
 
     Reduces to the plain branch formula at k = 1.
     """
-    if k == 0:
-        raise AnalysisError("degenerate transformer ratio k = 0")
-    d = _ratio_sensitivity(
-        _residue_block(res, i, i), _residue_block(res, j, j),
-        _residue_block(res, i, j), _residue_block(res, j, i), k,
-    )
-    loc = Location(kind="transformer", i=i, j=j, ratio=k)
-    return SensitivityRecord(
-        element=f"transformer({i},{j},k={k})", location=loc,
-        dlambda_dy=d, s_factor=_conj_t(d),
-    )
+    return admittance_sensitivity(res, Location(kind="transformer", i=i, j=j, ratio=k))
 
 
 def predict_mode_shift(s_factor: np.ndarray, delta_y: np.ndarray) -> complex:
@@ -555,17 +536,21 @@ def _shunt_parameter_derivative(net, idx, lam):
 
 
 @dataclass(frozen=True, eq=False)
-class _ElementLayout:
-    """Index arrays of a list of elements, for the batched pass.
+class ElementLayout:
+    """Index arrays of a list of elements, for the stacked pass.
 
     ``i``/``j`` are the bus pair (j = 0, ground, for nodes) and ``ratio``
     the transformer ratio (1 for lines and nodes), one entry per element;
     ``branches``, the shunt and the apparatus entries hold positions into
-    the element list, with the parameters the pass reads.
+    the element list, with the parameters the pass reads. ``params`` names
+    each element's layer-3 parameters: (L, R) of a branch, (value,) of a
+    shunt, none of an apparatus.
     """
 
+    refs: list
     labels: list
     locations: list
+    params: list
     i: np.ndarray
     j: np.ndarray
     ratio: np.ndarray
@@ -573,10 +558,11 @@ class _ElementLayout:
     R: np.ndarray
     L: np.ndarray
     shunts: dict  # shunt kind -> (positions, values)
-    apparatus: list  # (position, ref) pairs
+    apparatus: list  # positions of apparatus
 
 
-def _element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> _ElementLayout:
+def element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> ElementLayout:
+    """The :class:`ElementLayout` of ``refs``, built once for any number of modes."""
     locations = [element_location(net, ref) for ref in refs]
     branches, shunts, apparatus = [], {}, []
     for pos, (kind, idx) in enumerate(refs):
@@ -585,14 +571,16 @@ def _element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> _Ele
         elif kind == "shunt":
             shunts.setdefault(net.shunts[idx].kind, []).append(pos)
         else:
-            apparatus.append((pos, (kind, idx)))
+            apparatus.append(pos)
     ratio = np.array([loc.ratio for loc in locations], dtype=float)
     if np.any(ratio == 0):
         raise AnalysisError("degenerate transformer ratio k = 0")
     branch_objs = [net.branches[refs[pos][1]] for pos in branches]
-    return _ElementLayout(
+    return ElementLayout(
+        refs=list(refs),
         labels=[assembly.element_label(net, ref) for ref in refs],
         locations=locations,
+        params=[{"branch": ("L", "R"), "shunt": ("value",)}.get(kind, ()) for kind, _ in refs],
         i=np.array([loc.i for loc in locations], dtype=int),
         j=np.array([loc.j for loc in locations], dtype=int),
         ratio=ratio,
@@ -608,34 +596,93 @@ def _element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> _Ele
     )
 
 
-def _element_admittances(net, refs, lay: _ElementLayout, lam: complex, overrides):
-    """Every element's own admittance y(lambda), stacked (N, 2, 2); raises
-    what :func:`admittance_assembly.element_admittance` raises for the first
-    element that cannot be evaluated."""
-    y = np.empty((len(refs), 2, 2), dtype=complex)
-    ok = np.ones(len(refs), dtype=bool)
-    z = assembly.dq_series_impedance(lay.R, lay.L, net.omega0, lam)
-    y[lay.branches], ok[lay.branches] = assembly.inv2_masked(z)
+@dataclass(frozen=True, eq=False)
+class ModeLayers:
+    """Layers of every element of an :class:`ElementLayout` at one mode,
+    in element order: the arrays :class:`LayerReport` is made from."""
+
+    layer1_cauchy: np.ndarray  # (N,) ||s|| * ||y||
+    layer2: np.ndarray  # (N,) complex
+    layer1_enhanced: np.ndarray  # (N,) |layer2|
+    layer3: np.ndarray  # (N, 2) complex, one column per name in ``params``
+
+
+def _mode_stack(net, lay: ElementLayout, modes: Sequence[ModeRecord], overrides):
+    """Every element's sensitivity factor s and admittance y(lambda) at
+    every mode, stacked (M, N, 2, 2): what the layers and the predicted
+    shifts are formed from. Each mode's four residue bus blocks per
+    element (ground is a zero block) are gathered from its own residue;
+    each apparatus is evaluated once over all the modes. Where some element
+    cannot be evaluated, raises what
+    :func:`admittance_assembly.element_admittance` raises at the first such
+    mode alone, for the first such element in ``refs``."""
+    lam = np.array([mode.lam for mode in modes], dtype=complex)
+    y = np.empty(lam.shape + (len(lay.refs), 2, 2), dtype=complex)
+    ok = np.ones(y.shape[:-2], dtype=bool)
+    z = assembly.dq_series_impedance(lay.R, lay.L, net.omega0, lam[:, None])
+    y[:, lay.branches], ok[:, lay.branches] = assembly.inv2_masked(z)
     for kind, (pos, value) in lay.shunts.items():
-        y[pos], ok[pos] = assembly.shunt_admittances(kind, value, net.omega0, lam)
-    if not ok.all():
-        for ref in refs:  # the first failing element raises its own error
-            assembly.element_admittance(net, ref, lam, overrides)
-    for pos, ref in lay.apparatus:
-        y[pos] = assembly.element_admittance(net, ref, lam, overrides)
-    return y
+        y[:, pos], ok[:, pos] = assembly.shunt_admittances(kind, value, net.omega0, lam[:, None])
+    try:
+        if not ok.all():
+            raise assembly.EvaluationError("a passive element is singular")
+        for pos in lay.apparatus:
+            y[:, pos] = assembly.element_admittance(net, lay.refs[pos], lam, overrides)
+    except Exception:  # whatever failed, re-raised as the first failing mode alone raises
+        for x in lam.tolist():
+            for ref in lay.refs:
+                assembly.element_admittance(net, ref, x, overrides)
+        raise
+    rows, cols = np.array([lay.i, lay.j, lay.i, lay.j]), np.array([lay.i, lay.j, lay.j, lay.i])
+    blocks = np.empty((4,) + y.shape, dtype=complex)  # ii, jj, ij, ji
+    for m, mode in enumerate(modes):
+        blocks[:, m] = _bus_blocks(mode.residue)[rows, cols]
+    return _conj_t(_ratio_sensitivity(*blocks, lay.ratio[:, None, None])), y
 
 
-def _mode_sensitivities(net, refs, lay: _ElementLayout, mode: ModeRecord, overrides):
-    """Every element's sensitivity factor s and admittance y(lambda) stacked
-    (N, 2, 2): what the layers and the predicted shifts of one mode are
-    formed from."""
-    blocks = _bus_blocks(mode.residue)
-    i, j = lay.i, lay.j
-    d = _ratio_sensitivity(
-        blocks[i, i], blocks[j, j], blocks[i, j], blocks[j, i], lay.ratio[:, None, None]
-    )
-    return _conj_t(d), _element_admittances(net, refs, lay, mode.lam, overrides)
+# bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
+# arrays live at once, so this bounds the stacked pass's working set
+_CHUNK_BYTES = 1 << 17
+
+
+def _chunks(modes: Sequence[ModeRecord], lay: ElementLayout):
+    """``modes`` in consecutive chunks whose stacks fit in _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (64 * max(1, len(lay.refs))))
+    return [modes[k:k + step] for k in range(0, len(modes), step)]
+
+
+def mode_layers(
+    net: NetworkDescription,
+    modes: Sequence[ModeRecord],
+    layout: ElementLayout,
+    apparatus_overrides=None,
+) -> Iterator[ModeLayers]:
+    """The layers of every element of ``layout`` at each of ``modes``, in
+    turn, from one stacked pass per chunk of modes over (M, N, 2, 2)
+    arrays: dlambda/dy by the transformer-ratio formula on the residue's
+    bus blocks, y(lambda) and layer 3 in closed form, each apparatus
+    evaluated once per chunk (``apparatus_overrides`` apply). Every branch,
+    line or transformer, takes layer 3 (L, R) as <s, dy/drho> of its
+    unsplit series admittance (see :func:`branch_parameter_sensitivity`),
+    shunts their ``value`` derivative; apparatus get no layer 3 (converter
+    internals are not modeled here). Where an element cannot be evaluated,
+    raises the error of the first such mode, as that mode alone would.
+    """
+    w0, br = net.omega0, layout.branches
+    for chunk in _chunks(modes, layout):
+        s, y = _mode_stack(net, layout, chunk, apparatus_overrides)
+        lam = np.array([mode.lam for mode in chunk])[:, None]
+        l2 = layer2(s, y)
+        l1 = layer1_cauchy(s, y, 1.0)
+        l3 = np.zeros(l2.shape + (2,), dtype=complex)
+        l3[:, br, 0], l3[:, br, 1] = _direct_layer3(s[:, br], y[:, br], lam, w0)
+        for kind, (pos, value) in layout.shunts.items():
+            dy = _shunt_value_derivative(kind, value, y[:, pos], lam, w0)
+            l3[:, pos, 0], _ = layer3(s[:, pos], dy)
+        l1e = enhanced_layer1(l2.real, l2.imag)
+        for m in range(len(chunk)):
+            yield ModeLayers(layer1_cauchy=l1[m], layer2=l2[m], layer1_enhanced=l1e[m],
+                             layer3=l3[m])
 
 
 def mode_layer_reports(
@@ -645,42 +692,18 @@ def mode_layer_reports(
     epsilon: float = 0.05,
     apparatus_overrides=None,
 ) -> list[LayerReport]:
-    """All three layers of every element in ``refs`` at one mode.
-
-    The same reports as :func:`element_layer_report` for each element, from
-    one pass over stacked (N, 2, 2) arrays: dlambda/dy by the
-    transformer-ratio formula on the residue's bus blocks (ground is a zero
-    block), y(lambda) and layer 3 in closed form. Every branch, line or
-    transformer, takes layer 3 (L, R) as <s, dy/drho> of its unsplit series
-    admittance (see :func:`branch_parameter_sensitivity`), shunts their
-    ``value`` derivative; apparatus get no layer 3 (converter internals are
-    not modeled here) and are evaluated one by one, so
-    ``apparatus_overrides`` apply.
-    """
-    lay = _element_layout(net, refs)
-    lam, w0 = mode.lam, net.omega0
-    s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
-    l2 = layer2(s, y)
-    l1 = layer1_cauchy(s, y, 1.0)
-
-    l3: list[dict] = [{} for _ in refs]
-    br = lay.branches
-    s_L, s_R = _direct_layer3(s[br], y[br], lam, w0)
-    for pos, sl, sr in zip(br.tolist(), s_L.tolist(), s_R.tolist()):
-        l3[pos] = {"L": sl, "R": sr}
-    for kind, (pos, value) in lay.shunts.items():
-        s_value, _ = layer3(s[pos], _shunt_value_derivative(kind, value, y[pos], lam, w0))
-        for p, v in zip(pos.tolist(), s_value.tolist()):
-            l3[p] = {"value": v}
-
+    """All three layers of every element in ``refs`` at one mode, as
+    :class:`LayerReport` objects: the one-mode case of :func:`mode_layers`."""
+    lay = element_layout(net, refs)
+    layers = next(mode_layers(net, [mode], lay, apparatus_overrides))
     return [
         LayerReport(
             element=label, location=loc, layer1_cauchy=c, layer2=v,
-            layer1_enhanced=e, layer3=p, epsilon=epsilon,
+            layer1_enhanced=e, layer3=dict(zip(names, p)), epsilon=epsilon,
         )
-        for label, loc, c, v, e, p in zip(
-            lay.labels, lay.locations, l1.tolist(), l2.tolist(),
-            enhanced_layer1(l2.real, l2.imag).tolist(), l3,
+        for label, loc, names, c, v, e, p in zip(
+            lay.labels, lay.locations, lay.params, layers.layer1_cauchy.tolist(),
+            layers.layer2.tolist(), layers.layer1_enhanced.tolist(), layers.layer3.tolist(),
         )
     ]
 
@@ -909,8 +932,9 @@ def validate_mode_predictions(
     ``ValidationRecord``, or the error (``AnalysisError``,
     ``RefinementError``, ``OracleError`` or ``AssemblyError``) its
     validation ended in. The predicted shifts come from the stacked s and
-    y(lambda) of :func:`mode_layer_reports`; a mode where an element's
-    admittance cannot be evaluated gives every element that error. Each
+    y(lambda) of :func:`mode_layers`, one pass per chunk of modes; a mode
+    where an element's admittance cannot be evaluated gives every element
+    that error. Each
     element's re-solve is anchored at lambda + its predicted shift and
     gated at 0.3 x the distance from lambda to its nearest other mode. On
     the oracle route (as in :func:`solve_modes`), each element's row update
@@ -923,7 +947,7 @@ def validate_mode_predictions(
     and the gate takes ``reference_modes`` (the run's modes; by default the
     lambdas of ``modes``) and their conjugates.
     """
-    lay = _element_layout(net, refs)
+    lay = element_layout(net, refs)
     oracle = updates = None
     if _oracle_route(net, apparatus_overrides):
         oracle, updates = mass_oracle.Interconnection(net), []
@@ -938,15 +962,20 @@ def validate_mode_predictions(
                                else reference_modes, dtype=complex)
         # the conjugates are zeros of det Y too; a mode given twice is one mode
         reference = np.unique(np.concatenate([reference, reference.conj()]))
-    results = []
-    for mode in modes:
+
+    def shifts(chunk):
         try:
-            s, y = _mode_sensitivities(net, refs, lay, mode, apparatus_overrides)
-        except _VALIDATION_ERRORS as exc:
-            results.append([exc] * len(refs))
-            continue
-        predicted = predict_mode_shift(s, epsilon * y).tolist()
-        if oracle is not None:
+            s, y = _mode_stack(net, lay, chunk, apparatus_overrides)
+        except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
+            return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
+        return predict_mode_shift(s, epsilon * y).tolist()
+
+    predictions = [p for chunk in _chunks(modes, lay) for p in shifts(chunk)]
+    results = []
+    for mode, predicted in zip(modes, predictions):
+        if isinstance(predicted, Exception):
+            results.append([predicted] * len(refs))
+        elif oracle is not None:
             results.append(_secular_outcomes(oracle, mode, predicted, updates))
         else:
             results.append(_overlay_outcomes(model, refs, mode, predicted, 1.0 + epsilon,

@@ -88,3 +88,29 @@ def rl_shunt_impedance(s: complex, R: float = 0.1, L: float = 0.01, w0: float = 
 def rl_shunt_admittance(s: complex, R: float = 0.1, L: float = 0.01, w0: float = W0):
     """Admittance of the series RL shunt: poles at -R/L +- j w0."""
     return np.linalg.inv(rl_shunt_impedance(s, R, L, w0))
+
+
+def mixed_ring_doc() -> dict:
+    """Network document of a 6-bus ring with every element kind the layer
+    pass distinguishes: lines, a transformer (4-5, k = 0.95), a line in
+    parallel with 2-3, capacitive shunts on every bus, a resistive (bus 3)
+    and an inductive (bus 2) shunt, and series RL loads on the odd buses
+    given as exact rational models (no state-space realization)."""
+    rng = np.random.default_rng(11)
+    pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (3, 2)]
+    branches = [{"kind": "line", "from": i, "to": j, "R": rng.uniform(0.02, 0.05),
+                 "L": rng.uniform(0.001, 0.003)} for i, j in pairs]
+    branches[3].update(kind="transformer", ratio=0.95)
+    shunts = [{"bus": b, "kind": "capacitive", "value": rng.uniform(5e-4, 1.5e-3)}
+              for b in range(1, 7)]
+    shunts += [{"bus": 3, "kind": "resistive", "value": 2.5},
+               {"bus": 2, "kind": "inductive", "value": 0.08}]
+    apparatus = []
+    for b in (1, 3, 5):
+        Ra, La = rng.uniform(0.1, 0.2), rng.uniform(0.005, 0.01)
+        den = [La * La, 2 * Ra * La, Ra * Ra + (W0 * La) ** 2]
+        apparatus.append({"bus": b, "theta": 0.1, "model": {"kind": "rational", "entries": [
+            [{"num": [La, Ra], "den": den}, {"num": [W0 * La], "den": den}],
+            [{"num": [-W0 * La], "den": den}, {"num": [La, Ra], "den": den}]]}})
+    return {"n_buses": 6, "omega0": W0, "branches": branches, "shunts": shunts,
+            "apparatus": apparatus}

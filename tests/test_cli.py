@@ -10,8 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impedmodal import mai_core, mass_oracle, network_model
-from impedmodal.admittance_assembly import network_elements
+from impedmodal import admittance_assembly as assembly
+from impedmodal import cli_reporting, mai_core, mass_oracle, network_model
+from impedmodal.admittance_assembly import (
+    EvaluationError,
+    apparatus_admittance,
+    element_admittance,
+    network_elements,
+)
 from impedmodal.cli_reporting import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -22,6 +28,8 @@ from impedmodal.cli_reporting import (
     main,
     run,
 )
+
+from conftest import mixed_ring_doc
 
 REPO = Path(__file__).resolve().parents[1]
 NETWORK = REPO / "networks" / "three_bus.json"
@@ -279,26 +287,149 @@ def test_fit_rejects_bad_order_or_iterations(tmp_path, capsys, order, iterations
     assert not (tmp_path / "fit.json").exists()
 
 
-def test_analyze_builds_layers_once_per_mode(tmp_path, monkeypatch):
-    """Each selected mode's layer reports come from one batched call, not
-    one call per (mode, element)."""
-    calls = {"mode": 0, "element": 0}
-    batched, single = mai_core.mode_layer_reports, mai_core.element_layer_report
+def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
+    """The layer reports of all selected modes come from stacked chunks:
+    no mode_layer_reports or element_layer_report call, and one evaluation
+    of each apparatus's state-space response per chunk, over all the
+    chunk's modes (all 7 modes of three_bus in one chunk, or chunks of at
+    most 3). The report files do not depend on the chunking."""
+    net = network_model.parse_network(NETWORK.read_text())
+    assert len(net.apparatus) == 2
+    reference = tmp_path / "reference"
+    assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(reference)]) == EXIT_OK
+    calls = {"mode_layer_reports": 0, "element_layer_report": 0}
+    points = []
+    response = assembly.state_space_response
 
-    def count_mode(*args, **kwargs):
-        calls["mode"] += 1
-        return batched(*args, **kwargs)
+    def counted(name):
+        original = getattr(mai_core, name)
 
-    def count_element(*args, **kwargs):
-        calls["element"] += 1
-        return single(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(mai_core, "mode_layer_reports", count_mode)
-    monkeypatch.setattr(mai_core, "element_layer_report", count_element)
-    assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(tmp_path)]) == EXIT_OK
-    n_modes = json.loads((tmp_path / "summary.json").read_text())["n_modes"]
-    assert n_modes == 7
-    assert calls == {"mode": n_modes, "element": 0}
+    def counted_response(A, B, C, D, s):
+        points.append(np.size(s))
+        return response(A, B, C, D, s)
+
+    for name in calls:
+        monkeypatch.setattr(mai_core, name, counted(name))
+    monkeypatch.setattr(assembly, "state_space_response", counted_response)
+    for per_chunk, expected in ((None, [7, 7]), (3, [3, 3, 3, 3, 1, 1])):
+        if per_chunk is not None:
+            monkeypatch.setattr(mai_core, "_CHUNK_BYTES",
+                                per_chunk * 64 * len(network_elements(net)))
+        points.clear()
+        out = tmp_path / f"chunk{per_chunk}"
+        assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["n_modes"] == 7
+        assert calls == {"mode_layer_reports": 0, "element_layer_report": 0}
+        assert points == expected
+        for f in sorted(reference.iterdir()):
+            assert f.read_bytes() == (out / f.name).read_bytes(), f.name
+
+
+def _parse_floats(row, keys):
+    return np.array([float(row[k]) for k in keys])
+
+
+def test_report_csvs_parse_back_to_the_layers(tmp_path):
+    """On a ring with a transformer, all three shunt kinds, parallel branches
+    and rational apparatus (impedance route), every element and layer-3
+    value of every mode parses back to the one-mode mode_layer_reports
+    within the 12 printed digits; every heatmap cell to the sum of the
+    elements in it, and the parallel-branch note is written."""
+    doc = mixed_ring_doc()
+    (tmp_path / "ring.json").write_text(json.dumps(doc))
+    out = tmp_path / "rep"
+    assert main(["analyze", str(tmp_path / "ring.json"), "--band", "5:5000", "--no-validate",
+                 "--out", str(out)]) == EXIT_OK
+    net = network_model.parse_network(json.dumps(doc))
+    refs = network_elements(net)
+    modes = mai_core.solve_modes(net, band=(5.0, 5000.0))
+    assert len(modes) == json.loads((out / "summary.json").read_text())["n_modes"] >= 7
+    keys = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
+
+    def close(have, want):
+        return np.all(np.abs(have - want) <= 1e-11 * np.abs(want) + 1e-300)
+
+    for k, mode in enumerate(modes):
+        reports = mai_core.mode_layer_reports(net, mode, refs)
+        want = np.array([[r.layer1_cauchy, r.layer1_enhanced, r.layer2.real, r.layer2.imag]
+                         for r in reports])
+        with open(out / f"mode{k}_elements.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["element"] for row in rows] == [r.element for r in reports]
+        assert all(float(row["epsilon"]) == 0.05 for row in rows)
+        assert close(np.array([_parse_floats(row, keys) for row in rows]), want)
+        with open(out / f"mode{k}_layer3.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["element"], row["parameter"]) for row in rows] == [
+            (r.element, p) for r in reports for p in sorted(r.layer3)]
+        s_rho = np.array([r.layer3[p] for r in reports for p in sorted(r.layer3)])
+        parsed = np.array([_parse_floats(row, ("s_rho_real", "s_rho_imag")) for row in rows])
+        assert close(parsed[:, 0], s_rho.real) and close(parsed[:, 1], s_rho.imag)
+        for h, key in enumerate(keys):
+            cells = {}
+            for r, v in zip(reports, want[:, h]):
+                i, j = r.location.i, r.location.j or r.location.i
+                for cell in {(i, j), (j, i)}:
+                    cells[cell] = cells.get(cell, 0.0) + v
+            with open(out / f"mode{k}_{key}.csv") as fh:
+                grid = list(csv.reader(fh))
+            assert grid[0] == ["bus"] + [str(b) for b in range(1, 7)]
+            assert grid[-1] == ["note", "2 parallel branches 2-3 summed"]
+            for i in range(1, 7):
+                for j in range(1, 7):
+                    text = grid[i][j]
+                    assert (text != "") == ((i, j) in cells), (k, key, i, j)
+                    if text:
+                        assert close(float(text), cells[(i, j)]), (k, key, i, j)
+
+
+def _fragile_apparatus(net, failing):
+    """Overrides equal to each apparatus's own admittance, except that
+    apparatus a raises at the mode values ``failing[a]``, naming its s."""
+    def make(a, app):
+        def evaluate(s):
+            if np.isin(np.asarray(s), failing.get(a, [])).any():
+                raise EvaluationError(f"apparatus {a} fails at s = {s}")
+            return apparatus_admittance(app.model, s, app.theta)
+        return evaluate
+    return {a: make(a, app) for a, app in enumerate(net.apparatus)}
+
+
+@pytest.mark.parametrize("modes_arg", ["all", "1,6,4,5"])
+@pytest.mark.parametrize("per_chunk", [None, 3])
+def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypatch, capsys,
+                                                            modes_arg, per_chunk):
+    """Apparatus 0 fails at modes 4 and 6, apparatus 1 at mode 4: analyze
+    exits numerical with the error a per-mode loop over the selected modes,
+    element by element, raises first: apparatus 0 at mode 4 for all modes
+    in order, at mode 6 for the order 1, 6, 4, 5, with s as that mode
+    alone passes it; whether the modes are stacked in one chunk or in
+    chunks of 3."""
+    net = network_model.parse_network(NETWORK.read_text())
+    refs = network_elements(net)
+    records = mai_core.solve_modes(net)
+    lam = [r.lam for r in records]
+    overrides = _fragile_apparatus(net, {0: [lam[4], lam[6]], 1: [lam[4]]})
+    monkeypatch.setattr(mai_core, "solve_modes", lambda *args, **kwargs: records)
+    monkeypatch.setattr(cli_reporting, "_apparatus_overrides", lambda net, order: overrides)
+    if per_chunk is not None:
+        monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
+    selected = range(len(records)) if modes_arg == "all" else map(int, modes_arg.split(","))
+    try:
+        for k in selected:
+            for ref in refs:
+                element_admittance(net, ref, records[k].lam, overrides)
+    except EvaluationError as exc:
+        expected = {"error": "numerical", "type": type(exc).__name__, "message": str(exc)}
+    assert expected["message"].startswith("apparatus 0 fails at s = ")
+    assert main(["analyze", str(NETWORK), "--no-validate", "--modes", modes_arg,
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().err) == expected
 
 
 def test_console_script_entry():

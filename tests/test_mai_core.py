@@ -53,7 +53,7 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import W0
+from conftest import W0, mixed_ring_doc
 
 
 @pytest.fixture(scope="module")
@@ -881,6 +881,48 @@ def test_mode_layer_reports_match_element_formulas(case, request):
             want = np.array([e[key] for e in expected if key in e])
             have = np.array([g[key] for g in got if key in g])
             assert np.max(np.abs(have - want)) <= 1e-10 * np.max(np.abs(want)), (mode.lam, key)
+
+
+def _stacked_case(name, request):
+    """(network, modes, apparatus overrides) of an equivalence case."""
+    if name == "three_bus":
+        net = request.getfixturevalue("three_bus_net")
+        return net, solve_modes(net, method="state_space"), None
+    net = network_model.parse_network(json.dumps(mixed_ring_doc()))
+    overrides = _exact_apparatus(net)
+    return net, solve_modes(net, band=BAND, apparatus_overrides=overrides), overrides
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3])
+@pytest.mark.parametrize("case", ["three_bus", "mixed_ring"])
+def test_stacked_layers_equal_the_one_mode_reports(case, per_chunk, request, monkeypatch):
+    """Layers of all modes from the stacked pass (in one chunk, or in
+    chunks of 3 modes) agree field by field with the one-mode
+    mode_layer_reports at every mode, within 1e-14 relative. The ring has
+    a transformer, all three shunt kinds, a pair of parallel branches and
+    rational apparatus evaluated through overrides on the impedance route."""
+    net, modes, overrides = _stacked_case(case, request)
+    refs = network_elements(net)
+    lay = mai_core.element_layout(net, refs)
+    if per_chunk is not None:
+        monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
+    stacked = list(mai_core.mode_layers(net, modes, lay, overrides))
+    assert len(stacked) == len(modes) >= 7
+    for mode, layers in zip(modes, stacked):
+        reports = mode_layer_reports(net, mode, refs, 0.05, overrides)
+        fields = {
+            "layer1_cauchy": (layers.layer1_cauchy, [r.layer1_cauchy for r in reports]),
+            "layer2": (layers.layer2, [r.layer2 for r in reports]),
+            "layer1_enhanced": (layers.layer1_enhanced, [r.layer1_enhanced for r in reports]),
+            "layer3": ([layers.layer3[e, c] for e, names in enumerate(lay.params)
+                        for c in range(len(names))],
+                       [r.layer3[name] for r, names in zip(reports, lay.params)
+                        for name in names]),
+        }
+        assert [sorted(r.layer3) for r in reports] == [sorted(names) for names in lay.params]
+        for key, (have, want) in fields.items():
+            have, want = np.asarray(have), np.asarray(want)
+            assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want)), (mode.lam, key)
 
 
 def test_zero_resistance_line_takes_direct_route(request):
