@@ -126,17 +126,31 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def emit_heatmap(table: HeatmapTable) -> str:
-    """Render a heatmap table as CSV with bus indices as header row/column."""
-    n = table.n_buses
-    cells = [""] * (n * n)
-    at = np.flatnonzero(table.present)
-    for k, v in zip(at.tolist(), table.values.ravel()[at].tolist()):
-        cells[k] = f"{v:.12g}"
+def _literal(text: str) -> str:
+    """``text`` as literal text of a ``str.format`` template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+# one report number: 12 significant digits, as _fmt
+_NUMBER = "{:.12g}"
+
+
+def _heatmap_template(n: int, present: np.ndarray, notes) -> str:
+    """``str.format`` template of an n x n heatmap CSV with bus indices as
+    header row and column: one number field per ``present`` cell, taken in
+    the order of ``np.flatnonzero(present)``, the other cells empty."""
+    cells = np.where(present.ravel(), _NUMBER, "").tolist()
     lines = ["bus," + ",".join(map(str, range(1, n + 1)))]
     lines += [f"{i + 1}," + ",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
-    lines += [f"note,{note}" for note in table.notes]
+    lines += [f"note,{_literal(note)}" for note in notes]
     return "\n".join(lines) + "\n"
+
+
+def emit_heatmap(table: HeatmapTable) -> str:
+    """Render a heatmap table as CSV with bus indices as header row/column."""
+    at = np.flatnonzero(table.present)
+    return _heatmap_template(table.n_buses, table.present, table.notes).format(
+        *table.values.ravel()[at].tolist())
 
 
 _HEATMAPS = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
@@ -146,8 +160,9 @@ _ELEMENTS_HEAD = ("element,location,layer1_cauchy,layer1_enhanced,layer2_real,la
 
 class _ModeWriter:
     """Renders each mode's element, layer-3 and heatmap files from its
-    :class:`mai_core.ModeLayers`; what depends on the elements alone is
-    prepared once per run.
+    :class:`mai_core.ModeLayers`. What depends on the elements alone is
+    prepared once per run: each file is a ``str.format`` template with a
+    number field wherever a mode's value goes.
 
     An apparatus or shunt fills the diagonal cell of its bus, a branch both
     cells of its bus pair. Elements that share a cell (parallel branches,
@@ -156,37 +171,43 @@ class _ModeWriter:
     """
 
     def __init__(self, net, lay: mai_core.ElementLayout, epsilon: float):
-        self.n, self.tail = net.n_buses, f",{epsilon:.12g}\n"
-        self.element_rows = [f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ",")
-                             for label, loc in zip(lay.labels, lay.locations)]
-        self.layer3_rows = [(e, c, f"{label},{name},")
-                            for e, (label, names) in enumerate(zip(lay.labels, lay.params))
-                            for c, name in enumerate(names)]
+        self.n = n = net.n_buses
+        tail = _literal(f",{epsilon:.12g}\n")
+        self.elements = _ELEMENTS_HEAD + "".join(
+            _literal(f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ","))
+            + ",".join([_NUMBER] * 4) + tail
+            for label, loc in zip(lay.labels, lay.locations))
+        entries = [(e, c, f"{label},{name},")
+                   for e, (label, names) in enumerate(zip(lay.labels, lay.params))
+                   for c, name in enumerate(names)]
+        self.layer3 = "element,parameter,s_rho_real,s_rho_imag\n" + "".join(
+            f"{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
+        self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
+                               .reshape(-1, 2).T)
         ij = list(zip(lay.i.tolist(), lay.j.tolist()))  # j = 0 for a node
         cells = sorted([(e, i - 1, (j or i) - 1) for e, (i, j) in enumerate(ij)]
                        + [(e, j - 1, i - 1) for e, (i, j) in enumerate(ij) if j])
         self.element, rows, cols = np.array(cells, dtype=int).reshape(-1, 3).T
         self.cells = (rows, cols)
-        self.present = np.zeros((self.n, self.n), dtype=bool)
-        self.present[self.cells] = True
+        present = np.zeros((n, n), dtype=bool)
+        present[self.cells] = True
+        self.present_at = np.flatnonzero(present)
         pairs = Counter((min(i, j), max(i, j)) for i, j in ij if j)
-        self.notes = [f"{count} parallel branches {i}-{j} summed"
-                      for (i, j), count in sorted(pairs.items()) if count > 1]
+        notes = [f"{count} parallel branches {i}-{j} summed"
+                 for (i, j), count in sorted(pairs.items()) if count > 1]
+        self.heatmap = _heatmap_template(n, present, notes)
 
     def files(self, layers: mai_core.ModeLayers):
         """(suffix, text) of each of one mode's report files."""
         l2 = layers.layer2
         values = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, l2.real, l2.imag], -1)
-        yield "elements", _ELEMENTS_HEAD + "".join(
-            f"{row}{a:.12g},{b:.12g},{c:.12g},{d:.12g}{self.tail}"
-            for row, (a, b, c, d) in zip(self.element_rows, values.tolist()))
-        l3 = layers.layer3.tolist()
-        yield "layer3", "element,parameter,s_rho_real,s_rho_imag\n" + "".join(
-            f"{row}{l3[e][c].real:.12g},{l3[e][c].imag:.12g}\n" for e, c, row in self.layer3_rows)
+        yield "elements", self.elements.format(*values.ravel().tolist())
+        # a complex array viewed as float interleaves real and imaginary parts
+        yield "layer3", self.layer3.format(*layers.layer3[self.layer3_at].view(float).tolist())
         grid = np.zeros((len(_HEATMAPS), self.n, self.n))
         np.add.at(grid, (slice(None), *self.cells), values[self.element].T)
-        for name, table in zip(_HEATMAPS, grid):
-            yield name, emit_heatmap(HeatmapTable(self.n, table, self.present, self.notes))
+        for name, cells in zip(_HEATMAPS, grid.reshape(len(_HEATMAPS), -1)[:, self.present_at]):
+            yield name, self.heatmap.format(*cells.tolist())
 
 
 def _csv(header: str, rows) -> str:
@@ -247,7 +268,9 @@ def run(config: AnalysisConfig) -> int:
     out_dir = Path(config.out_dir)
     _check_band_given(net, config.band)
     overrides = _apparatus_overrides(net, config.order)
-    records = mai_core.solve_modes(net, band=config.band, apparatus_overrides=overrides or None)
+    system = mai_core.oracle_system(net, overrides or None)
+    records = mai_core.solve_modes(net, band=config.band, apparatus_overrides=overrides or None,
+                                   system=system)
     if not records:
         raise mai_core.AnalysisError("no modes found in the requested band")
 
@@ -278,6 +301,7 @@ def run(config: AnalysisConfig) -> int:
         outcomes = mai_core.validate_mode_predictions(
             net, modes, refs, epsilon=config.epsilon,
             apparatus_overrides=overrides or None, reference_modes=[r.lam for r in records],
+            system=system,
         )
         validation: dict = {"epsilon": config.epsilon, "modes": []}
         for k, mode_outcomes in zip(selected, outcomes):

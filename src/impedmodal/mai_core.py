@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
@@ -62,6 +61,7 @@ __all__ = [
     "mode_layer_reports",
     "branch_parameter_sensitivity",
     "scale_element_admittance",
+    "oracle_system",
     "solve_modes",
     "track_mode",
     "min_mode_spacing",
@@ -743,9 +743,8 @@ def _in_band(eigenvalues: np.ndarray, band) -> np.ndarray:
     return idx[np.lexsort((lam[idx].real, lam[idx].imag))]
 
 
-def _solve_modes_state_space(net, band):
-    ss = mass_oracle.interconnect(net)
-    eig = mass_oracle.eigendecompose(ss.A)
+def _solve_modes_state_space(system: mass_oracle.Interconnection, band):
+    ss, eig = system.model, system.eig
     return [
         ModeRecord(lam=complex(eig.eigenvalues[i]),
                    residue=np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B),
@@ -777,12 +776,40 @@ def _oracle_route(net: NetworkDescription, apparatus_overrides) -> bool:
     return mass_oracle.oracle_capable(net) and not apparatus_overrides
 
 
+def oracle_system(
+    net: NetworkDescription, apparatus_overrides=None
+) -> Optional[mass_oracle.Interconnection]:
+    """The :class:`mass_oracle.Interconnection` of ``net`` when its modes are
+    solved and validated on the oracle route (as in :func:`solve_modes`),
+    else None. Built once, it serves :func:`solve_modes` and
+    :func:`validate_mode_predictions` of one run through their ``system``
+    keyword, so A is assembled and eigendecomposed once.
+
+    Raises
+    ------
+    UnsupportedForOracleError
+        As :func:`mass_oracle.interconnect`, if a bus voltage is undefined.
+    """
+    return mass_oracle.Interconnection(net) if _oracle_route(net, apparatus_overrides) else None
+
+
+def _system_of(net: NetworkDescription, system) -> mass_oracle.Interconnection:
+    """``system`` if given (it must be built from ``net`` itself), else a new
+    Interconnection of ``net``."""
+    if system is None:
+        return mass_oracle.Interconnection(net)
+    if system.net is not net:
+        raise AnalysisError("the given Interconnection was built from another network")
+    return system
+
+
 def solve_modes(
     net: NetworkDescription,
     band: Optional[tuple[float, float]] = None,
     order: Optional[int] = None,
     method: str = "auto",
     apparatus_overrides=None,
+    system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[ModeRecord]:
     """Find the system's oscillatory modes with their impedance residues.
 
@@ -791,12 +818,14 @@ def solve_modes(
     a Loewner realization of Z over ``band`` to zeros of det Y by Newton on
     log det Y (AnalysisError if one in the band ends in no mode), and takes
     all residues from one stacked evaluation of Y around the modes. ``"auto"``
-    prefers the state-space path when available; ``order`` is ignored.
+    prefers the state-space path when available; ``order`` is ignored. The
+    state-space path takes A and its eigenstructure from ``system`` (see
+    :func:`oracle_system`) when given.
     """
     if method == "auto":
         method = "state_space" if _oracle_route(net, apparatus_overrides) else "impedance"
     if method == "state_space":
-        return _solve_modes_state_space(net, band)
+        return _solve_modes_state_space(_system_of(net, system), band)
     if method == "impedance":
         return _solve_modes_impedance(WholeSystemModel(net, apparatus_overrides), band)
     raise AnalysisError(f"unknown mode-solving method '{method}'")
@@ -924,6 +953,7 @@ def validate_mode_predictions(
     epsilon: float = 0.05,
     apparatus_overrides=None,
     reference_modes: Optional[Sequence[complex]] = None,
+    system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[list]:
     """Predict each mode's shift for a (1 + eps) scaling of each element and
     compare it against the re-solved mode of the perturbed system.
@@ -945,12 +975,13 @@ def validate_mode_predictions(
     stacked Newton (:func:`rational_fit.refine_modes`) on the admittance
     with each one's element scaled (:func:`admittance_assembly.overlay_admittance`),
     and the gate takes ``reference_modes`` (the run's modes; by default the
-    lambdas of ``modes``) and their conjugates.
+    lambdas of ``modes``) and their conjugates. The oracle route uses
+    ``system`` (see :func:`oracle_system`) when given; the other ignores it.
     """
     lay = element_layout(net, refs)
     oracle = updates = None
     if _oracle_route(net, apparatus_overrides):
-        oracle, updates = mass_oracle.Interconnection(net), []
+        oracle, updates = _system_of(net, system), []
         for ref in refs:
             try:
                 updates.append(oracle.element_update(ref, 1.0 + epsilon))
@@ -1043,7 +1074,7 @@ class _OracleSweep:
         else:
             rows, A_rows, B_rows = self.system.element_rows(self.ref, net.branches[self.ref[1]])
             self.A[rows], self.B[rows] = A_rows, B_rows
-            lam = scipy.linalg.eigvals(self.A)
+            lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
         self.index = _in_band(lam, self.band)
         self.lams = lam[self.index]
         return self.lams

@@ -15,7 +15,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .admittance_assembly import (
     _I2,
@@ -455,14 +454,17 @@ def interconnect(net: NetworkDescription) -> StateSpaceModel:
 def eigendecompose(A: np.ndarray) -> EigenStructure:
     """Eigenvalues with mutually normalized right/left eigenvectors.
 
-    Left eigenvectors are the rows of the inverse of the right-eigenvector
-    matrix, which enforces left @ right = I up to inversion error.
+    ``numpy.linalg.eig`` (LAPACK ``geev``, the routine ``scipy.linalg.eig``
+    calls too) gives the eigenvalues and right eigenvectors; both are cast
+    to complex128, which numpy returns as float64 when every eigenvalue is
+    real. Left eigenvectors are the rows of the inverse of the
+    right-eigenvector matrix, which enforces left @ right = I up to
+    inversion error.
 
     Raises DefectiveMatrixError when the eigenvector matrix condition number
     exceeds 1e12 (near-defective A).
     """
-    A = np.asarray(A)
-    lam, Phi = scipy.linalg.eig(A)
+    lam, Phi = (a.astype(complex, copy=False) for a in np.linalg.eig(np.asarray(A)))
     cond = np.linalg.cond(Phi)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise DefectiveMatrixError(
@@ -500,8 +502,8 @@ def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
         eigenvalues are about equally near it, or if ARPACK does not
         converge.
     """
-    # imported here, not at module level: loading scipy.sparse.linalg would
-    # lengthen every CLI start-up, also for runs that never re-solve a mode
+    # imported here, not at module level: no scipy module is loaded at
+    # start-up, nor by an oracle run that never falls back to this solve
     import scipy.sparse
     import scipy.sparse.linalg as spla
 
@@ -569,6 +571,10 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
     DefectiveMatrixError
         If the eigenvalue's condition number exceeds 1e12.
     """
+    # imported here, not at module level: numpy has no LU to reuse for the
+    # conjugate-transposed solves, and an oracle analyze never comes here
+    import scipy.linalg
+
     n = A.shape[0]
     sigma = lam + 16 * np.finfo(float).eps * (np.linalg.norm(A) or 1.0)
     lu = scipy.linalg.lu_factor(A - sigma * np.eye(n), check_finite=False)

@@ -519,9 +519,17 @@ def _bus_ok(bus: int, n: int) -> bool:
     return 1 <= bus <= n
 
 
+def _non_finite(label: str, **values) -> list[Violation]:
+    """A violation for each of ``values`` (numbers or arrays) that holds a
+    NaN or an infinity."""
+    return [Violation("non_finite", f"{label}: {name} must be finite")
+            for name, value in values.items() if not np.all(np.isfinite(value))]
+
+
 def validate(net: NetworkDescription) -> list[Violation]:
     """Check every model invariant; returns an empty list iff the network is valid.
 
+    Every number must be finite (JSON parsing admits NaN and Infinity).
     Violations are returned as data so callers can report all of them at
     once. The function is pure: identical inputs yield identical lists.
     """
@@ -529,8 +537,8 @@ def validate(net: NetworkDescription) -> list[Violation]:
     n = net.n_buses
     if n < 1:
         out.append(Violation("n_buses", f"n_buses must be positive, got {n}"))
-    if not (net.omega0 > 0):
-        out.append(Violation("omega0", f"omega0 must be positive, got {net.omega0}"))
+    if not (0 < net.omega0 < math.inf):
+        out.append(Violation("omega0", f"omega0 must be finite and positive, got {net.omega0}"))
 
     for i, b in enumerate(net.branches):
         label = f"branch[{i}] ({b.from_bus}-{b.to_bus})"
@@ -541,12 +549,14 @@ def validate(net: NetworkDescription) -> list[Violation]:
                 )
         if b.from_bus == b.to_bus:
             out.append(Violation("self_loop", f"{label}: from and to buses are equal"))
-        if b.R < 0:
-            out.append(Violation("branch_R", f"{label}: R must be >= 0, got {b.R}"))
-        if not (b.L > 0):
-            out.append(Violation("branch_L", f"{label}: L must be > 0, got {b.L}"))
-        if b.ratio == 0:
-            out.append(Violation("branch_ratio", f"{label}: transformer ratio must be nonzero"))
+        if not (0 <= b.R < math.inf):
+            out.append(Violation("branch_R", f"{label}: R must be finite and >= 0, got {b.R}"))
+        if not (0 < b.L < math.inf):
+            out.append(Violation("branch_L", f"{label}: L must be finite and > 0, got {b.L}"))
+        if b.ratio == 0 or not math.isfinite(b.ratio):
+            out.append(Violation("branch_ratio",
+                                 f"{label}: transformer ratio must be finite and nonzero, "
+                                 f"got {b.ratio}"))
         if b.kind == "line" and b.ratio != 1.0:
             out.append(Violation("line_ratio", f"{label}: a line must have unit ratio"))
 
@@ -554,8 +564,9 @@ def validate(net: NetworkDescription) -> list[Violation]:
         label = f"shunt[{i}] (bus {s.bus})"
         if not _bus_ok(s.bus, n):
             out.append(Violation("bus_range", f"{label}: bus {s.bus} outside [1, {n}]"))
-        if not (s.value > 0):
-            out.append(Violation("shunt_value", f"{label}: value must be > 0, got {s.value}"))
+        if not (0 < s.value < math.inf):
+            out.append(Violation("shunt_value",
+                                 f"{label}: value must be finite and > 0, got {s.value}"))
 
     seen_buses: dict[int, int] = {}
     for i, a in enumerate(net.apparatus):
@@ -609,6 +620,7 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
                     f"B {model.B.shape}, C {model.C.shape}, D {model.D.shape}",
                 )
             )
+        out.extend(_non_finite(label, A=model.A, B=model.B, C=model.C, D=model.D))
     elif isinstance(model, RationalMatrix):
         for p in range(2):
             for q in range(2):
@@ -621,6 +633,8 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
                     out.append(
                         Violation("model_numerator", f"{label}: entry ({p},{q}) numerator is empty")
                     )
+                out.extend(_non_finite(label, **{f"entry ({p},{q}) numerator": num,
+                                                 f"entry ({p},{q}) denominator": den}))
     elif isinstance(model, SampledResponse):
         if model.frequencies.size < 2:
             out.append(Violation("model_samples", f"{label}: needs at least 2 samples"))
@@ -628,6 +642,7 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
             out.append(
                 Violation("model_samples", f"{label}: sample frequencies must strictly increase")
             )
+        out.extend(_non_finite(label, frequencies=model.frequencies, samples=model.blocks))
     else:
         out.append(Violation("model_kind", f"{label}: unrecognized apparatus model"))
     return out

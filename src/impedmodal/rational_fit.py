@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from . import mass_oracle
 from .mass_oracle import PortSelection, StateSpaceModel
@@ -630,6 +629,10 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
     The order is the rank of x0 E - A ((E, A) the real Loewner pencil, x0 the
     band's centre); the poles are the finite eigenvalues of the projected pencil.
     200 points, doubled while the rank fills over half of them (up to 1600)."""
+    # imported here, not at module level: numpy has no generalized
+    # eigensolver, and a run on the oracle route never loads scipy
+    import scipy.linalg
+
     w_lo, w_hi = band
     x0 = np.sqrt(w_lo * w_hi)
     model.admittance(x0)  # Newton needs Y off the axis: a model without it fails here

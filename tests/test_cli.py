@@ -114,6 +114,77 @@ def test_element_updates_are_built_once_per_run(tmp_path, monkeypatch):
     assert len(calls) == len(network_elements(net))
 
 
+def test_validated_analyze_eigendecomposes_once(tmp_path, monkeypatch):
+    """Mode solving and validation share the run's Interconnection: A is
+    eigendecomposed once per validated analyze."""
+    decompose = mass_oracle.eigendecompose
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return decompose(A)
+
+    monkeypatch.setattr(mass_oracle, "eigendecompose", counting)
+    assert main(["analyze", str(NETWORK), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(json.loads((tmp_path / "validation.json").read_text())["modes"]) == 7
+    assert calls == [(14, 14)]
+
+
+def test_oracle_cli_runs_never_load_scipy(tmp_path):
+    """In a fresh interpreter, importing the package and a validated analyze
+    of the oracle-capable three_bus load no scipy module; the impedance path
+    and a sweep, which import it where they need it, still run."""
+    script = (
+        "import sys\n"
+        "import impedmodal\n"
+        "from impedmodal.cli_reporting import main\n"
+        f"assert main(['analyze', {str(NETWORK)!r}, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"assert main(['analyze', {str(REPO / 'networks' / 'measured_two_bus.json')!r},"
+        f" '--band', '5:5000', '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        f"assert main(['sweep', {str(NETWORK)!r}, '--branch', '1:2', '--param', 'L',"
+        f" '--factor', '1.1', '--steps', '3', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+    assert (tmp_path / "a" / "validation.json").exists()
+    assert (tmp_path / "m" / "validation.json").exists()
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 5
+
+
+# one field of three_bus at a time: (where, key, value)
+NON_FINITE = [
+    (("apparatus", 0, "model", "A", 0), 0, float("nan")),
+    (("apparatus", 1, "model", "D", 1), 1, float("inf")),
+    (("branches", 0), "R", float("nan")),
+    ((), "omega0", float("inf")),
+    (("branches", 0), "L", float("inf")),
+    (("branches", 1), "ratio", float("inf")),
+    (("shunts", 3), "value", float("inf")),
+]
+
+
+@pytest.mark.parametrize("where, key, value", NON_FINITE, ids=[
+    "apparatus_A_nan", "apparatus_D_inf", "line_R_nan", "omega0_inf", "line_L_inf",
+    "transformer_ratio_inf", "resistive_shunt_inf"])
+def test_analyze_rejects_non_finite_network_numbers(tmp_path, capsys, where, key, value):
+    doc = json.loads(NETWORK.read_text())
+    field = doc
+    for step in where:
+        field = field[step]
+    field[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity literals, which json admits
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "NetworkValidationError" and "finite" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_emitted_numbers_round_trip(tmp_path):
     """Re-parsing a report reproduces every value at 12 significant digits."""
     config = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path),
@@ -457,6 +528,12 @@ def test_heatmap_empty_cells():
     assert rows[0] == "bus,1,2,3"
     assert rows[1] == "1,0.5,-0.25,"
     assert rows[3] == "3,,,"
+
+
+def test_heatmap_notes_keep_braces():
+    table = HeatmapTable(n_buses=2, notes=["cell {1,2} of {}"])
+    table.set(2, 1, 1e-13)
+    assert emit_heatmap(table) == "bus,1,2\n1,,\n2,1e-13,\nnote,cell {1,2} of {}\n"
 
 
 def test_heatmap_single_apparatus_only_diagonal(tmp_path):

@@ -81,6 +81,21 @@ def test_state_space_solve_modes_assembles_no_admittance(three_bus_net, monkeypa
     assert calls == []
 
 
+def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
+    """A run's Interconnection gives the same modes and validation as the
+    ones each call builds, and one of another network is refused."""
+    system = mai_core.oracle_system(three_bus_net)
+    records = solve_modes(three_bus_net, system=system)
+    assert [r.lam for r in records] == [r.lam for r in three_bus_modes]
+    assert all(np.array_equal(a.residue, b.residue) for a, b in zip(records, three_bus_modes))
+    refs = network_elements(three_bus_net)
+    assert (mai_core.validate_mode_predictions(three_bus_net, records[:2], refs, system=system)
+            == mai_core.validate_mode_predictions(three_bus_net, records[:2], refs))
+    assert mai_core.oracle_system(three_bus_net, {0: lambda s: np.eye(2)}) is None
+    with pytest.raises(AnalysisError, match="another network"):
+        solve_modes(two_bus_net, system=system)
+
+
 def test_zero_residue_zero_sensitivity():
     rec = admittance_sensitivity(np.zeros((6, 6), dtype=complex), Location("node", 2))
     assert np.allclose(rec.dlambda_dy, 0.0)

@@ -173,6 +173,14 @@ def test_eigendecompose_diagonal_gives_unit_vectors():
         assert np.allclose(M.max(axis=0), 1.0, atol=1e-12)
 
 
+def test_eigendecompose_real_spectrum_is_complex_typed():
+    """numpy returns float64 for an all-real spectrum; the eigenstructure
+    is complex128 whatever the spectrum."""
+    eig = eigendecompose(np.diag([-1.0, -2.0]))
+    assert eig.eigenvalues.dtype == eig.right.dtype == eig.left.dtype == np.complex128
+    assert np.array_equal(eig.eigenvalues, [-1.0, -2.0])
+
+
 def test_eigendecompose_jordan_block_defective():
     with pytest.raises(DefectiveMatrixError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -235,6 +235,30 @@ def test_validate_sample_frequencies_must_increase():
     assert any(v.code == "model_samples" for v in validate(net))
 
 
+def _rl_rational(num_coeff: float, den_coeff: float) -> RationalMatrix:
+    entry = ((num_coeff,), (0.01, den_coeff))
+    zero = ((0.0,), (1.0,))
+    return RationalMatrix(numerators=((entry[0], zero[0]), (zero[0], entry[0])),
+                          denominators=((entry[1], zero[1]), (zero[1], entry[1])))
+
+
+@pytest.mark.parametrize("model", [
+    _rl_rational(1.0, math.inf),
+    _rl_rational(math.nan, 0.5),
+    SampledResponse(frequencies=np.array([5.0, math.inf]), blocks=np.zeros((2, 2, 2))),
+    SampledResponse(frequencies=np.array([5.0, 10.0]),
+                    blocks=np.full((2, 2, 2), complex(0.0, math.nan))),
+], ids=["rational_den_inf", "rational_num_nan", "samples_frequency_inf", "samples_value_nan"])
+def test_validate_rejects_non_finite_apparatus_numbers(model):
+    net = NetworkDescription(
+        n_buses=1,
+        omega0=314.0,
+        shunts=(ShuntElement(bus=1, kind="capacitive", value=0.01),),
+        apparatus=(ApparatusAttachment(bus=1, model=model),),
+    )
+    assert {v.code for v in validate(net)} == {"non_finite"}
+
+
 # ---------------------------------------------------------------------------
 # Round trip
 # ---------------------------------------------------------------------------
