@@ -15,13 +15,14 @@ equal bit for bit to its value at that s alone.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .network_model import (
     NetworkDescription,
     RationalMatrix,
+    RationalModel,
     SampledResponse,
     SeriesBranch,
     ShuntElement,
@@ -44,7 +45,6 @@ __all__ = [
     "state_space_response",
     "assemble_nodal_admittance",
     "assemble_apparatus_admittance",
-    "whole_system_matrices",
     "WholeSystemModel",
     "ElementRef",
     "network_elements",
@@ -258,7 +258,8 @@ def _evaluate_state_space(model: StateSpaceRealization, s: np.ndarray) -> np.nda
 
 
 def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
-    """Apparatus dq admittance at s, rotated into the global frame.
+    """Apparatus dq admittance at s, rotated into the global frame. The model
+    is a parsed kind or a fitted ``RationalModel`` surrogate.
 
     The local response Y_local(s) is similarity-transformed by the frame
     rotation: T(theta) Y_local T(theta)^{-1}. Stacked (M, 2, 2) over an
@@ -269,6 +270,8 @@ def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
         y = _evaluate_state_space(model, s)
     elif isinstance(model, RationalMatrix):
         y = _evaluate_rational(model, s)
+    elif isinstance(model, RationalModel):
+        y = model.evaluate(s)
     elif isinstance(model, SampledResponse):
         y = _evaluate_sampled(model, s)
     else:
@@ -329,56 +332,32 @@ def assemble_nodal_admittance(net: NetworkDescription, s) -> np.ndarray:
     return Y
 
 
-def assemble_apparatus_admittance(
-    net: NetworkDescription,
-    s,
-    overrides: Optional[dict[int, Callable[[complex], np.ndarray]]] = None,
-) -> np.ndarray:
-    """Block-diagonal apparatus admittance Y_G(s); zero block where no apparatus.
-
-    ``overrides`` maps apparatus indices to replacement evaluators (already in
-    the global frame), used e.g. to substitute rational surrogates for
-    sampled models at complex s. An evaluator is called once with all of s.
-    """
+def assemble_apparatus_admittance(net: NetworkDescription, s) -> np.ndarray:
+    """Block-diagonal apparatus admittance Y_G(s); zero block where no apparatus."""
     s = np.asarray(s, dtype=complex)
     n = net.n_buses
     Y = np.zeros(s.shape + (2 * n, 2 * n), dtype=complex)
-    for idx, app in enumerate(net.apparatus):
-        if overrides and idx in overrides:
-            y = np.asarray(overrides[idx](s), dtype=complex)
-        else:
-            try:
-                y = apparatus_admittance(app.model, s, app.theta)
-            except AssemblyError as exc:
-                raise type(exc)(f"apparatus at bus {app.bus}: {exc}") from exc
+    for app in net.apparatus:
+        try:
+            y = apparatus_admittance(app.model, s, app.theta)
+        except AssemblyError as exc:
+            raise type(exc)(f"apparatus at bus {app.bus}: {exc}") from exc
         sb = block_slice(app.bus)
         Y[..., sb, sb] += y
     return Y
-
-
-def whole_system_matrices(net: NetworkDescription, s):
-    """Whole-system (Y(s), Z(s)). Raises SingularSystemError near a mode."""
-    model = WholeSystemModel(net)
-    Y = model.admittance(s)
-    return Y, model._invert(Y, s)
 
 
 class WholeSystemModel:
     """Evaluator for Y_N(s), Y_G(s), Y(s) and Z(s) over one network.
 
     Pure functions of s (a scalar, or a 1-D array for the stacked (M, 2n, 2n)
-    matrices over a grid); safe for concurrent evaluation. ``apparatus_overrides``
-    substitutes per-apparatus admittance evaluators (global frame), which keeps
-    networks with measured (sampled) apparatus evaluable at complex s.
+    matrices over a grid); safe for concurrent evaluation. A sampled
+    (measured) apparatus is evaluable on the imaginary axis only; replace it
+    by its fitted ``RationalModel`` surrogate to evaluate at complex s.
     """
 
-    def __init__(
-        self,
-        net: NetworkDescription,
-        apparatus_overrides: Optional[dict[int, Callable[[complex], np.ndarray]]] = None,
-    ):
+    def __init__(self, net: NetworkDescription):
         self.net = net
-        self.apparatus_overrides = dict(apparatus_overrides or {})
 
     @property
     def n_buses(self) -> int:
@@ -392,7 +371,7 @@ class WholeSystemModel:
         return assemble_nodal_admittance(self.net, s)
 
     def apparatus_admittance_matrix(self, s) -> np.ndarray:
-        return assemble_apparatus_admittance(self.net, s, self.apparatus_overrides)
+        return assemble_apparatus_admittance(self.net, s)
 
     def admittance(self, s) -> np.ndarray:
         return self.nodal_admittance(s) + self.apparatus_admittance_matrix(s)
@@ -440,8 +419,7 @@ def element_label(net: NetworkDescription, ref: ElementRef) -> str:
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-def element_admittance(net: NetworkDescription, ref: ElementRef, s,
-                       overrides=None) -> np.ndarray:
+def element_admittance(net: NetworkDescription, ref: ElementRef, s) -> np.ndarray:
     """The element's own 2x2 admittance block y(s); for branches this is the
     series admittance that enters the transformer stamp."""
     kind, idx = ref
@@ -450,15 +428,12 @@ def element_admittance(net: NetworkDescription, ref: ElementRef, s,
     if kind == "shunt":
         return shunt_admittance(net.shunts[idx], net.omega0, s)
     if kind == "apparatus":
-        if overrides and idx in overrides:
-            return np.asarray(overrides[idx](s), dtype=complex)
         app = net.apparatus[idx]
         return apparatus_admittance(app.model, s, app.theta)
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-def element_stamp(net: NetworkDescription, ref: ElementRef, s,
-                  overrides=None) -> np.ndarray:
+def element_stamp(net: NetworkDescription, ref: ElementRef, s) -> np.ndarray:
     """Contribution of one element to the whole-system Y(s), as a full
     2n x 2n matrix (used to overlay scaled-element perturbations)."""
     n = net.n_buses
@@ -468,7 +443,7 @@ def element_stamp(net: NetworkDescription, ref: ElementRef, s,
         branch = net.branches[idx]
         _stamp_branch(out, branch, _branch_series_admittance(branch, net.omega0, s))
     else:
-        y = element_admittance(net, ref, s, overrides)
+        y = element_admittance(net, ref, s)
         bus = net.shunts[idx].bus if kind == "shunt" else net.apparatus[idx].bus
         sb = block_slice(bus)
         out[..., sb, sb] += y
@@ -483,17 +458,15 @@ class PerturbedModel(WholeSystemModel):
     element (conductance/capacitance up, or series impedance down).
     """
 
-    def __init__(self, net, element: ElementRef, factor: float, apparatus_overrides=None):
-        super().__init__(net, apparatus_overrides)
+    def __init__(self, net, element: ElementRef, factor: float):
+        super().__init__(net)
         self.element = element
         self.factor = factor
 
     def admittance(self, s) -> np.ndarray:
         Y = super().admittance(s)
         if self.factor != 1.0:
-            Y += (self.factor - 1.0) * element_stamp(
-                self.net, self.element, s, self.apparatus_overrides
-            )
+            Y += (self.factor - 1.0) * element_stamp(self.net, self.element, s)
         return Y
 
 
@@ -501,13 +474,12 @@ def overlay_admittance(model: WholeSystemModel, refs, factor: float, s, rows) ->
     """Y at each point ``s[m]`` with element ``refs[rows[m]]`` scaled by
     ``factor``, stacked (M, 2n, 2n): one evaluation of ``model`` over every
     point, then each element's stamp over its own points. Point m equals
-    ``PerturbedModel(model.net, refs[rows[m]], factor, overrides).admittance(s[m])``
+    ``PerturbedModel(model.net, refs[rows[m]], factor).admittance(s[m])``
     bit for bit."""
     s, rows = np.asarray(s, dtype=complex), np.asarray(rows)
     Y = model.admittance(s)
     if factor != 1.0:
         for e in np.unique(rows).tolist():
             at = rows == e
-            Y[at] += (factor - 1.0) * element_stamp(model.net, refs[e], s[at],
-                                                    model.apparatus_overrides)
+            Y[at] += (factor - 1.0) * element_stamp(model.net, refs[e], s[at])
     return Y

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -243,18 +243,16 @@ def _load_network(path: str) -> network_model.NetworkDescription:
     return network_model.parse_network(text, base_dir=str(Path(path).parent))
 
 
-def _apparatus_overrides(net, order: int):
-    """Rational surrogates for sampled apparatus so modes can be refined at
-    complex s; other model kinds evaluate directly."""
-    overrides = {}
-    for idx, app in enumerate(net.apparatus):
-        if isinstance(app.model, network_model.SampledResponse):
-            surrogate = rational_fit.fit_apparatus_surrogate(app.model, order=order)
-            T = assembly.frame_rotation(app.theta)
-            overrides[idx] = (
-                lambda s, m=surrogate, T=T: T @ m.evaluate(s) @ T.T
-            )
-    return overrides
+def _with_surrogates(net: network_model.NetworkDescription,
+                     order: int) -> network_model.NetworkDescription:
+    """``net`` with each sampled apparatus replaced by its fitted rational
+    surrogate of ``order``, so that modes can be refined at complex s."""
+    apparatus = tuple(
+        replace(app, model=rational_fit.fit_apparatus_surrogate(app.model, order=order))
+        if isinstance(app.model, network_model.SampledResponse) else app
+        for app in net.apparatus
+    )
+    return replace(net, apparatus=apparatus)
 
 
 def run(config: AnalysisConfig) -> int:
@@ -267,10 +265,9 @@ def run(config: AnalysisConfig) -> int:
     net = _load_network(config.network_path)
     out_dir = Path(config.out_dir)
     _check_band_given(net, config.band)
-    overrides = _apparatus_overrides(net, config.order)
-    system = mai_core.oracle_system(net, overrides or None)
-    records = mai_core.solve_modes(net, band=config.band, apparatus_overrides=overrides or None,
-                                   system=system)
+    net = _with_surrogates(net, config.order)
+    system = mai_core.oracle_system(net)
+    records = mai_core.solve_modes(net, band=config.band, system=system)
     if not records:
         raise mai_core.AnalysisError("no modes found in the requested band")
 
@@ -294,13 +291,12 @@ def run(config: AnalysisConfig) -> int:
     lay = mai_core.element_layout(net, refs)
     writer = _ModeWriter(net, lay, config.epsilon)
     modes = [records[k] for k in selected]
-    for k, layers in zip(selected, mai_core.mode_layers(net, modes, lay, overrides or None)):
+    for k, layers in zip(selected, mai_core.mode_layers(net, modes, lay)):
         for suffix, text in writer.files(layers):
             emit(f"mode{k}_{suffix}.csv", text)
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
-            net, modes, refs, epsilon=config.epsilon,
-            apparatus_overrides=overrides or None, reference_modes=[r.lam for r in records],
+            net, modes, refs, epsilon=config.epsilon, reference_modes=[r.lam for r in records],
             system=system,
         )
         validation: dict = {"epsilon": config.epsilon, "modes": []}
@@ -362,6 +358,8 @@ def run_sweep(
             break
     if index is None:
         raise ConfigError(f"no branch between buses {branch[0]} and {branch[1]}")
+    # sampled apparatus as in analyze, at its default surrogate order
+    net = _with_surrogates(net, AnalysisConfig.order)
     steps = mai_core.parameter_sweep(net, index, param, factor, n_steps,
                                      mode_seed=mode_seed, band=band)
     _write_text(Path(out_dir) / "sweep.csv", sweep_report(steps))

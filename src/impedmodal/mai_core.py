@@ -60,11 +60,9 @@ __all__ = [
     "mode_layers",
     "mode_layer_reports",
     "branch_parameter_sensitivity",
-    "scale_element_admittance",
     "oracle_system",
     "solve_modes",
     "track_mode",
-    "min_mode_spacing",
     "validate_element_prediction",
     "validate_mode_predictions",
     "parameter_sweep",
@@ -528,13 +526,6 @@ def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
     return _dy_dL(y, lam, omega0)  # inductive, y = (value (sI + w0 J))^-1
 
 
-def _shunt_parameter_derivative(net, idx, lam):
-    """{"value": dy/dvalue} of one shunt at s = lam."""
-    sh = net.shunts[idx]
-    y = assembly.shunt_admittance(sh, net.omega0, lam)
-    return {"value": _shunt_value_derivative(sh.kind, sh.value, y, lam, net.omega0)}
-
-
 @dataclass(frozen=True, eq=False)
 class ElementLayout:
     """Index arrays of a list of elements, for the stacked pass.
@@ -607,7 +598,7 @@ class ModeLayers:
     layer3: np.ndarray  # (N, 2) complex, one column per name in ``params``
 
 
-def _mode_stack(net, lay: ElementLayout, modes: Sequence[ModeRecord], overrides):
+def _mode_stack(net, lay: ElementLayout, modes: Sequence[ModeRecord]):
     """Every element's sensitivity factor s and admittance y(lambda) at
     every mode, stacked (M, N, 2, 2): what the layers and the predicted
     shifts are formed from. Each mode's four residue bus blocks per
@@ -627,11 +618,11 @@ def _mode_stack(net, lay: ElementLayout, modes: Sequence[ModeRecord], overrides)
         if not ok.all():
             raise assembly.EvaluationError("a passive element is singular")
         for pos in lay.apparatus:
-            y[:, pos] = assembly.element_admittance(net, lay.refs[pos], lam, overrides)
+            y[:, pos] = assembly.element_admittance(net, lay.refs[pos], lam)
     except Exception:  # whatever failed, re-raised as the first failing mode alone raises
         for x in lam.tolist():
             for ref in lay.refs:
-                assembly.element_admittance(net, ref, x, overrides)
+                assembly.element_admittance(net, ref, x)
         raise
     rows, cols = np.array([lay.i, lay.j, lay.i, lay.j]), np.array([lay.i, lay.j, lay.j, lay.i])
     blocks = np.empty((4,) + y.shape, dtype=complex)  # ii, jj, ij, ji
@@ -655,13 +646,13 @@ def mode_layers(
     net: NetworkDescription,
     modes: Sequence[ModeRecord],
     layout: ElementLayout,
-    apparatus_overrides=None,
 ) -> Iterator[ModeLayers]:
     """The layers of every element of ``layout`` at each of ``modes``, in
     turn, from one stacked pass per chunk of modes over (M, N, 2, 2)
     arrays: dlambda/dy by the transformer-ratio formula on the residue's
     bus blocks, y(lambda) and layer 3 in closed form, each apparatus
-    evaluated once per chunk (``apparatus_overrides`` apply). Every branch,
+    evaluated once per chunk through its own model (a sampled one only on
+    the imaginary axis; give a network its fitted surrogates). Every branch,
     line or transformer, takes layer 3 (L, R) as <s, dy/drho> of its
     unsplit series admittance (see :func:`branch_parameter_sensitivity`),
     shunts their ``value`` derivative; apparatus get no layer 3 (converter
@@ -670,7 +661,7 @@ def mode_layers(
     """
     w0, br = net.omega0, layout.branches
     for chunk in _chunks(modes, layout):
-        s, y = _mode_stack(net, layout, chunk, apparatus_overrides)
+        s, y = _mode_stack(net, layout, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
         l1 = layer1_cauchy(s, y, 1.0)
@@ -690,12 +681,11 @@ def mode_layer_reports(
     mode: ModeRecord,
     refs: Sequence[ElementRef],
     epsilon: float = 0.05,
-    apparatus_overrides=None,
 ) -> list[LayerReport]:
     """All three layers of every element in ``refs`` at one mode, as
     :class:`LayerReport` objects: the one-mode case of :func:`mode_layers`."""
     lay = element_layout(net, refs)
-    layers = next(mode_layers(net, [mode], lay, apparatus_overrides))
+    layers = next(mode_layers(net, [mode], lay))
     return [
         LayerReport(
             element=label, location=loc, layer1_cauchy=c, layer2=v,
@@ -713,7 +703,6 @@ def element_layer_report(
     ref: ElementRef,
     mode: ModeRecord,
     epsilon: float = 0.05,
-    apparatus_overrides=None,
 ) -> LayerReport:
     """All three layers for one element at one mode: the one-element case of
     :func:`mode_layer_reports`.
@@ -722,7 +711,7 @@ def element_layer_report(
     apparatus parameter derivatives must come from the caller through
     :func:`layer3` since converter internals are not modeled here.
     """
-    return mode_layer_reports(net, mode, [ref], epsilon, apparatus_overrides)[0]
+    return mode_layer_reports(net, mode, [ref], epsilon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -770,15 +759,7 @@ def _solve_modes_impedance(model, band):
             for lam, res in zip(lams, residues)]
 
 
-def _oracle_route(net: NetworkDescription, apparatus_overrides) -> bool:
-    """Whether modes are solved and validated through the state-space
-    oracle: every apparatus has a realization and none is overridden."""
-    return mass_oracle.oracle_capable(net) and not apparatus_overrides
-
-
-def oracle_system(
-    net: NetworkDescription, apparatus_overrides=None
-) -> Optional[mass_oracle.Interconnection]:
+def oracle_system(net: NetworkDescription) -> Optional[mass_oracle.Interconnection]:
     """The :class:`mass_oracle.Interconnection` of ``net`` when its modes are
     solved and validated on the oracle route (as in :func:`solve_modes`),
     else None. Built once, it serves :func:`solve_modes` and
@@ -790,7 +771,7 @@ def oracle_system(
     UnsupportedForOracleError
         As :func:`mass_oracle.interconnect`, if a bus voltage is undefined.
     """
-    return mass_oracle.Interconnection(net) if _oracle_route(net, apparatus_overrides) else None
+    return mass_oracle.Interconnection(net) if mass_oracle.oracle_capable(net) else None
 
 
 def _system_of(net: NetworkDescription, system) -> mass_oracle.Interconnection:
@@ -808,7 +789,6 @@ def solve_modes(
     band: Optional[tuple[float, float]] = None,
     order: Optional[int] = None,
     method: str = "auto",
-    apparatus_overrides=None,
     system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[ModeRecord]:
     """Find the system's oscillatory modes with their impedance residues.
@@ -823,68 +803,33 @@ def solve_modes(
     :func:`oracle_system`) when given.
     """
     if method == "auto":
-        method = "state_space" if _oracle_route(net, apparatus_overrides) else "impedance"
+        method = "state_space" if mass_oracle.oracle_capable(net) else "impedance"
     if method == "state_space":
         return _solve_modes_state_space(_system_of(net, system), band)
     if method == "impedance":
-        return _solve_modes_impedance(WholeSystemModel(net, apparatus_overrides), band)
+        return _solve_modes_impedance(WholeSystemModel(net), band)
     raise AnalysisError(f"unknown mode-solving method '{method}'")
-
-
-def min_mode_spacing(modes: Sequence[complex]) -> float:
-    vals = np.asarray(modes, dtype=complex).ravel()
-    if vals.size < 2:
-        return np.inf
-    upper = np.triu_indices(vals.size, 1)
-    return float(np.abs(vals[:, None] - vals[None, :])[upper].min())
 
 
 # the tracking gate: a match may lie at most this share of the spacing away
 _GATE_FACTOR = 0.3
 
 
-def track_mode(
-    lam_ref: complex,
-    candidates: Sequence[complex],
-    spacing: Optional[float] = None,
-) -> complex:
+def track_mode(lam_ref: complex, candidates: Sequence[complex], spacing: float) -> complex:
     """Nearest-mode matching: the candidate closest to ``lam_ref``; raises
-    TrackingError when the jump exceeds 0.3 times ``spacing``, by default
-    the minimum inter-mode distance of the candidates (the mode branch was
-    lost)."""
+    TrackingError when the jump exceeds 0.3 times ``spacing`` (the mode
+    branch was lost), never when ``spacing`` is infinite."""
     if not len(candidates):
         raise TrackingError("no candidate modes to match against")
     cands = np.asarray([complex(c) for c in candidates])
     dist = np.abs(cands - lam_ref)
     k = int(np.argmin(dist))
-    if spacing is None:
-        spacing = min_mode_spacing(cands)
     if np.isfinite(spacing) and dist[k] > _GATE_FACTOR * spacing:
         raise TrackingError(
             f"nearest mode {cands[k]} is {dist[k]:.3e} away from {lam_ref}, "
             f"beyond {_GATE_FACTOR} x spacing {spacing:.3e}"
         )
     return complex(cands[k])
-
-
-def scale_element_admittance(
-    net: NetworkDescription, ref: ElementRef, factor: float
-) -> NetworkDescription:
-    """Network with one element's admittance scaled by ``factor`` uniformly
-    over s, realized by the corresponding physical parameter scaling
-    (series impedance down, shunt conductance/capacitance up), as
-    :func:`mass_oracle.scaled_element`, which raises
-    ``UnsupportedForOracleError`` for an apparatus without a state-space
-    realization (scale it with the ``PerturbedModel`` overlay instead)."""
-    from dataclasses import replace
-
-    kind, idx = ref
-    field = {"branch": "branches", "shunt": "shunts", "apparatus": "apparatus"}.get(kind)
-    if field is None:
-        raise AnalysisError(f"unknown element kind '{kind}'")
-    elements = list(getattr(net, field))
-    elements[idx] = mass_oracle.scaled_element(net, ref, factor)
-    return replace(net, **{field: tuple(elements)})
 
 
 def _nearest_other_distance(eigenvalues: np.ndarray, i: int) -> float:
@@ -951,7 +896,6 @@ def validate_mode_predictions(
     modes: Sequence[ModeRecord],
     refs: Sequence[ElementRef],
     epsilon: float = 0.05,
-    apparatus_overrides=None,
     reference_modes: Optional[Sequence[complex]] = None,
     system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[list]:
@@ -980,7 +924,7 @@ def validate_mode_predictions(
     """
     lay = element_layout(net, refs)
     oracle = updates = None
-    if _oracle_route(net, apparatus_overrides):
+    if mass_oracle.oracle_capable(net):
         oracle, updates = _system_of(net, system), []
         for ref in refs:
             try:
@@ -988,7 +932,7 @@ def validate_mode_predictions(
             except _VALIDATION_ERRORS as exc:
                 updates.append(exc)
     else:
-        model = WholeSystemModel(net, apparatus_overrides)
+        model = WholeSystemModel(net)
         reference = np.asarray([mode.lam for mode in modes] if reference_modes is None
                                else reference_modes, dtype=complex)
         # the conjugates are zeros of det Y too; a mode given twice is one mode
@@ -996,7 +940,7 @@ def validate_mode_predictions(
 
     def shifts(chunk):
         try:
-            s, y = _mode_stack(net, lay, chunk, apparatus_overrides)
+            s, y = _mode_stack(net, lay, chunk)
         except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
         return predict_mode_shift(s, epsilon * y).tolist()
@@ -1020,7 +964,6 @@ def validate_element_prediction(
     mode: ModeRecord,
     epsilon: float = 0.05,
     reference_modes: Optional[Sequence[complex]] = None,
-    apparatus_overrides=None,
 ) -> ValidationRecord:
     """The one-element case of :func:`validate_mode_predictions`, raising
     the error its validation ends in: ``TrackingError`` beyond the gate,
@@ -1030,8 +973,7 @@ def validate_element_prediction(
     and their conjugates set the gate on the impedance route; the oracle
     route's gate takes every eigenvalue of the state matrix.
     """
-    outcome = validate_mode_predictions(net, [mode], [ref], epsilon, apparatus_overrides,
-                                        reference_modes)[0][0]
+    outcome = validate_mode_predictions(net, [mode], [ref], epsilon, reference_modes)[0][0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -1122,7 +1064,7 @@ def parameter_sweep(
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")
     if n_steps < 0:
         raise AnalysisError("n_steps must be >= 0")
-    route = (_OracleSweep(net, branch_index, band) if _oracle_route(net, None)
+    route = (_OracleSweep(net, branch_index, band) if mass_oracle.oracle_capable(net)
              else _ResolvedSweep(band))
     lams = route.modes(net)
     if not lams.size:

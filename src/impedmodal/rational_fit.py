@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mass_oracle
 from .mass_oracle import PortSelection, StateSpaceModel
-from .network_model import SampledResponse
+from .network_model import RationalModel, SampledResponse
 
 __all__ = [
     "FitError",
@@ -104,50 +104,6 @@ class ResponseSamples:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(eq=False)
-class RationalModel:
-    """Common-pole rational matrix model: sum_k R_k/(s - p_k) + d + s e.
-
-    Complex poles come in conjugate pairs with conjugate residue matrices;
-    ``rms_rel_error`` and ``max_rel_deviation`` describe the fit quality over
-    the sample grid it was identified from.
-    """
-
-    poles: np.ndarray
-    residues: np.ndarray  # (n_poles, dim, dim)
-    const: np.ndarray  # (dim, dim)
-    linear: np.ndarray  # (dim, dim)
-    rms_rel_error: float = 0.0
-    max_rel_deviation: float = 0.0
-    n_iterations_run: int = 0
-    converged: bool = True
-    warning: Optional[str] = None
-
-    def __post_init__(self):
-        # a repeated pole means the partial-fraction form is unstable
-        p = np.asarray(self.poles)
-        for k in range(p.size):
-            close = np.abs(p[k + 1:] - p[k]) <= 1e-9 * (1.0 + abs(p[k]))
-            if np.any(close):
-                note = f"poles coincide near {p[k]} (within 1e-9 relative)"
-                self.warning = f"{self.warning}; {note}" if self.warning else note
-                break
-
-    @property
-    def dim(self) -> int:
-        return self.const.shape[0]
-
-    def evaluate(self, s) -> np.ndarray:
-        """Model value at s; stacked (M, dim, dim) over an array of s."""
-        s = np.asarray(s, dtype=complex)
-        terms = self.residues / (s[..., None] - self.poles)[..., None, None]
-        out = self.const + s[..., None, None] * self.linear
-        # added pole by pole, in order: one s gives the same bits alone and stacked
-        for k in range(self.poles.size):
-            out = out + terms[..., k, :, :]
-        return out
 
 
 @dataclass(frozen=True, eq=False)

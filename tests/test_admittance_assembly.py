@@ -1,5 +1,7 @@
 """Element stamps, frame rotation and whole-system matrix assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from impedmodal.admittance_assembly import (
     shunt_admittance,
     shunt_admittances,
     transformer_stamp,
-    whole_system_matrices,
 )
 from impedmodal.network_model import (
     ApparatusAttachment,
@@ -299,7 +300,8 @@ def test_apparatus_matrix_block_diagonal(three_bus_net):
 
 def test_whole_system_no_apparatus_is_nodal_inverse(two_bus_net):
     s = 1j * 150.0
-    Y, Z = whole_system_matrices(two_bus_net, s)
+    model = WholeSystemModel(two_bus_net)
+    Y, Z = model.admittance(s), model.impedance(s)
     assert np.allclose(Y, assemble_nodal_admittance(two_bus_net, s))
     assert np.allclose(Z @ Y, np.eye(4), atol=1e-12)
 
@@ -427,11 +429,11 @@ def _assert_stacked_equals_pointwise(evaluate, s_grid, dim):
     assert np.array_equal(stacked, pointwise)
 
 
-def _models(net, overrides=None):
-    yield WholeSystemModel(net, overrides)
+def _models(net):
+    yield WholeSystemModel(net)
     refs = [("branch", 1), ("shunt", 1)] + [("apparatus", i) for i in range(len(net.apparatus))]
     for ref in refs:
-        yield PerturbedModel(net, ref, 1.07, overrides)
+        yield PerturbedModel(net, ref, 1.07)
 
 
 def test_stacked_evaluation_on_axis_every_model_kind():
@@ -445,18 +447,38 @@ def test_stacked_evaluation_on_axis_every_model_kind():
         _assert_stacked_equals_pointwise(model.impedance, s_grid, 6)
 
 
-def test_stacked_evaluation_off_axis_with_surrogate_override():
-    net = _mixed_net(sampled=True)
-    surrogate = fit_apparatus_surrogate(net.apparatus[2].model, order=4)
-    T = frame_rotation(net.apparatus[2].theta)
-    overrides = {2: lambda s: T @ surrogate.evaluate(s) @ T.T}
+def _with_surrogate(net, order=4):
+    """``net`` with its sampled apparatus (the third) replaced by its
+    rational surrogate, and that surrogate."""
+    app = net.apparatus[2]
+    surrogate = fit_apparatus_surrogate(app.model, order=order)
+    return replace(net, apparatus=net.apparatus[:2] + (replace(app, model=surrogate),)), surrogate
+
+
+def test_stacked_evaluation_off_axis_with_surrogate():
+    net, surrogate = _with_surrogate(_mixed_net(sampled=True))
     s_grid = np.concatenate([-7.0 + 1j * np.geomspace(5.0, 5000.0, 41),
                              [3.0 + 0.0j, -40.0 - 250.0j]])
-    for model in _models(net, overrides):
+    for model in _models(net):
         _assert_stacked_equals_pointwise(model.admittance, s_grid, 6)
         _assert_stacked_equals_pointwise(model.impedance, s_grid, 6)
     stacked = surrogate.evaluate(s_grid)
     assert np.array_equal(stacked, np.array([surrogate.evaluate(complex(s)) for s in s_grid]))
+
+
+def test_surrogate_apparatus_is_rotated_like_any_model():
+    """A fitted surrogate at theta = 0.7 evaluates to T Y T^T of its own
+    value, bit for bit, alone and stacked over s."""
+    net, surrogate = _with_surrogate(_mixed_net(sampled=True))
+    theta = net.apparatus[2].theta
+    assert theta == 0.7
+    T = frame_rotation(theta)
+    s_grid = np.array([-7.0 + 90.0j, 3.0 + 0.0j, -40.0 - 250.0j, 1j * 1200.0])
+    assert np.array_equal(apparatus_admittance(surrogate, s_grid, theta),
+                          T @ surrogate.evaluate(s_grid) @ T.T)
+    for s in s_grid:
+        assert np.array_equal(apparatus_admittance(surrogate, s, theta),
+                              T @ surrogate.evaluate(s) @ T.T)
 
 
 def test_stacked_element_helpers_match_pointwise():

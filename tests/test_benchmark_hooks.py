@@ -1,14 +1,18 @@
 """What the benchmark harness under perfbench/ relies on in the package.
 
-perfbench/tracing.py wraps the functions named in its TRACED table, and
+perfbench/tracing.py wraps the functions named in its TRACED table,
 perfbench/ladder.py calls solve_modes with an order keyword and
-validate_element_prediction with a reference_modes keyword. Renaming or
-removing any of them breaks the harness, so it fails here first.
+validate_element_prediction with a reference_modes keyword, and
+perfbench's own tests build PerturbedModel(net, ref, factor) and
+WholeSystemModel(net). Renaming or removing any of them, or changing those
+calls' signatures, breaks the harness, so it fails here first.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
 
 from impedmodal import admittance_assembly, mai_core
 
@@ -51,3 +55,11 @@ def test_validate_element_prediction_accepts_the_ladder_call(three_bus_net):
         v = mai_core.validate_element_prediction(three_bus_net, ref, mode, 0.05,
                                                  reference_modes=lams)
         assert isinstance(v, mai_core.ValidationRecord)
+
+
+def test_the_model_constructors_accept_the_perfbench_calls(three_bus_net):
+    s = 1j * 100.0
+    Y = admittance_assembly.PerturbedModel(three_bus_net, ("branch", 0), 1.05).admittance(s)
+    Z = admittance_assembly.WholeSystemModel(three_bus_net).impedance(s)
+    assert Y.shape == Z.shape == (6, 6)
+    assert not np.allclose(Y, admittance_assembly.WholeSystemModel(three_bus_net).admittance(s))

@@ -254,6 +254,20 @@ def test_sweep_cli(tmp_path):
         assert float(r[7]) <= 5.0  # per-step error in percent
 
 
+def test_sweep_measured_network(tmp_path):
+    """A sweep of the measured network replaces its sampled apparatus by the
+    fitted surrogate, as analyze does, and tracks the mode at complex s."""
+    measured = REPO / "networks" / "measured_two_bus.json"
+    code = main([
+        "sweep", str(measured), "--branch", "1:2", "--param", "L", "--factor", "1.05",
+        "--steps", "3", "--band", "5:5000", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    with open(tmp_path / "sweep.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3", "endpoints"]
+
+
 def test_sweep_zero_steps_header_only(tmp_path):
     code = main([
         "sweep", str(NETWORK), "--branch", "1:2", "--param", "L",
@@ -460,15 +474,16 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
 
 
 def _fragile_apparatus(net, failing):
-    """Overrides equal to each apparatus's own admittance, except that
-    apparatus a raises at the mode values ``failing[a]``, naming its s."""
-    def make(a, app):
-        def evaluate(s):
-            if np.isin(np.asarray(s), failing.get(a, [])).any():
-                raise EvaluationError(f"apparatus {a} fails at s = {s}")
-            return apparatus_admittance(app.model, s, app.theta)
-        return evaluate
-    return {a: make(a, app) for a, app in enumerate(net.apparatus)}
+    """``apparatus_admittance``, except that the model of apparatus a of
+    ``net`` raises at the mode values ``failing[a]``, naming its s."""
+    models = [app.model for app in net.apparatus]
+
+    def evaluate(model, s, theta=0.0):
+        a = next((a for a, m in enumerate(models) if m is model), None)
+        if np.isin(np.asarray(s), failing.get(a, [])).any():
+            raise EvaluationError(f"apparatus {a} fails at s = {s}")
+        return apparatus_admittance(model, s, theta)
+    return evaluate
 
 
 @pytest.mark.parametrize("modes_arg", ["all", "1,6,4,5"])
@@ -485,16 +500,17 @@ def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypat
     refs = network_elements(net)
     records = mai_core.solve_modes(net)
     lam = [r.lam for r in records]
-    overrides = _fragile_apparatus(net, {0: [lam[4], lam[6]], 1: [lam[4]]})
     monkeypatch.setattr(mai_core, "solve_modes", lambda *args, **kwargs: records)
-    monkeypatch.setattr(cli_reporting, "_apparatus_overrides", lambda net, order: overrides)
+    monkeypatch.setattr(cli_reporting, "_load_network", lambda path: net)
+    monkeypatch.setattr(assembly, "apparatus_admittance",
+                        _fragile_apparatus(net, {0: [lam[4], lam[6]], 1: [lam[4]]}))
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
     selected = range(len(records)) if modes_arg == "all" else map(int, modes_arg.split(","))
     try:
         for k in selected:
             for ref in refs:
-                element_admittance(net, ref, records[k].lam, overrides)
+                element_admittance(net, ref, records[k].lam)
     except EvaluationError as exc:
         expected = {"error": "numerical", "type": type(exc).__name__, "message": str(exc)}
     assert expected["message"].startswith("apparatus 0 fails at s = ")

@@ -1,18 +1,26 @@
 """Three-layer participation analysis, splitting and sweep machinery."""
 
+import itertools
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pathlib import Path
 
-from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
+from impedmodal import (
+    admittance_assembly,
+    cli_reporting,
+    mai_core,
+    mass_oracle,
+    network_model,
+    rational_fit,
+)
 from impedmodal.admittance_assembly import (
     EvaluationError,
     WholeSystemModel,
-    apparatus_admittance,
     block_slice,
     dq_series_impedance,
     element_admittance,
@@ -36,11 +44,9 @@ from impedmodal.mai_core import (
     layer1_cauchy,
     layer2,
     layer3,
-    min_mode_spacing,
     mode_layer_reports,
     parameter_sweep,
     predict_mode_shift,
-    scale_element_admittance,
     solve_modes,
     split_branch,
     split_node_impedances,
@@ -59,6 +65,21 @@ from conftest import W0, mixed_ring_doc
 @pytest.fixture(scope="module")
 def three_bus_modes(three_bus_net):
     return solve_modes(three_bus_net, method="state_space")
+
+
+def _scaled_net(net, ref, factor):
+    """``net`` with element ``ref``'s admittance scaled by ``factor`` through
+    its physical parameters (:func:`mass_oracle.scaled_element`)."""
+    field = {"branch": "branches", "shunt": "shunts", "apparatus": "apparatus"}[ref[0]]
+    elements = list(getattr(net, field))
+    elements[ref[1]] = mass_oracle.scaled_element(net, ref, factor)
+    return replace(net, **{field: tuple(elements)})
+
+
+def _overlay_route(monkeypatch):
+    """Validate an oracle-capable network through the admittance overlay,
+    the route of networks with apparatus known by their admittance alone."""
+    monkeypatch.setattr(mass_oracle, "oracle_capable", lambda net: False)
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +112,24 @@ def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
     refs = network_elements(three_bus_net)
     assert (mai_core.validate_mode_predictions(three_bus_net, records[:2], refs, system=system)
             == mai_core.validate_mode_predictions(three_bus_net, records[:2], refs))
-    assert mai_core.oracle_system(three_bus_net, {0: lambda s: np.eye(2)}) is None
     with pytest.raises(AnalysisError, match="another network"):
         solve_modes(two_bus_net, system=system)
+
+
+def test_a_fitted_surrogate_is_not_oracle_capable():
+    """The measured network with its sampled apparatus replaced by a fitted
+    RationalModel has no state-space oracle: ``oracle_system`` gives None
+    and ``solve_modes`` takes the impedance path without being told."""
+    path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+    net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
+    net = cli_reporting._with_surrogates(net, 12)
+    assert isinstance(net.apparatus[0].model, network_model.RationalModel)
+    assert not mass_oracle.oracle_capable(net)
+    assert mai_core.oracle_system(net) is None
+    records = solve_modes(net, band=(5.0, 5000.0))
+    assert records and all(r.provenance == "newton-refined" for r in records)
+    impedance = solve_modes(net, band=(5.0, 5000.0), method="impedance")
+    assert [r.lam for r in records] == [r.lam for r in impedance]
 
 
 def test_zero_residue_zero_sensitivity():
@@ -230,7 +266,7 @@ def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
     records = solve_modes(net, method="state_space")
     for ref in network_elements(net):
         for eps in (1e-3, 0.05):
-            A = mass_oracle.interconnect(scale_element_admittance(net, ref, 1.0 + eps)).A
+            A = mass_oracle.interconnect(_scaled_net(net, ref, 1.0 + eps)).A
             for mode in records:
                 anchor = mode.lam + _predicted_shift(net, ref, mode, eps)
                 gap = _unperturbed_gap(net, mode.lam)
@@ -252,7 +288,7 @@ def test_resolve_lands_on_the_continued_mode(three_bus_net, three_bus_modes):
     ref, mode = ("shunt", 0), three_bus_modes[0]
     continued = mode.lam
     for t in np.linspace(0.0, 1.0, 201)[1:]:
-        A = mass_oracle.interconnect(scale_element_admittance(three_bus_net, ref, 1.0 + t)).A
+        A = mass_oracle.interconnect(_scaled_net(three_bus_net, ref, 1.0 + t)).A
         eigenvalues = mass_oracle.eigendecompose(A).eigenvalues
         continued = eigenvalues[np.argmin(np.abs(eigenvalues - continued))]
     assert continued == pytest.approx(-151.888 + 72.264j, abs=1e-3)
@@ -264,7 +300,8 @@ def test_resolve_lands_on_the_continued_mode(three_bus_net, three_bus_modes):
     assert abs(mode.lam + v_batched.actual - continued) <= 1e-9 * abs(continued)
 
 
-def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_bus_modes):
+def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_bus_modes,
+                                                          monkeypatch):
     """Doubling apparatus 0's admittance: the prediction overshoots the
     lowest mode into the lower half-plane, where the eigenvalue nearest
     lambda + the predicted shift is the conjugate of the continued mode,
@@ -277,9 +314,9 @@ def test_gate_refuses_the_conjugate_of_the_continued_mode(three_bus_net, three_b
     refs = network_elements(three_bus_net)
     batched = mai_core.validate_mode_predictions(three_bus_net, [mode], refs, epsilon=1.0)[0]
     assert isinstance(batched[refs.index(ref)], TrackingError)
+    _overlay_route(monkeypatch)
     overlay = mai_core.validate_mode_predictions(
-        three_bus_net, three_bus_modes, refs, epsilon=1.0,
-        apparatus_overrides=_exact_apparatus(three_bus_net))[0]
+        three_bus_net, three_bus_modes, refs, epsilon=1.0)[0]
     assert isinstance(overlay[refs.index(ref)], TrackingError)
 
 
@@ -312,15 +349,9 @@ def test_run_level_validation_agrees_with_the_one_element_call(three_bus_net, ca
                 assert abs(got.actual - alone.actual) <= 1e-12 * abs(mode.lam), (ref, mode.lam)
 
 
-def _exact_apparatus(net):
-    """Every apparatus's own admittance as an override: the same network,
-    validated through the admittance overlay instead of the oracle."""
-    return {i: (lambda s, app=app: apparatus_admittance(app.model, s, app.theta))
-            for i, app in enumerate(net.apparatus)}
-
-
 @pytest.mark.parametrize("eps", [0.05, 0.3])
-def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes, eps):
+def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes, eps,
+                                                      monkeypatch):
     """Each of the 63 (mode, element) pairs validated through the admittance
     overlay ends like the oracle route's secular re-solve, with the same
     re-solved shift within 1e-12 |lambda|. Newton from the old lambda
@@ -330,9 +361,8 @@ def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_m
     branch from those 4 anchors to the conjugate of mode 0."""
     refs = network_elements(three_bus_net)
     oracle = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, eps)
-    overlay = mai_core.validate_mode_predictions(
-        three_bus_net, three_bus_modes, refs, eps,
-        apparatus_overrides=_exact_apparatus(three_bus_net))
+    _overlay_route(monkeypatch)
+    overlay = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, eps)
     assert len(three_bus_modes) * len(refs) == 63
     for mode, want, got in zip(three_bus_modes, oracle, overlay):
         for ref, a, b in zip(refs, want, got):
@@ -354,31 +384,33 @@ def test_impedance_route_evaluates_the_model_per_mode_not_per_element(
         return admittance(self, s)
 
     monkeypatch.setattr(WholeSystemModel, "admittance", counting)
+    _overlay_route(monkeypatch)
     mai_core.validate_mode_predictions(
-        three_bus_net, three_bus_modes, network_elements(three_bus_net), 0.05,
-        apparatus_overrides=_exact_apparatus(three_bus_net))
+        three_bus_net, three_bus_modes, network_elements(three_bus_net), 0.05)
     assert 0 < len(calls) < 10 * len(three_bus_modes)
 
 
-def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_modes):
+def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_modes,
+                                                    monkeypatch):
     """Apparatus 0 evaluable only within 1e-3 of the second mode: no error
-    escapes the run. At that mode, the elements predicted to move it by
-    less than 1e-4 keep, bit for bit, the results of an override valid
-    everywhere; those predicted to move it further, and every element at
-    the other modes, end in the EvaluationError."""
+    escapes the overlay route's run. At that mode, the elements predicted
+    to move it by less than 1e-4 keep, bit for bit, the results of the
+    apparatus valid everywhere; those predicted to move it further, and
+    every element at the other modes, end in the EvaluationError."""
     refs = network_elements(three_bus_net)
     lam1 = three_bus_modes[1].lam
-    exact = _exact_apparatus(three_bus_net)
+    exact = admittance_assembly.apparatus_admittance
+    model0 = three_bus_net.apparatus[0].model
 
-    def fragile(s):
-        if np.any(np.abs(np.asarray(s) - lam1) > 1e-3):
+    def fragile(model, s, theta=0.0):
+        if model is model0 and np.any(np.abs(np.asarray(s) - lam1) > 1e-3):
             raise EvaluationError(f"apparatus 0 is defined within 1e-3 of {lam1} only")
-        return exact[0](s)
+        return exact(model, s, theta)
 
-    want = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05,
-                                              apparatus_overrides=exact)
-    got = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05,
-                                             apparatus_overrides={**exact, 0: fragile})
+    _overlay_route(monkeypatch)
+    want = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
+    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", fragile)
+    got = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
     kept = 0
     for k, (mode_want, mode_got) in enumerate(zip(want, got)):
         for a, b in zip(mode_want, mode_got):
@@ -430,7 +462,7 @@ def test_element_update_is_the_interconnected_difference(three_bus_net):
                 rows, A_rows = system.element_update(ref, 1.0 + eps)
                 update = np.zeros_like(A)
                 update[rows] = A_rows - A[rows]
-                scaled = mass_oracle.interconnect(scale_element_admittance(net, ref, 1.0 + eps)).A
+                scaled = mass_oracle.interconnect(_scaled_net(net, ref, 1.0 + eps)).A
                 assert np.linalg.norm(update - (scaled - A)) <= 1e-13 * np.linalg.norm(A), ref
                 rank = np.linalg.matrix_rank(update, tol=1e-9 * np.linalg.norm(update))
                 assert rank == 2, ref
@@ -563,9 +595,10 @@ def test_layer2_damping_sign_on_resolve(rc_bus_net):
     y = element_admittance(rc_bus_net, ref, mode.lam)
     sigma2 = layer2(rec.s_factor, y).real
     eps = 1e-3
-    perturbed = scale_element_admittance(rc_bus_net, ref, 1.0 + eps)
+    perturbed = _scaled_net(rc_bus_net, ref, 1.0 + eps)
     eig = mass_oracle.eigendecompose(mass_oracle.interconnect(perturbed).A)
-    lam_new = track_mode(mode.lam, [complex(v) for v in eig.eigenvalues])
+    gap = min(abs(a - b) for a, b in itertools.combinations(eig.eigenvalues, 2))
+    lam_new = track_mode(mode.lam, [complex(v) for v in eig.eigenvalues], spacing=gap)
     moved_left = (lam_new - mode.lam).real < 0
     assert moved_left == (sigma2 < 0)
 
@@ -821,14 +854,14 @@ def test_low_loss_line_layer3_matches_state_space(three_bus_net):
 # ---------------------------------------------------------------------------
 
 
-def _reference_layers(net, ref, mode, overrides):
+def _reference_layers(net, ref, mode):
     """One element's layers from the one-element formulas: the sensitivity
     factor, the element admittance, the split-node residue blocks (lines),
     the unsplit derivative (transformers, R = 0 lines) and closed-form shunt
     derivatives."""
     res, lam = mode.residue, mode.lam
     s = admittance_sensitivity(res, element_location(net, ref)).s_factor
-    y = element_admittance(net, ref, lam, overrides)
+    y = element_admittance(net, ref, lam)
     l2 = frobenius_inner(s, y)
     out = {"layer1_cauchy": np.linalg.norm(s) * np.linalg.norm(y), "layer2": l2,
            "layer1_enhanced": abs(l2)}
@@ -850,7 +883,7 @@ def _reference_layers(net, ref, mode, overrides):
 
 
 def _kernel_case(name, request):
-    """(network, modes, apparatus overrides) of one differential case."""
+    """(network, modes) of one differential case."""
     if name == "three_bus":
         net = request.getfixturevalue("three_bus_net")
     elif name.startswith("random"):
@@ -863,13 +896,12 @@ def _kernel_case(name, request):
             n_buses=base.n_buses, omega0=base.omega0, branches=base.branches,
             shunts=base.shunts + (ShuntElement(bus=2, kind="inductive", value=0.05),),
         )
-    else:  # measured apparatus through rational surrogates
+    else:  # measured apparatus replaced by their rational surrogates
         path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
         net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
-        overrides = cli_reporting._apparatus_overrides(net, 12)
-        modes = solve_modes(net, band=(5.0, 5000.0), apparatus_overrides=overrides)
-        return net, modes, overrides
-    return net, solve_modes(net, method="state_space"), None
+        net = cli_reporting._with_surrogates(net, 12)
+        return net, solve_modes(net, band=(5.0, 5000.0))
+    return net, solve_modes(net, method="state_space")
 
 
 @pytest.mark.parametrize("case", [
@@ -877,15 +909,15 @@ def _kernel_case(name, request):
     "zero_R_line", "inductive_shunt", "measured",
 ])
 def test_mode_layer_reports_match_element_formulas(case, request):
-    net, modes, overrides = _kernel_case(case, request)
+    net, modes = _kernel_case(case, request)
     refs = network_elements(net)
     assert modes
     for mode in modes:
-        reports = mode_layer_reports(net, mode, refs, 0.05, overrides)
+        reports = mode_layer_reports(net, mode, refs, 0.05)
         assert [r.element for r in reports] == [element_label(net, ref) for ref in refs]
         assert [r.location for r in reports] == [element_location(net, ref) for ref in refs]
         assert all(r.epsilon == 0.05 for r in reports)
-        expected = [_reference_layers(net, ref, mode, overrides) for ref in refs]
+        expected = [_reference_layers(net, ref, mode) for ref in refs]
         got = [
             {"layer1_cauchy": r.layer1_cauchy, "layer2": r.layer2,
              "layer1_enhanced": r.layer1_enhanced, **r.layer3}
@@ -899,13 +931,12 @@ def test_mode_layer_reports_match_element_formulas(case, request):
 
 
 def _stacked_case(name, request):
-    """(network, modes, apparatus overrides) of an equivalence case."""
+    """(network, modes) of an equivalence case."""
     if name == "three_bus":
         net = request.getfixturevalue("three_bus_net")
-        return net, solve_modes(net, method="state_space"), None
+        return net, solve_modes(net, method="state_space")
     net = network_model.parse_network(json.dumps(mixed_ring_doc()))
-    overrides = _exact_apparatus(net)
-    return net, solve_modes(net, band=BAND, apparatus_overrides=overrides), overrides
+    return net, solve_modes(net, band=BAND)
 
 
 @pytest.mark.parametrize("per_chunk", [None, 3])
@@ -915,16 +946,16 @@ def test_stacked_layers_equal_the_one_mode_reports(case, per_chunk, request, mon
     chunks of 3 modes) agree field by field with the one-mode
     mode_layer_reports at every mode, within 1e-14 relative. The ring has
     a transformer, all three shunt kinds, a pair of parallel branches and
-    rational apparatus evaluated through overrides on the impedance route."""
-    net, modes, overrides = _stacked_case(case, request)
+    rational apparatus on the impedance route."""
+    net, modes = _stacked_case(case, request)
     refs = network_elements(net)
     lay = mai_core.element_layout(net, refs)
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
-    stacked = list(mai_core.mode_layers(net, modes, lay, overrides))
+    stacked = list(mai_core.mode_layers(net, modes, lay))
     assert len(stacked) == len(modes) >= 7
     for mode, layers in zip(modes, stacked):
-        reports = mode_layer_reports(net, mode, refs, 0.05, overrides)
+        reports = mode_layer_reports(net, mode, refs, 0.05)
         fields = {
             "layer1_cauchy": (layers.layer1_cauchy, [r.layer1_cauchy for r in reports]),
             "layer2": (layers.layer2, [r.layer2 for r in reports]),
@@ -941,7 +972,7 @@ def test_stacked_layers_equal_the_one_mode_reports(case, per_chunk, request, mon
 
 
 def test_zero_resistance_line_takes_direct_route(request):
-    net, modes, _ = _kernel_case("zero_R_line", request)
+    net, modes = _kernel_case("zero_R_line", request)
     mode = modes[0]
     b = net.branches[0]
     split = split_branch(b.R, b.L, net.omega0, mode.lam)
@@ -962,7 +993,8 @@ def test_layer3_inductance_prediction_on_resolve(three_bus_net, three_bus_modes)
     predicted = s_rho * d_rho
     perturbed = three_bus_net.with_branch(0, L=b.L + d_rho)
     eig = mass_oracle.eigendecompose(mass_oracle.interconnect(perturbed).A)
-    lam_new = track_mode(mode.lam, [complex(v) for v in eig.eigenvalues])
+    gap = min(abs(a - b) for a, b in itertools.combinations(eig.eigenvalues, 2))
+    lam_new = track_mode(mode.lam, [complex(v) for v in eig.eigenvalues], spacing=gap)
     v = validate_prediction(predicted, lam_new - mode.lam)
     assert v.error <= 1e-2
 
@@ -1012,14 +1044,11 @@ def test_validation_zero_prediction_rejected():
 
 def test_track_mode_nearest_and_error():
     mods = [-1 + 10j, -2 + 40j, -0.5 + 80j]
-    assert track_mode(-1.1 + 10.5j, mods) == -1 + 10j
+    gap = min(abs(a - b) for a, b in itertools.combinations(mods, 2))
+    assert track_mode(-1.1 + 10.5j, mods, spacing=gap) == -1 + 10j
     with pytest.raises(TrackingError):
-        track_mode(-1 + 25j, mods)  # equidistant-ish, far beyond 0.3 * spacing
-
-
-def test_min_mode_spacing():
-    assert min_mode_spacing([1 + 1j]) == np.inf
-    assert np.isclose(min_mode_spacing([0.0, 3.0 + 4.0j, 10.0]), 5.0)
+        track_mode(-1 + 25j, mods, spacing=gap)  # equidistant-ish, far beyond 0.3 * spacing
+    assert track_mode(-1 + 25j, mods, spacing=np.inf) == -1 + 10j
 
 
 def test_sweep_factor_one_fixed_point(three_bus_net):

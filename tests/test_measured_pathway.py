@@ -3,6 +3,7 @@ rational port responses, analyzed without any state-space information, and
 checked against the state-space twin of the same physical system."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,18 +63,19 @@ def test_surrogate_reproduces_measured_response(twin_pair):
     assert np.allclose(surrogate.evaluate(1j * w), model.blocks[k], rtol=1e-6)
 
 
+def _with_surrogate(net_meas, order=6):
+    """The measured network with its sampled apparatus replaced by the
+    rational surrogate fitted to the samples."""
+    app = net_meas.apparatus[0]
+    surrogate = fit_apparatus_surrogate(app.model, order=order)
+    return replace(net_meas, apparatus=(replace(app, model=surrogate),))
+
+
 def test_measured_modes_match_state_space_twin(twin_pair):
     net_ss, net_meas = twin_pair
     eig = eigendecompose(interconnect(net_ss).A)
-    idx = 0
-    surrogate = fit_apparatus_surrogate(net_meas.apparatus[0].model, order=6)
-    from impedmodal.admittance_assembly import frame_rotation
-
-    T = frame_rotation(net_meas.apparatus[0].theta)
-    overrides = {idx: lambda s: T @ surrogate.evaluate(s) @ T.T}
-    records = mai_core.solve_modes(
-        net_meas, band=(5.0, 5e3), method="impedance", apparatus_overrides=overrides,
-    )
+    records = mai_core.solve_modes(_with_surrogate(net_meas), band=(5.0, 5e3),
+                                   method="impedance")
     assert records
     for rec in records:
         dist = np.min(np.abs(eig.eigenvalues - rec.lam))
@@ -87,14 +89,8 @@ def test_measured_sensitivities_match_twin(twin_pair):
     from impedmodal.rational_fit import residue_at_mode
 
     ss = interconnect(net_ss)
-    surrogate = fit_apparatus_surrogate(net_meas.apparatus[0].model, order=6)
-    from impedmodal.admittance_assembly import frame_rotation
-
-    T = frame_rotation(net_meas.apparatus[0].theta)
-    overrides = {0: lambda s: T @ surrogate.evaluate(s) @ T.T}
-    records = mai_core.solve_modes(
-        net_meas, band=(5.0, 5e3), method="impedance", apparatus_overrides=overrides,
-    )
+    records = mai_core.solve_modes(_with_surrogate(net_meas), band=(5.0, 5e3),
+                                   method="impedance")
     rec = max(records, key=lambda r: np.linalg.norm(r.residue))
     R_ss = residue_at_mode(ss, rec.lam)
     assert np.linalg.norm(rec.residue - R_ss) <= 1e-4 * np.linalg.norm(R_ss)
