@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,11 +27,9 @@ from . import mai_core, mass_oracle, network_model, rational_fit
 __all__ = [
     "AnalysisConfig",
     "ConfigError",
-    "HeatmapTable",
     "run",
     "run_sweep",
     "run_fit",
-    "emit_heatmap",
     "sweep_report",
     "main",
 ]
@@ -95,28 +93,6 @@ class AnalysisConfig:
             raise ConfigError(f"mode indices must not repeat, got {self.modes}")
 
 
-@dataclass
-class HeatmapTable:
-    """n x n grid of optional participation values: diagonal cells carry the
-    apparatus and shunts at that bus, off-diagonal cells the branch between
-    the two buses; a cell not marked ``present`` means no such element
-    exists and is left empty."""
-
-    n_buses: int
-    values: Optional[np.ndarray] = None  # (n, n), cell (i, j) at [i - 1, j - 1]
-    present: Optional[np.ndarray] = None  # (n, n) bool
-    notes: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        shape = (self.n_buses, self.n_buses)
-        self.values = np.zeros(shape) if self.values is None else self.values
-        self.present = np.zeros(shape, dtype=bool) if self.present is None else self.present
-
-    def set(self, i: int, j: int, value: float) -> None:
-        self.values[i - 1, j - 1] = value
-        self.present[i - 1, j - 1] = True
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -144,13 +120,6 @@ def _heatmap_template(n: int, present: np.ndarray, notes) -> str:
     lines += [f"{i + 1}," + ",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
     lines += [f"note,{_literal(note)}" for note in notes]
     return "\n".join(lines) + "\n"
-
-
-def emit_heatmap(table: HeatmapTable) -> str:
-    """Render a heatmap table as CSV with bus indices as header row/column."""
-    at = np.flatnonzero(table.present)
-    return _heatmap_template(table.n_buses, table.present, table.notes).format(
-        *table.values.ravel()[at].tolist())
 
 
 _HEATMAPS = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")

@@ -47,7 +47,6 @@ __all__ = [
     "resolvent_residue",
     "parameter_sensitivity_ss",
     "extract_port_transfer",
-    "transfer_matrix",
 ]
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
@@ -57,7 +56,7 @@ _COND_LIMIT = 1e12
 _NEWTON_MAX_ITERATIONS = 30
 _NEWTON_STEP_TOL = 1e-13
 # largest relative backward error accepted from a secular root before the
-# shift-invert solve takes over
+# dense nearest eigenvalue (nearest_eigenvalue) takes over
 _BACKWARD_LIMIT = 1e-12
 
 
@@ -478,81 +477,39 @@ def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
     """The eigenvalue of A nearest the shift ``sigma``, with its conditioning
     checked.
 
-    Shift-invert ARPACK on one sparse LU of A - sigma I: the dominant
-    eigenvalue mu of (A - sigma I)^{-1} gives lambda = sigma + 1/mu. The LU
-    is complex-typed even for a real A: for a real-typed A, scipy's
-    shift-invert mode at a complex shift iterates on the real part of the
-    inverted operator and can return another eigenvalue (about omega0 away
-    on dq networks).
-    The left eigenvector comes from the same LU by conjugate-transposed
-    solves, whose dominant eigenvalue must be conj(mu) again: a second
-    eigenvalue as near to ``sigma`` (a real shift halfway between a
-    conjugate pair) could otherwise lend its left vector. The eigenvalue's
-    condition number ||x|| ||y|| / |y^H x| must not exceed the 1e12 limit of
-    ``eigendecompose``; a defective eigenvalue has y^H x = 0. Fixed start
-    vectors make repeated calls bit-identical. Models with fewer than three
-    states, too small for ARPACK, go through ``eigendecompose``.
+    All eigenvalues come from ``numpy.linalg.eigvals`` (LAPACK ``geev``, as
+    in :func:`eigendecompose`), cast to complex128. Exactly repeated values
+    count as one eigenvalue, so that a Jordan block reaches the conditioning
+    check of :func:`eigenvector_pair`.
 
     Raises
     ------
     DefectiveMatrixError
         If the eigenvalue's condition number exceeds 1e12.
     OracleError
-        If ``sigma`` is an eigenvalue (the shift is exactly singular), if two
-        eigenvalues are about equally near it, or if ARPACK does not
-        converge.
+        If two distinct eigenvalues are equally near ``sigma``, to 1e-12
+        relative.
     """
-    # imported here, not at module level: no scipy module is loaded at
-    # start-up, nor by an oracle run that never falls back to this solve
-    import scipy.sparse
-    import scipy.sparse.linalg as spla
-
-    A = np.asarray(A)
-    n = A.shape[0]
-    if n < 3:
-        lam = eigendecompose(A).eigenvalues
-        return complex(lam[np.argmin(np.abs(lam - sigma))])
-    shifted = scipy.sparse.csc_matrix(A, dtype=complex) - sigma * scipy.sparse.identity(
-        n, dtype=complex, format="csc"
-    )
-    try:
-        lu = spla.splu(shifted)
-    except RuntimeError as exc:
-        raise OracleError(f"shift {sigma} is an eigenvalue of A: {exc}") from None
-    v0 = np.ones(n, dtype=complex)
-    # ARPACK's default of 20 Arnoldi vectors doubles the solves; the shift
-    # sits near the wanted eigenvalue, so 8 converge within one restart
-    ncv = min(n, 8)
-
-    def dominant(trans: str) -> tuple[complex, np.ndarray]:
-        op = spla.LinearOperator(
-            (n, n), matvec=lambda b: lu.solve(b, trans=trans), dtype=complex
-        )
-        try:
-            mu, vec = spla.eigs(op, k=1, ncv=ncv, v0=v0)
-        except spla.ArpackError as exc:
-            raise OracleError(f"shift-invert eigensolve at {sigma} failed: {exc}") from None
-        return complex(mu[0]), vec[:, 0]
-
-    mu, x = dominant("N")
-    mu_y, y = dominant("H")
-    lam = sigma + 1.0 / mu
-    # |conj(mu_y) - mu| / |mu| is the distance between the two runs'
-    # eigenvalues over |lambda_y - sigma|. Rounding keeps it of the order of
-    # cond * eps (about 2e-4 at the condition limit); two distinct
-    # eigenvalues tied in distance to sigma put it well above 1 %.
-    if abs(np.conj(mu_y) - mu) > 1e-2 * abs(mu):
+    lam = np.linalg.eigvals(np.asarray(A)).astype(complex, copy=False)
+    dist = np.abs(lam - sigma)
+    k = int(np.argmin(dist))
+    tied = (dist <= dist[k] * (1.0 + 1e-12)) & (lam != lam[k])
+    if np.any(tied):
         raise OracleError(
-            f"ambiguous nearest eigenvalue: {lam} and {sigma + 1.0 / np.conj(mu_y)} "
-            f"are about equally near the shift {sigma}"
+            f"ambiguous nearest eigenvalue: {lam[k]} and {lam[tied][0]} "
+            f"are equally near the shift {sigma}"
         )
-    overlap = abs(np.vdot(y, x))
-    cond = np.linalg.norm(x) * np.linalg.norm(y) / overlap if overlap else np.inf
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    eigenvector_pair(A, lam[k])
+    return complex(lam[k])
+
+
+def _check_condition(lam: complex, cond: float) -> None:
+    """Raise DefectiveMatrixError unless the condition number ``cond`` of
+    eigenvalue ``lam`` is within the 1e12 limit of ``eigendecompose``."""
+    if not cond <= _COND_LIMIT:
         raise DefectiveMatrixError(
             f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
         )
-    return lam
 
 
 def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -585,11 +542,7 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
             y = scipy.linalg.lu_solve(lu, y, trans=2, check_finite=False)
             x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         overlap = np.vdot(y, x)
-        cond = 1.0 / abs(overlap)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise DefectiveMatrixError(
-            f"eigenvalue {lam} has condition number {cond:.3e} exceeding {_COND_LIMIT:.1e}"
-        )
+        _check_condition(lam, 1.0 / abs(overlap))
     return x, y.conj() / overlap
 
 
@@ -620,8 +573,9 @@ def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> li
     Of a converged root and its conjugate (A' is real), the one nearer the
     anchor is taken. A root that is not finite (an iterate on another pole
     of M), has not converged within the iteration cap, or whose backward error
-    ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by
-    :func:`nearest_eigenvalue` of A' at its anchor.
+    ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by the
+    eigenvalue of A' nearest its anchor, from a dense solve
+    (:func:`nearest_eigenvalue`).
 
     Returns, per update, the eigenvalue or the ``OracleError`` its solve
     raised: ``DefectiveMatrixError`` when the condition number
@@ -719,12 +673,8 @@ def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> li
                 perturbed = A.copy()
                 perturbed[r] = a
                 out.append(nearest_eigenvalue(perturbed, complex(anchors[e])))
-            elif not cond[e] <= _COND_LIMIT:
-                raise DefectiveMatrixError(
-                    f"eigenvalue {complex(mu[e])} has condition number {cond[e]:.3e} "
-                    f"exceeding {_COND_LIMIT:.1e}"
-                )
             else:
+                _check_condition(complex(mu[e]), cond[e])
                 out.append(complex(mu[e]))
         except OracleError as exc:
             out.append(exc)
@@ -799,11 +749,6 @@ def parameter_sensitivity_ss(
     _require_simple(eig, i, float(np.max(np.abs(eig.eigenvalues))))
     sens = complex(eig.left[i, :] @ dA @ eig.right[:, i])
     return sens, (sens * delta_rho if delta_rho is not None else None)
-
-
-def transfer_matrix(model: StateSpaceModel, s: complex) -> np.ndarray:
-    """Full transfer matrix C (sI - A)^{-1} B + D at one frequency."""
-    return state_space_response(model.A, model.B, model.C, model.D, s)
 
 
 def extract_port_transfer(model: StateSpaceModel, sel: PortSelection, s: complex) -> np.ndarray:

@@ -214,7 +214,7 @@ class SampledResponse:
         object.__setattr__(self, "blocks", b)
 
 
-ApparatusModel = Union[StateSpaceRealization, RationalMatrix, SampledResponse]
+ApparatusModel = Union[StateSpaceRealization, RationalMatrix, RationalModel, SampledResponse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,6 +526,9 @@ def _model_to_json(model: ApparatusModel) -> dict:
             for p in range(2)
         ]
         return {"kind": "rational", "entries": entries}
+    if isinstance(model, RationalModel):
+        raise NetworkError("a fitted surrogate has no document form; "
+                           "serialize the network before fitting")
     if isinstance(model, SampledResponse):
         if model.path is None:
             raise NetworkError("sampled-response model has no file path to serialize")
@@ -680,6 +683,20 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
                     )
                 out.extend(_non_finite(label, **{f"entry ({p},{q}) numerator": num,
                                                  f"entry ({p},{q}) denominator": den}))
+    elif isinstance(model, RationalModel):
+        n_poles = np.size(model.poles)
+        shapes = (np.shape(model.const), np.shape(model.linear), np.shape(model.residues))
+        if shapes != ((2, 2), (2, 2), (n_poles, 2, 2)):
+            out.append(
+                Violation(
+                    "model_dims",
+                    f"{label}: expected const (2x2), linear (2x2), residues "
+                    f"({n_poles}x2x2); got const {shapes[0]}, linear {shapes[1]}, "
+                    f"residues {shapes[2]}",
+                )
+            )
+        out.extend(_non_finite(label, poles=model.poles, residues=model.residues,
+                               const=model.const, linear=model.linear))
     elif isinstance(model, SampledResponse):
         if model.frequencies.size < 2:
             out.append(Violation("model_samples", f"{label}: needs at least 2 samples"))

@@ -23,8 +23,7 @@ from impedmodal.cli_reporting import (
     EXIT_NUMERICAL,
     EXIT_OK,
     AnalysisConfig,
-    HeatmapTable,
-    emit_heatmap,
+    _heatmap_template,
     main,
     run,
 )
@@ -154,6 +153,45 @@ def test_oracle_cli_runs_never_load_scipy(tmp_path):
     assert (tmp_path / "a" / "validation.json").exists()
     assert (tmp_path / "m" / "validation.json").exists()
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 5
+
+
+def test_forced_fallback_matches_the_secular_roots(tmp_path):
+    """In a fresh interpreter, a validated analyze of three_bus with every
+    secular root sent to the dense fallback (a backward-error limit below
+    zero) reports the same outcome kind for every entry as the normal run,
+    and actual shifts within 1e-12 |lambda| of the normal run's, without
+    loading scipy.sparse."""
+    script = (
+        "import sys\n"
+        "from impedmodal import mass_oracle\n"
+        "from impedmodal.cli_reporting import main\n"
+        f"network = {str(NETWORK)!r}\n"
+        f"assert main(['analyze', network, '--out', {str(tmp_path / 'secular')!r}]) == 0\n"
+        "nearest, calls = mass_oracle.nearest_eigenvalue, []\n"
+        "mass_oracle.nearest_eigenvalue = lambda A, s: calls.append(s) or nearest(A, s)\n"
+        "mass_oracle._BACKWARD_LIMIT = -1.0\n"
+        f"assert main(['analyze', network, '--out', {str(tmp_path / 'fallback')!r}]) == 0\n"
+        "print(len(calls), 'scipy.sparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    secular, fallback = (json.loads((tmp_path / name / "validation.json").read_text())["modes"]
+                         for name in ("secular", "fallback"))
+    n_entries = sum(len(mode["elements"]) for mode in secular)
+    assert out.stdout == f"{n_entries} False\n"
+    assert len(secular) == len(fallback) == 7
+    for mode, forced in zip(secular, fallback):
+        assert forced["lambda"] == mode["lambda"]
+        scale = abs(complex(*mode["lambda"]))
+        assert len(forced["elements"]) == len(mode["elements"])
+        for entry, other in zip(mode["elements"], forced["elements"]):
+            assert set(other) == set(entry)
+            if "actual" in entry:
+                got, expected = complex(*other["actual"]), complex(*entry["actual"])
+                assert abs(got - expected) <= 1e-12 * scale, entry["element"]
 
 
 # one field of three_bus at a time: (where, key, value)
@@ -536,10 +574,9 @@ def test_console_script_entry():
 
 
 def test_heatmap_empty_cells():
-    table = HeatmapTable(n_buses=3)
-    table.set(1, 1, 0.5)
-    table.set(1, 2, -0.25)
-    text = emit_heatmap(table)
+    present = np.zeros((3, 3), dtype=bool)
+    present[0, :2] = True
+    text = _heatmap_template(3, present, []).format(0.5, -0.25)
     rows = text.strip().splitlines()
     assert rows[0] == "bus,1,2,3"
     assert rows[1] == "1,0.5,-0.25,"
@@ -547,9 +584,10 @@ def test_heatmap_empty_cells():
 
 
 def test_heatmap_notes_keep_braces():
-    table = HeatmapTable(n_buses=2, notes=["cell {1,2} of {}"])
-    table.set(2, 1, 1e-13)
-    assert emit_heatmap(table) == "bus,1,2\n1,,\n2,1e-13,\nnote,cell {1,2} of {}\n"
+    present = np.zeros((2, 2), dtype=bool)
+    present[1, 0] = True
+    text = _heatmap_template(2, present, ["cell {1,2} of {}"]).format(1e-13)
+    assert text == "bus,1,2\n1,,\n2,1e-13,\nnote,cell {1,2} of {}\n"
 
 
 def test_heatmap_single_apparatus_only_diagonal(tmp_path):

@@ -227,9 +227,9 @@ def _predicted_shift(net, ref, mode, eps):
     return predict_mode_shift(rec.s_factor, eps * element_admittance(net, ref, mode.lam))
 
 
-def _shift_invert_resolve(A, anchor, gap):
-    """The eigenvalue of ``A`` nearest ``anchor`` by sparse shift-invert,
-    gated at 0.3 x ``gap``."""
+def _fallback_resolve(A, anchor, gap):
+    """The eigenvalue of ``A`` nearest ``anchor`` by the validation
+    fallback, :func:`mass_oracle.nearest_eigenvalue`, gated at 0.3 x ``gap``."""
     return track_mode(anchor, [mass_oracle.nearest_eigenvalue(A, anchor)], spacing=gap)
 
 
@@ -255,8 +255,8 @@ def _unperturbed_gap(net, lam):
 
 @pytest.mark.parametrize("net_seed", [None, 0, 1, 2])
 def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
-    """Every element x mode at eps 1e-3 and 0.05: the sparse shift-invert
-    re-solve at lambda + the predicted shift tracks the same mode as the
+    """Every element x mode at eps 1e-3 and 0.05: the fallback re-solve at
+    lambda + the predicted shift tracks the same mode as the
     dense reference, or fails the gate (0.3 x the distance from lambda to
     its nearest other eigenvalue) exactly when the dense reference does."""
     if net_seed is None:
@@ -271,7 +271,7 @@ def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
                 anchor = mode.lam + _predicted_shift(net, ref, mode, eps)
                 gap = _unperturbed_gap(net, mode.lam)
                 expected = _resolve_outcome(_dense_resolve, A, anchor, gap)
-                got = _resolve_outcome(_shift_invert_resolve, A, anchor, gap)
+                got = _resolve_outcome(_fallback_resolve, A, anchor, gap)
                 if expected is None:
                     assert got is None, (ref, eps, mode.lam)
                 else:
@@ -489,12 +489,12 @@ def _perturbed(system, update):
 
 def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
     """For every mode and eps in {1e-3, 0.05}, the batched secular roots
-    equal shift-invert at the same anchor within 1e-9 |lambda|, with no
-    fallback taken."""
+    equal the dense nearest eigenvalue at the same anchor within
+    1e-9 |lambda|, with no fallback taken."""
     fallbacks = []
-    shift_invert = mass_oracle.nearest_eigenvalue
+    nearest = mass_oracle.nearest_eigenvalue
     monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
-                        lambda A, sigma: fallbacks.append(sigma) or shift_invert(A, sigma))
+                        lambda A, sigma: fallbacks.append(sigma) or nearest(A, sigma))
     for net in _low_rank_nets(three_bus_net):
         system = mass_oracle.Interconnection(net)
         refs = network_elements(net)
@@ -507,7 +507,7 @@ def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
                 roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
                 assert fallbacks == []
                 for update, anchor, root in zip(updates, anchors, roots):
-                    expected = shift_invert(_perturbed(system, update), anchor)
+                    expected = nearest(_perturbed(system, update), anchor)
                     assert abs(root - expected) <= 1e-9 * abs(mode.lam)
 
 
@@ -516,12 +516,12 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     """An anchor on the pole lambda_i itself (a zero predicted shift) starts
     Newton on the deflated secular function, which is regular there; an
     anchor on another eigenvalue, where M is not defined, and a root failing
-    the backward-error check take the shift-invert fallback. All return
-    shift-invert's eigenvalue at the anchor."""
+    the backward-error check take the dense fallback. All return the
+    eigenvalue nearest the anchor."""
     fallbacks = []
-    shift_invert = mass_oracle.nearest_eigenvalue
+    nearest = mass_oracle.nearest_eigenvalue
     monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
-                        lambda A, sigma: fallbacks.append(sigma) or shift_invert(A, sigma))
+                        lambda A, sigma: fallbacks.append(sigma) or nearest(A, sigma))
     system = mass_oracle.Interconnection(three_bus_net)
     refs = network_elements(three_bus_net)
     mode = three_bus_modes[2]
@@ -533,7 +533,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     roots = mass_oracle.updated_eigenvalues(system, i, updates, on_pole)
     assert fallbacks == []
     for update, anchor, root in zip(updates, on_pole, roots):
-        expected = shift_invert(_perturbed(system, update), anchor)
+        expected = nearest(_perturbed(system, update), anchor)
         assert abs(root - expected) <= 1e-9 * abs(mode.lam)
 
     j = int(np.argsort(np.abs(lam - mode.lam))[1])
@@ -541,7 +541,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     roots = mass_oracle.updated_eigenvalues(system, i, updates, on_other_pole)
     assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, on_other_pole, roots):
-        assert root == shift_invert(_perturbed(system, update), anchor)
+        assert root == nearest(_perturbed(system, update), anchor)
 
     anchors = [mode.lam + _predicted_shift(three_bus_net, ref, mode, 0.05)
                for ref in refs]
@@ -549,7 +549,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
     assert len(fallbacks) == 2 * len(refs)
     for update, anchor, root in zip(updates, anchors, roots):
-        assert root == shift_invert(_perturbed(system, update), anchor)
+        assert root == nearest(_perturbed(system, update), anchor)
 
 
 # ---------------------------------------------------------------------------

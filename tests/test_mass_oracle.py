@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from impedmodal.admittance_assembly import WholeSystemModel
+from impedmodal.admittance_assembly import WholeSystemModel, state_space_response
 from impedmodal.mass_oracle import (
     DefectiveMatrixError,
     OracleError,
@@ -20,7 +20,6 @@ from impedmodal.mass_oracle import (
     parameter_sensitivity_ss,
     participation_matrix,
     resolvent_residue,
-    transfer_matrix,
 )
 from impedmodal.network_model import (
     ApparatusAttachment,
@@ -58,7 +57,8 @@ def test_interconnect_two_bus_matches_impedance(two_bus_net):
     assert ss.n_states == 6
     model = WholeSystemModel(two_bus_net)
     for s in (1j * 50.0, -40.0 + 900.0j):
-        assert np.allclose(transfer_matrix(ss, s), model.impedance(s), rtol=1e-12)
+        G = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
+        assert np.allclose(G, model.impedance(s), rtol=1e-12)
 
 
 def test_interconnect_three_bus_matches_impedance(three_bus_net):
@@ -67,7 +67,8 @@ def test_interconnect_three_bus_matches_impedance(three_bus_net):
     model = WholeSystemModel(three_bus_net)
     for s in (0.5 + 700.0j, -3.0 + 150.0j, 2.0 + 0.0j):
         Z = model.impedance(s)
-        assert np.linalg.norm(transfer_matrix(ss, s) - Z) <= 1e-12 * np.linalg.norm(Z)
+        G = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
+        assert np.linalg.norm(G - Z) <= 1e-12 * np.linalg.norm(Z)
 
 
 def test_interconnect_eigenvalues_are_impedance_poles(two_bus_net):
@@ -97,7 +98,8 @@ def test_interconnect_algebraic_bus_elimination():
     assert np.any(ss.D != 0)  # injection at bus 2 feeds through to its voltage
     model = WholeSystemModel(net)
     for s in (1j * 120.0, -25.0 + 600.0j):
-        assert np.allclose(transfer_matrix(ss, s), model.impedance(s), rtol=1e-11)
+        G = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
+        assert np.allclose(G, model.impedance(s), rtol=1e-11)
 
 
 def test_interconnect_undefined_bus_voltage():
@@ -137,7 +139,8 @@ def test_interconnect_shunt_inductor_states():
     assert ss.n_states == 4
     model = WholeSystemModel(net)
     s = -5.0 + 90.0j
-    assert np.allclose(transfer_matrix(ss, s), model.impedance(s), rtol=1e-12)
+    G = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
+    assert np.allclose(G, model.impedance(s), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +218,11 @@ def test_nearest_eigenvalue_jordan_block_defective():
     A = scipy.linalg.block_diag(J, np.diag([5.0, -3.0, 7.0]))
     with pytest.raises(DefectiveMatrixError):
         nearest_eigenvalue(A, 1.05 + 0.02j)
-    assert nearest_eigenvalue(A, 6.0 + 0.5j) == pytest.approx(7.0, rel=1e-12)
+    assert nearest_eigenvalue(A, 6.5 + 0.5j) == pytest.approx(7.0, rel=1e-12)
 
 
-def test_nearest_eigenvalue_singular_shift_raises():
-    with pytest.raises(OracleError, match="eigenvalue"):
-        nearest_eigenvalue(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
+def test_nearest_eigenvalue_shift_on_an_eigenvalue():
+    assert nearest_eigenvalue(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0) == 2.0
 
 
 def test_eigenvector_pair_gives_the_resolvent_residue():
@@ -412,7 +414,8 @@ def test_extract_all_ports_is_full_transfer(three_bus_net):
     ss = interconnect(three_bus_net)
     sel = PortSelection.all_ports(ss)
     s = -8.0 + 450.0j
-    assert np.allclose(extract_port_transfer(ss, sel, s), transfer_matrix(ss, s))
+    full = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
+    assert np.allclose(extract_port_transfer(ss, sel, s), full)
 
 
 def test_extract_port_transfer_equals_impedance(three_bus_net):
@@ -444,7 +447,7 @@ def test_extract_subset_like_single_converter_case():
     sel = PortSelection(inputs=(0, 1, 3, 4), outputs=(0, 1, 4, 5))
     s = -1.0 + 30.0j
     G = extract_port_transfer(model, sel, s)
-    full = transfer_matrix(model, s)
+    full = state_space_response(model.A, model.B, model.C, model.D, s)
     assert np.allclose(G, full[np.ix_([0, 1, 4, 5], [0, 1, 3, 4])])
 
 

@@ -9,9 +9,11 @@ import pytest
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
+    NetworkError,
     NetworkFormatError,
     NetworkValidationError,
     RationalMatrix,
+    RationalModel,
     SampledResponse,
     SeriesBranch,
     ShuntElement,
@@ -242,13 +244,27 @@ def _rl_rational(num_coeff: float, den_coeff: float) -> RationalMatrix:
                           denominators=((entry[1], zero[1]), (zero[1], entry[1])))
 
 
+def _surrogate(**changes) -> RationalModel:
+    """A two-pole fitted surrogate, with ``changes`` to its fields."""
+    fields = {"poles": np.array([-5.0 + 40.0j, -5.0 - 40.0j]),
+              "residues": np.ones((2, 2, 2), dtype=complex),
+              "const": np.eye(2), "linear": np.zeros((2, 2))}
+    return RationalModel(**{**fields, **changes})
+
+
 @pytest.mark.parametrize("model", [
     _rl_rational(1.0, math.inf),
     _rl_rational(math.nan, 0.5),
     SampledResponse(frequencies=np.array([5.0, math.inf]), blocks=np.zeros((2, 2, 2))),
     SampledResponse(frequencies=np.array([5.0, 10.0]),
                     blocks=np.full((2, 2, 2), complex(0.0, math.nan))),
-], ids=["rational_den_inf", "rational_num_nan", "samples_frequency_inf", "samples_value_nan"])
+    _surrogate(poles=np.array([-5.0 + 40.0j, math.nan])),
+    _surrogate(residues=np.full((2, 2, 2), complex(math.inf, 0.0))),
+    _surrogate(const=np.full((2, 2), math.nan)),
+    _surrogate(linear=np.full((2, 2), -math.inf)),
+], ids=["rational_den_inf", "rational_num_nan", "samples_frequency_inf", "samples_value_nan",
+        "surrogate_pole_nan", "surrogate_residue_inf", "surrogate_const_nan",
+        "surrogate_linear_inf"])
 def test_validate_rejects_non_finite_apparatus_numbers(model):
     net = NetworkDescription(
         n_buses=1,
@@ -257,6 +273,38 @@ def test_validate_rejects_non_finite_apparatus_numbers(model):
         apparatus=(ApparatusAttachment(bus=1, model=model),),
     )
     assert {v.code for v in validate(net)} == {"non_finite"}
+
+
+def _measured_with_surrogate() -> NetworkDescription:
+    """The shipped measured network with its sampled apparatus replaced by
+    the order-16 surrogate that ``analyze`` fits."""
+    from pathlib import Path
+
+    from impedmodal.cli_reporting import _load_network, _with_surrogates
+
+    path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+    return _with_surrogates(_load_network(str(path)), 16)
+
+
+def test_validate_accepts_fitted_surrogate():
+    net = _measured_with_surrogate()
+    assert isinstance(net.apparatus[0].model, RationalModel)
+    assert validate(net) == []
+
+
+def test_validate_surrogate_dimensions():
+    net = NetworkDescription(
+        n_buses=1,
+        omega0=314.0,
+        shunts=(ShuntElement(bus=1, kind="capacitive", value=0.01),),
+        apparatus=(ApparatusAttachment(bus=1, model=_surrogate(const=np.eye(3))),),
+    )
+    assert [v.code for v in validate(net)] == ["model_dims"]
+
+
+def test_serialize_rejects_fitted_surrogate():
+    with pytest.raises(NetworkError, match="fitted surrogate has no document form"):
+        serialize_network(_measured_with_surrogate())
 
 
 # ---------------------------------------------------------------------------
