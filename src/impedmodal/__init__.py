@@ -6,7 +6,8 @@ Submodules
 network_model
     Network description data model, parser/serializer and validation.
 admittance_assembly
-    dq 2x2 element stamps and whole-system Y(s)/Z(s) assembly.
+    dq 2x2 element admittances, evaluated in one stacked pass, and
+    whole-system Y(s)/Z(s) stamped from one table per network.
 mass_oracle
     State-space interconnection, eigenstructure, participation and
     sensitivities: the ground truth the impedance path is checked against.

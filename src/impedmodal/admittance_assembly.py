@@ -6,7 +6,11 @@ and columns 2(j-1)..2j-1 (0-based slices, 1-based bus numbering).
 
 The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
-the whole-system impedance is Z(s) = Y(s)^{-1}.
+the whole-system impedance is Z(s) = Y(s)^{-1}. A network's
+:class:`StampTable` evaluates every element once per call, in one stacked
+pass, and adds the elements' bus blocks into Y from one table; the
+overlays that scale one element per point take its blocks from the same
+stack.
 
 Every evaluator takes a scalar s or a 1-D array of M values of s (a
 frequency grid); an array gives the matrices stacked as (M, ..., ...), each
@@ -24,7 +28,6 @@ from .network_model import (
     RationalMatrix,
     RationalModel,
     SampledResponse,
-    SeriesBranch,
     ShuntElement,
     StateSpaceRealization,
 )
@@ -43,14 +46,12 @@ __all__ = [
     "shunt_admittance",
     "apparatus_admittance",
     "state_space_response",
-    "assemble_nodal_admittance",
-    "assemble_apparatus_admittance",
+    "StampTable",
     "WholeSystemModel",
     "ElementRef",
     "network_elements",
     "element_label",
     "element_admittance",
-    "element_stamp",
     "overlay_admittance",
 ]
 
@@ -153,9 +154,9 @@ def transformer_stamp(y: np.ndarray, k: float):
     behind an ideal k:1 transformer on the i side.
 
     A line is the k = 1 case, which reduces to the symmetric (y, -y, -y, y)
-    stamp.
+    stamp. Stacked branches take an array of ratios that broadcasts with y.
     """
-    if k == 0:
+    if np.any(k == 0):
         raise AssemblyError("degenerate transformer ratio k = 0")
     y = np.asarray(y, dtype=complex)
     return y / k**2, -y / k, -y / k, y.copy()
@@ -163,11 +164,12 @@ def transformer_stamp(y: np.ndarray, k: float):
 
 def shunt_admittances(kind: str, value, omega0: float, s: complex):
     """dq admittance blocks of passive shunts of one kind, stacked over
-    ``value`` (..., 2, 2), and a mask that is False where an inductive shunt
-    is singular at s (plain True for the other kinds)."""
+    ``value`` and s (..., 2, 2), and a mask that is False where an inductive
+    shunt is singular at s (plain True for the other kinds)."""
     value = np.asarray(value, dtype=float)[..., None, None]
     if kind == "resistive":
-        return _I2.astype(complex) / value, True
+        y = _I2.astype(complex) / value
+        return np.broadcast_to(y, np.broadcast_shapes(np.shape(s) + (1, 1), y.shape)).copy(), True
     if kind == "capacitive":
         return value * omega_block(s, omega0), True
     if kind == "inductive":
@@ -176,8 +178,8 @@ def shunt_admittances(kind: str, value, omega0: float, s: complex):
 
 
 def shunt_admittance(shunt: ShuntElement, omega0: float, s) -> np.ndarray:
-    """dq admittance block of a single passive shunt (stacked over an array
-    of s, except for a resistive shunt, whose one block holds for all s)."""
+    """dq admittance block of a single passive shunt; stacked (M, 2, 2) over
+    an array of s."""
     y, ok = shunt_admittances(shunt.kind, shunt.value, omega0, s)
     if shunt.kind == "inductive" and not ok.all():
         raise EvaluationError(
@@ -282,112 +284,6 @@ def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
     return T @ y @ T.T  # T^{-1} = T^T for a rotation
 
 
-def _branch_series_admittance(branch: SeriesBranch, omega0: float, s) -> np.ndarray:
-    y, ok = inv2_masked(dq_series_impedance(branch.R, branch.L, omega0, s))
-    if not ok.all():
-        raise EvaluationError(
-            f"branch {branch.from_bus}-{branch.to_bus} series impedance singular "
-            f"at s = {_first(s, ~ok)}"
-        )
-    return y
-
-
-def _stamp_branch(Y: np.ndarray, branch: SeriesBranch, y: np.ndarray) -> None:
-    """Add the four transformer-stamp blocks of one branch with series
-    admittance y to Y in place."""
-    bii, bij, bji, bjj = transformer_stamp(y, branch.ratio)
-    si, sj = block_slice(branch.from_bus), block_slice(branch.to_bus)
-    Y[..., si, si] += bii
-    Y[..., si, sj] += bij
-    Y[..., sj, si] += bji
-    Y[..., sj, sj] += bjj
-
-
-def assemble_nodal_admittance(net: NetworkDescription, s) -> np.ndarray:
-    """Nodal admittance Y_N(s) of the passive network (branches + shunts)."""
-    s = np.asarray(s, dtype=complex)
-    n = net.n_buses
-    Y = np.zeros(s.shape + (2 * n, 2 * n), dtype=complex)
-    R = [branch.R for branch in net.branches]
-    L = [branch.L for branch in net.branches]
-    # (..., n_branches, 2, 2): every branch at every s in one pass
-    ys, ok = inv2_masked(dq_series_impedance(R, L, net.omega0, s[..., None]))
-    branch_ok = ok.all(axis=tuple(range(s.ndim)))
-    for b, branch in enumerate(net.branches):
-        try:
-            if not branch_ok[b]:
-                _branch_series_admittance(branch, net.omega0, s)  # raises its error
-            _stamp_branch(Y, branch, ys[..., b, :, :])
-        except AssemblyError as exc:
-            raise type(exc)(
-                f"branch {branch.from_bus}-{branch.to_bus} ({branch.kind}): {exc}"
-            ) from exc
-    for shunt in net.shunts:
-        try:
-            y = shunt_admittance(shunt, net.omega0, s)
-        except AssemblyError as exc:
-            raise type(exc)(f"shunt at bus {shunt.bus} ({shunt.kind}): {exc}") from exc
-        sb = block_slice(shunt.bus)
-        Y[..., sb, sb] += y
-    return Y
-
-
-def assemble_apparatus_admittance(net: NetworkDescription, s) -> np.ndarray:
-    """Block-diagonal apparatus admittance Y_G(s); zero block where no apparatus."""
-    s = np.asarray(s, dtype=complex)
-    n = net.n_buses
-    Y = np.zeros(s.shape + (2 * n, 2 * n), dtype=complex)
-    for app in net.apparatus:
-        try:
-            y = apparatus_admittance(app.model, s, app.theta)
-        except AssemblyError as exc:
-            raise type(exc)(f"apparatus at bus {app.bus}: {exc}") from exc
-        sb = block_slice(app.bus)
-        Y[..., sb, sb] += y
-    return Y
-
-
-class WholeSystemModel:
-    """Evaluator for Y_N(s), Y_G(s), Y(s) and Z(s) over one network.
-
-    Pure functions of s (a scalar, or a 1-D array for the stacked (M, 2n, 2n)
-    matrices over a grid); safe for concurrent evaluation. A sampled
-    (measured) apparatus is evaluable on the imaginary axis only; replace it
-    by its fitted ``RationalModel`` surrogate to evaluate at complex s.
-    """
-
-    def __init__(self, net: NetworkDescription):
-        self.net = net
-
-    @property
-    def n_buses(self) -> int:
-        return self.net.n_buses
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.net.n_buses
-
-    def nodal_admittance(self, s) -> np.ndarray:
-        return assemble_nodal_admittance(self.net, s)
-
-    def apparatus_admittance_matrix(self, s) -> np.ndarray:
-        return assemble_apparatus_admittance(self.net, s)
-
-    def admittance(self, s) -> np.ndarray:
-        return self.nodal_admittance(s) + self.apparatus_admittance_matrix(s)
-
-    def _invert(self, Y: np.ndarray, s) -> np.ndarray:
-        cond = np.linalg.cond(Y)
-        singular = ~np.isfinite(cond) | (cond > _Y_COND_LIMIT)
-        if np.any(singular):
-            k = np.argmax(np.reshape(singular, -1))
-            raise SingularSystemError(_first(s, singular), float(np.reshape(cond, -1)[k]))
-        return np.linalg.inv(Y)
-
-    def impedance(self, s) -> np.ndarray:
-        return self._invert(self.admittance(s), s)
-
-
 # ---------------------------------------------------------------------------
 # Element enumeration (shared by the sensitivity layers and reporting)
 # ---------------------------------------------------------------------------
@@ -424,7 +320,13 @@ def element_admittance(net: NetworkDescription, ref: ElementRef, s) -> np.ndarra
     series admittance that enters the transformer stamp."""
     kind, idx = ref
     if kind == "branch":
-        return _branch_series_admittance(net.branches[idx], net.omega0, s)
+        b = net.branches[idx]
+        y, ok = inv2_masked(dq_series_impedance(b.R, b.L, net.omega0, s))
+        if not ok.all():
+            raise EvaluationError(
+                f"branch {b.from_bus}-{b.to_bus} series impedance singular at s = {_first(s, ~ok)}"
+            )
+        return y
     if kind == "shunt":
         return shunt_admittance(net.shunts[idx], net.omega0, s)
     if kind == "apparatus":
@@ -433,29 +335,157 @@ def element_admittance(net: NetworkDescription, ref: ElementRef, s) -> np.ndarra
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-def element_stamp(net: NetworkDescription, ref: ElementRef, s) -> np.ndarray:
-    """Contribution of one element to the whole-system Y(s), as a full
-    2n x 2n matrix (used to overlay scaled-element perturbations)."""
-    n = net.n_buses
-    out = np.zeros(np.shape(s) + (2 * n, 2 * n), dtype=complex)
+def _raise_named(net: NetworkDescription, ref: ElementRef, s) -> None:
+    """Evaluate and stamp one element alone over s; raise its failure, if
+    any, named as Y names it: ``branch i-j (kind): ``, ``shunt at bus k
+    (kind): `` or ``apparatus at bus k: `` before its own message."""
     kind, idx = ref
-    if kind == "branch":
-        branch = net.branches[idx]
-        _stamp_branch(out, branch, _branch_series_admittance(branch, net.omega0, s))
-    else:
+    try:
         y = element_admittance(net, ref, s)
-        bus = net.shunts[idx].bus if kind == "shunt" else net.apparatus[idx].bus
-        sb = block_slice(bus)
-        out[..., sb, sb] += y
-    return out
+        if kind == "branch":
+            transformer_stamp(y, net.branches[idx].ratio)
+    except AssemblyError as exc:
+        if kind == "branch":
+            b = net.branches[idx]
+            name = f"branch {b.from_bus}-{b.to_bus} ({b.kind})"
+        elif kind == "shunt":
+            name = f"shunt at bus {net.shunts[idx].bus} ({net.shunts[idx].kind})"
+        else:
+            name = f"apparatus at bus {net.apparatus[idx].bus}"
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
+class StampTable:
+    """Every element of one network, in :func:`network_elements` order:
+    their admittances from one stacked evaluation, and the table of the bus
+    blocks they add to Y(s). Built once per network.
+
+    ``i``/``j`` hold each element's bus pair (j = 0, ground, for a shunt or
+    an apparatus) and ``ratio`` its transformer ratio (1 for lines and node
+    elements). Branches come first, with their ``R`` and ``L``; ``shunts``
+    maps a shunt kind to the positions and values of its shunts. The table
+    lists the four blocks (ii, ij, ji, jj) of each branch, from
+    :func:`transformer_stamp`, then the (bus, bus) block y of each shunt and
+    each apparatus: the order in which Y adds them up.
+    """
+
+    def __init__(self, net: NetworkDescription):
+        self.net = net
+        self.refs = network_elements(net)
+        self.index = {ref: e for e, ref in enumerate(self.refs)}
+        nb = self.n_branches = len(net.branches)
+        nodes = [sh.bus for sh in net.shunts] + [app.bus for app in net.apparatus]
+        self.i = np.array([b.from_bus for b in net.branches] + nodes, dtype=int)
+        self.j = np.array([b.to_bus for b in net.branches] + [0] * len(nodes), dtype=int)
+        self.ratio = np.array([b.ratio for b in net.branches] + [1.0] * len(nodes), dtype=float)
+        self.R = np.array([b.R for b in net.branches], dtype=float)
+        self.L = np.array([b.L for b in net.branches], dtype=float)
+        kinds: dict = {}
+        for e, sh in enumerate(net.shunts, start=nb):
+            kinds.setdefault(sh.kind, []).append(e)
+        self.shunts = {
+            kind: (np.array(pos, dtype=int),
+                   np.array([net.shunts[e - nb].value for e in pos], dtype=float))
+            for kind, pos in kinds.items()
+        }
+        bi, bj = self.i[:nb], self.j[:nb]
+        rows = np.concatenate([np.stack([bi, bi, bj, bj], axis=-1).reshape(-1), self.i[nb:]])
+        cols = np.concatenate([np.stack([bi, bj, bi, bj], axis=-1).reshape(-1), self.i[nb:]])
+        # entry (a, b) of block t lands at (2 rows[t] - 2 + a, 2 cols[t] - 2 + b)
+        self._rows = (2 * rows[:, None, None] - 2 + np.array([[0, 0], [1, 1]])).reshape(-1)
+        self._cols = (2 * cols[:, None, None] - 2 + np.array([[0, 1], [0, 1]])).reshape(-1)
+
+    def evaluate(self, s) -> np.ndarray:
+        """Every element's 2x2 admittance y(s), stacked (..., N, 2, 2) in
+        element order: all branches in one pass, the shunts in one pass per
+        kind, each apparatus once over all of s. Where an element cannot be
+        evaluated or stamped, raises the error of the first such element at
+        its first such s, named as by Y."""
+        s = np.asarray(s, dtype=complex)
+        net, nb = self.net, self.n_branches
+        y = np.empty(s.shape + (len(self.refs), 2, 2), dtype=complex)
+        ok = np.ones(y.shape[:-2], dtype=bool)
+        try:
+            z = dq_series_impedance(self.R, self.L, net.omega0, s[..., None])
+            y[..., :nb, :, :], ok[..., :nb] = inv2_masked(z)
+            ok[..., :nb] &= self.ratio[:nb] != 0
+            for kind, (pos, value) in self.shunts.items():
+                y[..., pos, :, :], ok[..., pos] = shunt_admittances(kind, value, net.omega0,
+                                                                   s[..., None])
+            if not ok.all():
+                raise EvaluationError("a passive element is singular")
+            for e, app in enumerate(net.apparatus, start=len(self.refs) - len(net.apparatus)):
+                y[..., e, :, :] = apparatus_admittance(app.model, s, app.theta)
+        except Exception:  # whatever failed, re-raised as the first failing element raises it
+            for ref in self.refs:
+                _raise_named(net, ref, s)
+            raise
+        return y
+
+    def stamp(self, y: np.ndarray, elements=None, factor: float = 1.0) -> np.ndarray:
+        """Y from the element stack ``y`` of :meth:`evaluate`: every block of
+        the table added into a zero 2n x 2n matrix in table order, in one
+        ``np.add.at``. With ``elements`` (an element position per point of
+        s) and ``factor``, (factor - 1) times the blocks of element
+        ``elements[m]`` are then added at point m."""
+        nb, dim = self.n_branches, 2 * self.net.n_buses
+        branch = np.stack(transformer_stamp(y[..., :nb, :, :], self.ratio[:nb, None, None]),
+                          axis=-3).reshape(y.shape[:-3] + (4 * nb, 2, 2))
+        blocks = np.concatenate([branch, y[..., nb:, :, :]], axis=-3)
+        entries = blocks.reshape(y.shape[:-3] + (-1,))
+        Y = np.zeros(y.shape[:-3] + (dim, dim), dtype=complex)
+        np.add.at(Y, (Ellipsis, self._rows, self._cols), entries)
+        if factor != 1.0:  # a branch's 16 entries start at 16 e, any other's 4 at 12 nb + 4 e
+            el = np.reshape(elements, -1)
+            n = np.where(el < nb, 16, 4)
+            at = np.repeat(np.arange(el.size), n)
+            ent = np.repeat(np.where(el < nb, 16 * el, 12 * nb + 4 * el) - np.cumsum(n) + n, n)
+            ent += np.arange(n.sum())
+            np.add.at(Y.reshape(-1, dim, dim), (at, self._rows[ent], self._cols[ent]),
+                      (factor - 1.0) * entries.reshape(el.size, -1)[at, ent])
+        return Y
+
+
+class WholeSystemModel:
+    """Evaluator for Y(s) = Y_G(s) + Y_N(s) and Z(s) over one network, stamped
+    from its :class:`StampTable`.
+
+    Pure functions of s (a scalar, or a 1-D array for the stacked (M, 2n, 2n)
+    matrices over a grid); safe for concurrent evaluation. A sampled
+    (measured) apparatus is evaluable on the imaginary axis only; replace it
+    by its fitted ``RationalModel`` surrogate to evaluate at complex s.
+    """
+
+    def __init__(self, net: NetworkDescription):
+        self.net = net
+        self.table = StampTable(net)
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.net.n_buses
+
+    def admittance(self, s) -> np.ndarray:
+        return self.table.stamp(self.table.evaluate(s))
+
+    def _invert(self, Y: np.ndarray, s) -> np.ndarray:
+        cond = np.linalg.cond(Y)
+        singular = ~np.isfinite(cond) | (cond > _Y_COND_LIMIT)
+        if np.any(singular):
+            k = np.argmax(np.reshape(singular, -1))
+            raise SingularSystemError(_first(s, singular), float(np.reshape(cond, -1)[k]))
+        return np.linalg.inv(Y)
+
+    def impedance(self, s) -> np.ndarray:
+        return self._invert(self.admittance(s), s)
 
 
 class PerturbedModel(WholeSystemModel):
     """Whole-system model with one element's admittance scaled by a factor.
 
-    ``Y'(s) = Y(s) + (factor - 1) * stamp_of(element, s)``; the scaling is
-    uniform over s, so it corresponds to a physical parameter scaling of the
-    element (conductance/capacitance up, or series impedance down).
+    ``Y'(s) = Y(s) + (factor - 1) * (the element's blocks at s)``; the
+    scaling is uniform over s, so it corresponds to a physical parameter
+    scaling of the element (conductance/capacitance up, or series impedance
+    down).
     """
 
     def __init__(self, net, element: ElementRef, factor: float):
@@ -464,22 +494,17 @@ class PerturbedModel(WholeSystemModel):
         self.factor = factor
 
     def admittance(self, s) -> np.ndarray:
-        Y = super().admittance(s)
-        if self.factor != 1.0:
-            Y += (self.factor - 1.0) * element_stamp(self.net, self.element, s)
-        return Y
+        return overlay_admittance(self, [self.element], self.factor, s,
+                                  np.zeros(np.shape(s), dtype=int))
 
 
 def overlay_admittance(model: WholeSystemModel, refs, factor: float, s, rows) -> np.ndarray:
     """Y at each point ``s[m]`` with element ``refs[rows[m]]`` scaled by
-    ``factor``, stacked (M, 2n, 2n): one evaluation of ``model`` over every
-    point, then each element's stamp over its own points. Point m equals
-    ``PerturbedModel(model.net, refs[rows[m]], factor).admittance(s[m])``
+    ``factor``, stacked (M, 2n, 2n): one evaluation of every element of
+    ``model``'s network over all the points, one stamp of its table, and
+    each point's element's blocks scaled from the same stack. Point m
+    equals ``PerturbedModel(model.net, refs[rows[m]], factor).admittance(s[m])``
     bit for bit."""
-    s, rows = np.asarray(s, dtype=complex), np.asarray(rows)
-    Y = model.admittance(s)
-    if factor != 1.0:
-        for e in np.unique(rows).tolist():
-            at = rows == e
-            Y[at] += (factor - 1.0) * element_stamp(model.net, refs[e], s[at])
-    return Y
+    table = model.table
+    positions = np.array([table.index[tuple(ref)] for ref in refs], dtype=int)
+    return table.stamp(table.evaluate(s), positions[np.asarray(rows)], factor)

@@ -153,7 +153,7 @@ class _ModeWriter:
             f"{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
         self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
                                .reshape(-1, 2).T)
-        ij = list(zip(lay.i.tolist(), lay.j.tolist()))  # j = 0 for a node
+        ij = [(loc.i, loc.j) for loc in lay.locations]  # j = 0 for a node
         cells = sorted([(e, i - 1, (j or i) - 1) for e, (i, j) in enumerate(ij)]
                        + [(e, j - 1, i - 1) for e, (i, j) in enumerate(ij) if j])
         self.element, rows, cols = np.array(cells, dtype=int).reshape(-1, 3).T

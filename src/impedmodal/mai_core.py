@@ -528,62 +528,32 @@ def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
 
 @dataclass(frozen=True, eq=False)
 class ElementLayout:
-    """Index arrays of a list of elements, for the stacked pass.
-
-    ``i``/``j`` are the bus pair (j = 0, ground, for nodes) and ``ratio``
-    the transformer ratio (1 for lines and nodes), one entry per element;
-    ``branches``, the shunt and the apparatus entries hold positions into
-    the element list, with the parameters the pass reads. ``params`` names
-    each element's layer-3 parameters: (L, R) of a branch, (value,) of a
-    shunt, none of an apparatus.
-    """
+    """A list of elements, for the stacked pass: each one's label, location
+    and layer-3 parameter names ((L, R) of a branch, (value,) of a shunt,
+    none of an apparatus), and its position in the network's
+    :class:`admittance_assembly.StampTable`, which the pass evaluates."""
 
     refs: list
     labels: list
     locations: list
     params: list
-    i: np.ndarray
-    j: np.ndarray
-    ratio: np.ndarray
-    branches: np.ndarray  # positions of branches
-    R: np.ndarray
-    L: np.ndarray
-    shunts: dict  # shunt kind -> (positions, values)
-    apparatus: list  # positions of apparatus
+    table: assembly.StampTable
+    positions: np.ndarray  # of each element in ``table``
 
 
 def element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> ElementLayout:
     """The :class:`ElementLayout` of ``refs``, built once for any number of modes."""
     locations = [element_location(net, ref) for ref in refs]
-    branches, shunts, apparatus = [], {}, []
-    for pos, (kind, idx) in enumerate(refs):
-        if kind == "branch":
-            branches.append(pos)
-        elif kind == "shunt":
-            shunts.setdefault(net.shunts[idx].kind, []).append(pos)
-        else:
-            apparatus.append(pos)
-    ratio = np.array([loc.ratio for loc in locations], dtype=float)
-    if np.any(ratio == 0):
+    if any(loc.ratio == 0 for loc in locations):
         raise AnalysisError("degenerate transformer ratio k = 0")
-    branch_objs = [net.branches[refs[pos][1]] for pos in branches]
+    table = assembly.StampTable(net)
     return ElementLayout(
         refs=list(refs),
         labels=[assembly.element_label(net, ref) for ref in refs],
         locations=locations,
         params=[{"branch": ("L", "R"), "shunt": ("value",)}.get(kind, ()) for kind, _ in refs],
-        i=np.array([loc.i for loc in locations], dtype=int),
-        j=np.array([loc.j for loc in locations], dtype=int),
-        ratio=ratio,
-        branches=np.array(branches, dtype=int),
-        R=np.array([b.R for b in branch_objs], dtype=float),
-        L=np.array([b.L for b in branch_objs], dtype=float),
-        shunts={
-            kind: (np.array(pos, dtype=int),
-                   np.array([net.shunts[refs[p][1]].value for p in pos], dtype=float))
-            for kind, pos in shunts.items()
-        },
-        apparatus=apparatus,
+        table=table,
+        positions=np.array([table.index[tuple(ref)] for ref in refs], dtype=int),
     )
 
 
@@ -598,37 +568,29 @@ class ModeLayers:
     layer3: np.ndarray  # (N, 2) complex, one column per name in ``params``
 
 
-def _mode_stack(net, lay: ElementLayout, modes: Sequence[ModeRecord]):
+def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
     """Every element's sensitivity factor s and admittance y(lambda) at
-    every mode, stacked (M, N, 2, 2): what the layers and the predicted
-    shifts are formed from. Each mode's four residue bus blocks per
-    element (ground is a zero block) are gathered from its own residue;
-    each apparatus is evaluated once over all the modes. Where some element
-    cannot be evaluated, raises what
+    every mode, stacked (M, N, 2, 2) in ``table`` order: what the layers
+    and the predicted shifts are formed from. Each mode's four residue bus
+    blocks per element (ground is a zero block) are gathered from its own
+    residue; y is one :meth:`admittance_assembly.StampTable.evaluate` over
+    all the modes. Where some element cannot be evaluated, raises what
     :func:`admittance_assembly.element_admittance` raises at the first such
-    mode alone, for the first such element in ``refs``."""
+    mode alone, for the first such element."""
     lam = np.array([mode.lam for mode in modes], dtype=complex)
-    y = np.empty(lam.shape + (len(lay.refs), 2, 2), dtype=complex)
-    ok = np.ones(y.shape[:-2], dtype=bool)
-    z = assembly.dq_series_impedance(lay.R, lay.L, net.omega0, lam[:, None])
-    y[:, lay.branches], ok[:, lay.branches] = assembly.inv2_masked(z)
-    for kind, (pos, value) in lay.shunts.items():
-        y[:, pos], ok[:, pos] = assembly.shunt_admittances(kind, value, net.omega0, lam[:, None])
     try:
-        if not ok.all():
-            raise assembly.EvaluationError("a passive element is singular")
-        for pos in lay.apparatus:
-            y[:, pos] = assembly.element_admittance(net, lay.refs[pos], lam)
+        y = table.evaluate(lam)
     except Exception:  # whatever failed, re-raised as the first failing mode alone raises
         for x in lam.tolist():
-            for ref in lay.refs:
-                assembly.element_admittance(net, ref, x)
+            for ref in table.refs:
+                assembly.element_admittance(table.net, ref, x)
         raise
-    rows, cols = np.array([lay.i, lay.j, lay.i, lay.j]), np.array([lay.i, lay.j, lay.j, lay.i])
+    i, j = table.i, table.j
+    rows, cols = np.array([i, j, i, j]), np.array([i, j, j, i])
     blocks = np.empty((4,) + y.shape, dtype=complex)  # ii, jj, ij, ji
     for m, mode in enumerate(modes):
         blocks[:, m] = _bus_blocks(mode.residue)[rows, cols]
-    return _conj_t(_ratio_sensitivity(*blocks, lay.ratio[:, None, None])), y
+    return _conj_t(_ratio_sensitivity(*blocks, table.ratio[:, None, None])), y
 
 
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
@@ -638,7 +600,7 @@ _CHUNK_BYTES = 1 << 17
 
 def _chunks(modes: Sequence[ModeRecord], lay: ElementLayout):
     """``modes`` in consecutive chunks whose stacks fit in _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (64 * max(1, len(lay.refs))))
+    step = max(1, _CHUNK_BYTES // (64 * max(1, len(lay.table.refs))))
     return [modes[k:k + step] for k in range(0, len(modes), step)]
 
 
@@ -649,27 +611,30 @@ def mode_layers(
 ) -> Iterator[ModeLayers]:
     """The layers of every element of ``layout`` at each of ``modes``, in
     turn, from one stacked pass per chunk of modes over (M, N, 2, 2)
-    arrays: dlambda/dy by the transformer-ratio formula on the residue's
-    bus blocks, y(lambda) and layer 3 in closed form, each apparatus
-    evaluated once per chunk through its own model (a sampled one only on
-    the imaginary axis; give a network its fitted surrogates). Every branch,
-    line or transformer, takes layer 3 (L, R) as <s, dy/drho> of its
-    unsplit series admittance (see :func:`branch_parameter_sensitivity`),
-    shunts their ``value`` derivative; apparatus get no layer 3 (converter
-    internals are not modeled here). Where an element cannot be evaluated,
-    raises the error of the first such mode, as that mode alone would.
+    arrays of all the network's elements: dlambda/dy by the
+    transformer-ratio formula on the residue's bus blocks, y(lambda) and
+    layer 3 in closed form, each apparatus evaluated once per chunk through
+    its own model (a sampled one only on the imaginary axis; give a network
+    its fitted surrogates). Every branch, line or transformer, takes layer
+    3 (L, R) as <s, dy/drho> of its unsplit series admittance (see
+    :func:`branch_parameter_sensitivity`), shunts their ``value``
+    derivative; apparatus get no layer 3 (converter internals are not
+    modeled here). Where an element cannot be evaluated, raises the error
+    of the first such mode, as that mode alone would.
     """
-    w0, br = net.omega0, layout.branches
+    w0, table, pos = net.omega0, layout.table, layout.positions
+    br = slice(0, table.n_branches)
     for chunk in _chunks(modes, layout):
-        s, y = _mode_stack(net, layout, chunk)
+        s, y = _mode_stack(table, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
         l1 = layer1_cauchy(s, y, 1.0)
         l3 = np.zeros(l2.shape + (2,), dtype=complex)
         l3[:, br, 0], l3[:, br, 1] = _direct_layer3(s[:, br], y[:, br], lam, w0)
-        for kind, (pos, value) in layout.shunts.items():
-            dy = _shunt_value_derivative(kind, value, y[:, pos], lam, w0)
-            l3[:, pos, 0], _ = layer3(s[:, pos], dy)
+        for kind, (at, value) in table.shunts.items():
+            dy = _shunt_value_derivative(kind, value, y[:, at], lam, w0)
+            l3[:, at, 0], _ = layer3(s[:, at], dy)
+        l1, l2, l3 = l1[:, pos], l2[:, pos], l3[:, pos]
         l1e = enhanced_layer1(l2.real, l2.imag)
         for m in range(len(chunk)):
             yield ModeLayers(layer1_cauchy=l1[m], layer2=l2[m], layer1_enhanced=l1e[m],
@@ -917,9 +882,11 @@ def validate_mode_predictions(
     one batched Newton on the secular equation, and the gate takes every
     eigenvalue of A. Otherwise a mode's elements are re-solved in one
     stacked Newton (:func:`rational_fit.refine_modes`) on the admittance
-    with each one's element scaled (:func:`admittance_assembly.overlay_admittance`),
-    and the gate takes ``reference_modes`` (the run's modes; by default the
-    lambdas of ``modes``) and their conjugates. The oracle route uses
+    with each one's element scaled (:func:`admittance_assembly.overlay_admittance`:
+    each Newton evaluation evaluates every element once and scales each
+    point's element from that evaluation), and the gate takes
+    ``reference_modes`` (the run's modes; by default the lambdas of
+    ``modes``) and their conjugates. The oracle route uses
     ``system`` (see :func:`oracle_system`) when given; the other ignores it.
     """
     lay = element_layout(net, refs)
@@ -940,10 +907,10 @@ def validate_mode_predictions(
 
     def shifts(chunk):
         try:
-            s, y = _mode_stack(net, lay, chunk)
+            s, y = _mode_stack(lay.table, chunk)
         except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
-        return predict_mode_shift(s, epsilon * y).tolist()
+        return predict_mode_shift(s[:, lay.positions], epsilon * y[:, lay.positions]).tolist()
 
     predictions = [p for chunk in _chunks(modes, lay) for p in shifts(chunk)]
     results = []

@@ -10,14 +10,12 @@ from impedmodal.admittance_assembly import (
     EvaluationError,
     PerturbedModel,
     SingularSystemError,
+    StampTable,
     WholeSystemModel,
     apparatus_admittance,
-    assemble_apparatus_admittance,
-    assemble_nodal_admittance,
     block_slice,
     dq_series_impedance,
     element_admittance,
-    element_stamp,
     frame_rotation,
     inv2,
     inv2_masked,
@@ -37,9 +35,15 @@ from impedmodal.network_model import (
     StateSpaceRealization,
 )
 
+from impedmodal import admittance_assembly
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
 from conftest import W0, rl_load_apparatus, rl_shunt_admittance
+
+
+def _nodal(net: NetworkDescription, s) -> np.ndarray:
+    """Y_N(s): the whole-system admittance of the network without its apparatus."""
+    return WholeSystemModel(replace(net, apparatus=())).admittance(s)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,7 @@ def _kcl_oracle(net: NetworkDescription, s: complex) -> np.ndarray:
 
 def test_nodal_matrix_matches_kcl_oracle(three_bus_net):
     for s in (1j * 100.0, -20.0 + 700.0j, 3.0 + 0.0j):
-        Y = assemble_nodal_admittance(three_bus_net, s)
+        Y = _nodal(three_bus_net, s)
         Y_oracle = _kcl_oracle(three_bus_net, s)
         assert np.allclose(Y, Y_oracle, rtol=1e-13, atol=1e-13)
 
@@ -250,7 +254,7 @@ def test_two_bus_line_block_structure():
         shunts=(ShuntElement(bus=1, kind="capacitive", value=0.01),),
     )
     s = 1j * 80.0
-    Y = assemble_nodal_admittance(net, s)
+    Y = _nodal(net, s)
     y = np.linalg.inv(dq_series_impedance(0.1, 0.01, W0, s))
     y11 = Y[block_slice(1), block_slice(1)] - shunt_admittance(net.shunts[0], W0, s)
     assert np.allclose(y11, y)
@@ -270,7 +274,7 @@ def test_singular_branch_names_itself():
         ),
     )
     with pytest.raises(EvaluationError, match=r"branch 2-3 \(line\): branch 2-3 series impedance"):
-        assemble_nodal_admittance(net, 1j * W0)
+        WholeSystemModel(net).admittance(1j * W0)
 
 
 def test_transformer_diagonal_scaling():
@@ -283,7 +287,7 @@ def test_transformer_diagonal_scaling():
         shunts=(ShuntElement(bus=1, kind="capacitive", value=0.01),),
     )
     s = 1j * 80.0
-    Y = assemble_nodal_admittance(net, s)
+    Y = _nodal(net, s)
     y = np.linalg.inv(dq_series_impedance(0.1, 0.01, W0, s))
     y11 = Y[block_slice(1), block_slice(1)] - shunt_admittance(net.shunts[0], W0, s)
     assert np.allclose(y11, y / 4.0)
@@ -292,7 +296,7 @@ def test_transformer_diagonal_scaling():
 
 def test_apparatus_matrix_block_diagonal(three_bus_net):
     s = 1j * 200.0
-    Yg = assemble_apparatus_admittance(three_bus_net, s)
+    Yg = WholeSystemModel(three_bus_net).admittance(s) - _nodal(three_bus_net, s)
     assert np.allclose(Yg[block_slice(2), block_slice(2)], 0.0)  # no apparatus at bus 2
     assert not np.allclose(Yg[block_slice(1), block_slice(1)], 0.0)
     assert np.allclose(Yg[block_slice(1), block_slice(3)], 0.0)
@@ -302,7 +306,7 @@ def test_whole_system_no_apparatus_is_nodal_inverse(two_bus_net):
     s = 1j * 150.0
     model = WholeSystemModel(two_bus_net)
     Y, Z = model.admittance(s), model.impedance(s)
-    assert np.allclose(Y, assemble_nodal_admittance(two_bus_net, s))
+    assert np.allclose(Y, _kcl_oracle(two_bus_net, s), rtol=1e-13, atol=1e-13)
     assert np.allclose(Z @ Y, np.eye(4), atol=1e-12)
 
 
@@ -310,8 +314,8 @@ def test_closed_loop_form_equivalence(three_bus_net):
     """(I + Z_N Y_G)^{-1} Z_N equals (Y_G + Y_N)^{-1} away from modes."""
     model = WholeSystemModel(three_bus_net)
     for s in (1j * 90.0, -15.0 + 420.0j, 5.0 + 1000.0j):
-        Y_N = model.nodal_admittance(s)
-        Y_G = model.apparatus_admittance_matrix(s)
+        Y_N = _nodal(three_bus_net, s)
+        Y_G = model.admittance(s) - Y_N
         Z = np.linalg.inv(Y_G + Y_N)
         Z_N = np.linalg.inv(Y_N)
         Z_alt = np.linalg.solve(np.eye(6) + Z_N @ Y_G, Z_N)
@@ -320,7 +324,7 @@ def test_closed_loop_form_equivalence(three_bus_net):
 
 def test_rl_network_block_pattern(two_bus_net):
     """Passive RL/C networks keep the [[a, -b], [b, a]] dq block pattern."""
-    Y = assemble_nodal_admittance(two_bus_net, -30.0 + 250.0j)
+    Y = _nodal(two_bus_net, -30.0 + 250.0j)
     for i in (1, 2):
         for j in (1, 2):
             blk = Y[block_slice(i), block_slice(j)]
@@ -344,11 +348,40 @@ def test_condition_number_diverges_near_mode(rc_bus_net):
     assert conds[2] > 1e8
 
 
-def test_element_stamp_sums_to_admittance(three_bus_net):
-    s = -12.0 + 333.0j
-    model = WholeSystemModel(three_bus_net)
-    total = sum(element_stamp(three_bus_net, ref, s) for ref in network_elements(three_bus_net))
-    assert np.allclose(total, model.admittance(s), atol=1e-13)
+def _stamped_in_element_order(net: NetworkDescription, s) -> np.ndarray:
+    """Y by hand: each element's own admittance over s (a branch's as its
+    four transformer-stamp blocks) added into a zero matrix, element by
+    element."""
+    Y = np.zeros(np.shape(s) + (2 * net.n_buses, 2 * net.n_buses), dtype=complex)
+    for kind, idx in network_elements(net):
+        y = element_admittance(net, (kind, idx), s)
+        if kind == "branch":
+            b = net.branches[idx]
+            si, sj = block_slice(b.from_bus), block_slice(b.to_bus)
+            for (r, c), block in zip([(si, si), (si, sj), (sj, si), (sj, sj)],
+                                     transformer_stamp(y, b.ratio)):
+                Y[..., r, c] += block
+        else:
+            sb = block_slice((net.shunts if kind == "shunt" else net.apparatus)[idx].bus)
+            Y[..., sb, sb] += y
+    return Y
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)),
+                                                   np.signbit(b.view(float)))
+
+
+def test_element_stamp_sums_to_admittance():
+    """Y from the stamp table is the element-by-element sum of every
+    element's stamp, bit for bit, at a scalar s and over an array of s."""
+    for net, s_grid in ((_mixed_net(sampled=False), -12.0 + 1j * np.linspace(10.0, 900.0, 9)),
+                        (_mixed_net(sampled=True), 1j * np.geomspace(6.0, 4000.0, 9))):
+        model = WholeSystemModel(net)
+        assert _same_bits(model.admittance(s_grid), _stamped_in_element_order(net, s_grid))
+        for s in (complex(s_grid[3]), complex(s_grid[-1])):
+            assert _same_bits(model.admittance(s), _stamped_in_element_order(net, s))
 
 
 def test_perturbed_model_scales_one_element(three_bus_net):
@@ -482,12 +515,21 @@ def test_surrogate_apparatus_is_rotated_like_any_model():
 
 
 def test_stacked_element_helpers_match_pointwise():
+    """Every element kind, the resistive shunt included, evaluates over an
+    array of s to its pointwise values stacked (M, 2, 2), bit for bit, alone
+    and in the stamp table's stack."""
     net = _mixed_net(sampled=False)
     s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
-    for ref in network_elements(net):
-        stacked = element_stamp(net, ref, s_grid)
-        assert np.array_equal(stacked, np.array([element_stamp(net, ref, complex(s))
-                                                 for s in s_grid]))
+    table = StampTable(net)
+    stack = table.evaluate(s_grid)
+    assert stack.shape == (s_grid.size, len(table.refs), 2, 2)
+    for e, ref in enumerate(network_elements(net)):
+        stacked = element_admittance(net, ref, s_grid)
+        pointwise = np.array([element_admittance(net, ref, complex(s)) for s in s_grid])
+        assert stacked.shape == pointwise.shape == (s_grid.size, 2, 2), ref
+        assert _same_bits(stacked, pointwise), ref
+        assert _same_bits(stack[:, e], pointwise), ref
+        assert _same_bits(table.evaluate(s_grid[5])[e], pointwise[5]), ref
     for app in net.apparatus:
         stacked = apparatus_admittance(app.model, s_grid, app.theta)
         assert np.array_equal(stacked, np.array([apparatus_admittance(app.model, complex(s),
@@ -529,6 +571,49 @@ def test_stacked_branch_and_shunt_errors_name_the_point():
     )
     s_grid = 1j * np.array([100.0, W0, 400.0])
     with pytest.raises(EvaluationError, match=r"branch 1-2 \(line\): .* at s = 314\.159"):
-        assemble_nodal_admittance(net, s_grid)
+        WholeSystemModel(net).admittance(s_grid)
     with pytest.raises(EvaluationError, match=r"inductive shunt at bus 1 is singular at s = 314\.159"):
         shunt_admittance(net.shunts[0], W0, s_grid)
+
+
+def test_overlay_evaluates_each_apparatus_once(monkeypatch):
+    """One overlay call evaluates every apparatus once, over all its points."""
+    net = _mixed_net(sampled=False)
+    refs = network_elements(net)
+    s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
+    calls = []
+    exact = admittance_assembly.apparatus_admittance
+
+    def counting(model, s, theta=0.0):
+        calls.append(np.shape(s))
+        return exact(model, s, theta)
+
+    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", counting)
+    overlay_admittance(WholeSystemModel(net), refs, 1.07, s_grid, np.arange(s_grid.size) % len(refs))
+    assert calls == [s_grid.shape] * len(net.apparatus)
+
+
+def test_admittance_names_the_first_failing_element_in_element_order(monkeypatch):
+    """A lossless line fails at s = j w0 (the second point), apparatus 0 at
+    the first point and an inductive shunt at j w0: Y names the line, the
+    first failing element, at its own first failing s, whichever point
+    fails first; without the line, the shunt."""
+    net = replace(_mixed_net(sampled=False),
+                  branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.0, L=0.002),),
+                  shunts=(ShuntElement(bus=2, kind="inductive", value=0.3),))
+    s_grid = np.array([1j * 100.0, 1j * W0, 1j * 400.0])
+    exact = admittance_assembly.apparatus_admittance
+
+    def fragile(model, s, theta=0.0):
+        if model is net.apparatus[0].model and np.any(np.asarray(s) == s_grid[0]):
+            raise EvaluationError("apparatus 0 fails")
+        return exact(model, s, theta)
+
+    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", fragile)
+    with pytest.raises(EvaluationError, match=r"^branch 1-2 \(line\): .* at s = 314\.159"):
+        WholeSystemModel(net).admittance(s_grid)
+    with pytest.raises(EvaluationError,
+                       match=r"^shunt at bus 2 \(inductive\): inductive shunt at bus 2 is singular"):
+        WholeSystemModel(replace(net, branches=())).admittance(s_grid)
+    with pytest.raises(EvaluationError, match=r"^apparatus at bus 1: apparatus 0 fails$"):
+        WholeSystemModel(replace(net, branches=(), shunts=())).admittance(s_grid)

@@ -374,16 +374,16 @@ def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_m
 def test_impedance_route_evaluates_the_model_per_mode_not_per_element(
         three_bus_net, three_bus_modes, monkeypatch):
     """The overlay route re-solves a mode's 9 elements in one stacked
-    Newton: fewer than 10 evaluations of the whole-system admittance per
-    mode, not about 9 per (mode, element)."""
+    Newton: fewer than 10 evaluations of the network's elements per mode,
+    not about 9 per (mode, element)."""
     calls = []
-    admittance = WholeSystemModel.admittance
+    evaluate = admittance_assembly.StampTable.evaluate
 
     def counting(self, s):
         calls.append(np.size(s))
-        return admittance(self, s)
+        return evaluate(self, s)
 
-    monkeypatch.setattr(WholeSystemModel, "admittance", counting)
+    monkeypatch.setattr(admittance_assembly.StampTable, "evaluate", counting)
     _overlay_route(monkeypatch)
     mai_core.validate_mode_predictions(
         three_bus_net, three_bus_modes, network_elements(three_bus_net), 0.05)
