@@ -344,7 +344,7 @@ def run_fit(samples_path: str, order: int, n_iterations: int, out_dir: str) -> i
         text = Path(samples_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read samples file '{samples_path}': {exc}")
-    samples = rational_fit.ResponseSamples(*network_model.read_response_csv(text))
+    samples = network_model.SampledResponse(*network_model.read_response_csv(text))
     model = rational_fit.vector_fit(samples, order=order, n_iterations=n_iterations)
     payload = {
         "order": order,

@@ -687,14 +687,14 @@ def element_layer_report(
 def _in_band(eigenvalues: np.ndarray, band) -> np.ndarray:
     """Indices of the eigenvalues a run reports as modes, in the order it
     reports them: Im >= 0 (a conjugate partner carries the same
-    information), |Im| within ``band`` when one is given, ascending by
-    (Im, Re)."""
+    information), |Im| within ``band`` when one is given, in
+    :func:`rational_fit.frequency_order`."""
     lam = eigenvalues
     keep = lam.imag >= 0
     if band is not None:
         keep &= (band[0] <= np.abs(lam.imag)) & (np.abs(lam.imag) <= band[1])
     idx = np.flatnonzero(keep)
-    return idx[np.lexsort((lam[idx].real, lam[idx].imag))]
+    return idx[rational_fit.frequency_order(lam[idx])]
 
 
 def _solve_modes_state_space(system: mass_oracle.Interconnection, band):
@@ -713,12 +713,14 @@ def _solve_modes_impedance(model, band):
     w_lo, w_hi = band
     poles, _ = rational_fit.loewner_poles(model, band)
     seeds = [p for p in poles if p.imag >= 0 and w_lo * 0.5 <= abs(p.imag) <= w_hi * 1.5]
-    modes = rational_fit.find_modes(model, seeds)
+    modes = np.array(rational_fit.find_modes(model, seeds), dtype=complex)
+    # Y has real coefficients: a root below the real axis stands for its conjugate
+    modes = np.where(modes.imag < 0, modes.conj(), modes)
     for p in seeds:  # census: each realized pole in the band must end in a refined mode
         if w_lo <= p.imag <= w_hi and all(abs(p - lam) > rational_fit.MERGE_TOL * (1.0 + abs(lam))
                                           for lam in modes):
             raise AnalysisError(f"realized pole {p} in the band refined to no mode")
-    lams = [lam for lam in modes if w_lo <= abs(lam.imag) <= w_hi]
+    lams = [complex(lam) for lam in modes[_in_band(modes, band)]]
     residues = rational_fit.admittance_residues(model.admittance, lams, model.dim)
     return [ModeRecord(lam=lam, residue=res, provenance="newton-refined")
             for lam, res in zip(lams, residues)]

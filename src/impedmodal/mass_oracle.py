@@ -31,7 +31,6 @@ __all__ = [
     "UnsupportedForOracleError",
     "DefectiveMatrixError",
     "RepeatedEigenvalueError",
-    "StateSpaceModel",
     "EigenStructure",
     "PortSelection",
     "oracle_capable",
@@ -76,41 +75,6 @@ class RepeatedEigenvalueError(OracleError):
     """Sensitivity requested for a repeated or near-multiple eigenvalue."""
 
 
-@dataclass(frozen=True, eq=False)
-class StateSpaceModel:
-    """Real (A, B, C, D) realization with named states, inputs and outputs."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    state_names: tuple[str, ...]
-    input_names: tuple[str, ...]
-    output_names: tuple[str, ...]
-
-    def __post_init__(self):
-        nx = self.A.shape[0]
-        nu = self.B.shape[1]
-        ny = self.C.shape[0]
-        if self.A.shape != (nx, nx) or self.B.shape[0] != nx:
-            raise OracleError("inconsistent A/B dimensions")
-        if self.C.shape[1] != nx or self.D.shape != (ny, nu):
-            raise OracleError("inconsistent C/D dimensions")
-        for names, count, what in (
-            (self.state_names, nx, "state"),
-            (self.input_names, nu, "input"),
-            (self.output_names, ny, "output"),
-        ):
-            if len(names) != count:
-                raise OracleError(f"{what} name list has wrong length")
-            if len(set(names)) != count:
-                raise OracleError(f"{what} names are not unique")
-
-    @property
-    def n_states(self) -> int:
-        return self.A.shape[0]
-
-
 @dataclass(frozen=True)
 class PortSelection:
     """Column indices into B and row indices into C defining a port subset."""
@@ -124,7 +88,7 @@ class PortSelection:
                 raise OracleError(f"duplicate indices in port selection {name}")
 
     @staticmethod
-    def all_ports(model: "StateSpaceModel") -> "PortSelection":
+    def all_ports(model: StateSpaceRealization) -> "PortSelection":
         return PortSelection(
             inputs=tuple(range(model.B.shape[1])),
             outputs=tuple(range(model.C.shape[0])),
@@ -186,8 +150,9 @@ class Interconnection:
     bookkeeping that rebuilds single rows of its state model.
 
     Every state row belongs to one block: a bus voltage, a branch current,
-    an inductive-shunt current or an apparatus's states. ``model`` is what
-    :func:`interconnect` returns, and raises what it raises.
+    an inductive-shunt current or an apparatus's states; ``state_names``
+    names each row. ``model`` is what :func:`interconnect` returns, and
+    raises what it raises.
     :meth:`element_rows` gives the rows of A and B that replacing one
     element changes, from the same block formulas, so the changed network
     is never rebuilt; :meth:`element_update` gives those of A for a scaled
@@ -268,18 +233,10 @@ class Interconnection:
             rows = self._rows(block)
             A[rows], B[rows] = self._block_rows(block, self._P, self._Q, totals)
 
-        input_names = tuple(
-            f"bus{bus}.inj_i{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
-        )
-        output_names = tuple(
-            f"bus{bus}.u{ax}" for bus in range(1, n + 1) for ax in ("d", "q")
-        )
-        self.model = StateSpaceModel(
-            A=A, B=B, C=self._P, D=self._Q,
-            state_names=tuple(state_names),
-            input_names=input_names,
-            output_names=output_names,
-        )
+        self.state_names = tuple(state_names)
+        self.model = StateSpaceRealization(A=A, B=B, C=self._P, D=self._Q)
+        # the realization holds read-only copies: keep one of each
+        self._P, self._Q = self.model.C, self.model.D
 
     @functools.cached_property
     def eig(self) -> EigenStructure:
@@ -424,7 +381,7 @@ class Interconnection:
         return rows[changed], A_rows[changed]
 
 
-def interconnect(net: NetworkDescription) -> StateSpaceModel:
+def interconnect(net: NetworkDescription) -> StateSpaceRealization:
     """Assemble the closed-system state-space model of the whole network.
 
     Inputs are per-bus dq injected-current perturbations, outputs per-bus dq
@@ -751,7 +708,8 @@ def parameter_sensitivity_ss(
     return sens, (sens * delta_rho if delta_rho is not None else None)
 
 
-def extract_port_transfer(model: StateSpaceModel, sel: PortSelection, s: complex) -> np.ndarray:
+def extract_port_transfer(model: StateSpaceRealization, sel: PortSelection,
+                          s: complex) -> np.ndarray:
     """Transfer matrix restricted to a port selection: C1 (sI-A)^{-1} B1 + D1.
 
     With current-injection inputs and voltage outputs over all buses this is

@@ -110,10 +110,13 @@ class ShuntElement:
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceRealization:
-    """Small-signal apparatus model (A, B, C, D) in its local dq frame.
+    """Real small-signal model (A, B, C, D).
 
-    Input is the dq terminal-voltage deviation, output the dq current
-    deviation flowing from the bus into the apparatus (2 inputs, 2 outputs).
+    An apparatus model is in its local dq frame: input is the dq
+    terminal-voltage deviation, output the dq current deviation flowing from
+    the bus into the apparatus (2 inputs, 2 outputs). The interconnected
+    network (``mass_oracle.interconnect``) maps per-bus injected currents to
+    bus voltages.
     """
 
     A: np.ndarray
@@ -195,14 +198,17 @@ class RationalModel:
 
 @dataclass(frozen=True, eq=False)
 class SampledResponse:
-    """Measured dq admittance spectrum: frequencies (rad/s) and 2x2 blocks.
+    """Sampled matrix response: frequencies (rad/s) and (M, dim, dim) blocks.
 
-    ``path`` records the CSV the samples were loaded from, so serialization
-    round-trips the file reference.
+    A measured apparatus admittance has 2x2 blocks; a whole-system
+    impedance from :func:`read_response_csv` or
+    ``rational_fit.sample_response`` has 2n x 2n. ``path`` records the CSV
+    the samples were loaded from, so serialization round-trips the file
+    reference.
     """
 
     frequencies: np.ndarray  # (M,), strictly increasing, rad/s
-    blocks: np.ndarray  # (M, 2, 2) complex
+    blocks: np.ndarray  # (M, dim, dim) complex
     path: Optional[str] = None
 
     def __post_init__(self):
@@ -212,6 +218,10 @@ class SampledResponse:
         b.flags.writeable = False
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "blocks", b)
+
+    @property
+    def dim(self) -> int:
+        return self.blocks.shape[1]
 
 
 ApparatusModel = Union[StateSpaceRealization, RationalMatrix, RationalModel, SampledResponse]
@@ -425,10 +435,6 @@ def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusMod
                 _check_keys(e, {"num", "den"}, f"{where}.entries[{p}][{q}]")
                 num = np.atleast_1d(np.array(_require(e, "num", where), dtype=float))
                 den = np.atleast_1d(np.array(_require(e, "den", where), dtype=float))
-                if den.size == 0 or not np.any(den):
-                    raise NetworkFormatError(
-                        f"{where}: entries[{p}][{q}] has a zero denominator"
-                    )
                 nrow.append(tuple(num))
                 drow.append(tuple(den))
             nums.append(tuple(nrow))
@@ -698,6 +704,14 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
         out.extend(_non_finite(label, poles=model.poles, residues=model.residues,
                                const=model.const, linear=model.linear))
     elif isinstance(model, SampledResponse):
+        if model.blocks.shape != (model.frequencies.size, 2, 2):
+            out.append(
+                Violation(
+                    "model_dims",
+                    f"{label}: expected {model.frequencies.size} samples of 2x2 blocks; "
+                    f"got frequencies {model.frequencies.shape}, blocks {model.blocks.shape}",
+                )
+            )
         if model.frequencies.size < 2:
             out.append(Violation("model_samples", f"{label}: needs at least 2 samples"))
         elif not np.all(np.diff(model.frequencies) > 0):

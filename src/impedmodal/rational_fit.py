@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import mass_oracle
-from .mass_oracle import PortSelection, StateSpaceModel
-from .network_model import RationalModel, SampledResponse
+from .network_model import RationalModel, SampledResponse, StateSpaceRealization
 
 __all__ = [
     "FitError",
@@ -24,7 +23,6 @@ __all__ = [
     "RefinementError",
     "DuplicateModeError",
     "ResidueError",
-    "ResponseSamples",
     "RationalModel",
     "CriticalMode",
     "sample_response",
@@ -35,6 +33,7 @@ __all__ = [
     "refine_mode",
     "refine_modes",
     "find_modes",
+    "frequency_order",
     "loewner_poles",
     "critical_resonance_mode",
     "admittance_residue",
@@ -91,22 +90,6 @@ class ResidueError(Exception):
 
 
 @dataclass(frozen=True, eq=False)
-class ResponseSamples:
-    """Sampled matrix response: frequencies (rad/s) and values (M, dim, dim)."""
-
-    omegas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", np.asarray(self.omegas, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class CriticalMode:
     """Smallest-magnitude eigenpair of Y at (or near) a mode; ``ties`` lists
     further eigenpairs whose magnitudes are indistinguishable from the
@@ -129,7 +112,7 @@ def frequency_grid(omega_min: float, omega_max: float, n_points: int = 400) -> n
     return np.geomspace(omega_min, omega_max, n_points)
 
 
-def sample_response(model, grid: Sequence[float]) -> ResponseSamples:
+def sample_response(model, grid: Sequence[float]) -> SampledResponse:
     """Evaluate Z(j omega) over a strictly increasing grid of frequencies.
 
     ``model`` is a WholeSystemModel, whose ``impedance`` is evaluated once
@@ -146,7 +129,7 @@ def sample_response(model, grid: Sequence[float]) -> ResponseSamples:
         values = model.impedance(1j * grid)
     else:
         values = np.array([np.asarray(model(1j * w), dtype=complex) for w in grid])
-    return ResponseSamples(omegas=grid, values=values)
+    return SampledResponse(frequencies=grid, blocks=values)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,7 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     return _canonical_poles(np.linalg.eigvals(H))
 
 
-def fit_residues(samples: ResponseSamples, poles: np.ndarray):
+def fit_residues(samples: SampledResponse, poles: np.ndarray):
     """Least-squares residue matrices for fixed poles.
 
     Returns ``(residues, const, linear, rms_rel_error, max_rel_deviation)``.
@@ -302,7 +285,7 @@ def fit_residues(samples: ResponseSamples, poles: np.ndarray):
     numerically rank-deficient.
     """
     poles = _canonical_poles(poles)
-    s = 1j * samples.omegas
+    s = 1j * samples.frequencies
     dim = samples.dim
     M = s.size
     N = poles.size
@@ -318,7 +301,7 @@ def fit_residues(samples: ResponseSamples, poles: np.ndarray):
             f"residue least-squares matrix condition number {cond:.3e} "
             f"exceeds {_FIT_COND_LIMIT:.1e}"
         )
-    F = samples.values.reshape(M, dim * dim)
+    F = samples.blocks.reshape(M, dim * dim)
     B_r = np.vstack([F.real, F.imag])
     X, *_ = np.linalg.lstsq(A_s, B_r, rcond=None)
     X = X / scale[:, None]
@@ -353,7 +336,7 @@ def fit_residues(samples: ResponseSamples, poles: np.ndarray):
 
 
 def vector_fit(
-    samples: ResponseSamples,
+    samples: SampledResponse,
     order: int,
     n_iterations: int = 10,
     poles: Optional[np.ndarray] = None,
@@ -369,13 +352,13 @@ def vector_fit(
     A model whose maximum relative deviation over the grid exceeds 1e-4, or whose poles were still moving at the last iteration,
     carries a ``warning`` (underfit / non-convergence) instead of raising.
     """
-    M = samples.omegas.size
+    M = samples.frequencies.size
     if M < 2 * order:
         raise FitError(f"need at least {2 * order} samples for order {order}, got {M}")
-    s = 1j * samples.omegas
-    F = samples.values.reshape(M, samples.dim ** 2)
+    s = 1j * samples.frequencies
+    F = samples.blocks.reshape(M, samples.dim ** 2)
     if poles is None:
-        poles = initial_poles(samples.omegas[0], samples.omegas[-1], order)
+        poles = initial_poles(samples.frequencies[0], samples.frequencies[-1], order)
     poles = _canonical_poles(np.asarray(poles, dtype=complex))
 
     drift = np.inf
@@ -423,8 +406,7 @@ def fit_apparatus_surrogate(
 ) -> RationalModel:
     """Rational surrogate for a measured apparatus response, so that networks
     with sampled models stay evaluable at complex s."""
-    samples = ResponseSamples(omegas=response.frequencies, values=response.blocks)
-    return vector_fit(samples, order=order, n_iterations=n_iterations)
+    return vector_fit(response, order=order, n_iterations=n_iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +533,7 @@ def find_modes(model, seeds: Iterable[complex]) -> list[complex]:
 
     ``model`` is a WholeSystemModel, whose ``admittance`` is evaluated
     stacked, or any callable s -> Y, called point by point. Returned modes
-    are sorted by imaginary part; modes whose imaginary parts agree to 1e-9
-    relative (two modes at one frequency, which the roots leave ordered by
-    rounding noise alone) are sorted by real part.
+    are in :func:`frequency_order`.
     """
     if hasattr(model, "admittance"):
         outcomes = refine_modes(lambda s, rows: model.admittance(s), list(seeds), model.dim)
@@ -567,14 +547,19 @@ def find_modes(model, seeds: Iterable[complex]) -> list[complex]:
             raise lam
         if all(abs(lam - known) > MERGE_TOL * (1.0 + abs(lam)) for known in modes):
             modes.append(lam)
-    ordered: list[complex] = []
-    run: list[complex] = []
-    for lam in sorted(modes, key=lambda z: (z.imag, z.real)):
-        if run and lam.imag - run[-1].imag > _FREQ_TIE * (1.0 + abs(lam.imag)):
-            ordered.extend(sorted(run, key=lambda z: z.real))
-            run = []
-        run.append(lam)
-    return ordered + sorted(run, key=lambda z: z.real)
+    return [modes[k] for k in frequency_order(modes)]
+
+
+def frequency_order(lams) -> np.ndarray:
+    """Indices that sort ``lams`` by imaginary part; imaginary parts that
+    agree to 1e-9 relative (two modes at one frequency, which the roots
+    leave ordered by rounding noise alone) tie and are sorted by real part."""
+    lams = np.asarray(lams, dtype=complex)
+    idx = np.lexsort((lams.real, lams.imag))
+    im = lams.imag[idx]
+    # a tie run goes on while each step in Im stays within the tolerance
+    run = np.cumsum(np.diff(im, prepend=im[:1]) > _FREQ_TIE * (1.0 + np.abs(im)))
+    return idx[np.lexsort((lams.real[idx], run))]
 
 
 def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
@@ -679,15 +664,14 @@ def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> n
 
 
 def residue_at_mode(
-    source: Union[RationalModel, StateSpaceModel, tuple],
+    source: Union[RationalModel, StateSpaceRealization],
     lam: complex,
     match_tol: float = 1e-6,
 ) -> np.ndarray:
     """Residue matrix of the source's transfer matrix at pole ``lam``.
 
-    ``source`` is a RationalModel (partial-fraction coefficient), a
-    StateSpaceModel (all ports), or a (StateSpaceModel, PortSelection) pair:
-    Res = C1 (phi psi) B1.
+    ``source`` is a RationalModel (partial-fraction coefficient) or a
+    StateSpaceRealization: Res = C (phi psi) B.
     """
     if isinstance(source, RationalModel):
         dist = np.abs(source.poles - lam)
@@ -695,14 +679,8 @@ def residue_at_mode(
         if k < 0 or dist[k] > match_tol * (1.0 + abs(lam)):
             raise ResidueError(f"{lam} does not match any pole of the rational model")
         return source.residues[k].copy()
-    if isinstance(source, StateSpaceModel):
-        model, sel = source, PortSelection.all_ports(source)
-    else:
-        model, sel = source
     try:
-        R = mass_oracle.resolvent_residue(model.A, lam)
+        R = mass_oracle.resolvent_residue(source.A, lam)
     except mass_oracle.OracleError as exc:
         raise ResidueError(str(exc)) from exc
-    rows = np.asarray(sel.outputs, dtype=int)
-    cols = np.asarray(sel.inputs, dtype=int)
-    return model.C[rows, :] @ R @ model.B[:, cols]
+    return source.C @ R @ source.B

@@ -38,7 +38,8 @@ from impedmodal.mass_oracle import (
     participation_matrix,
     resolvent_residue,
 )
-from impedmodal.rational_fit import ResponseSamples, frequency_grid, vector_fit
+from impedmodal.network_model import SampledResponse
+from impedmodal.rational_fit import frequency_grid, vector_fit
 
 from conftest import W0, rl_shunt_admittance
 from test_mai_core import _augmented_oracle, _random_rl_net
@@ -209,7 +210,7 @@ def test_criterion_08_cauchy_dominance(three_bus_net):
 def test_criterion_09_vector_fit_rl_shunt():
     grid = frequency_grid(1.0, 1e4, 240)
     vals = np.array([rl_shunt_admittance(1j * w) for w in grid])
-    model = vector_fit(ResponseSamples(omegas=grid, values=vals), order=4, n_iterations=12)
+    model = vector_fit(SampledResponse(frequencies=grid, blocks=vals), order=4, n_iterations=12)
     targets = (complex(-10.0, W0), complex(-10.0, -W0))
     worst_pole = max(
         min(abs(p - t) for p in model.poles) / abs(t) for t in targets

@@ -4,17 +4,19 @@ perfbench/tracing.py wraps the functions named in its TRACED table,
 perfbench/ladder.py calls solve_modes with an order keyword and
 validate_element_prediction with a reference_modes keyword, and
 perfbench's own tests build PerturbedModel(net, ref, factor) and
-WholeSystemModel(net). Renaming or removing any of them, or changing those
-calls' signatures, breaks the harness, so it fails here first.
+WholeSystemModel(net), and the tracer counts work from the arguments and
+results of traced calls. Renaming or removing any of them, or changing those
+calls' signatures or result types, breaks the harness, so it fails here first.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 
-from impedmodal import admittance_assembly, mai_core
+from impedmodal import admittance_assembly, mai_core, mass_oracle, rational_fit
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -66,3 +68,22 @@ def test_the_model_constructors_accept_the_perfbench_calls(three_bus_net):
     Z = admittance_assembly.WholeSystemModel(three_bus_net).impedance(s)
     assert Y.shape == Z.shape == (6, 6)
     assert not np.allclose(Y, admittance_assembly.WholeSystemModel(three_bus_net).admittance(s))
+
+
+def test_results_carry_what_the_tracer_counts(three_bus_net):
+    """``_count_work`` reads ``interconnect(...).n_states``,
+    ``vector_fit(...).n_iterations_run``, ``len(find_modes(...))`` and the
+    grid as the second argument of ``sample_response`` (or its ``grid``
+    keyword); the tracer takes the seeds of ``find_modes`` as its second
+    argument or its ``seeds`` keyword."""
+    assert mass_oracle.interconnect(three_bus_net).n_states == 14
+    assert list(inspect.signature(rational_fit.sample_response).parameters)[:2] == [
+        "model", "grid"]
+    assert list(inspect.signature(rational_fit.find_modes).parameters)[:2] == ["model", "seeds"]
+    model = admittance_assembly.WholeSystemModel(three_bus_net)
+    grid = rational_fit.frequency_grid(5.0, 5000.0, 40)
+    samples = rational_fit.sample_response(model, grid)
+    assert np.array_equal(samples.frequencies, grid)
+    assert rational_fit.vector_fit(samples, 4, n_iterations=3).n_iterations_run == 3
+    lams = [r.lam for r in mai_core.solve_modes(three_bus_net)]
+    assert len(rational_fit.find_modes(model, lams)) == len(lams) == 7

@@ -223,6 +223,19 @@ def test_analyze_rejects_non_finite_network_numbers(tmp_path, capsys, where, key
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_rejects_a_zero_denominator(tmp_path, capsys):
+    doc = json.loads(NETWORK.read_text())
+    one = {"num": [1.0], "den": [1.0, 2.0]}
+    doc["apparatus"][0]["model"] = {"kind": "rational", "entries": [
+        [one, {"num": [1.0], "den": [0, 0]}], [one, one]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "NetworkValidationError"
+    assert err["message"] == "apparatus[0] (bus 3): entry (0,1) denominator is zero"
+
+
 def test_emitted_numbers_round_trip(tmp_path):
     """Re-parsing a report reproduces every value at 12 significant digits."""
     config = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path),
@@ -353,7 +366,7 @@ def test_fit_cli(tmp_path):
 
     net = parse_network(NETWORK.read_text(), base_dir=str(NETWORK.parent))
     samples = sample_response(WholeSystemModel(net), frequency_grid(5.0, 5e3, 240))
-    (tmp_path / "z.csv").write_text(write_response_csv(samples.omegas, samples.values))
+    (tmp_path / "z.csv").write_text(write_response_csv(samples.frequencies, samples.blocks))
     code = main(["fit", str(tmp_path / "z.csv"), "--order", "16",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK

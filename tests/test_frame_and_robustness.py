@@ -15,12 +15,12 @@ from impedmodal.mass_oracle import eigendecompose, interconnect
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
+    SampledResponse,
     ShuntElement,
     StateSpaceRealization,
 )
 from impedmodal.rational_fit import (
     RationalModel,
-    ResponseSamples,
     frequency_grid,
     sample_response,
     vector_fit,
@@ -86,11 +86,11 @@ def test_enforce_stable_flips_unstable_poles():
     p = complex(2.0, 120.0)
     w = np.geomspace(1.0, 1e3, 160)
     vals = (1.0 / (1j * w - p) + 1.0 / (1j * w - np.conj(p))).reshape(-1, 1, 1)
-    model = vector_fit(ResponseSamples(omegas=w, values=vals), order=2,
+    model = vector_fit(SampledResponse(frequencies=w, blocks=vals), order=2,
                        n_iterations=10, enforce_stable=True)
     assert np.all(model.poles.real <= 0)
     # without enforcement the true unstable pole is recovered
-    free = vector_fit(ResponseSamples(omegas=w, values=vals), order=2, n_iterations=10)
+    free = vector_fit(SampledResponse(frequencies=w, blocks=vals), order=2, n_iterations=10)
     assert min(abs(q - p) for q in free.poles) <= 1e-6 * abs(p)
 
 
@@ -107,7 +107,7 @@ def test_rational_model_repeated_pole_warning():
 def test_sample_response_accepts_callable():
     fun = lambda s: np.array([[1.0 / (s + 3.0)]])
     samples = sample_response(fun, frequency_grid(0.1, 10.0, 5))
-    assert np.allclose(samples.values[:, 0, 0], 1.0 / (1j * samples.omegas + 3.0))
+    assert np.allclose(samples.blocks[:, 0, 0], 1.0 / (1j * samples.frequencies + 3.0))
 
 
 @pytest.mark.parametrize("kind,value", [

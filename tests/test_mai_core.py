@@ -475,7 +475,7 @@ def test_eliminated_bus_shunt_updates_four_rows(three_bus_net):
     system = mass_oracle.Interconnection(net)
     shunt = next(i for i, sh in enumerate(net.shunts) if sh.bus == 3)
     rows, _ = system.element_update(("shunt", shunt), 1.05)
-    names = [system.model.state_names[r] for r in rows]
+    names = [system.state_names[r] for r in rows]
     assert names == ["branch1:2-3.id", "branch1:2-3.iq",
                      "apparatus0:bus3.x0", "apparatus0:bus3.x1"]
 
@@ -1342,6 +1342,19 @@ def test_impedance_path_modes_are_polished_roots(n_buses, seed):
             seeds = [rec.lam * (1 + 1e-3), rec.lam * (1 - 1e-3j)]
             for root in rational_fit.refine_modes(lambda s, rows: model.admittance(s), seeds):
                 assert abs(root - rec.lam) <= 1e-13 * abs(rec.lam), rec.lam
+
+
+@pytest.mark.parametrize("n_buses, seed", [(4, 1), (5, 2)])
+def test_route_twins_list_their_modes_in_one_order(n_buses, seed):
+    """Both routes sort modes at one frequency (the cluster at
+    Im lambda = w0) by real part, so mode k of the state-space twin is mode
+    k of the impedance path. Sorted by exact (Im, Re), the oracle's order
+    there followed the last bits of ``eig``."""
+    exact = solve_modes(_rl_ring(n_buses, seed, "state_space"), band=BAND)
+    records = solve_modes(_rl_ring(n_buses, seed, "rational"), band=BAND)
+    assert len(records) == len(exact)
+    for rec, want in zip(records, exact):
+        assert abs(rec.lam - want.lam) <= 1e-13 * abs(want.lam)
 
 
 @pytest.mark.parametrize("case", ["three_bus", "ring"])

@@ -26,6 +26,7 @@ from impedmodal.network_model import (
     NetworkDescription,
     SampledResponse,
     ShuntElement,
+    StateSpaceRealization,
 )
 
 from conftest import W0
@@ -409,8 +410,6 @@ def test_parameter_sensitivity_finite_difference():
 
 
 def test_extract_all_ports_is_full_transfer(three_bus_net):
-    from impedmodal.mass_oracle import StateSpaceModel
-
     ss = interconnect(three_bus_net)
     sel = PortSelection.all_ports(ss)
     s = -8.0 + 450.0j
@@ -432,17 +431,12 @@ def test_extract_subset_like_single_converter_case():
     """5-input/6-output model restricted to current/voltage ports
     (columns 1,2,4,5 of B and rows 1,2,5,6 of C, 1-based)."""
     rng = np.random.default_rng(21)
-    from impedmodal.mass_oracle import StateSpaceModel
-
     nx = 8
-    model = StateSpaceModel(
+    model = StateSpaceRealization(
         A=rng.normal(size=(nx, nx)),
         B=rng.normal(size=(nx, 5)),
         C=rng.normal(size=(6, nx)),
         D=np.zeros((6, 5)),
-        state_names=tuple(f"x{k}" for k in range(nx)),
-        input_names=("id1", "iq1", "P", "id2", "iq2"),
-        output_names=("ud1", "uq1", "w", "th", "ud2", "uq2"),
     )
     sel = PortSelection(inputs=(0, 1, 3, 4), outputs=(0, 1, 4, 5))
     s = -1.0 + 30.0j

@@ -237,6 +237,19 @@ def test_validate_sample_frequencies_must_increase():
     assert any(v.code == "model_samples" for v in validate(net))
 
 
+def test_validate_sample_dimensions():
+    """Samples of an apparatus are 2x2 blocks, one per frequency."""
+    for blocks in (np.zeros((2, 3, 3)), np.zeros((3, 2, 2))):
+        net = NetworkDescription(
+            n_buses=1,
+            omega0=314.0,
+            shunts=(ShuntElement(bus=1, kind="capacitive", value=0.01),),
+            apparatus=(ApparatusAttachment(bus=1, model=SampledResponse(
+                frequencies=np.array([5.0, 10.0]), blocks=blocks)),),
+        )
+        assert [v.code for v in validate(net)] == ["model_dims"]
+
+
 def _rl_rational(num_coeff: float, den_coeff: float) -> RationalMatrix:
     entry = ((num_coeff,), (0.01, den_coeff))
     zero = ((0.0,), (1.0,))

@@ -6,14 +6,18 @@ import pytest
 from impedmodal import rational_fit
 from impedmodal.admittance_assembly import WholeSystemModel
 from impedmodal.mass_oracle import interconnect
-from impedmodal.network_model import NetworkFormatError, read_response_csv, write_response_csv
+from impedmodal.network_model import (
+    NetworkFormatError,
+    SampledResponse,
+    read_response_csv,
+    write_response_csv,
+)
 from impedmodal.rational_fit import (
     DuplicateModeError,
     FitError,
     RationalModel,
     RefinementError,
     ResidueError,
-    ResponseSamples,
     admittance_residue,
     critical_resonance_mode,
     find_modes,
@@ -47,15 +51,15 @@ def test_sample_capacitive_shunt_analytic(rc_bus_net):
     model = WholeSystemModel(net)
     grid = np.array([40.0, 90.0, 500.0])
     samples = sample_response(model, grid)
-    for w, Z in zip(samples.omegas, samples.values):
+    for w, Z in zip(samples.frequencies, samples.blocks):
         y = 0.01 * np.array([[1j * w, -W0], [W0, 1j * w]])
         assert np.allclose(Z, np.linalg.inv(y))
 
 
 def test_sample_single_point(rc_bus_net):
     samples = sample_response(WholeSystemModel(rc_bus_net), [75.0])
-    assert samples.omegas.shape == (1,)
-    assert samples.values.shape == (1, 2, 2)
+    assert samples.frequencies.shape == (1,)
+    assert samples.blocks.shape == (1, 2, 2)
 
 
 def test_sample_at_exact_resonance_fails():
@@ -93,7 +97,7 @@ def test_sample_evaluates_the_grid_in_one_call(three_bus_net):
     assert Counting.calls == 1
     model = WholeSystemModel(three_bus_net)
     by_point = sample_response(lambda s: model.impedance(s), grid)  # a bare callable
-    assert np.array_equal(samples.values, by_point.values)
+    assert np.array_equal(samples.blocks, by_point.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +108,7 @@ def test_sample_evaluates_the_grid_in_one_call(three_bus_net):
 def test_fit_scalar_single_pole():
     w = np.geomspace(0.1, 100.0, 120)
     vals = (1.0 / (1j * w + 10.0)).reshape(-1, 1, 1)
-    model = vector_fit(ResponseSamples(omegas=w, values=vals), order=2, n_iterations=12)
+    model = vector_fit(SampledResponse(frequencies=w, blocks=vals), order=2, n_iterations=12)
     k = int(np.argmin(np.abs(model.poles + 10.0)))
     assert abs(model.poles[k] + 10.0) <= 1e-6 * 10.0
     assert abs(model.residues[k][0, 0] - 1.0) <= 1e-6
@@ -114,7 +118,7 @@ def test_fit_scalar_single_pole():
 def test_fit_rl_shunt_admittance_recovers_modes():
     grid = frequency_grid(1.0, 1e4, 240)
     vals = np.array([rl_shunt_admittance(1j * w) for w in grid])
-    model = vector_fit(ResponseSamples(omegas=grid, values=vals), order=4, n_iterations=12)
+    model = vector_fit(SampledResponse(frequencies=grid, blocks=vals), order=4, n_iterations=12)
     target = complex(-10.0, W0)
     k = int(np.argmin(np.abs(model.poles - target)))
     assert abs(model.poles[k] - target) <= 1e-3 * abs(target)
@@ -125,7 +129,7 @@ def test_fit_rl_shunt_admittance_recovers_modes():
 def test_fit_underfit_warns():
     grid = frequency_grid(1.0, 1e4, 200)
     vals = np.array([rl_shunt_admittance(1j * w) for w in grid])
-    model = vector_fit(ResponseSamples(omegas=grid, values=vals), order=1, n_iterations=8)
+    model = vector_fit(SampledResponse(frequencies=grid, blocks=vals), order=1, n_iterations=8)
     assert model.warning is not None
     assert model.max_rel_deviation > 1e-4
 
@@ -142,7 +146,7 @@ def _synthetic_response(omegas, dim, n_pairs, seed):
     values = (np.einsum("mk,kij->mij", 1.0 / (s - poles), res)
               + np.einsum("mk,kij->mij", 1.0 / (s - poles.conj()), res.conj()))
     values += rng.normal(size=(dim, dim))
-    return ResponseSamples(omegas=omegas, values=values)
+    return SampledResponse(frequencies=omegas, blocks=values)
 
 
 def _uncompressed_relocation(s, F, poles):
@@ -183,7 +187,7 @@ def test_compressed_relocation_matches_uncompressed_step():
     omegas = np.geomspace(5.0, 5000.0, 300)
     samples = _synthetic_response(omegas, dim=3, n_pairs=4, seed=7)
     s = 1j * omegas
-    F = samples.values.reshape(omegas.size, -1)
+    F = samples.blocks.reshape(omegas.size, -1)
     poles = _canonical_poles(initial_poles(omegas[0], omegas[-1], 9))
     new = _relocate_poles(s, F, poles)
     ref = _uncompressed_relocation(s, F, poles)
@@ -212,7 +216,7 @@ def test_relocation_memory_is_bounded_for_many_responses():
 def test_fit_needs_enough_samples():
     with pytest.raises(FitError, match="samples"):
         vector_fit(
-            ResponseSamples(omegas=np.array([1.0, 2.0]), values=np.zeros((2, 1, 1))),
+            SampledResponse(frequencies=np.array([1.0, 2.0]), blocks=np.zeros((2, 1, 1))),
             order=4,
         )
 
@@ -222,7 +226,7 @@ def test_fit_conjugate_symmetry():
     enforced pairing leaves the reconstruction unchanged."""
     grid = frequency_grid(1.0, 1e4, 200)
     vals = np.array([rl_shunt_admittance(1j * w) for w in grid])
-    model = vector_fit(ResponseSamples(omegas=grid, values=vals), order=4, n_iterations=10)
+    model = vector_fit(SampledResponse(frequencies=grid, blocks=vals), order=4, n_iterations=10)
     cplx = [p for p in model.poles if p.imag != 0]
     for k in range(0, len(cplx), 2):
         assert cplx[k + 1] == np.conj(cplx[k])
@@ -500,9 +504,9 @@ def test_admittance_residue_matches_state_space(three_bus_net):
 def test_response_csv_round_trip(two_bus_net):
     model = WholeSystemModel(two_bus_net)
     samples = sample_response(model, frequency_grid(10.0, 1e3, 7))
-    omegas, values = read_response_csv(write_response_csv(samples.omegas, samples.values))
-    assert np.array_equal(samples.omegas, omegas)
-    assert np.array_equal(samples.values, values)
+    omegas, values = read_response_csv(write_response_csv(samples.frequencies, samples.blocks))
+    assert np.array_equal(samples.frequencies, omegas)
+    assert np.array_equal(samples.blocks, values)
 
 
 def test_response_csv_rejects_ragged():
