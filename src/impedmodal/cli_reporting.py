@@ -204,6 +204,45 @@ def sweep_report(steps) -> str:
                 "actual_imag,error_percent", rows)
 
 
+def _json_scalar(value) -> str:
+    """A number or string as ``json.dumps`` writes it (a finite float directly)."""
+    finite = type(value) is float and value - value == 0
+    return float.__repr__(value) if finite else json.dumps(value)
+
+
+def _json_list(items: list, indent: str) -> str:
+    """Encoded, indented ``items`` as ``json.dumps(..., indent=2)`` lists them."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+# entries and modes of validation.json as json.dumps(doc, indent=2) lays them out
+_ERROR_ENTRY = '        {{\n          "element": {},\n          "error": {}\n        }}'
+_RECORD_ENTRY = ('        {{\n          "element": {},\n          "predicted": [\n'
+                 '            {},\n            {}\n          ],\n          "actual": [\n'
+                 '            {},\n            {}\n          ],\n          "error_percent": {}\n'
+                 '        }}')
+_MODE = ('    {{\n      "mode": {},\n      "lambda": [\n        {},\n        {}\n      ],\n'
+         '      "elements": {}\n    }}')
+
+
+def _validation_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of a validation document,
+    written from its fixed layout: with an indent, the standard encoder
+    walks the document in pure Python."""
+    modes = []
+    for mode in doc["modes"]:
+        entries = [_ERROR_ENTRY.format(*map(_json_scalar, (entry["element"], entry["error"])))
+                   if "error" in entry else
+                   _RECORD_ENTRY.format(*map(_json_scalar, (entry["element"], *entry["predicted"],
+                                                            *entry["actual"],
+                                                            entry["error_percent"])))
+                   for entry in mode["elements"]]
+        modes.append(_MODE.format(_json_scalar(mode["mode"]), *map(_json_scalar, mode["lambda"]),
+                                  _json_list(entries, " " * 6)))
+    return ('{\n  "epsilon": ' + _json_scalar(doc["epsilon"]) + ',\n  "modes": '
+            + _json_list(modes, "  ") + "\n}\n")
+
+
 def _load_network(path: str) -> network_model.NetworkDescription:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -287,7 +326,7 @@ def run(config: AnalysisConfig) -> int:
             validation["modes"].append(
                 {"mode": k, "lambda": [lam.real, lam.imag], "elements": entries}
             )
-        emit("validation.json", json.dumps(validation, indent=2) + "\n")
+        emit("validation.json", _validation_json(validation))
 
     summary = {
         "network": os.path.basename(config.network_path),

@@ -596,11 +596,13 @@ def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
 # arrays live at once, so this bounds the stacked pass's working set
 _CHUNK_BYTES = 1 << 17
+# the same for one (M, E, N) complex stack of the secular solve (E elements, N states)
+_GRID_BYTES = 1 << 24
 
 
-def _chunks(modes: Sequence[ModeRecord], lay: ElementLayout):
-    """``modes`` in consecutive chunks whose stacks fit in _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (64 * max(1, len(lay.table.refs))))
+def _chunks(modes: list, budget: int, mode_bytes: int) -> list:
+    """``modes`` in consecutive chunks of at most ``budget`` bytes (or one mode)."""
+    step = max(1, budget // max(1, mode_bytes))
     return [modes[k:k + step] for k in range(0, len(modes), step)]
 
 
@@ -624,7 +626,7 @@ def mode_layers(
     """
     w0, table, pos = net.omega0, layout.table, layout.positions
     br = slice(0, table.n_branches)
-    for chunk in _chunks(modes, layout):
+    for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs)):
         s, y = _mode_stack(table, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
@@ -820,26 +822,29 @@ def _gated_outcome(mode, predicted: complex, anchor: complex, root, gap: float):
             raise root
         return root
     try:
-        lam_new = track_mode(anchor, [root], spacing=gap)
-        return validate_prediction(predicted, lam_new - mode.lam)
+        if abs(root - anchor) > _GATE_FACTOR * gap:
+            track_mode(anchor, [root], spacing=gap)  # raises its TrackingError
+        return validate_prediction(predicted, root - mode.lam)
     except AnalysisError as exc:
         return exc
 
 
-def _secular_outcomes(oracle, mode, predicted, updates) -> list:
-    """Every element's validation at one mode through the oracle: one
-    batched secular solve of the row ``updates`` (or the errors building
-    them raised), each anchored at lambda + its ``predicted`` shift."""
+def _secular_outcomes(oracle, modes, predictions, updates) -> Iterator[list]:
+    """Every element's validation at each of ``modes`` through the oracle:
+    one secular solve over the grid of modes and row ``updates`` (or the
+    errors building them raised), each anchored at lambda + its predicted
+    shift."""
     lam = oracle.eig.eigenvalues
-    i = int(np.argmin(np.abs(lam - mode.lam)))
-    gap = _nearest_other_distance(lam, i)
-    outcomes = list(updates)
+    poles = [int(np.argmin(np.abs(lam - mode.lam))) for mode in modes]
     solved = [e for e, u in enumerate(updates) if not isinstance(u, Exception)]
-    anchors = [mode.lam + predicted[e] for e in solved]
-    roots = mass_oracle.updated_eigenvalues(oracle, i, [updates[e] for e in solved], anchors)
-    for e, anchor, root in zip(solved, anchors, roots):
-        outcomes[e] = _gated_outcome(mode, predicted[e], anchor, root, gap)
-    return outcomes
+    anchors = [[mode.lam + shifts[e] for e in solved] for mode, shifts in zip(modes, predictions)]
+    roots = mass_oracle.updated_eigenvalues(oracle, poles, [updates[e] for e in solved], anchors)
+    for mode, shifts, i, row, found in zip(modes, predictions, poles, anchors, roots):
+        gap = _nearest_other_distance(lam, i)
+        outcomes = list(updates)
+        for e, anchor, root in zip(solved, row, found):
+            outcomes[e] = _gated_outcome(mode, shifts[e], anchor, root, gap)
+        yield outcomes
 
 
 def _overlay_outcomes(model, refs, mode, predicted, factor, reference) -> list:
@@ -880,11 +885,12 @@ def validate_mode_predictions(
     gated at 0.3 x the distance from lambda to its nearest other mode. On
     the oracle route (as in :func:`solve_modes`), each element's row update
     of the state matrix A is built once for all modes,
-    :func:`mass_oracle.updated_eigenvalues` re-solves a mode's elements in
-    one batched Newton on the secular equation, and the gate takes every
-    eigenvalue of A. Otherwise a mode's elements are re-solved in one
-    stacked Newton (:func:`rational_fit.refine_modes`) on the admittance
-    with each one's element scaled (:func:`admittance_assembly.overlay_admittance`:
+    :func:`mass_oracle.updated_eigenvalues` re-solves every element at
+    every mode of a chunk of modes in one Newton on the secular equation,
+    and the gate takes every eigenvalue of A. Otherwise a mode's elements
+    are re-solved in one stacked Newton (:func:`rational_fit.refine_modes`)
+    on the admittance with each one's element scaled
+    (:func:`admittance_assembly.overlay_admittance`:
     each Newton evaluation evaluates every element once and scales each
     point's element from that evaluation), and the gate takes
     ``reference_modes`` (the run's modes; by default the lambdas of
@@ -914,16 +920,19 @@ def validate_mode_predictions(
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
         return predict_mode_shift(s[:, lay.positions], epsilon * y[:, lay.positions]).tolist()
 
-    predictions = [p for chunk in _chunks(modes, lay) for p in shifts(chunk)]
-    results = []
-    for mode, predicted in zip(modes, predictions):
-        if isinstance(predicted, Exception):
-            results.append([predicted] * len(refs))
-        elif oracle is not None:
-            results.append(_secular_outcomes(oracle, mode, predicted, updates))
-        else:
-            results.append(_overlay_outcomes(model, refs, mode, predicted, 1.0 + epsilon,
-                                             reference))
+    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(lay.table.refs))
+                   for p in shifts(chunk)]
+    if oracle is None:
+        return [[p] * len(refs) if isinstance(p, Exception) else
+                _overlay_outcomes(model, refs, mode, p, 1.0 + epsilon, reference)
+                for mode, p in zip(modes, predictions)]
+    results = [[p] * len(refs) if isinstance(p, Exception) else None for p in predictions]
+    live = [m for m, outcomes in enumerate(results) if outcomes is None]
+    for chunk in _chunks(live, _GRID_BYTES, 16 * len(refs) * oracle.eig.n):
+        solved = _secular_outcomes(oracle, [modes[m] for m in chunk],
+                                   [predictions[m] for m in chunk], updates)
+        for m, outcomes in zip(chunk, solved):
+            results[m] = outcomes
     return results
 
 

@@ -22,7 +22,6 @@ from .admittance_assembly import (
     ElementRef,
     block_slice,
     frame_rotation,
-    state_space_response,
 )
 from .network_model import NetworkDescription, StateSpaceRealization
 
@@ -32,7 +31,6 @@ __all__ = [
     "DefectiveMatrixError",
     "RepeatedEigenvalueError",
     "EigenStructure",
-    "PortSelection",
     "oracle_capable",
     "Interconnection",
     "scaled_element",
@@ -45,7 +43,6 @@ __all__ = [
     "eigenvalue_sensitivity_matrix",
     "resolvent_residue",
     "parameter_sensitivity_ss",
-    "extract_port_transfer",
 ]
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
@@ -75,26 +72,6 @@ class RepeatedEigenvalueError(OracleError):
     """Sensitivity requested for a repeated or near-multiple eigenvalue."""
 
 
-@dataclass(frozen=True)
-class PortSelection:
-    """Column indices into B and row indices into C defining a port subset."""
-
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-
-    def __post_init__(self):
-        for name, idx in (("inputs", self.inputs), ("outputs", self.outputs)):
-            if len(set(idx)) != len(idx):
-                raise OracleError(f"duplicate indices in port selection {name}")
-
-    @staticmethod
-    def all_ports(model: StateSpaceRealization) -> "PortSelection":
-        return PortSelection(
-            inputs=tuple(range(model.B.shape[1])),
-            outputs=tuple(range(model.C.shape[0])),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class EigenStructure:
     """Eigenvalues with right eigenvectors (columns of ``right``) and left
@@ -103,6 +80,7 @@ class EigenStructure:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
+    norms: tuple[float, float]  # ||right||_2 and ||right^-1||_2, from its SVD
 
     @property
     def n(self) -> int:
@@ -241,6 +219,16 @@ class Interconnection:
     @functools.cached_property
     def eig(self) -> EigenStructure:
         return eigendecompose(self.model.A)
+
+    @functools.cached_property
+    def eig_errors(self) -> tuple[np.ndarray, float]:
+        """How far ``eig`` is from exact: the column residuals
+        ||A X_j - lambda_j X_j|| of the right eigenvectors X, and
+        ||X X^-1 - I||_F of the computed inverse."""
+        A, X = self.model.A, self.eig.right
+        AX = A @ X.real + 1j * (A @ X.imag)  # A is real
+        rho = np.linalg.norm(AX - X * self.eig.eigenvalues, axis=0)
+        return rho, float(np.linalg.norm(X @ self.eig.left - np.eye(self.eig.n)))
 
     def _element(self, ref: tuple[str, int]):
         kind, idx = ref
@@ -421,13 +409,15 @@ def eigendecompose(A: np.ndarray) -> EigenStructure:
     exceeds 1e12 (near-defective A).
     """
     lam, Phi = (a.astype(complex, copy=False) for a in np.linalg.eig(np.asarray(A)))
-    cond = np.linalg.cond(Phi)
+    sv = np.linalg.svd(Phi, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise DefectiveMatrixError(
             f"eigenvector matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
     Psi = np.linalg.inv(Phi)
-    return EigenStructure(eigenvalues=lam, right=Phi, left=Psi)
+    return EigenStructure(eigenvalues=lam, right=Phi, left=Psi,
+                          norms=(float(sv[0]), float(1.0 / sv[-1])))
 
 
 def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
@@ -503,9 +493,138 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
     return x, y.conj() / overlap
 
 
-def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> list:
-    """Where eigenvalue ``i`` of the network's state matrix A moves under
-    each of several row updates, from the eigenbasis of A alone.
+def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) over a stack; where A is exactly singular the
+    solution is infinite, and that matrix holds up no other."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(B.shape, np.inf, dtype=complex)
+        return np.concatenate([_solve_each(A[m:m + 1], B[m:m + 1]) for m in range(len(A))])
+
+
+class _SecularGrid:
+    """The secular equations of eigenvalues ``indices`` of a network's state
+    matrix A under each of several row ``updates`` (see
+    :func:`updated_eigenvalues`), on a grid laid out (update, eigenvalue):
+    V^T, W = V^T X and Z^T, which do not depend on the eigenvalue, are formed
+    once. Methods take a rectangle ``ae`` x ``am`` of the grid (index
+    arrays) and its iterates ``mu``."""
+
+    def __init__(self, system: Interconnection, indices, updates):
+        A, eig = system.model.A, system.eig
+        self.system, self.lam, self.pole = system, eig.eigenvalues, np.asarray(indices, dtype=int)
+        n_up, n = len(updates), A.shape[0]
+        self.k = k = max(1, max(len(rows) for rows, _ in updates))
+        self.rows = np.zeros((n_up, k), dtype=int)
+        self.Vt = np.zeros((n_up, k, n))
+        for e, (r, a) in enumerate(updates):
+            self.rows[e, :len(r)] = r
+            self.Vt[e, :len(r)] = a - A[r]
+        padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
+        self.W = np.empty((n_up, k, n), dtype=complex)
+        for e in range(n_up):  # each row of V^T reads a few states only
+            cols = np.flatnonzero(self.Vt[e].any(axis=0))
+            self.W[e] = self.Vt[e][:, cols] @ eig.right[cols]
+        self.Zt = eig.left.T[self.rows]
+        self.Zt[padded] = 0.0
+        # w_i and z_i (column i of W and of Z^T) per update and eigenvalue
+        self.w_i = self.W[:, :, self.pole].swapaxes(1, 2)
+        self.z_i = self.Zt[:, :, self.pole].swapaxes(1, 2)
+        self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
+        self.x_i = np.linalg.norm(eig.right[:, self.pole], axis=0)
+
+    def deflated(self, ae, am, mu):
+        """D's diagonal d without the pole i, W D, a = M0^-1 w_i,
+        b = M0^-T z_i and g(mu) at the iterates ``mu``."""
+        k = self.k
+        d = 1.0 / (self.lam - mu[..., None])
+        d[:, np.arange(am.size), self.pole[am]] = 0.0
+        WD = self.W[ae][:, None] * d[:, :, None, :]
+        M0 = np.eye(k) + WD @ self.Zt[ae].swapaxes(1, 2)[:, None]
+        w_i, z_i = self.w_i[ae][:, am], self.z_i[ae][:, am]
+        a, b = (_solve_each(M.reshape(-1, k, k), v.reshape(-1, k, 1)).reshape(v.shape)
+                for M, v in ((M0, w_i), (M0.swapaxes(-1, -2), z_i)))
+        return d, WD, a, b, self.lam[self.pole[am]] - mu + np.sum(z_i * a, axis=-1)
+
+    def newton(self, anchors: np.ndarray):
+        """Newton on g from ``anchors``: the iterates, and which converged.
+        Each iteration takes the rectangle that still has iterates moving."""
+        mu = anchors.copy()
+        converged = np.zeros(mu.shape, dtype=bool)
+        active = np.ones(mu.shape, dtype=bool)
+        for _ in range(_NEWTON_MAX_ITERATIONS):
+            ae, am = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
+            if ae.size == 0:
+                break
+            box = np.ix_(ae, am)
+            d, WD, a, b, g = self.deflated(ae, am, mu[box])
+            WD *= d[:, :, None, :]
+            dM = WD @ self.Zt[ae].swapaxes(1, 2)[:, None]  # M0'(mu) = W D^2 Z
+            step = g / (-1.0 - np.einsum("emk,emkl,eml->em", b, dM, a))
+            live = active[box]
+            moved = np.where(live, mu[box] - step, mu[box])
+            finite = np.isfinite(moved)
+            done = live & finite & (np.abs(step) <= _NEWTON_STEP_TOL * np.abs(moved))
+            mu[box] = moved
+            converged[box] |= done
+            active[box] = live & finite & ~done
+        return mu, converged
+
+    def certificate(self, ae, am, mu):
+        """Upper bounds on the backward errors and condition numbers of the
+        roots ``mu``, and their coordinates c and r, in O(kN) per root from
+        the errors of the eigenbasis: A'x - mu x = U(a + W c) + (X X^-1 - I) U a
+        - g(mu) X_i + (A X - X Lambda) c, ||x|| >= ||c|| / ||X^-1||, and |y^H x|
+        >= |r c| - ||X^-1 X - I|| ||r|| ||c|| with X^-1 X - I = X^-1 (X X^-1 - I) X."""
+        d, WD, a, b, g = self.deflated(ae, am, mu)
+        del WD  # only Newton needs it
+        W, at = self.W[ae], (slice(None), np.arange(am.size), self.pole[am])
+        c, r = d * (a @ self.Zt[ae]), d * (b @ W)
+        c[at] = r[at] = -1.0
+        rho, delta = self.system.eig_errors
+        x_norm, x_inv_norm = self.system.eig.norms
+        kappa = x_norm * x_inv_norm
+        c_norm, r_norm = np.linalg.norm(c, axis=-1), np.linalg.norm(r, axis=-1)
+        residual = (np.linalg.norm(a + c @ W.swapaxes(1, 2), axis=-1)
+                    + delta * np.linalg.norm(a, axis=-1) + np.abs(g) * self.x_i[am]
+                    + np.abs(c) @ rho)
+        backward = residual * x_inv_norm / (self.a_norm[ae, None] * c_norm)
+        overlap = np.abs(np.sum(r * c, axis=-1)) - kappa * delta * r_norm * c_norm
+        cond = np.where(overlap > 0, kappa * (1.0 + delta) * c_norm * r_norm / overlap, np.inf)
+        return backward, cond, c, r
+
+    def exact(self, e, mu, c, r):
+        """Backward errors and condition numbers of roots ``mu`` of updates
+        ``e``, from x = X c and y^H = r X^-1."""
+        A, eig = self.system.model.A, self.system.eig
+        x = c @ eig.right.T
+        y_h = r @ eig.left
+        # A x as two real products: A is real
+        residual = x.real @ A.T + 1j * (x.imag @ A.T) - mu[:, None] * x
+        np.add.at(residual, (np.arange(e.size)[:, None], self.rows[e]),
+                  np.einsum("ekn,en->ek", self.Vt[e], x))
+        x_norm = np.linalg.norm(x, axis=1)
+        backward = np.linalg.norm(residual, axis=1) / (self.a_norm[e] * x_norm)
+        cond = x_norm * np.linalg.norm(y_h, axis=1) / np.abs(np.sum(y_h * x, axis=1))
+        return backward, cond
+
+    def checked(self, mu, converged):
+        """Which converged roots pass the backward-error limit, and their condition
+        numbers: only roots that :meth:`certificate` leaves in doubt get :meth:`exact`."""
+        backward, cond, c, r = self.certificate(*map(np.arange, mu.shape), mu)
+        doubt = converged & ~((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT))
+        if doubt.any():
+            backward[doubt], cond[doubt] = self.exact(np.nonzero(doubt)[0], mu[doubt], c[doubt],
+                                                      r[doubt])
+        return converged & (backward <= _BACKWARD_LIMIT), cond
+
+
+def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> list:
+    """Where each eigenvalue ``indices[m]`` of the network's state matrix A
+    moves under each of several row updates, from the eigenbasis of A
+    alone, in one solve over the grid of eigenvalues and updates.
 
     ``updates`` holds ``(rows, A_rows)`` pairs as from
     :meth:`Interconnection.element_update`: A' = A + U V^T with U = I[:, R]
@@ -515,7 +634,7 @@ def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> li
     where X holds the eigenvectors of A and lambda its eigenvalues (Golub,
     SIAM Review 1973). Updates of fewer rows are padded with zero rows of
     V^T and zero columns of U, which leave det M unchanged, so that Newton
-    runs for all updates at once, each from its anchor.
+    runs for the whole grid at once, entry (m, e) from ``anchors[m][e]``.
 
     The pole at lambda_i is divided out: M = M0 + w_i z_i^T / (lambda_i - mu)
     with M0 the sum without term i, so (lambda_i - mu) det M = det M0 g,
@@ -524,117 +643,47 @@ def updated_eigenvalues(system: Interconnection, i: int, updates, anchors) -> li
     shift) is a valid start, and at first order g's root is
     lambda_i + z_i^T w_i, the state-space prediction. At the root,
     a = M0^-1 w_i and b^T = z_i^T M0^-1 are the null vectors of M, so the
-    eigenvectors follow in O(N^2): x = X c and y^H = r X^-1, with
-    c = D Z a and r = b^T W D off index i and -1 at it.
+    eigenvectors are x = X c and y^H = r X^-1, with c = D Z a and
+    r = b^T W D off index i and -1 at it.
 
     Of a converged root and its conjugate (A' is real), the one nearer the
     anchor is taken. A root that is not finite (an iterate on another pole
     of M), has not converged within the iteration cap, or whose backward error
     ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by the
     eigenvalue of A' nearest its anchor, from a dense solve
-    (:func:`nearest_eigenvalue`).
+    (:func:`nearest_eigenvalue`). The backward error and the condition
+    number ||x|| ||y|| / |y^H x| are bounded from c, r and
+    :attr:`Interconnection.eig_errors`; x and y are formed only where a
+    bound misses its limit.
 
-    Returns, per update, the eigenvalue or the ``OracleError`` its solve
-    raised: ``DefectiveMatrixError`` when the condition number
-    ||x|| ||y|| / |y^H x| exceeds 1e12.
+    Returns one list per index with, per update, the eigenvalue or the
+    ``OracleError`` its solve raised: ``DefectiveMatrixError`` when the
+    condition number exceeds 1e12.
     """
+    indices = np.asarray(indices, dtype=int)
     if not updates:
-        return []
-    A = system.model.A
-    eig = system.eig
-    lam, X, X_inv = eig.eigenvalues, eig.right, eig.left
-    anchors = np.asarray(anchors, dtype=complex)
-    n_up, n = len(updates), A.shape[0]
-    k = max(1, max(len(rows) for rows, _ in updates))
-    rows = np.zeros((n_up, k), dtype=int)
-    Vt = np.zeros((n_up, k, n))
-    for e, (r, a) in enumerate(updates):
-        rows[e, :len(r)] = r
-        Vt[e, :len(r)] = a - A[r]
-    padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
-    W = np.empty((n_up, k, n), dtype=complex)
-    for e in range(n_up):  # each row of V^T reads a few states only
-        cols = np.flatnonzero(Vt[e].any(axis=0))
-        W[e] = Vt[e][:, cols] @ X[cols]
-    Zt = X_inv.T[rows]  # (E, k, N): Z = X^-1 U, transposed
-    Zt[padded] = 0.0
-    Z = Zt.swapaxes(1, 2)
-    eye = np.eye(k)
-
-    def deflated(sel, mu):
-        """D without the pole i, W D, a = M0^-1 w_i and b = M0^-T z_i."""
-        d = 1.0 / (lam - mu[:, None])
-        d[:, i] = 0.0
-        WD = W[sel] * d[:, None, :]
-        M0 = eye + WD @ Z[sel]
-        a = np.linalg.solve(M0, W[sel, :, i, None])[..., 0]
-        b = np.linalg.solve(M0.swapaxes(1, 2), Z[sel, i, :, None])[..., 0]
-        return d, WD, a, b
-
-    def checks(sel):
-        """Backward errors and condition numbers of the roots mu[sel]."""
-        d, WD, a, b = deflated(sel, mu[sel])
-        c = d * np.einsum("enk,ek->en", Z[sel], a)
-        r = np.einsum("ek,ekn->en", b, WD)
-        c[:, i] = r[:, i] = -1.0
-        x = c @ X.T
-        y_h = r @ X_inv
-        # A x as two real products: A is real
-        residual = x.real @ A.T + 1j * (x.imag @ A.T) - mu[sel, None] * x
-        np.add.at(residual, (np.arange(sel.size)[:, None], rows[sel]),
-                  np.einsum("ekn,en->ek", Vt[sel], x))
-        x_norm = np.linalg.norm(x, axis=1)
-        a_norm = np.linalg.norm(A) + np.linalg.norm(Vt[sel], axis=(1, 2))
-        backward = np.linalg.norm(residual, axis=1) / (a_norm * x_norm)
-        cond = x_norm * np.linalg.norm(y_h, axis=1) / np.abs(np.sum(y_h * x, axis=1))
-        return backward, cond
-
-    mu = anchors.copy()
-    converged = np.zeros(n_up, dtype=bool)
-    active = np.ones(n_up, dtype=bool)
-    good = np.zeros(n_up, dtype=bool)
-    cond = np.full(n_up, np.inf)
+        return [[] for _ in indices]
+    grid = _SecularGrid(system, indices, updates)
+    anchors = np.asarray(anchors, dtype=complex).reshape(indices.size, len(updates)).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_MAX_ITERATIONS):
-            sel = np.flatnonzero(active)
-            if sel.size == 0:
-                break
-            try:
-                d, WD, a, b = deflated(sel, mu[sel])
-            except np.linalg.LinAlgError:
-                break  # an exactly singular M0: these roots take the fallback
-            g = lam[i] - mu[sel] + np.sum(Z[sel, i] * a, axis=1)
-            dg = -1.0 - np.einsum("ek,ekj,ej->e", b, (WD * d[:, None, :]) @ Z[sel], a)
-            step = g / dg
-            mu[sel] -= step
-            finite = np.isfinite(mu[sel])
-            done = finite & (np.abs(step) <= _NEWTON_STEP_TOL * np.abs(mu[sel]))
-            converged[sel[done]] = True
-            active[sel[done | ~finite]] = False
-        sel = np.flatnonzero(converged)
-        if sel.size:
-            try:
-                backward, cond[sel] = checks(sel)
-                good[sel] = backward <= _BACKWARD_LIMIT
-            except np.linalg.LinAlgError:
-                pass  # as above
+        mu, converged = grid.newton(anchors)
+        good, cond = grid.checked(mu, converged)
 
     # A' is real, so the conjugate of a root is a root too: from an anchor
     # near the real axis Newton may reach either of a pair
     conj = np.abs(np.conj(mu) - anchors) < np.abs(mu - anchors)
     mu[conj] = np.conj(mu[conj])
-    out: list = []
-    for e, (r, a) in enumerate(updates):
+    out = mu.T.tolist()
+    for e, m in zip(*np.nonzero(~(good & (cond <= _COND_LIMIT)))):
         try:
-            if not good[e]:
-                perturbed = A.copy()
-                perturbed[r] = a
-                out.append(nearest_eigenvalue(perturbed, complex(anchors[e])))
-            else:
-                _check_condition(complex(mu[e]), cond[e])
-                out.append(complex(mu[e]))
+            if good[e, m]:  # the condition number exceeds the limit: raises
+                _check_condition(out[m][e], cond[e, m])
+            rows, A_rows = updates[e]
+            perturbed = system.model.A.copy()
+            perturbed[rows] = A_rows
+            out[m][e] = nearest_eigenvalue(perturbed, complex(anchors[e, m]))
         except OracleError as exc:
-            out.append(exc)
+            out[m][e] = exc
     return out
 
 
@@ -706,25 +755,3 @@ def parameter_sensitivity_ss(
     _require_simple(eig, i, float(np.max(np.abs(eig.eigenvalues))))
     sens = complex(eig.left[i, :] @ dA @ eig.right[:, i])
     return sens, (sens * delta_rho if delta_rho is not None else None)
-
-
-def extract_port_transfer(model: StateSpaceRealization, sel: PortSelection,
-                          s: complex) -> np.ndarray:
-    """Transfer matrix restricted to a port selection: C1 (sI-A)^{-1} B1 + D1.
-
-    With current-injection inputs and voltage outputs over all buses this is
-    exactly the whole-system impedance matrix Z(s).
-    """
-    nu = model.B.shape[1]
-    ny = model.C.shape[0]
-    for k in sel.inputs:
-        if not 0 <= k < nu:
-            raise OracleError(f"input index {k} outside [0, {nu})")
-    for k in sel.outputs:
-        if not 0 <= k < ny:
-            raise OracleError(f"output index {k} outside [0, {ny})")
-    rows = np.asarray(sel.outputs, dtype=int)
-    cols = np.asarray(sel.inputs, dtype=int)
-    return state_space_response(
-        model.A, model.B[:, cols], model.C[rows, :], model.D[np.ix_(rows, cols)], s
-    )

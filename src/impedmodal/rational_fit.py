@@ -10,12 +10,12 @@ serves sampled responses (apparatus surrogates, the ``fit`` command).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import mass_oracle
-from .network_model import RationalModel, SampledResponse, StateSpaceRealization
+from .mass_oracle import _solve_each
+from .network_model import RationalModel, SampledResponse
 
 __all__ = [
     "FitError",
@@ -38,7 +38,6 @@ __all__ = [
     "critical_resonance_mode",
     "admittance_residue",
     "admittance_residues",
-    "residue_at_mode",
     "fit_apparatus_surrogate",
 ]
 
@@ -419,17 +418,6 @@ def _pointwise(Yfun: Callable[[complex], np.ndarray]):
     return lambda s, rows=None: np.array([np.asarray(Yfun(complex(x)), dtype=complex) for x in s])
 
 
-def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, B) over a stack; where A is exactly singular the
-    solution is infinite, and that matrix holds up no other."""
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(B.shape, np.inf, dtype=complex)
-        return np.concatenate([_solve_each(A[m:m + 1], B[m:m + 1]) for m in range(len(A))])
-
-
 def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outcomes: list):
     """One Newton iteration on log det Y of the seeds ``rows``: moves their
     iterates in ``s`` by 1/tr(Y^-1 Y'), records in ``outcomes`` the root of
@@ -661,26 +649,3 @@ def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence
 def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
     """The one-mode case of :func:`admittance_residues`, ``Yfun`` called point by point."""
     return admittance_residues(_pointwise(Yfun), [lam])[0]
-
-
-def residue_at_mode(
-    source: Union[RationalModel, StateSpaceRealization],
-    lam: complex,
-    match_tol: float = 1e-6,
-) -> np.ndarray:
-    """Residue matrix of the source's transfer matrix at pole ``lam``.
-
-    ``source`` is a RationalModel (partial-fraction coefficient) or a
-    StateSpaceRealization: Res = C (phi psi) B.
-    """
-    if isinstance(source, RationalModel):
-        dist = np.abs(source.poles - lam)
-        k = int(np.argmin(dist)) if dist.size else -1
-        if k < 0 or dist[k] > match_tol * (1.0 + abs(lam)):
-            raise ResidueError(f"{lam} does not match any pole of the rational model")
-        return source.residues[k].copy()
-    try:
-        R = mass_oracle.resolvent_residue(source.A, lam)
-    except mass_oracle.OracleError as exc:
-        raise ResidueError(str(exc)) from exc
-    return source.C @ R @ source.B

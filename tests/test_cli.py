@@ -466,6 +466,49 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
             assert f.read_bytes() == (out / f.name).read_bytes(), f.name
 
 
+def test_validation_solves_once_per_chunk(tmp_path, monkeypatch):
+    """The oracle validation of all 7 modes of three_bus is one secular
+    solve over the grid of modes and elements at the default _GRID_BYTES,
+    and one per chunk when a chunk holds one mode or two; validation.json
+    does not depend on the chunking."""
+    net = network_model.parse_network(NETWORK.read_text())
+    per_mode = 16 * len(network_elements(net)) * mass_oracle.interconnect(net).A.shape[0]
+    default = mai_core._GRID_BYTES
+    solve, calls = mass_oracle.updated_eigenvalues, []
+    monkeypatch.setattr(mass_oracle, "updated_eigenvalues",
+                        lambda system, poles, *args: calls.append(len(poles))
+                        or solve(system, poles, *args))
+    texts = []
+    for grid_bytes, expected in ((per_mode, [1] * 7), (2 * per_mode, [2, 2, 2, 1]),
+                                 (default, [7])):
+        monkeypatch.setattr(mai_core, "_GRID_BYTES", grid_bytes)
+        calls.clear()
+        out = tmp_path / str(grid_bytes)
+        assert main(["analyze", str(NETWORK), "--out", str(out)]) == EXIT_OK
+        assert calls == expected
+        texts.append((out / "validation.json").read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_validation_json_is_json_dumps(tmp_path):
+    """The validation.json emitter writes what json.dumps(doc, indent=2)
+    writes: for a real run's document, and for error messages with quotes,
+    backslashes and non-ASCII text, non-finite error percentages, an int
+    epsilon, an empty element list and an empty mode list."""
+    assert main(["analyze", str(NETWORK), "--out", str(tmp_path)]) == EXIT_OK
+    text = (tmp_path / "validation.json").read_text(encoding="utf-8")
+    record = {"element": "line 1-2", "predicted": [0.1, -2.5e-17], "actual": [1e300, -0.0]}
+    docs = [json.loads(text), {"epsilon": 1, "modes": [
+        {"mode": 0, "lambda": [-1.5, 314.0], "elements": [
+            {"element": 'apparatus "0"',
+             "error": 'nearest mode \\ "far" \u00e9\u0394\u03bb \u2014 gone'},
+            *[{**record, "error_percent": x} for x in (np.inf, -np.inf, np.nan, 12.5)]]},
+        {"mode": 12, "lambda": [0.0, -1.0], "elements": []}]}, {"epsilon": 0.05, "modes": []}]
+    assert cli_reporting._validation_json(docs[0]) == text
+    for doc in docs:
+        assert cli_reporting._validation_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
 def _parse_floats(row, keys):
     return np.array([float(row[k]) for k in keys])
 

@@ -487,26 +487,37 @@ def _perturbed(system, update):
     return A
 
 
-def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
-    """For every mode and eps in {1e-3, 0.05}, the batched secular roots
-    equal the dense nearest eigenvalue at the same anchor within
-    1e-9 |lambda|, with no fallback taken."""
+def _pole(system, mode):
+    return int(np.argmin(np.abs(system.eig.eigenvalues - mode.lam)))
+
+
+def _counted_fallback(monkeypatch):
+    """The anchors every dense fallback is called with, and the fallback."""
     fallbacks = []
     nearest = mass_oracle.nearest_eigenvalue
     monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
                         lambda A, sigma: fallbacks.append(sigma) or nearest(A, sigma))
+    return fallbacks, nearest
+
+
+def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
+    """For every mode and eps in {1e-3, 0.05}, the secular roots over the
+    grid of all modes and elements equal the dense nearest eigenvalue at
+    the same anchor within 1e-9 |lambda|, with no fallback taken."""
+    fallbacks, nearest = _counted_fallback(monkeypatch)
     for net in _low_rank_nets(three_bus_net):
         system = mass_oracle.Interconnection(net)
         refs = network_elements(net)
-        for mode in solve_modes(net, method="state_space"):
-            i = int(np.argmin(np.abs(system.eig.eigenvalues - mode.lam)))
-            for eps in (1e-3, 0.05):
-                updates = [system.element_update(ref, 1.0 + eps) for ref in refs]
-                anchors = [mode.lam + _predicted_shift(net, ref, mode, eps)
-                           for ref in refs]
-                roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
-                assert fallbacks == []
-                for update, anchor, root in zip(updates, anchors, roots):
+        modes = solve_modes(net, method="state_space")
+        for eps in (1e-3, 0.05):
+            updates = [system.element_update(ref, 1.0 + eps) for ref in refs]
+            anchors = [[mode.lam + _predicted_shift(net, ref, mode, eps) for ref in refs]
+                       for mode in modes]
+            grid = mass_oracle.updated_eigenvalues(
+                system, [_pole(system, mode) for mode in modes], updates, anchors)
+            assert fallbacks == []
+            for mode, row, roots in zip(modes, anchors, grid):
+                for update, anchor, root in zip(updates, row, roots):
                     expected = nearest(_perturbed(system, update), anchor)
                     assert abs(root - expected) <= 1e-9 * abs(mode.lam)
 
@@ -517,20 +528,18 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     Newton on the deflated secular function, which is regular there; an
     anchor on another eigenvalue, where M is not defined, and a root failing
     the backward-error check take the dense fallback. All return the
-    eigenvalue nearest the anchor."""
-    fallbacks = []
-    nearest = mass_oracle.nearest_eigenvalue
-    monkeypatch.setattr(mass_oracle, "nearest_eigenvalue",
-                        lambda A, sigma: fallbacks.append(sigma) or nearest(A, sigma))
+    eigenvalue nearest the anchor. In a grid where one mode's row is
+    anchored on another eigenvalue, only that row takes the fallback."""
+    fallbacks, nearest = _counted_fallback(monkeypatch)
     system = mass_oracle.Interconnection(three_bus_net)
     refs = network_elements(three_bus_net)
     mode = three_bus_modes[2]
     lam = system.eig.eigenvalues
-    i = int(np.argmin(np.abs(lam - mode.lam)))
+    i = _pole(system, mode)
     updates = [system.element_update(ref, 1.05) for ref in refs]
 
     on_pole = [lam[i]] * len(refs)
-    roots = mass_oracle.updated_eigenvalues(system, i, updates, on_pole)
+    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [on_pole])
     assert fallbacks == []
     for update, anchor, root in zip(updates, on_pole, roots):
         expected = nearest(_perturbed(system, update), anchor)
@@ -538,18 +547,102 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
 
     j = int(np.argsort(np.abs(lam - mode.lam))[1])
     on_other_pole = [lam[j]] * len(refs)
-    roots = mass_oracle.updated_eigenvalues(system, i, updates, on_other_pole)
+    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [on_other_pole])
     assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, on_other_pole, roots):
         assert root == nearest(_perturbed(system, update), anchor)
 
-    anchors = [mode.lam + _predicted_shift(three_bus_net, ref, mode, 0.05)
-               for ref in refs]
+    anchors = [mode.lam + _predicted_shift(three_bus_net, ref, mode, 0.05) for ref in refs]
+    others = [m for m in three_bus_modes if m is not mode]
+    healthy = [[m.lam + _predicted_shift(three_bus_net, ref, m, 0.05) for ref in refs]
+               for m in others]
+    fallbacks.clear()
+    grid = mass_oracle.updated_eigenvalues(
+        system, [i] + [_pole(system, m) for m in others], updates, [on_other_pole] + healthy)
+    assert fallbacks == on_other_pole
+    for row, roots in zip([on_other_pole] + healthy, grid):
+        for update, anchor, root in zip(updates, row, roots):
+            expected = nearest(_perturbed(system, update), anchor)
+            assert abs(root - expected) <= 1e-9 * abs(mode.lam)
+
+    fallbacks.clear()
     monkeypatch.setattr(mass_oracle, "_BACKWARD_LIMIT", -1.0)
-    roots = mass_oracle.updated_eigenvalues(system, i, updates, anchors)
-    assert len(fallbacks) == 2 * len(refs)
+    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [anchors])
+    assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, anchors, roots):
         assert root == nearest(_perturbed(system, update), anchor)
+
+
+def _secular_cases(three_bus_net):
+    """(system, poles, updates, anchors (M, E)) of every mode and element of
+    the low-rank networks and of a 10-bus ring, at eps 0.05."""
+    for net in _low_rank_nets(three_bus_net) + [_rl_ring(10, 0, "state_space")]:
+        system = mass_oracle.Interconnection(net)
+        refs = network_elements(net)
+        modes = solve_modes(net, method="state_space")
+        yield (system, [_pole(system, mode) for mode in modes],
+               [system.element_update(ref, 1.05) for ref in refs],
+               np.array([[mode.lam + _predicted_shift(net, ref, mode, 0.05) for ref in refs]
+                         for mode in modes]))
+
+
+def _same_outcomes(first, second):
+    for row_a, row_b in zip(first, second, strict=True):
+        for a, b in zip(row_a, row_b, strict=True):
+            if isinstance(a, Exception):
+                assert type(a) is type(b) and str(a) == str(b)
+            else:
+                assert a == b
+
+
+def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
+    """At every converged secular root, the O(kN) certificate's backward
+    error and condition number are at or above the exact ones, from the
+    eigenvectors x = X c and y^H = r X^-1; every root, fallback and
+    DefectiveMatrixError is what the exact check alone decides; and a root
+    whose bound misses the limit while its exact backward error meets it
+    goes through the exact check and is kept."""
+    exact = mass_oracle._SecularGrid.exact
+    checked = []
+    monkeypatch.setattr(mass_oracle._SecularGrid, "exact",
+                        lambda grid, e, *args: checked.append(e.size) or exact(grid, e, *args))
+    certificate = mass_oracle._SecularGrid.certificate
+
+    def no_certificate(*args):
+        backward, cond, c, r = certificate(*args)
+        return np.full(backward.shape, np.inf), np.full(cond.shape, np.inf), c, r
+
+    for system, poles, updates, anchors in _secular_cases(three_bus_net):
+        grid = mass_oracle._SecularGrid(system, poles, updates)
+        with np.errstate(all="ignore"):
+            mu, converged = grid.newton(anchors.T)
+        assert converged.all()
+        ae, am = np.arange(len(updates)), np.arange(len(poles))
+        backward_bound, cond_bound, c, r = grid.certificate(ae, am, mu)
+        backward, cond = exact(grid, np.repeat(ae, am.size), mu.ravel(),
+                               c.reshape(mu.size, -1), r.reshape(mu.size, -1))
+        assert np.all(backward_bound.ravel() >= backward)
+        assert np.all(cond_bound.ravel() >= cond)
+        assert np.all(backward_bound <= 1e-13) and np.all(cond_bound <= 1e3)
+
+        checked.clear()
+        roots = mass_oracle.updated_eigenvalues(system, poles, updates, anchors)
+        assert checked == []
+        with monkeypatch.context() as m:
+            m.setattr(mass_oracle._SecularGrid, "certificate", no_certificate)
+            _same_outcomes(roots, mass_oracle.updated_eigenvalues(system, poles, updates,
+                                                                  anchors))
+        assert checked == [mu.size]
+
+        limit = backward.max()
+        doubt = int(np.sum(backward_bound > limit))
+        assert doubt > 0
+        checked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(mass_oracle, "_BACKWARD_LIMIT", limit)
+            _same_outcomes(roots, mass_oracle.updated_eigenvalues(system, poles, updates,
+                                                                  anchors))
+        assert checked == [doubt]
 
 
 # ---------------------------------------------------------------------------

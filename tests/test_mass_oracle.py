@@ -8,13 +8,11 @@ from impedmodal.admittance_assembly import WholeSystemModel, state_space_respons
 from impedmodal.mass_oracle import (
     DefectiveMatrixError,
     OracleError,
-    PortSelection,
     RepeatedEigenvalueError,
     UnsupportedForOracleError,
     eigendecompose,
     eigenvalue_sensitivity_matrix,
     eigenvector_pair,
-    extract_port_transfer,
     interconnect,
     nearest_eigenvalue,
     parameter_sensitivity_ss,
@@ -405,29 +403,22 @@ def test_parameter_sensitivity_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# Port transfer extraction
+# Port transfer
 # ---------------------------------------------------------------------------
 
 
-def test_extract_all_ports_is_full_transfer(three_bus_net):
-    ss = interconnect(three_bus_net)
-    sel = PortSelection.all_ports(ss)
-    s = -8.0 + 450.0j
-    full = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
-    assert np.allclose(extract_port_transfer(ss, sel, s), full)
-
-
-def test_extract_port_transfer_equals_impedance(three_bus_net):
+def test_state_space_response_equals_impedance(three_bus_net):
+    """On all ports (current injections in, bus voltages out) the transfer
+    matrix of the interconnection is the whole-system impedance Z(s)."""
     ss = interconnect(three_bus_net)
     model = WholeSystemModel(three_bus_net)
-    sel = PortSelection.all_ports(ss)
     for s in (1j * 60.0, -2.0 + 800.0j):
-        G = extract_port_transfer(ss, sel, s)
+        G = state_space_response(ss.A, ss.B, ss.C, ss.D, s)
         Z = model.impedance(s)
         assert np.linalg.norm(G - Z) <= 1e-10 * np.linalg.norm(Z)
 
 
-def test_extract_subset_like_single_converter_case():
+def test_state_space_response_on_selected_ports():
     """5-input/6-output model restricted to current/voltage ports
     (columns 1,2,4,5 of B and rows 1,2,5,6 of C, 1-based)."""
     rng = np.random.default_rng(21)
@@ -438,15 +429,9 @@ def test_extract_subset_like_single_converter_case():
         C=rng.normal(size=(6, nx)),
         D=np.zeros((6, 5)),
     )
-    sel = PortSelection(inputs=(0, 1, 3, 4), outputs=(0, 1, 4, 5))
+    rows, cols = [0, 1, 4, 5], [0, 1, 3, 4]
     s = -1.0 + 30.0j
-    G = extract_port_transfer(model, sel, s)
+    G = state_space_response(model.A, model.B[:, cols], model.C[rows], model.D[np.ix_(rows, cols)],
+                             s)
     full = state_space_response(model.A, model.B, model.C, model.D, s)
-    assert np.allclose(G, full[np.ix_([0, 1, 4, 5], [0, 1, 3, 4])])
-
-
-def test_port_selection_rejects_duplicates():
-    from impedmodal.mass_oracle import OracleError
-
-    with pytest.raises(OracleError, match="duplicate"):
-        PortSelection(inputs=(0, 0), outputs=(1,))
+    assert np.allclose(G, full[np.ix_(rows, cols)])

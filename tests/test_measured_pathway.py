@@ -11,7 +11,7 @@ import pytest
 from impedmodal import mai_core
 from impedmodal.admittance_assembly import apparatus_admittance
 from impedmodal.cli_reporting import EXIT_OK, main
-from impedmodal.mass_oracle import eigendecompose, interconnect
+from impedmodal.mass_oracle import eigendecompose, interconnect, resolvent_residue
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -86,13 +86,11 @@ def test_measured_sensitivities_match_twin(twin_pair):
     """Element sensitivities from the measurement-only path agree with the
     state-space twin's residues."""
     net_ss, net_meas = twin_pair
-    from impedmodal.rational_fit import residue_at_mode
-
     ss = interconnect(net_ss)
     records = mai_core.solve_modes(_with_surrogate(net_meas), band=(5.0, 5e3),
                                    method="impedance")
     rec = max(records, key=lambda r: np.linalg.norm(r.residue))
-    R_ss = residue_at_mode(ss, rec.lam)
+    R_ss = ss.C @ resolvent_residue(ss.A, rec.lam) @ ss.B
     assert np.linalg.norm(rec.residue - R_ss) <= 1e-4 * np.linalg.norm(R_ss)
     s_meas = mai_core.element_sensitivity(net_meas, ("branch", 0), rec.residue)
     s_true = mai_core.element_sensitivity(net_ss, ("branch", 0), R_ss)

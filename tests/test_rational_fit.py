@@ -5,7 +5,7 @@ import pytest
 
 from impedmodal import rational_fit
 from impedmodal.admittance_assembly import WholeSystemModel
-from impedmodal.mass_oracle import interconnect
+from impedmodal.mass_oracle import interconnect, resolvent_residue
 from impedmodal.network_model import (
     NetworkFormatError,
     SampledResponse,
@@ -17,7 +17,6 @@ from impedmodal.rational_fit import (
     FitError,
     RationalModel,
     RefinementError,
-    ResidueError,
     admittance_residue,
     critical_resonance_mode,
     find_modes,
@@ -25,7 +24,6 @@ from impedmodal.rational_fit import (
     initial_poles,
     refine_mode,
     refine_modes,
-    residue_at_mode,
     sample_response,
     vector_fit,
 )
@@ -439,6 +437,14 @@ def test_critical_mode_tie_reported():
 # ---------------------------------------------------------------------------
 
 
+def _pole_residue(model, lam, match_tol=1e-6):
+    """The partial-fraction residue of ``model`` at its pole nearest ``lam``,
+    which must lie within ``match_tol`` (1 + |lam|) of it."""
+    k = int(np.argmin(np.abs(model.poles - lam)))
+    assert abs(model.poles[k] - lam) <= match_tol * (1.0 + abs(lam))
+    return model.residues[k]
+
+
 def test_residue_from_rational_model_definitional():
     R = np.array([[1.0 + 2.0j]])
     model = RationalModel(
@@ -447,9 +453,9 @@ def test_residue_from_rational_model_definitional():
         const=np.zeros((1, 1), dtype=complex),
         linear=np.zeros((1, 1), dtype=complex),
     )
-    assert np.array_equal(residue_at_mode(model, -4.0 + 9.0j), R)
-    with pytest.raises(ResidueError):
-        residue_at_mode(model, -4.0 + 20.0j)
+    assert np.array_equal(_pole_residue(model, -4.0 + 9.0j), R)
+    s = -4.0 + 9.0j + 1e-7
+    assert np.allclose((s - (-4.0 + 9.0j)) * model.evaluate(s), R)
 
 
 def test_residue_numeric_limit_oracle(two_bus_net):
@@ -458,7 +464,7 @@ def test_residue_numeric_limit_oracle(two_bus_net):
     ss = interconnect(two_bus_net)
     eig = eigendecompose(ss.A)
     lam = complex(eig.eigenvalues[int(np.argmax(eig.eigenvalues.imag))])
-    R = residue_at_mode(ss, lam)
+    R = ss.C @ resolvent_residue(ss.A, lam) @ ss.B
     model = WholeSystemModel(two_bus_net)
     s = lam + 1e-6 * (1.0 + 1.0j)
     R_lim = (s - lam) * model.impedance(s)
@@ -477,8 +483,8 @@ def test_residue_state_space_vs_vector_fit(two_bus_net):
         if lam_true.imag <= 0:
             continue
         lam = complex(lam_true)
-        R_ss = residue_at_mode(ss, lam)
-        R_fit = residue_at_mode(fit, lam, match_tol=1e-3)
+        R_ss = ss.C @ resolvent_residue(ss.A, lam) @ ss.B
+        R_fit = _pole_residue(fit, lam, match_tol=1e-3)
         assert np.linalg.norm(R_fit - R_ss) <= 1e-6 * np.linalg.norm(R_ss)
 
 
@@ -492,7 +498,7 @@ def test_admittance_residue_matches_state_space(three_bus_net):
     if lam.imag < 0:
         lam = np.conj(lam)
     R_imp = admittance_residue(model.admittance, lam)
-    R_ss = residue_at_mode(ss, lam)
+    R_ss = ss.C @ resolvent_residue(ss.A, lam) @ ss.B
     assert np.linalg.norm(R_imp - R_ss) <= 1e-6 * np.linalg.norm(R_ss)
 
 
