@@ -89,6 +89,8 @@ class AnalysisConfig:
             raise ConfigError(f"fit order must be >= 2, got {self.order}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.modes is not None and not self.modes:
+            raise ConfigError("modes must be 'all' or name at least one index")
         if self.modes is not None and len(set(self.modes)) != len(self.modes):
             raise ConfigError(f"mode indices must not repeat, got {self.modes}")
 
@@ -225,22 +227,24 @@ _MODE = ('    {{\n      "mode": {},\n      "lambda": [\n        {},\n        {}\
          '      "elements": {}\n    }}')
 
 
-def _validation_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` of a validation document,
-    written from its fixed layout: with an indent, the standard encoder
-    walks the document in pure Python."""
-    modes = []
-    for mode in doc["modes"]:
-        entries = [_ERROR_ENTRY.format(*map(_json_scalar, (entry["element"], entry["error"])))
-                   if "error" in entry else
-                   _RECORD_ENTRY.format(*map(_json_scalar, (entry["element"], *entry["predicted"],
-                                                            *entry["actual"],
-                                                            entry["error_percent"])))
-                   for entry in mode["elements"]]
-        modes.append(_MODE.format(_json_scalar(mode["mode"]), *map(_json_scalar, mode["lambda"]),
-                                  _json_list(entries, " " * 6)))
-    return ('{\n  "epsilon": ' + _json_scalar(doc["epsilon"]) + ',\n  "modes": '
-            + _json_list(modes, "  ") + "\n}\n")
+def _validation_json(epsilon, labels, indices, modes, outcomes) -> str:
+    """validation.json of the ``outcomes`` (one per element of ``labels``) of
+    ``modes`` (numbered ``indices``): ``json.dumps(doc, indent=2) + "\\n"``
+    of {"epsilon", "modes": [{"mode", "lambda", "elements"}]}, written from
+    its fixed layout: with an indent, the standard encoder walks the
+    document in pure Python."""
+    blocks = []
+    for k, mode, row in zip(indices, modes, outcomes):
+        entries = [_ERROR_ENTRY.format(_json_scalar(label), _json_scalar(str(v)))
+                   if isinstance(v, Exception) else
+                   _RECORD_ENTRY.format(*map(_json_scalar, (
+                       label, v.predicted.real, v.predicted.imag, v.actual.real, v.actual.imag,
+                       round(100.0 * v.error, 9))))
+                   for label, v in zip(labels, row)]
+        blocks.append(_MODE.format(*map(_json_scalar, (k, mode.lam.real, mode.lam.imag)),
+                                   _json_list(entries, " " * 6)))
+    return ('{\n  "epsilon": ' + _json_scalar(epsilon) + ',\n  "modes": '
+            + _json_list(blocks, "  ") + "\n}\n")
 
 
 def _load_network(path: str) -> network_model.NetworkDescription:
@@ -251,12 +255,23 @@ def _load_network(path: str) -> network_model.NetworkDescription:
     return network_model.parse_network(text, base_dir=str(Path(path).parent))
 
 
+def _fittable(samples: network_model.SampledResponse,
+              order: int) -> network_model.SampledResponse:
+    """``samples``, checked to hold the 2 x ``order`` points a rational fit
+    of ``order`` needs."""
+    n = samples.frequencies.size
+    if n < 2 * order:
+        raise ConfigError(f"fit order {order} needs at least {2 * order} samples, got {n}")
+    return samples
+
+
 def _with_surrogates(net: network_model.NetworkDescription,
                      order: int) -> network_model.NetworkDescription:
     """``net`` with each sampled apparatus replaced by its fitted rational
     surrogate of ``order``, so that modes can be refined at complex s."""
     apparatus = tuple(
-        replace(app, model=rational_fit.fit_apparatus_surrogate(app.model, order=order))
+        replace(app, model=rational_fit.fit_apparatus_surrogate(_fittable(app.model, order),
+                                                                order=order))
         if isinstance(app.model, network_model.SampledResponse) else app
         for app in net.apparatus
     )
@@ -307,26 +322,8 @@ def run(config: AnalysisConfig) -> int:
             net, modes, refs, epsilon=config.epsilon, reference_modes=[r.lam for r in records],
             system=system,
         )
-        validation: dict = {"epsilon": config.epsilon, "modes": []}
-        for k, mode_outcomes in zip(selected, outcomes):
-            entries = []
-            for label, v in zip(lay.labels, mode_outcomes):
-                if isinstance(v, Exception):
-                    entries.append({"element": label, "error": str(v)})
-                    continue
-                entries.append(
-                    {
-                        "element": label,
-                        "predicted": [v.predicted.real, v.predicted.imag],
-                        "actual": [v.actual.real, v.actual.imag],
-                        "error_percent": round(100.0 * v.error, 9),
-                    }
-                )
-            lam = records[k].lam
-            validation["modes"].append(
-                {"mode": k, "lambda": [lam.real, lam.imag], "elements": entries}
-            )
-        emit("validation.json", _validation_json(validation))
+        emit("validation.json",
+             _validation_json(config.epsilon, lay.labels, selected, modes, outcomes))
 
     summary = {
         "network": os.path.basename(config.network_path),
@@ -384,7 +381,8 @@ def run_fit(samples_path: str, order: int, n_iterations: int, out_dir: str) -> i
     except OSError as exc:
         raise ConfigError(f"cannot read samples file '{samples_path}': {exc}")
     samples = network_model.SampledResponse(*network_model.read_response_csv(text))
-    model = rational_fit.vector_fit(samples, order=order, n_iterations=n_iterations)
+    model = rational_fit.vector_fit(_fittable(samples, order), order=order,
+                                    n_iterations=n_iterations)
     payload = {
         "order": order,
         "poles": [[p.real, p.imag] for p in model.poles],

@@ -596,8 +596,6 @@ def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
 # arrays live at once, so this bounds the stacked pass's working set
 _CHUNK_BYTES = 1 << 17
-# the same for one (M, E, N) complex stack of the secular solve (E elements, N states)
-_GRID_BYTES = 1 << 24
 
 
 def _chunks(modes: list, budget: int, mode_bytes: int) -> list:
@@ -829,40 +827,6 @@ def _gated_outcome(mode, predicted: complex, anchor: complex, root, gap: float):
         return exc
 
 
-def _secular_outcomes(oracle, modes, predictions, updates) -> Iterator[list]:
-    """Every element's validation at each of ``modes`` through the oracle:
-    one secular solve over the grid of modes and row ``updates`` (or the
-    errors building them raised), each anchored at lambda + its predicted
-    shift."""
-    lam = oracle.eig.eigenvalues
-    poles = [int(np.argmin(np.abs(lam - mode.lam))) for mode in modes]
-    solved = [e for e, u in enumerate(updates) if not isinstance(u, Exception)]
-    anchors = [[mode.lam + shifts[e] for e in solved] for mode, shifts in zip(modes, predictions)]
-    roots = mass_oracle.updated_eigenvalues(oracle, poles, [updates[e] for e in solved], anchors)
-    for mode, shifts, i, row, found in zip(modes, predictions, poles, anchors, roots):
-        gap = _nearest_other_distance(lam, i)
-        outcomes = list(updates)
-        for e, anchor, root in zip(solved, row, found):
-            outcomes[e] = _gated_outcome(mode, shifts[e], anchor, root, gap)
-        yield outcomes
-
-
-def _overlay_outcomes(model, refs, mode, predicted, factor, reference) -> list:
-    """Every element's validation at one mode from impedance data: one
-    stacked Newton over all elements, each on Y with its own element scaled
-    by ``factor`` and anchored at lambda + its ``predicted`` shift, gated at
-    0.3 x the distance from lambda to its nearest other ``reference`` mode
-    (the one nearest lambda stands for it)."""
-    gap = _nearest_other_distance(reference, int(np.argmin(np.abs(reference - mode.lam))))
-    anchors = [mode.lam + shift for shift in predicted]
-    roots = rational_fit.refine_modes(
-        lambda s, rows: assembly.overlay_admittance(model, refs, factor, s, rows),
-        anchors, model.dim,
-    )
-    return [_gated_outcome(mode, shift, anchor, root, gap)
-            for shift, anchor, root in zip(predicted, anchors, roots)]
-
-
 def validate_mode_predictions(
     net: NetworkDescription,
     modes: Sequence[ModeRecord],
@@ -877,28 +841,16 @@ def validate_mode_predictions(
     Returns one list per mode with one entry per element: its
     ``ValidationRecord``, or the error (``AnalysisError``,
     ``RefinementError``, ``OracleError`` or ``AssemblyError``) its
-    validation ended in. The predicted shifts come from the stacked s and
-    y(lambda) of :func:`mode_layers`, one pass per chunk of modes; a mode
-    where an element's admittance cannot be evaluated gives every element
-    that error. Each
-    element's re-solve is anchored at lambda + its predicted shift and
-    gated at 0.3 x the distance from lambda to its nearest other mode. On
-    the oracle route (as in :func:`solve_modes`), each element's row update
-    of the state matrix A is built once for all modes,
-    :func:`mass_oracle.updated_eigenvalues` re-solves every element at
-    every mode of a chunk of modes in one Newton on the secular equation,
-    and the gate takes every eigenvalue of A. Otherwise a mode's elements
-    are re-solved in one stacked Newton (:func:`rational_fit.refine_modes`)
-    on the admittance with each one's element scaled
-    (:func:`admittance_assembly.overlay_admittance`:
-    each Newton evaluation evaluates every element once and scales each
-    point's element from that evaluation), and the gate takes
-    ``reference_modes`` (the run's modes; by default the lambdas of
-    ``modes``) and their conjugates. The oracle route uses
-    ``system`` (see :func:`oracle_system`) when given; the other ignores it.
+    validation ended in; a mode where an element's admittance cannot be
+    evaluated gives every element that error. Each re-solve is anchored at
+    lambda + its predicted shift and gated at 0.3 x the distance from
+    lambda to its nearest other mode: among the eigenvalues of the state
+    matrix on the oracle route (as in :func:`solve_modes`; built from
+    ``system`` when given), else among ``reference_modes`` (the run's
+    modes; by default the lambdas of ``modes``) and their conjugates.
     """
     lay = element_layout(net, refs)
-    oracle = updates = None
+    oracle = None
     if mass_oracle.oracle_capable(net):
         oracle, updates = _system_of(net, system), []
         for ref in refs:
@@ -906,12 +858,13 @@ def validate_mode_predictions(
                 updates.append(oracle.element_update(ref, 1.0 + epsilon))
             except _VALIDATION_ERRORS as exc:
                 updates.append(exc)
+        spectrum = oracle.eig.eigenvalues
     else:
         model = WholeSystemModel(net)
         reference = np.asarray([mode.lam for mode in modes] if reference_modes is None
                                else reference_modes, dtype=complex)
         # the conjugates are zeros of det Y too; a mode given twice is one mode
-        reference = np.unique(np.concatenate([reference, reference.conj()]))
+        spectrum = np.unique(np.concatenate([reference, reference.conj()]))
 
     def shifts(chunk):
         try:
@@ -922,17 +875,28 @@ def validate_mode_predictions(
 
     predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(lay.table.refs))
                    for p in shifts(chunk)]
-    if oracle is None:
-        return [[p] * len(refs) if isinstance(p, Exception) else
-                _overlay_outcomes(model, refs, mode, p, 1.0 + epsilon, reference)
-                for mode, p in zip(modes, predictions)]
+    live = [m for m, p in enumerate(predictions) if not isinstance(p, Exception)]
+    anchors = [[modes[m].lam + shift for shift in predictions[m]] for m in live]
+    nearest = [int(np.argmin(np.abs(spectrum - modes[m].lam))) for m in live]
+    if oracle is not None:
+        solved = [e for e, u in enumerate(updates) if not isinstance(u, Exception)]
+        found = mass_oracle.updated_eigenvalues(oracle, nearest, [updates[e] for e in solved],
+                                                [[row[e] for e in solved] for row in anchors])
+        roots = [[u if isinstance(u, Exception) else next(values) for u in updates]
+                 for values in map(iter, found)]
+    else:
+        # seed m E + e re-solves mode m with element e scaled
+        flat = rational_fit.refine_modes(
+            lambda s, rows: assembly.overlay_admittance(model, refs, 1.0 + epsilon, s,
+                                                        rows % len(refs)),
+            [anchor for row in anchors for anchor in row], model.dim,
+        )
+        roots = [flat[k * len(refs):(k + 1) * len(refs)] for k in range(len(live))]
     results = [[p] * len(refs) if isinstance(p, Exception) else None for p in predictions]
-    live = [m for m, outcomes in enumerate(results) if outcomes is None]
-    for chunk in _chunks(live, _GRID_BYTES, 16 * len(refs) * oracle.eig.n):
-        solved = _secular_outcomes(oracle, [modes[m] for m in chunk],
-                                   [predictions[m] for m in chunk], updates)
-        for m, outcomes in zip(chunk, solved):
-            results[m] = outcomes
+    for m, i, row, row_roots in zip(live, nearest, anchors, roots):
+        gap = _nearest_other_distance(spectrum, i)
+        results[m] = [_gated_outcome(modes[m], shift, anchor, root, gap)
+                      for shift, anchor, root in zip(predictions[m], row, row_roots)]
     return results
 
 

@@ -54,6 +54,9 @@ _NEWTON_STEP_TOL = 1e-13
 # largest relative backward error accepted from a secular root before the
 # dense nearest eigenvalue (nearest_eigenvalue) takes over
 _BACKWARD_LIMIT = 1e-12
+# bytes of one (modes, updates, states) complex stack of the secular solve:
+# Newton and the certificates run over chunks of modes within it
+_GRID_BYTES = 1 << 24
 
 
 class OracleError(Exception):
@@ -505,16 +508,16 @@ def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class _SecularGrid:
-    """The secular equations of eigenvalues ``indices`` of a network's state
-    matrix A under each of several row ``updates`` (see
-    :func:`updated_eigenvalues`), on a grid laid out (update, eigenvalue):
-    V^T, W = V^T X and Z^T, which do not depend on the eigenvalue, are formed
-    once. Methods take a rectangle ``ae`` x ``am`` of the grid (index
-    arrays) and its iterates ``mu``."""
+    """The secular equations of a network's state matrix A under each of
+    several row ``updates`` (see :func:`updated_eigenvalues`), on a grid
+    laid out (update, eigenvalue): V^T, W = V^T X and Z^T, which do not
+    depend on the eigenvalue, are formed once; :meth:`select` takes the
+    eigenvalues of the grid's columns. Methods take a rectangle ``ae`` x
+    ``am`` of the grid (index arrays) and its iterates ``mu``."""
 
-    def __init__(self, system: Interconnection, indices, updates):
+    def __init__(self, system: Interconnection, updates):
         A, eig = system.model.A, system.eig
-        self.system, self.lam, self.pole = system, eig.eigenvalues, np.asarray(indices, dtype=int)
+        self.system, self.lam = system, eig.eigenvalues
         n_up, n = len(updates), A.shape[0]
         self.k = k = max(1, max(len(rows) for rows, _ in updates))
         self.rows = np.zeros((n_up, k), dtype=int)
@@ -529,11 +532,16 @@ class _SecularGrid:
             self.W[e] = self.Vt[e][:, cols] @ eig.right[cols]
         self.Zt = eig.left.T[self.rows]
         self.Zt[padded] = 0.0
-        # w_i and z_i (column i of W and of Z^T) per update and eigenvalue
+        self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
+
+    def select(self, indices) -> "_SecularGrid":
+        """Make eigenvalues ``indices`` the grid's columns: the poles, with
+        w_i and z_i (column i of W and of Z^T) per update and ||X_i||."""
+        self.pole = np.asarray(indices, dtype=int)
         self.w_i = self.W[:, :, self.pole].swapaxes(1, 2)
         self.z_i = self.Zt[:, :, self.pole].swapaxes(1, 2)
-        self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
-        self.x_i = np.linalg.norm(eig.right[:, self.pole], axis=0)
+        self.x_i = np.linalg.norm(self.system.eig.right[:, self.pole], axis=0)
+        return self
 
     def deflated(self, ae, am, mu):
         """D's diagonal d without the pole i, W D, a = M0^-1 w_i,
@@ -624,7 +632,10 @@ class _SecularGrid:
 def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> list:
     """Where each eigenvalue ``indices[m]`` of the network's state matrix A
     moves under each of several row updates, from the eigenbasis of A
-    alone, in one solve over the grid of eigenvalues and updates.
+    alone, in one solve over the grid of eigenvalues and updates: W and Z
+    (below) are formed once per call, and Newton and the certificates run
+    over chunks of eigenvalues whose (eigenvalues, updates, states) complex
+    stack fits in ``_GRID_BYTES``.
 
     ``updates`` holds ``(rows, A_rows)`` pairs as from
     :meth:`Interconnection.element_update`: A' = A + U V^T with U = I[:, R]
@@ -661,13 +672,18 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
     condition number exceeds 1e12.
     """
     indices = np.asarray(indices, dtype=int)
-    if not updates:
+    if not updates or not indices.size:
         return [[] for _ in indices]
-    grid = _SecularGrid(system, indices, updates)
+    grid = _SecularGrid(system, updates)
     anchors = np.asarray(anchors, dtype=complex).reshape(indices.size, len(updates)).T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu, converged = grid.newton(anchors)
-        good, cond = grid.checked(mu, converged)
+    mu, good = np.empty_like(anchors), np.empty(anchors.shape, dtype=bool)
+    cond = np.empty(anchors.shape)
+    step = max(1, _GRID_BYTES // (16 * len(updates) * system.eig.n))
+    for at in (slice(k, k + step) for k in range(0, indices.size, step)):
+        grid.select(indices[at])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mu[:, at], converged = grid.newton(anchors[:, at])
+            good[:, at], cond[:, at] = grid.checked(mu[:, at], converged)
 
     # A' is real, so the conjugate of a root is a root too: from an anchor
     # near the real axis Newton may reach either of a pair

@@ -376,7 +376,8 @@ def read_response_csv(text: str, dim: Optional[int] = None) -> tuple[np.ndarray,
 
     A non-numeric first row is a header; blank rows are skipped. ``dim``
     fixes the matrix size (1 + 2 dim^2 columns); otherwise the first data
-    row sets the width. Raises NetworkFormatError on malformed input.
+    row sets the width. Raises NetworkFormatError on malformed input, a
+    non-finite value included.
     """
     width = None if dim is None else 1 + 2 * dim * dim
     rows = []
@@ -389,6 +390,8 @@ def read_response_csv(text: str, dim: Optional[int] = None) -> tuple[np.ndarray,
             if lineno == 1:
                 continue  # header
             raise NetworkFormatError(f"response CSV line {lineno}: non-numeric value")
+        if not np.isfinite(values).all():
+            raise NetworkFormatError(f"response CSV line {lineno}: non-finite value")
         if width is None:
             width = len(values)
         if len(values) != width:

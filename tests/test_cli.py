@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from impedmodal import admittance_assembly as assembly
-from impedmodal import cli_reporting, mai_core, mass_oracle, network_model
+from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
 from impedmodal.admittance_assembly import (
     EvaluationError,
     apparatus_admittance,
@@ -388,17 +388,27 @@ def test_sweep_rejects_bad_factor_or_steps(tmp_path, capsys, factor, steps):
 
 
 def test_analyze_rejects_repeated_mode_index(tmp_path, capsys):
-    code = main(["analyze", str(NETWORK), "--modes", "0,0", "--out", str(tmp_path)])
-    assert code == EXIT_INPUT
-    assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
-    assert not (tmp_path / "summary.json").exists()
+    """A repeated mode index, and a list that names no index at all, are
+    input errors."""
+    for modes in ("0,0", ",", ""):
+        code = main(["analyze", str(NETWORK), f"--modes={modes}", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT, modes
+        assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
+        assert not (tmp_path / "summary.json").exists()
 
 
 def test_fit_malformed_csv_is_input_error(tmp_path, capsys):
+    """A short row, and a nan, inf or -inf cell, are input errors that name
+    their line."""
     bad = tmp_path / "bad.csv"
-    bad.write_text("omega,re_1_1,im_1_1\n1.0,2.0,3.0\n2.0,2.0\n")
-    assert main(["fit", str(bad), "--order", "2", "--out", str(tmp_path)]) == EXIT_INPUT
-    assert json.loads(capsys.readouterr().err)["type"] == "NetworkFormatError"
+    rows = "".join(f"{w}.0,1.0,0.5\n" for w in range(3, 9))
+    for line in ("2.0,2.0", "2.0,nan,1.0", "2.0,1.0,inf", "-inf,1.0,1.0"):
+        bad.write_text(f"omega,re_1_1,im_1_1\n1.0,2.0,3.0\n{line}\n{rows}")
+        assert main(["fit", str(bad), "--order", "2", "--out", str(tmp_path)]) == EXIT_INPUT
+        error = json.loads(capsys.readouterr().err)
+        assert error["type"] == "NetworkFormatError", line
+        assert "line 3" in error["message"], line
+    assert not (tmp_path / "fit.json").exists()
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
@@ -409,7 +419,8 @@ def test_analyze_rejects_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert not (tmp_path / "summary.json").exists()
 
 
-@pytest.mark.parametrize("order, iterations", [("0", "10"), ("-2", "10"), ("4", "-1")])
+@pytest.mark.parametrize("order, iterations",
+                         [("0", "10"), ("-2", "10"), ("4", "-1"), ("4", "10")])
 def test_fit_rejects_bad_order_or_iterations(tmp_path, capsys, order, iterations):
     from impedmodal.network_model import write_response_csv
 
@@ -421,6 +432,18 @@ def test_fit_rejects_bad_order_or_iterations(tmp_path, capsys, order, iterations
     assert code == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
     assert not (tmp_path / "fit.json").exists()
+
+
+def test_analyze_rejects_an_order_its_samples_cannot_carry(tmp_path, capsys):
+    """A surrogate order that needs more than the 220 samples of
+    measured_two_bus is an input error, found before any fit."""
+    measured = REPO / "networks" / "measured_two_bus.json"
+    code = main(["analyze", str(measured), "--band", "5:5000", "--order", "400",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    report = json.loads(capsys.readouterr().err)
+    assert report["type"] == "ConfigError" and "got 220" in report["message"]
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
@@ -467,27 +490,65 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
 
 
 def test_validation_solves_once_per_chunk(tmp_path, monkeypatch):
-    """The oracle validation of all 7 modes of three_bus is one secular
-    solve over the grid of modes and elements at the default _GRID_BYTES,
-    and one per chunk when a chunk holds one mode or two; validation.json
-    does not depend on the chunking."""
+    """The oracle validation of all 7 modes of three_bus is one
+    updated_eigenvalues call, which builds W and Z^T once and runs Newton
+    over the grid of modes and elements in one chunk at the default
+    _GRID_BYTES, and in one chunk per mode or per two modes when a chunk
+    holds no more; validation.json does not depend on the chunking."""
     net = network_model.parse_network(NETWORK.read_text())
     per_mode = 16 * len(network_elements(net)) * mass_oracle.interconnect(net).A.shape[0]
-    default = mai_core._GRID_BYTES
+    default = mass_oracle._GRID_BYTES
     solve, calls = mass_oracle.updated_eigenvalues, []
     monkeypatch.setattr(mass_oracle, "updated_eigenvalues",
                         lambda system, poles, *args: calls.append(len(poles))
                         or solve(system, poles, *args))
+    grid, bases, chunks = mass_oracle._SecularGrid, [], []
+    init, newton = grid.__init__, grid.newton
+    monkeypatch.setattr(grid, "__init__", lambda self, *args: bases.append(1) or init(self, *args))
+    monkeypatch.setattr(grid, "newton",
+                        lambda self, anchors: chunks.append(anchors.shape[1])
+                        or newton(self, anchors))
     texts = []
     for grid_bytes, expected in ((per_mode, [1] * 7), (2 * per_mode, [2, 2, 2, 1]),
                                  (default, [7])):
-        monkeypatch.setattr(mai_core, "_GRID_BYTES", grid_bytes)
-        calls.clear()
+        monkeypatch.setattr(mass_oracle, "_GRID_BYTES", grid_bytes)
+        calls.clear(), bases.clear(), chunks.clear()
         out = tmp_path / str(grid_bytes)
         assert main(["analyze", str(NETWORK), "--out", str(out)]) == EXIT_OK
-        assert calls == expected
+        assert calls == [7] and bases == [1]
+        assert chunks == expected
         texts.append((out / "validation.json").read_bytes())
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_impedance_validation_does_not_depend_on_the_batch(tmp_path, monkeypatch):
+    """The impedance-route validation of measured_two_bus is one
+    refine_modes call over every (mode, element) pair, and its
+    validation.json is the same when a batch of Y holds two seeds as at
+    the default _BATCH_BYTES."""
+    measured = REPO / "networks" / "measured_two_bus.json"
+    dim = 2 * network_model.parse_network(measured.read_text(),
+                                          base_dir=str(measured.parent)).n_buses
+    validate, refine, calls = mai_core.validate_mode_predictions, rational_fit.refine_modes, []
+
+    def batched(*args, **kwargs):  # the surrogate fit and mode search keep theirs
+        with monkeypatch.context() as m:
+            m.setattr(rational_fit, "_BATCH_BYTES", batch_bytes)
+            m.setattr(rational_fit, "refine_modes",
+                      lambda Yfun, seeds, *rest: calls.append(len(seeds))
+                      or refine(Yfun, seeds, *rest))
+            return validate(*args, **kwargs)
+
+    monkeypatch.setattr(mai_core, "validate_mode_predictions", batched)
+    texts = []
+    for batch_bytes in (rational_fit._BATCH_BYTES, 2 * 48 * dim**2):
+        out = tmp_path / str(batch_bytes)
+        calls.clear()
+        assert main(["analyze", str(measured), "--band", "5:5000", "--out", str(out)]) == EXIT_OK
+        modes = json.loads((out / "validation.json").read_text())["modes"]
+        assert calls == [sum(len(mode["elements"]) for mode in modes)]
+        texts.append((out / "validation.json").read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_validation_json_is_json_dumps(tmp_path):
@@ -497,16 +558,25 @@ def test_validation_json_is_json_dumps(tmp_path):
     epsilon, an empty element list and an empty mode list."""
     assert main(["analyze", str(NETWORK), "--out", str(tmp_path)]) == EXIT_OK
     text = (tmp_path / "validation.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    message = 'nearest mode \\ "far" \u00e9\u0394\u03bb \u2014 gone'
     record = {"element": "line 1-2", "predicted": [0.1, -2.5e-17], "actual": [1e300, -0.0]}
-    docs = [json.loads(text), {"epsilon": 1, "modes": [
+    percents = (np.inf, -np.inf, np.nan, 12.5)
+    labels = ['apparatus "0"'] + ["line 1-2"] * len(percents)
+    outcomes = [[mai_core.AnalysisError(message)] + [
+        mai_core.ValidationRecord(predicted=complex(0.1, -2.5e-17), actual=complex(1e300, -0.0),
+                                  error=x / 100.0) for x in percents], []]
+    modes = [mai_core.ModeRecord(lam=complex(-1.5, 314.0), residue=None, provenance=""),
+             mai_core.ModeRecord(lam=complex(0.0, -1.0), residue=None, provenance="")]
+    doc = {"epsilon": 1, "modes": [
         {"mode": 0, "lambda": [-1.5, 314.0], "elements": [
-            {"element": 'apparatus "0"',
-             "error": 'nearest mode \\ "far" \u00e9\u0394\u03bb \u2014 gone'},
-            *[{**record, "error_percent": x} for x in (np.inf, -np.inf, np.nan, 12.5)]]},
-        {"mode": 12, "lambda": [0.0, -1.0], "elements": []}]}, {"epsilon": 0.05, "modes": []}]
-    assert cli_reporting._validation_json(docs[0]) == text
-    for doc in docs:
-        assert cli_reporting._validation_json(doc) == json.dumps(doc, indent=2) + "\n"
+            {"element": labels[0], "error": message},
+            *[{**record, "error_percent": x} for x in percents]]},
+        {"mode": 12, "lambda": [0.0, -1.0], "elements": []}]}
+    assert (cli_reporting._validation_json(1, labels, [0, 12], modes, outcomes)
+            == json.dumps(doc, indent=2) + "\n")
+    assert (cli_reporting._validation_json(0.05, labels, [], [], [])
+            == json.dumps({"epsilon": 0.05, "modes": []}, indent=2) + "\n")
 
 
 def _parse_floats(row, keys):
