@@ -16,7 +16,7 @@ in a mode, layer 2 resolves it into damping (real) and frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -96,7 +96,9 @@ class Location:
 
 @dataclass(frozen=True, eq=False)
 class ModeRecord:
-    """One oscillatory mode with its whole-system impedance residue matrix.
+    """One oscillatory mode with its whole-system impedance residue, kept as
+    its rank-one factors (O(n) per mode): Res = outer(left, right), divided
+    by ``denom`` where one is given; :attr:`residue` forms the matrix.
 
     ``provenance`` names the path that found the mode: "state-space" (an
     eigenvalue of the interconnected state matrix) or "newton-refined" (a
@@ -104,8 +106,15 @@ class ModeRecord:
     """
 
     lam: complex
-    residue: np.ndarray  # (2n, 2n)
+    left: np.ndarray  # (2n,): C x on the state-space route, u on the impedance route
+    right: np.ndarray  # (2n,): y^H B on the state-space route, v on the impedance route
     provenance: str
+    denom: Optional[complex] = None  # v^T Y'(lambda) u on the impedance route
+
+    @property
+    def residue(self) -> np.ndarray:  # the dense (2n, 2n) matrix
+        res = np.outer(self.left, self.right)
+        return res if self.denom is None else res / self.denom
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,18 +184,6 @@ class SplitNodeImpedances:
     def Z_if(self, i: int) -> np.ndarray:
         return self.col[..., block_slice(i), :]
 
-    @property
-    def Z_fj(self) -> np.ndarray:
-        return self.Z_fi(self.j)
-
-    @property
-    def Z_jf(self) -> np.ndarray:
-        return self.Z_if(self.j)
-
-    @property
-    def Z_kf(self) -> np.ndarray:
-        return self.Z_if(self.k)
-
 
 @dataclass(frozen=True)
 class ValidationRecord:
@@ -233,15 +230,6 @@ def frobenius_inner(X: np.ndarray, Y: np.ndarray) -> complex:
     return _scalar(np.sum(np.conj(X) * Y, axis=(-2, -1)))
 
 
-def _bus_blocks(res: np.ndarray) -> np.ndarray:
-    """The residue matrix as (n + 1, n + 1, 2, 2) bus blocks: block (i, j)
-    at [i, j], and a zero ground row and column at index 0."""
-    n = res.shape[0] // 2
-    blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
-    blocks[1:, 1:] = res.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    return blocks
-
-
 def _ratio_sensitivity(ii, jj, ij, ji, k) -> np.ndarray:
     """dlambda/dy = -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k) of a branch
     behind an ideal k:1 transformer on the i side, from its four residue
@@ -265,8 +253,10 @@ def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRe
     k = location.ratio if kind == "transformer" else 1.0
     if k == 0:
         raise AnalysisError("degenerate transformer ratio k = 0")
-    b = _bus_blocks(res)
-    d = _ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
+    res = np.asarray(res, dtype=complex)
+    d = _ratio_sensitivity(*(res[block_slice(p), block_slice(q)] if p and q  # ground's is 0
+                             else np.zeros((2, 2), complex)
+                             for p, q in ((i, i), (j, j), (i, j), (j, i))), k)
     name = f"transformer({i},{j},k={k})" if kind == "transformer" else f"{kind}({i},{j})"
     return SensitivityRecord(element=name, location=location, dlambda_dy=d, s_factor=_conj_t(d))
 
@@ -465,14 +455,8 @@ def element_sensitivity(
 ) -> SensitivityRecord:
     """Sensitivity record for one network element, with the transformer
     correction applied automatically for ratio != 1 branches."""
-    loc = element_location(net, ref)
-    rec = admittance_sensitivity(res, loc)
-    return SensitivityRecord(
-        element=assembly.element_label(net, ref),
-        location=loc,
-        dlambda_dy=rec.dlambda_dy,
-        s_factor=rec.s_factor,
-    )
+    rec = admittance_sensitivity(res, element_location(net, ref))
+    return replace(rec, element=assembly.element_label(net, ref))
 
 
 def branch_parameter_sensitivity(
@@ -571,9 +555,10 @@ class ModeLayers:
 def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
     """Every element's sensitivity factor s and admittance y(lambda) at
     every mode, stacked (M, N, 2, 2) in ``table`` order: what the layers
-    and the predicted shifts are formed from. Each mode's four residue bus
-    blocks per element (ground is a zero block) are gathered from its own
-    residue; y is one :meth:`admittance_assembly.StampTable.evaluate` over
+    and the predicted shifts are formed from. Each element's four residue
+    bus blocks are gathered from its mode's residue factors, entry by entry
+    the dense residue's product (and division), ground's blocks zero: O(N)
+    per mode. y is one :meth:`admittance_assembly.StampTable.evaluate` over
     all the modes. Where some element cannot be evaluated, raises what
     :func:`admittance_assembly.element_admittance` raises at the first such
     mode alone, for the first such element."""
@@ -586,11 +571,16 @@ def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
                 assembly.element_admittance(table.net, ref, x)
         raise
     i, j = table.i, table.j
-    rows, cols = np.array([i, j, i, j]), np.array([i, j, j, i])
-    blocks = np.empty((4,) + y.shape, dtype=complex)  # ii, jj, ij, ji
+    rows, cols = np.array([[i, j, i, j], [i, j, j, i]])  # ii, jj, ij, ji
+    # (M, n, 2) bus 2-vectors of the factors; ground (bus 0) reads bus n, masked below
+    left = np.array([mode.left for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
+    right = np.array([mode.right for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
+    blocks = left[:, rows - 1, :, None] * right[:, cols - 1, None, :]  # (M, 4, N, 2, 2)
     for m, mode in enumerate(modes):
-        blocks[:, m] = _bus_blocks(mode.residue)[rows, cols]
-    return _conj_t(_ratio_sensitivity(*blocks, table.ratio[:, None, None])), y
+        if mode.denom is not None:
+            blocks[m] /= mode.denom
+    blocks[:, (rows == 0) | (cols == 0)] = 0
+    return _conj_t(_ratio_sensitivity(*blocks.swapaxes(0, 1), table.ratio[:, None, None])), y
 
 
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
@@ -698,11 +688,12 @@ def _in_band(eigenvalues: np.ndarray, band) -> np.ndarray:
 
 
 def _solve_modes_state_space(system: mass_oracle.Interconnection, band):
-    ss, eig = system.model, system.eig
+    eig = system.eig
+    # cast once: a real C @ complex x casts C at every call (the same bits)
+    C, B = (m.astype(complex) for m in (system.model.C, system.model.B))
     return [
-        ModeRecord(lam=complex(eig.eigenvalues[i]),
-                   residue=np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B),
-                   provenance="state-space")
+        ModeRecord(lam=complex(eig.eigenvalues[i]), left=C @ eig.right[:, i],
+                   right=eig.left[i, :] @ B, provenance="state-space")
         for i in _in_band(eig.eigenvalues, band)
     ]
 
@@ -722,8 +713,8 @@ def _solve_modes_impedance(model, band):
             raise AnalysisError(f"realized pole {p} in the band refined to no mode")
     lams = [complex(lam) for lam in modes[_in_band(modes, band)]]
     residues = rational_fit.admittance_residues(model.admittance, lams, model.dim)
-    return [ModeRecord(lam=lam, residue=res, provenance="newton-refined")
-            for lam, res in zip(lams, residues)]
+    return [ModeRecord(lam=lam, left=u, right=v, provenance="newton-refined", denom=denom)
+            for lam, (u, v, denom) in zip(lams, residues)]
 
 
 def oracle_system(net: NetworkDescription) -> Optional[mass_oracle.Interconnection]:
@@ -758,7 +749,8 @@ def solve_modes(
     method: str = "auto",
     system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[ModeRecord]:
-    """Find the system's oscillatory modes with their impedance residues.
+    """Find the system's oscillatory modes with their impedance residues,
+    each kept as its rank-one factors (:class:`ModeRecord`), O(n) per mode.
 
     ``method="state_space"`` uses the interconnected oracle (requires every
     apparatus in state-space form); ``"impedance"`` Newton-refines the poles of

@@ -614,10 +614,11 @@ def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:
 
 
 def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence[complex],
-                        dim: Optional[int] = None) -> list[np.ndarray]:
+                        dim: Optional[int] = None) -> list[tuple]:
     """Residues of Z = Y^{-1} at simple zeros ``lams`` of det Y, from Y
-    around them alone: Res = u v^T / (v^T Y'(lam) u), with u and v the right
-    and left null vectors of Y(lam) (one inverse-iteration solve each, with Y
+    around them alone, each as the factors (u, v, v^T Y'(lam) u) of Res =
+    u v^T / (v^T Y'(lam) u), O(dim) per mode: u and v the right and left
+    null vectors of Y(lam) (one inverse-iteration solve each, with Y
     and Y^T against a fixed-seed real vector; the SVD where Y(lam) is exactly
     singular) and Y' the fourth-order central difference at h = 1e-5 (1 +
     |lam|). ``Yfun(s)`` evaluates Y over a 1-D array of points: all five of
@@ -642,10 +643,12 @@ def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence
         for m, denom in enumerate(np.einsum("ki,kij,kj->k", v, dY, u)):
             if denom == 0:
                 raise ResidueError(f"degenerate null vectors at {lam[m]}: not a simple mode")
-            residues.append(np.outer(u[m], v[m]) / denom)
+            residues.append((u[m], v[m], denom))
     return residues
 
 
 def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
-    """The one-mode case of :func:`admittance_residues`, ``Yfun`` called point by point."""
-    return admittance_residues(_pointwise(Yfun), [lam])[0]
+    """The one-mode case of :func:`admittance_residues`, ``Yfun`` called point
+    by point, as the dense matrix u v^T / (v^T Y' u)."""
+    u, v, denom = admittance_residues(_pointwise(Yfun), [lam])[0]
+    return np.outer(u, v) / denom

@@ -566,8 +566,10 @@ def test_validation_json_is_json_dumps(tmp_path):
     outcomes = [[mai_core.AnalysisError(message)] + [
         mai_core.ValidationRecord(predicted=complex(0.1, -2.5e-17), actual=complex(1e300, -0.0),
                                   error=x / 100.0) for x in percents], []]
-    modes = [mai_core.ModeRecord(lam=complex(-1.5, 314.0), residue=None, provenance=""),
-             mai_core.ModeRecord(lam=complex(0.0, -1.0), residue=None, provenance="")]
+    modes = [mai_core.ModeRecord(lam=complex(-1.5, 314.0), left=np.ones(2), right=np.ones(2),
+                                 provenance=""),
+             mai_core.ModeRecord(lam=complex(0.0, -1.0), left=np.ones(2), right=np.ones(2),
+                                 provenance="", denom=2.0)]
     doc = {"epsilon": 1, "modes": [
         {"mode": 0, "lambda": [-1.5, 314.0], "elements": [
             {"element": labels[0], "error": message},

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,86 @@ def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
             == mai_core.validate_mode_predictions(three_bus_net, records[:2], refs))
     with pytest.raises(AnalysisError, match="another network"):
         solve_modes(two_bus_net, system=system)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _dense_bus_blocks(res):
+    """The dense residue cut into (n + 1, n + 1, 2, 2) bus blocks, with a
+    zero ground row and column at index 0."""
+    n = res.shape[0] // 2
+    blocks = np.zeros((n + 1, n + 1, 2, 2), dtype=complex)
+    blocks[1:, 1:] = res.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    return blocks
+
+
+@pytest.mark.parametrize("case", ["three_bus", "mixed_ring"])
+def test_factored_residues_give_the_dense_bits(three_bus_net, case):
+    """A mode keeps its residue as two factors. ``residue`` forms the dense
+    matrix bit for bit as each route's formula does (C x . y^H B on the
+    oracle route, u v^T / (v^T Y' u) on the impedance route), and the
+    sensitivity factors gathered from the factors are bit for bit the ones
+    cut from that matrix. The mixed ring (impedance route) has a
+    transformer, parallel lines, an inductive shunt and grounded node
+    elements."""
+    if case == "three_bus":
+        net = three_bus_net
+        records = solve_modes(net)
+        system = mass_oracle.Interconnection(net)
+        ss, eig = system.model, system.eig
+        index = [int(np.flatnonzero(eig.eigenvalues == r.lam)[0]) for r in records]
+        want = [np.outer(ss.C @ eig.right[:, i], eig.left[i, :] @ ss.B) for i in index]
+        assert all(r.denom is None for r in records)
+    else:
+        net = network_model.parse_network(json.dumps(mixed_ring_doc()))
+        records = solve_modes(net, band=(5.0, 5000.0))
+        model = WholeSystemModel(net)
+        want = [np.outer(u, v) / denom for u, v, denom in rational_fit.admittance_residues(
+            model.admittance, [r.lam for r in records], model.dim)]
+    assert len(records) >= 7
+    for rec, res in zip(records, want):
+        assert rec.left.shape == rec.right.shape == (2 * net.n_buses,)
+        assert _same_bits(rec.residue, res)
+    table = admittance_assembly.StampTable(net)
+    s, y = mai_core._mode_stack(table, records)
+    i, j, k = table.i, table.j, table.ratio[:, None, None]
+    assert _same_bits(y, table.evaluate(np.array([r.lam for r in records])))
+    for m, rec in enumerate(records):
+        b = _dense_bus_blocks(rec.residue)
+        d = mai_core._ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
+        assert np.array_equal(s[m], np.conj(d).swapaxes(-1, -2))
+        assert _same_bits(s[m], np.conj(d).swapaxes(-1, -2))
+
+
+def test_modes_keep_their_residues_as_factors():
+    """On a 48-bus ring of RL lines and capacitive shunts, every mode holds
+    its residue as two (2n,) factors, and solving the modes and forming the
+    layers of every element at every mode peaks (tracemalloc) below half of
+    what the modes' dense (2n, 2n) residues would take."""
+    n, rng = 48, np.random.default_rng(3)
+    net = NetworkDescription(
+        n_buses=n, omega0=W0,
+        branches=tuple(SeriesBranch(kind="line", from_bus=b, to_bus=b % n + 1,
+                                    R=rng.uniform(0.02, 0.05), L=rng.uniform(0.001, 0.003))
+                       for b in range(1, n + 1)),
+        shunts=tuple(ShuntElement(bus=b, kind="capacitive", value=rng.uniform(5e-4, 1.5e-3))
+                     for b in range(1, n + 1)),
+    )
+    tracemalloc.start()
+    try:
+        records = solve_modes(net)
+        layout = mai_core.element_layout(net, network_elements(net))
+        layers = list(mai_core.mode_layers(net, records, layout))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(layers) == len(records) >= n
+    for rec in records:
+        assert rec.left.shape == rec.right.shape == (2 * n,) and rec.denom is None
+    assert peak < len(records) * (2 * n) ** 2 * 16 / 2
 
 
 def test_a_fitted_surrogate_is_not_oracle_capable():
