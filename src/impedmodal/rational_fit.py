@@ -230,9 +230,10 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     Dk = A_local[:, :N]
     Q1, _ = np.linalg.qr(_stack_real(A_local), mode="reduced")
 
-    # blocks are built transposed, (batch, N+1, 2M), so that one product
-    # projects a whole batch and each block is a Fortran-ordered 2M x (N+1)
-    # matrix for its QR
+    # blocks are built transposed, (batch, N+1, 2M), so that one stacked
+    # product projects a batch block by block (one flat product over all its
+    # rows would change the last bits with the batch size) and each block is
+    # a Fortran-ordered 2M x (N+1) matrix for its QR
     neg_DkT = np.ascontiguousarray(-Dk.T)
     R = np.empty((n_resp, N + 1, N + 1))
     batch = max(1, _BATCH_BYTES // (2 * M * (N + 1) * 8))
@@ -242,8 +243,7 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
         block = np.empty((Ft.shape[0], N + 1, 2 * M))
         block[:, :N, :M], block[:, :N, M:] = A_sigma.real, A_sigma.imag
         block[:, N, :M], block[:, N, M:] = Ft.real, Ft.imag
-        rows = block.reshape(-1, 2 * M)
-        rows -= (rows @ Q1) @ Q1.T
+        block -= (block @ Q1) @ Q1.T
         R[start:start + batch] = np.linalg.qr(block.transpose(0, 2, 1), mode="r")
 
     # the stacked R blocks have the column norms and singular values of the

@@ -551,6 +551,34 @@ def test_impedance_validation_does_not_depend_on_the_batch(tmp_path, monkeypatch
     assert texts[0] == texts[1]
 
 
+def test_vector_fit_does_not_depend_on_the_batch(tmp_path, monkeypatch):
+    """vector_fit gives the same model, bit for bit, when a batch of its
+    pole relocation holds one response as at the default _BATCH_BYTES, and
+    so the report tree of measured_two_bus is the same too."""
+    measured = REPO / "networks" / "measured_two_bus.json"
+    response = network_model.parse_network(measured.read_text(),
+                                           base_dir=str(measured.parent)).apparatus[0].model
+    fit, models, trees = rational_fit.vector_fit, [], []
+
+    def batched(batch_bytes):
+        def fitting(*args, **kwargs):  # the mode search and validation keep theirs
+            with monkeypatch.context() as m:
+                m.setattr(rational_fit, "_BATCH_BYTES", batch_bytes)
+                return fit(*args, **kwargs)
+        return fitting
+
+    for batch_bytes in (rational_fit._BATCH_BYTES, 2 * 48 * response.dim**2):
+        monkeypatch.setattr(rational_fit, "vector_fit", batched(batch_bytes))
+        model = rational_fit.vector_fit(response, order=16)
+        models.append([np.ascontiguousarray(getattr(model, name)).tobytes()
+                       for name in ("poles", "residues", "const", "linear")])
+        out = tmp_path / str(batch_bytes)
+        assert main(["analyze", str(measured), "--band", "5:5000", "--out", str(out)]) == EXIT_OK
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert models[0] == models[1]
+    assert len(trees[0]) > 20 and trees[0] == trees[1]
+
+
 def test_validation_json_is_json_dumps(tmp_path):
     """The validation.json emitter writes what json.dumps(doc, indent=2)
     writes: for a real run's document, and for error messages with quotes,
