@@ -254,8 +254,8 @@ def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRe
     if k == 0:
         raise AnalysisError("degenerate transformer ratio k = 0")
     res = np.asarray(res, dtype=complex)
-    d = _ratio_sensitivity(*(res[block_slice(p), block_slice(q)] if p and q  # ground's is 0
-                             else np.zeros((2, 2), complex)
+    zero = np.zeros((2, 2), dtype=complex)  # a block of ground
+    d = _ratio_sensitivity(*(res[block_slice(p), block_slice(q)] if p and q else zero
                              for p, q in ((i, i), (j, j), (i, j), (j, i))), k)
     name = f"transformer({i},{j},k={k})" if kind == "transformer" else f"{kind}({i},{j})"
     return SensitivityRecord(element=name, location=location, dlambda_dy=d, s_factor=_conj_t(d))

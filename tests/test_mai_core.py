@@ -165,7 +165,6 @@ def test_factored_residues_give_the_dense_bits(three_bus_net, case):
     for m, rec in enumerate(records):
         b = _dense_bus_blocks(rec.residue)
         d = mai_core._ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
-        assert np.array_equal(s[m], np.conj(d).swapaxes(-1, -2))
         assert _same_bits(s[m], np.conj(d).swapaxes(-1, -2))
 
 
