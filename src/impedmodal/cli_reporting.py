@@ -141,21 +141,24 @@ class _ModeWriter:
     and parallel branches get a note; the element table keeps them apart.
     """
 
-    def __init__(self, net, lay: mai_core.ElementLayout, epsilon: float):
+    def __init__(self, net, epsilon: float):
         self.n = n = net.n_buses
+        refs = assembly.network_elements(net)
+        self.labels = [assembly.element_label(net, ref) for ref in refs]
+        locations = [mai_core.element_location(net, ref) for ref in refs]
         tail = _literal(f",{epsilon:.12g}\n")
         self.elements = _ELEMENTS_HEAD + "".join(
             _literal(f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ","))
             + ",".join([_NUMBER] * 4) + tail
-            for label, loc in zip(lay.labels, lay.locations))
+            for label, loc in zip(self.labels, locations))
         entries = [(e, c, f"{label},{name},")
-                   for e, (label, names) in enumerate(zip(lay.labels, lay.params))
-                   for c, name in enumerate(names)]
+                   for e, (label, (kind, _)) in enumerate(zip(self.labels, refs))
+                   for c, name in enumerate(mai_core.LAYER3_PARAMS[kind])]
         self.layer3 = "element,parameter,s_rho_real,s_rho_imag\n" + "".join(
             f"{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
         self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
                                .reshape(-1, 2).T)
-        ij = [(loc.i, loc.j) for loc in lay.locations]  # j = 0 for a node
+        ij = [(loc.i, loc.j) for loc in locations]  # j = 0 for a node
         cells = sorted([(e, i - 1, (j or i) - 1) for e, (i, j) in enumerate(ij)]
                        + [(e, j - 1, i - 1) for e, (i, j) in enumerate(ij) if j])
         self.element, rows, cols = np.array(cells, dtype=int).reshape(-1, 3).T
@@ -310,20 +313,18 @@ def run(config: AnalysisConfig) -> int:
 
     emit("modes.csv", _modes_csv(records))
 
-    refs = assembly.network_elements(net)
-    lay = mai_core.element_layout(net, refs)
-    writer = _ModeWriter(net, lay, config.epsilon)
+    writer = _ModeWriter(net, config.epsilon)
     modes = [records[k] for k in selected]
-    for k, layers in zip(selected, mai_core.mode_layers(net, modes, lay)):
+    for k, layers in zip(selected, mai_core.mode_layers(net, modes)):
         for suffix, text in writer.files(layers):
             emit(f"mode{k}_{suffix}.csv", text)
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
-            net, modes, refs, epsilon=config.epsilon, reference_modes=[r.lam for r in records],
-            system=system,
+            net, modes, assembly.network_elements(net), epsilon=config.epsilon,
+            reference_modes=[r.lam for r in records], system=system,
         )
         emit("validation.json",
-             _validation_json(config.epsilon, lay.labels, selected, modes, outcomes))
+             _validation_json(config.epsilon, writer.labels, selected, modes, outcomes))
 
     summary = {
         "network": os.path.basename(config.network_path),
@@ -356,13 +357,14 @@ def run_sweep(
     _check_band(band)
     net = _load_network(network_path)
     _check_band_given(net, band)
-    index = None
-    for idx, b in enumerate(net.branches):
-        if {b.from_bus, b.to_bus} == set(branch):
-            index = idx
-            break
-    if index is None:
+    matches = [idx for idx, b in enumerate(net.branches) if {b.from_bus, b.to_bus} == set(branch)]
+    if not matches:
         raise ConfigError(f"no branch between buses {branch[0]} and {branch[1]}")
+    if len(matches) > 1:
+        raise ConfigError(f"{len(matches)} parallel branches between buses {branch[0]} and "
+                          f"{branch[1]} (indices {', '.join(map(str, matches))}): a sweep "
+                          "needs a bus pair joined by one branch")
+    index = matches[0]
     # sampled apparatus as in analyze, at its default surrogate order
     net = _with_surrogates(net, AnalysisConfig.order)
     steps = mai_core.parameter_sweep(net, index, param, factor, n_steps,

@@ -33,7 +33,6 @@ __all__ = [
     "Location",
     "ModeRecord",
     "SensitivityRecord",
-    "LayerReport",
     "SplitBranch",
     "SplitNodeImpedances",
     "ValidationRecord",
@@ -54,11 +53,9 @@ __all__ = [
     "element_location",
     "element_sensitivity",
     "element_layer_report",
-    "ElementLayout",
-    "element_layout",
+    "LAYER3_PARAMS",
     "ModeLayers",
     "mode_layers",
-    "mode_layer_reports",
     "branch_parameter_sensitivity",
     "oracle_system",
     "solve_modes",
@@ -127,25 +124,6 @@ class SensitivityRecord:
     location: Location
     dlambda_dy: np.ndarray  # (2, 2)
     s_factor: np.ndarray  # (2, 2), conjugate transpose of dlambda_dy
-
-
-@dataclass(frozen=True, eq=False)
-class LayerReport:
-    """All three participation layers of one element at one mode.
-
-    ``layer1_cauchy`` is the epsilon-free index ||s|| * ||y||, directly
-    comparable with ``layer1_enhanced`` = |layer2|; the worst-case shift for
-    a relative admittance change eps is eps * layer1_cauchy. Cauchy-Schwarz
-    guarantees layer1_enhanced <= layer1_cauchy.
-    """
-
-    element: str
-    location: Location
-    layer1_cauchy: float  # ||s|| * ||y||
-    layer2: complex  # sigma2 + j omega2
-    layer1_enhanced: float  # |layer2|
-    layer3: dict  # parameter name -> sensitivity s_{lambda,rho}
-    epsilon: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +446,7 @@ def branch_parameter_sensitivity(
 ) -> complex:
     """Parameter sensitivity s_{lambda,rho} of a series branch, rho in {L, R}:
     <s, dy/drho> of the unsplit series admittance y, the same value as the
-    branch's layer 3 in :func:`mode_layer_reports`.
+    branch's layer 3 in :func:`mode_layers`.
 
     The paper reaches it by splitting the branch at a virtual node
     (:func:`split_branch`, :func:`split_node_residues`,
@@ -510,46 +488,26 @@ def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
     return _dy_dL(y, lam, omega0)  # inductive, y = (value (sI + w0 J))^-1
 
 
-@dataclass(frozen=True, eq=False)
-class ElementLayout:
-    """A list of elements, for the stacked pass: each one's label, location
-    and layer-3 parameter names ((L, R) of a branch, (value,) of a shunt,
-    none of an apparatus), and its position in the network's
-    :class:`admittance_assembly.StampTable`, which the pass evaluates."""
-
-    refs: list
-    labels: list
-    locations: list
-    params: list
-    table: assembly.StampTable
-    positions: np.ndarray  # of each element in ``table``
-
-
-def element_layout(net: NetworkDescription, refs: Sequence[ElementRef]) -> ElementLayout:
-    """The :class:`ElementLayout` of ``refs``, built once for any number of modes."""
-    locations = [element_location(net, ref) for ref in refs]
-    if any(loc.ratio == 0 for loc in locations):
-        raise AnalysisError("degenerate transformer ratio k = 0")
-    table = assembly.StampTable(net)
-    return ElementLayout(
-        refs=list(refs),
-        labels=[assembly.element_label(net, ref) for ref in refs],
-        locations=locations,
-        params=[{"branch": ("L", "R"), "shunt": ("value",)}.get(kind, ()) for kind, _ in refs],
-        table=table,
-        positions=np.array([table.index[tuple(ref)] for ref in refs], dtype=int),
-    )
+# the parameters of each element kind's layer 3, in the order of the columns
+# of ModeLayers.layer3
+LAYER3_PARAMS = {"branch": ("L", "R"), "shunt": ("value",), "apparatus": ()}
 
 
 @dataclass(frozen=True, eq=False)
 class ModeLayers:
-    """Layers of every element of an :class:`ElementLayout` at one mode,
-    in element order: the arrays :class:`LayerReport` is made from."""
+    """All three participation layers of every element of a network at one
+    mode, in :func:`admittance_assembly.network_elements` order.
+
+    ``layer1_cauchy`` is the epsilon-free index ||s|| * ||y||, directly
+    comparable with ``layer1_enhanced`` = |layer2|; the worst-case shift for
+    a relative admittance change eps is eps * layer1_cauchy. Cauchy-Schwarz
+    guarantees layer1_enhanced <= layer1_cauchy.
+    """
 
     layer1_cauchy: np.ndarray  # (N,) ||s|| * ||y||
-    layer2: np.ndarray  # (N,) complex
+    layer2: np.ndarray  # (N,) complex sigma2 + j omega2
     layer1_enhanced: np.ndarray  # (N,) |layer2|
-    layer3: np.ndarray  # (N, 2) complex, one column per name in ``params``
+    layer3: np.ndarray  # (N, 2) complex, one column per name in LAYER3_PARAMS[kind]
 
 
 def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
@@ -594,12 +552,8 @@ def _chunks(modes: list, budget: int, mode_bytes: int) -> list:
     return [modes[k:k + step] for k in range(0, len(modes), step)]
 
 
-def mode_layers(
-    net: NetworkDescription,
-    modes: Sequence[ModeRecord],
-    layout: ElementLayout,
-) -> Iterator[ModeLayers]:
-    """The layers of every element of ``layout`` at each of ``modes``, in
+def mode_layers(net: NetworkDescription, modes: Sequence[ModeRecord]) -> Iterator[ModeLayers]:
+    """The layers of every element of ``net`` at each of ``modes``, in
     turn, from one stacked pass per chunk of modes over (M, N, 2, 2)
     arrays of all the network's elements: dlambda/dy by the
     transformer-ratio formula on the residue's bus blocks, y(lambda) and
@@ -612,7 +566,7 @@ def mode_layers(
     modeled here). Where an element cannot be evaluated, raises the error
     of the first such mode, as that mode alone would.
     """
-    w0, table, pos = net.omega0, layout.table, layout.positions
+    w0, table = net.omega0, assembly.StampTable(net)
     br = slice(0, table.n_branches)
     for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs)):
         s, y = _mode_stack(table, chunk)
@@ -624,33 +578,10 @@ def mode_layers(
         for kind, (at, value) in table.shunts.items():
             dy = _shunt_value_derivative(kind, value, y[:, at], lam, w0)
             l3[:, at, 0], _ = layer3(s[:, at], dy)
-        l1, l2, l3 = l1[:, pos], l2[:, pos], l3[:, pos]
         l1e = enhanced_layer1(l2.real, l2.imag)
         for m in range(len(chunk)):
             yield ModeLayers(layer1_cauchy=l1[m], layer2=l2[m], layer1_enhanced=l1e[m],
                              layer3=l3[m])
-
-
-def mode_layer_reports(
-    net: NetworkDescription,
-    mode: ModeRecord,
-    refs: Sequence[ElementRef],
-    epsilon: float = 0.05,
-) -> list[LayerReport]:
-    """All three layers of every element in ``refs`` at one mode, as
-    :class:`LayerReport` objects: the one-mode case of :func:`mode_layers`."""
-    lay = element_layout(net, refs)
-    layers = next(mode_layers(net, [mode], lay))
-    return [
-        LayerReport(
-            element=label, location=loc, layer1_cauchy=c, layer2=v,
-            layer1_enhanced=e, layer3=dict(zip(names, p)), epsilon=epsilon,
-        )
-        for label, loc, names, c, v, e, p in zip(
-            lay.labels, lay.locations, lay.params, layers.layer1_cauchy.tolist(),
-            layers.layer2.tolist(), layers.layer1_enhanced.tolist(), layers.layer3.tolist(),
-        )
-    ]
 
 
 def element_layer_report(
@@ -658,15 +589,15 @@ def element_layer_report(
     ref: ElementRef,
     mode: ModeRecord,
     epsilon: float = 0.05,
-) -> LayerReport:
-    """All three layers for one element at one mode: the one-element case of
-    :func:`mode_layer_reports`.
-
-    Layer 3 is filled analytically for branches (L, R) and shunts (value);
-    apparatus parameter derivatives must come from the caller through
-    :func:`layer3` since converter internals are not modeled here.
+) -> ModeLayers:
+    """Element ``ref``'s row of :func:`mode_layers` at ``mode``: a
+    :class:`ModeLayers` whose arrays have length 1. ``epsilon`` is unused
+    (the layers are epsilon-free); it is kept for callers that pass it.
     """
-    return mode_layer_reports(net, mode, [ref], epsilon)[0]
+    e = assembly.network_elements(net).index(tuple(ref))
+    layers, at = next(mode_layers(net, [mode])), slice(e, e + 1)
+    return ModeLayers(layer1_cauchy=layers.layer1_cauchy[at], layer2=layers.layer2[at],
+                      layer1_enhanced=layers.layer1_enhanced[at], layer3=layers.layer3[at])
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +772,8 @@ def validate_mode_predictions(
     ``system`` when given), else among ``reference_modes`` (the run's
     modes; by default the lambdas of ``modes``) and their conjugates.
     """
-    lay = element_layout(net, refs)
+    table = assembly.StampTable(net)
+    at = [table.index[tuple(ref)] for ref in refs]
     oracle = None
     if mass_oracle.oracle_capable(net):
         oracle, updates = _system_of(net, system), []
@@ -860,12 +792,12 @@ def validate_mode_predictions(
 
     def shifts(chunk):
         try:
-            s, y = _mode_stack(lay.table, chunk)
+            s, y = _mode_stack(table, chunk)
         except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
-        return predict_mode_shift(s[:, lay.positions], epsilon * y[:, lay.positions]).tolist()
+        return predict_mode_shift(s[:, at], epsilon * y[:, at]).tolist()
 
-    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(lay.table.refs))
+    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs))
                    for p in shifts(chunk)]
     live = [m for m, p in enumerate(predictions) if not isinstance(p, Exception)]
     anchors = [[modes[m].lam + shift for shift in predictions[m]] for m in live]

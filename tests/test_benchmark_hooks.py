@@ -1,7 +1,8 @@
 """What the benchmark harness under perfbench/ relies on in the package.
 
 perfbench/tracing.py wraps the functions named in its TRACED table,
-perfbench/ladder.py calls solve_modes with an order keyword and
+perfbench/ladder.py calls solve_modes with an order keyword,
+element_layer_report with four positional arguments and
 validate_element_prediction with a reference_modes keyword, and
 perfbench's own tests build PerturbedModel(net, ref, factor) and
 WholeSystemModel(net), and the tracer counts work from the arguments and
@@ -50,6 +51,19 @@ def test_solve_modes_accepts_the_ladder_call(three_bus_net):
                                    method="impedance")
     assert len(records) == 7
     assert all(r.provenance == "newton-refined" for r in records)
+
+
+def test_element_layer_report_accepts_the_ladder_call(three_bus_net):
+    """``element_layer_report(net, ref, mode, 0.05)``, all positional, gives
+    each element's row of the layers of that mode."""
+    records = mai_core.solve_modes(three_bus_net)
+    mode = max(records, key=lambda r: r.lam.real)
+    (layers,) = mai_core.mode_layers(three_bus_net, [mode])
+    for e, ref in enumerate(admittance_assembly.network_elements(three_bus_net)):
+        row = mai_core.element_layer_report(three_bus_net, ref, mode, 0.05)
+        assert isinstance(row, mai_core.ModeLayers)
+        assert np.array_equal(row.layer2, layers.layer2[e:e + 1])
+        assert np.array_equal(row.layer3, layers.layer3[e:e + 1])
 
 
 def test_validate_element_prediction_accepts_the_ladder_call(three_bus_net):

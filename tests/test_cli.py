@@ -337,6 +337,22 @@ def test_sweep_unknown_branch(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_sweep_refuses_an_ambiguous_parallel_branch(tmp_path, capsys):
+    """On the mixed ring, lines 2-3 (branch 1) and 3-2 (branch 6) are
+    parallel: ``--branch 3:2`` names both, so the sweep exits 2 naming
+    each index, and writes no sweep.csv."""
+    (tmp_path / "ring.json").write_text(json.dumps(mixed_ring_doc()))
+    out = tmp_path / "out"
+    code = main(["sweep", str(tmp_path / "ring.json"), "--branch", "3:2", "--param", "L",
+                 "--factor", "1.05", "--steps", "1", "--band", "5:5000", "--out", str(out)])
+    assert code == EXIT_INPUT
+    report = json.loads(capsys.readouterr().err)
+    assert report["type"] == "ConfigError"
+    assert "2 parallel branches" in report["message"]
+    assert "indices 1, 6" in report["message"]
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_error_column_recomputes(tmp_path):
     main([
         "sweep", str(NETWORK), "--branch", "1:2", "--param", "L",
@@ -448,7 +464,7 @@ def test_analyze_rejects_an_order_its_samples_cannot_carry(tmp_path, capsys):
 
 def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
     """The layer reports of all selected modes come from stacked chunks:
-    no mode_layer_reports or element_layer_report call, and one evaluation
+    no element_layer_report call, and one evaluation
     of each apparatus's state-space response per chunk, over all the
     chunk's modes (all 7 modes of three_bus in one chunk, or chunks of at
     most 3). The report files do not depend on the chunking."""
@@ -456,7 +472,7 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
     assert len(net.apparatus) == 2
     reference = tmp_path / "reference"
     assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(reference)]) == EXIT_OK
-    calls = {"mode_layer_reports": 0, "element_layer_report": 0}
+    calls = {"element_layer_report": 0}
     points = []
     response = assembly.state_space_response
 
@@ -483,7 +499,7 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
         out = tmp_path / f"chunk{per_chunk}"
         assert main(["analyze", str(NETWORK), "--no-validate", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["n_modes"] == 7
-        assert calls == {"mode_layer_reports": 0, "element_layer_report": 0}
+        assert calls == {"element_layer_report": 0}
         assert points == expected
         for f in sorted(reference.iterdir()):
             assert f.read_bytes() == (out / f.name).read_bytes(), f.name
@@ -616,8 +632,8 @@ def _parse_floats(row, keys):
 def test_report_csvs_parse_back_to_the_layers(tmp_path):
     """On a ring with a transformer, all three shunt kinds, parallel branches
     and rational apparatus (impedance route), every element and layer-3
-    value of every mode parses back to the one-mode mode_layer_reports
-    within the 12 printed digits; every heatmap cell to the sum of the
+    value of every mode parses back to the one-mode mode_layers within
+    the 12 printed digits; every heatmap cell to the sum of the
     elements in it, and the parallel-branch note is written."""
     doc = mixed_ring_doc()
     (tmp_path / "ring.json").write_text(json.dumps(doc))
@@ -633,26 +649,30 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
     def close(have, want):
         return np.all(np.abs(have - want) <= 1e-11 * np.abs(want) + 1e-300)
 
+    labels = [assembly.element_label(net, ref) for ref in refs]
+    locations = [mai_core.element_location(net, ref) for ref in refs]
+    params = [mai_core.LAYER3_PARAMS[kind] for kind, _ in refs]
     for k, mode in enumerate(modes):
-        reports = mai_core.mode_layer_reports(net, mode, refs)
-        want = np.array([[r.layer1_cauchy, r.layer1_enhanced, r.layer2.real, r.layer2.imag]
-                         for r in reports])
+        (layers,) = mai_core.mode_layers(net, [mode])
+        want = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, layers.layer2.real,
+                         layers.layer2.imag], axis=-1)
         with open(out / f"mode{k}_elements.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert [row["element"] for row in rows] == [r.element for r in reports]
+        assert [row["element"] for row in rows] == labels
         assert all(float(row["epsilon"]) == 0.05 for row in rows)
         assert close(np.array([_parse_floats(row, keys) for row in rows]), want)
         with open(out / f"mode{k}_layer3.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["element"], row["parameter"]) for row in rows] == [
-            (r.element, p) for r in reports for p in sorted(r.layer3)]
-        s_rho = np.array([r.layer3[p] for r in reports for p in sorted(r.layer3)])
+            (label, p) for label, names in zip(labels, params) for p in sorted(names)]
+        s_rho = np.array([layers.layer3[e, names.index(p)] for e, names in enumerate(params)
+                          for p in sorted(names)])
         parsed = np.array([_parse_floats(row, ("s_rho_real", "s_rho_imag")) for row in rows])
         assert close(parsed[:, 0], s_rho.real) and close(parsed[:, 1], s_rho.imag)
         for h, key in enumerate(keys):
             cells = {}
-            for r, v in zip(reports, want[:, h]):
-                i, j = r.location.i, r.location.j or r.location.i
+            for loc, v in zip(locations, want[:, h]):
+                i, j = loc.i, loc.j or loc.i
                 for cell in {(i, j), (j, i)}:
                     cells[cell] = cells.get(cell, 0.0) + v
             with open(out / f"mode{k}_{key}.csv") as fh:

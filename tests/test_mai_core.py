@@ -25,7 +25,6 @@ from impedmodal.admittance_assembly import (
     block_slice,
     dq_series_impedance,
     element_admittance,
-    element_label,
     network_elements,
     omega_block,
     shunt_admittance,
@@ -45,7 +44,7 @@ from impedmodal.mai_core import (
     layer1_cauchy,
     layer2,
     layer3,
-    mode_layer_reports,
+    mode_layers,
     parameter_sweep,
     predict_mode_shift,
     solve_modes,
@@ -185,8 +184,7 @@ def test_modes_keep_their_residues_as_factors():
     tracemalloc.start()
     try:
         records = solve_modes(net)
-        layout = mai_core.element_layout(net, network_elements(net))
-        layers = list(mai_core.mode_layers(net, records, layout))
+        layers = list(mode_layers(net, records))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -778,12 +776,15 @@ def test_layer2_damping_sign_on_resolve(rc_bus_net):
 
 
 def test_layer_report_fields(three_bus_net, three_bus_modes):
+    """One element's row of the layers: arrays of length 1, and the two
+    layer-3 columns of a branch named L and R."""
     rep = element_layer_report(three_bus_net, ("branch", 0), three_bus_modes[0],
                                epsilon=0.05)
-    assert rep.layer1_enhanced == pytest.approx(abs(rep.layer2))
-    assert rep.layer1_enhanced <= rep.layer1_cauchy + 1e-12
-    assert set(rep.layer3) == {"L", "R"}
-    assert rep.epsilon == 0.05
+    assert rep.layer1_cauchy.shape == rep.layer2.shape == rep.layer1_enhanced.shape == (1,)
+    assert rep.layer3.shape == (1, 2)
+    assert rep.layer1_enhanced[0] == pytest.approx(abs(rep.layer2[0]))
+    assert rep.layer1_enhanced[0] <= rep.layer1_cauchy[0] + 1e-12
+    assert mai_core.LAYER3_PARAMS["branch"] == ("L", "R")
 
 
 # ---------------------------------------------------------------------------
@@ -1017,7 +1018,8 @@ def test_low_loss_line_layer3_matches_state_space(three_bus_net):
     assert modes
     for mode in modes:
         i = int(np.argmin(np.abs(eig.eigenvalues - mode.lam)))
-        layer3 = element_layer_report(net, ("branch", 0), mode).layer3
+        row = element_layer_report(net, ("branch", 0), mode).layer3[0]
+        layer3 = dict(zip(mai_core.LAYER3_PARAMS["branch"], row))
         for param in ("L", "R"):
             want, _ = mass_oracle.parameter_sensitivity_ss(eig, i, dA[param])
             assert abs(layer3[param] - want) <= 1e-10 * abs(want), (mode.lam, param)
@@ -1082,20 +1084,24 @@ def _kernel_case(name, request):
     "three_bus", "random0", "random1", "random2", "random3", "random4",
     "zero_R_line", "inductive_shunt", "measured",
 ])
-def test_mode_layer_reports_match_element_formulas(case, request):
+def test_mode_layers_match_element_formulas(case, request):
+    """Every element's layers at every mode, in network order, against the
+    one-element formulas; layer1_enhanced <= layer1_cauchy throughout
+    (Cauchy-Schwarz)."""
     net, modes = _kernel_case(case, request)
     refs = network_elements(net)
     assert modes
-    for mode in modes:
-        reports = mode_layer_reports(net, mode, refs, 0.05)
-        assert [r.element for r in reports] == [element_label(net, ref) for ref in refs]
-        assert [r.location for r in reports] == [element_location(net, ref) for ref in refs]
-        assert all(r.epsilon == 0.05 for r in reports)
+    stacked = list(mode_layers(net, modes))
+    assert len(stacked) == len(modes)
+    for mode, layers in zip(modes, stacked):
+        assert layers.layer1_cauchy.shape == (len(refs),)
+        assert np.all(layers.layer1_enhanced <= layers.layer1_cauchy * (1 + 1e-12)), mode.lam
         expected = [_reference_layers(net, ref, mode) for ref in refs]
         got = [
-            {"layer1_cauchy": r.layer1_cauchy, "layer2": r.layer2,
-             "layer1_enhanced": r.layer1_enhanced, **r.layer3}
-            for r in reports
+            {"layer1_cauchy": c, "layer2": v, "layer1_enhanced": e,
+             **dict(zip(mai_core.LAYER3_PARAMS[kind], p))}
+            for (kind, _), c, v, e, p in zip(refs, layers.layer1_cauchy, layers.layer2,
+                                             layers.layer1_enhanced, layers.layer3)
         ]
         assert [set(g) for g in got] == [set(e) for e in expected]
         for key in set().union(*expected):
@@ -1117,31 +1123,23 @@ def _stacked_case(name, request):
 @pytest.mark.parametrize("case", ["three_bus", "mixed_ring"])
 def test_stacked_layers_equal_the_one_mode_reports(case, per_chunk, request, monkeypatch):
     """Layers of all modes from the stacked pass (in one chunk, or in
-    chunks of 3 modes) agree field by field with the one-mode
-    mode_layer_reports at every mode, within 1e-14 relative. The ring has
-    a transformer, all three shunt kinds, a pair of parallel branches and
-    rational apparatus on the impedance route."""
+    chunks of 3 modes) agree field by field with the one-mode mode_layers
+    at every mode, within 1e-14 relative, and each element's layer-3
+    columns past its LAYER3_PARAMS are zero. The ring has a transformer,
+    all three shunt kinds, a pair of parallel branches and rational
+    apparatus on the impedance route."""
     net, modes = _stacked_case(case, request)
     refs = network_elements(net)
-    lay = mai_core.element_layout(net, refs)
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
-    stacked = list(mai_core.mode_layers(net, modes, lay))
+    stacked = list(mode_layers(net, modes))
     assert len(stacked) == len(modes) >= 7
     for mode, layers in zip(modes, stacked):
-        reports = mode_layer_reports(net, mode, refs, 0.05)
-        fields = {
-            "layer1_cauchy": (layers.layer1_cauchy, [r.layer1_cauchy for r in reports]),
-            "layer2": (layers.layer2, [r.layer2 for r in reports]),
-            "layer1_enhanced": (layers.layer1_enhanced, [r.layer1_enhanced for r in reports]),
-            "layer3": ([layers.layer3[e, c] for e, names in enumerate(lay.params)
-                        for c in range(len(names))],
-                       [r.layer3[name] for r, names in zip(reports, lay.params)
-                        for name in names]),
-        }
-        assert [sorted(r.layer3) for r in reports] == [sorted(names) for names in lay.params]
-        for key, (have, want) in fields.items():
-            have, want = np.asarray(have), np.asarray(want)
+        (alone,) = mode_layers(net, [mode])
+        for e, (kind, _) in enumerate(refs):
+            assert not layers.layer3[e, len(mai_core.LAYER3_PARAMS[kind]):].any()
+        for key in ("layer1_cauchy", "layer2", "layer1_enhanced", "layer3"):
+            have, want = getattr(layers, key), getattr(alone, key)
             assert np.max(np.abs(have - want)) <= 1e-14 * np.max(np.abs(want)), (mode.lam, key)
 
 
@@ -1154,7 +1152,8 @@ def test_zero_resistance_line_takes_direct_route(request):
         split_node_residues(mode.residue, b.from_bus, b.to_bus, split.z1, split.z2)
     for param in ("L", "R"):
         direct = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param)
-        batched = element_layer_report(net, ("branch", 0), mode).layer3[param]
+        row = element_layer_report(net, ("branch", 0), mode).layer3[0]
+        batched = row[mai_core.LAYER3_PARAMS["branch"].index(param)]
         assert batched == pytest.approx(direct, rel=1e-12)
 
 

@@ -1,0 +1,25 @@
+"""The README's library sketch runs against the package as it stands."""
+
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _sketch() -> str:
+    """The ``python`` block under the README's "## Library sketch" heading."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert match, "no python block under ## Library sketch"
+    return match.group(1)
+
+
+def test_library_sketch_runs(monkeypatch, capsys):
+    """Exec'd from the repo root (it opens networks/three_bus.json), the
+    sketch runs to its end and prints one line per mode and two more."""
+    monkeypatch.chdir(REPO)
+    namespace: dict = {}
+    exec(compile(_sketch(), "README.md:Library sketch", "exec"), namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(namespace["records"]) + 2
