@@ -1,7 +1,7 @@
 """Command-line front end and machine-readable report emission.
 
 Runs the analysis pipeline end to end and writes CSV/JSON reports: the
-mode list, per-mode participation heatmaps and element tables, layer-3
+mode list, per-mode element tables with their sums per bus pair, layer-3
 parameter tables, prediction-validation records and sweep trajectories.
 All emitted numbers carry 12 significant digits so reports re-parse to the
 printed precision, and a fixed run configuration yields byte-identical
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -111,45 +110,32 @@ def _literal(text: str) -> str:
 
 # one report number: 12 significant digits, as _fmt
 _NUMBER = "{:.12g}"
-
-
-def _heatmap_template(n: int, present: np.ndarray, notes) -> str:
-    """``str.format`` template of an n x n heatmap CSV with bus indices as
-    header row and column: one number field per ``present`` cell, taken in
-    the order of ``np.flatnonzero(present)``, the other cells empty."""
-    cells = np.where(present.ravel(), _NUMBER, "").tolist()
-    lines = ["bus," + ",".join(map(str, range(1, n + 1)))]
-    lines += [f"{i + 1}," + ",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
-    lines += [f"note,{_literal(note)}" for note in notes]
-    return "\n".join(lines) + "\n"
-
-
-_HEATMAPS = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
-_ELEMENTS_HEAD = ("element,location,layer1_cauchy,layer1_enhanced,layer2_real,layer2_imag,"
-                  "epsilon\n")
+_LAYERS = "layer1_cauchy,layer1_enhanced,layer2_real,layer2_imag"
+_ELEMENTS_HEAD = f"element,location,{_LAYERS},epsilon\n"
 
 
 class _ModeWriter:
-    """Renders each mode's element, layer-3 and heatmap files from its
+    """Renders each mode's element, layer-3 and bus-pair files from its
     :class:`mai_core.ModeLayers`. What depends on the elements alone is
     prepared once per run: each file is a ``str.format`` template with a
     number field wherever a mode's value goes.
 
-    An apparatus or shunt fills the diagonal cell of its bus, a branch both
-    cells of its bus pair. Elements that share a cell (parallel branches,
-    or the node elements of one bus) are summed into it in element order,
-    and parallel branches get a note; the element table keeps them apart.
+    The bus-pair table has one row per bus pair i <= j that holds an
+    element: a branch sits on its two buses, an apparatus or shunt on (i, i).
+    Elements that share a pair (parallel branches, or the node elements of
+    one bus) are summed into its row in element order, and ``elements``
+    counts them; the element table keeps them apart.
     """
 
     def __init__(self, net, epsilon: float):
-        self.n = n = net.n_buses
         refs = assembly.network_elements(net)
         self.labels = [assembly.element_label(net, ref) for ref in refs]
         locations = [mai_core.element_location(net, ref) for ref in refs]
         tail = _literal(f",{epsilon:.12g}\n")
+        numbers = ",".join([_NUMBER] * 4)
         self.elements = _ELEMENTS_HEAD + "".join(
             _literal(f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ","))
-            + ",".join([_NUMBER] * 4) + tail
+            + numbers + tail
             for label, loc in zip(self.labels, locations))
         entries = [(e, c, f"{label},{name},")
                    for e, (label, (kind, _)) in enumerate(zip(self.labels, refs))
@@ -158,18 +144,13 @@ class _ModeWriter:
             f"{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
         self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
                                .reshape(-1, 2).T)
-        ij = [(loc.i, loc.j) for loc in locations]  # j = 0 for a node
-        cells = sorted([(e, i - 1, (j or i) - 1) for e, (i, j) in enumerate(ij)]
-                       + [(e, j - 1, i - 1) for e, (i, j) in enumerate(ij) if j])
-        self.element, rows, cols = np.array(cells, dtype=int).reshape(-1, 3).T
-        self.cells = (rows, cols)
-        present = np.zeros((n, n), dtype=bool)
-        present[self.cells] = True
-        self.present_at = np.flatnonzero(present)
-        pairs = Counter((min(i, j), max(i, j)) for i, j in ij if j)
-        notes = [f"{count} parallel branches {i}-{j} summed"
-                 for (i, j), count in sorted(pairs.items()) if count > 1]
-        self.heatmap = _heatmap_template(n, present, notes)
+        # a node element (j = 0) sits on pair (i, i)
+        ij = np.sort([(loc.i, loc.j or loc.i) for loc in locations], axis=1)
+        pairs, self.pair_of = np.unique(ij, axis=0, return_inverse=True)
+        self.n_pairs = len(pairs)
+        self.bus_pairs = f"bus_i,bus_j,elements,{_LAYERS}\n" + "".join(
+            f"{i},{j},{count},{numbers}\n"
+            for (i, j), count in zip(pairs.tolist(), np.bincount(self.pair_of).tolist()))
 
     def files(self, layers: mai_core.ModeLayers):
         """(suffix, text) of each of one mode's report files."""
@@ -178,10 +159,9 @@ class _ModeWriter:
         yield "elements", self.elements.format(*values.ravel().tolist())
         # a complex array viewed as float interleaves real and imaginary parts
         yield "layer3", self.layer3.format(*layers.layer3[self.layer3_at].view(float).tolist())
-        grid = np.zeros((len(_HEATMAPS), self.n, self.n))
-        np.add.at(grid, (slice(None), *self.cells), values[self.element].T)
-        for name, cells in zip(_HEATMAPS, grid.reshape(len(_HEATMAPS), -1)[:, self.present_at]):
-            yield name, self.heatmap.format(*cells.tolist())
+        sums = np.zeros((self.n_pairs, 4))
+        np.add.at(sums, self.pair_of, values)
+        yield "bus_pairs", self.bus_pairs.format(*sums.ravel().tolist())
 
 
 def _csv(header: str, rows) -> str:

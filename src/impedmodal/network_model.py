@@ -299,6 +299,18 @@ def _integer(value, key: str, where: str) -> int:
     return value
 
 
+def _coefficients(value, key: str, where: str) -> np.ndarray:
+    """Polynomial coefficients: a number or a flat list of numbers."""
+    try:
+        arr = np.atleast_1d(np.array(value, dtype=float))
+        if arr.ndim == 1:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise NetworkFormatError(
+        f"field '{key}' in {where} must be a number or a flat list of numbers")
+
+
 def _matrix(value, key: str, where: str, allow_empty: bool = False) -> np.ndarray:
     try:
         arr = np.array(value, dtype=float)
@@ -419,8 +431,9 @@ def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusMod
         C = _matrix(_require(obj, "C", where), "C", where, allow_empty=True)
         D = _matrix(_require(obj, "D", where), "D", where)
         if A.size == 0:
-            # D-only (static) model: zero states
-            A, B, C = np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0))
+            # D-only (static) model: zero states; a non-empty B or C fails validation
+            A = np.zeros((0, 0))
+            B, C = (B if B.size else np.zeros((0, 2))), (C if C.size else np.zeros((2, 0)))
         return StateSpaceRealization(A=A, B=B, C=C, D=D)
     if kind == "rational":
         _check_keys(obj, _RATIONAL_KEYS, where)
@@ -435,11 +448,10 @@ def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusMod
                 e = entries[p][q]
                 if not isinstance(e, dict):
                     raise NetworkFormatError(f"{where}: entries[{p}][{q}] must be an object")
-                _check_keys(e, {"num", "den"}, f"{where}.entries[{p}][{q}]")
-                num = np.atleast_1d(np.array(_require(e, "num", where), dtype=float))
-                den = np.atleast_1d(np.array(_require(e, "den", where), dtype=float))
-                nrow.append(tuple(num))
-                drow.append(tuple(den))
+                at = f"{where}.entries[{p}][{q}]"
+                _check_keys(e, {"num", "den"}, at)
+                nrow.append(tuple(_coefficients(_require(e, "num", at), "num", at)))
+                drow.append(tuple(_coefficients(_require(e, "den", at), "den", at)))
             nums.append(tuple(nrow))
             dens.append(tuple(drow))
         return RationalMatrix(numerators=tuple(nums), denominators=tuple(dens))

@@ -1,7 +1,10 @@
-"""The README's library sketch runs against the package as it stands."""
+"""The README's library sketch and report list match the package as it stands."""
 
+import json
 import re
 from pathlib import Path
+
+from impedmodal.cli_reporting import EXIT_OK, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -23,3 +26,15 @@ def test_library_sketch_runs(monkeypatch, capsys):
     exec(compile(_sketch(), "README.md:Library sketch", "exec"), namespace)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(namespace["records"]) + 2
+
+
+def test_listed_mode_files_match_a_run(tmp_path):
+    """The per-mode files listed under "`analyze` writes" are those a run
+    of three_bus writes for mode 0, in its order."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n`analyze` writes:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^- `mode<k>_(\w+\.csv)`", section, re.M)
+    assert main(["analyze", str(REPO / "networks" / "three_bus.json"), "--no-validate",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    files = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["files"]
+    assert listed == [name[len("mode0_"):] for name in files if name.startswith("mode0_")]
