@@ -36,6 +36,7 @@ __all__ = [
     "AssemblyError",
     "EvaluationError",
     "SingularSystemError",
+    "block_slice",
     "frame_rotation",
     "omega_block",
     "inv2_masked",
@@ -48,6 +49,7 @@ __all__ = [
     "state_space_response",
     "StampTable",
     "WholeSystemModel",
+    "PerturbedModel",
     "ElementRef",
     "network_elements",
     "element_label",

@@ -16,7 +16,7 @@ in a mode, layer 2 resolves it into damping (real) and frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,14 +32,12 @@ __all__ = [
     "DegenerateSplitError",
     "Location",
     "ModeRecord",
-    "SensitivityRecord",
     "SplitBranch",
     "SplitNodeImpedances",
     "ValidationRecord",
     "SweepStep",
     "frobenius_inner",
     "admittance_sensitivity",
-    "transformer_admittance_sensitivity",
     "predict_mode_shift",
     "layer1_cauchy",
     "layer2",
@@ -51,7 +49,6 @@ __all__ = [
     "split_parameter_derivatives",
     "validate_prediction",
     "element_location",
-    "element_sensitivity",
     "element_layer_report",
     "LAYER3_PARAMS",
     "ModeLayers",
@@ -112,18 +109,6 @@ class ModeRecord:
     def residue(self) -> np.ndarray:  # the dense (2n, 2n) matrix
         res = np.outer(self.left, self.right)
         return res if self.denom is None else res / self.denom
-
-
-@dataclass(frozen=True, eq=False)
-class SensitivityRecord:
-    """Eigenvalue sensitivity of one element: dlambda/dy and its conjugate
-    transpose, the admittance sensitivity factor pairing with admittance
-    perturbations through the Frobenius inner product."""
-
-    element: str
-    location: Location
-    dlambda_dy: np.ndarray  # (2, 2)
-    s_factor: np.ndarray  # (2, 2), conjugate transpose of dlambda_dy
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +201,16 @@ def _ratio_sensitivity(ii, jj, ij, ji, k) -> np.ndarray:
     return -(ii / k**2 + jj - ij / k - ji / k)
 
 
-def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRecord:
-    """Eigenvalue sensitivity to an element admittance from the residue matrix.
+def admittance_sensitivity(res: np.ndarray, location: Location) -> np.ndarray:
+    """The sensitivity factor s of an element admittance, from the residue
+    matrix: the 2x2 block that pairs with an admittance change through the
+    Frobenius inner product, delta_lambda = <s, delta_y>, so dlambda/dy = s^H.
 
     Node element at bus i:   dlambda/dy = -Res_ii
     Branch between i and j:  dlambda/dy = -(Res_ii + Res_jj - Res_ij - Res_ji)
-
-    Transformer locations take the ratio-corrected formula of
-    :func:`transformer_admittance_sensitivity`.
+    Transformer, an ideal k:1 ratio on the i side (``Location("transformer",
+    i, j, k)``): dlambda/dy = -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k),
+    the branch formula at k = 1.
     """
     kind, i, j = location.kind, location.i, location.j  # j = 0 (ground) for a node
     if kind not in ("node", "branch", "transformer"):
@@ -235,19 +222,7 @@ def admittance_sensitivity(res: np.ndarray, location: Location) -> SensitivityRe
     zero = np.zeros((2, 2), dtype=complex)  # a block of ground
     d = _ratio_sensitivity(*(res[block_slice(p), block_slice(q)] if p and q else zero
                              for p, q in ((i, i), (j, j), (i, j), (j, i))), k)
-    name = f"transformer({i},{j},k={k})" if kind == "transformer" else f"{kind}({i},{j})"
-    return SensitivityRecord(element=name, location=location, dlambda_dy=d, s_factor=_conj_t(d))
-
-
-def transformer_admittance_sensitivity(
-    res: np.ndarray, i: int, j: int, k: float
-) -> SensitivityRecord:
-    """Ratio-corrected branch sensitivity for an ideal k:1 transformer on the
-    i side: dlambda/dy = -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k).
-
-    Reduces to the plain branch formula at k = 1.
-    """
-    return admittance_sensitivity(res, Location(kind="transformer", i=i, j=j, ratio=k))
+    return _conj_t(d)
 
 
 def predict_mode_shift(s_factor: np.ndarray, delta_y: np.ndarray) -> complex:
@@ -256,15 +231,12 @@ def predict_mode_shift(s_factor: np.ndarray, delta_y: np.ndarray) -> complex:
     return frobenius_inner(s_factor, delta_y)
 
 
-def layer1_cauchy(s_factor: np.ndarray, y_at_lambda: np.ndarray, epsilon: float) -> float:
-    """Cauchy-Schwarz participation bound eps * ||s|| * ||y|| for a relative
-    admittance change of size eps (one bound per block when stacked)."""
-    if epsilon <= 0:
-        raise AnalysisError(f"epsilon must be positive, got {epsilon}")
+def layer1_cauchy(s_factor: np.ndarray, y_at_lambda: np.ndarray) -> float:
+    """Cauchy-Schwarz participation index ||s|| * ||y|| (one per block when
+    stacked): eps times it bounds the shift for a relative admittance
+    change of size eps."""
     return _scalar(
-        epsilon
-        * np.linalg.norm(s_factor, axis=(-2, -1))
-        * np.linalg.norm(y_at_lambda, axis=(-2, -1))
+        np.linalg.norm(s_factor, axis=(-2, -1)) * np.linalg.norm(y_at_lambda, axis=(-2, -1))
     )
 
 
@@ -275,23 +247,16 @@ def layer2(s_factor: np.ndarray, y_at_lambda: np.ndarray) -> complex:
     return frobenius_inner(s_factor, y_at_lambda)
 
 
-def enhanced_layer1(sigma2: float, omega2: Optional[float] = None) -> float:
+def enhanced_layer1(sigma2: float, omega2: float) -> float:
     """Enhanced total-participation index |sigma2 + j omega2|: the magnitude
     of layer 2, replacing the loose Cauchy bound."""
-    if omega2 is None:
-        return float(abs(sigma2))
     return _scalar(np.hypot(sigma2, omega2))
 
 
-def layer3(
-    s_factor: np.ndarray,
-    dy_drho: np.ndarray,
-    delta_rho: Optional[float] = None,
-):
-    """Parameter sensitivity s_{lambda,rho} = <s, dy/drho> and, when a step
-    is given, the predicted shift s_{lambda,rho} * delta_rho."""
-    s_rho = frobenius_inner(s_factor, dy_drho)
-    return s_rho, (s_rho * delta_rho if delta_rho is not None else None)
+def layer3(s_factor: np.ndarray, dy_drho: np.ndarray) -> complex:
+    """Parameter sensitivity s_{lambda,rho} = <s, dy/drho>; the predicted
+    shift for a step delta_rho is s_{lambda,rho} * delta_rho."""
+    return frobenius_inner(s_factor, dy_drho)
 
 
 # ---------------------------------------------------------------------------
@@ -344,25 +309,19 @@ def _split_node_blocks(Z, j, k, z1, inverses, with_identity: bool) -> SplitNodeI
     return SplitNodeImpedances(row=row_f, col=col_f, Z_ff=mix @ core, j=j, k=k)
 
 
-def _checked_split_inverses(z1, z2, y):
+def _checked_split_inverses(z1, z2):
     """(y, z1^-1, z2^-1, mix) of split parts, single or stacked, with
-    y = (z1 + z2)^-1 (unless given) and mix = (z1^-1 + z2^-1)^-1; raises
+    y = (z1 + z2)^-1 and mix = (z1^-1 + z2^-1)^-1; raises
     DegenerateSplitError where one is singular: R = 0, or lambda on the
     branch pole or at +-j w0."""
-    if y is None:
-        y = _inv2(z1 + z2, "series impedance z1 + z2")
+    y = _inv2(z1 + z2, "series impedance z1 + z2")
     z1_inv = _inv2(z1, "inductive part z1")
     z2_inv = _inv2(z2, "resistive part z2")
     return y, z1_inv, z2_inv, _inv2(z1_inv + z2_inv, "parallel combination of z1 and z2")
 
 
 def split_node_impedances(
-    Z_at_lambda: np.ndarray,
-    j: int,
-    k: int,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    y_branch: Optional[np.ndarray] = None,
+    Z_at_lambda: np.ndarray, j: int, k: int, z1: np.ndarray, z2: np.ndarray
 ) -> SplitNodeImpedances:
     """Impedance blocks of the system augmented with the virtual split node f
     of branch (j, k), from the original whole-system impedance only.
@@ -371,17 +330,12 @@ def split_node_impedances(
     current-splitting identity, and Z_ff the KCL closure at f; all agree
     with the explicit (2n+2)-dimensional augmented-matrix inversion.
     """
-    inverses = _checked_split_inverses(z1, z2, y_branch)
+    inverses = _checked_split_inverses(z1, z2)
     return _split_node_blocks(Z_at_lambda, j, k, z1, inverses, with_identity=True)
 
 
 def split_node_residues(
-    res: np.ndarray,
-    j: int,
-    k: int,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    y_branch: Optional[np.ndarray] = None,
+    res: np.ndarray, j: int, k: int, z1: np.ndarray, z2: np.ndarray
 ) -> SplitNodeImpedances:
     """Same block algebra applied to the residue matrix at a mode.
 
@@ -389,7 +343,7 @@ def split_node_residues(
     the augmentation identities just drops the constant (identity) term in
     the Z_ff closure.
     """
-    inverses = _checked_split_inverses(z1, z2, y_branch)
+    inverses = _checked_split_inverses(z1, z2)
     return _split_node_blocks(res, j, k, z1, inverses, with_identity=False)
 
 
@@ -428,15 +382,6 @@ def element_location(net: NetworkDescription, ref: ElementRef) -> Location:
     raise AnalysisError(f"unknown element kind '{kind}'")
 
 
-def element_sensitivity(
-    net: NetworkDescription, ref: ElementRef, res: np.ndarray
-) -> SensitivityRecord:
-    """Sensitivity record for one network element, with the transformer
-    correction applied automatically for ratio != 1 branches."""
-    rec = admittance_sensitivity(res, element_location(net, ref))
-    return replace(rec, element=assembly.element_label(net, ref))
-
-
 def branch_parameter_sensitivity(
     net: NetworkDescription,
     branch_index: int,
@@ -459,7 +404,7 @@ def branch_parameter_sensitivity(
     if param not in ("L", "R"):
         raise AnalysisError(f"branch parameter must be 'L' or 'R', got '{param}'")
     ref = ("branch", branch_index)
-    s = element_sensitivity(net, ref, res).s_factor
+    s = admittance_sensitivity(res, element_location(net, ref))
     y = assembly.element_admittance(net, ref, lam)
     s_L, s_R = _direct_layer3(s, y, lam, net.omega0)
     return s_L if param == "L" else s_R
@@ -473,9 +418,7 @@ def branch_parameter_sensitivity(
 def _direct_layer3(s: np.ndarray, y: np.ndarray, lam: complex, omega0: float):
     """Layer 3 (L, R) of branches, single or stacked, from the unsplit
     series admittance y."""
-    s_L, _ = layer3(s, _dy_dL(y, lam, omega0))
-    s_R, _ = layer3(s, _dy_dR(y))
-    return s_L, s_R
+    return layer3(s, _dy_dL(y, lam, omega0)), layer3(s, _dy_dR(y))
 
 
 def _shunt_value_derivative(kind: str, value, y: np.ndarray, lam: complex,
@@ -572,12 +515,12 @@ def mode_layers(net: NetworkDescription, modes: Sequence[ModeRecord]) -> Iterato
         s, y = _mode_stack(table, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
-        l1 = layer1_cauchy(s, y, 1.0)
+        l1 = layer1_cauchy(s, y)
         l3 = np.zeros(l2.shape + (2,), dtype=complex)
         l3[:, br, 0], l3[:, br, 1] = _direct_layer3(s[:, br], y[:, br], lam, w0)
         for kind, (at, value) in table.shunts.items():
             dy = _shunt_value_derivative(kind, value, y[:, at], lam, w0)
-            l3[:, at, 0], _ = layer3(s[:, at], dy)
+            l3[:, at, 0] = layer3(s[:, at], dy)
         l1e = enhanced_layer1(l2.real, l2.imag)
         for m in range(len(chunk)):
             yield ModeLayers(layer1_cauchy=l1[m], layer2=l2[m], layer1_enhanced=l1e[m],
@@ -863,38 +806,30 @@ class _ResolvedSweep:
 
 class _OracleSweep:
     """How a sweep gets its modes on the oracle route, with the interface of
-    :class:`_ResolvedSweep`. The first network's modes come from its
-    eigendecomposition, filtered as in :func:`solve_modes`. Every later
-    network differs in the swept branch alone: its rows are written into
-    working copies of A and B, whose eigenvalues come without eigenvectors."""
+    :class:`_ResolvedSweep`. The network is assembled once, into working
+    copies of A and B; every later network differs in the swept branch
+    alone, whose rows are written into them. Each network's modes are the
+    eigenvalues of A without eigenvectors, filtered as in
+    :func:`solve_modes`."""
 
     def __init__(self, net: NetworkDescription, branch_index: int, band):
         self.system = mass_oracle.Interconnection(net)
         self.ref = ("branch", branch_index)
         self.band = band
-        self.A = self.B = self.lams = self.index = None
+        self.A, self.B = self.system.model.A.copy(), self.system.model.B.copy()
 
     def modes(self, net: NetworkDescription) -> np.ndarray:
-        self.at_start = self.A is None
-        if self.at_start:
-            lam = self.system.eig.eigenvalues
-            self.A, self.B = self.system.model.A.copy(), self.system.model.B.copy()
-        else:
+        if net is not self.system.net:
             rows, A_rows, B_rows = self.system.element_rows(self.ref, net.branches[self.ref[1]])
             self.A[rows], self.B[rows] = A_rows, B_rows
-            lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
-        self.index = _in_band(lam, self.band)
-        self.lams = lam[self.index]
+        lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
+        self.lams = lam[_in_band(lam, self.band)]
         return self.lams
 
     def residue(self, k: int) -> np.ndarray:
-        """The impedance residue C x y_h B of mode k, its eigenvectors taken
-        from the eigenbasis at the first network and from one LU after."""
-        if self.at_start:
-            i = self.index[k]
-            x, y_h = self.system.eig.right[:, i], self.system.eig.left[i, :]
-        else:
-            x, y_h = mass_oracle.eigenvector_pair(self.A, self.lams[k])
+        """The impedance residue C x y_h B of mode k, its eigenvectors from
+        one LU near it."""
+        x, y_h = mass_oracle.eigenvector_pair(self.A, self.lams[k])
         return np.outer(self.system.model.C @ x, y_h @ self.B)
 
 
@@ -919,12 +854,12 @@ def parameter_sweep(
     the previous step (TrackingError beyond it).
 
     On the oracle route (as in :func:`solve_modes`) the network is
-    assembled and eigendecomposed once. Each step writes the swept branch's
-    rows into working copies of A and B, takes their eigenvalues alone, and
-    the tracked mode's residue from one LU; from the first step on, the
-    conditioning check (DefectiveMatrixError beyond 1e12) covers the tracked
-    eigenvalue, not the whole eigenbasis. Otherwise every step re-solves
-    all modes through :func:`solve_modes`.
+    assembled once and never eigendecomposed. Each step, the first
+    included, writes the swept branch's rows into working copies of A and
+    B, takes their eigenvalues alone, and the tracked mode's residue from
+    one LU; the conditioning check (DefectiveMatrixError beyond 1e12)
+    covers the tracked eigenvalue at every step. Otherwise every step
+    re-solves all modes through :func:`solve_modes`.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")

@@ -750,24 +750,14 @@ def resolvent_residue(A: np.ndarray, lam: complex) -> np.ndarray:
     return np.outer(eig.right[:, i], eig.left[i, :])
 
 
-def parameter_sensitivity_ss(
-    eig: EigenStructure,
-    i: int,
-    dA_drho: np.ndarray,
-    delta_rho: float | None = None,
-):
-    """First-order eigenvalue sensitivity to a scalar parameter of A.
-
-    Returns ``(dlambda/drho, dlambda)`` where the second entry is the
-    predicted shift for ``delta_rho`` (None when no step is given). The value
-    is tr((phi_i psi_i) . dA/drho), the sign fixed so central finite
-    differences over rho agree.
-    """
+def parameter_sensitivity_ss(eig: EigenStructure, i: int, dA_drho: np.ndarray) -> complex:
+    """First-order eigenvalue sensitivity dlambda/drho to a scalar parameter
+    of A: tr((phi_i psi_i) . dA/drho), the sign fixed so central finite
+    differences over rho agree."""
     dA = np.asarray(dA_drho)
     n = eig.n
     if dA.shape != (n, n):
         raise OracleError(f"dA/drho has shape {dA.shape}, expected {(n, n)}")
     # |lambda|_max lower-bounds every operator norm of A and stands in for it
     _require_simple(eig, i, float(np.max(np.abs(eig.eigenvalues))))
-    sens = complex(eig.left[i, :] @ dA @ eig.right[:, i])
-    return sens, (sens * delta_rho if delta_rho is not None else None)
+    return complex(eig.left[i, :] @ dA @ eig.right[:, i])

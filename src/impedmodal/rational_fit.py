@@ -21,7 +21,6 @@ __all__ = [
     "FitError",
     "ConditioningError",
     "RefinementError",
-    "DuplicateModeError",
     "ResidueError",
     "RationalModel",
     "CriticalMode",
@@ -73,15 +72,6 @@ class ConditioningError(FitError):
 
 class RefinementError(Exception):
     """Newton mode refinement diverged or stalled."""
-
-
-class DuplicateModeError(RefinementError):
-    """A seed converged onto an already-known mode."""
-
-    def __init__(self, mode: complex, known: complex):
-        super().__init__(f"seed converged to {mode}, duplicating known mode {known}")
-        self.mode = mode
-        self.known = known
 
 
 class ResidueError(Exception):
@@ -339,7 +329,6 @@ def vector_fit(
     order: int,
     n_iterations: int = 10,
     poles: Optional[np.ndarray] = None,
-    enforce_stable: bool = False,
 ) -> RationalModel:
     """Fit a common-pole rational model to a sampled matrix response.
 
@@ -364,9 +353,6 @@ def vector_fit(
     iterations_run = 0
     for it in range(n_iterations):
         new_poles = _relocate_poles(s, F, poles)
-        if enforce_stable:
-            flip = new_poles.real > 0
-            new_poles = np.where(flip, new_poles - 2 * new_poles.real, new_poles)
         old_sorted = np.sort_complex(poles)
         drift = float(np.max(np.abs(np.sort_complex(new_poles) - old_sorted)
                              / (1.0 + np.abs(old_sorted))))
@@ -492,24 +478,16 @@ def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Se
     return outcomes
 
 
-def refine_mode(
-    Yfun: Callable[[complex], np.ndarray],
-    seed: complex,
-    known_modes: Iterable[complex] = (),
-) -> complex:
+def refine_mode(Yfun: Callable[[complex], np.ndarray], seed: complex) -> complex:
     """Newton-refine a zero of det Y(s) from one seed: the one-seed case of
     :func:`refine_modes`, with ``Yfun`` called point by point.
 
-    Raises what the refinement ended in (RefinementError on divergence, or
-    what ``Yfun`` raised) and DuplicateModeError when landing within the
-    merge tolerance of a known mode.
+    Raises what the refinement ended in: RefinementError on divergence, or
+    what ``Yfun`` raised.
     """
     (lam,) = refine_modes(_pointwise(Yfun), [seed])
     if isinstance(lam, Exception):
         raise lam
-    for known in known_modes:
-        if abs(lam - known) <= MERGE_TOL * (1.0 + abs(lam)):
-            raise DuplicateModeError(lam, known)
     return lam
 
 
@@ -620,7 +598,7 @@ def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence
     u v^T / (v^T Y'(lam) u), O(dim) per mode: u and v the right and left
     null vectors of Y(lam) (one inverse-iteration solve each, with Y
     and Y^T against a fixed-seed real vector; the SVD where Y(lam) is exactly
-    singular) and Y' the fourth-order central difference at h = 1e-5 (1 +
+    singular) and Y' the fourth-order central difference at h = 1e-6 (1 +
     |lam|). ``Yfun(s)`` evaluates Y over a 1-D array of points: all five of
     every mode in one call, or ``_BATCH_BYTES`` of Y at a time when ``dim``
     is given. Works for any evaluable system, fitted or analytic.
@@ -630,7 +608,7 @@ def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence
     residues = []
     for k in range(0, lams.size, batch):
         lam = lams[k:k + batch]
-        h = 1e-5 * (1.0 + np.abs(lam))
+        h = 1e-6 * (1.0 + np.abs(lam))
         Y = np.asarray(Yfun((lam + np.outer([0, 1, -1, 2, -2], h)).ravel()), dtype=complex)
         Y = Y.reshape(5, lam.size, *Y.shape[1:])
         dY = (8.0 * (Y[1] - Y[2]) - (Y[3] - Y[4])) / (12.0 * h)[:, None, None]

@@ -20,7 +20,7 @@ from impedmodal.mai_core import (
     Location,
     admittance_sensitivity,
     branch_parameter_sensitivity,
-    element_sensitivity,
+    element_location,
     enhanced_layer1,
     layer1_cauchy,
     parameter_sweep,
@@ -149,7 +149,7 @@ def test_criterion_06_transformer_ratio_enhancement(three_bus_net):
     z = dq_series_impedance(b.R, b.L, three_bus_net.omega0, lam)
     y = np.linalg.inv(z)
     dz_dL = np.array([[lam, -three_bus_net.omega0], [three_bus_net.omega0, lam]])
-    s_unc = predict_mode_shift(plain.s_factor, -y @ dz_dL @ y)
+    s_unc = predict_mode_shift(plain, -y @ dz_dL @ y)
 
     perturbed = three_bus_net.with_branch(bidx, L=b.L * 1.05)
     eig = eigendecompose(interconnect(perturbed).A)
@@ -194,10 +194,10 @@ def test_criterion_08_cauchy_dominance(three_bus_net):
     ok = True
     for ref in network_elements(three_bus_net):
         for mode in records:
-            rec = element_sensitivity(three_bus_net, ref, mode.residue)
+            s = admittance_sensitivity(mode.residue, element_location(three_bus_net, ref))
             y = element_admittance(three_bus_net, ref, mode.lam)
-            bound = layer1_cauchy(rec.s_factor, y, eps)
-            inner = abs(predict_mode_shift(rec.s_factor, eps * y))
+            bound = eps * layer1_cauchy(s, y)
+            inner = abs(predict_mode_shift(s, eps * y))
             if bound < inner - 1e-14:
                 ok = False
             if inner > 0:

@@ -1,5 +1,5 @@
 """Hardening checks: frame rotation with non-commuting apparatus blocks,
-stability enforcement, degenerate model warnings and shunt derivatives."""
+unstable-pole fitting, degenerate model warnings and shunt derivatives."""
 
 import numpy as np
 import pytest
@@ -80,16 +80,11 @@ def test_asymmetric_apparatus_modes_and_predictions():
     assert v.error <= 1e-2
 
 
-def test_enforce_stable_flips_unstable_poles():
-    # response of a mildly unstable pair: fitting with stability enforcement
-    # must return only left-half-plane poles
+def test_vector_fit_recovers_unstable_poles():
+    # response of a mildly unstable pair: the fit keeps the true unstable pole
     p = complex(2.0, 120.0)
     w = np.geomspace(1.0, 1e3, 160)
     vals = (1.0 / (1j * w - p) + 1.0 / (1j * w - np.conj(p))).reshape(-1, 1, 1)
-    model = vector_fit(SampledResponse(frequencies=w, blocks=vals), order=2,
-                       n_iterations=10, enforce_stable=True)
-    assert np.all(model.poles.real <= 0)
-    # without enforcement the true unstable pole is recovered
     free = vector_fit(SampledResponse(frequencies=w, blocks=vals), order=2, n_iterations=10)
     assert min(abs(q - p) for q in free.poles) <= 1e-6 * abs(p)
 

@@ -38,7 +38,6 @@ from impedmodal.mai_core import (
     branch_parameter_sensitivity,
     element_layer_report,
     element_location,
-    element_sensitivity,
     enhanced_layer1,
     frobenius_inner,
     layer1_cauchy,
@@ -53,7 +52,6 @@ from impedmodal.mai_core import (
     split_node_residues,
     split_parameter_derivatives,
     track_mode,
-    transformer_admittance_sensitivity,
     validate_element_prediction,
     validate_prediction,
 )
@@ -211,15 +209,8 @@ def test_a_fitted_surrogate_is_not_oracle_capable():
 
 
 def test_zero_residue_zero_sensitivity():
-    rec = admittance_sensitivity(np.zeros((6, 6), dtype=complex), Location("node", 2))
-    assert np.allclose(rec.dlambda_dy, 0.0)
-    assert np.allclose(rec.s_factor, 0.0)
-
-
-def test_sensitivity_factor_is_conjugate_transpose(three_bus_modes):
-    res = three_bus_modes[0].residue
-    rec = admittance_sensitivity(res, Location("branch", 1, 2))
-    assert np.array_equal(rec.s_factor, rec.dlambda_dy.conj().T)
+    s = admittance_sensitivity(np.zeros((6, 6), dtype=complex), Location("node", 2))
+    assert np.allclose(s, 0.0)
 
 
 def test_branch_to_ground_degenerates_to_node():
@@ -227,19 +218,19 @@ def test_branch_to_ground_degenerates_to_node():
     res = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     node = admittance_sensitivity(res, Location("node", 1))
     grounded = admittance_sensitivity(res, Location("branch", 1, 0))
-    assert np.array_equal(node.dlambda_dy, grounded.dlambda_dy)
+    assert np.array_equal(node, grounded)
 
 
 def test_transformer_unit_ratio_equals_branch(three_bus_modes):
     res = three_bus_modes[1].residue
     plain = admittance_sensitivity(res, Location("branch", 2, 3))
-    corrected = transformer_admittance_sensitivity(res, 2, 3, 1.0)
-    assert np.array_equal(plain.dlambda_dy, corrected.dlambda_dy)
+    corrected = admittance_sensitivity(res, Location("transformer", 2, 3, 1.0))
+    assert np.array_equal(plain, corrected)
 
 
 def test_transformer_zero_ratio_rejected():
     with pytest.raises(AnalysisError):
-        transformer_admittance_sensitivity(np.zeros((4, 4)), 1, 2, 0.0)
+        admittance_sensitivity(np.zeros((4, 4)), Location("transformer", 1, 2, 0.0))
 
 
 def test_predict_mode_shift_arithmetic():
@@ -301,8 +292,8 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
 
 def _predicted_shift(net, ref, mode, eps):
     """First-order shift of ``mode`` for a (1 + eps) scaling of ``ref``."""
-    rec = element_sensitivity(net, ref, mode.residue)
-    return predict_mode_shift(rec.s_factor, eps * element_admittance(net, ref, mode.lam))
+    s = admittance_sensitivity(mode.residue, element_location(net, ref))
+    return predict_mode_shift(s, eps * element_admittance(net, ref, mode.lam))
 
 
 def _fallback_resolve(A, anchor, gap):
@@ -734,7 +725,7 @@ def test_layer2_zero_admittance():
 
 
 def test_layer1_cauchy_zero_admittance():
-    assert layer1_cauchy(np.eye(2), np.zeros((2, 2)), 0.05) == 0.0
+    assert layer1_cauchy(np.eye(2), np.zeros((2, 2))) == 0.0
 
 
 def test_layer1_cauchy_bounds_inner_product():
@@ -743,19 +734,17 @@ def test_layer1_cauchy_bounds_inner_product():
         s = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         eps = float(rng.uniform(0.001, 0.2))
-        assert layer1_cauchy(s, y, eps) >= abs(predict_mode_shift(s, eps * y)) - 1e-14
+        assert eps * layer1_cauchy(s, y) >= abs(predict_mode_shift(s, eps * y)) - 1e-14
 
 
 def test_enhanced_layer1_values():
     assert abs(enhanced_layer1(-0.047, 0.004) - 0.047) <= 1e-3
     assert abs(enhanced_layer1(0.291, -1.262) - 1.295) <= 1e-3
     assert enhanced_layer1(0.0, 0.0) == 0.0
-    assert np.isclose(enhanced_layer1(complex(3.0, 4.0)), 5.0)
 
 
 def test_layer3_zero_derivative():
-    s_rho, shift = layer3(np.eye(2), np.zeros((2, 2)), delta_rho=0.1)
-    assert s_rho == 0.0 and shift == 0.0
+    assert layer3(np.eye(2), np.zeros((2, 2))) == 0.0
 
 
 def test_layer2_damping_sign_on_resolve(rc_bus_net):
@@ -763,9 +752,9 @@ def test_layer2_damping_sign_on_resolve(rc_bus_net):
     records = solve_modes(rc_bus_net, method="state_space")
     mode = records[0]
     ref = ("shunt", 0)  # the resistive shunt
-    rec = element_sensitivity(rc_bus_net, ref, mode.residue)
+    s = admittance_sensitivity(mode.residue, element_location(rc_bus_net, ref))
     y = element_admittance(rc_bus_net, ref, mode.lam)
-    sigma2 = layer2(rec.s_factor, y).real
+    sigma2 = layer2(s, y).real
     eps = 1e-3
     perturbed = _scaled_net(rc_bus_net, ref, 1.0 + eps)
     eig = mass_oracle.eigendecompose(mass_oracle.interconnect(perturbed).A)
@@ -902,8 +891,7 @@ def test_split_node_open_branch_limit(two_bus_net):
     b = two_bus_net.branches[0]
     split = split_branch(b.R, b.L, two_bus_net.omega0, s)
     z2 = 1e8 * np.eye(2)
-    y = np.linalg.inv(split.z1 + z2)
-    blocks = split_node_impedances(Z, 1, 2, split.z1, z2, y)
+    blocks = split_node_impedances(Z, 1, 2, split.z1, z2)
     assert np.allclose(blocks.Z_fi(1), Z[block_slice(1), block_slice(1)], atol=1e-6)
     assert np.allclose(blocks.Z_fi(2), Z[block_slice(1), block_slice(2)], atol=1e-6)
 
@@ -1021,7 +1009,7 @@ def test_low_loss_line_layer3_matches_state_space(three_bus_net):
         row = element_layer_report(net, ("branch", 0), mode).layer3[0]
         layer3 = dict(zip(mai_core.LAYER3_PARAMS["branch"], row))
         for param in ("L", "R"):
-            want, _ = mass_oracle.parameter_sensitivity_ss(eig, i, dA[param])
+            want = mass_oracle.parameter_sensitivity_ss(eig, i, dA[param])
             assert abs(layer3[param] - want) <= 1e-10 * abs(want), (mode.lam, param)
 
 
@@ -1036,7 +1024,7 @@ def _reference_layers(net, ref, mode):
     the unsplit derivative (transformers, R = 0 lines) and closed-form shunt
     derivatives."""
     res, lam = mode.residue, mode.lam
-    s = admittance_sensitivity(res, element_location(net, ref)).s_factor
+    s = admittance_sensitivity(res, element_location(net, ref))
     y = element_admittance(net, ref, lam)
     l2 = frobenius_inner(s, y)
     out = {"layer1_cauchy": np.linalg.norm(s) * np.linalg.norm(y), "layer2": l2,
@@ -1190,7 +1178,7 @@ def test_mass_mai_equivalence_branch_R_L(three_bus_net, three_bus_modes):
             Ap = mass_oracle.interconnect(three_bus_net.with_branch(0, **{param: rho + h})).A
             Am = mass_oracle.interconnect(three_bus_net.with_branch(0, **{param: rho - h})).A
             dA = (Ap - Am) / (2 * h)
-            sens_ss, _ = mass_oracle.parameter_sensitivity_ss(eig, i, dA)
+            sens_ss = mass_oracle.parameter_sensitivity_ss(eig, i, dA)
             sens_mai = branch_parameter_sensitivity(
                 three_bus_net, 0, mode.residue, mode.lam, param
             )
@@ -1377,6 +1365,8 @@ def test_sweep_rows_equal_a_rebuilt_network(case, branch_index, param, factor, r
 
 
 def test_oracle_sweep_assembles_and_decomposes_once(monkeypatch):
+    """An oracle sweep assembles the network once and decomposes it never:
+    every step, the first included, takes eigenvalues alone."""
     counts = {"assemble": 0, "eigendecompose": 0}
     init, eigendecompose = mass_oracle.Interconnection.__init__, mass_oracle.eigendecompose
 
@@ -1392,7 +1382,7 @@ def test_oracle_sweep_assembles_and_decomposes_once(monkeypatch):
     monkeypatch.setattr(mass_oracle, "eigendecompose", counting_eigendecompose)
     steps = parameter_sweep(_rl_ring(10, 9, "state_space"), 0, "L", 1.02, 10)
     assert len(steps) == 10
-    assert counts == {"assemble": 1, "eigendecompose": 1}
+    assert counts == {"assemble": 1, "eigendecompose": 0}
 
 
 def test_impedance_route_sweep_follows_the_oracle_sweep_of_its_twin():
@@ -1423,11 +1413,9 @@ def test_prediction_equals_trace_form(three_bus_modes):
     """<s, dy> with s = (dl/dy)^H reproduces tr((dl/dy) dy)."""
     rng = np.random.default_rng(31)
     res = three_bus_modes[0].residue
-    rec = admittance_sensitivity(res, Location("branch", 1, 2))
+    s = admittance_sensitivity(res, Location("branch", 1, 2))
     dy = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.isclose(
-        predict_mode_shift(rec.s_factor, dy), np.trace(rec.dlambda_dy @ dy)
-    )
+    assert np.isclose(predict_mode_shift(s, dy), np.trace(s.conj().T @ dy))
 
 
 # ---------------------------------------------------------------------------
@@ -1483,6 +1471,22 @@ def _rl_ring(n_buses, seed, apparatus):
     doc = {"n_buses": n_buses, "omega0": W0, "branches": branches, "shunts": shunts,
            "apparatus": apps}
     return network_model.parse_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_impedance_residues_match_the_state_space_twin(seed):
+    """Residues from Y around the modes of a 20-bus rational ring equal
+    those of its state-space twin, relative Frobenius error within 2e-6 in
+    the cluster at Im lambda = w0 (modes 0.1 apart, where a wide stencil
+    step reaches the neighbours) and within 1e-8 elsewhere."""
+    twin = solve_modes(_rl_ring(20, seed, "state_space"), band=BAND)
+    model = WholeSystemModel(_rl_ring(20, seed, "rational"))
+    got = rational_fit.admittance_residues(model.admittance, [r.lam for r in twin], model.dim)
+    assert any(abs(r.lam.imag - W0) < 1.0 for r in twin)
+    for rec, (u, v, denom) in zip(twin, got):
+        want = rec.residue
+        err = np.linalg.norm(np.outer(u, v) / denom - want) / np.linalg.norm(want)
+        assert err <= (2e-6 if abs(rec.lam.imag - W0) < 1.0 else 1e-8), (rec.lam, err)
 
 
 def test_impedance_path_recalls_every_mode_of_a_20_bus_ring():

@@ -202,6 +202,23 @@ def test_validate_isolated_bus():
     assert any(v.code == "isolated_bus" and "bus 2" in v.message for v in validate(net))
 
 
+def test_validate_names_ten_isolated_buses_and_counts_the_rest():
+    """The isolated-bus check costs O(elements), not O(n_buses): a document
+    claiming 200000 buses with one line gets ten named violations and one
+    count, in a short message."""
+    doc = {"n_buses": 200000, "omega0": 314.0,
+           "branches": [{"kind": "line", "from": 1, "to": 3, "R": 0.1, "L": 0.01}]}
+    with pytest.raises(NetworkValidationError) as info:
+        parse_network(json.dumps(doc))
+    violations = info.value.violations
+    assert len(violations) <= 11
+    assert all(v.code == "isolated_bus" for v in violations)
+    assert len(str(info.value)) < 2048
+    assert [v.message.split()[1] for v in violations[:10]] == [
+        "2", "4", "5", "6", "7", "8", "9", "10", "11", "12"]
+    assert violations[10].message.startswith(f"{200000 - 12} more")
+
+
 def test_validate_theta_range():
     app = ApparatusAttachment(
         bus=1,

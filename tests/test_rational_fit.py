@@ -13,7 +13,6 @@ from impedmodal.network_model import (
     write_response_csv,
 )
 from impedmodal.rational_fit import (
-    DuplicateModeError,
     FitError,
     RationalModel,
     RefinementError,
@@ -284,12 +283,6 @@ def test_refine_mode_divergence():
     flat = lambda s: np.diag([2.0 + 0.0j, 3.0 + 0.0j])
     with pytest.raises(RefinementError):
         refine_mode(flat, seed=0.0 + 0.0j)
-
-
-def test_refine_mode_duplicate_detection(rc_bus_net):
-    model = WholeSystemModel(rc_bus_net)
-    with pytest.raises(DuplicateModeError):
-        refine_mode(model.admittance, seed=-8.0 + 300.0j, known_modes=[RC_MODE])
 
 
 def test_refine_modes_gives_each_seed_its_bits_alone_in_bounded_batches(two_bus_net,
