@@ -8,9 +8,9 @@ The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
 the whole-system impedance is Z(s) = Y(s)^{-1}. A network's
 :class:`StampTable` evaluates every element once per call, in one stacked
-pass, and adds the elements' bus blocks into Y from one table; the
-overlays that scale one element per point take its blocks from the same
-stack.
+pass, and adds the elements' bus blocks into Y from one table; an
+overlay that scales one element per point scales it in that stack before
+the one stamp.
 
 Every evaluator takes a scalar s or a 1-D array of M values of s (a
 frequency grid); an array gives the matrices stacked as (M, ..., ...), each
@@ -424,27 +424,16 @@ class StampTable:
             raise
         return y
 
-    def stamp(self, y: np.ndarray, elements=None, factor: float = 1.0) -> np.ndarray:
+    def stamp(self, y: np.ndarray) -> np.ndarray:
         """Y from the element stack ``y`` of :meth:`evaluate`: every block of
         the table added into a zero 2n x 2n matrix in table order, in one
-        ``np.add.at``. With ``elements`` (an element position per point of
-        s) and ``factor``, (factor - 1) times the blocks of element
-        ``elements[m]`` are then added at point m."""
+        ``np.add.at``."""
         nb, dim = self.n_branches, 2 * self.net.n_buses
         branch = np.stack(transformer_stamp(y[..., :nb, :, :], self.ratio[:nb, None, None]),
                           axis=-3).reshape(y.shape[:-3] + (4 * nb, 2, 2))
         blocks = np.concatenate([branch, y[..., nb:, :, :]], axis=-3)
-        entries = blocks.reshape(y.shape[:-3] + (-1,))
         Y = np.zeros(y.shape[:-3] + (dim, dim), dtype=complex)
-        np.add.at(Y, (Ellipsis, self._rows, self._cols), entries)
-        if factor != 1.0:  # a branch's 16 entries start at 16 e, any other's 4 at 12 nb + 4 e
-            el = np.reshape(elements, -1)
-            n = np.where(el < nb, 16, 4)
-            at = np.repeat(np.arange(el.size), n)
-            ent = np.repeat(np.where(el < nb, 16 * el, 12 * nb + 4 * el) - np.cumsum(n) + n, n)
-            ent += np.arange(n.sum())
-            np.add.at(Y.reshape(-1, dim, dim), (at, self._rows[ent], self._cols[ent]),
-                      (factor - 1.0) * entries.reshape(el.size, -1)[at, ent])
+        np.add.at(Y, (Ellipsis, self._rows, self._cols), blocks.reshape(y.shape[:-3] + (-1,)))
         return Y
 
 
@@ -484,10 +473,10 @@ class WholeSystemModel:
 class PerturbedModel(WholeSystemModel):
     """Whole-system model with one element's admittance scaled by a factor.
 
-    ``Y'(s) = Y(s) + (factor - 1) * (the element's blocks at s)``; the
-    scaling is uniform over s, so it corresponds to a physical parameter
-    scaling of the element (conductance/capacitance up, or series impedance
-    down).
+    Y'(s) is stamped with the element's admittance y(s) replaced by
+    ``factor * y(s)``; the scaling is uniform over s, so it corresponds to
+    a physical parameter scaling of the element (conductance/capacitance
+    up, or series impedance down).
     """
 
     def __init__(self, net, element: ElementRef, factor: float):
@@ -502,11 +491,14 @@ class PerturbedModel(WholeSystemModel):
 
 def overlay_admittance(model: WholeSystemModel, refs, factor: float, s, rows) -> np.ndarray:
     """Y at each point ``s[m]`` with element ``refs[rows[m]]`` scaled by
-    ``factor``, stacked (M, 2n, 2n): one evaluation of every element of
-    ``model``'s network over all the points, one stamp of its table, and
-    each point's element's blocks scaled from the same stack. Point m
-    equals ``PerturbedModel(model.net, refs[rows[m]], factor).admittance(s[m])``
-    bit for bit."""
+    ``factor``, stacked (M, 2n, 2n) (one matrix at a scalar s): one
+    evaluation of every element of ``model``'s network over all the points,
+    point m's element scaled by ``factor`` in that stack, and one stamp of
+    the table. Point m equals ``PerturbedModel(model.net, refs[rows[m]],
+    factor).admittance(s[m])`` bit for bit."""
     table = model.table
     positions = np.array([table.index[tuple(ref)] for ref in refs], dtype=int)
-    return table.stamp(table.evaluate(s), positions[np.asarray(rows)], factor)
+    y = table.evaluate(s)
+    at = positions[np.asarray(rows)]  # point m's element, shaped like s
+    y[(*np.indices(at.shape), at)] *= factor
+    return table.stamp(y)

@@ -458,9 +458,10 @@ def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
     every mode, stacked (M, N, 2, 2) in ``table`` order: what the layers
     and the predicted shifts are formed from. Each element's four residue
     bus blocks are gathered from its mode's residue factors, entry by entry
-    the dense residue's product (and division), ground's blocks zero: O(N)
-    per mode. y is one :meth:`admittance_assembly.StampTable.evaluate` over
-    all the modes. Where some element cannot be evaluated, raises what
+    the dense residue's product, divided by every mode's ``denom`` (1 where
+    there is none) in one operation, ground's blocks zero: O(N) per mode.
+    y is one :meth:`admittance_assembly.StampTable.evaluate` over all the
+    modes. Where some element cannot be evaluated, raises what
     :func:`admittance_assembly.element_admittance` raises at the first such
     mode alone, for the first such element."""
     lam = np.array([mode.lam for mode in modes], dtype=complex)
@@ -477,9 +478,8 @@ def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
     left = np.array([mode.left for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
     right = np.array([mode.right for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
     blocks = left[:, rows - 1, :, None] * right[:, cols - 1, None, :]  # (M, 4, N, 2, 2)
-    for m, mode in enumerate(modes):
-        if mode.denom is not None:
-            blocks[m] /= mode.denom
+    blocks /= np.array([1.0 if mode.denom is None else mode.denom
+                        for mode in modes])[:, None, None, None, None]
     blocks[:, (rows == 0) | (cols == 0)] = 0
     return _conj_t(_ratio_sensitivity(*blocks.swapaxes(0, 1), table.ratio[:, None, None])), y
 
@@ -563,13 +563,12 @@ def _in_band(eigenvalues: np.ndarray, band) -> np.ndarray:
 
 def _solve_modes_state_space(system: mass_oracle.Interconnection, band):
     eig = system.eig
-    # cast once: a real C @ complex x casts C at every call (the same bits)
-    C, B = (m.astype(complex) for m in (system.model.C, system.model.B))
-    return [
-        ModeRecord(lam=complex(eig.eigenvalues[i]), left=C @ eig.right[:, i],
-                   right=eig.left[i, :] @ B, provenance="state-space")
-        for i in _in_band(eig.eigenvalues, band)
-    ]
+    idx = _in_band(eig.eigenvalues, band)
+    # every mode's factors in two products, C X and Psi B over the modes' eigenvectors
+    left = (system.model.C @ eig.right[:, idx]).T.copy()
+    right = eig.left[idx, :] @ system.model.B
+    return [ModeRecord(lam=complex(eig.eigenvalues[i]), left=left[m], right=right[m],
+                       provenance="state-space") for m, i in enumerate(idx)]
 
 
 def _solve_modes_impedance(model, band):

@@ -132,7 +132,8 @@ class Interconnection:
 
     Every state row belongs to one block: a bus voltage, a branch current,
     an inductive-shunt current or an apparatus's states; ``state_names``
-    names each row. ``model`` is what :func:`interconnect` returns, and
+    names each row, and each block's row slice is recorded once, when the
+    states are numbered. ``model`` is what :func:`interconnect` returns, and
     raises what it raises.
     :meth:`element_rows` gives the rows of A and B that replacing one
     element changes, from the same block formulas, so the changed network
@@ -157,26 +158,27 @@ class Interconnection:
         self._rot = [frame_rotation(app.theta) for app in net.apparatus]
         totals = {bus: self._bus_totals(bus) for bus in range(1, n + 1)}
 
-        # --- state indexing: the first row of each block ------------------
+        # --- state indexing: the rows of each block ------------------------
         state_names: list[str] = []
-        self._start: dict[tuple[str, int], int] = {}
+        self._slices: dict[tuple[str, int], slice] = {}
+
+        def number(block: tuple[str, int], names: list[str]) -> None:
+            if names:
+                self._slices[block] = slice(len(state_names), len(state_names) + len(names))
+                state_names.extend(names)
+
         for bus in range(1, n + 1):
             if totals[bus][0] > 0:
-                self._start[("bus", bus)] = len(state_names)
-                state_names += [f"bus{bus}.vd", f"bus{bus}.vq"]
+                number(("bus", bus), [f"bus{bus}.vd", f"bus{bus}.vq"])
         for bi, b in enumerate(net.branches):
-            self._start[("branch", bi)] = len(state_names)
-            state_names += [f"branch{bi}:{b.from_bus}-{b.to_bus}.id",
-                            f"branch{bi}:{b.from_bus}-{b.to_bus}.iq"]
+            number(("branch", bi), [f"branch{bi}:{b.from_bus}-{b.to_bus}.id",
+                                    f"branch{bi}:{b.from_bus}-{b.to_bus}.iq"])
         for si, sh in enumerate(net.shunts):
             if sh.kind == "inductive":
-                self._start[("shunt", si)] = len(state_names)
-                state_names += [f"shunt{si}:bus{sh.bus}.id", f"shunt{si}:bus{sh.bus}.iq"]
+                number(("shunt", si), [f"shunt{si}:bus{sh.bus}.id", f"shunt{si}:bus{sh.bus}.iq"])
         for ai, app in enumerate(net.apparatus):
-            if app.model.n_states:
-                self._start[("apparatus", ai)] = len(state_names)
-            state_names += [f"apparatus{ai}:bus{app.bus}.x{k}"
-                            for k in range(app.model.n_states)]
+            number(("apparatus", ai), [f"apparatus{ai}:bus{app.bus}.x{k}"
+                                       for k in range(app.model.n_states)])
         self._nx = nx = len(state_names)
         self._nu = nu = 2 * n
 
@@ -184,11 +186,11 @@ class Interconnection:
         # reading each bus's voltage V = P x + Q u -------------------------
         drawn = np.zeros((nu, nx))
         self._readers: dict[int, list[tuple[str, int]]] = {bus: [] for bus in range(1, n + 1)}
-        for block in self._start:
+        for block, cols in self._slices.items():
             kind, idx = block
             if kind == "bus":
                 continue
-            el, cols = self._element(block), self._rows(block)
+            el = self._element(block)
             if kind == "branch":
                 drawn[block_slice(el.from_bus), cols] += _I2 / el.ratio
                 drawn[block_slice(el.to_bus), cols] -= _I2
@@ -210,8 +212,7 @@ class Interconnection:
         # --- state equations, block by block ------------------------------
         A = np.zeros((nx, nx))
         B = np.zeros((nx, nu))
-        for block in self._start:
-            rows = self._rows(block)
+        for block, rows in self._slices.items():
             A[rows], B[rows] = self._block_rows(block, self._P, self._Q, totals)
 
         self.state_names = tuple(state_names)
@@ -238,11 +239,6 @@ class Interconnection:
         return {"branch": self.net.branches, "shunt": self.net.shunts,
                 "apparatus": self.net.apparatus}[kind][idx]
 
-    def _rows(self, block: tuple[str, int]) -> slice:
-        start = self._start[block]
-        size = self._element(block).model.n_states if block[0] == "apparatus" else 2
-        return slice(start, start + size)
-
     def _bus_totals(self, bus: int, ref=None, element=None) -> tuple[float, np.ndarray]:
         """(capacitance, static conductance) at ``bus``, with ``element``
         standing in for element ``ref`` when given."""
@@ -263,9 +259,8 @@ class Interconnection:
         capacitance, else eliminated through the static conductance G."""
         P = np.zeros((2, self._nx))
         Q = np.zeros((2, self._nu))
-        if ("bus", bus) in self._start:
-            start = self._start[("bus", bus)]
-            P[:, start:start + 2] = _I2
+        if ("bus", bus) in self._slices:
+            P[:, self._slices[("bus", bus)]] = _I2
             return P, Q
         if abs(np.linalg.det(G)) < 1e-12 * max(1.0, np.linalg.norm(G)) ** 2:
             raise UnsupportedForOracleError(
@@ -281,7 +276,7 @@ class Interconnection:
         """Rows of A and B of one block, from the bus voltage map (P, Q),
         the bus totals and ``element`` in place of the block's own."""
         kind, idx = block
-        rows = self._rows(block)
+        rows = self._slices[block]
         nr = rows.stop - rows.start
         A = np.zeros((nr, self._nx))
         B = np.zeros((nr, self._nu))
@@ -341,15 +336,15 @@ class Interconnection:
         else:
             bus = element.bus
             totals[bus] = self._bus_totals(bus, ref, element)
-            if ("bus", bus) in self._start:
+            if ("bus", bus) in self._slices:
                 blocks.append(("bus", bus))
             else:
                 P, Q = P.copy(), Q.copy()
                 P[block_slice(bus)], Q[block_slice(bus)] = self._voltage_map(bus, totals[bus][1])
                 blocks += self._readers[bus]
-            if ref in self._start and ref not in blocks:
+            if ref in self._slices and ref not in blocks:
                 blocks.append(ref)
-        parts = [(self._rows(block),
+        parts = [(self._slices[block],
                   self._block_rows(block, P, Q, totals, element if block == ref else None))
                  for block in blocks]
         rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in parts])

@@ -144,7 +144,8 @@ def initial_poles(omega_min: float, omega_max: float, order: int) -> np.ndarray:
 
 
 def _canonical_poles(poles: np.ndarray) -> np.ndarray:
-    """Order poles as [real..., (p, conj p)...] with positive-imag first.
+    """Order poles as [real..., (p, conj p)...]: the real poles first, each
+    with an imaginary part of exactly 0, then the pairs, Im p > 0 first.
 
     Relocated poles come from the eigenvalues of a real matrix, so complex
     ones arrive in exact conjugate pairs; any stray unpaired pole is demoted
@@ -164,37 +165,28 @@ def _canonical_poles(poles: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def _pair_index(poles: np.ndarray) -> np.ndarray:
-    """0 = real pole, 1 = first of conjugate pair, 2 = second."""
-    cidx = np.zeros(poles.size, dtype=int)
-    k = 0
-    while k < poles.size:
-        if abs(poles[k].imag) > 1e-12 * (1.0 + abs(poles[k])):
-            cidx[k] = 1
-            cidx[k + 1] = 2
-            k += 2
-        else:
-            k += 1
-    return cidx
+def _n_real(poles: np.ndarray) -> int:
+    """The number of real poles that lead a canonical pole set."""
+    return int(np.count_nonzero(poles.imag == 0))
 
 
-def _basis(s: np.ndarray, poles: np.ndarray, cidx: np.ndarray) -> np.ndarray:
-    """Real-coefficient partial-fraction basis, complex-valued (M, N)."""
-    M, N = s.size, poles.size
-    Dk = np.zeros((M, N), dtype=complex)
-    for k in range(N):
-        if cidx[k] == 0:
-            Dk[:, k] = 1.0 / (s - poles[k])
-        elif cidx[k] == 1:
-            Dk[:, k] = 1.0 / (s - poles[k]) + 1.0 / (s - np.conj(poles[k]))
-            Dk[:, k + 1] = 1j / (s - poles[k]) - 1j / (s - np.conj(poles[k]))
+def _basis(s: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """Real-coefficient partial-fraction basis of canonical poles,
+    complex-valued (M, N): 1/(s - p) for a real pole, then, per pair,
+    1/(s - p) + 1/(s - conj p) and j/(s - p) - j/(s - conj p)."""
+    r = _n_real(poles)
+    x, p = s[:, None], poles[None, r::2]
+    Dk = np.empty((s.size, poles.size), dtype=complex)
+    Dk[:, :r] = 1.0 / (x - poles[None, :r])
+    Dk[:, r::2] = 1.0 / (x - p) + 1.0 / (x - np.conj(p))
+    Dk[:, r + 1::2] = 1j / (x - p) - 1j / (x - np.conj(p))
     return Dk
 
 
-def _design_matrix(s: np.ndarray, poles: np.ndarray, cidx: np.ndarray) -> np.ndarray:
+def _design_matrix(s: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Basis columns of the rational model followed by the constant and
     linear terms, complex (M, N + 2)."""
-    return np.column_stack([_basis(s, poles, cidx), np.ones_like(s), s])
+    return np.column_stack([_basis(s, poles), np.ones_like(s), s])
 
 
 def _stack_real(A: np.ndarray) -> np.ndarray:
@@ -215,8 +207,8 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     """
     M, n_resp = F.shape
     N = poles.size
-    cidx = _pair_index(poles)
-    A_local = _design_matrix(s, poles, cidx)
+    r = _n_real(poles)
+    A_local = _design_matrix(s, poles)
     Dk = A_local[:, :N]
     Q1, _ = np.linalg.qr(_stack_real(A_local), mode="reduced")
 
@@ -247,21 +239,12 @@ def _relocate_poles(s: np.ndarray, F: np.ndarray, poles: np.ndarray) -> np.ndarr
     c_sigma = x / scale
 
     # companion of sigma in the real pair basis
-    H = np.zeros((N, N))
+    H = np.diag(poles.real)
+    pair = np.arange(r, N, 2)
+    H[pair, pair + 1] = poles[r::2].imag
+    H[pair + 1, pair] = -poles[r::2].imag
     bvec = np.zeros(N)
-    k = 0
-    while k < N:
-        if cidx[k] == 1:
-            sr, si = poles[k].real, poles[k].imag
-            H[k, k] = H[k + 1, k + 1] = sr
-            H[k, k + 1] = si
-            H[k + 1, k] = -si
-            bvec[k] = 2.0
-            k += 2
-        else:
-            H[k, k] = poles[k].real
-            bvec[k] = 1.0
-            k += 1
+    bvec[:r], bvec[r::2] = 1.0, 2.0
     H -= np.outer(bvec, c_sigma)
     return _canonical_poles(np.linalg.eigvals(H))
 
@@ -278,8 +261,8 @@ def fit_residues(samples: SampledResponse, poles: np.ndarray):
     dim = samples.dim
     M = s.size
     N = poles.size
-    cidx = _pair_index(poles)
-    Ac = _design_matrix(s, poles, cidx)
+    r = _n_real(poles)
+    Ac = _design_matrix(s, poles)
     A_r = _stack_real(Ac)
     scale = np.linalg.norm(A_r, axis=0)
     scale[scale == 0] = 1.0
@@ -296,15 +279,9 @@ def fit_residues(samples: SampledResponse, poles: np.ndarray):
     X = X / scale[:, None]
 
     residues = np.zeros((N, dim * dim), dtype=complex)
-    k = 0
-    while k < N:
-        if cidx[k] == 1:
-            residues[k] = X[k] + 1j * X[k + 1]
-            residues[k + 1] = X[k] - 1j * X[k + 1]
-            k += 2
-        else:
-            residues[k] = X[k]
-            k += 1
+    residues[:r] = X[:r]
+    residues[r:N:2] = X[r:N:2] + 1j * X[r + 1:N:2]
+    residues[r + 1:N:2] = X[r:N:2] - 1j * X[r + 1:N:2]
     const = X[N].astype(complex)
     linear = X[N + 1].astype(complex)
 
@@ -324,30 +301,26 @@ def fit_residues(samples: SampledResponse, poles: np.ndarray):
     )
 
 
-def vector_fit(
-    samples: SampledResponse,
-    order: int,
-    n_iterations: int = 10,
-    poles: Optional[np.ndarray] = None,
-) -> RationalModel:
+def vector_fit(samples: SampledResponse, order: int, n_iterations: int = 10) -> RationalModel:
     """Fit a common-pole rational model to a sampled matrix response.
 
-    Iterative pole relocation with a relaxed-free (unit) scaling constant,
-    followed by a linear residue solve for all matrix entries at once.
-    Complex poles/residues come out in exact conjugate pairs because the
-    solve runs in the real pair basis.
+    Iterative pole relocation from :func:`initial_poles` over the sampled
+    band, with a relaxed-free (unit) scaling constant, followed by a linear
+    residue solve for all matrix entries at once. Complex poles/residues
+    come out in exact conjugate pairs because the solve runs in the real
+    pair basis.
 
-    A model whose maximum relative deviation over the grid exceeds 1e-4, or whose poles were still moving at the last iteration,
-    carries a ``warning`` (underfit / non-convergence) instead of raising.
+    A model whose maximum relative deviation over the grid exceeds 1e-4, or
+    whose poles were still moving at the last iteration, carries a
+    ``warning`` (underfit / non-convergence) instead of raising.
     """
-    M = samples.frequencies.size
+    w = samples.frequencies
+    M = w.size
     if M < 2 * order:
         raise FitError(f"need at least {2 * order} samples for order {order}, got {M}")
-    s = 1j * samples.frequencies
+    s = 1j * w
     F = samples.blocks.reshape(M, samples.dim ** 2)
-    if poles is None:
-        poles = initial_poles(samples.frequencies[0], samples.frequencies[-1], order)
-    poles = _canonical_poles(np.asarray(poles, dtype=complex))
+    poles = _canonical_poles(initial_poles(w[0], w[-1], order))
 
     drift = np.inf
     iterations_run = 0

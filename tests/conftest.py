@@ -1,8 +1,11 @@
 """Shared fixtures: small benchmark networks with known modal structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from impedmodal import mass_oracle
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -20,6 +23,15 @@ def rl_load_apparatus(Ra: float, La: float, w0: float = W0) -> StateSpaceRealiza
     A = np.array([[-Ra / La, w0], [-w0, -Ra / La]])
     B = np.eye(2) / La
     return StateSpaceRealization(A=A, B=B, C=np.eye(2), D=np.zeros((2, 2)))
+
+
+def scaled_net(net: NetworkDescription, ref, factor: float) -> NetworkDescription:
+    """``net`` with element ``ref``'s admittance scaled by ``factor`` through
+    its physical parameters (:func:`mass_oracle.scaled_element`)."""
+    field = {"branch": "branches", "shunt": "shunts", "apparatus": "apparatus"}[ref[0]]
+    elements = list(getattr(net, field))
+    elements[ref[1]] = mass_oracle.scaled_element(net, ref, factor)
+    return replace(net, **{field: tuple(elements)})
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,7 @@ from impedmodal.network_model import (
 from impedmodal import admittance_assembly
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
-from conftest import W0, rl_load_apparatus, rl_shunt_admittance
+from conftest import W0, rl_load_apparatus, rl_shunt_admittance, scaled_net
 
 
 def _nodal(net: NetworkDescription, s) -> np.ndarray:
@@ -547,6 +547,23 @@ def test_overlay_admittance_equals_perturbed_model_at_each_point():
     overlay = overlay_admittance(WholeSystemModel(net), refs, 1.07, s_grid, rows)
     for s, row, Y in zip(s_grid, rows, overlay):
         assert np.array_equal(Y, PerturbedModel(net, refs[row], 1.07).admittance(s))
+
+
+def test_overlay_admittance_matches_the_rebuilt_scaled_network(three_bus_net):
+    """The overlay of each element, scaled by 1.05, is the Y of the network
+    rebuilt with that element's parameters scaled (line, transformer, every
+    shunt kind, rotated state-space apparatus), at four points, one on the
+    j omega axis: an independent reference, not the overlay's own code."""
+    net = replace(three_bus_net, shunts=three_bus_net.shunts + (
+        ShuntElement(bus=2, kind="inductive", value=0.04),))
+    refs = network_elements(net)
+    s_grid = np.array([-3.0 + 120.0j, 450.0j, -40.0 + 900.0j, 15.0 + 2000.0j])
+    model = WholeSystemModel(net)
+    for row, ref in enumerate(refs):
+        rebuilt = WholeSystemModel(scaled_net(net, ref, 1.05)).admittance(s_grid)
+        overlay = overlay_admittance(model, refs, 1.05, s_grid, np.full(s_grid.size, row))
+        err = np.linalg.norm(overlay - rebuilt, axis=(1, 2)) / np.linalg.norm(rebuilt, axis=(1, 2))
+        assert err.max() <= 1e-13, (ref, err)
 
 
 def test_stacked_singular_point_names_first_offender(rc_bus_net):

@@ -57,21 +57,12 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import W0, mixed_ring_doc
+from conftest import W0, mixed_ring_doc, scaled_net
 
 
 @pytest.fixture(scope="module")
 def three_bus_modes(three_bus_net):
     return solve_modes(three_bus_net, method="state_space")
-
-
-def _scaled_net(net, ref, factor):
-    """``net`` with element ``ref``'s admittance scaled by ``factor`` through
-    its physical parameters (:func:`mass_oracle.scaled_element`)."""
-    field = {"branch": "branches", "shunt": "shunts", "apparatus": "apparatus"}[ref[0]]
-    elements = list(getattr(net, field))
-    elements[ref[1]] = mass_oracle.scaled_element(net, ref, factor)
-    return replace(net, **{field: tuple(elements)})
 
 
 def _overlay_route(monkeypatch):
@@ -335,7 +326,7 @@ def test_shift_invert_resolve_matches_dense(three_bus_net, net_seed):
     records = solve_modes(net, method="state_space")
     for ref in network_elements(net):
         for eps in (1e-3, 0.05):
-            A = mass_oracle.interconnect(_scaled_net(net, ref, 1.0 + eps)).A
+            A = mass_oracle.interconnect(scaled_net(net, ref, 1.0 + eps)).A
             for mode in records:
                 anchor = mode.lam + _predicted_shift(net, ref, mode, eps)
                 gap = _unperturbed_gap(net, mode.lam)
@@ -357,7 +348,7 @@ def test_resolve_lands_on_the_continued_mode(three_bus_net, three_bus_modes):
     ref, mode = ("shunt", 0), three_bus_modes[0]
     continued = mode.lam
     for t in np.linspace(0.0, 1.0, 201)[1:]:
-        A = mass_oracle.interconnect(_scaled_net(three_bus_net, ref, 1.0 + t)).A
+        A = mass_oracle.interconnect(scaled_net(three_bus_net, ref, 1.0 + t)).A
         eigenvalues = mass_oracle.eigendecompose(A).eigenvalues
         continued = eigenvalues[np.argmin(np.abs(eigenvalues - continued))]
     assert continued == pytest.approx(-151.888 + 72.264j, abs=1e-3)
@@ -532,7 +523,7 @@ def test_element_update_is_the_interconnected_difference(three_bus_net):
                 rows, A_rows = system.element_update(ref, 1.0 + eps)
                 update = np.zeros_like(A)
                 update[rows] = A_rows - A[rows]
-                scaled = mass_oracle.interconnect(_scaled_net(net, ref, 1.0 + eps)).A
+                scaled = mass_oracle.interconnect(scaled_net(net, ref, 1.0 + eps)).A
                 assert np.linalg.norm(update - (scaled - A)) <= 1e-13 * np.linalg.norm(A), ref
                 rank = np.linalg.matrix_rank(update, tol=1e-9 * np.linalg.norm(update))
                 assert rank == 2, ref
@@ -756,7 +747,7 @@ def test_layer2_damping_sign_on_resolve(rc_bus_net):
     y = element_admittance(rc_bus_net, ref, mode.lam)
     sigma2 = layer2(s, y).real
     eps = 1e-3
-    perturbed = _scaled_net(rc_bus_net, ref, 1.0 + eps)
+    perturbed = scaled_net(rc_bus_net, ref, 1.0 + eps)
     eig = mass_oracle.eigendecompose(mass_oracle.interconnect(perturbed).A)
     gap = min(abs(a - b) for a, b in itertools.combinations(eig.eigenvalues, 2))
     lam_new = track_mode(mode.lam, [complex(v) for v in eig.eigenvalues], spacing=gap)
@@ -1330,8 +1321,6 @@ def test_sweep_matches_a_whole_re_solve_per_step(three_bus_net, three_bus_modes,
 def _ring_with_a_bus_without_capacitance():
     """A 6-bus ring whose bus 2 carries a resistor instead of a capacitor,
     so its voltage is eliminated and line 1-2's rows of B are not zero."""
-    from dataclasses import replace
-
     net = _rl_ring(6, 3, "state_space")
     shunts = tuple(ShuntElement(bus=2, kind="resistive", value=2.5)
                    if sh.bus == 2 and sh.kind == "capacitive" else sh for sh in net.shunts)
@@ -1364,7 +1353,7 @@ def test_sweep_rows_equal_a_rebuilt_network(case, branch_index, param, factor, r
         assert np.array_equal(route.B, model.B)
 
 
-def test_oracle_sweep_assembles_and_decomposes_once(monkeypatch):
+def test_oracle_sweep_assembles_once_and_never_decomposes(monkeypatch):
     """An oracle sweep assembles the network once and decomposes it never:
     every step, the first included, takes eigenvalues alone."""
     counts = {"assemble": 0, "eigendecompose": 0}

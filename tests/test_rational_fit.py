@@ -26,7 +26,14 @@ from impedmodal.rational_fit import (
     sample_response,
     vector_fit,
 )
-from impedmodal.rational_fit import _canonical_poles, _design_matrix, _pair_index, _relocate_poles
+from impedmodal.rational_fit import (
+    _BATCH_BYTES,
+    _canonical_poles,
+    _design_matrix,
+    _relocate_poles,
+    _stack_real,
+    fit_residues,
+)
 
 from conftest import W0, rl_shunt_admittance, rl_shunt_impedance
 
@@ -151,8 +158,8 @@ def _uncompressed_relocation(s, F, poles):
     over all responses (no per-response compression), for reference."""
     M, n_resp = F.shape
     N = poles.size
-    cidx = _pair_index(poles)
-    A = _design_matrix(s, poles, cidx)
+    cidx = _walk_pairs(poles)
+    A = _design_matrix(s, poles)
     Q1, _ = np.linalg.qr(np.vstack([A.real, A.imag]))
     AA = np.zeros((n_resp * 2 * M, N))
     bb = np.zeros(n_resp * 2 * M)
@@ -178,6 +185,121 @@ def _uncompressed_relocation(s, F, poles):
                                    [-poles[k].imag, poles[k].real]]
             bvec[k] = 2.0
     return _canonical_poles(np.linalg.eigvals(H - np.outer(bvec, c_sigma)))
+
+
+def _walk_pairs(poles):
+    """0 = real pole, 1 = first of a conjugate pair, 2 = second: the pairs
+    found by walking the poles with a tolerance, as the fit once did."""
+    cidx = np.zeros(poles.size, dtype=int)
+    k = 0
+    while k < poles.size:
+        if abs(poles[k].imag) > 1e-12 * (1.0 + abs(poles[k])):
+            cidx[k], cidx[k + 1] = 1, 2
+            k += 2
+        else:
+            k += 1
+    return cidx
+
+
+def _walked_design_matrix(s, poles):
+    """The design matrix built column by column from :func:`_walk_pairs`."""
+    cidx = _walk_pairs(poles)
+    Dk = np.zeros((s.size, poles.size), dtype=complex)
+    for k in range(poles.size):
+        if cidx[k] == 0:
+            Dk[:, k] = 1.0 / (s - poles[k])
+        elif cidx[k] == 1:
+            Dk[:, k] = 1.0 / (s - poles[k]) + 1.0 / (s - np.conj(poles[k]))
+            Dk[:, k + 1] = 1j / (s - poles[k]) - 1j / (s - np.conj(poles[k]))
+    return np.column_stack([Dk, np.ones_like(s), s])
+
+
+def _walked_relocation(s, F, poles):
+    """:func:`_relocate_poles` with the pairs walked: the same compressed
+    solve, the companion matrix built pair by pair."""
+    M, n_resp = F.shape
+    N = poles.size
+    cidx = _walk_pairs(poles)
+    A_local = _walked_design_matrix(s, poles)
+    Q1, _ = np.linalg.qr(_stack_real(A_local), mode="reduced")
+    neg_DkT = np.ascontiguousarray(-A_local[:, :N].T)
+    R = np.empty((n_resp, N + 1, N + 1))
+    batch = max(1, _BATCH_BYTES // (2 * M * (N + 1) * 8))
+    for start in range(0, n_resp, batch):
+        Ft = np.ascontiguousarray(F[:, start:start + batch].T)
+        A_sigma = neg_DkT * Ft[:, None, :]
+        block = np.empty((Ft.shape[0], N + 1, 2 * M))
+        block[:, :N, :M], block[:, :N, M:] = A_sigma.real, A_sigma.imag
+        block[:, N, :M], block[:, N, M:] = Ft.real, Ft.imag
+        block -= (block @ Q1) @ Q1.T
+        R[start:start + batch] = np.linalg.qr(block.transpose(0, 2, 1), mode="r")
+    RA = R[:, :, :N].reshape(-1, N)
+    scale = np.linalg.norm(RA, axis=0)
+    scale[scale == 0] = 1.0
+    x, *_ = np.linalg.lstsq(RA / scale, R[:, :, N].reshape(-1),
+                            rcond=np.finfo(float).eps * (2 * M * n_resp))
+    c_sigma = x / scale
+    H = np.zeros((N, N))
+    bvec = np.zeros(N)
+    k = 0
+    while k < N:
+        if cidx[k] == 1:
+            sr, si = poles[k].real, poles[k].imag
+            H[k, k] = H[k + 1, k + 1] = sr
+            H[k, k + 1] = si
+            H[k + 1, k] = -si
+            bvec[k] = 2.0
+            k += 2
+        else:
+            H[k, k] = poles[k].real
+            bvec[k] = 1.0
+            k += 1
+    H -= np.outer(bvec, c_sigma)
+    return _canonical_poles(np.linalg.eigvals(H))
+
+
+def _walked_residues(samples, poles):
+    """Residues, constant and linear term of :func:`fit_residues`, unpacked
+    pair by pair from :func:`_walk_pairs`."""
+    s = 1j * samples.frequencies
+    N, dim = poles.size, samples.dim
+    A_r = _stack_real(_walked_design_matrix(s, poles))
+    scale = np.linalg.norm(A_r, axis=0)
+    scale[scale == 0] = 1.0
+    F = samples.blocks.reshape(s.size, dim * dim)
+    X, *_ = np.linalg.lstsq(A_r / scale, np.vstack([F.real, F.imag]), rcond=None)
+    X = X / scale[:, None]
+    cidx = _walk_pairs(poles)
+    residues = np.zeros((N, dim * dim), dtype=complex)
+    k = 0
+    while k < N:
+        if cidx[k] == 1:
+            residues[k] = X[k] + 1j * X[k + 1]
+            residues[k + 1] = X[k] - 1j * X[k + 1]
+            k += 2
+        else:
+            residues[k] = X[k]
+            k += 1
+    return (residues.reshape(N, dim, dim), X[N].astype(complex).reshape(dim, dim),
+            X[N + 1].astype(complex).reshape(dim, dim))
+
+
+def test_pole_layout_read_from_the_canonical_order_keeps_the_walked_bits():
+    """On an order-9 canonical set (one real pole, four pairs), the design
+    matrix, the residue fit and one relocation step read the pairs as the
+    slices after the real poles, bit for bit as walking them did."""
+    omegas = np.geomspace(5.0, 5000.0, 300)
+    samples = _synthetic_response(omegas, dim=3, n_pairs=4, seed=7)
+    s = 1j * omegas
+    F = samples.blocks.reshape(omegas.size, -1)
+    poles = _canonical_poles(initial_poles(omegas[0], omegas[-1], 9))
+    assert list(_walk_pairs(poles)) == [0, 1, 2, 1, 2, 1, 2, 1, 2]
+    assert np.array_equal(_design_matrix(s, poles), _walked_design_matrix(s, poles))
+    for got, want in zip(fit_residues(samples, poles), _walked_residues(samples, poles)):
+        assert np.array_equal(got, want)
+    relocated = _relocate_poles(s, F, poles)
+    assert np.array_equal(relocated, _walked_relocation(s, F, poles))
+    assert np.count_nonzero(relocated.imag == 0) >= 1  # the relocated set keeps a real pole
 
 
 def test_compressed_relocation_matches_uncompressed_step():
