@@ -9,14 +9,15 @@ admittance_assembly
     dq 2x2 element admittances, evaluated in one stacked pass, and
     whole-system Y(s)/Z(s) stamped from one table per network.
 mass_oracle
-    State-space interconnection, eigenstructure, participation and
-    sensitivities: the ground truth the impedance path is checked against.
+    State-space interconnection, eigenstructure and the secular re-solves
+    of scaled elements: the ground truth the impedance path is checked
+    against.
 rational_fit
     Response sampling, vector fitting, Newton mode refinement and residues.
 mai_core
     Three-layer participation analysis, transformer-ratio correction,
-    parameter sensitivities from the unsplit element admittances, the
-    paper's branch-splitting identities, sweeps and validation.
+    parameter sensitivities from the unsplit element admittances, sweeps
+    and validation.
 cli_reporting
     Command-line pipeline and CSV/JSON report emission.
 """

@@ -189,44 +189,49 @@ def sweep_report(steps) -> str:
                 "actual_imag,error_percent", rows)
 
 
-def _json_scalar(value) -> str:
-    """A number or string as ``json.dumps`` writes it (a finite float directly)."""
-    finite = type(value) is float and value - value == 0
-    return float.__repr__(value) if finite else json.dumps(value)
-
-
 def _json_list(items: list, indent: str) -> str:
     """Encoded, indented ``items`` as ``json.dumps(..., indent=2)`` lists them."""
     return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
-# entries and modes of validation.json as json.dumps(doc, indent=2) lays them out
-_ERROR_ENTRY = '        {{\n          "element": {},\n          "error": {}\n        }}'
-_RECORD_ENTRY = ('        {{\n          "element": {},\n          "predicted": [\n'
-                 '            {},\n            {}\n          ],\n          "actual": [\n'
-                 '            {},\n            {}\n          ],\n          "error_percent": {}\n'
-                 '        }}')
-_MODE = ('    {{\n      "mode": {},\n      "lambda": [\n        {},\n        {}\n      ],\n'
-         '      "elements": {}\n    }}')
+# entries and modes of validation.json as json.dumps(doc, indent=2) lays them
+# out: %-format templates, with <element>, <error> and <elements> standing
+# for literal text
+_ERROR_ENTRY = '        {\n          "element": <element>,\n          "error": <error>\n        }'
+_RECORD_ENTRY = ('        {\n          "element": <element>,\n          "predicted": [\n'
+                 '            %s,\n            %s\n          ],\n          "actual": [\n'
+                 '            %s,\n            %s\n          ],\n          "error_percent": %s\n'
+                 '        }')
+_MODE = ('    {\n      "mode": %s,\n      "lambda": [\n        %s,\n        %s\n      ],\n'
+         '      "elements": <elements>\n    }')
 
 
 def _validation_json(epsilon, labels, indices, modes, outcomes) -> str:
     """validation.json of the ``outcomes`` (one per element of ``labels``) of
     ``modes`` (numbered ``indices``): ``json.dumps(doc, indent=2) + "\\n"``
     of {"epsilon", "modes": [{"mode", "lambda", "elements"}]}, written from
-    its fixed layout: with an indent, the standard encoder walks the
-    document in pure Python."""
+    its fixed layout, one template per mode with a field for each number:
+    with an indent, the standard encoder walks the document in pure Python."""
+    names = [json.dumps(label).replace("%", "%%") for label in labels]
+    records = [_RECORD_ENTRY.replace("<element>", name) for name in names]
+    every_record = _MODE.replace("<elements>", _json_list(records, " " * 6))
     blocks = []
     for k, mode, row in zip(indices, modes, outcomes):
-        entries = [_ERROR_ENTRY.format(_json_scalar(label), _json_scalar(str(v)))
-                   if isinstance(v, Exception) else
-                   _RECORD_ENTRY.format(*map(_json_scalar, (
-                       label, v.predicted.real, v.predicted.imag, v.actual.real, v.actual.imag,
-                       round(100.0 * v.error, 9))))
-                   for label, v in zip(labels, row)]
-        blocks.append(_MODE.format(*map(_json_scalar, (k, mode.lam.real, mode.lam.imag)),
-                                   _json_list(entries, " " * 6)))
-    return ('{\n  "epsilon": ' + _json_scalar(epsilon) + ',\n  "modes": '
+        entries, numbers = [], [k, mode.lam.real, mode.lam.imag]
+        for name, record, v in zip(names, records, row):
+            if isinstance(v, Exception):
+                entries.append(_ERROR_ENTRY.replace("<element>", name)
+                               .replace("<error>", json.dumps(str(v)).replace("%", "%%")))
+            else:
+                entries.append(record)
+                numbers += (v.predicted.real, v.predicted.imag, v.actual.real, v.actual.imag,
+                            round(100.0 * v.error, 9))
+        if not np.isfinite(numbers).all():  # json.dumps spells these NaN, Infinity, -Infinity
+            numbers = [x if np.isfinite(x) else json.dumps(x) for x in numbers]
+        template = (every_record if entries == records
+                    else _MODE.replace("<elements>", _json_list(entries, " " * 6)))
+        blocks.append(template % tuple(numbers))
+    return ('{\n  "epsilon": ' + json.dumps(epsilon) + ',\n  "modes": '
             + _json_list(blocks, "  ") + "\n}\n")
 
 

@@ -6,7 +6,7 @@ ratio correction), the three participation layers, per-parameter
 sensitivities from the derivative of each element's own admittance,
 first-order mode-shift predictions, and sweep/validation bookkeeping
 against re-solved modes. The paper's branch splitting (closed-form
-virtual-node impedances and residues) is kept as public functions; it
+virtual-node impedances and residues) is a reference in the tests: it
 gives the same branch parameter sensitivities, and the tests check that.
 
 Layer semantics: layer 1 bounds/estimates an element's total participation
@@ -29,11 +29,8 @@ from .network_model import NetworkDescription
 __all__ = [
     "AnalysisError",
     "TrackingError",
-    "DegenerateSplitError",
     "Location",
     "ModeRecord",
-    "SplitBranch",
-    "SplitNodeImpedances",
     "ValidationRecord",
     "SweepStep",
     "frobenius_inner",
@@ -43,10 +40,6 @@ __all__ = [
     "layer2",
     "enhanced_layer1",
     "layer3",
-    "split_branch",
-    "split_node_impedances",
-    "split_node_residues",
-    "split_parameter_derivatives",
     "validate_prediction",
     "element_location",
     "element_layer_report",
@@ -68,10 +61,6 @@ class AnalysisError(Exception):
 
 class TrackingError(AnalysisError):
     """Mode continuation lost its branch (two modes collided)."""
-
-
-class DegenerateSplitError(AnalysisError):
-    """A split part is singular (R = 0 or L = 0); use the unsplit formula."""
 
 
 @dataclass(frozen=True)
@@ -109,43 +98,6 @@ class ModeRecord:
     def residue(self) -> np.ndarray:  # the dense (2n, 2n) matrix
         res = np.outer(self.left, self.right)
         return res if self.denom is None else res / self.denom
-
-
-@dataclass(frozen=True, eq=False)
-class SplitBranch:
-    """Series branch split at a virtual node into inductive z1 and resistive
-    z2 parts, both evaluated at s = lambda; stacked (m, 2, 2) when R and L
-    are arrays of m branches."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    R: float | np.ndarray
-    L: float | np.ndarray
-    omega0: float
-    lam: complex
-
-
-@dataclass(frozen=True, eq=False)
-class SplitNodeImpedances:
-    """Blocks of the augmented whole-system impedance touching the virtual
-    node f, computed purely from the original matrix (no re-factorization).
-
-    ``row`` is Z_f* (2 x 2n) and ``col`` is Z_*f (2n x 2); named accessors
-    pick the 2x2 blocks against a given bus. Leading axes, if any, stack
-    several branches.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    Z_ff: np.ndarray
-    j: int
-    k: int
-
-    def Z_fi(self, i: int) -> np.ndarray:
-        return self.row[..., block_slice(i)]
-
-    def Z_if(self, i: int) -> np.ndarray:
-        return self.col[..., block_slice(i), :]
 
 
 @dataclass(frozen=True)
@@ -259,28 +211,6 @@ def layer3(s_factor: np.ndarray, dy_drho: np.ndarray) -> complex:
     return frobenius_inner(s_factor, dy_drho)
 
 
-# ---------------------------------------------------------------------------
-# Branch splitting and virtual-node impedances
-# ---------------------------------------------------------------------------
-
-
-def split_branch(R, L, omega0: float, lam: complex) -> SplitBranch:
-    """Split a series RL branch at s = lambda into inductive z1 = L[[s,-w0],[w0,s]]
-    and resistive z2 = R I parts joined at a virtual node (stacked over
-    arrays R and L)."""
-    if not np.all(np.asarray(L) > 0):
-        raise AnalysisError(f"branch inductance must be positive, got {L}")
-    z1 = np.multiply.outer(L, omega_block(lam, omega0))
-    z2 = np.multiply.outer(R, _I2.astype(complex))
-    return SplitBranch(z1=z1, z2=z2, R=R, L=L, omega0=omega0, lam=lam)
-
-
-def _inv2(M: np.ndarray, what: str) -> np.ndarray:
-    return assembly.inv2(
-        M, lambda: DegenerateSplitError(f"{what} is singular; fall back to the unsplit branch")
-    )
-
-
 def _dy_dL(y: np.ndarray, lam: complex, omega0: float) -> np.ndarray:
     """dy/dL = -y (sI + w0 J) y of an admittance y = z^-1 whose impedance
     holds L (sI + w0 J); single or stacked blocks."""
@@ -290,69 +220,6 @@ def _dy_dL(y: np.ndarray, lam: complex, omega0: float) -> np.ndarray:
 def _dy_dR(y: np.ndarray) -> np.ndarray:
     """dy/dR = -y y of an admittance y = z^-1 whose impedance holds R I."""
     return -y @ y
-
-
-def _split_node_blocks(Z, j, k, z1, inverses, with_identity: bool) -> SplitNodeImpedances:
-    """Split-node blocks of branch (j, k) from the rows and columns j, k of Z
-    (leading axes stack branches)."""
-    y, z1_inv, z2_inv, mix = inverses
-    sj, sk = block_slice(j), block_slice(k)
-    row_j, row_k = Z[..., sj, :], Z[..., sk, :]
-    col_j, col_k = Z[..., :, sj], Z[..., :, sk]
-    # voltage at f from an injection anywhere: f sits past z1 from node j
-    row_f = row_j - z1 @ y @ (row_j - row_k)
-    # injection at f splits over z1/z2 toward nodes j and k
-    col_f = (col_j @ z1_inv + col_k @ z2_inv) @ mix
-    core = z1_inv @ col_f[..., sj, :] + z2_inv @ col_f[..., sk, :]
-    if with_identity:
-        core = core + _I2
-    return SplitNodeImpedances(row=row_f, col=col_f, Z_ff=mix @ core, j=j, k=k)
-
-
-def _checked_split_inverses(z1, z2):
-    """(y, z1^-1, z2^-1, mix) of split parts, single or stacked, with
-    y = (z1 + z2)^-1 and mix = (z1^-1 + z2^-1)^-1; raises
-    DegenerateSplitError where one is singular: R = 0, or lambda on the
-    branch pole or at +-j w0."""
-    y = _inv2(z1 + z2, "series impedance z1 + z2")
-    z1_inv = _inv2(z1, "inductive part z1")
-    z2_inv = _inv2(z2, "resistive part z2")
-    return y, z1_inv, z2_inv, _inv2(z1_inv + z2_inv, "parallel combination of z1 and z2")
-
-
-def split_node_impedances(
-    Z_at_lambda: np.ndarray, j: int, k: int, z1: np.ndarray, z2: np.ndarray
-) -> SplitNodeImpedances:
-    """Impedance blocks of the system augmented with the virtual split node f
-    of branch (j, k), from the original whole-system impedance only.
-
-    Row blocks follow the voltage-divider identity, column blocks the
-    current-splitting identity, and Z_ff the KCL closure at f; all agree
-    with the explicit (2n+2)-dimensional augmented-matrix inversion.
-    """
-    inverses = _checked_split_inverses(z1, z2)
-    return _split_node_blocks(Z_at_lambda, j, k, z1, inverses, with_identity=True)
-
-
-def split_node_residues(
-    res: np.ndarray, j: int, k: int, z1: np.ndarray, z2: np.ndarray
-) -> SplitNodeImpedances:
-    """Same block algebra applied to the residue matrix at a mode.
-
-    The branch impedances are analytic at the mode, so taking residues of
-    the augmentation identities just drops the constant (identity) term in
-    the Z_ff closure.
-    """
-    inverses = _checked_split_inverses(z1, z2)
-    return _split_node_blocks(res, j, k, z1, inverses, with_identity=False)
-
-
-def split_parameter_derivatives(split: SplitBranch):
-    """Analytic admittance derivatives of the split parts:
-    dy1/dL = -z1^{-1} (dz1/dL) z1^{-1} and dy2/dR = -z2^{-1} z2^{-1}."""
-    z1_inv = _inv2(split.z1, "inductive part z1")
-    z2_inv = _inv2(split.z2, "resistive part z2")
-    return _dy_dL(z1_inv, split.lam, split.omega0), _dy_dR(z2_inv)
 
 
 def validate_prediction(predicted: complex, actual: complex) -> ValidationRecord:
@@ -718,12 +585,8 @@ def validate_mode_predictions(
     at = [table.index[tuple(ref)] for ref in refs]
     oracle = None
     if mass_oracle.oracle_capable(net):
-        oracle, updates = _system_of(net, system), []
-        for ref in refs:
-            try:
-                updates.append(oracle.element_update(ref, 1.0 + epsilon))
-            except _VALIDATION_ERRORS as exc:
-                updates.append(exc)
+        oracle = _system_of(net, system)
+        updates = oracle.element_updates(refs, 1.0 + epsilon)
         spectrum = oracle.eig.eigenvalues
     else:
         model = WholeSystemModel(net)

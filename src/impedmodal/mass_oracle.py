@@ -5,8 +5,8 @@ can be assembled into one linear model with per-bus dq current injections
 as inputs and per-bus dq voltage deviations as outputs. Its transfer
 matrix equals the whole-system impedance Z(s), which makes this module the
 oracle against which the impedance-side analysis is checked: eigenvalues
-of A are the modes, the resolvent residue phi*psi carries the
-sensitivities, and participation factors follow from the eigenvectors.
+of A are the modes, and the resolvent residue phi*psi carries the
+sensitivities.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "OracleError",
     "UnsupportedForOracleError",
     "DefectiveMatrixError",
-    "RepeatedEigenvalueError",
     "EigenStructure",
     "oracle_capable",
     "Interconnection",
@@ -39,10 +38,6 @@ __all__ = [
     "nearest_eigenvalue",
     "eigenvector_pair",
     "updated_eigenvalues",
-    "participation_matrix",
-    "eigenvalue_sensitivity_matrix",
-    "resolvent_residue",
-    "parameter_sensitivity_ss",
 ]
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
@@ -54,8 +49,16 @@ _NEWTON_STEP_TOL = 1e-13
 # largest relative backward error accepted from a secular root before the
 # dense nearest eigenvalue (nearest_eigenvalue) takes over
 _BACKWARD_LIMIT = 1e-12
-# bytes of one (modes, updates, states) complex stack of the secular solve:
-# Newton and the certificates run over chunks of modes within it
+# the secular function sums the _NEAR poles nearest lambda_i exactly and the
+# others as _MOMENTS terms of their Taylor series about lambda_i, which
+# holds while an iterate is within _REACH x the distance to the nearest of
+# them; an iterate beyond that sums every pole exactly
+_NEAR = 16
+_MOMENTS = 12
+_REACH = 0.1
+# bytes of one chunk of modes' moments and near-pole terms, a complex
+# (modes, _MOMENTS + _NEAR, updates, k x k) stack, and of any per-entry
+# stack of the secular solve
 _GRID_BYTES = 1 << 24
 
 
@@ -69,10 +72,6 @@ class UnsupportedForOracleError(OracleError):
 
 class DefectiveMatrixError(OracleError):
     """The state matrix is (numerically) defective; no eigenbasis exists."""
-
-
-class RepeatedEigenvalueError(OracleError):
-    """Sensitivity requested for a repeated or near-multiple eigenvalue."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +136,8 @@ class Interconnection:
     raises what it raises.
     :meth:`element_rows` gives the rows of A and B that replacing one
     element changes, from the same block formulas, so the changed network
-    is never rebuilt; :meth:`element_update` gives those of A for a scaled
-    element. ``eig`` is the eigenstructure of A, computed on first use.
+    is never rebuilt; :meth:`element_updates` gives those of A for scaled
+    elements. ``eig`` is the eigenstructure of A, computed on first use.
     """
 
     def __init__(self, net: NetworkDescription):
@@ -148,6 +147,7 @@ class Interconnection:
                     f"apparatus[{idx}] at bus {app.bus} has no state-space realization"
                 )
         self.net = net
+        self._kinds = {"branch": net.branches, "shunt": net.shunts, "apparatus": net.apparatus}
         n = net.n_buses
         # the shunts, then the apparatus, at each bus: what its totals sum
         self._at_bus: dict[int, list[ElementRef]] = {bus: [] for bus in range(1, n + 1)}
@@ -156,7 +156,7 @@ class Interconnection:
         for ai, app in enumerate(net.apparatus):
             self._at_bus[app.bus].append(("apparatus", ai))
         self._rot = [frame_rotation(app.theta) for app in net.apparatus]
-        totals = {bus: self._bus_totals(bus) for bus in range(1, n + 1)}
+        totals = dict(enumerate(zip(*self._totals([(bus, None) for bus in range(1, n + 1)])), 1))
 
         # --- state indexing: the rows of each block ------------------------
         state_names: list[str] = []
@@ -212,8 +212,10 @@ class Interconnection:
         # --- state equations, block by block ------------------------------
         A = np.zeros((nx, nx))
         B = np.zeros((nx, nu))
-        for block, rows in self._slices.items():
-            A[rows], B[rows] = self._block_rows(block, self._P, self._Q, totals)
+        blocks = list(self._slices)
+        for block, rows in zip(blocks, self._rows(blocks, self._P, self._Q,
+                                                  [totals.get(idx) for _, idx in blocks])):
+            A[self._slices[block]], B[self._slices[block]] = rows
 
         self.state_names = tuple(state_names)
         self.model = StateSpaceRealization(A=A, B=B, C=self._P, D=self._Q)
@@ -235,24 +237,38 @@ class Interconnection:
         return rho, float(np.linalg.norm(X @ self.eig.left - np.eye(self.eig.n)))
 
     def _element(self, ref: tuple[str, int]):
-        kind, idx = ref
-        return {"branch": self.net.branches, "shunt": self.net.shunts,
-                "apparatus": self.net.apparatus}[kind][idx]
+        return self._kinds[ref[0]][ref[1]]
 
-    def _bus_totals(self, bus: int, ref=None, element=None) -> tuple[float, np.ndarray]:
-        """(capacitance, static conductance) at ``bus``, with ``element``
-        standing in for element ``ref`` when given."""
-        cap, G = 0.0, np.zeros((2, 2))
-        for r in self._at_bus[bus]:
-            el = element if r == ref else self._element(r)
-            if r[0] == "apparatus":
-                T = self._rot[r[1]]
-                G += T @ el.model.D @ T.T
-            elif el.kind == "capacitive":
-                cap += el.value
-            elif el.kind == "resistive":
-                G += _I2 / el.value
-        return cap, G
+    def _totals(self, pairs, factor: float = 1.0, element=None):
+        """Capacitance and static conductance at the bus of each pair (bus,
+        ref): the terms of its shunts and apparatus summed in their order,
+        with element ``ref`` (unless None) replaced by ``element`` or else
+        scaled by ``factor`` (as :func:`scaled_element`)."""
+        at_bus = [self._at_bus[bus] for bus, _ in pairs]
+        index = {r: k for k, r in enumerate(dict.fromkeys(r for rs in at_bus for r in rs))}
+        scaled = [ref for _, ref in pairs if ref is not None]
+        refs = [*index, *scaled]
+        els = [self._element(r) for r in index] + [element or self._element(r) for r in scaled]
+        f = np.array([1.0] * len(index) + [1.0 if element else factor] * len(scaled))
+        kind = np.array([getattr(el, "kind", "apparatus") for el in els])
+        value = np.array([getattr(el, "value", 0.0) for el in els])
+        caps = np.append(np.where(kind == "capacitive", value, 0.0) * f, 0.0)
+        G = np.zeros((len(els) + 1, 2, 2))  # the last term is zero
+        res = np.flatnonzero(kind == "resistive")
+        G[res] = _I2 / (value[res] / f[res])[:, None, None]
+        app = np.flatnonzero(kind == "apparatus")
+        if app.size:
+            T = np.array([self._rot[refs[k][1]] for k in app])
+            D = np.array([els[k].model.D for k in app]) * f[app, None, None]
+            G[app] = T @ D @ T.swapaxes(1, 2)
+        pick, s = np.full((len(pairs), max(map(len, at_bus), default=0)), -1), len(index)
+        for e, ((_, ref), rs) in enumerate(zip(pairs, at_bus)):
+            pick[e, :len(rs)] = [s if r == ref else index[r] for r in rs]
+            s += ref is not None
+        cap, total = np.zeros(len(pairs)), np.zeros((len(pairs), 2, 2))
+        for k in pick.T:
+            cap, total = cap + caps[k], total + G[k]
+        return cap, total
 
     def _voltage_map(self, bus: int, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows of P and Q for one bus: its voltage state if the bus carries
@@ -272,42 +288,62 @@ class Interconnection:
         Q[:, block_slice(bus)] = Gi
         return P, Q
 
-    def _block_rows(self, block, P, Q, totals, element=None):
-        """Rows of A and B of one block, from the bus voltage map (P, Q),
-        the bus totals and ``element`` in place of the block's own."""
-        kind, idx = block
-        rows = self._slices[block]
-        nr = rows.stop - rows.start
-        A = np.zeros((nr, self._nx))
-        B = np.zeros((nr, self._nu))
-        w0 = self.net.omega0
-
-        def voltage_term(coeff: np.ndarray, bus: int) -> None:
-            vb = block_slice(bus)
-            A[:, :] += coeff @ P[vb, :]
-            B[:, :] += coeff @ Q[vb, :]
-
-        if kind == "bus":
-            cap, G = totals[idx]
-            vb = block_slice(idx)
-            # C V' = u - G V - drawn(x) - w0 C J V
-            A[:, :] -= self._drawn[vb, :] / cap
-            B[:, vb] += _I2 / cap
-            voltage_term(-G / cap, idx)
-            A[:, rows] += -w0 * _J
-            return A, B
-        el = element if element is not None else self._element(block)
-        if kind == "branch":
-            A[:, rows] += -(el.R / el.L) * _I2 - w0 * _J
-            voltage_term(_I2 / (el.L * el.ratio), el.from_bus)
-            voltage_term(-_I2 / el.L, el.to_bus)
-        elif kind == "shunt":  # inductive
-            A[:, rows] += -w0 * _J
-            voltage_term(_I2 / el.value, el.bus)
-        else:
-            A[:, rows] += el.model.A
-            voltage_term(el.model.B @ self._rot[idx].T, el.bus)
-        return A, B
+    def _rows(self, blocks, P, Q, totals, elements=None, factor: float = 1.0) -> list:
+        """``(A_rows, B_rows)`` of each block of ``blocks`` (repeats
+        allowed), from the bus voltage map (P, Q), ``totals[k]`` (capacitance,
+        static conductance) of a bus block k, and ``elements[k]`` in place of
+        block k's own element, or else its own element with its admittance
+        scaled by ``factor`` (as :func:`scaled_element`). Each kind is one
+        stacked pass in the operations and order of a single block's
+        formulas, so every row is the same bit for bit, whatever is stacked
+        with it."""
+        nx, nu, w0 = self._nx, self._nu, self.net.omega0
+        P3, Q3 = P.reshape(-1, 2, nx), Q.reshape(-1, 2, nu)  # bus b's rows are [b - 1]
+        out: list = [None] * len(blocks)
+        by_kind: dict[str, list] = {"bus": [], "series": []}
+        for k, block in enumerate(blocks):
+            kind, idx = block
+            if kind == "bus":  # C V' = u - G V - drawn(x) - w0 C J V
+                by_kind["bus"].append((k, idx, *totals[k]))
+                continue
+            replaced = elements is not None and elements[k] is not None
+            el, f = (elements[k], 1.0) if replaced else (self._element(block), factor)
+            if kind == "branch":
+                R, L = el.R / f, el.L / f
+                by_kind["series"].append((k, R / L, el.from_bus, 1.0 / (L * el.ratio), el.to_bus,
+                                          -1.0 / L))
+            elif kind == "shunt":  # inductive: a branch without resistance
+                by_kind["series"].append((k, 0.0, el.bus, 1.0 / (el.value / f), el.bus, 0.0))
+            else:
+                coeff = (el.model.B * f) @ self._rot[idx].T
+                A, B = np.zeros((el.model.n_states, nx)), np.zeros((el.model.n_states, nu))
+                A[:, self._slices[block]] += el.model.A
+                A += coeff @ P[block_slice(el.bus)]
+                B += coeff @ Q[block_slice(el.bus)]
+                out[k] = A, B
+        for kind, stack in by_kind.items():
+            if not stack:
+                continue
+            at, *columns = map(np.array, zip(*stack))
+            n = len(at)
+            A, B = np.zeros((n, 2, nx)), np.zeros((n, 2, nu))
+            rows = np.array([self._slices[blocks[k]].start for k in at])[:, None] + np.arange(2)
+            own = (np.arange(n)[:, None, None], np.arange(2)[:, None], rows[:, None])
+            if kind == "bus":  # P of a bus with capacitance is I at its voltage states
+                bus, cap, G = columns[0], columns[1][:, None, None], columns[2]
+                A -= self._drawn.reshape(-1, 2, nx)[bus - 1] / cap
+                B[(*own[:2], (2 * bus - 2)[:, None, None] + np.arange(2))] += _I2 / cap
+                A[own] += -G / cap
+                A[own] += -w0 * _J
+            else:
+                ratio, b1, s1, b2, s2 = columns
+                A[own] += -ratio[:, None, None] * _I2 - w0 * _J
+                for bus, s in ((b1, s1), (b2, s2)):
+                    A += s[:, None, None] * P3[bus - 1]
+                    B += s[:, None, None] * Q3[bus - 1]
+            for k, a, b in zip(at, A, B):
+                out[k] = a, b
+        return out
 
     def element_rows(self, ref: ElementRef, element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, A_rows, B_rows)``: the state rows R that replacing element
@@ -335,7 +371,7 @@ class Interconnection:
             blocks.append(ref)
         else:
             bus = element.bus
-            totals[bus] = self._bus_totals(bus, ref, element)
+            totals[bus] = next(zip(*self._totals([(bus, ref)], element=element)))
             if ("bus", bus) in self._slices:
                 blocks.append(("bus", bus))
             else:
@@ -344,27 +380,64 @@ class Interconnection:
                 blocks += self._readers[bus]
             if ref in self._slices and ref not in blocks:
                 blocks.append(ref)
-        parts = [(self._slices[block],
-                  self._block_rows(block, P, Q, totals, element if block == ref else None))
-                 for block in blocks]
-        rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in parts])
-        return (rows, np.concatenate([a for _, (a, _) in parts]),
-                np.concatenate([b for _, (_, b) in parts]))
+        parts = self._rows(blocks, P, Q, [totals.get(idx) for _, idx in blocks],
+                           [element if block == ref else None for block in blocks])
+        rows = np.concatenate([np.arange(self._slices[b].start, self._slices[b].stop)
+                               for b in blocks])
+        return (rows, np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts]))
 
-    def element_update(self, ref: ElementRef, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, A_rows)``: the rows of A that scaling element ``ref``'s
-        admittance by ``factor`` (as :func:`scaled_element`) changes, from
-        :meth:`element_rows`, so the scaled network is never rebuilt. Rows
-        the scaling leaves bit-identical are dropped.
-
-        Raises
-        ------
-        UnsupportedForOracleError
-            If the scaling leaves a bus voltage undefined.
-        """
-        rows, A_rows, _ = self.element_rows(ref, scaled_element(self.net, ref, factor))
-        changed = np.any(A_rows != self.model.A[rows], axis=1)
-        return rows[changed], A_rows[changed]
+    def element_updates(self, refs, factor: float) -> list:
+        """Per element of ``refs``, ``(rows, A_rows)``: the rows of A that
+        scaling its admittance by ``factor`` (as :func:`scaled_element`)
+        changes, less those it leaves bit-identical; or the
+        ``UnsupportedForOracleError`` of a scaling that leaves a bus voltage
+        undefined. The rows of all elements are formed in one stacked pass
+        of the block formulas (:meth:`_rows`): a branch or inductive shunt
+        writes its own rows; a shunt or apparatus at a bus with capacitance
+        writes the bus rows, from the bus totals (:meth:`_totals`), and an
+        apparatus its own rows. A shunt or apparatus at a bus without
+        capacitance changes that bus's voltage map, and goes through
+        :meth:`element_rows`."""
+        A = self.model.A
+        out: list = [None] * len(refs)
+        owner, blocks, node = [], [], []
+        for p, ref in enumerate(refs):
+            bus = getattr(self._element(ref), "bus", None)
+            if ref in self._slices and ref[0] != "apparatus":
+                owner.append(p)
+                blocks.append(ref)
+            elif ("bus", bus) in self._slices:
+                node.append((p, bus))
+            else:
+                try:
+                    rows, A_rows, _ = self.element_rows(ref, scaled_element(self.net, ref, factor))
+                except UnsupportedForOracleError as exc:
+                    out[p] = exc
+                    continue
+                changed = np.any(A_rows != A[rows], axis=1)
+                out[p] = rows[changed], A_rows[changed]
+        totals = [None] * len(blocks)
+        node_totals = self._totals([(bus, refs[p]) for p, bus in node], factor)
+        for (p, bus), *total in zip(node, *node_totals):
+            extra = [refs[p]] if refs[p][0] == "apparatus" else []
+            owner += [p] * (1 + len(extra))
+            blocks += [("bus", bus), *extra]
+            totals += [total, *[None] * len(extra)]
+        if blocks:
+            rows = np.concatenate([np.arange(self._slices[b].start, self._slices[b].stop)
+                                   for b in blocks])
+            A_rows = np.concatenate([a for a, _ in self._rows(blocks, self._P, self._Q, totals,
+                                                              factor=factor)])
+            for p in owner:
+                out[p] = rows[:0], A_rows[:0]
+            kept = np.flatnonzero(np.any(A_rows != A[rows], axis=1))
+            kept_owner = np.repeat(owner, [self._slices[b].stop - self._slices[b].start
+                                           for b in blocks])[kept]
+            cut = [0, *(np.flatnonzero(np.diff(kept_owner)) + 1).tolist(), kept.size]
+            for lo, hi in zip(cut[:-1], cut[1:]):  # an element's blocks are consecutive
+                if lo < hi:
+                    out[kept_owner[lo]] = rows[kept[lo:hi]], A_rows[kept[lo:hi]]
+        return out
 
 
 def interconnect(net: NetworkDescription) -> StateSpaceRealization:
@@ -460,7 +533,7 @@ def _check_condition(lam: complex, cond: float) -> None:
 def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Right and left eigenvectors ``(x, y_h)`` of A at its eigenvalue
     ``lam``, normalized so that y_h @ x = 1: x y_h is the residue of
-    (sI - A)^{-1} at ``lam`` (what :func:`resolvent_residue` gives).
+    (sI - A)^{-1} at ``lam``.
 
     Two steps of inverse iteration each, from a fixed start vector, on one
     complex LU of A - sigma I, with sigma a few rounding units of ||A|| off
@@ -505,10 +578,10 @@ def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class _SecularGrid:
     """The secular equations of a network's state matrix A under each of
     several row ``updates`` (see :func:`updated_eigenvalues`), on a grid
-    laid out (update, eigenvalue): V^T, W = V^T X and Z^T, which do not
-    depend on the eigenvalue, are formed once; :meth:`select` takes the
-    eigenvalues of the grid's columns. Methods take a rectangle ``ae`` x
-    ``am`` of the grid (index arrays) and its iterates ``mu``."""
+    laid out (update, eigenvalue), its entries given as index arrays ``e``
+    and ``m``. V^T, W = V^T X, Z^T and T, which stacks w_j z_j^T over the
+    updates in one row per state j, are formed once; :meth:`select` takes
+    the eigenvalues of the grid's columns and forms their moments."""
 
     def __init__(self, system: Interconnection, updates):
         A, eig = system.model.A, system.eig
@@ -521,89 +594,159 @@ class _SecularGrid:
             self.rows[e, :len(r)] = r
             self.Vt[e, :len(r)] = a - A[r]
         padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
-        self.W = np.empty((n_up, k, n), dtype=complex)
-        for e in range(n_up):  # each row of V^T reads a few states only
-            cols = np.flatnonzero(self.Vt[e].any(axis=0))
-            self.W[e] = self.Vt[e][:, cols] @ eig.right[cols]
+        Vt = self.Vt.reshape(-1, n)  # real
+        self.W = (Vt @ eig.right.real + 1j * (Vt @ eig.right.imag)).reshape(n_up, k, n)
         self.Zt = eig.left.T[self.rows]
         self.Zt[padded] = 0.0
+        self.T = (self.W[:, :, None] * self.Zt[:, None]).transpose(3, 0, 1, 2).reshape(n, -1)
+        w, z = np.linalg.norm(self.W, axis=1), np.linalg.norm(self.Zt, axis=1)
+        # ||z_j||^2, ||w_j||^2, ||z_j|| rho_j and ||w_j z_j^T||, per update and state
+        self.norms = np.stack([z * z, w * w, z * system.eig_errors[0], w * z])
         self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
 
     def select(self, indices) -> "_SecularGrid":
-        """Make eigenvalues ``indices`` the grid's columns: the poles, with
-        w_i and z_i (column i of W and of Z^T) per update and ||X_i||."""
-        self.pole = np.asarray(indices, dtype=int)
-        self.w_i = self.W[:, :, self.pole].swapaxes(1, 2)
-        self.z_i = self.Zt[:, :, self.pole].swapaxes(1, 2)
-        self.x_i = np.linalg.norm(self.system.eig.right[:, self.pole], axis=0)
+        """Make eigenvalues ``indices`` the grid's columns: the poles i, with
+        w_i and z_i per update, the _NEAR poles nearest each, the distance R
+        to the others (the far poles), their moments sum_j (R C_j)^(p+1) T_j
+        for p < _MOMENTS, with C_j = 1 / (lambda_j - lambda_i), and their
+        sums that bound what the moments leave out, per update."""
+        self.pole = pole = np.asarray(indices, dtype=int)
+        self.w_i, self.z_i = (v[:, :, pole].swapaxes(1, 2) for v in (self.W, self.Zt))
+        gap = self.lam - self.lam[pole, None]
+        dist = np.abs(gap)
+        dist[np.arange(pole.size), pole] = -1.0
+        order = np.argsort(dist, axis=1)[:, 1:]
+        self.near = order[:, :_NEAR]
+        far = np.zeros(gap.shape, dtype=bool)
+        np.put_along_axis(far, order[:, _NEAR:], True, axis=1)
+        self.radius = np.min(dist, axis=1, where=far, initial=np.inf)
+        scaled = np.divide(self.radius[:, None], gap, out=np.zeros_like(gap), where=far)
+        powers = np.cumprod(np.repeat(scaled[:, None], _MOMENTS, axis=1), axis=1)
+        self.moments = np.ascontiguousarray((powers.reshape(-1, gap.shape[1]) @ self.T).reshape(
+            pole.size, _MOMENTS, len(self.W), -1).swapaxes(1, 2))
+        r = np.abs(scaled)
+        weights = np.stack([r * r, r * r, r, r * np.abs(powers[:, -1])])
+        self.far_sums = (weights @ self.norms.swapaxes(1, 2)).swapaxes(1, 2)
         return self
 
-    def deflated(self, ae, am, mu):
-        """D's diagonal d without the pole i, W D, a = M0^-1 w_i,
-        b = M0^-T z_i and g(mu) at the iterates ``mu``."""
-        k = self.k
-        d = 1.0 / (self.lam - mu[..., None])
-        d[:, np.arange(am.size), self.pole[am]] = 0.0
-        WD = self.W[ae][:, None] * d[:, :, None, :]
-        M0 = np.eye(k) + WD @ self.Zt[ae].swapaxes(1, 2)[:, None]
-        w_i, z_i = self.w_i[ae][:, am], self.z_i[ae][:, am]
-        a, b = (_solve_each(M.reshape(-1, k, k), v.reshape(-1, k, 1)).reshape(v.shape)
-                for M, v in ((M0, w_i), (M0.swapaxes(-1, -2), z_i)))
-        return d, WD, a, b, self.lam[self.pole[am]] - mu + np.sum(z_i * a, axis=-1)
+    def _batches(self, e, m, inside):
+        """``(at, near, moments)`` per batch of entries within ``_GRID_BYTES``:
+        those ``inside`` with their pole's _NEAR nearest others and the
+        moments, the others with every other pole."""
+        for moments in (True, False):
+            group = np.flatnonzero(inside == moments)
+            width = self.near.shape[1] if moments else self.lam.size - 1
+            size = max(1, _GRID_BYTES // (16 * self.k * self.k * (width + _MOMENTS)))
+            for at in (group[s:s + size] for s in range(0, group.size, size)):
+                j = np.arange(width)  # without moments: every pole but the entry's own
+                near = self.near[m[at]] if moments else j + (j >= self.pole[m[at], None])
+                yield at, near, moments
+
+    def evaluate(self, e, m, mu, near, moments: bool):
+        """At the iterates ``mu``, with the poles ``near`` (a row per entry)
+        summed exactly and, if ``moments``, the far ones from their moments:
+        a = M0^-1 w_i, b = M0^-T z_i, g(mu), h = b^T M0' a and ||M0 a - w_i||."""
+        n, k = mu.size, self.k
+        d = 1.0 / (self.lam[near] - mu[:, None])
+        terms = self.T.reshape(len(self.T), len(self.W), -1)[near, e[:, None]]
+        S = np.stack([d, d * d], 1) @ terms  # M0 - I and M0', flattened
+        if moments:  # Taylor series of the far poles' 1/(lambda_j - mu) and its derivative
+            R = self.radius[m][:, None]
+            powers = np.ones((n, _MOMENTS), dtype=complex)
+            np.cumprod(np.repeat((mu - self.lam[self.pole[m]])[:, None] / R, _MOMENTS - 1, axis=1),
+                       axis=1, out=powers[:, 1:])
+            coef = np.zeros((n, 2, _MOMENTS), dtype=complex)
+            coef[:, 0] = powers / R
+            coef[:, 1, 1:] = np.arange(1, _MOMENTS) * powers[:, :-1] / (R * R)
+            S += coef @ self.moments[m, e]
+        S = S.reshape(n, 2, k, k)
+        M0 = S[:, 0] + np.eye(k)
+        w_i, z_i = self.w_i[e, m], self.z_i[e, m]
+        a, b = _solve_each(np.concatenate([M0, M0.swapaxes(1, 2)]),
+                           np.concatenate([w_i, z_i])[..., None])[..., 0].reshape(2, n, k)
+        g = self.lam[self.pole[m]] - mu + np.sum(z_i * a, axis=-1)
+        h = np.einsum("nk,nkl,nl->n", b, S[:, 1], a)
+        return a, b, g, h, np.linalg.norm((M0 @ a[..., None])[..., 0] - w_i, axis=-1)
 
     def newton(self, anchors: np.ndarray):
-        """Newton on g from ``anchors``: the iterates, and which converged.
-        Each iteration takes the rectangle that still has iterates moving."""
+        """Newton on g from ``anchors`` (updates x columns): the iterates,
+        which converged, and of each converged root mu = x - step what
+        Newton's last evaluation, at x, gave. An iterate beyond _REACH x R
+        from its pole sums every pole exactly."""
         mu = anchors.copy()
         converged = np.zeros(mu.shape, dtype=bool)
-        active = np.ones(mu.shape, dtype=bool)
+        last: dict[str, np.ndarray] = {}
+        e, m = (i.ravel() for i in np.indices(mu.shape))
         for _ in range(_NEWTON_MAX_ITERATIONS):
-            ae, am = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
-            if ae.size == 0:
+            if e.size == 0:
                 break
-            box = np.ix_(ae, am)
-            d, WD, a, b, g = self.deflated(ae, am, mu[box])
-            WD *= d[:, :, None, :]
-            dM = WD @ self.Zt[ae].swapaxes(1, 2)[:, None]  # M0'(mu) = W D^2 Z
-            step = g / (-1.0 - np.einsum("emk,emkl,eml->em", b, dM, a))
-            live = active[box]
-            moved = np.where(live, mu[box] - step, mu[box])
+            x = mu[e, m]
+            inside = np.abs(x - self.lam[self.pole[m]]) <= _REACH * self.radius[m]
+            values = None
+            for at, near, moments in self._batches(e, m, inside):
+                got = self.evaluate(e[at], m[at], x[at], near, moments)
+                values = values or [np.empty((x.size,) + v.shape[1:], v.dtype) for v in got]
+                for out, v in zip(values, got):
+                    out[at] = v
+            step = values[2] / (-1.0 - values[3])
+            mu[e, m] = moved = x - step
             finite = np.isfinite(moved)
-            done = live & finite & (np.abs(step) <= _NEWTON_STEP_TOL * np.abs(moved))
-            mu[box] = moved
-            converged[box] |= done
-            active[box] = live & finite & ~done
-        return mu, converged
+            done = finite & (np.abs(step) <= _NEWTON_STEP_TOL * np.abs(moved))
+            for name, v in zip(("x", "step", "inside", "a", "b", "g", "h", "residual"),
+                               (x, step, inside, *values)):
+                if name not in last:
+                    last[name] = np.zeros(mu.shape + v.shape[1:], v.dtype)
+                last[name][e[done], m[done]] = v[done]
+            converged[e[done], m[done]] = True
+            e, m = e[finite & ~done], m[finite & ~done]
+        return mu, converged, last
 
-    def certificate(self, ae, am, mu):
+    def certificate(self, e, m, last):
         """Upper bounds on the backward errors and condition numbers of the
-        roots ``mu``, and their coordinates c and r, in O(kN) per root from
-        the errors of the eigenbasis: A'x - mu x = U(a + W c) + (X X^-1 - I) U a
-        - g(mu) X_i + (A X - X Lambda) c, ||x|| >= ||c|| / ||X^-1||, and |y^H x|
-        >= |r c| - ||X^-1 X - I|| ||r|| ||c|| with X^-1 X - I = X^-1 (X X^-1 - I) X."""
-        d, WD, a, b, g = self.deflated(ae, am, mu)
-        del WD  # only Newton needs it
-        W, at = self.W[ae], (slice(None), np.arange(am.size), self.pole[am])
-        c, r = d * (a @ self.Zt[ae]), d * (b @ W)
-        c[at] = r[at] = -1.0
+        roots mu = x - step of entries (e, m), from Newton's last evaluation
+        at x (``last``), in O(k^2) per root beyond the near poles. With
+        x = X c, A'x - mu x = U(M0 a - w_i) + (X X^-1 - I) U a
+        + (A X - X Lambda) c + X (step c - g e_i), where g = -step (1 + h)
+        and the moments miss M0 by at most eta (M0' by eta');
+        ||x|| >= ||c|| / ||X^-1|| >= 1 / ||X^-1||;
+        |c_j| <= |d_j| ||z_j|| ||a|| and |r_j| <= |d_j| ||w_j|| ||b|| off i;
+        and |y^H x| >= |r c| - ||X^-1 X - I|| ||r|| ||c||, r c = 1 + h."""
         rho, delta = self.system.eig_errors
         x_norm, x_inv_norm = self.system.eig.norms
         kappa = x_norm * x_inv_norm
-        c_norm, r_norm = np.linalg.norm(c, axis=-1), np.linalg.norm(r, axis=-1)
-        residual = (np.linalg.norm(a + c @ W.swapaxes(1, 2), axis=-1)
-                    + delta * np.linalg.norm(a, axis=-1) + np.abs(g) * self.x_i[am]
-                    + np.abs(c) @ rho)
-        backward = residual * x_inv_norm / (self.a_norm[ae, None] * c_norm)
-        overlap = np.abs(np.sum(r * c, axis=-1)) - kappa * delta * r_norm * c_norm
-        cond = np.where(overlap > 0, kappa * (1.0 + delta) * c_norm * r_norm / overlap, np.inf)
-        return backward, cond, c, r
+        x, inside, h = last["x"][e, m], last["inside"][e, m], last["h"][e, m]
+        # near-pole sums of |d_j|^2 ||z_j||^2, |d_j|^2 ||w_j||^2 and |d_j| ||z_j|| rho_j
+        near = np.empty((3, e.size))
+        for at, poles, _ in self._batches(e, m, inside):
+            size = np.abs(1.0 / (self.lam[poles] - x[at, None]))
+            near[:, at] = np.sum(np.stack([size * size, size * size, size])
+                                 * self.norms[:3, e[at, None], poles], axis=-1)
+        t = np.where(inside, np.abs(x - self.lam[self.pole[m]]) / self.radius[m], 0.0)
+        far = np.where(inside, 1.0 / self.radius[m], 0.0)  # 1/R, or 0: no far poles
+        q = 1.0 / (1.0 - t)  # |d_j| <= q |C_j| at a far pole
+        z2, w2, z_rho, wz = self.far_sums[:, e, m]
+        a, b = (np.linalg.norm(last[v][e, m], axis=-1) for v in "ab")
+        c_off = a * a * (near[0] + (q * far) ** 2 * z2)  # bounds sum_(j != i) |c_j|^2
+        cr = np.sqrt((1.0 + c_off) * (1.0 + b * b * (near[1] + (q * far) ** 2 * w2)))
+        eta = t ** _MOMENTS * q * far * wz
+        eta_prime = t ** (_MOMENTS - 1) * (_MOMENTS * q + t * q * q) * far * far * wz
+        residual = (last["residual"][e, m] + (eta + delta) * a + rho[self.pole[m]]
+                    + a * (near[2] + q * far * z_rho)
+                    + x_norm * np.abs(last["step"][e, m]) * np.sqrt(np.abs(h) ** 2 + c_off))
+        overlap = np.abs(1.0 + h) - eta_prime * a * b - kappa * delta * cr
+        return (residual * x_inv_norm / self.a_norm[e],
+                np.where(overlap > 0, kappa * (1.0 + delta) * cr / overlap, np.inf))
 
-    def exact(self, e, mu, c, r):
-        """Backward errors and condition numbers of roots ``mu`` of updates
-        ``e``, from x = X c and y^H = r X^-1."""
+    def exact(self, e, m, mu, last):
+        """Backward errors and condition numbers of roots ``mu`` of entries
+        (e, m), from x = X c and y^H = r X^-1 with c = D Z a and r = b^T W D
+        at Newton's last iterates, -1 at the pole."""
         A, eig = self.system.model.A, self.system.eig
-        x = c @ eig.right.T
-        y_h = r @ eig.left
+        d = 1.0 / (self.lam - last["x"][e, m, None])
+        c = d * (last["a"][e, m, None] @ self.Zt[e])[:, 0]
+        r = d * (last["b"][e, m, None] @ self.W[e])[:, 0]
+        c[np.arange(e.size), self.pole[m]] = r[np.arange(e.size), self.pole[m]] = -1.0
+        x, y_h = c @ eig.right.T, r @ eig.left
         # A x as two real products: A is real
         residual = x.real @ A.T + 1j * (x.imag @ A.T) - mu[:, None] * x
         np.add.at(residual, (np.arange(e.size)[:, None], self.rows[e]),
@@ -613,54 +756,60 @@ class _SecularGrid:
         cond = x_norm * np.linalg.norm(y_h, axis=1) / np.abs(np.sum(y_h * x, axis=1))
         return backward, cond
 
-    def checked(self, mu, converged):
-        """Which converged roots pass the backward-error limit, and their condition
-        numbers: only roots that :meth:`certificate` leaves in doubt get :meth:`exact`."""
-        backward, cond, c, r = self.certificate(*map(np.arange, mu.shape), mu)
-        doubt = converged & ~((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT))
-        if doubt.any():
-            backward[doubt], cond[doubt] = self.exact(np.nonzero(doubt)[0], mu[doubt], c[doubt],
-                                                      r[doubt])
-        return converged & (backward <= _BACKWARD_LIMIT), cond
+    def checked(self, mu, converged, last):
+        """Which converged roots pass the backward-error limit, and their
+        condition numbers: only roots that :meth:`certificate` leaves in
+        doubt get :meth:`exact`."""
+        e, m = np.nonzero(converged)
+        backward, cond = self.certificate(e, m, last)
+        doubt = np.flatnonzero(~((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT)))
+        size = max(1, _GRID_BYTES // (64 * self.lam.size))
+        for at in (doubt[s:s + size] for s in range(0, doubt.size, size)):
+            backward[at], cond[at] = self.exact(e[at], m[at], mu[e[at], m[at]], last)
+        good, full = np.zeros(mu.shape, dtype=bool), np.full(mu.shape, np.inf)
+        good[e, m], full[e, m] = backward <= _BACKWARD_LIMIT, cond
+        return good, full
 
 
 def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> list:
     """Where each eigenvalue ``indices[m]`` of the network's state matrix A
     moves under each of several row updates, from the eigenbasis of A
-    alone, in one solve over the grid of eigenvalues and updates: W and Z
-    (below) are formed once per call, and Newton and the certificates run
-    over chunks of eigenvalues whose (eigenvalues, updates, states) complex
-    stack fits in ``_GRID_BYTES``.
+    alone, in one solve over the grid of eigenvalues and updates.
 
     ``updates`` holds ``(rows, A_rows)`` pairs as from
-    :meth:`Interconnection.element_update`: A' = A + U V^T with U = I[:, R]
-    and V^T = A_rows - A[R]. The eigenvalues of A' are the roots of the
-    secular equation det M(mu) = 0 with
+    :meth:`Interconnection.element_updates`: A' = A + U V^T with
+    U = I[:, R] and V^T = A_rows - A[R]. The eigenvalues of A' are the roots
+    of the secular equation det M(mu) = 0 with
     M(mu) = I + V^T X diag(1 / (lambda - mu)) X^-1 U = I + W D(mu) Z,
     where X holds the eigenvectors of A and lambda its eigenvalues (Golub,
-    SIAM Review 1973). Updates of fewer rows are padded with zero rows of
-    V^T and zero columns of U, which leave det M unchanged, so that Newton
-    runs for the whole grid at once, entry (m, e) from ``anchors[m][e]``.
+    SIAM Review 1973); updates of fewer rows are padded with zero rows of
+    V^T and zero columns of U. The pole at lambda_i is divided out:
+    (lambda_i - mu) det M = det M0 g with M0 the sum without term i and
+    g(mu) = lambda_i - mu + z_i^T M0^-1 w_i, regular at lambda_i, so that
+    an anchor on lambda_i (a zero predicted shift) is a valid start. At
+    the root, a = M0^-1 w_i and b^T = z_i^T M0^-1 give the eigenvectors
+    x = X c and y^H = r X^-1, with c = D Z a and r = b^T W D off index i
+    and -1 at it.
 
-    The pole at lambda_i is divided out: M = M0 + w_i z_i^T / (lambda_i - mu)
-    with M0 the sum without term i, so (lambda_i - mu) det M = det M0 g,
-    g(mu) = lambda_i - mu + z_i^T M0^-1 w_i. Newton runs on g, which is
-    regular at lambda_i: an anchor on lambda_i itself (a zero predicted
-    shift) is a valid start, and at first order g's root is
-    lambda_i + z_i^T w_i, the state-space prediction. At the root,
-    a = M0^-1 w_i and b^T = z_i^T M0^-1 are the null vectors of M, so the
-    eigenvectors are x = X c and y^H = r X^-1, with c = D Z a and
-    r = b^T W D off index i and -1 at it.
+    Newton runs on g for the whole grid, entry (m, e) from
+    ``anchors[m][e]``, in chunks of eigenvalues whose moments fit in
+    ``_GRID_BYTES``. M0 - I = sum_j T_j / (lambda_j - mu), T_j = w_j z_j^T:
+    the _NEAR poles nearest lambda_i are summed per entry, the others, at
+    least R from lambda_i, as the first _MOMENTS terms of their Taylor
+    series in delta = mu - lambda_i, whose coefficients sum_j C_j^(p+1) T_j,
+    C_j = 1 / (lambda_j - lambda_i), are one matrix product per chunk for
+    every update; an iterate beyond R / 10 sums every pole per entry. A
+    Newton step thus costs O(k^2) per entry, whatever the number of states.
 
     Of a converged root and its conjugate (A' is real), the one nearer the
     anchor is taken. A root that is not finite (an iterate on another pole
-    of M), has not converged within the iteration cap, or whose backward error
-    ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by the
+    of M), has not converged within the iteration cap, or whose backward
+    error ||A'x - mu x|| / (||A'|| ||x||) exceeds 1e-12 is replaced by the
     eigenvalue of A' nearest its anchor, from a dense solve
     (:func:`nearest_eigenvalue`). The backward error and the condition
-    number ||x|| ||y|| / |y^H x| are bounded from c, r and
-    :attr:`Interconnection.eig_errors`; x and y are formed only where a
-    bound misses its limit.
+    number ||x|| ||y|| / |y^H x| are bounded from Newton's last evaluation,
+    with the series' remainder, and :attr:`Interconnection.eig_errors`; x
+    and y are formed only where a bound misses its limit.
 
     Returns one list per index with, per update, the eigenvalue or the
     ``OracleError`` its solve raised: ``DefectiveMatrixError`` when the
@@ -673,12 +822,12 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
     anchors = np.asarray(anchors, dtype=complex).reshape(indices.size, len(updates)).T
     mu, good = np.empty_like(anchors), np.empty(anchors.shape, dtype=bool)
     cond = np.empty(anchors.shape)
-    step = max(1, _GRID_BYTES // (16 * len(updates) * system.eig.n))
+    step = max(1, _GRID_BYTES // (16 * (_NEAR + _MOMENTS) * grid.T.shape[1]))
     for at in (slice(k, k + step) for k in range(0, indices.size, step)):
-        grid.select(indices[at])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mu[:, at], converged = grid.newton(anchors[:, at])
-            good[:, at], cond[:, at] = grid.checked(mu[:, at], converged)
+            grid.select(indices[at])
+            mu[:, at], converged, last = grid.newton(anchors[:, at])
+            good[:, at], cond[:, at] = grid.checked(mu[:, at], converged, last)
 
     # A' is real, so the conjugate of a root is a root too: from an anchor
     # near the real axis Newton may reach either of a pair
@@ -696,63 +845,3 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
         except OracleError as exc:
             out[m][e] = exc
     return out
-
-
-def _mode_index(eig: EigenStructure, lam: complex) -> int:
-    dist = np.abs(eig.eigenvalues - lam)
-    i = int(np.argmin(dist))
-    if dist[i] > 1e-6 * (1.0 + abs(lam)):
-        raise OracleError(f"{lam} is not an eigenvalue (nearest is {eig.eigenvalues[i]})")
-    return i
-
-
-def _require_simple(eig: EigenStructure, i: int, scale: float) -> None:
-    others = np.delete(eig.eigenvalues, i)
-    if others.size == 0:
-        return
-    gap = float(np.min(np.abs(others - eig.eigenvalues[i])))
-    if gap == 0.0 or gap < 1e-8 * scale:
-        raise RepeatedEigenvalueError(
-            f"eigenvalue {eig.eigenvalues[i]} is repeated or near-multiple (gap {gap:.3e})"
-        )
-
-
-def participation_matrix(eig: EigenStructure) -> np.ndarray:
-    """Participation matrix P with p_ki = phi_ki * psi_ik.
-
-    Column i measures the relative participation of each state in mode i and
-    sums to one; p_ki equals the sensitivity of lambda_i to the k-th diagonal
-    entry of A.
-    """
-    return eig.right * eig.left.T
-
-
-def eigenvalue_sensitivity_matrix(eig: EigenStructure, i: int) -> np.ndarray:
-    """Entrywise sensitivity of eigenvalue i to the state matrix:
-    entry (k, j) = d lambda_i / d a_kj = psi_ik * phi_ji."""
-    psi_i = eig.left[i, :]
-    phi_i = eig.right[:, i]
-    return psi_i[:, None] * phi_i[None, :]
-
-
-def resolvent_residue(A: np.ndarray, lam: complex) -> np.ndarray:
-    """Residue of (sI - A)^{-1} at a simple eigenvalue: the outer product
-    phi_i psi_i. Equals the limit (s - lam)(sI - A)^{-1} as s -> lam."""
-    A = np.asarray(A)
-    eig = eigendecompose(A)
-    i = _mode_index(eig, lam)
-    _require_simple(eig, i, np.linalg.norm(A))
-    return np.outer(eig.right[:, i], eig.left[i, :])
-
-
-def parameter_sensitivity_ss(eig: EigenStructure, i: int, dA_drho: np.ndarray) -> complex:
-    """First-order eigenvalue sensitivity dlambda/drho to a scalar parameter
-    of A: tr((phi_i psi_i) . dA/drho), the sign fixed so central finite
-    differences over rho agree."""
-    dA = np.asarray(dA_drho)
-    n = eig.n
-    if dA.shape != (n, n):
-        raise OracleError(f"dA/drho has shape {dA.shape}, expected {(n, n)}")
-    # |lambda|_max lower-bounds every operator norm of A and stands in for it
-    _require_simple(eig, i, float(np.max(np.abs(eig.eigenvalues))))
-    return complex(eig.left[i, :] @ dA @ eig.right[:, i])

@@ -26,22 +26,21 @@ from impedmodal.mai_core import (
     parameter_sweep,
     predict_mode_shift,
     solve_modes,
-    split_node_impedances,
     track_mode,
     validate_element_prediction,
     validate_prediction,
 )
-from impedmodal.mass_oracle import (
-    eigendecompose,
-    eigenvalue_sensitivity_matrix,
-    interconnect,
-    participation_matrix,
-    resolvent_residue,
-)
+from impedmodal.mass_oracle import eigendecompose, interconnect
 from impedmodal.network_model import SampledResponse
 from impedmodal.rational_fit import frequency_grid, vector_fit
 
 from conftest import W0, rl_shunt_admittance
+from paper_reference import (
+    eigenvalue_sensitivity_matrix,
+    participation_matrix,
+    resolvent_residue,
+    split_node_impedances,
+)
 from test_mai_core import _augmented_oracle, _random_rl_net
 
 

@@ -72,23 +72,23 @@ def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
     element; the command still succeeds and reports every other element."""
     ok = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "ok"), modes=[1])
     assert run(ok) == EXIT_OK
-    resolve = mass_oracle.Interconnection.element_update
+    resolve = mass_oracle.Interconnection.element_updates
     calls = []
 
-    def failing_second_call(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            raise mass_oracle.DefectiveMatrixError("injected defective re-solve")
-        return resolve(*args)
+    def failing_second_entry(self, refs, factor):
+        calls.append(len(refs))
+        updates = resolve(self, refs, factor)
+        updates[1] = mass_oracle.DefectiveMatrixError("injected defective re-solve")
+        return updates
 
-    monkeypatch.setattr(mass_oracle.Interconnection, "element_update", failing_second_call)
+    monkeypatch.setattr(mass_oracle.Interconnection, "element_updates", failing_second_entry)
     failed = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "failed"),
                             modes=[1])
     assert run(failed) == EXIT_OK
     expected = json.loads((tmp_path / "ok" / "validation.json").read_text())
     got = json.loads((tmp_path / "failed" / "validation.json").read_text())
     entries = got["modes"][0]["elements"]
-    assert len(entries) == len(expected["modes"][0]["elements"]) == len(calls)
+    assert [len(entries)] == [len(expected["modes"][0]["elements"])] == calls
     assert entries[1] == {"element": expected["modes"][0]["elements"][1]["element"],
                           "error": "injected defective re-solve"}
     entries[1] = expected["modes"][0]["elements"][1]
@@ -98,18 +98,18 @@ def test_oracle_failure_stays_in_its_element_entry(tmp_path, monkeypatch):
 def test_element_updates_are_built_once_per_run(tmp_path, monkeypatch):
     """Validating three modes builds each element's row update of the state
     matrix once, not once per mode."""
-    update = mass_oracle.Interconnection.element_update
+    update = mass_oracle.Interconnection.element_updates
     calls = []
 
-    def counting(self, *args):
-        calls.append(args)
-        return update(self, *args)
+    def counting(self, refs, factor):
+        calls.append(list(refs))
+        return update(self, refs, factor)
 
-    monkeypatch.setattr(mass_oracle.Interconnection, "element_update", counting)
+    monkeypatch.setattr(mass_oracle.Interconnection, "element_updates", counting)
     config = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path), modes=[0, 1, 2])
     assert run(config) == EXIT_OK
     net = network_model.parse_network(NETWORK.read_text())
-    assert len(calls) == len(network_elements(net))
+    assert calls == [network_elements(net)]
 
 
 def test_validated_analyze_eigendecomposes_once(tmp_path, monkeypatch):
@@ -565,12 +565,15 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
 
 def test_validation_solves_once_per_chunk(tmp_path, monkeypatch):
     """The oracle validation of all 7 modes of three_bus is one
-    updated_eigenvalues call, which builds W and Z^T once and runs Newton
+    updated_eigenvalues call, which builds W, Z^T and T once and runs Newton
     over the grid of modes and elements in one chunk at the default
     _GRID_BYTES, and in one chunk per mode or per two modes when a chunk
-    holds no more; validation.json does not depend on the chunking."""
+    holds no more, or one entry per batch at a budget of one byte;
+    validation.json does not depend on the chunking."""
     net = network_model.parse_network(NETWORK.read_text())
-    per_mode = 16 * len(network_elements(net)) * mass_oracle.interconnect(net).A.shape[0]
+    refs = network_elements(net)
+    k = max(len(rows) for rows, _ in mass_oracle.Interconnection(net).element_updates(refs, 1.05))
+    per_mode = 16 * (mass_oracle._NEAR + mass_oracle._MOMENTS) * len(refs) * k * k
     default = mass_oracle._GRID_BYTES
     solve, calls = mass_oracle.updated_eigenvalues, []
     monkeypatch.setattr(mass_oracle, "updated_eigenvalues",
@@ -584,7 +587,7 @@ def test_validation_solves_once_per_chunk(tmp_path, monkeypatch):
                         or newton(self, anchors))
     texts = []
     for grid_bytes, expected in ((per_mode, [1] * 7), (2 * per_mode, [2, 2, 2, 1]),
-                                 (default, [7])):
+                                 (default, [7]), (1, [1] * 7)):
         monkeypatch.setattr(mass_oracle, "_GRID_BYTES", grid_bytes)
         calls.clear(), bases.clear(), chunks.clear()
         out = tmp_path / str(grid_bytes)
@@ -592,7 +595,7 @@ def test_validation_solves_once_per_chunk(tmp_path, monkeypatch):
         assert calls == [7] and bases == [1]
         assert chunks == expected
         texts.append((out / "validation.json").read_bytes())
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
 def test_impedance_validation_does_not_depend_on_the_batch(tmp_path, monkeypatch):
@@ -655,19 +658,21 @@ def test_vector_fit_does_not_depend_on_the_batch(tmp_path, monkeypatch):
 
 def test_validation_json_is_json_dumps(tmp_path):
     """The validation.json emitter writes what json.dumps(doc, indent=2)
-    writes: for a real run's document, and for error messages with quotes,
-    backslashes and non-ASCII text, non-finite error percentages, an int
-    epsilon, an empty element list and an empty mode list."""
+    writes: for a real run's document, and for error messages and element
+    names with quotes, backslashes, braces, percent signs and non-ASCII
+    text, non-finite error percentages, an error entry between records, an
+    int epsilon, an empty element list and an empty mode list."""
     assert main(["analyze", str(NETWORK), "--out", str(tmp_path)]) == EXIT_OK
     text = (tmp_path / "validation.json").read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
-    message = 'nearest mode \\ "far" \u00e9\u0394\u03bb \u2014 gone'
+    message = 'nearest mode \\ "far" {0} 5% %s \u00e9\u0394\u03bb \u2014 gone}'
     record = {"element": "line 1-2", "predicted": [0.1, -2.5e-17], "actual": [1e300, -0.0]}
     percents = (np.inf, -np.inf, np.nan, 12.5)
-    labels = ['apparatus "0"'] + ["line 1-2"] * len(percents)
+    labels = ['apparatus "0"'] + ["line 1-2"] * len(percents) + ["{x} %d \\ \u00e9"]
     outcomes = [[mai_core.AnalysisError(message)] + [
         mai_core.ValidationRecord(predicted=complex(0.1, -2.5e-17), actual=complex(1e300, -0.0),
-                                  error=x / 100.0) for x in percents], []]
+                                  error=x / 100.0) for x in percents]
+        + [mai_core.AnalysisError("{}")], []]
     modes = [mai_core.ModeRecord(lam=complex(-1.5, 314.0), left=np.ones(2), right=np.ones(2),
                                  provenance=""),
              mai_core.ModeRecord(lam=complex(0.0, -1.0), left=np.ones(2), right=np.ones(2),
@@ -675,7 +680,8 @@ def test_validation_json_is_json_dumps(tmp_path):
     doc = {"epsilon": 1, "modes": [
         {"mode": 0, "lambda": [-1.5, 314.0], "elements": [
             {"element": labels[0], "error": message},
-            *[{**record, "error_percent": x} for x in percents]]},
+            *[{**record, "error_percent": x} for x in percents],
+            {"element": labels[-1], "error": "{}"}]},
         {"mode": 12, "lambda": [0.0, -1.0], "elements": []}]}
     assert (cli_reporting._validation_json(1, labels, [0, 12], modes, outcomes)
             == json.dumps(doc, indent=2) + "\n")

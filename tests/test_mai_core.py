@@ -31,7 +31,6 @@ from impedmodal.admittance_assembly import (
 )
 from impedmodal.mai_core import (
     AnalysisError,
-    DegenerateSplitError,
     Location,
     TrackingError,
     admittance_sensitivity,
@@ -47,10 +46,6 @@ from impedmodal.mai_core import (
     parameter_sweep,
     predict_mode_shift,
     solve_modes,
-    split_branch,
-    split_node_impedances,
-    split_node_residues,
-    split_parameter_derivatives,
     track_mode,
     validate_element_prediction,
     validate_prediction,
@@ -58,6 +53,15 @@ from impedmodal.mai_core import (
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
 from conftest import W0, mixed_ring_doc, scaled_net
+from paper_reference import (
+    DegenerateSplitError,
+    parameter_sensitivity_ss,
+    split_branch,
+    split_node_impedances,
+    split_node_residues,
+    split_parameter_derivatives,
+)
+from secular_reference import reference_roots
 
 
 @pytest.fixture(scope="module")
@@ -511,16 +515,17 @@ def _low_rank_nets(three_bus_net):
 
 
 def test_element_update_is_the_interconnected_difference(three_bus_net):
-    """U V^T from ``element_update`` equals the state matrix of the rewritten
-    network minus A, for every element kind, on capacitive and on
+    """U V^T from ``element_updates`` equals the state matrix of the
+    rewritten network minus A, for every element kind, on capacitive and on
     eliminated buses; every update has rank 2 (up to the rounding of the
     rebuilt rows)."""
     for net in _low_rank_nets(three_bus_net):
         system = mass_oracle.Interconnection(net)
         A = system.model.A
-        for ref in network_elements(net):
-            for eps in (1e-3, 0.05):
-                rows, A_rows = system.element_update(ref, 1.0 + eps)
+        refs = network_elements(net)
+        for eps in (1e-3, 0.05):
+            for ref, (rows, A_rows) in zip(refs, system.element_updates(refs, 1.0 + eps),
+                                           strict=True):
                 update = np.zeros_like(A)
                 update[rows] = A_rows - A[rows]
                 scaled = mass_oracle.interconnect(scaled_net(net, ref, 1.0 + eps)).A
@@ -529,13 +534,34 @@ def test_element_update_is_the_interconnected_difference(three_bus_net):
                 assert rank == 2, ref
 
 
+def test_stacked_element_updates_equal_the_reassembled_rows(three_bus_net):
+    """Bit for bit, the stacked update of each element holds the rows in
+    which the state matrix of the network assembled with that element
+    scaled differs from A, and those rows of it: on the low-rank networks
+    (buses with and without capacitance, inductive shunts, apparatus with
+    feedthrough) and the 10-, 22- and 60-bus rings."""
+    cases = [(net, (1.001, 1.05, 1.2)) for net in _low_rank_nets(three_bus_net)]
+    cases += [(_rl_ring(n, 0, "state_space"), (1.05,)) for n in (10, 22, 60)]
+    for net, factors in cases:
+        system = mass_oracle.Interconnection(net)
+        refs = network_elements(net)
+        for factor in factors:
+            for ref, (rows, A_rows) in zip(refs, system.element_updates(refs, factor),
+                                           strict=True):
+                scaled = mass_oracle.interconnect(scaled_net(net, ref, factor)).A
+                changed = np.flatnonzero(np.any(scaled != system.model.A, axis=1))
+                order = np.argsort(rows)
+                assert np.array_equal(rows[order], changed), ref
+                assert np.array_equal(A_rows[order], scaled[changed]), ref
+
+
 def test_eliminated_bus_shunt_updates_four_rows(three_bus_net):
     """The resistive shunt at the capacitor-less bus 3 reaches the rows of
     the transformer and of the apparatus there, which read its voltage."""
     net = _algebraic_bus_net(three_bus_net)
     system = mass_oracle.Interconnection(net)
     shunt = next(i for i, sh in enumerate(net.shunts) if sh.bus == 3)
-    rows, _ = system.element_update(("shunt", shunt), 1.05)
+    [(rows, _)] = system.element_updates([("shunt", shunt)], 1.05)
     names = [system.state_names[r] for r in rows]
     assert names == ["branch1:2-3.id", "branch1:2-3.iq",
                      "apparatus0:bus3.x0", "apparatus0:bus3.x1"]
@@ -571,7 +597,7 @@ def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
         refs = network_elements(net)
         modes = solve_modes(net, method="state_space")
         for eps in (1e-3, 0.05):
-            updates = [system.element_update(ref, 1.0 + eps) for ref in refs]
+            updates = system.element_updates(refs, 1.0 + eps)
             anchors = [[mode.lam + _predicted_shift(net, ref, mode, eps) for ref in refs]
                        for mode in modes]
             grid = mass_oracle.updated_eigenvalues(
@@ -590,14 +616,17 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     anchor on another eigenvalue, where M is not defined, and a root failing
     the backward-error check take the dense fallback. All return the
     eigenvalue nearest the anchor. In a grid where one mode's row is
-    anchored on another eigenvalue, only that row takes the fallback."""
+    anchored on another eigenvalue, only that row takes the fallback. On a
+    ring with poles beyond the moments' radius R, an anchor beyond R / 10
+    (every pole summed exactly) reaches the root of the deflated Newton
+    without fallback, and one on a pole beyond R takes the fallback."""
     fallbacks, nearest = _counted_fallback(monkeypatch)
     system = mass_oracle.Interconnection(three_bus_net)
     refs = network_elements(three_bus_net)
     mode = three_bus_modes[2]
     lam = system.eig.eigenvalues
     i = _pole(system, mode)
-    updates = [system.element_update(ref, 1.05) for ref in refs]
+    updates = system.element_updates(refs, 1.05)
 
     on_pole = [lam[i]] * len(refs)
     [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [on_pole])
@@ -632,19 +661,44 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, anchors, roots):
         assert root == nearest(_perturbed(system, update), anchor)
+    monkeypatch.undo()
+
+    fallbacks, nearest = _counted_fallback(monkeypatch)
+    system, poles, updates, anchors = _secular_case(_rl_ring(10, 0, "state_space"), 0.05)
+    lam = system.eig.eigenvalues
+    i = poles[0]
+    grid = mass_oracle._SecularGrid(system, updates).select([i])
+    radius = grid.radius[0]
+    far = int(np.flatnonzero(np.abs(lam - lam[i]) >= radius)[0])
+    beyond = lam[i] + 0.5 * radius * (anchors[0] - lam[i]) / np.abs(anchors[0] - lam[i])
+    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [beyond])
+    expected, converged = reference_roots(system, [i], updates, [beyond])
+    assert converged.all() and fallbacks == []
+    assert np.all(np.abs(np.array(roots) - expected[0]) <= 1e-13 * abs(lam[i]))
+    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [[lam[far]] * len(updates)])
+    assert fallbacks == [lam[far]] * len(updates)
+    for update, root in zip(updates, roots):
+        assert root == nearest(_perturbed(system, update), lam[far])
+
+
+def _secular_case(net, eps):
+    """(system, poles, updates, anchors (M, E)) of every mode and element of
+    ``net`` at ``eps``."""
+    system = mass_oracle.Interconnection(net)
+    refs = network_elements(net)
+    modes = solve_modes(net, method="state_space")
+    return (system, [_pole(system, mode) for mode in modes],
+            system.element_updates(refs, 1.0 + eps),
+            np.array([[mode.lam + _predicted_shift(net, ref, mode, eps) for ref in refs]
+                      for mode in modes]))
 
 
 def _secular_cases(three_bus_net):
-    """(system, poles, updates, anchors (M, E)) of every mode and element of
-    the low-rank networks and of a 10-bus ring, at eps 0.05."""
+    """:func:`_secular_case` of the low-rank networks and of a 10-bus ring,
+    at eps 0.05 and 0.2."""
     for net in _low_rank_nets(three_bus_net) + [_rl_ring(10, 0, "state_space")]:
-        system = mass_oracle.Interconnection(net)
-        refs = network_elements(net)
-        modes = solve_modes(net, method="state_space")
-        yield (system, [_pole(system, mode) for mode in modes],
-               [system.element_update(ref, 1.05) for ref in refs],
-               np.array([[mode.lam + _predicted_shift(net, ref, mode, 0.05) for ref in refs]
-                         for mode in modes]))
+        for eps in (0.05, 0.2):
+            yield _secular_case(net, eps)
 
 
 def _same_outcomes(first, second):
@@ -656,13 +710,36 @@ def _same_outcomes(first, second):
                 assert a == b
 
 
+def test_product_form_roots_match_the_deflated_reference(three_bus_net, monkeypatch):
+    """The secular roots from near poles and far-pole moments agree with
+    the per-entry deflated Newton of ``secular_reference`` within
+    1e-13 |lambda|, and take the dense fallback exactly where it did not
+    converge, on the low-rank networks and 10- and 22-bus rings at eps
+    0.05 and 0.2."""
+    fallbacks, _ = _counted_fallback(monkeypatch)
+    nets = _low_rank_nets(three_bus_net) + [_rl_ring(n, 0, "state_space") for n in (10, 22)]
+    for net in nets:
+        for eps in (0.05, 0.2):
+            system, poles, updates, anchors = _secular_case(net, eps)
+            fallbacks.clear()
+            roots = mass_oracle.updated_eigenvalues(system, poles, updates, anchors)
+            expected, converged = reference_roots(system, poles, updates, anchors)
+            assert sorted(map(str, fallbacks)) == sorted(map(str, anchors[~converged]))
+            scale = np.abs(system.eig.eigenvalues[poles])[:, None]
+            got = np.array([[np.nan if isinstance(r, Exception) else r for r in row]
+                            for row in roots])
+            assert np.all(np.abs(got - expected)[converged] <= 1e-13 * np.broadcast_to(
+                scale, got.shape)[converged])
+
+
 def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
-    """At every converged secular root, the O(kN) certificate's backward
-    error and condition number are at or above the exact ones, from the
-    eigenvectors x = X c and y^H = r X^-1; every root, fallback and
-    DefectiveMatrixError is what the exact check alone decides; and a root
-    whose bound misses the limit while its exact backward error meets it
-    goes through the exact check and is kept."""
+    """At every converged secular root, the O(k^2) certificate's backward
+    error and condition number, with the moments' truncation remainder and
+    the last Newton step included, are at or above the exact ones from the
+    eigenvectors x = X c and y^H = r X^-1 of Newton's last evaluation; every
+    root, fallback and DefectiveMatrixError is what the exact check alone
+    decides; and a root whose bound misses the limit while its exact
+    backward error meets it goes through the exact check and is kept."""
     exact = mass_oracle._SecularGrid.exact
     checked = []
     monkeypatch.setattr(mass_oracle._SecularGrid, "exact",
@@ -670,21 +747,21 @@ def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
     certificate = mass_oracle._SecularGrid.certificate
 
     def no_certificate(*args):
-        backward, cond, c, r = certificate(*args)
-        return np.full(backward.shape, np.inf), np.full(cond.shape, np.inf), c, r
+        return tuple(np.full(bound.shape, np.inf) for bound in certificate(*args))
 
+    moments = 0
     for system, poles, updates, anchors in _secular_cases(three_bus_net):
         grid = mass_oracle._SecularGrid(system, updates).select(poles)
         with np.errstate(all="ignore"):
-            mu, converged = grid.newton(anchors.T)
+            mu, converged, last = grid.newton(anchors.T)
         assert converged.all()
-        ae, am = np.arange(len(updates)), np.arange(len(poles))
-        backward_bound, cond_bound, c, r = grid.certificate(ae, am, mu)
-        backward, cond = exact(grid, np.repeat(ae, am.size), mu.ravel(),
-                               c.reshape(mu.size, -1), r.reshape(mu.size, -1))
-        assert np.all(backward_bound.ravel() >= backward)
-        assert np.all(cond_bound.ravel() >= cond)
+        e, m = np.nonzero(converged)
+        backward_bound, cond_bound = grid.certificate(e, m, last)
+        backward, cond = exact(grid, e, m, mu[e, m], last)
+        assert np.all(backward_bound >= backward)
+        assert np.all(cond_bound >= cond)
         assert np.all(backward_bound <= 1e-13) and np.all(cond_bound <= 1e3)
+        moments += np.sum(last["inside"] & np.isfinite(grid.radius))
 
         checked.clear()
         roots = mass_oracle.updated_eigenvalues(system, poles, updates, anchors)
@@ -704,6 +781,7 @@ def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
             _same_outcomes(roots, mass_oracle.updated_eigenvalues(system, poles, updates,
                                                                   anchors))
         assert checked == [doubt]
+    assert moments > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1078,7 @@ def test_low_loss_line_layer3_matches_state_space(three_bus_net):
         row = element_layer_report(net, ("branch", 0), mode).layer3[0]
         layer3 = dict(zip(mai_core.LAYER3_PARAMS["branch"], row))
         for param in ("L", "R"):
-            want = mass_oracle.parameter_sensitivity_ss(eig, i, dA[param])
+            want = parameter_sensitivity_ss(eig, i, dA[param])
             assert abs(layer3[param] - want) <= 1e-10 * abs(want), (mode.lam, param)
 
 
@@ -1169,7 +1247,7 @@ def test_mass_mai_equivalence_branch_R_L(three_bus_net, three_bus_modes):
             Ap = mass_oracle.interconnect(three_bus_net.with_branch(0, **{param: rho + h})).A
             Am = mass_oracle.interconnect(three_bus_net.with_branch(0, **{param: rho - h})).A
             dA = (Ap - Am) / (2 * h)
-            sens_ss = mass_oracle.parameter_sensitivity_ss(eig, i, dA)
+            sens_ss = parameter_sensitivity_ss(eig, i, dA)
             sens_mai = branch_parameter_sensitivity(
                 three_bus_net, 0, mode.residue, mode.lam, param
             )

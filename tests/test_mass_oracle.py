@@ -8,16 +8,11 @@ from impedmodal.admittance_assembly import WholeSystemModel, state_space_respons
 from impedmodal.mass_oracle import (
     DefectiveMatrixError,
     OracleError,
-    RepeatedEigenvalueError,
     UnsupportedForOracleError,
     eigendecompose,
-    eigenvalue_sensitivity_matrix,
     eigenvector_pair,
     interconnect,
     nearest_eigenvalue,
-    parameter_sensitivity_ss,
-    participation_matrix,
-    resolvent_residue,
 )
 from impedmodal.network_model import (
     ApparatusAttachment,
@@ -28,6 +23,13 @@ from impedmodal.network_model import (
 )
 
 from conftest import W0
+from paper_reference import (
+    RepeatedEigenvalueError,
+    eigenvalue_sensitivity_matrix,
+    parameter_sensitivity_ss,
+    participation_matrix,
+    resolvent_residue,
+)
 
 A23 = np.array([[0.0, 1.0], [-2.0, -3.0]])  # eigenvalues -1, -2
 

@@ -11,7 +11,7 @@ import pytest
 from impedmodal import mai_core
 from impedmodal.admittance_assembly import apparatus_admittance
 from impedmodal.cli_reporting import EXIT_OK, main
-from impedmodal.mass_oracle import eigendecompose, interconnect, resolvent_residue
+from impedmodal.mass_oracle import eigendecompose, interconnect
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -23,6 +23,7 @@ from impedmodal.network_model import (
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
 from conftest import W0, rl_load_apparatus
+from paper_reference import resolvent_residue
 
 
 @pytest.fixture(scope="module")

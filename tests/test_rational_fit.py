@@ -5,7 +5,7 @@ import pytest
 
 from impedmodal import rational_fit
 from impedmodal.admittance_assembly import WholeSystemModel
-from impedmodal.mass_oracle import interconnect, resolvent_residue
+from impedmodal.mass_oracle import interconnect
 from impedmodal.network_model import (
     NetworkFormatError,
     SampledResponse,
@@ -36,6 +36,7 @@ from impedmodal.rational_fit import (
 )
 
 from conftest import W0, rl_shunt_admittance, rl_shunt_impedance
+from paper_reference import resolvent_residue
 
 RC_MODE = complex(-10.0, W0)  # mode of the parallel-RC bus benchmark
 
