@@ -191,13 +191,12 @@ def shunt_admittance(shunt: ShuntElement, omega0: float, s) -> np.ndarray:
 
 
 def _evaluate_rational(model: RationalMatrix, s: np.ndarray) -> np.ndarray:
-    num = np.empty(s.shape + (2, 2), dtype=complex)
-    den = np.empty(s.shape + (2, 2), dtype=complex)
-    for p in range(2):
-        for q in range(2):
-            num_coeffs, den_coeffs = model.entry_coeffs(p, q)
-            num[..., p, q] = np.polyval(num_coeffs, s)
-            den[..., p, q] = np.polyval(den_coeffs, s)
+    num, den = np.zeros((2,) + s.shape + (2, 2), dtype=complex)
+    z = s[..., None, None]
+    for y, stack in zip((num, den), model.coefficient_stacks):
+        for c in stack:  # Horner in np.polyval's order: y = y s + c
+            y *= z
+            y += c
     if np.count_nonzero(den) < den.size:
         k, p, q = np.argwhere(den.reshape(-1, 2, 2) == 0)[0]
         raise EvaluationError(
@@ -297,11 +296,8 @@ ElementRef = tuple[str, int]
 
 def network_elements(net: NetworkDescription) -> list[ElementRef]:
     """Stable enumeration of all stampable elements of the network."""
-    refs: list[ElementRef] = []
-    refs.extend(("branch", i) for i in range(len(net.branches)))
-    refs.extend(("shunt", i) for i in range(len(net.shunts)))
-    refs.extend(("apparatus", i) for i in range(len(net.apparatus)))
-    return refs
+    groups = (("branch", net.branches), ("shunt", net.shunts), ("apparatus", net.apparatus))
+    return [(kind, i) for kind, items in groups for i in range(len(items))]
 
 
 def element_label(net: NetworkDescription, ref: ElementRef) -> str:
@@ -458,16 +454,14 @@ class WholeSystemModel:
     def admittance(self, s) -> np.ndarray:
         return self.table.stamp(self.table.evaluate(s))
 
-    def _invert(self, Y: np.ndarray, s) -> np.ndarray:
+    def impedance(self, s) -> np.ndarray:
+        Y = self.admittance(s)
         cond = np.linalg.cond(Y)
         singular = ~np.isfinite(cond) | (cond > _Y_COND_LIMIT)
         if np.any(singular):
             k = np.argmax(np.reshape(singular, -1))
             raise SingularSystemError(_first(s, singular), float(np.reshape(cond, -1)[k]))
         return np.linalg.inv(Y)
-
-    def impedance(self, s) -> np.ndarray:
-        return self._invert(self.admittance(s), s)
 
 
 class PerturbedModel(WholeSystemModel):

@@ -9,6 +9,7 @@ frequency ``omega0`` (rad/s) explicitly. Bus indices are 1-based.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -147,10 +148,18 @@ class RationalMatrix:
     denominators: tuple
 
     def entry_coeffs(self, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.asarray(self.numerators[p][q], dtype=float),
-            np.asarray(self.denominators[p][q], dtype=float),
-        )
+        return tuple(np.asarray(c[p][q], dtype=float) for c in (self.numerators, self.denominators))
+
+    @functools.cached_property
+    def coefficient_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerator and denominator coefficients as (degree+1, 2, 2) stacks,
+        each entry zero-padded at the top (the highest powers)."""
+        coeffs = [self.entry_coeffs(k // 2, k % 2) for k in range(4)]
+        stacks = [np.zeros((max(c[i].size for c in coeffs), 4)) for i in (0, 1)]
+        for k, pair in enumerate(coeffs):
+            for stack, c in zip(stacks, pair):
+                stack[stack.shape[0] - c.size:, k] = c
+        return tuple(stack.reshape(-1, 2, 2) for stack in stacks)
 
 
 @dataclass(eq=False)
@@ -695,19 +704,14 @@ def _validate_model(model: ApparatusModel, label: str) -> list[Violation]:
             )
         out.extend(_non_finite(label, A=model.A, B=model.B, C=model.C, D=model.D))
     elif isinstance(model, RationalMatrix):
-        for p in range(2):
-            for q in range(2):
-                num, den = model.entry_coeffs(p, q)
-                if den.size == 0 or not np.any(den):
-                    out.append(
-                        Violation("model_denominator", f"{label}: entry ({p},{q}) denominator is zero")
-                    )
-                if num.size == 0:
-                    out.append(
-                        Violation("model_numerator", f"{label}: entry ({p},{q}) numerator is empty")
-                    )
-                out.extend(_non_finite(label, **{f"entry ({p},{q}) numerator": num,
-                                                 f"entry ({p},{q}) denominator": den}))
+        for p, q in itertools.product(range(2), repeat=2):
+            num, den = model.entry_coeffs(p, q)
+            at = f"entry ({p},{q})"
+            if den.size == 0 or not np.any(den):
+                out.append(Violation("model_denominator", f"{label}: {at} denominator is zero"))
+            if num.size == 0:
+                out.append(Violation("model_numerator", f"{label}: {at} numerator is empty"))
+            out.extend(_non_finite(label, **{f"{at} numerator": num, f"{at} denominator": den}))
     elif isinstance(model, RationalModel):
         n_poles = np.size(model.poles)
         shapes = (np.shape(model.const), np.shape(model.linear), np.shape(model.residues))

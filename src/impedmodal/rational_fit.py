@@ -54,7 +54,7 @@ MERGE_TOL = 1e-6  # a Newton root this near a known mode, relative to 1 + |root|
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITERATIONS = 50
 _LOEWNER_RANK_TOL = 1e-11  # relative singular value of the Loewner pencil counted as zero
-_LOEWNER_POINTS = (200, 400, 800, 1600)  # sizes of the Loewner pencil, tried in turn
+_LOEWNER_POINTS = (50, 100, 200, 400, 800, 1600)  # sizes of the Loewner pencil, tried in turn
 # modes whose imaginary parts agree to this relative level tie in frequency
 _FREQ_TIE = 1e-9
 # eigenvalue magnitudes within this fraction of max(1, ||Y||_F) of the
@@ -508,7 +508,8 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
     fixed-seed random real direction d each (x = Z d from Y x = d; d^T Z from Y^T).
     The order is the rank of x0 E - A ((E, A) the real Loewner pencil, x0 the
     band's centre); the poles are the finite eigenvalues of the projected pencil.
-    200 points, doubled while the rank fills over half of them (up to 1600)."""
+    The pencil starts at 50 points and doubles, up to 1600, until the rank fills
+    at most half of them: the smallest pencil the network's rank allows."""
     # imported here, not at module level: numpy has no generalized
     # eigensolver, and a run on the oracle route never loads scipy
     import scipy.linalg

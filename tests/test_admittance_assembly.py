@@ -1,5 +1,6 @@
 """Element stamps, frame rotation and whole-system matrix assembly."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,27 @@ def test_rational_model_evaluation():
     )
     y = apparatus_admittance(model, 2.0 + 0.0j, 0.0)
     assert np.allclose(y, [[0.25, 0.0], [0.0, 0.5]])
+
+
+def test_rational_model_horner_pass_is_polyval_bit_for_bit():
+    """Entries of unequal degree (a constant numerator, a leading zero
+    coefficient) evaluated by one Horner pass per stack give the bits of
+    per-entry ``np.polyval``, at a scalar s and over a stack of s; an exact
+    pole at one point of the stack is named with its entry and its s."""
+    nums = (((0.0, 2.5, -1.5), (4.0,)), ((1.0, 0.5, 0.25, 2.0), (-3.0, 7.0)))
+    dens = (((1.0, 3.0, 2.0), (1.0, 5.0)), ((2.0, 1.0, 7.0), (1.0,)))
+    model = RationalMatrix(numerators=nums, denominators=dens)
+    rng = np.random.default_rng(4)
+    s = rng.normal(scale=300.0, size=40) + 1j * rng.normal(scale=3000.0, size=40)
+    for x in (s[7], s):
+        want = np.empty(np.shape(x) + (2, 2), dtype=complex)
+        for p in range(2):
+            for q in range(2):
+                want[..., p, q] = np.polyval(nums[p][q], x) / np.polyval(dens[p][q], x)
+        assert apparatus_admittance(model, x, 0.0).tobytes() == want.tobytes()
+    s[11] = -5.0  # the root of entry (0,1)'s denominator s + 5
+    with pytest.raises(EvaluationError, match=re.escape("entry (0,1) has a pole at s = (-5+0j)")):
+        apparatus_admittance(model, s, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import W0, mixed_ring_doc, scaled_net
+from conftest import W0, mixed_ring_doc, rl_load_apparatus, scaled_net
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
@@ -1508,6 +1508,44 @@ def test_loewner_rank_is_state_count_and_poles_match_eigenvalues(case, request):
     assert rank == mass_oracle.interconnect(net).n_states
     for lam in _in_band_eigenvalues(net):
         assert np.min(np.abs(poles - lam)) <= 1e-8 * abs(lam)
+
+
+def _measured_pair():
+    """The shipped measured network with its order-16 surrogate, and its
+    state-space twin: the series RL load (0.15 ohm, 4 mH) behind its samples."""
+    path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+    net = cli_reporting._load_network(str(path))
+    app = net.apparatus[0]
+    twin = replace(net, apparatus=(replace(app, model=rl_load_apparatus(0.15, 0.004)),))
+    return cli_reporting._with_surrogates(net, 16), twin
+
+
+@pytest.mark.parametrize("case, points", [("ring4", 51), ("measured", 51), ("ring20", 351)])
+def test_loewner_ladder_stops_at_the_smallest_pencil_the_rank_allows(case, points):
+    """The pencil starts at 50 points and doubles until the rank fills at
+    most half of them. Rank 20 (4-bus ring) and rank 8 (measured network)
+    take the off-axis probe and the 50-point pencil; rank 100 (20-bus ring)
+    takes the probe and the 50-, 100- and 200-point pencils."""
+    if case == "measured":
+        net, twin = _measured_pair()
+    else:
+        n_buses, seed = (4, 1) if case == "ring4" else (20, 0)
+        net, twin = _rl_ring(n_buses, seed, "rational"), _rl_ring(n_buses, seed, "state_space")
+    model, seen = WholeSystemModel(net), []
+    admittance = model.admittance
+    model.admittance = lambda s: seen.append(np.size(s)) or admittance(s)
+    _, rank = rational_fit.loewner_poles(model, BAND)
+    assert rank == mass_oracle.interconnect(twin).n_states
+    assert sum(seen) == points
+
+
+def test_loewner_ladder_fails_past_its_last_pencil(three_bus_net, monkeypatch):
+    """A rank that fills over half of the largest pencil is refused, naming
+    the rank and that pencil's size."""
+    monkeypatch.setattr(rational_fit, "_LOEWNER_POINTS", (8, 16))
+    with pytest.raises(rational_fit.FitError,
+                       match=re.escape("Loewner rank 14 fills more than half of 16 points")):
+        rational_fit.loewner_poles(WholeSystemModel(three_bus_net), BAND)
 
 
 def _rl_ring(n_buses, seed, apparatus):
