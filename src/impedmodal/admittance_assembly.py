@@ -8,9 +8,9 @@ The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
 the whole-system impedance is Z(s) = Y(s)^{-1}. A network's
 :class:`StampTable` evaluates every element once per call, in one stacked
-pass, and adds the elements' bus blocks into Y from one table; an
-overlay that scales one element per point scales it in that stack before
-the one stamp.
+pass per element kind (per group of apparatus), and adds the elements' bus
+blocks into Y from one table; an overlay that scales one element per point
+scales it in that stack before the one stamp.
 
 Every evaluator takes a scalar s or a 1-D array of M values of s (a
 frequency grid); an array gives the matrices stacked as (M, ..., ...), each
@@ -19,6 +19,7 @@ equal bit for bit to its value at that s alone.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -190,15 +191,17 @@ def shunt_admittance(shunt: ShuntElement, omega0: float, s) -> np.ndarray:
     return y
 
 
-def _evaluate_rational(model: RationalMatrix, s: np.ndarray) -> np.ndarray:
-    num, den = np.zeros((2,) + s.shape + (2, 2), dtype=complex)
-    z = s[..., None, None]
-    for y, stack in zip((num, den), model.coefficient_stacks):
+def _evaluate_rational(coefficients, s: np.ndarray) -> np.ndarray:
+    """K rational 2x2 models over s, stacked (..., K, 2, 2), from their
+    numerator and denominator coefficient stacks (degree+1, K, 2, 2)."""
+    num, den = np.zeros((2,) + s.shape + coefficients[0].shape[1:], dtype=complex)
+    z = s[..., None, None, None]
+    for y, stack in zip((num, den), coefficients):
         for c in stack:  # Horner in np.polyval's order: y = y s + c
             y *= z
             y += c
     if np.count_nonzero(den) < den.size:
-        k, p, q = np.argwhere(den.reshape(-1, 2, 2) == 0)[0]
+        k, _, p, q = np.argwhere(den.reshape((-1,) + den.shape[-3:]) == 0)[0]
         raise EvaluationError(
             f"rational model entry ({p},{q}) has a pole at s = {complex(np.reshape(s, -1)[k])}"
         )
@@ -233,31 +236,78 @@ def _evaluate_sampled(model: SampledResponse, s: np.ndarray) -> np.ndarray:
 
 def state_space_response(A, B, C, D, s) -> np.ndarray:
     """Transfer matrix C (sI - A)^{-1} B + D at s; stacked (M, p, m) over an
-    array of s, one LU solve per s.
+    array of s, one LU solve per s. Models of one state count given as
+    stacks (K, n, n), (K, n, m), (K, p, n), (K, p, m) give (..., K, p, m).
 
     Raises ``np.linalg.LinAlgError`` when sI - A is singular at some s.
     """
     s = np.asarray(s, dtype=complex)
-    n = A.shape[0]
+    n = A.shape[-1]
     if n == 0:
         return np.broadcast_to(D, s.shape + D.shape).astype(complex)
-    X = np.linalg.solve(s[..., None, None] * np.eye(n) - A, B.astype(complex))
+    X = np.linalg.solve(s[(...,) + (None,) * A.ndim] * np.eye(n) - A, B.astype(complex))
     return C @ X + D
 
 
-def _evaluate_state_space(model: StateSpaceRealization, s: np.ndarray) -> np.ndarray:
+def _evaluate_state_space(A, B, C, D, s: np.ndarray) -> np.ndarray:
     try:
-        return state_space_response(model.A, model.B, model.C, model.D, s)
+        return state_space_response(A, B, C, D, s)
     except np.linalg.LinAlgError:
         # name the first s of the grid at which the solve fails
         for x in np.reshape(s, -1):
             try:
-                state_space_response(model.A, model.B, model.C, model.D, x)
+                state_space_response(A, B, C, D, x)
             except np.linalg.LinAlgError:
                 raise EvaluationError(
                     f"(sI - A) is singular at s = {complex(x)}: apparatus resonance"
                 ) from None
         raise
+
+
+class _ApparatusGroup:
+    """Apparatus models that one pass evaluates: every ``RationalMatrix`` of
+    a network (one Horner pass over their coefficient stacks, zero-padded at
+    the top to one degree), its state-space models of one state count (one
+    stacked solve), or one model of another kind. ``thetas`` are their
+    frame angles; the rotations of those at theta != 0 are stacked."""
+
+    def __init__(self, models, thetas):
+        self.models = tuple(models)
+        thetas = np.asarray(thetas, dtype=float)
+        self.rotated = np.flatnonzero(thetas != 0.0)
+        self.T = np.array([frame_rotation(t) for t in thetas[self.rotated]]).reshape(-1, 2, 2)
+        first = self.models[0]
+        if isinstance(first, RationalMatrix):
+            # numerators, denominators: (degree+1, K, 2, 2); at finite s a
+            # Horner step with c = +0.0 leaves y at +0, so padding keeps the bits
+            self.coefficients = []
+            for stacks in zip(*(m.coefficient_stacks for m in self.models)):
+                depth = max(c.shape[0] for c in stacks)
+                self.coefficients.append(np.stack(
+                    [np.concatenate([np.zeros((depth - c.shape[0], 2, 2)), c]) for c in stacks],
+                    axis=1))
+        elif isinstance(first, StateSpaceRealization):
+            self.matrices = [np.stack([getattr(m, name) for m in self.models])
+                             for name in ("A", "B", "C", "D")]
+
+    def evaluate(self, s: np.ndarray) -> np.ndarray:
+        """The models' admittances at s (complex), rotated into the global
+        frame: T(theta) Y_local T(theta)^T; stacked (..., K, 2, 2)."""
+        model = self.models[0]
+        if isinstance(model, RationalMatrix):
+            y = _evaluate_rational(self.coefficients, s)
+        elif isinstance(model, StateSpaceRealization):
+            y = _evaluate_state_space(*self.matrices, s)
+        elif isinstance(model, RationalModel):
+            y = model.evaluate(s)[..., None, :, :]
+        elif isinstance(model, SampledResponse):
+            y = _evaluate_sampled(model, s)[..., None, :, :]
+        else:
+            raise AssemblyError(f"unknown apparatus model type {type(model)!r}")
+        if self.rotated.size:  # T^{-1} = T^T for a rotation
+            rot = self.rotated
+            y[..., rot, :, :] = self.T @ y[..., rot, :, :] @ self.T.swapaxes(1, 2)
+        return y
 
 
 def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
@@ -266,23 +316,10 @@ def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
 
     The local response Y_local(s) is similarity-transformed by the frame
     rotation: T(theta) Y_local T(theta)^{-1}. Stacked (M, 2, 2) over an
-    array of s.
+    array of s. The one-model case of a :class:`StampTable`'s apparatus
+    groups.
     """
-    s = np.asarray(s, dtype=complex)
-    if isinstance(model, StateSpaceRealization):
-        y = _evaluate_state_space(model, s)
-    elif isinstance(model, RationalMatrix):
-        y = _evaluate_rational(model, s)
-    elif isinstance(model, RationalModel):
-        y = model.evaluate(s)
-    elif isinstance(model, SampledResponse):
-        y = _evaluate_sampled(model, s)
-    else:
-        raise AssemblyError(f"unknown apparatus model type {type(model)!r}")
-    if theta == 0.0:
-        return y
-    T = frame_rotation(theta)
-    return T @ y @ T.T  # T^{-1} = T^T for a rotation
+    return _ApparatusGroup([model], [theta]).evaluate(np.asarray(s, dtype=complex))[..., 0, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +401,9 @@ class StampTable:
     maps a shunt kind to the positions and values of its shunts. The table
     lists the four blocks (ii, ij, ji, jj) of each branch, from
     :func:`transformer_stamp`, then the (bus, bus) block y of each shunt and
-    each apparatus: the order in which Y adds them up.
+    each apparatus: the order in which Y adds them up. ``groups`` holds the
+    apparatus as one group of every ``RationalMatrix``, one per state count
+    of the state-space models and one per model of another kind.
     """
 
     def __init__(self, net: NetworkDescription):
@@ -386,19 +425,48 @@ class StampTable:
                    np.array([net.shunts[e - nb].value for e in pos], dtype=float))
             for kind, pos in kinds.items()
         }
+        groups: dict = {}
+        for a, app in enumerate(net.apparatus):
+            if isinstance(app.model, RationalMatrix):
+                key = "rational"
+            elif isinstance(app.model, StateSpaceRealization):
+                key = app.model.n_states
+            else:
+                key = ("alone", a)
+            groups.setdefault(key, []).append(a)
+        # (positions in the element stack, group) per group of apparatus
+        self.groups = [(len(self.refs) - len(net.apparatus) + np.array(members),
+                        _ApparatusGroup([net.apparatus[a].model for a in members],
+                                        [net.apparatus[a].theta for a in members]))
+                       for members in groups.values()]
+
+    @functools.cached_property
+    def _picks(self) -> tuple[np.ndarray, list]:
+        """The cells of the flattened Y that the table adds to, and per pass
+        k the entry of the flattened block stack that each cell with more
+        than k contributions takes as its k-th, in table order; the cells
+        are sorted by their count of contributions, largest first, so pass
+        k covers a prefix of them."""
+        nb, dim = self.n_branches, 2 * self.net.n_buses
         bi, bj = self.i[:nb], self.j[:nb]
         rows = np.concatenate([np.stack([bi, bi, bj, bj], axis=-1).reshape(-1), self.i[nb:]])
         cols = np.concatenate([np.stack([bi, bj, bi, bj], axis=-1).reshape(-1), self.i[nb:]])
         # entry (a, b) of block t lands at (2 rows[t] - 2 + a, 2 cols[t] - 2 + b)
-        self._rows = (2 * rows[:, None, None] - 2 + np.array([[0, 0], [1, 1]])).reshape(-1)
-        self._cols = (2 * cols[:, None, None] - 2 + np.array([[0, 1], [0, 1]])).reshape(-1)
+        cell = ((2 * rows[:, None, None] - 2 + np.array([[0, 0], [1, 1]])) * dim
+                + 2 * cols[:, None, None] - 2 + np.array([[0, 1], [0, 1]])).reshape(-1)
+        order = np.argsort(cell, kind="stable")  # by cell, in table order within a cell
+        cells, first, counts = np.unique(cell[order], return_index=True, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        passes = [order[first[by_count[:np.count_nonzero(counts > k)]] + k]
+                  for k in range(counts.max(initial=0))]
+        return cells[by_count], passes
 
     def evaluate(self, s) -> np.ndarray:
         """Every element's 2x2 admittance y(s), stacked (..., N, 2, 2) in
         element order: all branches in one pass, the shunts in one pass per
-        kind, each apparatus once over all of s. Where an element cannot be
-        evaluated or stamped, raises the error of the first such element at
-        its first such s, named as by Y."""
+        kind, the apparatus in one pass per group, each over all of s. Where
+        an element cannot be evaluated or stamped, raises the error of the
+        first such element at its first such s, named as by Y."""
         s = np.asarray(s, dtype=complex)
         net, nb = self.net, self.n_branches
         y = np.empty(s.shape + (len(self.refs), 2, 2), dtype=complex)
@@ -412,8 +480,8 @@ class StampTable:
                                                                    s[..., None])
             if not ok.all():
                 raise EvaluationError("a passive element is singular")
-            for e, app in enumerate(net.apparatus, start=len(self.refs) - len(net.apparatus)):
-                y[..., e, :, :] = apparatus_admittance(app.model, s, app.theta)
+            for pos, group in self.groups:
+                y[..., pos, :, :] = group.evaluate(s)
         except Exception:  # whatever failed, re-raised as the first failing element raises it
             for ref in self.refs:
                 _raise_named(net, ref, s)
@@ -422,15 +490,21 @@ class StampTable:
 
     def stamp(self, y: np.ndarray) -> np.ndarray:
         """Y from the element stack ``y`` of :meth:`evaluate`: every block of
-        the table added into a zero 2n x 2n matrix in table order, in one
-        ``np.add.at``."""
-        nb, dim = self.n_branches, 2 * self.net.n_buses
-        branch = np.stack(transformer_stamp(y[..., :nb, :, :], self.ratio[:nb, None, None]),
-                          axis=-3).reshape(y.shape[:-3] + (4 * nb, 2, 2))
-        blocks = np.concatenate([branch, y[..., nb:, :, :]], axis=-3)
-        Y = np.zeros(y.shape[:-3] + (dim, dim), dtype=complex)
-        np.add.at(Y, (Ellipsis, self._rows, self._cols), blocks.reshape(y.shape[:-3] + (-1,)))
-        return Y
+        the table added into a zero 2n x 2n matrix in table order. Pass k
+        adds each cell's k-th contribution, starting from +0.0, so values and
+        signs of zero are those of ``np.add.at`` over the table."""
+        nb, dim, lead = self.n_branches, 2 * self.net.n_buses, y.shape[:-3]
+        entries = np.concatenate([  # the table's blocks, flattened; no other copy stays alive
+            np.stack(transformer_stamp(y[..., :nb, :, :], self.ratio[:nb, None, None]),
+                     axis=-3).reshape(lead + (4 * nb, 2, 2)),
+            y[..., nb:, :, :]], axis=-3).reshape(lead + (-1,))
+        cells, passes = self._picks
+        total = np.zeros(lead + cells.shape, dtype=complex)
+        for picks in passes:
+            total[..., :picks.size] += entries[..., picks]
+        Y = np.zeros(lead + (dim * dim,), dtype=complex)
+        Y[..., cells] = total
+        return Y.reshape(lead + (dim, dim))
 
 
 class WholeSystemModel:

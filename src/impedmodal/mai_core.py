@@ -581,7 +581,8 @@ def validate_mode_predictions(
     ``system`` when given), else among ``reference_modes`` (the run's
     modes; by default the lambdas of ``modes``) and their conjugates.
     """
-    table = assembly.StampTable(net)
+    model = WholeSystemModel(net)
+    table = model.table
     at = [table.index[tuple(ref)] for ref in refs]
     oracle = None
     if mass_oracle.oracle_capable(net):
@@ -589,7 +590,6 @@ def validate_mode_predictions(
         updates = oracle.element_updates(refs, 1.0 + epsilon)
         spectrum = oracle.eig.eigenvalues
     else:
-        model = WholeSystemModel(net)
         reference = np.asarray([mode.lam for mode in modes] if reference_modes is None
                                else reference_modes, dtype=complex)
         # the conjugates are zeros of det Y too; a mode given twice is one mode

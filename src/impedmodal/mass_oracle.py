@@ -548,16 +548,19 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
     """
     # imported here, not at module level: numpy has no LU to reuse for the
     # conjugate-transposed solves, and an oracle analyze never comes here
-    import scipy.linalg
+    from scipy.linalg.lapack import get_lapack_funcs
 
     n = A.shape[0]
     sigma = lam + 16 * np.finfo(float).eps * (np.linalg.norm(A) or 1.0)
-    lu = scipy.linalg.lu_factor(A - sigma * np.eye(n), check_finite=False)
+    M = A - sigma * np.eye(n)
     x = y = np.random.default_rng(0).standard_normal(n).astype(complex)
+    # LAPACK's LU (real at a real sigma) and its complex solves, as scipy's
+    # lu_factor and lu_solve call them, without their per-call checks
+    (getrf,), (getrs,) = get_lapack_funcs(("getrf",), (M,)), get_lapack_funcs(("getrs",), (M, x))
+    lu, piv, _ = getrf(M, overwrite_a=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(2):
-            x = scipy.linalg.lu_solve(lu, x, check_finite=False)
-            y = scipy.linalg.lu_solve(lu, y, trans=2, check_finite=False)
+            x, y = getrs(lu, piv, x)[0], getrs(lu, piv, y, trans=2)[0]
             x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         overlap = np.vdot(y, x)
         _check_condition(lam, 1.0 / abs(overlap))

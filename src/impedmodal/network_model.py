@@ -399,9 +399,47 @@ def read_response_csv(text: str, dim: Optional[int] = None) -> tuple[np.ndarray,
     A non-numeric first row is a header; blank rows are skipped. ``dim``
     fixes the matrix size (1 + 2 dim^2 columns); otherwise the first data
     row sets the width. Raises NetworkFormatError on malformed input, a
-    non-finite value included.
+    non-finite value included. A well-formed document is read in one
+    ``np.loadtxt`` pass; any other goes row by row, which names the error.
     """
     width = None if dim is None else 1 + 2 * dim * dim
+    data = _load_rows(text)
+    if (data is None or (width is not None and data.shape[1] != width)
+            or not np.isfinite(data).all()):
+        data = _read_rows(text, width)
+    width = data.shape[1]
+    n = int(round(np.sqrt((width - 1) // 2)))
+    if n < 1 or width != 1 + 2 * n * n:
+        raise NetworkFormatError(f"response CSV width {width} does not describe a square matrix")
+    return data[:, 0], (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
+
+
+def _load_rows(text: str) -> Optional[np.ndarray]:
+    """The rows of a response CSV from one ``np.loadtxt`` pass, the header
+    skipped as :func:`_read_rows` skips it, or None where the pass refuses
+    the document. A cell it reads has the value float() gives it; it
+    refuses some cells float() reads (``1_0``, non-ASCII digits), and
+    quotes and carriage returns, which the csv module reads its own way."""
+    if '"' in text or "\r" in text:
+        return None
+    first, _, rest = text.partition("\n")
+    try:
+        [float(cell) for cell in first.split(",")]
+        body = text
+    except ValueError:
+        body = rest if first.replace(",", "").strip() else text
+    if not body.strip():
+        return None
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_rows(text: str, width: Optional[int]) -> np.ndarray:
+    """The rows of a response CSV read one by one: a non-numeric first row
+    is a header and blank rows are skipped; raises NetworkFormatError at
+    the first malformed row."""
     rows = []
     for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -423,11 +461,7 @@ def read_response_csv(text: str, dim: Optional[int] = None) -> tuple[np.ndarray,
         rows.append(values)
     if not rows:
         raise NetworkFormatError("response CSV contains no data rows")
-    n = int(round(np.sqrt((width - 1) // 2)))
-    if n < 1 or width != 1 + 2 * n * n:
-        raise NetworkFormatError(f"response CSV width {width} does not describe a square matrix")
-    data = np.array(rows, dtype=float)
-    return data[:, 0], (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
+    return np.array(rows, dtype=float)
 
 
 def _parse_model(obj: dict, where: str, base_dir: Optional[str]) -> ApparatusModel:

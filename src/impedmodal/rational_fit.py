@@ -394,26 +394,30 @@ def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outco
         outcomes[rows[0]] = exc
         return rows[:0]
     k = rows.size
-    live = np.flatnonzero(np.isfinite(Y[:k]).all(axis=(1, 2)))
-    for m in np.setdiff1d(np.arange(k), live):
+    finite = np.isfinite(Y[:k]).all(axis=(1, 2))
+    for m in np.flatnonzero(~finite):
         outcomes[rows[m]] = RefinementError(f"admittance not finite at s = {complex(x[m])}")
+    live = np.flatnonzero(finite)
     dY = (Y[k + live] - Y[2 * k + live]) / (2 * h[live])[:, None, None]
     # the step is 0 where Y is exactly singular: that iterate is its seed's root
     with np.errstate(divide="ignore", invalid="ignore"):
         step = 1.0 / _solve_each(Y[live], dY).diagonal(axis1=1, axis2=2).sum(axis=1)
-    moving = []
-    for m, dx in zip(live, step):
-        r, xn = rows[m], x[m] - dx
-        if not np.isfinite(dx):
-            outcomes[r] = RefinementError(f"flat log-determinant at s = {complex(x[m])}")
-        elif abs(dx) <= _NEWTON_TOL * (1.0 + abs(x[m])):
-            outcomes[r] = complex(xn)
-        elif not np.isfinite(xn) or abs(xn) > 1e12:
-            outcomes[r] = RefinementError(f"Newton iteration diverged from seed {seeds[r]}")
-        else:
-            s[r] = xn
-            moving.append(r)
-    return np.array(moving, dtype=int)
+    x, rows = x[live], rows[live]
+    xn = x - step
+    # |z| as np.hypot takes it, which rounds as abs() of one complex does
+    flat = ~np.isfinite(step)
+    done = ~flat & (np.hypot(step.real, step.imag)
+                    <= _NEWTON_TOL * (1.0 + np.hypot(x.real, x.imag)))
+    diverged = ~(flat | done) & (~np.isfinite(xn) | (np.hypot(xn.real, xn.imag) > 1e12))
+    for m in np.flatnonzero(flat):
+        outcomes[rows[m]] = RefinementError(f"flat log-determinant at s = {complex(x[m])}")
+    for m in np.flatnonzero(done):
+        outcomes[rows[m]] = complex(xn[m])
+    for m in np.flatnonzero(diverged):
+        outcomes[rows[m]] = RefinementError(f"Newton iteration diverged from seed {seeds[rows[m]]}")
+    moving = ~(flat | done | diverged)
+    s[rows[moving]] = xn[moving]
+    return rows[moving]
 
 
 def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Sequence[complex],

@@ -25,6 +25,12 @@ def rl_load_apparatus(Ra: float, La: float, w0: float = W0) -> StateSpaceRealiza
     return StateSpaceRealization(A=A, B=B, C=np.eye(2), D=np.zeros((2, 2)))
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes, dtypes and bytes: equal values, signs of zero included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def scaled_net(net: NetworkDescription, ref, factor: float) -> NetworkDescription:
     """``net`` with element ``ref``'s admittance scaled by ``factor`` through
     its physical parameters (:func:`mass_oracle.scaled_element`)."""

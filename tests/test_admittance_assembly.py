@@ -1,5 +1,6 @@
 """Element stamps, frame rotation and whole-system matrix assembly."""
 
+import json
 import re
 from dataclasses import replace
 
@@ -36,10 +37,10 @@ from impedmodal.network_model import (
     StateSpaceRealization,
 )
 
-from impedmodal import admittance_assembly
+from impedmodal import admittance_assembly, network_model
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
-from conftest import W0, rl_load_apparatus, rl_shunt_admittance, scaled_net
+from conftest import W0, mixed_ring_doc, rl_load_apparatus, rl_shunt_admittance, same_bits, scaled_net
 
 
 def _nodal(net: NetworkDescription, s) -> np.ndarray:
@@ -389,21 +390,15 @@ def _stamped_in_element_order(net: NetworkDescription, s) -> np.ndarray:
     return Y
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal values and equal signs of zero."""
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)),
-                                                   np.signbit(b.view(float)))
-
-
 def test_element_stamp_sums_to_admittance():
     """Y from the stamp table is the element-by-element sum of every
     element's stamp, bit for bit, at a scalar s and over an array of s."""
     for net, s_grid in ((_mixed_net(sampled=False), -12.0 + 1j * np.linspace(10.0, 900.0, 9)),
                         (_mixed_net(sampled=True), 1j * np.geomspace(6.0, 4000.0, 9))):
         model = WholeSystemModel(net)
-        assert _same_bits(model.admittance(s_grid), _stamped_in_element_order(net, s_grid))
+        assert same_bits(model.admittance(s_grid), _stamped_in_element_order(net, s_grid))
         for s in (complex(s_grid[3]), complex(s_grid[-1])):
-            assert _same_bits(model.admittance(s), _stamped_in_element_order(net, s))
+            assert same_bits(model.admittance(s), _stamped_in_element_order(net, s))
 
 
 def test_perturbed_model_scales_one_element(three_bus_net):
@@ -549,9 +544,9 @@ def test_stacked_element_helpers_match_pointwise():
         stacked = element_admittance(net, ref, s_grid)
         pointwise = np.array([element_admittance(net, ref, complex(s)) for s in s_grid])
         assert stacked.shape == pointwise.shape == (s_grid.size, 2, 2), ref
-        assert _same_bits(stacked, pointwise), ref
-        assert _same_bits(stack[:, e], pointwise), ref
-        assert _same_bits(table.evaluate(s_grid[5])[e], pointwise[5]), ref
+        assert same_bits(stacked, pointwise), ref
+        assert same_bits(stack[:, e], pointwise), ref
+        assert same_bits(table.evaluate(s_grid[5])[e], pointwise[5]), ref
     for app in net.apparatus:
         stacked = apparatus_admittance(app.model, s_grid, app.theta)
         assert np.array_equal(stacked, np.array([apparatus_admittance(app.model, complex(s),
@@ -616,43 +611,150 @@ def test_stacked_branch_and_shunt_errors_name_the_point():
 
 
 def test_overlay_evaluates_each_apparatus_once(monkeypatch):
-    """One overlay call evaluates every apparatus once, over all its points."""
+    """One overlay call evaluates every apparatus once, over all its points:
+    each apparatus sits in exactly one evaluated group, and that group is
+    evaluated once over the whole grid."""
     net = _mixed_net(sampled=False)
     refs = network_elements(net)
     s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
     calls = []
-    exact = admittance_assembly.apparatus_admittance
+    exact = admittance_assembly._ApparatusGroup.evaluate
 
-    def counting(model, s, theta=0.0):
-        calls.append(np.shape(s))
-        return exact(model, s, theta)
+    def counting(group, s):
+        calls.extend((id(model), np.shape(s)) for model in group.models)
+        return exact(group, s)
 
-    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", counting)
+    monkeypatch.setattr(admittance_assembly._ApparatusGroup, "evaluate", counting)
     overlay_admittance(WholeSystemModel(net), refs, 1.07, s_grid, np.arange(s_grid.size) % len(refs))
-    assert calls == [s_grid.shape] * len(net.apparatus)
+    assert sorted(calls) == sorted((id(app.model), s_grid.shape) for app in net.apparatus)
 
 
 def test_admittance_names_the_first_failing_element_in_element_order(monkeypatch):
     """A lossless line fails at s = j w0 (the second point), apparatus 0 at
     the first point and an inductive shunt at j w0: Y names the line, the
     first failing element, at its own first failing s, whichever point
-    fails first; without the line, the shunt."""
-    net = replace(_mixed_net(sampled=False),
+    fails first; without the line, the shunt. The apparatus fault sits in
+    the group evaluation, which the table and ``apparatus_admittance``
+    both run: the table's pass meets it in apparatus 0's group of two
+    state-space models, and the naming pass in apparatus 0 alone."""
+    mixed = _mixed_net(sampled=False)
+    net = replace(mixed,
                   branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.0, L=0.002),),
-                  shunts=(ShuntElement(bus=2, kind="inductive", value=0.3),))
+                  shunts=(ShuntElement(bus=2, kind="inductive", value=0.3),),
+                  apparatus=mixed.apparatus + (
+                      ApparatusAttachment(bus=3, model=rl_load_apparatus(0.3, 0.004)),))
     s_grid = np.array([1j * 100.0, 1j * W0, 1j * 400.0])
-    exact = admittance_assembly.apparatus_admittance
+    exact = admittance_assembly._ApparatusGroup.evaluate
+    grouped = []
 
-    def fragile(model, s, theta=0.0):
-        if model is net.apparatus[0].model and np.any(np.asarray(s) == s_grid[0]):
+    def fragile(group, s):
+        grouped.append(len(group.models))
+        if net.apparatus[0].model in group.models and np.any(np.asarray(s) == s_grid[0]):
             raise EvaluationError("apparatus 0 fails")
-        return exact(model, s, theta)
+        return exact(group, s)
 
-    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", fragile)
+    monkeypatch.setattr(admittance_assembly._ApparatusGroup, "evaluate", fragile)
     with pytest.raises(EvaluationError, match=r"^branch 1-2 \(line\): .* at s = 314\.159"):
         WholeSystemModel(net).admittance(s_grid)
     with pytest.raises(EvaluationError,
                        match=r"^shunt at bus 2 \(inductive\): inductive shunt at bus 2 is singular"):
         WholeSystemModel(replace(net, branches=())).admittance(s_grid)
+    grouped.clear()
     with pytest.raises(EvaluationError, match=r"^apparatus at bus 1: apparatus 0 fails$"):
         WholeSystemModel(replace(net, branches=(), shunts=())).admittance(s_grid)
+    assert grouped[0] == 2 and grouped[-1] == 1  # the table's pass, then the naming pass
+
+
+# ---------------------------------------------------------------------------
+# Grouped apparatus and the gather-add stamp against their references
+# ---------------------------------------------------------------------------
+
+
+def _add_at_stamp(table: StampTable, y: np.ndarray) -> np.ndarray:
+    """Y from the element stack ``y`` by one ``np.add.at`` over the table's
+    blocks: the reference of :meth:`StampTable.stamp`."""
+    nb, dim = table.n_branches, 2 * table.net.n_buses
+    branch = np.stack(transformer_stamp(y[..., :nb, :, :], table.ratio[:nb, None, None]),
+                      axis=-3).reshape(y.shape[:-3] + (4 * nb, 2, 2))
+    blocks = np.concatenate([branch, y[..., nb:, :, :]], axis=-3)
+    bi, bj = table.i[:nb], table.j[:nb]
+    rows = np.concatenate([np.stack([bi, bi, bj, bj], axis=-1).reshape(-1), table.i[nb:]])
+    cols = np.concatenate([np.stack([bi, bj, bi, bj], axis=-1).reshape(-1), table.i[nb:]])
+    rows = (2 * rows[:, None, None] - 2 + np.array([[0, 0], [1, 1]])).reshape(-1)
+    cols = (2 * cols[:, None, None] - 2 + np.array([[0, 1], [0, 1]])).reshape(-1)
+    Y = np.zeros(y.shape[:-3] + (dim, dim), dtype=complex)
+    np.add.at(Y, (Ellipsis, rows, cols), blocks.reshape(y.shape[:-3] + (-1,)))
+    return Y
+
+
+def test_stamp_equals_add_at_bit_for_bit():
+    """The gather-add stamp gives np.add.at's values and signs of zero: on
+    the mixed net, on the mixed ring (parallel branches 2-3, a transformer),
+    from evaluated stacks and from stacks whose entries are drawn from
+    -0.0, +0.0 and random values, at a scalar s and over a grid."""
+    rng = np.random.default_rng(4)
+    nets = [_mixed_net(sampled=False),
+            network_model.parse_network(json.dumps(mixed_ring_doc()))]
+    assert any(b.ratio != 1.0 for b in nets[1].branches)
+    pairs = [tuple(sorted((b.from_bus, b.to_bus))) for b in nets[1].branches]
+    assert len(set(pairs)) < len(pairs)  # parallel branches share their cells
+    s_grid = -3.0 + 1j * np.linspace(20.0, 900.0, 7)
+    for net in nets:
+        table = StampTable(net)
+        stacks = [table.evaluate(s_grid), table.evaluate(s_grid[2])]
+        for shape in ((5,), ()):
+            parts = rng.choice([-0.0, 0.0, 1.0], size=shape + (len(table.refs), 2, 2, 2))
+            parts[parts == 1.0] = rng.standard_normal(np.count_nonzero(parts == 1.0))
+            stacks.append(parts[..., 0] + 1j * parts[..., 1])
+            stacks.append(np.full(shape + (len(table.refs), 2, 2), -0.0 - 0.0j))
+        for y in stacks:
+            assert same_bits(table.stamp(y), _add_at_stamp(table, y))
+
+
+def _group_net() -> NetworkDescription:
+    """One bus per apparatus model kind and angle: rational models of
+    unequal numerator and denominator degrees at theta 0 and not, state-
+    space models of 2 and 3 states (two of each count), a fitted surrogate
+    and a sampled response."""
+    rational_low = RationalMatrix(numerators=(((2.0,), (0.5, -1.0)), ((0.0,), (3.0,))),
+                                  denominators=(((1.0, 7.0), (1.0,)), ((1.0,), (1.0, 2.0, 5.0))))
+    three = StateSpaceRealization(A=np.array([[-3.0, 40.0, 0.0], [-40.0, -3.0, 1.0], [0.0, -2.0, -9.0]]),
+                                  B=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.2]]),
+                                  C=np.array([[1.0, 0.0, 0.3], [0.0, 1.0, -0.1]]),
+                                  D=np.array([[0.01, 0.0], [0.0, 0.02]]))
+    models = [(_rational_apparatus(), 0.0), (rational_low, -0.4), (_rational_apparatus(), 0.25),
+              (rl_load_apparatus(0.1, 0.005), 0.3), (rl_load_apparatus(0.2, 0.01), 0.0),
+              (three, 0.0), (replace(three, D=np.zeros((2, 2))), 1.1),
+              (fit_apparatus_surrogate(_sampled_apparatus(), order=4), 0.7),
+              (_sampled_apparatus(), -0.2)]
+    return NetworkDescription(
+        n_buses=len(models), omega0=W0,
+        shunts=tuple(ShuntElement(bus=b, kind="capacitive", value=1e-3)
+                     for b in range(1, len(models) + 1)),
+        apparatus=tuple(ApparatusAttachment(bus=b, model=m, theta=th)
+                        for b, (m, th) in enumerate(models, start=1)),
+    )
+
+
+def test_apparatus_groups_equal_one_apparatus_at_a_time():
+    """Each apparatus in the table's grouped pass equals, bit for bit,
+    ``apparatus_admittance`` called on it alone: three rational models in
+    one group, the 2-state and the 3-state models in one group each, the
+    surrogate and the sampled response alone; on the j omega axis (all
+    models) and off it (without the sampled one), at a scalar s and over a
+    grid."""
+    net = _group_net()
+    table = StampTable(net)
+    sizes = sorted(len(group.models) for _, group in table.groups)
+    assert sizes == [1, 1, 2, 2, 3]
+    off_axis = replace(net, apparatus=net.apparatus[:-1], shunts=net.shunts[:-1],
+                       n_buses=net.n_buses - 1)
+    for net_, s_grid in ((net, 1j * np.geomspace(6.0, 4000.0, 11)),
+                         (off_axis, np.array([-7.0 + 90.0j, 3.0 + 0.0j, -40.0 - 250.0j, 1200.0j]))):
+        table = StampTable(net_)
+        first = len(table.refs) - len(net_.apparatus)
+        for s in (s_grid, s_grid[1]):
+            y = table.evaluate(s)
+            for a, app in enumerate(net_.apparatus):
+                alone = apparatus_admittance(app.model, s, app.theta)
+                assert same_bits(y[..., first + a, :, :], alone), a

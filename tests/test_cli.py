@@ -14,7 +14,6 @@ from impedmodal import admittance_assembly as assembly
 from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
 from impedmodal.admittance_assembly import (
     EvaluationError,
-    apparatus_admittance,
     element_admittance,
     network_elements,
 )
@@ -542,8 +541,8 @@ def test_analyze_builds_layers_once_per_chunk(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    def counted_response(A, B, C, D, s):
-        points.append(np.size(s))
+    def counted_response(A, B, C, D, s):  # a stack of K models counts K evaluations
+        points.extend([np.size(s)] * (len(A) if np.ndim(A) == 3 else 1))
         return response(A, B, C, D, s)
 
     for name in calls:
@@ -748,15 +747,18 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
 
 
 def _fragile_apparatus(net, failing):
-    """``apparatus_admittance``, except that the model of apparatus a of
+    """The evaluation of an apparatus group (which ``apparatus_admittance``
+    runs as a group of one), except that the model of apparatus a of
     ``net`` raises at the mode values ``failing[a]``, naming its s."""
     models = [app.model for app in net.apparatus]
+    exact = assembly._ApparatusGroup.evaluate
 
-    def evaluate(model, s, theta=0.0):
-        a = next((a for a, m in enumerate(models) if m is model), None)
-        if np.isin(np.asarray(s), failing.get(a, [])).any():
-            raise EvaluationError(f"apparatus {a} fails at s = {s}")
-        return apparatus_admittance(model, s, theta)
+    def evaluate(group, s):
+        for model in group.models:
+            a = next((a for a, m in enumerate(models) if m is model), None)
+            if np.isin(np.asarray(s), failing.get(a, [])).any():
+                raise EvaluationError(f"apparatus {a} fails at s = {s}")
+        return exact(group, s)
     return evaluate
 
 
@@ -776,7 +778,7 @@ def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypat
     lam = [r.lam for r in records]
     monkeypatch.setattr(mai_core, "solve_modes", lambda *args, **kwargs: records)
     monkeypatch.setattr(cli_reporting, "_load_network", lambda path: net)
-    monkeypatch.setattr(assembly, "apparatus_admittance",
+    monkeypatch.setattr(assembly._ApparatusGroup, "evaluate",
                         _fragile_apparatus(net, {0: [lam[4], lam[6]], 1: [lam[4]]}))
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))

@@ -52,7 +52,7 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import W0, mixed_ring_doc, rl_load_apparatus, scaled_net
+from conftest import W0, mixed_ring_doc, rl_load_apparatus, same_bits, scaled_net
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
@@ -109,11 +109,6 @@ def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
         solve_modes(two_bus_net, system=system)
 
 
-def _same_bits(a, b) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 def _dense_bus_blocks(res):
     """The dense residue cut into (n + 1, n + 1, 2, 2) bus blocks, with a
     zero ground row and column at index 0."""
@@ -149,15 +144,15 @@ def test_factored_residues_give_the_dense_bits(three_bus_net, case):
     assert len(records) >= 7
     for rec, res in zip(records, want):
         assert rec.left.shape == rec.right.shape == (2 * net.n_buses,)
-        assert _same_bits(rec.residue, res)
+        assert same_bits(rec.residue, res)
     table = admittance_assembly.StampTable(net)
     s, y = mai_core._mode_stack(table, records)
     i, j, k = table.i, table.j, table.ratio[:, None, None]
-    assert _same_bits(y, table.evaluate(np.array([r.lam for r in records])))
+    assert same_bits(y, table.evaluate(np.array([r.lam for r in records])))
     for m, rec in enumerate(records):
         b = _dense_bus_blocks(rec.residue)
         d = mai_core._ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
-        assert _same_bits(s[m], np.conj(d).swapaxes(-1, -2))
+        assert same_bits(s[m], np.conj(d).swapaxes(-1, -2))
 
 
 def test_modes_keep_their_residues_as_factors():
@@ -464,17 +459,17 @@ def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_mod
     every element at the other modes, end in the EvaluationError."""
     refs = network_elements(three_bus_net)
     lam1 = three_bus_modes[1].lam
-    exact = admittance_assembly.apparatus_admittance
+    exact = admittance_assembly._ApparatusGroup.evaluate
     model0 = three_bus_net.apparatus[0].model
 
-    def fragile(model, s, theta=0.0):
-        if model is model0 and np.any(np.abs(np.asarray(s) - lam1) > 1e-3):
+    def fragile(group, s):  # every group holding apparatus 0, alone or not
+        if model0 in group.models and np.any(np.abs(np.asarray(s) - lam1) > 1e-3):
             raise EvaluationError(f"apparatus 0 is defined within 1e-3 of {lam1} only")
-        return exact(model, s, theta)
+        return exact(group, s)
 
     _overlay_route(monkeypatch)
     want = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
-    monkeypatch.setattr(admittance_assembly, "apparatus_admittance", fragile)
+    monkeypatch.setattr(admittance_assembly._ApparatusGroup, "evaluate", fragile)
     got = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
     kept = 0
     for k, (mode_want, mode_got) in enumerate(zip(want, got)):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from impedmodal import network_model
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -24,6 +25,8 @@ from impedmodal.network_model import (
     validate,
     write_response_csv,
 )
+
+from conftest import same_bits
 
 MINIMAL = """
 {
@@ -475,6 +478,94 @@ def test_sampled_response_csv_round_trip():
     )
     assert np.array_equal(resp.frequencies, frequencies)
     assert np.array_equal(resp.blocks, blocks)
+
+
+def _csv_by_rows(text: str, dim=None):
+    """What the row-by-row reader makes of ``text``: its rows, or None
+    where it refuses the document."""
+    try:
+        return network_model._read_rows(text, None if dim is None else 1 + 2 * dim * dim)
+    except NetworkFormatError:
+        return None
+
+
+def _csv_outcome(reader, text: str, dim=None):
+    """(frequencies, values) from ``reader``, or the message it raises."""
+    try:
+        return reader(text, dim)
+    except NetworkFormatError as exc:
+        return str(exc)
+
+
+def _row_reader(text: str, dim=None):
+    """read_response_csv with every document read row by row."""
+    data = network_model._read_rows(text, None if dim is None else 1 + 2 * dim * dim)
+    n = int(round(np.sqrt((data.shape[1] - 1) // 2)))
+    if n < 1 or data.shape[1] != 1 + 2 * n * n:
+        raise NetworkFormatError(
+            f"response CSV width {data.shape[1]} does not describe a square matrix")
+    return data[:, 0], (data[:, 1::2] + 1j * data[:, 2::2]).reshape(-1, n, n)
+
+
+HEADER = "omega,re_1_1,im_1_1\n"
+
+
+@pytest.mark.parametrize("text, dim, fast", [
+    (HEADER + "1.0,2.0,3.0\n4.0,5.0,6.0\n", None, True),  # a header
+    ("1.0,2.0,3.0\n4.0,5.0,6.0", 1, True),  # no header, no final newline
+    (HEADER + "\n1.0,2.0,3.0\n\n4.0,5.0,6.0\n\n", None, True),  # blank lines
+    ("\n" + HEADER + "1.0,2.0,3.0\n", None, False),  # the header is not the first row
+    (HEADER + "1.0,  ,3.0\n , ,\n4.0,5.0,6.0\n", None, False),  # blank cells
+    (HEADER + "1.0,2.0,3.0\n , ,\n4.0,5.0,6.0\n", None, False),  # a row of blank cells
+    (HEADER + "1.0,2.0#,3.0\n", None, False),  # '#' in a cell
+    (HEADER + "1.0,2.0,3.0,\n", None, False),  # a trailing comma
+    (HEADER + '1.0,"2.0",3.0\n', None, False),  # a quoted cell
+    ('"omega","re_1_1","im_1_1"\n1.0,2.0,3.0\n', None, False),  # a quoted header
+    (HEADER + "1_0,2.0,3.0\n", None, False),  # float() reads 1_0 as 10
+    (HEADER + "1.0,nan,3.0\n", None, False),
+    (HEADER + "1.0,2.0,-inf\n", None, False),
+    (HEADER + "1.0,2.0,3.0\r\n4.0,5.0,6.0\r\n", None, False),
+    (HEADER + "1.0,2.0,3.0\n4.0,5.0\n", None, False),  # width mismatch between rows
+    (HEADER + "1.0,2.0,3.0\n", 2, False),  # width mismatch with dim
+    ("omega,a,b,c\n1.0,2.0,3.0,4.0\n", None, True),  # rows, but no square matrix
+    (HEADER, None, False),  # no data rows
+    ("", None, False),
+])
+def test_response_csv_fast_pass_agrees_with_the_row_reader(text, dim, fast):
+    """The one-pass loadtxt read serves the well-formed documents with the
+    row reader's floats bit for bit and serves no document the row reader
+    refuses; on every document read_response_csv returns what reading row
+    by row returns, or raises its error."""
+    rows = _csv_by_rows(text, dim)
+    loaded = network_model._load_rows(text)
+    served = (loaded is not None and np.isfinite(loaded).all()
+              and (dim is None or loaded.shape[1] == 1 + 2 * dim * dim))
+    assert served == fast
+    if served:
+        assert rows is not None and same_bits(loaded, rows)
+    want = _csv_outcome(_row_reader, text, dim)
+    got = _csv_outcome(read_response_csv, text, dim)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_response_csv_fast_pass_reads_the_shipped_samples():
+    """The shipped 220-row samples go through the one-pass read and give the
+    row reader's floats bit for bit; so does a written random response."""
+    from pathlib import Path
+
+    rng = np.random.default_rng(8)
+    texts = [(Path(__file__).resolve().parents[1] / "networks"
+              / "measured_two_bus_samples.csv").read_text(),
+             write_response_csv(np.sort(rng.uniform(1, 1e4, 30)),
+                                rng.normal(size=(30, 3, 3)) * 10.0 ** rng.integers(-300, 300, (30, 3, 3))
+                                + 1j * rng.normal(size=(30, 3, 3)))]
+    for text in texts:
+        assert same_bits(network_model._load_rows(text), _csv_by_rows(text))
+        got, want = read_response_csv(text), _row_reader(text)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 def test_shipped_example_networks_parse():

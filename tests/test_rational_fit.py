@@ -5,7 +5,7 @@ import pytest
 
 from impedmodal import rational_fit
 from impedmodal.admittance_assembly import WholeSystemModel
-from impedmodal.mass_oracle import interconnect
+from impedmodal.mass_oracle import _solve_each, interconnect
 from impedmodal.network_model import (
     NetworkFormatError,
     SampledResponse,
@@ -472,6 +472,92 @@ def test_refine_modes_takes_an_exactly_singular_iterate_as_its_root():
     assert got[0] == refine_mode(Y, seeds[0])
     assert got[2] == refine_mode(Y, seeds[2])
     assert abs(got[0] - a) <= 1e-13 * abs(a) and abs(got[2] - b) <= 1e-13 * abs(b)
+
+
+def _row_loop_newton_step(Yfun, s, seeds, rows, outcomes):
+    """rational_fit._newton_step as it was with a Python loop over the rows:
+    the reference of its array bookkeeping."""
+    x = s[rows]
+    h = 1e-6 * (1.0 + np.abs(x))
+    try:
+        Y = np.asarray(Yfun(np.concatenate([x, x + h, x - h]), np.tile(rows, 3)), dtype=complex)
+    except Exception as exc:
+        if rows.size > 1:
+            return np.concatenate([_row_loop_newton_step(Yfun, s, seeds, rows[m:m + 1], outcomes)
+                                   for m in range(rows.size)])
+        outcomes[rows[0]] = exc
+        return rows[:0]
+    k = rows.size
+    live = np.flatnonzero(np.isfinite(Y[:k]).all(axis=(1, 2)))
+    for m in np.setdiff1d(np.arange(k), live):
+        outcomes[rows[m]] = RefinementError(f"admittance not finite at s = {complex(x[m])}")
+    dY = (Y[k + live] - Y[2 * k + live]) / (2 * h[live])[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 1.0 / _solve_each(Y[live], dY).diagonal(axis1=1, axis2=2).sum(axis=1)
+    moving = []
+    for m, dx in zip(live, step):
+        r, xn = rows[m], x[m] - dx
+        if not np.isfinite(dx):
+            outcomes[r] = RefinementError(f"flat log-determinant at s = {complex(x[m])}")
+        elif abs(dx) <= rational_fit._NEWTON_TOL * (1.0 + abs(x[m])):
+            outcomes[r] = complex(xn)
+        elif not np.isfinite(xn) or abs(xn) > 1e12:
+            outcomes[r] = RefinementError(f"Newton iteration diverged from seed {seeds[r]}")
+        else:
+            s[r] = xn
+            moving.append(r)
+    return np.array(moving, dtype=int)
+
+
+def _same_outcome(a, b) -> bool:
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes()
+
+
+def test_newton_step_bookkeeping_equals_the_row_loop(monkeypatch):
+    """Refining the same seeds with the array bookkeeping and with the row
+    loop gives the same roots bit for bit, the same errors with the same
+    messages, and each step the same rows still moving with the same
+    iterates: converged roots (among 40 random-poled seeds), a flat
+    log-determinant, a divergence, a non-finite Y and a Yfun that raises."""
+    rng = np.random.default_rng(12)
+    poles = -rng.uniform(1.0, 20.0, 40) + 1j * rng.uniform(50.0, 2000.0, 40)
+    seeds = list(poles * (1.0 + 1e-3 * rng.standard_normal(40))) + [1.0 + 2.0j] * 4
+
+    def Yfun(s, rows):
+        if np.any(rows == 43):
+            raise ValueError("seed 43 cannot be evaluated")
+        p = poles[rows % 40]
+        Y = np.zeros((s.size, 2, 2), dtype=complex)
+        Y[:, 0, 0], Y[:, 1, 1], Y[:, 0, 1] = s - p, (s - p.conj()) * 1e-3 + 1.0, 0.3
+        Y[rows == 40] = np.diag([2.0, 3.0])  # flat: no zero
+        Y[rows == 41] = np.diag([1.0, 1.0])
+        Y[rows == 41, 0, 0] = 1.0 / s[rows == 41]  # the step doubles s up to |s| > 1e12
+        Y[(rows == 42) & (np.arange(s.size) < rows.size // 3)] = np.nan
+        return Y
+
+    runs = []
+    for step in (rational_fit._newton_step, _row_loop_newton_step):
+        trail, depth = [], []
+
+        def traced(Yfun, s, seeds, rows, outcomes, step=step):
+            depth.append(rows.size)  # a failed batch calls the step again row by row
+            moving = step(Yfun, s, seeds, rows, outcomes)
+            depth.pop()
+            if not depth:
+                trail.append((moving.tolist(), s.tobytes()))
+            return moving
+
+        monkeypatch.setattr(rational_fit, "_newton_step", traced)
+        runs.append((refine_modes(Yfun, seeds), trail))
+    (got, got_trail), (want, want_trail) = runs
+    assert got_trail == want_trail
+    assert all(_same_outcome(a, b) for a, b in zip(got, want))
+    assert sum(isinstance(r, complex) for r in got) == 40
+    assert [str(r).split(" at ")[0].split(" from ")[0] for r in got[40:]] == [
+        "flat log-determinant", "Newton iteration diverged", "admittance not finite",
+        "seed 43 cannot be evaluated"]
 
 
 def test_admittance_residue_at_an_exactly_singular_point():
