@@ -682,7 +682,8 @@ class _OracleSweep:
 
     def modes(self, net: NetworkDescription) -> np.ndarray:
         if net is not self.system.net:
-            rows, A_rows, B_rows = self.system.element_rows(self.ref, net.branches[self.ref[1]])
+            [(rows, A_rows, B_rows)] = self.system.element_rows(
+                [(self.ref, net.branches[self.ref[1]])])
             self.A[rows], self.B[rows] = A_rows, B_rows
         lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
         self.lams = lam[_in_band(lam, self.band)]

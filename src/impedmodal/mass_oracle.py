@@ -133,12 +133,12 @@ class Interconnection:
     an inductive-shunt current or an apparatus's states; ``state_names``
     names each row, and each block's row slice is recorded once, when the
     states are numbered. ``model`` is what :func:`interconnect` returns, and
-    raises what it raises.
-    :meth:`element_rows` gives the rows of A and B that replacing one
-    element changes, from the same block formulas, so the changed network
-    is never rebuilt; :meth:`element_updates` gives those of A for scaled
-    elements. ``eig`` is the eigenstructure of A, computed on first use.
-    """
+    raises what it raises. :meth:`element_rows`, the one builder of row
+    updates, gives the rows of A and B that replacing elements changes, from
+    the same block formulas, so no changed network is rebuilt;
+    :meth:`element_updates` filters those of A for elements scaled by
+    :func:`scaled_element`. ``eig`` is the eigenstructure of A, computed on
+    first use."""
 
     def __init__(self, net: NetworkDescription):
         for idx, app in enumerate(net.apparatus):
@@ -203,11 +203,9 @@ class Interconnection:
         self._drawn = drawn
 
         # --- bus voltages: V = P x + Q u ----------------------------------
-        self._P = np.zeros((nu, nx))
-        self._Q = np.zeros((nu, nu))
+        self._P, self._Q = np.zeros((nu, nx)), np.zeros((nu, nu))
         for bus in range(1, n + 1):
-            rows = block_slice(bus)
-            self._P[rows], self._Q[rows] = self._voltage_map(bus, totals[bus][1])
+            self._voltage_map(bus, totals[bus][1], self._P, self._Q)
 
         # --- state equations, block by block ------------------------------
         A = np.zeros((nx, nx))
@@ -239,27 +237,25 @@ class Interconnection:
     def _element(self, ref: tuple[str, int]):
         return self._kinds[ref[0]][ref[1]]
 
-    def _totals(self, pairs, factor: float = 1.0, element=None):
+    def _totals(self, pairs, elements=None):
         """Capacitance and static conductance at the bus of each pair (bus,
         ref): the terms of its shunts and apparatus summed in their order,
-        with element ``ref`` (unless None) replaced by ``element`` or else
-        scaled by ``factor`` (as :func:`scaled_element`)."""
+        with element ``ref`` (unless None) replaced by ``elements[k]``."""
         at_bus = [self._at_bus[bus] for bus, _ in pairs]
         index = {r: k for k, r in enumerate(dict.fromkeys(r for rs in at_bus for r in rs))}
-        scaled = [ref for _, ref in pairs if ref is not None]
-        refs = [*index, *scaled]
-        els = [self._element(r) for r in index] + [element or self._element(r) for r in scaled]
-        f = np.array([1.0] * len(index) + [1.0 if element else factor] * len(scaled))
+        replaced = [k for k, (_, ref) in enumerate(pairs) if ref is not None]
+        refs = [*index, *(pairs[k][1] for k in replaced)]
+        els = [self._element(r) for r in index] + [elements[k] for k in replaced]
         kind = np.array([getattr(el, "kind", "apparatus") for el in els])
         value = np.array([getattr(el, "value", 0.0) for el in els])
-        caps = np.append(np.where(kind == "capacitive", value, 0.0) * f, 0.0)
+        caps = np.append(np.where(kind == "capacitive", value, 0.0), 0.0)
         G = np.zeros((len(els) + 1, 2, 2))  # the last term is zero
         res = np.flatnonzero(kind == "resistive")
-        G[res] = _I2 / (value[res] / f[res])[:, None, None]
+        G[res] = _I2 / value[res][:, None, None]
         app = np.flatnonzero(kind == "apparatus")
         if app.size:
             T = np.array([self._rot[refs[k][1]] for k in app])
-            D = np.array([els[k].model.D for k in app]) * f[app, None, None]
+            D = np.array([els[k].model.D for k in app])
             G[app] = T @ D @ T.swapaxes(1, 2)
         pick, s = np.full((len(pairs), max(map(len, at_bus), default=0)), -1), len(index)
         for e, ((_, ref), rs) in enumerate(zip(pairs, at_bus)):
@@ -270,30 +266,27 @@ class Interconnection:
             cap, total = cap + caps[k], total + G[k]
         return cap, total
 
-    def _voltage_map(self, bus: int, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of P and Q for one bus: its voltage state if the bus carries
-        capacitance, else eliminated through the static conductance G."""
-        P = np.zeros((2, self._nx))
-        Q = np.zeros((2, self._nu))
+    def _voltage_map(self, bus: int, G: np.ndarray, P: np.ndarray, Q: np.ndarray) -> None:
+        """Write a bus's rows of P and Q (zeros or an eliminated voltage before):
+        its voltage state with capacitance, else eliminated through static G."""
+        rows = block_slice(bus)
         if ("bus", bus) in self._slices:
-            P[:, self._slices[("bus", bus)]] = _I2
-            return P, Q
+            P[rows, self._slices[("bus", bus)]] = _I2
+            return
         if abs(np.linalg.det(G)) < 1e-12 * max(1.0, np.linalg.norm(G)) ** 2:
             raise UnsupportedForOracleError(
                 f"bus {bus} voltage is undefined: no capacitive shunt and "
                 "singular static conductance"
             )
         Gi = np.linalg.inv(G)
-        P[:] = -Gi @ self._drawn[block_slice(bus)]
-        Q[:, block_slice(bus)] = Gi
-        return P, Q
+        P[rows] = -Gi @ self._drawn[rows]
+        Q[rows, rows] = Gi
 
-    def _rows(self, blocks, P, Q, totals, elements=None, factor: float = 1.0) -> list:
+    def _rows(self, blocks, P, Q, totals, elements=None) -> list:
         """``(A_rows, B_rows)`` of each block of ``blocks`` (repeats
         allowed), from the bus voltage map (P, Q), ``totals[k]`` (capacitance,
-        static conductance) of a bus block k, and ``elements[k]`` in place of
-        block k's own element, or else its own element with its admittance
-        scaled by ``factor`` (as :func:`scaled_element`). Each kind is one
+        static conductance) of a bus block k, and ``elements[k]``, unless
+        None, in place of any other block k's own element. Each kind is one
         stacked pass in the operations and order of a single block's
         formulas, so every row is the same bit for bit, whatever is stacked
         with it."""
@@ -306,16 +299,14 @@ class Interconnection:
             if kind == "bus":  # C V' = u - G V - drawn(x) - w0 C J V
                 by_kind["bus"].append((k, idx, *totals[k]))
                 continue
-            replaced = elements is not None and elements[k] is not None
-            el, f = (elements[k], 1.0) if replaced else (self._element(block), factor)
+            el = self._element(block) if elements is None or elements[k] is None else elements[k]
             if kind == "branch":
-                R, L = el.R / f, el.L / f
-                by_kind["series"].append((k, R / L, el.from_bus, 1.0 / (L * el.ratio), el.to_bus,
-                                          -1.0 / L))
+                by_kind["series"].append((k, el.R / el.L, el.from_bus, 1.0 / (el.L * el.ratio),
+                                          el.to_bus, -1.0 / el.L))
             elif kind == "shunt":  # inductive: a branch without resistance
-                by_kind["series"].append((k, 0.0, el.bus, 1.0 / (el.value / f), el.bus, 0.0))
+                by_kind["series"].append((k, 0.0, el.bus, 1.0 / el.value, el.bus, 0.0))
             else:
-                coeff = (el.model.B * f) @ self._rot[idx].T
+                coeff = el.model.B @ self._rot[idx].T
                 A, B = np.zeros((el.model.n_states, nx)), np.zeros((el.model.n_states, nu))
                 A[:, self._slices[block]] += el.model.A
                 A += coeff @ P[block_slice(el.bus)]
@@ -345,98 +336,82 @@ class Interconnection:
                 out[k] = a, b
         return out
 
-    def element_rows(self, ref: ElementRef, element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, A_rows, B_rows)``: the state rows R that replacing element
-        ``ref`` by ``element`` (of the same kind and state count) can change,
-        and those rows of the new network's A and B.
+    def element_rows(self, changes) -> list:
+        """Per pair ``(ref, element)`` of ``changes``: the state rows that
+        replacing element ``ref`` by ``element`` (of the same kind and state
+        count) can change, and those rows of the new network's A and B, as
+        ``(rows, A_rows, B_rows)``; or the ``UnsupportedForOracleError`` of
+        a replacement that leaves a bus voltage undefined.
 
-        A series element or an inductive shunt writes its own two rows: no
-        other row reads its R, L or value, and the voltage maps C and D do
-        not depend on them. A capacitive or resistive shunt and an apparatus
-        change their bus's totals: the bus voltage rows, or, at a bus without
-        capacitance, every row reading that bus's eliminated voltage (and
-        then that bus's rows of C and D as well, which are not returned); an
-        apparatus also writes its own rows.
-
-        Raises
-        ------
-        UnsupportedForOracleError
-            If the new element leaves a bus voltage undefined.
-        """
-        kind, _ = ref
-        P, Q = self._P, self._Q
-        totals: dict[int, tuple[float, np.ndarray]] = {}
-        blocks = []
-        if kind == "branch" or (kind == "shunt" and element.kind == "inductive"):
-            blocks.append(ref)
-        else:
-            bus = element.bus
-            totals[bus] = next(zip(*self._totals([(bus, ref)], element=element)))
-            if ("bus", bus) in self._slices:
-                blocks.append(("bus", bus))
-            else:
-                P, Q = P.copy(), Q.copy()
-                P[block_slice(bus)], Q[block_slice(bus)] = self._voltage_map(bus, totals[bus][1])
-                blocks += self._readers[bus]
-            if ref in self._slices and ref not in blocks:
-                blocks.append(ref)
-        parts = self._rows(blocks, P, Q, [totals.get(idx) for _, idx in blocks],
-                           [element if block == ref else None for block in blocks])
-        rows = np.concatenate([np.arange(self._slices[b].start, self._slices[b].stop)
-                               for b in blocks])
-        return (rows, np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts]))
-
-    def element_updates(self, refs, factor: float) -> list:
-        """Per element of ``refs``, ``(rows, A_rows)``: the rows of A that
-        scaling its admittance by ``factor`` (as :func:`scaled_element`)
-        changes, less those it leaves bit-identical; or the
-        ``UnsupportedForOracleError`` of a scaling that leaves a bus voltage
-        undefined. The rows of all elements are formed in one stacked pass
-        of the block formulas (:meth:`_rows`): a branch or inductive shunt
-        writes its own rows; a shunt or apparatus at a bus with capacitance
-        writes the bus rows, from the bus totals (:meth:`_totals`), and an
-        apparatus its own rows. A shunt or apparatus at a bus without
-        capacitance changes that bus's voltage map, and goes through
-        :meth:`element_rows`."""
-        A = self.model.A
-        out: list = [None] * len(refs)
-        owner, blocks, node = [], [], []
-        for p, ref in enumerate(refs):
-            bus = getattr(self._element(ref), "bus", None)
-            if ref in self._slices and ref[0] != "apparatus":
-                owner.append(p)
-                blocks.append(ref)
-            elif ("bus", bus) in self._slices:
-                node.append((p, bus))
-            else:
+        A branch or an inductive shunt writes its own rows: no other row
+        reads its R, L or value, and the voltage maps C and D do not depend
+        on them. A capacitive or resistive shunt and an apparatus change
+        their bus's totals (:meth:`_totals`): at a bus with capacitance they
+        write its voltage rows, and an apparatus with states its own rows;
+        at a bus without capacitance, every row reading its eliminated
+        voltage, the apparatus's own among them (and its rows of C and D,
+        which are not returned). The changes that keep the voltage maps are
+        one stacked pass of the block formulas (:meth:`_rows`); one at a bus
+        without capacitance is a pass of its own, on a copy of the maps."""
+        out: list = [None] * len(changes)
+        node = [p for p, (ref, el) in enumerate(changes)
+                if ref[0] != "branch" and getattr(el, "kind", None) != "inductive"]
+        cap, G = self._totals([(changes[p][1].bus, changes[p][0]) for p in node],
+                              elements=[changes[p][1] for p in node])
+        totals = dict(zip(node, zip(cap, G)))
+        # per pass: a voltage map, blocks with their totals and elements, and
+        # each change's first and last block
+        passes = [(self._P, self._Q, [], [], [], [])]
+        for p, (ref, el) in enumerate(changes):
+            total, stage = totals.get(p), passes[0]
+            if total is None:
+                picked = [ref]
+            elif ("bus", el.bus) in self._slices:
+                picked = [("bus", el.bus), ref] if ref in self._slices else [("bus", el.bus)]
+            else:  # an apparatus with states is one of the bus's readers
+                stage = (self._P.copy(), self._Q.copy(), [], [], [], [])
                 try:
-                    rows, A_rows, _ = self.element_rows(ref, scaled_element(self.net, ref, factor))
+                    self._voltage_map(el.bus, total[1], *stage[:2])
                 except UnsupportedForOracleError as exc:
                     out[p] = exc
                     continue
-                changed = np.any(A_rows != A[rows], axis=1)
-                out[p] = rows[changed], A_rows[changed]
-        totals = [None] * len(blocks)
-        node_totals = self._totals([(bus, refs[p]) for p, bus in node], factor)
-        for (p, bus), *total in zip(node, *node_totals):
-            extra = [refs[p]] if refs[p][0] == "apparatus" else []
-            owner += [p] * (1 + len(extra))
-            blocks += [("bus", bus), *extra]
-            totals += [total, *[None] * len(extra)]
-        if blocks:
-            rows = np.concatenate([np.arange(self._slices[b].start, self._slices[b].stop)
-                                   for b in blocks])
-            A_rows = np.concatenate([a for a, _ in self._rows(blocks, self._P, self._Q, totals,
-                                                              factor=factor)])
-            for p in owner:
-                out[p] = rows[:0], A_rows[:0]
-            kept = np.flatnonzero(np.any(A_rows != A[rows], axis=1))
-            kept_owner = np.repeat(owner, [self._slices[b].stop - self._slices[b].start
-                                           for b in blocks])[kept]
-            cut = [0, *(np.flatnonzero(np.diff(kept_owner)) + 1).tolist(), kept.size]
-            for lo, hi in zip(cut[:-1], cut[1:]):  # an element's blocks are consecutive
-                if lo < hi:
-                    out[kept_owner[lo]] = rows[kept[lo:hi]], A_rows[kept[lo:hi]]
+                passes.append(stage)
+                picked = self._readers[el.bus]
+            blocks, given_totals, given, bounds = stage[2:]
+            bounds.append((p, len(blocks), len(blocks) + len(picked)))
+            blocks += picked
+            given_totals += [total] * len(picked)
+            given += [el if block == ref else None for block in picked]
+        for P, Q, blocks, given_totals, given, bounds in passes:
+            parts = self._rows(blocks, P, Q, given_totals, given)
+            rows = np.array([r for b in blocks for r in range(self._slices[b].start,
+                                                              self._slices[b].stop)], dtype=int)
+            A_rows = np.concatenate([np.zeros((0, self._nx)), *(a for a, _ in parts)])
+            B_rows = np.concatenate([np.zeros((0, self._nu)), *(b for _, b in parts)])
+            ends = np.cumsum([0, *(len(a) for a, _ in parts)]).tolist()
+            for p, first, last in bounds:
+                lo, hi = ends[first], ends[last]
+                out[p] = rows[lo:hi], A_rows[lo:hi], B_rows[lo:hi]
+        return out
+
+    def element_updates(self, refs, factor: float) -> list:
+        """Per element of ``refs``, ``(rows, A_rows)``: the rows of A that
+        scaling its admittance by ``factor`` (:func:`scaled_element`)
+        changes, from :meth:`element_rows`, less those it leaves
+        bit-identical; or the ``UnsupportedForOracleError`` of a scaling
+        that leaves a bus voltage undefined."""
+        out = self.element_rows([(ref, scaled_element(self.net, ref, factor)) for ref in refs])
+        live = [p for p, update in enumerate(out) if not isinstance(update, Exception)]
+        if not live:
+            return out
+        rows = np.concatenate([out[p][0] for p in live])
+        A_rows = np.concatenate([out[p][1] for p in live])
+        kept = np.any(A_rows != self.model.A[rows], axis=1)
+        starts = np.cumsum([0, *(len(out[p][0]) for p in live)])
+        ends = np.append(0, np.cumsum(kept))[starts].tolist()
+        rows, A_rows = rows[kept], A_rows[kept]
+        for p, lo, hi in zip(live, ends, ends[1:]):
+            out[p] = rows[lo:hi], A_rows[lo:hi]
         return out
 
 

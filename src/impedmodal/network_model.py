@@ -439,26 +439,30 @@ def _load_rows(text: str) -> Optional[np.ndarray]:
 def _read_rows(text: str, width: Optional[int]) -> np.ndarray:
     """The rows of a response CSV read one by one: a non-numeric first row
     is a header and blank rows are skipped; raises NetworkFormatError at
-    the first malformed row."""
+    the first malformed row, one the csv module refuses included."""
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            if lineno == 1:
-                continue  # header
-            raise NetworkFormatError(f"response CSV line {lineno}: non-numeric value")
-        if not np.isfinite(values).all():
-            raise NetworkFormatError(f"response CSV line {lineno}: non-finite value")
-        if width is None:
-            width = len(values)
-        if len(values) != width:
-            raise NetworkFormatError(
-                f"response CSV line {lineno}: expected {width} columns, got {len(values)}"
-            )
-        rows.append(values)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header
+                raise NetworkFormatError(f"response CSV line {lineno}: non-numeric value")
+            if not np.isfinite(values).all():
+                raise NetworkFormatError(f"response CSV line {lineno}: non-finite value")
+            if width is None:
+                width = len(values)
+            if len(values) != width:
+                raise NetworkFormatError(
+                    f"response CSV line {lineno}: expected {width} columns, got {len(values)}"
+                )
+            rows.append(values)
+    except csv.Error as exc:
+        raise NetworkFormatError(f"response CSV line {reader.line_num}: {exc}") from None
     if not rows:
         raise NetworkFormatError("response CSV contains no data rows")
     return np.array(rows, dtype=float)

@@ -111,6 +111,21 @@ def test_element_updates_are_built_once_per_run(tmp_path, monkeypatch):
     assert calls == [network_elements(net)]
 
 
+def test_static_apparatus_at_a_capacitive_bus_is_validated(tmp_path):
+    """A static (D-only) apparatus, without states, at a bus with
+    capacitance: analyze validates every element of every mode, each entry
+    a record."""
+    doc = json.loads(NETWORK.read_text())
+    doc["apparatus"].append({"bus": 2, "theta": 0.4, "model": {
+        "kind": "state_space", "A": [], "B": [], "C": [], "D": [[0.4, 0.1], [-0.05, 0.3]]}})
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--out", str(tmp_path / "rep")]) == EXIT_OK
+    validation = json.loads((tmp_path / "rep" / "validation.json").read_text())
+    entries = [entry for mode in validation["modes"] for entry in mode["elements"]]
+    assert entries and all("error" not in entry and "predicted" in entry for entry in entries)
+
+
 def test_validated_analyze_eigendecomposes_once(tmp_path, monkeypatch):
     """Mode solving and validation share the run's Interconnection: A is
     eigendecomposed once per validated analyze."""

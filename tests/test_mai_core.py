@@ -529,25 +529,49 @@ def test_element_update_is_the_interconnected_difference(three_bus_net):
                 assert rank == 2, ref
 
 
+def _static_apparatus_nets(three_bus_net):
+    """three_bus with a static (D-only) apparatus, without states, at bus 2,
+    once with the bus-2 capacitor and once with a resistive shunt in its
+    place."""
+    static = network_model.ApparatusAttachment(
+        bus=2, theta=0.4, model=network_model.StateSpaceRealization(
+            A=np.zeros((0, 0)), B=np.zeros((0, 2)), C=np.zeros((2, 0)),
+            D=np.array([[0.4, 0.1], [-0.05, 0.3]])))
+    net = replace(three_bus_net, apparatus=three_bus_net.apparatus + (static,))
+    shunts = tuple(sh for sh in net.shunts if sh.bus != 2)
+    return [net, replace(net, shunts=shunts + (ShuntElement(bus=2, kind="resistive", value=1.8),))]
+
+
 def test_stacked_element_updates_equal_the_reassembled_rows(three_bus_net):
     """Bit for bit, the stacked update of each element holds the rows in
     which the state matrix of the network assembled with that element
-    scaled differs from A, and those rows of it: on the low-rank networks
-    (buses with and without capacitance, inductive shunts, apparatus with
-    feedthrough) and the 10-, 22- and 60-bus rings."""
+    scaled differs from A, and those rows of it; the rows of B that
+    ``element_rows`` gives are those of the reassembled B, which differs
+    from B nowhere else. On the low-rank networks (buses with and without
+    capacitance, inductive shunts, apparatus with feedthrough), static
+    apparatus at buses with and without capacitance, a bus with a resistive
+    shunt alone, which no row reads, and the 10-, 22- and 60-bus rings."""
+    lone = replace(three_bus_net, n_buses=4, shunts=three_bus_net.shunts + (
+        ShuntElement(bus=4, kind="resistive", value=2.0),))
     cases = [(net, (1.001, 1.05, 1.2)) for net in _low_rank_nets(three_bus_net)]
+    cases += [(net, (1.05,)) for net in [*_static_apparatus_nets(three_bus_net), lone]]
     cases += [(_rl_ring(n, 0, "state_space"), (1.05,)) for n in (10, 22, 60)]
     for net, factors in cases:
         system = mass_oracle.Interconnection(net)
         refs = network_elements(net)
         for factor in factors:
-            for ref, (rows, A_rows) in zip(refs, system.element_updates(refs, factor),
-                                           strict=True):
-                scaled = mass_oracle.interconnect(scaled_net(net, ref, factor)).A
-                changed = np.flatnonzero(np.any(scaled != system.model.A, axis=1))
+            changes = [(ref, mass_oracle.scaled_element(net, ref, factor)) for ref in refs]
+            for ref, (rows, A_rows), (written, _, B_rows) in zip(
+                    refs, system.element_updates(refs, factor), system.element_rows(changes),
+                    strict=True):
+                scaled = mass_oracle.interconnect(scaled_net(net, ref, factor))
+                changed = np.flatnonzero(np.any(scaled.A != system.model.A, axis=1))
                 order = np.argsort(rows)
                 assert np.array_equal(rows[order], changed), ref
-                assert np.array_equal(A_rows[order], scaled[changed]), ref
+                assert np.array_equal(A_rows[order], scaled.A[changed]), ref
+                assert same_bits(B_rows, scaled.B[written]), ref
+                assert np.isin(np.flatnonzero(np.any(scaled.B != system.model.B, axis=1)),
+                               written).all(), ref
 
 
 def test_eliminated_bus_shunt_updates_four_rows(three_bus_net):

@@ -551,6 +551,13 @@ def test_response_csv_fast_pass_agrees_with_the_row_reader(text, dim, fast):
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
+def test_response_csv_names_the_line_the_csv_module_refuses():
+    """A lone carriage return inside a row, which the csv module refuses,
+    is a NetworkFormatError naming its line."""
+    with pytest.raises(NetworkFormatError, match="^response CSV line 2: new-line character"):
+        read_response_csv("omega,a,b\n1,2\r3,4\n")
+
+
 def test_response_csv_fast_pass_reads_the_shipped_samples():
     """The shipped 220-row samples go through the one-pass read and give the
     row reader's floats bit for bit; so does a written random response."""
