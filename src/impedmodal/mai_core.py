@@ -650,10 +650,16 @@ def validate_element_prediction(
     return outcome
 
 
+# a residue at most this share of its scale is rounding: the mode is
+# unobservable or uncontrollable at the buses, and a prediction from it noise
+_RESIDUE_FLOOR = 1e-12
+
+
 class _ResolvedSweep:
     """How a sweep gets its modes on the impedance route: ``modes`` gives a
     step's modes from a whole :func:`solve_modes`, ``residue(k)`` the
-    impedance residue of the k-th of them."""
+    impedance residue of the k-th of them, or None when its norm is at
+    most 1e-12 x the largest of the step's."""
 
     def __init__(self, band):
         self.band = band
@@ -662,16 +668,26 @@ class _ResolvedSweep:
         self.records = solve_modes(net, band=self.band)
         return np.array([r.lam for r in self.records], dtype=complex)
 
-    def residue(self, k: int) -> np.ndarray:
-        return self.records[k].residue
+    def residue(self, k: int) -> Optional[np.ndarray]:
+        sizes = [np.linalg.norm(r.left) * np.linalg.norm(r.right)
+                 / (1.0 if r.denom is None else abs(r.denom)) for r in self.records]
+        return self.records[k].residue if sizes[k] > _RESIDUE_FLOOR * max(sizes) else None
 
 
 class _OracleSweep:
     """How a sweep gets its modes on the oracle route, with the interface of
     :class:`_ResolvedSweep`. The network is assembled once, into working
-    copies of A and B; every later network differs in the swept branch
-    alone, whose rows are written into them. Each network's modes are the
-    eigenvalues of A without eigenvectors, filtered as in
+    copies of A and B, and its A eigendecomposed once; every later network
+    differs in the swept branch alone, whose rows are written into them.
+    Its eigenvalues are then the roots of the secular function of those
+    rows' update from the first A, on that A's eigenbasis
+    (:func:`mass_oracle.swept_eigenvalues`). Root m is anchored at the m-th
+    root of the last step that had them plus its change over that step: a
+    secant predictor, since a root anchored where it was can be drawn onto
+    a neighbour that the swept mode passes. Where the roots are not
+    certified to be the whole spectrum, or the first A has no eigenbasis
+    (``DefectiveMatrixError``), the step takes the eigenvalues of the
+    working A from a dense solve. The modes are filtered as in
     :func:`solve_modes`."""
 
     def __init__(self, net: NetworkDescription, branch_index: int, band):
@@ -679,21 +695,37 @@ class _OracleSweep:
         self.ref = ("branch", branch_index)
         self.band = band
         self.A, self.B = self.system.model.A.copy(), self.system.model.B.copy()
+        try:
+            self.roots, self.motion = self.system.eig.eigenvalues, 0.0
+        except mass_oracle.DefectiveMatrixError:
+            self.roots = None
 
     def modes(self, net: NetworkDescription) -> np.ndarray:
+        lam = self.roots
         if net is not self.system.net:
             [(rows, A_rows, B_rows)] = self.system.element_rows(
                 [(self.ref, net.branches[self.ref[1]])])
             self.A[rows], self.B[rows] = A_rows, B_rows
-        lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
+            if lam is not None:
+                lam = mass_oracle.swept_eigenvalues(self.system, rows, A_rows,
+                                                    self.roots + self.motion)
+        if lam is None:
+            lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
+        else:
+            self.roots, self.motion = lam, lam - self.roots
         self.lams = lam[_in_band(lam, self.band)]
         return self.lams
 
-    def residue(self, k: int) -> np.ndarray:
+    def residue(self, k: int) -> Optional[np.ndarray]:
         """The impedance residue C x y_h B of mode k, its eigenvectors from
-        one LU near it."""
+        one LU near it; None when ||C x|| ||y_h B|| is at most
+        1e-12 ||C|| ||B|| ||x|| ||y_h||."""
         x, y_h = mass_oracle.eigenvector_pair(self.A, self.lams[k])
-        return np.outer(self.system.model.C @ x, y_h @ self.B)
+        left, right, C = self.system.model.C @ x, y_h @ self.B, self.system.model.C
+        if (np.linalg.norm(left) * np.linalg.norm(right) <= _RESIDUE_FLOOR * np.linalg.norm(C)
+                * np.linalg.norm(self.B) * np.linalg.norm(x) * np.linalg.norm(y_h)):
+            return None
+        return np.outer(left, right)
 
 
 def parameter_sweep(
@@ -714,15 +746,20 @@ def parameter_sweep(
     the previous operating point. The actual mode is the nearest of
     the modified network's modes to lambda + the predicted shift, gated at
     0.3 x the distance from the tracked mode to its nearest other mode of
-    the previous step (TrackingError beyond it).
+    the previous step (TrackingError beyond it). Where the tracked mode's
+    residue is rounding (the mode is unobservable or uncontrollable at the
+    buses), the next step predicts nothing: its ``predicted`` and ``error``
+    are nan, and the actual mode is the one nearest lambda.
 
     On the oracle route (as in :func:`solve_modes`) the network is
-    assembled once and never eigendecomposed. Each step, the first
-    included, writes the swept branch's rows into working copies of A and
-    B, takes their eigenvalues alone, and the tracked mode's residue from
-    one LU; the conditioning check (DefectiveMatrixError beyond 1e12)
-    covers the tracked eigenvalue at every step. Otherwise every step
-    re-solves all modes through :func:`solve_modes`.
+    assembled and eigendecomposed once. Each later step writes the swept
+    branch's rows into working copies of A and B, takes all eigenvalues as
+    certified roots of the secular function of its rows' update on that one
+    eigenbasis, or from a dense solve where they are not certified (see
+    :class:`_OracleSweep`), and the tracked mode's residue from one LU; the
+    conditioning check (DefectiveMatrixError beyond 1e12) covers the
+    tracked eigenvalue at every step. Otherwise every step re-solves all
+    modes through :func:`solve_modes`.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")
@@ -750,14 +787,17 @@ def parameter_sweep(
     current_net = net
     for step in range(1, n_steps + 1):
         rho = getattr(current_net.branches[branch_index], param)
-        s_rho = branch_parameter_sensitivity(current_net, branch_index, residue, lam, param)
-        predicted = s_rho * (rho * (factor - 1.0))
+        if residue is None:  # a rounding residue: no prediction, and nan error
+            predicted = complex(np.nan, np.nan)
+        else:
+            s_rho = branch_parameter_sensitivity(current_net, branch_index, residue, lam, param)
+            predicted = s_rho * (rho * (factor - 1.0))
         current_net = current_net.with_branch(branch_index, **{param: rho * factor})
         new_lams = route.modes(current_net)
         # predictor-anchored continuation: large parameter steps can move a
         # mode further than the inter-mode spacing, but the first-order
         # prediction lands close to the continued branch
-        lam_new = track_mode(lam + predicted, new_lams,
+        lam_new = track_mode(lam if residue is None else lam + predicted, new_lams,
                              spacing=_nearest_other_distance(lams, k))
         actual = lam_new - lam
         err = abs(predicted - actual) / abs(predicted) if predicted != 0 else np.inf

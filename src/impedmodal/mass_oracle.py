@@ -12,7 +12,7 @@ sensitivities.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,13 @@ from .admittance_assembly import (
     block_slice,
     frame_rotation,
 )
-from .network_model import NetworkDescription, StateSpaceRealization
+from .network_model import (
+    ApparatusAttachment,
+    NetworkDescription,
+    SeriesBranch,
+    ShuntElement,
+    StateSpaceRealization,
+)
 
 __all__ = [
     "OracleError",
@@ -38,6 +44,7 @@ __all__ = [
     "nearest_eigenvalue",
     "eigenvector_pair",
     "updated_eigenvalues",
+    "swept_eigenvalues",
 ]
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
@@ -108,11 +115,12 @@ def scaled_element(net: NetworkDescription, ref: ElementRef, factor: float):
     kind, idx = ref
     if kind == "branch":
         b = net.branches[idx]
-        return replace(b, R=b.R / factor, L=b.L / factor)
+        return SeriesBranch(kind=b.kind, from_bus=b.from_bus, to_bus=b.to_bus, R=b.R / factor,
+                            L=b.L / factor, ratio=b.ratio)
     if kind == "shunt":
         sh = net.shunts[idx]
         value = sh.value * factor if sh.kind == "capacitive" else sh.value / factor
-        return replace(sh, value=value)
+        return ShuntElement(bus=sh.bus, kind=sh.kind, value=value)
     if kind == "apparatus":
         app = net.apparatus[idx]
         m = app.model
@@ -120,8 +128,8 @@ def scaled_element(net: NetworkDescription, ref: ElementRef, factor: float):
             raise UnsupportedForOracleError(
                 f"apparatus[{idx}] at bus {app.bus} has no state-space realization"
             )
-        return replace(app, model=StateSpaceRealization(A=m.A, B=m.B * factor, C=m.C,
-                                                        D=m.D * factor))
+        model = StateSpaceRealization(A=m.A, B=m.B * factor, C=m.C, D=m.D * factor)
+        return ApparatusAttachment(bus=app.bus, model=model, theta=app.theta)
     raise OracleError(f"unknown element kind '{kind}'")
 
 
@@ -582,14 +590,20 @@ class _SecularGrid:
         self.norms = np.stack([z * z, w * w, z * system.eig_errors[0], w * z])
         self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
 
-    def select(self, indices) -> "_SecularGrid":
+    def select(self, indices, far: bool = True) -> "_SecularGrid":
         """Make eigenvalues ``indices`` the grid's columns: the poles i, with
         w_i and z_i per update, the _NEAR poles nearest each, the distance R
         to the others (the far poles), their moments sum_j (R C_j)^(p+1) T_j
         for p < _MOMENTS, with C_j = 1 / (lambda_j - lambda_i), and their
-        sums that bound what the moments leave out, per update."""
+        sums that bound what the moments leave out, per update. Without
+        ``far`` no pole is far: every entry sums every pole exactly, and the
+        moments' remainder eta is 0."""
         self.pole = pole = np.asarray(indices, dtype=int)
         self.w_i, self.z_i = (v[:, :, pole].swapaxes(1, 2) for v in (self.W, self.Zt))
+        if not far:
+            self.moments, self.radius = None, np.full(pole.size, np.inf)
+            self.far_sums = np.zeros((4, len(self.W), pole.size))
+            return self
         gap = self.lam - self.lam[pole, None]
         dist = np.abs(gap)
         dist[np.arange(pole.size), pole] = -1.0
@@ -610,24 +624,43 @@ class _SecularGrid:
     def _batches(self, e, m, inside):
         """``(at, near, moments)`` per batch of entries within ``_GRID_BYTES``:
         those ``inside`` with their pole's _NEAR nearest others and the
-        moments, the others with every other pole."""
-        for moments in (True, False):
-            group = np.flatnonzero(inside == moments)
-            width = self.near.shape[1] if moments else self.lam.size - 1
+        moments, the others, one update's at a time, with every other pole
+        (``near`` None)."""
+        outside = np.flatnonzero(~inside)
+        groups = [(np.flatnonzero(inside), True)] + [
+            (outside[e[outside] == u], False) for u in sorted(set(e[outside].tolist()))]
+        for group, moments in groups:
+            if not group.size:
+                continue
+            width = self.near.shape[1] if moments else self.lam.size
             size = max(1, _GRID_BYTES // (16 * self.k * self.k * (width + _MOMENTS)))
             for at in (group[s:s + size] for s in range(0, group.size, size)):
-                j = np.arange(width)  # without moments: every pole but the entry's own
-                near = self.near[m[at]] if moments else j + (j >= self.pole[m[at], None])
-                yield at, near, moments
+                yield at, self.near[m[at]] if moments else None, moments
+
+    def _cauchy(self, m, mu):
+        """The Cauchy matrix C = 1 / (lambda_j - mu) of entries ``m`` at
+        ``mu`` over every pole, 0 at each entry's own, stacked on its
+        elementwise square: (2, entries, n)."""
+        C = np.empty((2, mu.size, self.lam.size), dtype=complex)
+        np.subtract(self.lam, mu[:, None], out=C[0])
+        np.divide(1.0, C[0], out=C[0])
+        C[0, np.arange(mu.size), self.pole[m]] = 0.0
+        np.multiply(C[0], C[0], out=C[1])
+        return C
 
     def evaluate(self, e, m, mu, near, moments: bool):
-        """At the iterates ``mu``, with the poles ``near`` (a row per entry)
-        summed exactly and, if ``moments``, the far ones from their moments:
-        a = M0^-1 w_i, b = M0^-T z_i, g(mu), h = b^T M0' a and ||M0 a - w_i||."""
+        """At the iterates ``mu``, with the poles ``near`` (a row per entry,
+        or None: every other pole, entries of one update) summed exactly and,
+        if ``moments``, the far ones from their moments: a = M0^-1 w_i,
+        b = M0^-T z_i, g(mu), h = b^T M0' a and ||M0 a - w_i||."""
         n, k = mu.size, self.k
-        d = 1.0 / (self.lam[near] - mu[:, None])
-        terms = self.T.reshape(len(self.T), len(self.W), -1)[near, e[:, None]]
-        S = np.stack([d, d * d], 1) @ terms  # M0 - I and M0', flattened
+        T = self.T.reshape(len(self.T), len(self.W), -1)
+        if near is None:  # M0 - I = C T and M0' = C^2 T: one Cauchy-matrix product
+            S = (self._cauchy(m, mu).reshape(2 * n, -1) @ T[:, e[0]]).reshape(2, n, -1)
+            S = S.swapaxes(0, 1)
+        else:
+            d = 1.0 / (self.lam[near] - mu[:, None])
+            S = np.stack([d, d * d], 1) @ T[near, e[:, None]]  # M0 - I and M0', flattened
         if moments:  # Taylor series of the far poles' 1/(lambda_j - mu) and its derivative
             R = self.radius[m][:, None]
             powers = np.ones((n, _MOMENTS), dtype=complex)
@@ -660,6 +693,7 @@ class _SecularGrid:
                 break
             x = mu[e, m]
             inside = np.abs(x - self.lam[self.pole[m]]) <= _REACH * self.radius[m]
+            inside &= self.moments is not None  # else no pole is far
             values = None
             for at, near, moments in self._batches(e, m, inside):
                 got = self.evaluate(e[at], m[at], x[at], near, moments)
@@ -696,6 +730,11 @@ class _SecularGrid:
         # near-pole sums of |d_j|^2 ||z_j||^2, |d_j|^2 ||w_j||^2 and |d_j| ||z_j|| rho_j
         near = np.empty((3, e.size))
         for at, poles, _ in self._batches(e, m, inside):
+            if poles is None:  # every other pole, entries of one update
+                size, norms = np.abs(self._cauchy(m[at], x[at])[0]), self.norms[:3, e[at[0]]]
+                near[:2, at] = norms[:2] @ (size * size).T
+                near[2, at] = size @ norms[2]
+                continue
             size = np.abs(1.0 / (self.lam[poles] - x[at, None]))
             near[:, at] = np.sum(np.stack([size * size, size * size, size])
                                  * self.norms[:3, e[at, None], poles], axis=-1)
@@ -823,3 +862,44 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
         except OracleError as exc:
             out[m][e] = exc
     return out
+
+
+def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
+    """Every eigenvalue of A' = A + U V^T, the network's state matrix A with
+    rows ``rows`` replaced by ``A_rows``, from the eigenbasis of A alone; or
+    None when the roots found are not certified to be the whole spectrum.
+
+    Root m is that of the secular function g of pole m (see
+    :func:`updated_eigenvalues`), by Newton from ``anchors[m]``, with every
+    pole summed exactly: M0 - I = C T, one Cauchy-matrix product per
+    iteration for all n roots, O(n^2 k^2). Newton's last evaluation bounds
+    each root's backward error and condition number (as in
+    :func:`updated_eigenvalues`, without far poles), and their product with
+    ||A'|| its error radius, to first order. The roots are the spectrum of
+    A' when all n have converged within the 1e-12 and 1e12 limits, no two
+    lie within the sum of their radii (so they are n distinct eigenvalues),
+    and the conjugate of each lies within the radii of a root (A' is real).
+    Each pair is then made exactly conjugate, and a root that is its own
+    partner exactly real, as LAPACK gives them.
+    """
+    n = system.eig.n
+    grid = _SecularGrid(system, [(rows, A_rows)]).select(np.arange(n), far=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None])
+        if not converged.all():
+            return None
+        backward, cond = grid.certificate(*np.nonzero(converged), last)
+        mu = mu[0]
+        radius = cond * backward * grid.a_norm[0]
+        if not np.all((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT)):
+            return None
+        apart = np.abs(mu[:, None] - mu) > radius[:, None] + radius
+        np.fill_diagonal(apart, True)
+        if not apart.all():
+            return None
+        gap = np.abs(mu.conj()[:, None] - mu)
+        partner = np.argmin(gap, axis=1)
+        at = np.arange(n)
+        if np.any(gap[at, partner] > radius + radius[partner]) or np.any(partner[partner] != at):
+            return None
+    return (mu + mu[partner].conj()) / 2

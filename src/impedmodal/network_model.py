@@ -78,6 +78,11 @@ class Violation:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only float array: itself when it already is one that
+    owns its data, as the arrays of another realization do, else a copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a

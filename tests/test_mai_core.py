@@ -1,5 +1,6 @@
 """Three-layer participation analysis, splitting and sweep machinery."""
 
+import importlib.util
 import itertools
 import json
 import re
@@ -1395,6 +1396,8 @@ def _assert_sweep_matches(steps, kind, reference, tol):
         shift = predicted - st.lam_before
         if resolved:
             assert abs(st.predicted - predicted) <= tol * abs(shift), st.step
+        else:  # no prediction from a rounding residue
+            assert np.isnan(st.error), st.step
 
 
 @pytest.mark.parametrize("param, factor, n_steps", [("L", 0.8, 7), ("R", 1.5, 5),
@@ -1406,7 +1409,7 @@ def test_sweep_matches_a_whole_re_solve_per_step(three_bus_net, three_bus_modes,
     ends as a whole re-solve per step does. After mode 1's first step of
     L x 1.25 on line 1-2 the tracked mode sits exactly on -20 + j w0, where
     A - lambda I is exactly singular and the mode is unobservable at the
-    buses: its residue is rounding, and so is the next prediction."""
+    buses: its residue is rounding, so the next step predicts nothing."""
     for mode in three_bus_modes:
         kind, reference = _resolved_sweep(three_bus_net, branch_index, param, factor, n_steps,
                                           mode.lam)
@@ -1450,25 +1453,206 @@ def test_sweep_rows_equal_a_rebuilt_network(case, branch_index, param, factor, r
         assert np.array_equal(route.B, model.B)
 
 
-def test_oracle_sweep_assembles_once_and_never_decomposes(monkeypatch):
-    """An oracle sweep assembles the network once and decomposes it never:
-    every step, the first included, takes eigenvalues alone."""
-    counts = {"assemble": 0, "eigendecompose": 0}
-    init, eigendecompose = mass_oracle.Interconnection.__init__, mass_oracle.eigendecompose
+def _benchmark_ring(seed):
+    """The 30-bus ring that the benchmark's oracle-sweep workload sweeps
+    (perfbench/netgen.py), for ``seed``."""
+    spec = importlib.util.spec_from_file_location(
+        "netgen", Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py")
+    netgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netgen)
+    return network_model.parse_network(json.dumps(netgen.generate(30, seed)))
 
-    def counting_init(self, net):
-        counts["assemble"] += 1
-        init(self, net)
 
-    def counting_eigendecompose(A):
-        counts["eigendecompose"] += 1
-        return eigendecompose(A)
+def _sweep_outcome(net, *args, **kwargs):
+    """``parameter_sweep(net, *args, **kwargs)``: its steps, or the
+    AnalysisError it ends in."""
+    try:
+        return parameter_sweep(net, *args, **kwargs)
+    except AnalysisError as exc:
+        return exc
 
-    monkeypatch.setattr(mass_oracle.Interconnection, "__init__", counting_init)
-    monkeypatch.setattr(mass_oracle, "eigendecompose", counting_eigendecompose)
-    steps = parameter_sweep(_rl_ring(10, 9, "state_space"), 0, "L", 1.02, 10)
+
+def _counted_sweep(net, *args, **kwargs):
+    """The sweep's outcome and the calls it makes of ``Interconnection``,
+    ``eigendecompose`` and ``np.linalg.eigvals``."""
+    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0}
+
+    def counting(name, f):
+        def call(*a):
+            counts[name] += 1
+            return f(*a)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle.Interconnection, "__init__",
+                   counting("assemble", mass_oracle.Interconnection.__init__))
+        mp.setattr(mass_oracle, "eigendecompose",
+                   counting("eigendecompose", mass_oracle.eigendecompose))
+        mp.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        return _sweep_outcome(net, *args, **kwargs), counts
+
+
+def _dense_sweep(net, *args, **kwargs):
+    """The sweep's outcome with every step's eigenvalues from a dense solve:
+    the secular route refused at every step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle, "swept_eigenvalues", lambda *a: None)
+        return _sweep_outcome(net, *args, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["ring10", 0, 1, 2])
+def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
+    """An oracle sweep assembles and eigendecomposes the network once; no
+    step takes a dense eigvals: on the 10-bus ring of seed 9 and on the
+    benchmark's 30-bus rings of seeds 0-2 every step's spectrum is
+    certified from the secular roots."""
+    if case == "ring10":
+        net, args = _rl_ring(10, 9, "state_space"), (0, "L", 1.02, 10)
+    else:
+        net, args = _benchmark_ring(case), (0, "L", 1.005, 10)
+    steps, counts = _counted_sweep(net, *args)
     assert len(steps) == 10
-    assert counts == {"assemble": 1, "eigendecompose": 0}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0}
+
+
+def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
+    """Line 1-2 of the 10-bus ring at R x 0.9 per step: the roots anchored
+    by the secant predictor are every eigenvalue of the step's A, in exact
+    conjugate pairs; at step 6, roots anchored where the last step's were
+    land two on one eigenvalue (the line's own mode passes another on
+    Im = w0), and the set is refused."""
+    net = _rl_ring(10, 0, "state_space")
+    system = mass_oracle.Interconnection(net)
+    roots, motion = system.eig.eigenvalues, 0.0
+    for k in range(1, 7):
+        branch = net.with_branch(0, R=net.branches[0].R * 0.9 ** k).branches[0]
+        [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
+        anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots)
+        assert (anchored_where_they_were is None) == (k == 6), k
+        found = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion)
+        dense = np.linalg.eigvals(_perturbed(system, (rows, A_rows)))
+        dist = np.abs(found[:, None] - dense)
+        assert np.all(np.min(dist, axis=0) <= 1e-12 * np.abs(dense)), k
+        assert np.array_equal(np.sort(np.argmin(dist, axis=0)), np.arange(dense.size)), k
+        assert np.array_equal(np.sort_complex(found), np.sort_complex(found.conj())), k
+        roots, motion = found, found - roots
+
+
+def _same_sweeps(first, second, tol):
+    """Both the same outcome kind; ``actual`` within ``tol`` x |actual| and
+    the same steps without a prediction."""
+    assert type(first) is type(second)
+    if isinstance(first, Exception):
+        return
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert abs(a.actual - b.actual) <= tol * abs(b.actual), a.step
+        assert np.isnan(a.error) == np.isnan(b.error), a.step
+
+
+# both three_bus branches, L and R x 0.8, 1.1 and 1.25, from the default
+# mode and from each of its 7 modes; line 1-2 of the generated rings
+_DIFFERENTIAL_CASES = [
+    (None, b, param, factor, 7, seed) for b, param, factor, seed in itertools.product(
+        (0, 1), ("L", "R"), (0.8, 1.1, 1.25), (None, *range(7)))
+] + [(n, 0, param, factor, 10, None) for n in (10, 22, 30)
+     for param, factor in (("L", 1.05), ("R", 0.9))]
+
+
+@pytest.mark.parametrize("ring, branch_index, param, factor, n_steps, mode", _DIFFERENTIAL_CASES)
+def test_secular_sweep_matches_the_dense_sweep(ring, branch_index, param, factor, n_steps, mode,
+                                               three_bus_net, three_bus_modes):
+    """Both three_bus branches, L and R x 0.8, 1.1 and 1.25, from the
+    default mode and from every mode, and line 1-2 of the 10-, 22- and
+    30-bus rings at L x 1.05 and R x 0.9: the sweep ends as one that takes
+    every step's spectrum from a dense solve does, step for step."""
+    net = three_bus_net if ring is None else _rl_ring(ring, 0, "state_space")
+    mode_seed = None if mode is None else three_bus_modes[mode].lam
+    args = (net, branch_index, param, factor, n_steps)
+    _same_sweeps(_sweep_outcome(*args, mode_seed=mode_seed),
+                 _dense_sweep(*args, mode_seed=mode_seed), 1e-12)
+
+
+def _symmetric_star():
+    """Bus 1 with three identical arms, lines to buses 2, 3 and 4 each
+    with the same capacitor and RL load: its arms' antisymmetric modes are
+    double eigenvalues."""
+    arms = (2, 3, 4)
+    return NetworkDescription(
+        n_buses=4, omega0=W0,
+        branches=tuple(SeriesBranch(kind="line", from_bus=1, to_bus=b, R=0.04, L=0.002)
+                       for b in arms),
+        shunts=(ShuntElement(bus=1, kind="capacitive", value=0.001),
+                ShuntElement(bus=1, kind="resistive", value=2.0),
+                *(ShuntElement(bus=b, kind="capacitive", value=0.0008) for b in arms)),
+        apparatus=tuple(network_model.ApparatusAttachment(
+            bus=b, model=rl_load_apparatus(0.1, 0.005), theta=0.2) for b in arms),
+    )
+
+
+@pytest.mark.parametrize("mode_seed", [None, -98.64 + 725.04j])
+def test_a_repeated_eigenvalue_takes_the_dense_spectrum(mode_seed):
+    """Where A has double eigenvalues the secular roots are not certified
+    (two poles coincide), so every step takes a dense eigvals, and the
+    sweep ends as the dense sweep does: from the default mode, a double
+    one, in a TrackingError at its zero spacing; from a simple one in 5
+    steps."""
+    net = _symmetric_star()
+    lam = mass_oracle.Interconnection(net).eig.eigenvalues
+    gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(lam.size, np.inf))
+    assert gaps.min() <= 1e-12 * np.abs(lam).max()
+    steps, counts = _counted_sweep(net, 0, "L", 1.1, 5, mode_seed=mode_seed)
+    _same_sweeps(steps, _dense_sweep(net, 0, "L", 1.1, 5, mode_seed=mode_seed), 0.0)
+    if mode_seed is None:
+        assert isinstance(steps, TrackingError)
+    else:
+        assert len(steps) == 5 and counts["eigvals"] == 5
+
+
+def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
+    """An apparatus whose A is a Jordan block, with B = C = 0, leaves it in
+    the network's A: eigendecompose raises DefectiveMatrixError, every step
+    takes a dense eigvals, and the sweep completes on the rebuilt
+    networks' eigenvalues."""
+    jordan = network_model.StateSpaceRealization(A=[[-5.0, 1.0], [0.0, -5.0]], B=np.zeros((2, 2)),
+                                                 C=np.zeros((2, 2)), D=np.zeros((2, 2)))
+    net = replace(three_bus_net, apparatus=three_bus_net.apparatus
+                  + (network_model.ApparatusAttachment(bus=2, model=jordan),))
+    with pytest.raises(mass_oracle.DefectiveMatrixError):
+        mass_oracle.Interconnection(net).eig
+    steps, counts = _counted_sweep(net, 0, "L", 0.8, 7)
+    assert len(steps) == 7
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8}
+    for st in steps:
+        net = net.with_branch(0, L=st.rho_after)
+        eigenvalues = np.linalg.eigvals(mass_oracle.interconnect(net).A)
+        assert np.min(np.abs(eigenvalues - st.actual)) <= 1e-12 * abs(st.actual)
+
+
+@pytest.mark.parametrize("param, factor", [("L", 1.25), ("R", 0.8)])
+def test_a_rounding_residue_predicts_nothing(three_bus_net, param, factor):
+    """After the first step of line 1-2's L x 1.25 or R x 0.8, the default
+    mode sits exactly on -20 + j w0, unobservable at the buses: its
+    residue is rounding. Step 2 then predicts nothing (nan) and takes the
+    mode nearest lambda, which is where a whole re-solve per step lands;
+    every other step predicts."""
+    steps = parameter_sweep(three_bus_net, 0, param, factor, 7)
+    assert [st.step for st in steps if np.isnan(st.error)] == [2]
+    assert np.isnan(steps[1].predicted.real) and np.isnan(steps[1].predicted.imag)
+    assert abs(steps[1].lam_before - (-20 + 1j * W0)) <= 1e-12 * W0
+    kind, reference = _resolved_sweep(three_bus_net, 0, param, factor, 7)
+    _assert_sweep_matches(steps, kind, reference, 1e-9)
+    assert [resolved for *_, resolved in reference].index(False) == 1
+
+
+def test_the_impedance_route_flags_a_rounding_residue(three_bus_net):
+    """The impedance route's rule: a residue at most 1e-12 x the largest
+    of its step's is rounding."""
+    route = mai_core._ResolvedSweep(None)
+    lams = route.modes(three_bus_net.with_branch(0, L=three_bus_net.branches[0].L * 1.25))
+    k = int(np.argmin(np.abs(lams - (-20 + 1j * W0))))
+    assert route.residue(k) is None
+    assert all(route.residue(j) is not None for j in range(lams.size) if j != k)
 
 
 def test_impedance_route_sweep_follows_the_oracle_sweep_of_its_twin():
