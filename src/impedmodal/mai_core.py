@@ -673,6 +673,9 @@ class _ResolvedSweep:
                  / (1.0 if r.denom is None else abs(r.denom)) for r in self.records]
         return self.records[k].residue if sizes[k] > _RESIDUE_FLOOR * max(sizes) else None
 
+    def check(self, k: int) -> None:
+        """Nothing to check: a residue is read from its step's records."""
+
 
 class _OracleSweep:
     """How a sweep gets its modes on the oracle route, with the interface of
@@ -687,8 +690,8 @@ class _OracleSweep:
     a neighbour that the swept mode passes. Where the roots are not
     certified to be the whole spectrum, or the first A has no eigenbasis
     (``DefectiveMatrixError``), the step takes the eigenvalues of the
-    working A from a dense solve. The modes are filtered as in
-    :func:`solve_modes`."""
+    working A from a dense solve: such a step is ``dense``. The modes are
+    filtered as in :func:`solve_modes`."""
 
     def __init__(self, net: NetworkDescription, branch_index: int, band):
         self.system = mass_oracle.Interconnection(net)
@@ -701,31 +704,50 @@ class _OracleSweep:
             self.roots = None
 
     def modes(self, net: NetworkDescription) -> np.ndarray:
-        lam = self.roots
+        lam, self.update = self.roots, None
         if net is not self.system.net:
             [(rows, A_rows, B_rows)] = self.system.element_rows(
                 [(self.ref, net.branches[self.ref[1]])])
             self.A[rows], self.B[rows] = A_rows, B_rows
+            self.update = (rows, A_rows)
             if lam is not None:
                 lam = mass_oracle.swept_eigenvalues(self.system, rows, A_rows,
                                                     self.roots + self.motion)
-        if lam is None:
+        self.dense = lam is None
+        if self.dense:
             lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
         else:
             self.roots, self.motion = lam, lam - self.roots
-        self.lams = lam[_in_band(lam, self.band)]
+        self.index = _in_band(lam, self.band)
+        self.lams = lam[self.index]
         return self.lams
 
     def residue(self, k: int) -> Optional[np.ndarray]:
-        """The impedance residue C x y_h B of mode k, its eigenvectors from
-        one LU near it; None when ||C x|| ||y_h B|| is at most
-        1e-12 ||C|| ||B|| ||x|| ||y_h||."""
-        x, y_h = mass_oracle.eigenvector_pair(self.A, self.lams[k])
+        """The impedance residue C x y_h B of mode k; None when
+        ||C x|| ||y_h B|| is at most 1e-12 ||C|| ||B|| ||x|| ||y_h||. Its
+        eigenvectors are the first A's at the first step, the secular
+        equation's at a certified step (O(n^2)), and from one LU near it,
+        with its conditioning check, at a dense step or where the secular
+        ones are not finite."""
+        m, lam = self.index[k], self.lams[k]
+        if self.dense:
+            pair = None
+        elif self.update is None:
+            pair = self.system.eig.right[:, m], self.system.eig.left[m]
+        else:
+            pair = mass_oracle.swept_eigenvector_pair(self.system, *self.update, m, lam)
+        x, y_h = pair or mass_oracle.eigenvector_pair(self.A, lam)
         left, right, C = self.system.model.C @ x, y_h @ self.B, self.system.model.C
         if (np.linalg.norm(left) * np.linalg.norm(right) <= _RESIDUE_FLOOR * np.linalg.norm(C)
                 * np.linalg.norm(self.B) * np.linalg.norm(x) * np.linalg.norm(y_h)):
             return None
         return np.outer(left, right)
+
+    def check(self, k: int) -> None:
+        """The conditioning check of mode k without its residue: a dense
+        step's needs one LU."""
+        if self.dense:
+            mass_oracle.eigenvector_pair(self.A, self.lams[k])
 
 
 def parameter_sweep(
@@ -756,10 +778,13 @@ def parameter_sweep(
     branch's rows into working copies of A and B, takes all eigenvalues as
     certified roots of the secular function of its rows' update on that one
     eigenbasis, or from a dense solve where they are not certified (see
-    :class:`_OracleSweep`), and the tracked mode's residue from one LU; the
-    conditioning check (DefectiveMatrixError beyond 1e12) covers the
-    tracked eigenvalue at every step. Otherwise every step re-solves all
-    modes through :func:`solve_modes`.
+    :class:`_OracleSweep`), and the tracked mode's residue, where a next
+    step reads it, from the secular equation's eigenvectors in O(n^2), or
+    from one LU at a dense step. The conditioning check
+    (DefectiveMatrixError beyond 1e12) covers the tracked eigenvalue at
+    every step: the certificate's bound, or the LU's check at a dense
+    step, the last included. Otherwise every step re-solves all modes
+    through :func:`solve_modes`.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")
@@ -781,11 +806,11 @@ def parameter_sweep(
         tied = oscillatory[lams[oscillatory].real >= top - 1e-9 * (1.0 + abs(top))]
         k = int(tied[np.argmin(np.abs(lams[tied].imag))])
     lam = complex(lams[k])
-    residue = route.residue(k)
 
     steps: list[SweepStep] = []
     current_net = net
     for step in range(1, n_steps + 1):
+        residue = route.residue(k)
         rho = getattr(current_net.branches[branch_index], param)
         if residue is None:  # a rounding residue: no prediction, and nan error
             predicted = complex(np.nan, np.nan)
@@ -813,5 +838,5 @@ def parameter_sweep(
             )
         )
         lams, k, lam = new_lams, int(np.argmin(np.abs(new_lams - lam_new))), lam_new
-        residue = route.residue(k)
+    route.check(k)  # the last tracked mode's residue is read by no step
     return steps

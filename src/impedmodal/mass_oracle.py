@@ -45,6 +45,7 @@ __all__ = [
     "eigenvector_pair",
     "updated_eigenvalues",
     "swept_eigenvalues",
+    "swept_eigenvector_pair",
 ]
 
 # largest eigenvector-matrix or eigenvalue condition number accepted
@@ -530,7 +531,8 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
         If the eigenvalue's condition number exceeds 1e12.
     """
     # imported here, not at module level: numpy has no LU to reuse for the
-    # conjugate-transposed solves, and an oracle analyze never comes here
+    # conjugate-transposed solves, and neither an oracle analyze nor a sweep
+    # whose steps are all certified comes here
     from scipy.linalg.lapack import get_lapack_funcs
 
     n = A.shape[0]
@@ -754,16 +756,22 @@ class _SecularGrid:
         return (residual * x_inv_norm / self.a_norm[e],
                 np.where(overlap > 0, kappa * (1.0 + delta) * cr / overlap, np.inf))
 
+    def vectors(self, e, m, at, a, b):
+        """The eigenvectors x = X c and y^H = r X^-1 of entries (e, m) from
+        a = M0^-1 w_i and b^T = z_i^T M0^-1 at ``at``: c = D Z a and
+        r = b^T W D, with D = diag(1 / (lambda - at)), off the pole and -1
+        at it. O(n^2) per entry."""
+        d = 1.0 / (self.lam - at[:, None])
+        c = d * (a[:, None] @ self.Zt[e])[:, 0]
+        r = d * (b[:, None] @ self.W[e])[:, 0]
+        c[np.arange(e.size), self.pole[m]] = r[np.arange(e.size), self.pole[m]] = -1.0
+        return c @ self.system.eig.right.T, r @ self.system.eig.left
+
     def exact(self, e, m, mu, last):
         """Backward errors and condition numbers of roots ``mu`` of entries
-        (e, m), from x = X c and y^H = r X^-1 with c = D Z a and r = b^T W D
-        at Newton's last iterates, -1 at the pole."""
-        A, eig = self.system.model.A, self.system.eig
-        d = 1.0 / (self.lam - last["x"][e, m, None])
-        c = d * (last["a"][e, m, None] @ self.Zt[e])[:, 0]
-        r = d * (last["b"][e, m, None] @ self.W[e])[:, 0]
-        c[np.arange(e.size), self.pole[m]] = r[np.arange(e.size), self.pole[m]] = -1.0
-        x, y_h = c @ eig.right.T, r @ eig.left
+        (e, m), from their :meth:`vectors` at Newton's last iterates."""
+        A = self.system.model.A
+        x, y_h = self.vectors(e, m, last["x"][e, m], last["a"][e, m], last["b"][e, m])
         # A x as two real products: A is real
         residual = x.real @ A.T + 1j * (x.imag @ A.T) - mu[:, None] * x
         np.add.at(residual, (np.arange(e.size)[:, None], self.rows[e]),
@@ -903,3 +911,20 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
         if np.any(gap[at, partner] > radius + radius[partner]) or np.any(partner[partner] != at):
             return None
     return (mu + mu[partner].conj()) / 2
+
+
+def swept_eigenvector_pair(system: Interconnection, rows, A_rows, m: int, mu: complex):
+    """Right and left eigenvectors ``(x, y_h)`` of root ``m``, ``mu``, of
+    :func:`swept_eigenvalues`, normalized so that y_h @ x = 1, in O(n^2):
+    x = X c and y^H = r X^-1 (see :func:`updated_eigenvalues`) from one
+    evaluation at ``mu`` with every pole summed exactly. None where they
+    are not finite (``mu`` on another pole, or M0(mu) singular). Their
+    condition number is left unchecked: a certified root's is within 1e12.
+    """
+    grid = _SecularGrid(system, [(rows, A_rows)]).select([m], far=False)
+    at, first = np.array([mu], dtype=complex), np.zeros(1, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b, *_ = grid.evaluate(first, first, at, None, moments=False)
+        (x,), (y_h,) = grid.vectors(first, first, at, a, b)
+        y_h = y_h / (y_h @ x)
+    return (x, y_h) if np.isfinite(x).all() and np.isfinite(y_h).all() else None

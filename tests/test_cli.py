@@ -143,19 +143,21 @@ def test_validated_analyze_eigendecomposes_once(tmp_path, monkeypatch):
 
 
 def test_oracle_cli_runs_never_load_scipy(tmp_path):
-    """In a fresh interpreter, importing the package and a validated analyze
-    of the oracle-capable three_bus load no scipy module; the impedance path
-    and a sweep, which import it where they need it, still run."""
+    """In a fresh interpreter, importing the package, a validated analyze of
+    the oracle-capable three_bus and a sweep of it whose every step is
+    certified from the secular roots (its residues from the secular
+    vectors, not an LU) load no scipy module; the impedance path, which
+    imports it where it needs it, still runs."""
     script = (
         "import sys\n"
         "import impedmodal\n"
         "from impedmodal.cli_reporting import main\n"
         f"assert main(['analyze', {str(NETWORK)!r}, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+        f"assert main(['sweep', {str(NETWORK)!r}, '--branch', '1:2', '--param', 'L',"
+        f" '--factor', '1.1', '--steps', '5', '--out', {str(tmp_path / 's')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         f"assert main(['analyze', {str(REPO / 'networks' / 'measured_two_bus.json')!r},"
         f" '--band', '5:5000', '--out', {str(tmp_path / 'm')!r}]) == 0\n"
-        f"assert main(['sweep', {str(NETWORK)!r}, '--branch', '1:2', '--param', 'L',"
-        f" '--factor', '1.1', '--steps', '3', '--out', {str(tmp_path / 's')!r}]) == 0\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -165,7 +167,7 @@ def test_oracle_cli_runs_never_load_scipy(tmp_path):
     assert out.stdout == "[]\n"
     assert (tmp_path / "a" / "validation.json").exists()
     assert (tmp_path / "m" / "validation.json").exists()
-    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 5
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 7
 
 
 def test_forced_fallback_matches_the_secular_roots(tmp_path):

@@ -1474,8 +1474,8 @@ def _sweep_outcome(net, *args, **kwargs):
 
 def _counted_sweep(net, *args, **kwargs):
     """The sweep's outcome and the calls it makes of ``Interconnection``,
-    ``eigendecompose`` and ``np.linalg.eigvals``."""
-    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0}
+    ``eigendecompose``, ``np.linalg.eigvals`` and ``eigenvector_pair``."""
+    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0, "eigenvector_pair": 0}
 
     def counting(name, f):
         def call(*a):
@@ -1489,6 +1489,8 @@ def _counted_sweep(net, *args, **kwargs):
         mp.setattr(mass_oracle, "eigendecompose",
                    counting("eigendecompose", mass_oracle.eigendecompose))
         mp.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        mp.setattr(mass_oracle, "eigenvector_pair",
+                   counting("eigenvector_pair", mass_oracle.eigenvector_pair))
         return _sweep_outcome(net, *args, **kwargs), counts
 
 
@@ -1503,16 +1505,17 @@ def _dense_sweep(net, *args, **kwargs):
 @pytest.mark.parametrize("case", ["ring10", 0, 1, 2])
 def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
     """An oracle sweep assembles and eigendecomposes the network once; no
-    step takes a dense eigvals: on the 10-bus ring of seed 9 and on the
-    benchmark's 30-bus rings of seeds 0-2 every step's spectrum is
-    certified from the secular roots."""
+    step takes a dense eigvals or an LU for its residue: on the 10-bus ring
+    of seed 9 and on the benchmark's 30-bus rings of seeds 0-2 every step's
+    spectrum is certified from the secular roots, and every residue comes
+    from the secular vectors."""
     if case == "ring10":
         net, args = _rl_ring(10, 9, "state_space"), (0, "L", 1.02, 10)
     else:
         net, args = _benchmark_ring(case), (0, "L", 1.005, 10)
     steps, counts = _counted_sweep(net, *args)
     assert len(steps) == 10
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0}
 
 
 def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
@@ -1573,6 +1576,84 @@ def test_secular_sweep_matches_the_dense_sweep(ring, branch_index, param, factor
                  _dense_sweep(*args, mode_seed=mode_seed), 1e-12)
 
 
+def _residues_beside_the_lu(net, *args, **kwargs):
+    """The sweep's outcome and, for each residue it forms at a step whose
+    spectrum is not dense, that residue beside the one from the LU of
+    ``eigenvector_pair`` (the dense step's)."""
+    residue, pairs = mai_core._OracleSweep.residue, []
+
+    def beside_the_lu(route, k):
+        got = residue(route, k)
+        if not route.dense:
+            route.dense = True
+            pairs.append((got, residue(route, k)))
+            route.dense = False
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mai_core._OracleSweep, "residue", beside_the_lu)
+        return _sweep_outcome(net, *args, **kwargs), pairs
+
+
+@pytest.mark.parametrize("ring, branch_index, param, factor, n_steps, mode", _DIFFERENTIAL_CASES
+                         + [(("benchmark", seed), 0, "L", 1.005, 10, None) for seed in range(3)])
+def test_secular_residues_match_the_lu(ring, branch_index, param, factor, n_steps, mode,
+                                       three_bus_net, three_bus_modes):
+    """On the cases of the differential test and the benchmark's 30-bus
+    rings of seeds 0-2, each step's residue from the first eigenbasis (step
+    0) or the secular vectors (certified steps) is within 1e-11 relative
+    of the LU's, and rounding at exactly the same steps: three_bus's
+    default mode at step 1 of line 1-2's L x 1.25 and R x 0.8. A sweep
+    that completes forms a residue for each of its steps and none after
+    the last."""
+    if ring is None:
+        net = three_bus_net
+    elif isinstance(ring, tuple):
+        net = _benchmark_ring(ring[1])
+    else:
+        net = _rl_ring(ring, 0, "state_space")
+    mode_seed = None if mode is None else three_bus_modes[mode].lam
+    steps, pairs = _residues_beside_the_lu(net, branch_index, param, factor, n_steps,
+                                           mode_seed=mode_seed)
+    if not isinstance(steps, Exception):
+        assert len(pairs) == n_steps
+    rounding = [step for step, (_, lu) in enumerate(pairs) if lu is None]
+    assert [step for step, (got, _) in enumerate(pairs) if got is None] == rounding
+    if (ring, branch_index, mode, (param, factor)) in [(None, 0, None, ("L", 1.25)),
+                                                       (None, 0, None, ("R", 0.8))]:
+        assert rounding == [1]
+    for got, lu in pairs:
+        if lu is not None:
+            assert np.linalg.norm(got - lu) <= 1e-11 * np.linalg.norm(lu)
+
+
+def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
+    """A root exactly on another pole of the first A makes the secular
+    vectors divide by zero: ``swept_eigenvector_pair`` gives None there.
+    With every certified step's residue asked at such a pole, the sweep
+    takes each from the LU instead (steps 1-6; step 0 reads the
+    eigenbasis, and step 7's residue is read by no step), and predicts
+    every step as the normal sweep does, no nan."""
+    secular = mass_oracle.swept_eigenvector_pair
+
+    def on_another_pole(system, rows, A_rows, m, mu):
+        lam = system.eig.eigenvalues
+        others = np.delete(lam, m)
+        pair = secular(system, rows, A_rows, m, others[np.argmin(np.abs(others - mu))])
+        assert pair is None
+        return pair
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle, "swept_eigenvector_pair", on_another_pole)
+        steps, counts = _counted_sweep(three_bus_net, 0, "L", 0.8, 7)
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 6}
+    normal = parameter_sweep(three_bus_net, 0, "L", 0.8, 7)
+    assert len(steps) == len(normal) == 7
+    for st, ref in zip(steps, normal):
+        assert np.isfinite(st.error) and st.actual == ref.actual
+        assert abs(st.predicted - ref.predicted) <= 1e-9 * abs(ref.predicted - ref.lam_before)
+
+
 def _symmetric_star():
     """Bus 1 with three identical arms, lines to buses 2, 3 and 4 each
     with the same capacitor and RL load: its arms' antisymmetric modes are
@@ -1596,7 +1677,8 @@ def test_a_repeated_eigenvalue_takes_the_dense_spectrum(mode_seed):
     (two poles coincide), so every step takes a dense eigvals, and the
     sweep ends as the dense sweep does: from the default mode, a double
     one, in a TrackingError at its zero spacing; from a simple one in 5
-    steps."""
+    steps, whose dense steps take the LU: for the residue of steps 1-4 and
+    the conditioning check of step 5 (step 0 reads the eigenbasis)."""
     net = _symmetric_star()
     lam = mass_oracle.Interconnection(net).eig.eigenvalues
     gaps = np.abs(lam[:, None] - lam) + np.diag(np.full(lam.size, np.inf))
@@ -1606,13 +1688,14 @@ def test_a_repeated_eigenvalue_takes_the_dense_spectrum(mode_seed):
     if mode_seed is None:
         assert isinstance(steps, TrackingError)
     else:
-        assert len(steps) == 5 and counts["eigvals"] == 5
+        assert len(steps) == 5 and counts["eigvals"] == 5 and counts["eigenvector_pair"] == 5
 
 
 def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
     """An apparatus whose A is a Jordan block, with B = C = 0, leaves it in
     the network's A: eigendecompose raises DefectiveMatrixError, every step
-    takes a dense eigvals, and the sweep completes on the rebuilt
+    takes a dense eigvals and an LU (for the residue of steps 0-6 and the
+    conditioning check of step 7), and the sweep completes on the rebuilt
     networks' eigenvalues."""
     jordan = network_model.StateSpaceRealization(A=[[-5.0, 1.0], [0.0, -5.0]], B=np.zeros((2, 2)),
                                                  C=np.zeros((2, 2)), D=np.zeros((2, 2)))
@@ -1622,7 +1705,7 @@ def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
         mass_oracle.Interconnection(net).eig
     steps, counts = _counted_sweep(net, 0, "L", 0.8, 7)
     assert len(steps) == 7
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8, "eigenvector_pair": 8}
     for st in steps:
         net = net.with_branch(0, L=st.rho_after)
         eigenvalues = np.linalg.eigvals(mass_oracle.interconnect(net).A)
