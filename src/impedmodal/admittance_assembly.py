@@ -441,14 +441,29 @@ class StampTable:
                        for members in groups.values()]
 
     @functools.cached_property
+    def _transformers(self) -> np.ndarray:
+        """The branches of ratio other than 1: only their blocks are formed
+        by :func:`transformer_stamp`."""
+        return np.flatnonzero(self.ratio[:self.n_branches] != 1.0)
+
+    @functools.cached_property
     def _picks(self) -> tuple[np.ndarray, list]:
         """The cells of the flattened Y that the table adds to, and per pass
-        k the entry of the flattened block stack that each cell with more
-        than k contributions takes as its k-th, in table order; the cells
-        are sorted by their count of contributions, largest first, so pass
-        k covers a prefix of them."""
-        nb, dim = self.n_branches, 2 * self.net.n_buses
+        k the entry of the flattened source stack of :meth:`stamp` that
+        each cell with more than k contributions takes as its k-th, in
+        table order; the cells are sorted by their count of contributions,
+        largest first, so pass k covers a prefix of them."""
+        nb, dim, n = self.n_branches, 2 * self.net.n_buses, len(self.refs)
         bi, bj = self.i[:nb], self.j[:nb]
+        # the source block of each table block: y of every element, then -y
+        # of every branch, then y/k^2 and -y/k of each transformer
+        b = np.arange(nb)
+        ii, ij = b.copy(), n + b
+        tr = self._transformers
+        ii[tr] = n + nb + np.arange(tr.size)
+        ij[tr] = n + nb + tr.size + np.arange(tr.size)
+        source = np.concatenate([np.stack([ii, ij, ij, b], axis=-1).reshape(-1),
+                                 np.arange(nb, n)])
         rows = np.concatenate([np.stack([bi, bi, bj, bj], axis=-1).reshape(-1), self.i[nb:]])
         cols = np.concatenate([np.stack([bi, bj, bi, bj], axis=-1).reshape(-1), self.i[nb:]])
         # entry (a, b) of block t lands at (2 rows[t] - 2 + a, 2 cols[t] - 2 + b)
@@ -457,7 +472,8 @@ class StampTable:
         order = np.argsort(cell, kind="stable")  # by cell, in table order within a cell
         cells, first, counts = np.unique(cell[order], return_index=True, return_counts=True)
         by_count = np.argsort(-counts, kind="stable")
-        passes = [order[first[by_count[:np.count_nonzero(counts > k)]] + k]
+        entry = (4 * source[:, None] + np.arange(4)).reshape(-1)
+        passes = [entry[order[first[by_count[:np.count_nonzero(counts > k)]] + k]]
                   for k in range(counts.max(initial=0))]
         return cells[by_count], passes
 
@@ -490,14 +506,17 @@ class StampTable:
 
     def stamp(self, y: np.ndarray) -> np.ndarray:
         """Y from the element stack ``y`` of :meth:`evaluate`: every block of
-        the table added into a zero 2n x 2n matrix in table order. Pass k
-        adds each cell's k-th contribution, starting from +0.0, so values and
-        signs of zero are those of ``np.add.at`` over the table."""
+        the table added into a zero 2n x 2n matrix in table order. A line
+        stamps y, -y, -y, y, gathered from y and -y; only a transformer's
+        y/k^2 and -y/k are formed, and at k = 1 they would be y and -y bit
+        for bit. Pass k adds each cell's k-th contribution, starting from
+        +0.0, so values and signs of zero are those of ``np.add.at`` over
+        the table."""
         nb, dim, lead = self.n_branches, 2 * self.net.n_buses, y.shape[:-3]
-        entries = np.concatenate([  # the table's blocks, flattened; no other copy stays alive
-            np.stack(transformer_stamp(y[..., :nb, :, :], self.ratio[:nb, None, None]),
-                     axis=-3).reshape(lead + (4 * nb, 2, 2)),
-            y[..., nb:, :, :]], axis=-3).reshape(lead + (-1,))
+        tr = self._transformers
+        ii, ij, _, _ = transformer_stamp(y[..., tr, :, :], self.ratio[tr, None, None])
+        entries = np.concatenate(  # the source blocks, flattened; no other copy stays alive
+            [y, -y[..., :nb, :, :], ii, ij], axis=-3).reshape(lead + (-1,))
         cells, passes = self._picks
         total = np.zeros(lead + cells.shape, dtype=complex)
         for picks in passes:

@@ -104,12 +104,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _literal(text: str) -> str:
-    """``text`` as literal text of a ``str.format`` template."""
-    return text.replace("{", "{{").replace("}", "}}")
+    """``text`` as literal text of a %-format template."""
+    return text.replace("%", "%%")
 
 
 # one report number: 12 significant digits, as _fmt
-_NUMBER = "{:.12g}"
+_NUMBER = "%.12g"
 _LAYERS = "layer1_cauchy,layer1_enhanced,layer2_real,layer2_imag"
 _ELEMENTS_HEAD = f"element,location,{_LAYERS},epsilon\n"
 
@@ -117,8 +117,8 @@ _ELEMENTS_HEAD = f"element,location,{_LAYERS},epsilon\n"
 class _ModeWriter:
     """Renders each mode's element, layer-3 and bus-pair files from its
     :class:`mai_core.ModeLayers`. What depends on the elements alone is
-    prepared once per run: each file is a ``str.format`` template with a
-    number field wherever a mode's value goes.
+    prepared once per run: each file is a %-format template with a number
+    field wherever a mode's value goes.
 
     The bus-pair table has one row per bus pair i <= j that holds an
     element: a branch sits on its two buses, an apparatus or shunt on (i, i).
@@ -156,12 +156,12 @@ class _ModeWriter:
         """(suffix, text) of each of one mode's report files."""
         l2 = layers.layer2
         values = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, l2.real, l2.imag], -1)
-        yield "elements", self.elements.format(*values.ravel().tolist())
+        yield "elements", self.elements % tuple(values.ravel().tolist())
         # a complex array viewed as float interleaves real and imaginary parts
-        yield "layer3", self.layer3.format(*layers.layer3[self.layer3_at].view(float).tolist())
+        yield "layer3", self.layer3 % tuple(layers.layer3[self.layer3_at].view(float).tolist())
         sums = np.zeros((self.n_pairs, 4))
         np.add.at(sums, self.pair_of, values)
-        yield "bus_pairs", self.bus_pairs.format(*sums.ravel().tolist())
+        yield "bus_pairs", self.bus_pairs % tuple(sums.ravel().tolist())
 
 
 def _csv(header: str, rows) -> str:
@@ -206,16 +206,18 @@ _MODE = ('    {\n      "mode": %s,\n      "lambda": [\n        %s,\n        %s\n
          '      "elements": <elements>\n    }')
 
 
-def _validation_json(epsilon, labels, indices, modes, outcomes) -> str:
+def _validation_json(epsilon, labels, indices, modes, outcomes):
     """validation.json of the ``outcomes`` (one per element of ``labels``) of
-    ``modes`` (numbered ``indices``): ``json.dumps(doc, indent=2) + "\\n"``
-    of {"epsilon", "modes": [{"mode", "lambda", "elements"}]}, written from
-    its fixed layout, one template per mode with a field for each number:
-    with an indent, the standard encoder walks the document in pure Python."""
+    ``modes`` (numbered ``indices``), as pieces of text to write in turn, one
+    per mode: together ``json.dumps(doc, indent=2) + "\\n"`` of {"epsilon",
+    "modes": [{"mode", "lambda", "elements"}]}, written from its fixed
+    layout, one template per mode with a field for each number: with an
+    indent, the standard encoder walks the document in pure Python."""
     names = [json.dumps(label).replace("%", "%%") for label in labels]
     records = [_RECORD_ENTRY.replace("<element>", name) for name in names]
     every_record = _MODE.replace("<elements>", _json_list(records, " " * 6))
-    blocks = []
+    yield '{\n  "epsilon": ' + json.dumps(epsilon) + ',\n  "modes": '
+    separator = "[\n"
     for k, mode, row in zip(indices, modes, outcomes):
         entries, numbers = [], [k, mode.lam.real, mode.lam.imag]
         for name, record, v in zip(names, records, row):
@@ -230,9 +232,9 @@ def _validation_json(epsilon, labels, indices, modes, outcomes) -> str:
             numbers = [x if np.isfinite(x) else json.dumps(x) for x in numbers]
         template = (every_record if entries == records
                     else _MODE.replace("<elements>", _json_list(entries, " " * 6)))
-        blocks.append(template % tuple(numbers))
-    return ('{\n  "epsilon": ' + json.dumps(epsilon) + ',\n  "modes": '
-            + _json_list(blocks, "  ") + "\n}\n")
+        yield separator + template % tuple(numbers)
+        separator = ",\n"
+    yield "[]\n}\n" if separator == "[\n" else "\n  ]\n}\n"
 
 
 def _load_network(path: str) -> network_model.NetworkDescription:
@@ -292,17 +294,19 @@ def run(config: AnalysisConfig) -> int:
     files: list[str] = []
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def emit(name: str, text: str) -> None:
-        (out_dir / name).write_text(text, encoding="utf-8")
+    def emit(name: str, parts) -> None:
+        """Write the pieces of text ``parts`` in turn to file ``name``."""
+        with open(out_dir / name, "w", encoding="utf-8") as f:
+            f.writelines(parts)
         files.append(name)
 
-    emit("modes.csv", _modes_csv(records))
+    emit("modes.csv", [_modes_csv(records)])
 
     writer = _ModeWriter(net, config.epsilon)
     modes = [records[k] for k in selected]
     for k, layers in zip(selected, mai_core.mode_layers(net, modes)):
         for suffix, text in writer.files(layers):
-            emit(f"mode{k}_{suffix}.csv", text)
+            emit(f"mode{k}_{suffix}.csv", [text])
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
             net, modes, assembly.network_elements(net), epsilon=config.epsilon,

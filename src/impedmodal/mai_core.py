@@ -543,20 +543,37 @@ _VALIDATION_ERRORS = (AnalysisError, rational_fit.RefinementError, mass_oracle.O
                       assembly.AssemblyError)
 
 
-def _gated_outcome(mode, predicted: complex, anchor: complex, root, gap: float):
-    """One element's validation from its re-solved ``root`` near ``anchor``:
-    the error the re-solve ended in, a TrackingError when the root lies
-    beyond 0.3 x ``gap`` from the anchor, or its ValidationRecord."""
-    if isinstance(root, Exception):
-        if not isinstance(root, _VALIDATION_ERRORS):
-            raise root
-        return root
-    try:
-        if abs(root - anchor) > _GATE_FACTOR * gap:
-            track_mode(anchor, [root], spacing=gap)  # raises its TrackingError
-        return validate_prediction(predicted, root - mode.lam)
-    except AnalysisError as exc:
-        return exc
+def _gated_outcomes(lams, predicted, roots, failures, gaps) -> list[list]:
+    """Each validation of modes ``lams`` (one row per mode, one column per
+    element) from its predicted shift and re-solved root, anchored at
+    lambda + the shift, gated in one pass over the arrays: the error its
+    re-solve ended in (``failures``, by (row, column)), a TrackingError
+    when the root lies beyond 0.3 x its mode's ``gaps`` entry from the
+    anchor, the AnalysisError of a zero prediction, or its
+    ValidationRecord. Distances are hypot of the parts, as Python's
+    complex abs gives them, so every number is that of
+    :func:`validate_prediction`; only the errors are built one by one."""
+    anchors = lams[:, None] + predicted
+    actual = roots - lams[:, None]
+    miss, step = predicted - actual, roots - anchors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.hypot(miss.real, miss.imag) / np.hypot(predicted.real, predicted.imag)
+    refused = np.hypot(step.real, step.imag) > _GATE_FACTOR * gaps[:, None]
+    special = refused | (predicted == 0)
+    out = [list(map(ValidationRecord, p.tolist(), a.tolist(), e.tolist()))
+           for p, a, e in zip(predicted, actual, error)]
+    for m, e in sorted(failures):
+        if not isinstance(failures[m, e], _VALIDATION_ERRORS):
+            raise failures[m, e]
+        out[m][e], special[m, e] = failures[m, e], False
+    for m, e in zip(*np.nonzero(special)):
+        try:
+            if refused[m, e]:
+                track_mode(complex(anchors[m, e]), [roots[m, e]], spacing=float(gaps[m]))
+            out[m][e] = validate_prediction(complex(predicted[m, e]), complex(actual[m, e]))
+        except AnalysisError as exc:
+            out[m][e] = exc
+    return out
 
 
 def validate_mode_predictions(
@@ -600,32 +617,40 @@ def validate_mode_predictions(
             s, y = _mode_stack(table, chunk)
         except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
-        return predict_mode_shift(s[:, at], epsilon * y[:, at]).tolist()
+        return list(predict_mode_shift(s[:, at], epsilon * y[:, at]))
 
     predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs))
                    for p in shifts(chunk)]
     live = [m for m, p in enumerate(predictions) if not isinstance(p, Exception)]
-    anchors = [[modes[m].lam + shift for shift in predictions[m]] for m in live]
-    nearest = [int(np.argmin(np.abs(spectrum - modes[m].lam))) for m in live]
+    lams = np.array([modes[m].lam for m in live], dtype=complex)
+    predicted = np.reshape(np.array([predictions[m] for m in live], dtype=complex),
+                           (len(live), len(refs)))
+    anchors = lams[:, None] + predicted
+    nearest = [int(np.argmin(np.abs(spectrum - lam))) for lam in lams]
     if oracle is not None:
         solved = [e for e, u in enumerate(updates) if not isinstance(u, Exception)]
-        found = mass_oracle.updated_eigenvalues(oracle, nearest, [updates[e] for e in solved],
-                                                [[row[e] for e in solved] for row in anchors])
-        roots = [[u if isinstance(u, Exception) else next(values) for u in updates]
-                 for values in map(iter, found)]
+        found, failed = mass_oracle.updated_eigenvalues(
+            oracle, nearest, [updates[e] for e in solved], anchors[:, solved])
+        roots = np.full(anchors.shape, np.nan, dtype=complex)
+        roots[:, solved] = found
+        failures = {(m, solved[e]): exc for (m, e), exc in failed.items()}
+        failures.update({(m, e): u for e, u in enumerate(updates) if isinstance(u, Exception)
+                         for m in range(len(live))})
     else:
         # seed m E + e re-solves mode m with element e scaled
         flat = rational_fit.refine_modes(
             lambda s, rows: assembly.overlay_admittance(model, refs, 1.0 + epsilon, s,
                                                         rows % len(refs)),
-            [anchor for row in anchors for anchor in row], model.dim,
+            anchors.ravel(), model.dim,
         )
-        roots = [flat[k * len(refs):(k + 1) * len(refs)] for k in range(len(live))]
+        roots = np.array([np.nan if isinstance(r, Exception) else r for r in flat],
+                         dtype=complex).reshape(anchors.shape)
+        failures = {divmod(k, len(refs)): r for k, r in enumerate(flat)
+                    if isinstance(r, Exception)}
+    gaps = np.array([_nearest_other_distance(spectrum, i) for i in nearest])
     results = [[p] * len(refs) if isinstance(p, Exception) else None for p in predictions]
-    for m, i, row, row_roots in zip(live, nearest, anchors, roots):
-        gap = _nearest_other_distance(spectrum, i)
-        results[m] = [_gated_outcome(modes[m], shift, anchor, root, gap)
-                      for shift, anchor, root in zip(predictions[m], row, row_roots)]
+    for m, row in zip(live, _gated_outcomes(lams, predicted, roots, failures, gaps)):
+        results[m] = row
     return results
 
 
@@ -704,15 +729,14 @@ class _OracleSweep:
             self.roots = None
 
     def modes(self, net: NetworkDescription) -> np.ndarray:
-        lam, self.update = self.roots, None
+        lam, self.grid = self.roots, None
         if net is not self.system.net:
             [(rows, A_rows, B_rows)] = self.system.element_rows(
                 [(self.ref, net.branches[self.ref[1]])])
             self.A[rows], self.B[rows] = A_rows, B_rows
-            self.update = (rows, A_rows)
-            if lam is not None:
-                lam = mass_oracle.swept_eigenvalues(self.system, rows, A_rows,
-                                                    self.roots + self.motion)
+            found = None if lam is None else mass_oracle.swept_eigenvalues(
+                self.system, rows, A_rows, self.roots + self.motion)
+            lam, self.grid = found or (None, None)
         self.dense = lam is None
         if self.dense:
             lam = np.linalg.eigvals(self.A).astype(complex, copy=False)
@@ -732,10 +756,10 @@ class _OracleSweep:
         m, lam = self.index[k], self.lams[k]
         if self.dense:
             pair = None
-        elif self.update is None:
+        elif self.grid is None:
             pair = self.system.eig.right[:, m], self.system.eig.left[m]
         else:
-            pair = mass_oracle.swept_eigenvector_pair(self.system, *self.update, m, lam)
+            pair = mass_oracle.swept_eigenvector_pair(self.grid, m, lam)
         x, y_h = pair or mass_oracle.eigenvector_pair(self.A, lam)
         left, right, C = self.system.model.C @ x, y_h @ self.B, self.system.model.C
         if (np.linalg.norm(left) * np.linalg.norm(right) <= _RESIDUE_FLOOR * np.linalg.norm(C)

@@ -85,16 +85,54 @@ class DefectiveMatrixError(OracleError):
 @dataclass(frozen=True, eq=False)
 class EigenStructure:
     """Eigenvalues with right eigenvectors (columns of ``right``) and left
-    eigenvectors (rows of ``left``), normalized so that left @ right = I."""
+    eigenvectors (rows of ``left``), normalized so that left @ right = I.
+
+    Of a real matrix, as LAPACK's ``dgeev`` gives them: a complex pair is
+    two adjacent columns, the eigenvalue of positive imaginary part first,
+    with x_j = a + ib and x_{j+1} = a - ib exactly. So X = Xr D U, with the
+    real Xr = [.. a b ..] (:meth:`real_right`), D = sqrt(2) on each pair's
+    two columns and 1 elsewhere, and U unitary; and the left rows of a pair
+    are (r_j -+ i r_{j+1}) / 2 exactly, with r the rows of Xr^-1
+    (:meth:`real_left`)."""
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    norms: tuple[float, float]  # ||right||_2 and ||right^-1||_2, from its SVD
+    # ||right||_2 and ||right^-1||_2: the extreme singular values of Xr D,
+    # which are those of X, since U is unitary
+    norms: tuple[float, float]
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The first column j of each complex pair; j + 1 is its conjugate."""
+        return np.flatnonzero(self.eigenvalues.imag > 0)
+
+    def real_right(self) -> np.ndarray:
+        """Xr, read off ``right`` exactly: Re x_j and Re x_{j+1} = a, and
+        -Im x_{j+1} = b of each pair; Re x of a real eigenvalue."""
+        return _real_columns(self.eigenvalues, self.right)
+
+    def real_left(self) -> np.ndarray:
+        """Xr^-1, read off ``left`` exactly: 2 Re y_j = r_j and
+        2 Im y_{j+1} = r_{j+1} of each pair; Re y of a real eigenvalue."""
+        lam = self.eigenvalues
+        Ri = np.where((lam.imag < 0)[:, None], self.left.imag, self.left.real)
+        Ri *= np.where(lam.imag != 0, 2.0, 1.0)[:, None]
+        return Ri
+
+    def complex_columns(self, M: np.ndarray) -> np.ndarray:
+        """N X from the real M = N Xr: column j + i column j + 1 and its
+        conjugate for each pair, as complex128."""
+        j = self.pairs
+        out = M.astype(complex)
+        out.imag[..., j] = M[..., j + 1]
+        out.imag[..., j + 1] = -M[..., j + 1]
+        out.real[..., j + 1] = M[..., j]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +275,25 @@ class Interconnection:
     def eig_errors(self) -> tuple[np.ndarray, float]:
         """How far ``eig`` is from exact: the column residuals
         ||A X_j - lambda_j X_j|| of the right eigenvectors X, and
-        ||X X^-1 - I||_F of the computed inverse."""
-        A, X = self.model.A, self.eig.right
-        AX = A @ X.real + 1j * (A @ X.imag)  # A is real
-        rho = np.linalg.norm(AX - X * self.eig.eigenvalues, axis=0)
-        return rho, float(np.linalg.norm(X @ self.eig.left - np.eye(self.eig.n)))
+        ||X X^-1 - I||_F of the computed inverse, both in real arithmetic
+        on the real columns Xr of X: one product A Xr and one Xr Xr^-1,
+        which equals X X^-1 (see :class:`EigenStructure`)."""
+        eig = self.eig
+        lam, j, Xr = eig.eigenvalues, eig.pairs, eig.real_right()
+        # A x - lambda x = (A a - alpha a + beta b) + i (A b - alpha b - beta a)
+        # for x = a + ib and lambda = alpha + i beta; its conjugate's is the
+        # conjugate
+        E = self.model.A @ Xr
+        E -= Xr * lam.real
+        rho = np.linalg.norm(E, axis=0)
+        rho[j] = rho[j + 1] = np.hypot(
+            np.linalg.norm(E[:, j] + Xr[:, j + 1] * lam.imag[j], axis=0),
+            np.linalg.norm(E[:, j + 1] - Xr[:, j] * lam.imag[j], axis=0))
+        del E
+        # X X^-1 = Xr D U U^H D^-1 Xr^-1 = Xr Xr^-1
+        P = Xr @ eig.real_left()
+        P.flat[::eig.n + 1] -= 1.0
+        return rho, float(np.linalg.norm(P))
 
     def _element(self, ref: tuple[str, int]):
         return self._kinds[ref[0]][ref[1]]
@@ -450,28 +502,50 @@ def interconnect(net: NetworkDescription) -> StateSpaceRealization:
 # ---------------------------------------------------------------------------
 
 
+def _real_columns(lam: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Xr of :class:`EigenStructure` from eigenvalues ``lam`` and their
+    complex right eigenvectors."""
+    return np.where(lam.imag < 0, -right.imag, right.real)
+
+
 def eigendecompose(A: np.ndarray) -> EigenStructure:
-    """Eigenvalues with mutually normalized right/left eigenvectors.
+    """Eigenvalues with mutually normalized right/left eigenvectors of a
+    real matrix A.
 
     ``numpy.linalg.eig`` (LAPACK ``geev``, the routine ``scipy.linalg.eig``
-    calls too) gives the eigenvalues and right eigenvectors; both are cast
-    to complex128, which numpy returns as float64 when every eigenvalue is
-    real. Left eigenvectors are the rows of the inverse of the
-    right-eigenvector matrix, which enforces left @ right = I up to
-    inversion error.
+    calls too) gives the eigenvalues and right eigenvectors X; both are
+    cast to complex128, which numpy returns as float64 when every
+    eigenvalue is real. The rest is real arithmetic on the real columns Xr
+    of X (see :class:`EigenStructure`): the singular values of X are those
+    of Xr D, from one real SVD, and the left eigenvectors, the rows of
+    X^-1 = U^H D^-1 Xr^-1, come from one real inverse, which enforces
+    left @ right = I up to inversion error.
 
     Raises DefectiveMatrixError when the eigenvector matrix condition number
     exceeds 1e12 (near-defective A).
     """
-    lam, Phi = (a.astype(complex, copy=False) for a in np.linalg.eig(np.asarray(A)))
-    sv = np.linalg.svd(Phi, compute_uv=False)
+    A = np.asarray(A)
+    if not np.isrealobj(A):
+        raise OracleError("eigendecompose needs a real matrix")
+    lam, right = (a.astype(complex, copy=False) for a in np.linalg.eig(A))
+    Xr = _real_columns(lam, right)
+    sv = np.linalg.svd(Xr * np.where(lam.imag != 0, np.sqrt(2.0), 1.0), compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise DefectiveMatrixError(
             f"eigenvector matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
-    Psi = np.linalg.inv(Phi)
-    return EigenStructure(eigenvalues=lam, right=Phi, left=Psi,
+    Ri = np.linalg.inv(Xr)
+    del Xr
+    # (r_j - i r_{j+1}) / 2 and its conjugate for each pair; r_j at a real
+    # eigenvalue
+    j = np.flatnonzero(lam.imag > 0)
+    Ri *= np.where(lam.imag != 0, 0.5, 1.0)[:, None]
+    left = Ri.astype(complex)
+    left.imag[j] = -Ri[j + 1]
+    left.imag[j + 1] = Ri[j + 1]
+    left.real[j + 1] = Ri[j]
+    return EigenStructure(eigenvalues=lam, right=right, left=left,
                           norms=(float(sv[0]), float(1.0 / sv[-1])))
 
 
@@ -582,8 +656,7 @@ class _SecularGrid:
             self.rows[e, :len(r)] = r
             self.Vt[e, :len(r)] = a - A[r]
         padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
-        Vt = self.Vt.reshape(-1, n)  # real
-        self.W = (Vt @ eig.right.real + 1j * (Vt @ eig.right.imag)).reshape(n_up, k, n)
+        self.W = eig.complex_columns(self.Vt.reshape(-1, n) @ eig.real_right()).reshape(n_up, k, n)
         self.Zt = eig.left.T[self.rows]
         self.Zt[padded] = 0.0
         self.T = (self.W[:, :, None] * self.Zt[:, None]).transpose(3, 0, 1, 2).reshape(n, -1)
@@ -796,7 +869,7 @@ class _SecularGrid:
         return good, full
 
 
-def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> list:
+def updated_eigenvalues(system: Interconnection, indices, updates, anchors):
     """Where each eigenvalue ``indices[m]`` of the network's state matrix A
     moves under each of several row updates, from the eigenbasis of A
     alone, in one solve over the grid of eigenvalues and updates.
@@ -836,13 +909,15 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
     with the series' remainder, and :attr:`Interconnection.eig_errors`; x
     and y are formed only where a bound misses its limit.
 
-    Returns one list per index with, per update, the eigenvalue or the
-    ``OracleError`` its solve raised: ``DefectiveMatrixError`` when the
-    condition number exceeds 1e12.
+    Returns ``(roots, failures)``: the eigenvalues, an array of one row
+    per index and one column per update, and a dict that maps (row,
+    column) to the ``OracleError`` its solve raised instead
+    (``DefectiveMatrixError`` when the condition number exceeds 1e12);
+    such an entry of ``roots`` is nan.
     """
     indices = np.asarray(indices, dtype=int)
     if not updates or not indices.size:
-        return [[] for _ in indices]
+        return np.empty((indices.size, len(updates)), dtype=complex), {}
     grid = _SecularGrid(system, updates)
     anchors = np.asarray(anchors, dtype=complex).reshape(indices.size, len(updates)).T
     mu, good = np.empty_like(anchors), np.empty(anchors.shape, dtype=bool)
@@ -858,24 +933,26 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors) -> l
     # near the real axis Newton may reach either of a pair
     conj = np.abs(np.conj(mu) - anchors) < np.abs(mu - anchors)
     mu[conj] = np.conj(mu[conj])
-    out = mu.T.tolist()
+    roots, failures = mu.T.copy(), {}
     for e, m in zip(*np.nonzero(~(good & (cond <= _COND_LIMIT)))):
         try:
             if good[e, m]:  # the condition number exceeds the limit: raises
-                _check_condition(out[m][e], cond[e, m])
+                _check_condition(complex(roots[m, e]), cond[e, m])
             rows, A_rows = updates[e]
             perturbed = system.model.A.copy()
             perturbed[rows] = A_rows
-            out[m][e] = nearest_eigenvalue(perturbed, complex(anchors[e, m]))
+            roots[m, e] = nearest_eigenvalue(perturbed, complex(anchors[e, m]))
         except OracleError as exc:
-            out[m][e] = exc
-    return out
+            roots[m, e], failures[m, e] = np.nan, exc
+    return roots, failures
 
 
 def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
     """Every eigenvalue of A' = A + U V^T, the network's state matrix A with
-    rows ``rows`` replaced by ``A_rows``, from the eigenbasis of A alone; or
-    None when the roots found are not certified to be the whole spectrum.
+    rows ``rows`` replaced by ``A_rows``, from the eigenbasis of A alone,
+    with the secular equations they solve, for
+    :func:`swept_eigenvector_pair`; or None when the roots found are not
+    certified to be the whole spectrum.
 
     Root m is that of the secular function g of pole m (see
     :func:`updated_eigenvalues`), by Newton from ``anchors[m]``, with every
@@ -888,7 +965,7 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
     lie within the sum of their radii (so they are n distinct eigenvalues),
     and the conjugate of each lies within the radii of a root (A' is real).
     Each pair is then made exactly conjugate, and a root that is its own
-    partner exactly real, as LAPACK gives them.
+    partner exactly real, as LAPACK gives them: ``(eigenvalues, grid)``.
     """
     n = system.eig.n
     grid = _SecularGrid(system, [(rows, A_rows)]).select(np.arange(n), far=False)
@@ -910,21 +987,22 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
         at = np.arange(n)
         if np.any(gap[at, partner] > radius + radius[partner]) or np.any(partner[partner] != at):
             return None
-    return (mu + mu[partner].conj()) / 2
+    return (mu + mu[partner].conj()) / 2, grid
 
 
-def swept_eigenvector_pair(system: Interconnection, rows, A_rows, m: int, mu: complex):
+def swept_eigenvector_pair(grid: _SecularGrid, m: int, mu: complex):
     """Right and left eigenvectors ``(x, y_h)`` of root ``m``, ``mu``, of
     :func:`swept_eigenvalues`, normalized so that y_h @ x = 1, in O(n^2):
     x = X c and y^H = r X^-1 (see :func:`updated_eigenvalues`) from one
-    evaluation at ``mu`` with every pole summed exactly. None where they
-    are not finite (``mu`` on another pole, or M0(mu) singular). Their
-    condition number is left unchecked: a certified root's is within 1e12.
+    evaluation at ``mu`` of the secular equations ``grid`` that
+    :func:`swept_eigenvalues` returned with it, every pole summed exactly.
+    None where they are not finite (``mu`` on another pole, or M0(mu)
+    singular). Their condition number is left unchecked: a certified
+    root's is within 1e12.
     """
-    grid = _SecularGrid(system, [(rows, A_rows)]).select([m], far=False)
-    at, first = np.array([mu], dtype=complex), np.zeros(1, dtype=int)
+    at, first, pole = np.array([mu], dtype=complex), np.zeros(1, dtype=int), np.array([m])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b, *_ = grid.evaluate(first, first, at, None, moments=False)
-        (x,), (y_h,) = grid.vectors(first, first, at, a, b)
+        a, b, *_ = grid.evaluate(first, pole, at, None, moments=False)
+        (x,), (y_h,) = grid.vectors(first, pole, at, a, b)
         y_h = y_h / (y_h @ x)
     return (x, y_h) if np.isfinite(x).all() and np.isfinite(y_h).all() else None

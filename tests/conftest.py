@@ -1,11 +1,14 @@
 """Shared fixtures: small benchmark networks with known modal structure."""
 
+import importlib.util
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from impedmodal import mass_oracle
+from impedmodal import mass_oracle, network_model
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -23,6 +26,16 @@ def rl_load_apparatus(Ra: float, La: float, w0: float = W0) -> StateSpaceRealiza
     A = np.array([[-Ra / La, w0], [-w0, -Ra / La]])
     B = np.eye(2) / La
     return StateSpaceRealization(A=A, B=B, C=np.eye(2), D=np.zeros((2, 2)))
+
+
+def generated_ring(n_buses: int, seed: int) -> NetworkDescription:
+    """The ring of ``n_buses`` that the benchmark's generator
+    (perfbench/netgen.py) draws for ``seed``."""
+    spec = importlib.util.spec_from_file_location(
+        "netgen", Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py")
+    netgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(netgen)
+    return network_model.parse_network(json.dumps(netgen.generate(n_buses, seed)))
 
 
 def same_bits(a, b) -> bool:

@@ -699,9 +699,9 @@ def test_validation_json_is_json_dumps(tmp_path):
             *[{**record, "error_percent": x} for x in percents],
             {"element": labels[-1], "error": "{}"}]},
         {"mode": 12, "lambda": [0.0, -1.0], "elements": []}]}
-    assert (cli_reporting._validation_json(1, labels, [0, 12], modes, outcomes)
+    assert ("".join(cli_reporting._validation_json(1, labels, [0, 12], modes, outcomes))
             == json.dumps(doc, indent=2) + "\n")
-    assert (cli_reporting._validation_json(0.05, labels, [], [], [])
+    assert ("".join(cli_reporting._validation_json(0.05, labels, [], [], []))
             == json.dumps({"epsilon": 0.05, "modes": []}, indent=2) + "\n")
 
 

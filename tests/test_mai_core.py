@@ -1,6 +1,6 @@
 """Three-layer participation analysis, splitting and sweep machinery."""
 
-import importlib.util
+import collections
 import itertools
 import json
 import re
@@ -53,7 +53,8 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import W0, mixed_ring_doc, rl_load_apparatus, same_bits, scaled_net
+from conftest import (W0, generated_ring, mixed_ring_doc, rl_load_apparatus, same_bits,
+                      scaled_net)
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
@@ -409,6 +410,70 @@ def test_run_level_validation_agrees_with_the_one_element_call(three_bus_net, ca
                 assert abs(got.actual - alone.actual) <= 1e-12 * abs(mode.lam), (ref, mode.lam)
 
 
+def _gated_reference(lam, predicted, root, gap):
+    """The per-entry gate: the re-solve's error, a TrackingError beyond 0.3
+    x ``gap`` from lambda + the predicted shift, or validate_prediction's
+    outcome, from Python numbers."""
+    if isinstance(root, Exception):
+        return root
+    anchor = lam + predicted
+    try:
+        if abs(root - anchor) > 0.3 * gap:
+            track_mode(anchor, [root], spacing=gap)
+        return validate_prediction(predicted, root - lam)
+    except AnalysisError as exc:
+        return exc
+
+
+def _gate_inputs(net, eps):
+    """The arrays ``validate_mode_predictions`` over all modes and elements
+    hands its gate."""
+    seen = []
+    gate = mai_core._gated_outcomes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mai_core, "_gated_outcomes", lambda *args: seen.append(args) or gate(*args))
+        mai_core.validate_mode_predictions(net, solve_modes(net), network_elements(net), eps)
+    [args] = seen
+    return args
+
+
+@pytest.mark.parametrize("case, eps", [("three_bus", 0.05), ("three_bus", 0.2), ("ring60", 0.05)])
+def test_vectorized_gate_matches_the_per_entry_gate(case, eps, three_bus_net):
+    """On three_bus at eps 0.05 and 0.2 and on the benchmark generator's
+    60-bus ring (6 refusals), the one-pass gate gives every (mode, element)
+    the per-entry gate's outcome: the same kind and message, and records
+    with the same bits. So it does with a re-solve error, a zero
+    prediction and a root moved beyond the gate put into the inputs, and
+    an error that is no validation failure is raised."""
+    net = three_bus_net if case == "three_bus" else generated_ring(60, 0)
+    lams, predicted, roots, failures, gaps = _gate_inputs(net, eps)
+    refused = 6 if case == "ring60" else 0
+    predicted, roots, failures = predicted.copy(), roots.copy(), dict(failures)
+    failures[0, 1] = mass_oracle.DefectiveMatrixError("eigenvalue (1+2j) is defective")
+    roots[0, 1] = np.nan
+    predicted[1, 2] = 0.0
+    roots[1, 0] = lams[1] + predicted[1, 0] + 0.31 * gaps[1] * np.exp(0.7j)
+    got = mai_core._gated_outcomes(lams, predicted, roots, failures, gaps)
+    kinds = collections.Counter()
+    for m, row in enumerate(got):
+        for e, outcome in enumerate(row):
+            expected = _gated_reference(complex(lams[m]), complex(predicted[m, e]),
+                                        failures.get((m, e), complex(roots[m, e])),
+                                        float(gaps[m]))
+            kinds[type(outcome).__name__] += 1
+            assert type(outcome) is type(expected), (m, e)
+            if isinstance(outcome, Exception):
+                assert str(outcome) == str(expected), (m, e)
+            else:
+                assert same_bits(np.array([outcome.predicted, outcome.actual, outcome.error]),
+                                 np.array([expected.predicted, expected.actual, expected.error]))
+    assert kinds["TrackingError"] == refused + 1
+    assert kinds["AnalysisError"] == kinds["DefectiveMatrixError"] == 1
+    with pytest.raises(KeyError, match="not a validation failure"):
+        mai_core._gated_outcomes(lams, predicted, roots,
+                                 {**failures, (0, 0): KeyError("not a validation failure")}, gaps)
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.3])
 def test_impedance_route_agrees_with_the_oracle_route(three_bus_net, three_bus_modes, eps,
                                                       monkeypatch):
@@ -598,6 +663,16 @@ def _pole(system, mode):
     return int(np.argmin(np.abs(system.eig.eigenvalues - mode.lam)))
 
 
+def _updated_eigenvalues(system, indices, updates, anchors):
+    """``mass_oracle.updated_eigenvalues`` as one list per index with, per
+    update, its root or the error its solve raised."""
+    roots, failures = mass_oracle.updated_eigenvalues(system, indices, updates, anchors)
+    out = roots.tolist()
+    for (m, e), exc in failures.items():
+        out[m][e] = exc
+    return out
+
+
 def _counted_fallback(monkeypatch):
     """The anchors every dense fallback is called with, and the fallback."""
     fallbacks = []
@@ -620,7 +695,7 @@ def test_batched_roots_match_shift_invert(three_bus_net, monkeypatch):
             updates = system.element_updates(refs, 1.0 + eps)
             anchors = [[mode.lam + _predicted_shift(net, ref, mode, eps) for ref in refs]
                        for mode in modes]
-            grid = mass_oracle.updated_eigenvalues(
+            grid = _updated_eigenvalues(
                 system, [_pole(system, mode) for mode in modes], updates, anchors)
             assert fallbacks == []
             for mode, row, roots in zip(modes, anchors, grid):
@@ -649,7 +724,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     updates = system.element_updates(refs, 1.05)
 
     on_pole = [lam[i]] * len(refs)
-    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [on_pole])
+    [roots] = _updated_eigenvalues(system, [i], updates, [on_pole])
     assert fallbacks == []
     for update, anchor, root in zip(updates, on_pole, roots):
         expected = nearest(_perturbed(system, update), anchor)
@@ -657,7 +732,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
 
     j = int(np.argsort(np.abs(lam - mode.lam))[1])
     on_other_pole = [lam[j]] * len(refs)
-    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [on_other_pole])
+    [roots] = _updated_eigenvalues(system, [i], updates, [on_other_pole])
     assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, on_other_pole, roots):
         assert root == nearest(_perturbed(system, update), anchor)
@@ -667,7 +742,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     healthy = [[m.lam + _predicted_shift(three_bus_net, ref, m, 0.05) for ref in refs]
                for m in others]
     fallbacks.clear()
-    grid = mass_oracle.updated_eigenvalues(
+    grid = _updated_eigenvalues(
         system, [i] + [_pole(system, m) for m in others], updates, [on_other_pole] + healthy)
     assert fallbacks == on_other_pole
     for row, roots in zip([on_other_pole] + healthy, grid):
@@ -677,7 +752,7 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
 
     fallbacks.clear()
     monkeypatch.setattr(mass_oracle, "_BACKWARD_LIMIT", -1.0)
-    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [anchors])
+    [roots] = _updated_eigenvalues(system, [i], updates, [anchors])
     assert len(fallbacks) == len(refs)
     for update, anchor, root in zip(updates, anchors, roots):
         assert root == nearest(_perturbed(system, update), anchor)
@@ -691,11 +766,11 @@ def test_zero_prediction_and_backward_error_give_the_shift_invert_value(
     radius = grid.radius[0]
     far = int(np.flatnonzero(np.abs(lam - lam[i]) >= radius)[0])
     beyond = lam[i] + 0.5 * radius * (anchors[0] - lam[i]) / np.abs(anchors[0] - lam[i])
-    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [beyond])
+    [roots] = _updated_eigenvalues(system, [i], updates, [beyond])
     expected, converged = reference_roots(system, [i], updates, [beyond])
     assert converged.all() and fallbacks == []
     assert np.all(np.abs(np.array(roots) - expected[0]) <= 1e-13 * abs(lam[i]))
-    [roots] = mass_oracle.updated_eigenvalues(system, [i], updates, [[lam[far]] * len(updates)])
+    [roots] = _updated_eigenvalues(system, [i], updates, [[lam[far]] * len(updates)])
     assert fallbacks == [lam[far]] * len(updates)
     for update, root in zip(updates, roots):
         assert root == nearest(_perturbed(system, update), lam[far])
@@ -742,7 +817,7 @@ def test_product_form_roots_match_the_deflated_reference(three_bus_net, monkeypa
         for eps in (0.05, 0.2):
             system, poles, updates, anchors = _secular_case(net, eps)
             fallbacks.clear()
-            roots = mass_oracle.updated_eigenvalues(system, poles, updates, anchors)
+            roots = _updated_eigenvalues(system, poles, updates, anchors)
             expected, converged = reference_roots(system, poles, updates, anchors)
             assert sorted(map(str, fallbacks)) == sorted(map(str, anchors[~converged]))
             scale = np.abs(system.eig.eigenvalues[poles])[:, None]
@@ -784,11 +859,11 @@ def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
         moments += np.sum(last["inside"] & np.isfinite(grid.radius))
 
         checked.clear()
-        roots = mass_oracle.updated_eigenvalues(system, poles, updates, anchors)
+        roots = _updated_eigenvalues(system, poles, updates, anchors)
         assert checked == []
         with monkeypatch.context() as m:
             m.setattr(mass_oracle._SecularGrid, "certificate", no_certificate)
-            _same_outcomes(roots, mass_oracle.updated_eigenvalues(system, poles, updates,
+            _same_outcomes(roots, _updated_eigenvalues(system, poles, updates,
                                                                   anchors))
         assert checked == [mu.size]
 
@@ -798,7 +873,7 @@ def test_certificate_bounds_the_exact_check(three_bus_net, monkeypatch):
         checked.clear()
         with monkeypatch.context() as m:
             m.setattr(mass_oracle, "_BACKWARD_LIMIT", limit)
-            _same_outcomes(roots, mass_oracle.updated_eigenvalues(system, poles, updates,
+            _same_outcomes(roots, _updated_eigenvalues(system, poles, updates,
                                                                   anchors))
         assert checked == [doubt]
     assert moments > 0
@@ -1456,11 +1531,7 @@ def test_sweep_rows_equal_a_rebuilt_network(case, branch_index, param, factor, r
 def _benchmark_ring(seed):
     """The 30-bus ring that the benchmark's oracle-sweep workload sweeps
     (perfbench/netgen.py), for ``seed``."""
-    spec = importlib.util.spec_from_file_location(
-        "netgen", Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py")
-    netgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(netgen)
-    return network_model.parse_network(json.dumps(netgen.generate(30, seed)))
+    return generated_ring(30, seed)
 
 
 def _sweep_outcome(net, *args, **kwargs):
@@ -1532,7 +1603,7 @@ def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
         [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
         anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots)
         assert (anchored_where_they_were is None) == (k == 6), k
-        found = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion)
+        found, _ = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion)
         dense = np.linalg.eigvals(_perturbed(system, (rows, A_rows)))
         dist = np.abs(found[:, None] - dense)
         assert np.all(np.min(dist, axis=0) <= 1e-12 * np.abs(dense)), k
@@ -1636,10 +1707,9 @@ def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
     every step as the normal sweep does, no nan."""
     secular = mass_oracle.swept_eigenvector_pair
 
-    def on_another_pole(system, rows, A_rows, m, mu):
-        lam = system.eig.eigenvalues
-        others = np.delete(lam, m)
-        pair = secular(system, rows, A_rows, m, others[np.argmin(np.abs(others - mu))])
+    def on_another_pole(grid, m, mu):
+        others = np.delete(grid.lam, m)
+        pair = secular(grid, m, others[np.argmin(np.abs(others - mu))])
         assert pair is None
         return pair
 

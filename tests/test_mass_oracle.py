@@ -1,5 +1,7 @@
 """State-space interconnection, eigenstructure and sensitivity oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.linalg
 from impedmodal.admittance_assembly import WholeSystemModel, state_space_response
 from impedmodal.mass_oracle import (
     DefectiveMatrixError,
+    Interconnection,
     OracleError,
     UnsupportedForOracleError,
     eigendecompose,
@@ -22,7 +25,7 @@ from impedmodal.network_model import (
     StateSpaceRealization,
 )
 
-from conftest import W0
+from conftest import W0, generated_ring, same_bits
 from paper_reference import (
     RepeatedEigenvalueError,
     eigenvalue_sensitivity_matrix,
@@ -188,6 +191,80 @@ def test_eigendecompose_real_spectrum_is_complex_typed():
 def test_eigendecompose_jordan_block_defective():
     with pytest.raises(DefectiveMatrixError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _complex_route(A):
+    """eig's vectors as complex128 with the singular values of that complex
+    matrix: what the eigenbasis is checked against."""
+    X = np.linalg.eig(A)[1].astype(complex)
+    return X, np.linalg.svd(X, compute_uv=False)
+
+
+def _check_eigenbasis(A, rtol=1e-12):
+    """``eigendecompose(A)`` raises DefectiveMatrixError exactly where the
+    complex SVD's condition number exceeds 1e12; else its ``right`` is
+    eig's, bit for bit, ``norms`` within ``rtol`` relative of the complex
+    SVD's (None: 16 eps x the condition number, the accuracy of the
+    smallest singular value), the left rows of each pair exact
+    conjugates, and left @ right = I to rounding. True if it raised."""
+    X, sv = _complex_route(A)
+    if not sv[-1] > 0 or sv[0] / sv[-1] > 1e12:
+        with pytest.raises(DefectiveMatrixError):
+            eigendecompose(A)
+        return True
+    eig = eigendecompose(A)
+    n, eps, kappa = eig.n, np.finfo(float).eps, sv[0] / sv[-1]
+    rtol = 16 * eps * kappa if rtol is None else rtol
+    assert same_bits(eig.right, X)
+    assert abs(eig.norms[0] - sv[0]) <= rtol * sv[0]
+    assert abs(eig.norms[1] - 1.0 / sv[-1]) <= rtol / sv[-1]
+    j = eig.pairs
+    assert np.array_equal(eig.eigenvalues[j + 1], eig.eigenvalues[j].conj())
+    assert same_bits(eig.left[j + 1], eig.left[j].conj())
+    assert np.all(eig.eigenvalues[np.setdiff1d(np.arange(eig.n), [*j, *(j + 1)])].imag == 0)
+    assert np.linalg.norm(eig.left @ eig.right - np.eye(n)) <= 64 * n * eps * kappa
+    return False
+
+
+@pytest.mark.parametrize("n_buses, seed", itertools.product((3, 6, 15, 30, 60), range(3)))
+def test_eigenbasis_of_generated_rings(n_buses, seed):
+    """The real-arithmetic eigenbasis of the benchmark generator's rings of
+    3-60 buses, seeds 0-2, against eig's vectors and their complex SVD;
+    ``eig_errors``, formed on the real columns, are at rounding level."""
+    system = Interconnection(generated_ring(n_buses, seed))
+    A = system.model.A
+    assert not _check_eigenbasis(A)
+    rho, delta = system.eig_errors
+    n, eps, (x_norm, x_inv_norm) = A.shape[0], np.finfo(float).eps, system.eig.norms
+    assert np.all(rho <= 64 * n * eps * (np.linalg.norm(A) + np.abs(system.eig.eigenvalues)))
+    assert delta <= 64 * n * eps * x_norm * x_inv_norm
+
+
+def test_eigenbasis_of_hand_matrices():
+    """An all-real spectrum, a repeated real eigenvalue, a repeated complex
+    pair, near-defective pairs on either side of the 1e12 limit, real
+    ([[0, 1], [e, 0]]) and complex ([[0, 1], [-e, 0]]), and a complex
+    Jordan block that rounding splits, are decomposed or refused as the
+    complex SVD decides; exact real and complex Jordan blocks are
+    refused."""
+    rng = np.random.default_rng(3)
+    S = rng.normal(size=(4, 4))
+    R = np.array([[-1.0, 5.0], [-5.0, -1.0]])
+    jordan = np.block([[R, np.eye(2)], [np.zeros((2, 2)), R]])
+    cases = {
+        "real spectrum": S @ np.diag([-1.0, -2.0, 3.0, 0.5]) @ np.linalg.inv(S),
+        "repeated real": S @ np.diag([-1.0, -1.0, 2.0, 2.0]) @ np.linalg.inv(S),
+        "repeated pair": S @ scipy.linalg.block_diag(R, R) @ np.linalg.inv(S),
+        "jordan": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "complex jordan": jordan,
+        "split complex jordan": S @ jordan @ np.linalg.inv(S),
+    }
+    for k in (20, 22, 23, 25, 26, 28):
+        for sign in (1.0, -1.0):
+            cases[f"{sign:+} 1e-{k}"] = np.array([[0.0, 1.0], [sign * 10.0**-k, 0.0]])
+    refused = {name for name, A in cases.items() if _check_eigenbasis(A, rtol=None)}
+    assert refused == {"jordan", "complex jordan", *(f"{sign:+} 1e-{k}" for k in (25, 26, 28)
+                                                     for sign in (1.0, -1.0))}
 
 
 def _real_modal_matrix(pairs, rng):
