@@ -7,10 +7,12 @@ and columns 2(j-1)..2j-1 (0-based slices, 1-based bus numbering).
 The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
 the whole-system impedance is Z(s) = Y(s)^{-1}. A network's
-:class:`StampTable` evaluates every element once per call, in one stacked
-pass per element kind (per group of apparatus), and adds the elements' bus
-blocks into Y from one table; an overlay that scales one element per point
-scales it in that stack before the one stamp.
+:class:`StampTable` is the one source of an element's own admittance y(s)
+and of its bus pair and transformer ratio: it evaluates every element once
+per call, in one stacked pass per element kind (per group of apparatus),
+names the first element that cannot be evaluated, and adds the elements'
+bus blocks into Y from one table; an overlay that scales one element per
+point scales it in that stack before the one stamp.
 
 Every evaluator takes a scalar s or a 1-D array of M values of s (a
 frequency grid); an array gives the matrices stacked as (M, ..., ...), each
@@ -29,7 +31,6 @@ from .network_model import (
     RationalMatrix,
     RationalModel,
     SampledResponse,
-    ShuntElement,
     StateSpaceRealization,
 )
 
@@ -45,8 +46,6 @@ __all__ = [
     "dq_series_impedance",
     "transformer_stamp",
     "shunt_admittances",
-    "shunt_admittance",
-    "apparatus_admittance",
     "state_space_response",
     "StampTable",
     "WholeSystemModel",
@@ -54,7 +53,6 @@ __all__ = [
     "ElementRef",
     "network_elements",
     "element_label",
-    "element_admittance",
     "overlay_admittance",
 ]
 
@@ -180,17 +178,6 @@ def shunt_admittances(kind: str, value, omega0: float, s: complex):
     raise AssemblyError(f"unknown shunt kind '{kind}'")
 
 
-def shunt_admittance(shunt: ShuntElement, omega0: float, s) -> np.ndarray:
-    """dq admittance block of a single passive shunt; stacked (M, 2, 2) over
-    an array of s."""
-    y, ok = shunt_admittances(shunt.kind, shunt.value, omega0, s)
-    if shunt.kind == "inductive" and not ok.all():
-        raise EvaluationError(
-            f"inductive shunt at bus {shunt.bus} is singular at s = {_first(s, ~ok)}"
-        )
-    return y
-
-
 def _evaluate_rational(coefficients, s: np.ndarray) -> np.ndarray:
     """K rational 2x2 models over s, stacked (..., K, 2, 2), from their
     numerator and denominator coefficient stacks (degree+1, K, 2, 2)."""
@@ -310,18 +297,6 @@ class _ApparatusGroup:
         return y
 
 
-def apparatus_admittance(model, s, theta: float = 0.0) -> np.ndarray:
-    """Apparatus dq admittance at s, rotated into the global frame. The model
-    is a parsed kind or a fitted ``RationalModel`` surrogate.
-
-    The local response Y_local(s) is similarity-transformed by the frame
-    rotation: T(theta) Y_local T(theta)^{-1}. Stacked (M, 2, 2) over an
-    array of s. The one-model case of a :class:`StampTable`'s apparatus
-    groups.
-    """
-    return _ApparatusGroup([model], [theta]).evaluate(np.asarray(s, dtype=complex))[..., 0, :, :]
-
-
 # ---------------------------------------------------------------------------
 # Element enumeration (shared by the sensitivity layers and reporting)
 # ---------------------------------------------------------------------------
@@ -348,46 +323,6 @@ def element_label(net: NetworkDescription, ref: ElementRef) -> str:
     if kind == "apparatus":
         return f"apparatus:{net.apparatus[idx].bus}"
     raise AssemblyError(f"unknown element kind '{kind}'")
-
-
-def element_admittance(net: NetworkDescription, ref: ElementRef, s) -> np.ndarray:
-    """The element's own 2x2 admittance block y(s); for branches this is the
-    series admittance that enters the transformer stamp."""
-    kind, idx = ref
-    if kind == "branch":
-        b = net.branches[idx]
-        y, ok = inv2_masked(dq_series_impedance(b.R, b.L, net.omega0, s))
-        if not ok.all():
-            raise EvaluationError(
-                f"branch {b.from_bus}-{b.to_bus} series impedance singular at s = {_first(s, ~ok)}"
-            )
-        return y
-    if kind == "shunt":
-        return shunt_admittance(net.shunts[idx], net.omega0, s)
-    if kind == "apparatus":
-        app = net.apparatus[idx]
-        return apparatus_admittance(app.model, s, app.theta)
-    raise AssemblyError(f"unknown element kind '{kind}'")
-
-
-def _raise_named(net: NetworkDescription, ref: ElementRef, s) -> None:
-    """Evaluate and stamp one element alone over s; raise its failure, if
-    any, named as Y names it: ``branch i-j (kind): ``, ``shunt at bus k
-    (kind): `` or ``apparatus at bus k: `` before its own message."""
-    kind, idx = ref
-    try:
-        y = element_admittance(net, ref, s)
-        if kind == "branch":
-            transformer_stamp(y, net.branches[idx].ratio)
-    except AssemblyError as exc:
-        if kind == "branch":
-            b = net.branches[idx]
-            name = f"branch {b.from_bus}-{b.to_bus} ({b.kind})"
-        elif kind == "shunt":
-            name = f"shunt at bus {net.shunts[idx].bus} ({net.shunts[idx].kind})"
-        else:
-            name = f"apparatus at bus {net.apparatus[idx].bus}"
-        raise type(exc)(f"{name}: {exc}") from exc
 
 
 class StampTable:
@@ -425,7 +360,13 @@ class StampTable:
                    np.array([net.shunts[e - nb].value for e in pos], dtype=float))
             for kind, pos in kinds.items()
         }
-        groups: dict = {}
+
+    @functools.cached_property
+    def groups(self) -> list:
+        """(positions in the element stack, group) per group of apparatus,
+        built at the first evaluation: a table read for its bus pairs and
+        ratios alone stacks no apparatus model."""
+        net, groups = self.net, {}
         for a, app in enumerate(net.apparatus):
             if isinstance(app.model, RationalMatrix):
                 key = "rational"
@@ -434,11 +375,10 @@ class StampTable:
             else:
                 key = ("alone", a)
             groups.setdefault(key, []).append(a)
-        # (positions in the element stack, group) per group of apparatus
-        self.groups = [(len(self.refs) - len(net.apparatus) + np.array(members),
-                        _ApparatusGroup([net.apparatus[a].model for a in members],
-                                        [net.apparatus[a].theta for a in members]))
-                       for members in groups.values()]
+        return [(len(self.refs) - len(net.apparatus) + np.array(members),
+                 _ApparatusGroup([net.apparatus[a].model for a in members],
+                                 [net.apparatus[a].theta for a in members]))
+                for members in groups.values()]
 
     @functools.cached_property
     def _transformers(self) -> np.ndarray:
@@ -477,31 +417,65 @@ class StampTable:
                   for k in range(counts.max(initial=0))]
         return cells[by_count], passes
 
+    def _named(self, e: int, exc: AssemblyError) -> AssemblyError:
+        """``exc`` named as Y names element e: ``branch i-j (kind): ``,
+        ``shunt at bus k (kind): `` or ``apparatus at bus k: `` before its
+        own message."""
+        kind, idx = self.refs[e]
+        if kind == "branch":
+            b = self.net.branches[idx]
+            name = f"branch {b.from_bus}-{b.to_bus} ({b.kind})"
+        elif kind == "shunt":
+            name = f"shunt at bus {self.net.shunts[idx].bus} ({self.net.shunts[idx].kind})"
+        else:
+            name = f"apparatus at bus {self.net.apparatus[idx].bus}"
+        return type(exc)(f"{name}: {exc}")
+
     def evaluate(self, s) -> np.ndarray:
         """Every element's 2x2 admittance y(s), stacked (..., N, 2, 2) in
         element order: all branches in one pass, the shunts in one pass per
         kind, the apparatus in one pass per group, each over all of s. Where
         an element cannot be evaluated or stamped, raises the error of the
-        first such element at its first such s, named as by Y."""
+        first such element at its first such s, named as by Y: a passive
+        one read off its pass's mask, an apparatus evaluated alone."""
         s = np.asarray(s, dtype=complex)
         net, nb = self.net, self.n_branches
         y = np.empty(s.shape + (len(self.refs), 2, 2), dtype=complex)
         ok = np.ones(y.shape[:-2], dtype=bool)
-        try:
-            z = dq_series_impedance(self.R, self.L, net.omega0, s[..., None])
-            y[..., :nb, :, :], ok[..., :nb] = inv2_masked(z)
-            ok[..., :nb] &= self.ratio[:nb] != 0
-            for kind, (pos, value) in self.shunts.items():
+        z = dq_series_impedance(self.R, self.L, net.omega0, s[..., None])
+        y[..., :nb, :, :], series = inv2_masked(z)
+        ok[..., :nb] = series & (self.ratio[:nb] != 0)
+        unknown = {}
+        for kind, (pos, value) in self.shunts.items():
+            try:
                 y[..., pos, :, :], ok[..., pos] = shunt_admittances(kind, value, net.omega0,
                                                                    s[..., None])
-            if not ok.all():
-                raise EvaluationError("a passive element is singular")
-            for pos, group in self.groups:
+            except AssemblyError as exc:  # a kind without a formula
+                ok[..., pos], unknown[kind] = False, exc
+        if not ok.all():
+            e = int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
+            kind, idx = self.refs[e]
+            if kind == "shunt":
+                sh = net.shunts[idx]
+                exc = unknown.get(sh.kind) or EvaluationError(
+                    f"inductive shunt at bus {sh.bus} is singular at s = {_first(s, ~ok[..., e])}")
+            elif series[..., e].all():
+                exc = AssemblyError("degenerate transformer ratio k = 0")
+            else:
+                b = net.branches[idx]
+                exc = EvaluationError(f"branch {b.from_bus}-{b.to_bus} series impedance singular"
+                                      f" at s = {_first(s, ~series[..., e])}")
+            raise self._named(e, exc)
+        for pos, group in self.groups:
+            try:
                 y[..., pos, :, :] = group.evaluate(s)
-        except Exception:  # whatever failed, re-raised as the first failing element raises it
-            for ref in self.refs:
-                _raise_named(net, ref, s)
-            raise
+            except Exception:  # re-raised as the first apparatus that fails alone raises it
+                for e, app in enumerate(net.apparatus, start=len(self.refs) - len(net.apparatus)):
+                    try:
+                        _ApparatusGroup([app.model], [app.theta]).evaluate(s)
+                    except AssemblyError as exc:
+                        raise self._named(e, exc) from exc
+                raise
         return y
 
     def stamp(self, y: np.ndarray) -> np.ndarray:

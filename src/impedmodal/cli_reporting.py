@@ -128,15 +128,17 @@ class _ModeWriter:
     """
 
     def __init__(self, net, epsilon: float):
-        refs = assembly.network_elements(net)
+        table = assembly.StampTable(net)
+        refs, i, j = table.refs, table.i.tolist(), table.j.tolist()
         self.labels = [assembly.element_label(net, ref) for ref in refs]
-        locations = [mai_core.element_location(net, ref) for ref in refs]
+        # a branch of ratio other than 1 is a transformer; a shunt or an apparatus sits on a node
+        kinds = ["node" if e >= table.n_branches else "branch" if k == 1.0 else "transformer"
+                 for e, k in enumerate(table.ratio.tolist())]
         tail = _literal(f",{epsilon:.12g}\n")
         numbers = ",".join([_NUMBER] * 4)
         self.elements = _ELEMENTS_HEAD + "".join(
-            _literal(f"{label},{loc.kind}:{loc.i}" + (f"-{loc.j}," if loc.j else ","))
-            + numbers + tail
-            for label, loc in zip(self.labels, locations))
+            _literal(f"{label},{kind}:{a}" + (f"-{b}," if b else ",")) + numbers + tail
+            for label, kind, a, b in zip(self.labels, kinds, i, j))
         entries = [(e, c, f"{label},{name},")
                    for e, (label, (kind, _)) in enumerate(zip(self.labels, refs))
                    for c, name in enumerate(mai_core.LAYER3_PARAMS[kind])]
@@ -145,7 +147,7 @@ class _ModeWriter:
         self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
                                .reshape(-1, 2).T)
         # a node element (j = 0) sits on pair (i, i)
-        ij = np.sort([(loc.i, loc.j or loc.i) for loc in locations], axis=1)
+        ij = np.sort([(a, b or a) for a, b in zip(i, j)], axis=1)
         pairs, self.pair_of = np.unique(ij, axis=0, return_inverse=True)
         self.n_pairs = len(pairs)
         self.bus_pairs = f"bus_i,bus_j,elements,{_LAYERS}\n" + "".join(

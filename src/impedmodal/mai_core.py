@@ -1,8 +1,12 @@
 """Three-layer impedance-model participation analysis.
 
-From the residue matrix of the whole-system impedance at a mode, this
-module derives per-element admittance sensitivities (with the transformer
-ratio correction), the three participation layers, per-parameter
+From the rank-one factors of the whole-system impedance residue at a mode,
+this module derives every element's admittance sensitivity dlambda/dy
+(with the transformer ratio correction) from the element's bus blocks of
+those factors, gathered for all elements of a
+:class:`admittance_assembly.StampTable` at once (bus pairs and ratios
+from that table, y(lambda) from its one evaluation). From those two blocks
+per element come the three participation layers, per-parameter
 sensitivities from the derivative of each element's own admittance,
 first-order mode-shift predictions, and sweep/validation bookkeeping
 against re-solved modes. The paper's branch splitting (closed-form
@@ -23,25 +27,22 @@ import numpy as np
 
 from . import admittance_assembly as assembly
 from . import mass_oracle, rational_fit
-from .admittance_assembly import _I2, ElementRef, WholeSystemModel, block_slice, omega_block
+from .admittance_assembly import _I2, ElementRef, WholeSystemModel, omega_block
 from .network_model import NetworkDescription
 
 __all__ = [
     "AnalysisError",
     "TrackingError",
-    "Location",
     "ModeRecord",
     "ValidationRecord",
     "SweepStep",
     "frobenius_inner",
-    "admittance_sensitivity",
     "predict_mode_shift",
     "layer1_cauchy",
     "layer2",
     "enhanced_layer1",
     "layer3",
     "validate_prediction",
-    "element_location",
     "element_layer_report",
     "LAYER3_PARAMS",
     "ModeLayers",
@@ -63,25 +64,12 @@ class TrackingError(AnalysisError):
     """Mode continuation lost its branch (two modes collided)."""
 
 
-@dataclass(frozen=True)
-class Location:
-    """Where an element sits: a node, a branch, or a transformer branch.
-
-    Bus index 0 denotes ground; its impedance blocks are zero, which makes
-    the branch formula degenerate gracefully to the node formula.
-    """
-
-    kind: str  # "node" | "branch" | "transformer"
-    i: int
-    j: int = 0
-    ratio: float = 1.0
-
-
 @dataclass(frozen=True, eq=False)
 class ModeRecord:
     """One oscillatory mode with its whole-system impedance residue, kept as
     its rank-one factors (O(n) per mode): Res = outer(left, right), divided
-    by ``denom`` where one is given; :attr:`residue` forms the matrix.
+    by ``denom`` where one is given. Nothing forms the dense matrix: each
+    element's bus blocks of it are gathered from the factors.
 
     ``provenance`` names the path that found the mode: "state-space" (an
     eigenvalue of the interconnected state matrix) or "newton-refined" (a
@@ -94,13 +82,8 @@ class ModeRecord:
     provenance: str
     denom: Optional[complex] = None  # v^T Y'(lambda) u on the impedance route
 
-    @property
-    def residue(self) -> np.ndarray:  # the dense (2n, 2n) matrix
-        res = np.outer(self.left, self.right)
-        return res if self.denom is None else res / self.denom
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationRecord:
     """Predicted vs re-solved mode change with the relative error
     |predicted - actual| / |predicted|."""
@@ -153,28 +136,25 @@ def _ratio_sensitivity(ii, jj, ij, ji, k) -> np.ndarray:
     return -(ii / k**2 + jj - ij / k - ji / k)
 
 
-def admittance_sensitivity(res: np.ndarray, location: Location) -> np.ndarray:
-    """The sensitivity factor s of an element admittance, from the residue
-    matrix: the 2x2 block that pairs with an admittance change through the
-    Frobenius inner product, delta_lambda = <s, delta_y>, so dlambda/dy = s^H.
-
-    Node element at bus i:   dlambda/dy = -Res_ii
-    Branch between i and j:  dlambda/dy = -(Res_ii + Res_jj - Res_ij - Res_ji)
-    Transformer, an ideal k:1 ratio on the i side (``Location("transformer",
-    i, j, k)``): dlambda/dy = -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k),
-    the branch formula at k = 1.
-    """
-    kind, i, j = location.kind, location.i, location.j  # j = 0 (ground) for a node
-    if kind not in ("node", "branch", "transformer"):
-        raise AnalysisError(f"unknown location kind '{kind}'")
-    k = location.ratio if kind == "transformer" else 1.0
-    if k == 0:
-        raise AnalysisError("degenerate transformer ratio k = 0")
-    res = np.asarray(res, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)  # a block of ground
-    d = _ratio_sensitivity(*(res[block_slice(p), block_slice(q)] if p and q else zero
-                             for p, q in ((i, i), (j, j), (i, j), (j, i))), k)
-    return _conj_t(d)
+def _sensitivity_factors(i, j, ratio, modes: Sequence[ModeRecord]) -> np.ndarray:
+    """The sensitivity factor s of elements on bus pairs (``i``, ``j``)
+    behind ratios ``ratio`` (arrays of N; j = 0, ground, for a node
+    element) at every mode, stacked (M, N, 2, 2): the 2x2 block that pairs
+    with an admittance change through the Frobenius inner product,
+    delta_lambda = <s, delta_y>, so dlambda/dy = s^H, by
+    :func:`_ratio_sensitivity`. Each element's four residue bus blocks are
+    gathered from its mode's residue factors, entry by entry the dense
+    residue's product, divided by every mode's ``denom`` (1 where there is
+    none) in one operation, ground's blocks zero: O(N) per mode."""
+    rows, cols = np.array([[i, j, i, j], [i, j, j, i]])  # ii, jj, ij, ji
+    # (M, n, 2) bus 2-vectors of the factors; ground (bus 0) reads bus n, masked below
+    left = np.array([mode.left for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
+    right = np.array([mode.right for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
+    blocks = left[:, rows - 1, :, None] * right[:, cols - 1, None, :]  # (M, 4, N, 2, 2)
+    blocks /= np.array([1.0 if mode.denom is None else mode.denom
+                        for mode in modes])[:, None, None, None, None]
+    blocks[:, (rows == 0) | (cols == 0)] = 0
+    return _conj_t(_ratio_sensitivity(*blocks.swapaxes(0, 1), np.asarray(ratio)[:, None, None]))
 
 
 def predict_mode_shift(s_factor: np.ndarray, delta_y: np.ndarray) -> complex:
@@ -230,35 +210,15 @@ def validate_prediction(predicted: complex, actual: complex) -> ValidationRecord
     return ValidationRecord(predicted=complex(predicted), actual=complex(actual), error=float(err))
 
 
-# ---------------------------------------------------------------------------
-# Elements of a network
-# ---------------------------------------------------------------------------
-
-
-def element_location(net: NetworkDescription, ref: ElementRef) -> Location:
-    kind, idx = ref
-    if kind == "branch":
-        b = net.branches[idx]
-        if b.ratio != 1.0:
-            return Location(kind="transformer", i=b.from_bus, j=b.to_bus, ratio=b.ratio)
-        return Location(kind="branch", i=b.from_bus, j=b.to_bus)
-    if kind == "shunt":
-        return Location(kind="node", i=net.shunts[idx].bus)
-    if kind == "apparatus":
-        return Location(kind="node", i=net.apparatus[idx].bus)
-    raise AnalysisError(f"unknown element kind '{kind}'")
-
-
 def branch_parameter_sensitivity(
     net: NetworkDescription,
     branch_index: int,
-    res: np.ndarray,
-    lam: complex,
+    mode: ModeRecord,
     param: str,
 ) -> complex:
-    """Parameter sensitivity s_{lambda,rho} of a series branch, rho in {L, R}:
-    <s, dy/drho> of the unsplit series admittance y, the same value as the
-    branch's layer 3 in :func:`mode_layers`.
+    """Parameter sensitivity s_{lambda,rho} of a series branch at ``mode``,
+    rho in {L, R}: <s, dy/drho> of the unsplit series admittance y, the
+    same value, bit for bit, as the branch's layer 3 in :func:`mode_layers`.
 
     The paper reaches it by splitting the branch at a virtual node
     (:func:`split_branch`, :func:`split_node_residues`,
@@ -270,9 +230,11 @@ def branch_parameter_sensitivity(
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"branch parameter must be 'L' or 'R', got '{param}'")
-    ref = ("branch", branch_index)
-    s = admittance_sensitivity(res, element_location(net, ref))
-    y = assembly.element_admittance(net, ref, lam)
+    b, lam = net.branches[branch_index], mode.lam
+    [[s]] = _sensitivity_factors([b.from_bus], [b.to_bus], [b.ratio], [mode])
+    z = assembly.dq_series_impedance(b.R, b.L, net.omega0, lam)
+    y = assembly.inv2(z, lambda: assembly.EvaluationError(
+        f"branch {b.from_bus}-{b.to_bus} series impedance singular at s = {lam}"))
     s_L, s_R = _direct_layer3(s, y, lam, net.omega0)
     return s_L if param == "L" else s_R
 
@@ -323,32 +285,19 @@ class ModeLayers:
 def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
     """Every element's sensitivity factor s and admittance y(lambda) at
     every mode, stacked (M, N, 2, 2) in ``table`` order: what the layers
-    and the predicted shifts are formed from. Each element's four residue
-    bus blocks are gathered from its mode's residue factors, entry by entry
-    the dense residue's product, divided by every mode's ``denom`` (1 where
-    there is none) in one operation, ground's blocks zero: O(N) per mode.
-    y is one :meth:`admittance_assembly.StampTable.evaluate` over all the
-    modes. Where some element cannot be evaluated, raises what
-    :func:`admittance_assembly.element_admittance` raises at the first such
-    mode alone, for the first such element."""
+    and the predicted shifts are formed from. s is
+    :func:`_sensitivity_factors` on the table's bus pairs and ratios, y one
+    :meth:`admittance_assembly.StampTable.evaluate` over all the modes.
+    Where some element cannot be evaluated, raises what that evaluation
+    raises at the first such mode alone."""
     lam = np.array([mode.lam for mode in modes], dtype=complex)
     try:
         y = table.evaluate(lam)
     except Exception:  # whatever failed, re-raised as the first failing mode alone raises
-        for x in lam.tolist():
-            for ref in table.refs:
-                assembly.element_admittance(table.net, ref, x)
+        for x in lam:
+            table.evaluate(x)
         raise
-    i, j = table.i, table.j
-    rows, cols = np.array([[i, j, i, j], [i, j, j, i]])  # ii, jj, ij, ji
-    # (M, n, 2) bus 2-vectors of the factors; ground (bus 0) reads bus n, masked below
-    left = np.array([mode.left for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
-    right = np.array([mode.right for mode in modes], dtype=complex).reshape(len(modes), -1, 2)
-    blocks = left[:, rows - 1, :, None] * right[:, cols - 1, None, :]  # (M, 4, N, 2, 2)
-    blocks /= np.array([1.0 if mode.denom is None else mode.denom
-                        for mode in modes])[:, None, None, None, None]
-    blocks[:, (rows == 0) | (cols == 0)] = 0
-    return _conj_t(_ratio_sensitivity(*blocks.swapaxes(0, 1), table.ratio[:, None, None])), y
+    return _sensitivity_factors(table.i, table.j, table.ratio, modes), y
 
 
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
@@ -682,9 +631,9 @@ _RESIDUE_FLOOR = 1e-12
 
 class _ResolvedSweep:
     """How a sweep gets its modes on the impedance route: ``modes`` gives a
-    step's modes from a whole :func:`solve_modes`, ``residue(k)`` the
-    impedance residue of the k-th of them, or None when its norm is at
-    most 1e-12 x the largest of the step's."""
+    step's modes from a whole :func:`solve_modes`, ``record(k)`` the
+    :class:`ModeRecord` of the k-th of them, or None when its residue's
+    norm is at most 1e-12 x the largest of the step's."""
 
     def __init__(self, band):
         self.band = band
@@ -693,10 +642,10 @@ class _ResolvedSweep:
         self.records = solve_modes(net, band=self.band)
         return np.array([r.lam for r in self.records], dtype=complex)
 
-    def residue(self, k: int) -> Optional[np.ndarray]:
+    def record(self, k: int) -> Optional[ModeRecord]:
         sizes = [np.linalg.norm(r.left) * np.linalg.norm(r.right)
                  / (1.0 if r.denom is None else abs(r.denom)) for r in self.records]
-        return self.records[k].residue if sizes[k] > _RESIDUE_FLOOR * max(sizes) else None
+        return self.records[k] if sizes[k] > _RESIDUE_FLOOR * max(sizes) else None
 
     def check(self, k: int) -> None:
         """Nothing to check: a residue is read from its step's records."""
@@ -746,13 +695,13 @@ class _OracleSweep:
         self.lams = lam[self.index]
         return self.lams
 
-    def residue(self, k: int) -> Optional[np.ndarray]:
-        """The impedance residue C x y_h B of mode k; None when
-        ||C x|| ||y_h B|| is at most 1e-12 ||C|| ||B|| ||x|| ||y_h||. Its
-        eigenvectors are the first A's at the first step, the secular
-        equation's at a certified step (O(n^2)), and from one LU near it,
-        with its conditioning check, at a dense step or where the secular
-        ones are not finite."""
+    def record(self, k: int) -> Optional[ModeRecord]:
+        """Mode k with its impedance residue C x y_h B kept as the factors
+        C x and y_h B; None when ||C x|| ||y_h B|| is at most 1e-12 ||C||
+        ||B|| ||x|| ||y_h||. Its eigenvectors are the first A's at the
+        first step, the secular equation's at a certified step (O(n^2)),
+        and from one LU near it, with its conditioning check, at a dense
+        step or where the secular ones are not finite."""
         m, lam = self.index[k], self.lams[k]
         if self.dense:
             pair = None
@@ -765,7 +714,7 @@ class _OracleSweep:
         if (np.linalg.norm(left) * np.linalg.norm(right) <= _RESIDUE_FLOOR * np.linalg.norm(C)
                 * np.linalg.norm(self.B) * np.linalg.norm(x) * np.linalg.norm(y_h)):
             return None
-        return np.outer(left, right)
+        return ModeRecord(lam=complex(lam), left=left, right=right, provenance="state-space")
 
     def check(self, k: int) -> None:
         """The conditioning check of mode k without its residue: a dense
@@ -834,19 +783,19 @@ def parameter_sweep(
     steps: list[SweepStep] = []
     current_net = net
     for step in range(1, n_steps + 1):
-        residue = route.residue(k)
+        record = route.record(k)
         rho = getattr(current_net.branches[branch_index], param)
-        if residue is None:  # a rounding residue: no prediction, and nan error
+        if record is None:  # a rounding residue: no prediction, and nan error
             predicted = complex(np.nan, np.nan)
         else:
-            s_rho = branch_parameter_sensitivity(current_net, branch_index, residue, lam, param)
+            s_rho = branch_parameter_sensitivity(current_net, branch_index, record, param)
             predicted = s_rho * (rho * (factor - 1.0))
         current_net = current_net.with_branch(branch_index, **{param: rho * factor})
         new_lams = route.modes(current_net)
         # predictor-anchored continuation: large parameter steps can move a
         # mode further than the inter-mode spacing, but the first-order
         # prediction lands close to the continued branch
-        lam_new = track_mode(lam if residue is None else lam + predicted, new_lams,
+        lam_new = track_mode(lam if record is None else lam + predicted, new_lams,
                              spacing=_nearest_other_distance(lams, k))
         actual = lam_new - lam
         err = abs(predicted - actual) / abs(predicted) if predicted != 0 else np.inf

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from impedmodal import mass_oracle, network_model
+from impedmodal.admittance_assembly import StampTable
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -42,6 +43,33 @@ def same_bits(a, b) -> bool:
     """Equal shapes, dtypes and bytes: equal values, signs of zero included."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def dense_residue(mode) -> np.ndarray:
+    """The dense (2n, 2n) impedance residue of a ``ModeRecord`` from its
+    rank-one factors: outer(left, right), divided by ``denom`` where one is
+    given."""
+    res = np.outer(mode.left, mode.right)
+    return res if mode.denom is None else res / mode.denom
+
+
+def table_admittance(net: NetworkDescription, ref, s) -> np.ndarray:
+    """Element ``ref``'s own admittance y(s) (a branch's series admittance),
+    cut from one evaluation of its network's StampTable."""
+    table = StampTable(net)
+    return table.evaluate(s)[..., table.index[tuple(ref)], :, :]
+
+
+def node_admittance(element, s, theta: float = 0.0) -> np.ndarray:
+    """The admittance y(s) of one ``ShuntElement``, or of one apparatus
+    model at frame angle ``theta``, alone on its bus of a network at W0,
+    from that network's StampTable."""
+    if isinstance(element, ShuntElement):
+        net = NetworkDescription(n_buses=element.bus, omega0=W0, shunts=(element,))
+    else:
+        net = NetworkDescription(n_buses=1, omega0=W0,
+                                 apparatus=(ApparatusAttachment(bus=1, model=element, theta=theta),))
+    return StampTable(net).evaluate(s)[..., 0, :, :]
 
 
 def scaled_net(net: NetworkDescription, ref, factor: float) -> NetworkDescription:

@@ -20,6 +20,22 @@ from impedmodal.mass_oracle import EigenStructure, OracleError, eigendecompose
 
 
 # ---------------------------------------------------------------------------
+# The sensitivity factor from the dense residue (the paper's formula)
+# ---------------------------------------------------------------------------
+
+
+def residue_sensitivity(res: np.ndarray, i: int, j: int = 0, k: float = 1.0) -> np.ndarray:
+    """The sensitivity factor s (dlambda/dy = s^H) of an element between
+    buses i and j (j = 0, ground, for a node element) behind an ideal k:1
+    ratio on the i side, cut from the dense residue matrix: dlambda/dy =
+    -(Res_ii/k^2 + Res_jj - Res_ij/k - Res_ji/k), ground's blocks zero."""
+    zero = np.zeros((2, 2), dtype=complex)
+    ii, jj, ij, ji = (res[block_slice(p), block_slice(q)] if p and q else zero
+                      for p, q in ((i, i), (j, j), (i, j), (j, i)))
+    return np.conj(-(ii / k**2 + jj - ij / k - ji / k)).T
+
+
+# ---------------------------------------------------------------------------
 # State-space (MASS) sensitivities
 # ---------------------------------------------------------------------------
 

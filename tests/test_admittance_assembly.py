@@ -14,16 +14,13 @@ from impedmodal.admittance_assembly import (
     SingularSystemError,
     StampTable,
     WholeSystemModel,
-    apparatus_admittance,
     block_slice,
     dq_series_impedance,
-    element_admittance,
     frame_rotation,
     inv2,
     inv2_masked,
     network_elements,
     overlay_admittance,
-    shunt_admittance,
     shunt_admittances,
     transformer_stamp,
 )
@@ -40,7 +37,8 @@ from impedmodal.network_model import (
 from impedmodal import admittance_assembly, network_model
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
-from conftest import W0, mixed_ring_doc, rl_load_apparatus, rl_shunt_admittance, same_bits, scaled_net
+from conftest import (W0, mixed_ring_doc, node_admittance, rl_load_apparatus, rl_shunt_admittance,
+                      same_bits, scaled_net, table_admittance)
 
 
 def _nodal(net: NetworkDescription, s) -> np.ndarray:
@@ -93,11 +91,11 @@ def test_transformer_stamp_zero_ratio():
 
 def test_shunt_admittances():
     s = 1j * 120.0
-    y_r = shunt_admittance(ShuntElement(bus=1, kind="resistive", value=4.0), W0, s)
+    y_r = node_admittance(ShuntElement(bus=1, kind="resistive", value=4.0), s)
     assert np.allclose(y_r, np.eye(2) / 4.0)
-    y_c = shunt_admittance(ShuntElement(bus=1, kind="capacitive", value=0.01), W0, s)
+    y_c = node_admittance(ShuntElement(bus=1, kind="capacitive", value=0.01), s)
     assert np.allclose(y_c, 0.01 * np.array([[s, -W0], [W0, s]]))
-    y_l = shunt_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), W0, s)
+    y_l = node_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), s)
     z_l = 0.5 * np.array([[s, -W0], [W0, s]])
     assert np.allclose(y_l @ z_l, np.eye(2))
 
@@ -117,7 +115,7 @@ def test_stacked_blocks_match_single_blocks():
         ys, ok = shunt_admittances(kind, values, W0, s)
         assert np.all(ok)
         for v, y_v in zip(values, ys):
-            single = shunt_admittance(ShuntElement(bus=1, kind=kind, value=v), W0, s)
+            single = node_admittance(ShuntElement(bus=1, kind=kind, value=v), s)
             assert np.allclose(y_v, single, rtol=1e-14, atol=0)
 
 
@@ -132,7 +130,7 @@ def test_singular_blocks_are_flagged():
     _, ok = shunt_admittances("inductive", np.array([0.5, 2.0]), W0, 1j * W0)
     assert not ok.any()
     with pytest.raises(EvaluationError):
-        shunt_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), W0, 1j * W0)
+        node_admittance(ShuntElement(bus=1, kind="inductive", value=0.5), 1j * W0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def test_apparatus_static_model_identity_frame():
     model = StateSpaceRealization(
         A=np.zeros((0, 0)), B=np.zeros((0, 2)), C=np.zeros((2, 0)), D=D
     )
-    assert np.array_equal(apparatus_admittance(model, 1j * 50.0, 0.0), D)
+    assert np.array_equal(node_admittance(model, 1j * 50.0), D)
 
 
 def test_apparatus_rotation_quarter_turn():
@@ -154,7 +152,7 @@ def test_apparatus_rotation_quarter_turn():
         A=np.zeros((0, 0)), B=np.zeros((0, 2)), C=np.zeros((2, 0)),
         D=np.array([[a, b], [c, d]]),
     )
-    rotated = apparatus_admittance(model, 0.0, np.pi / 2)
+    rotated = node_admittance(model, 0.0, np.pi / 2)
     assert np.allclose(rotated, [[d, -c], [-b, a]])
 
 
@@ -171,8 +169,8 @@ def test_sampled_response_exact_hit_and_interpolation():
     freqs = np.array([10.0, 20.0, 30.0])
     blocks = np.array([np.eye(2) * (1 + k) for k in range(3)], dtype=complex)
     model = SampledResponse(frequencies=freqs, blocks=blocks)
-    assert np.array_equal(apparatus_admittance(model, 1j * 20.0, 0.0), blocks[1])
-    mid = apparatus_admittance(model, 1j * 25.0, 0.0)
+    assert np.array_equal(node_admittance(model, 1j * 20.0), blocks[1])
+    mid = node_admittance(model, 1j * 25.0)
     assert np.allclose(mid, np.eye(2) * 2.5)
 
 
@@ -181,7 +179,7 @@ def test_sampled_response_out_of_range():
         frequencies=np.array([10.0, 20.0]), blocks=np.zeros((2, 2, 2), dtype=complex)
     )
     with pytest.raises(EvaluationError, match="outside sampled range"):
-        apparatus_admittance(model, 1j * 50.0, 0.0)
+        node_admittance(model, 1j * 50.0)
 
 
 def test_sampled_response_rejects_complex_s():
@@ -189,7 +187,7 @@ def test_sampled_response_rejects_complex_s():
         frequencies=np.array([10.0, 20.0]), blocks=np.zeros((2, 2, 2), dtype=complex)
     )
     with pytest.raises(EvaluationError, match="imaginary axis"):
-        apparatus_admittance(model, -5.0 + 15.0j, 0.0)
+        node_admittance(model, -5.0 + 15.0j)
 
 
 def test_apparatus_resonance_error():
@@ -197,7 +195,7 @@ def test_apparatus_resonance_error():
         A=np.array([[2.0]]), B=np.ones((1, 2)), C=np.ones((2, 1)), D=np.zeros((2, 2))
     )
     with pytest.raises(EvaluationError, match="resonance"):
-        apparatus_admittance(model, 2.0 + 0.0j, 0.0)
+        node_admittance(model, 2.0 + 0.0j)
 
 
 def test_rational_model_evaluation():
@@ -209,7 +207,7 @@ def test_rational_model_evaluation():
         numerators=((one[0], zero[0]), (zero[0], sq[0])),
         denominators=((one[1], zero[1]), (zero[1], sq[1])),
     )
-    y = apparatus_admittance(model, 2.0 + 0.0j, 0.0)
+    y = node_admittance(model, 2.0 + 0.0j)
     assert np.allclose(y, [[0.25, 0.0], [0.0, 0.5]])
 
 
@@ -228,10 +226,10 @@ def test_rational_model_horner_pass_is_polyval_bit_for_bit():
         for p in range(2):
             for q in range(2):
                 want[..., p, q] = np.polyval(nums[p][q], x) / np.polyval(dens[p][q], x)
-        assert apparatus_admittance(model, x, 0.0).tobytes() == want.tobytes()
+        assert node_admittance(model, x).tobytes() == want.tobytes()
     s[11] = -5.0  # the root of entry (0,1)'s denominator s + 5
     with pytest.raises(EvaluationError, match=re.escape("entry (0,1) has a pole at s = (-5+0j)")):
-        apparatus_admittance(model, s, 0.0)
+        node_admittance(model, s)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +254,9 @@ def _kcl_oracle(net: NetworkDescription, s: complex) -> np.ndarray:
             i_series = y @ (ui / b.ratio - uj)
             I[block_slice(b.from_bus)] += i_series / b.ratio
             I[block_slice(b.to_bus)] -= i_series
-        for sh in net.shunts:
-            I[block_slice(sh.bus)] += shunt_admittance(sh, net.omega0, s) @ U[block_slice(sh.bus)]
+        for k, sh in enumerate(net.shunts):
+            y = table_admittance(net, ("shunt", k), s)
+            I[block_slice(sh.bus)] += y @ U[block_slice(sh.bus)]
         Y[:, col] = I
     return Y
 
@@ -279,7 +278,7 @@ def test_two_bus_line_block_structure():
     s = 1j * 80.0
     Y = _nodal(net, s)
     y = np.linalg.inv(dq_series_impedance(0.1, 0.01, W0, s))
-    y11 = Y[block_slice(1), block_slice(1)] - shunt_admittance(net.shunts[0], W0, s)
+    y11 = Y[block_slice(1), block_slice(1)] - table_admittance(net, ("shunt", 0), s)
     assert np.allclose(y11, y)
     assert np.allclose(Y[block_slice(1), block_slice(2)], -y)
     assert np.allclose(Y[block_slice(2), block_slice(1)], -y)
@@ -312,7 +311,7 @@ def test_transformer_diagonal_scaling():
     s = 1j * 80.0
     Y = _nodal(net, s)
     y = np.linalg.inv(dq_series_impedance(0.1, 0.01, W0, s))
-    y11 = Y[block_slice(1), block_slice(1)] - shunt_admittance(net.shunts[0], W0, s)
+    y11 = Y[block_slice(1), block_slice(1)] - table_admittance(net, ("shunt", 0), s)
     assert np.allclose(y11, y / 4.0)
     assert np.allclose(Y[block_slice(1), block_slice(2)], -y / 2.0)
 
@@ -377,7 +376,7 @@ def _stamped_in_element_order(net: NetworkDescription, s) -> np.ndarray:
     element."""
     Y = np.zeros(np.shape(s) + (2 * net.n_buses, 2 * net.n_buses), dtype=complex)
     for kind, idx in network_elements(net):
-        y = element_admittance(net, (kind, idx), s)
+        y = table_admittance(net, (kind, idx), s)
         if kind == "branch":
             b = net.branches[idx]
             si, sj = block_slice(b.from_bus), block_slice(b.to_bus)
@@ -408,7 +407,7 @@ def test_perturbed_model_scales_one_element(three_bus_net):
     base = WholeSystemModel(three_bus_net).admittance(s)
     pert = PerturbedModel(three_bus_net, ref, 1.0 + eps).admittance(s)
     dY = pert - base
-    expected = eps * element_admittance(three_bus_net, ref, s)
+    expected = eps * table_admittance(three_bus_net, ref, s)
     sl = block_slice(three_bus_net.shunts[0].bus)
     assert np.allclose(dY[sl, sl], expected)
     dY[sl, sl] -= expected
@@ -524,33 +523,33 @@ def test_surrogate_apparatus_is_rotated_like_any_model():
     assert theta == 0.7
     T = frame_rotation(theta)
     s_grid = np.array([-7.0 + 90.0j, 3.0 + 0.0j, -40.0 - 250.0j, 1j * 1200.0])
-    assert np.array_equal(apparatus_admittance(surrogate, s_grid, theta),
+    assert np.array_equal(node_admittance(surrogate, s_grid, theta),
                           T @ surrogate.evaluate(s_grid) @ T.T)
     for s in s_grid:
-        assert np.array_equal(apparatus_admittance(surrogate, s, theta),
+        assert np.array_equal(node_admittance(surrogate, s, theta),
                               T @ surrogate.evaluate(s) @ T.T)
 
 
 def test_stacked_element_helpers_match_pointwise():
     """Every element kind, the resistive shunt included, evaluates over an
-    array of s to its pointwise values stacked (M, 2, 2), bit for bit, alone
-    and in the stamp table's stack."""
+    array of s to its pointwise values stacked (M, 2, 2), bit for bit, in
+    the stamp table's stack and alone on a bus of its own."""
     net = _mixed_net(sampled=False)
     s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
     table = StampTable(net)
     stack = table.evaluate(s_grid)
     assert stack.shape == (s_grid.size, len(table.refs), 2, 2)
     for e, ref in enumerate(network_elements(net)):
-        stacked = element_admittance(net, ref, s_grid)
-        pointwise = np.array([element_admittance(net, ref, complex(s)) for s in s_grid])
-        assert stacked.shape == pointwise.shape == (s_grid.size, 2, 2), ref
-        assert same_bits(stacked, pointwise), ref
+        pointwise = np.array([table.evaluate(complex(s))[e] for s in s_grid])
+        assert pointwise.shape == (s_grid.size, 2, 2), ref
         assert same_bits(stack[:, e], pointwise), ref
         assert same_bits(table.evaluate(s_grid[5])[e], pointwise[5]), ref
+    for element in net.shunts:
+        assert same_bits(node_admittance(element, s_grid),
+                         np.array([node_admittance(element, complex(s)) for s in s_grid]))
     for app in net.apparatus:
-        stacked = apparatus_admittance(app.model, s_grid, app.theta)
-        assert np.array_equal(stacked, np.array([apparatus_admittance(app.model, complex(s),
-                                                                      app.theta)
+        stacked = node_admittance(app.model, s_grid, app.theta)
+        assert np.array_equal(stacked, np.array([node_admittance(app.model, complex(s), app.theta)
                                                  for s in s_grid]))
 
 
@@ -606,8 +605,25 @@ def test_stacked_branch_and_shunt_errors_name_the_point():
     s_grid = 1j * np.array([100.0, W0, 400.0])
     with pytest.raises(EvaluationError, match=r"branch 1-2 \(line\): .* at s = 314\.159"):
         WholeSystemModel(net).admittance(s_grid)
-    with pytest.raises(EvaluationError, match=r"inductive shunt at bus 1 is singular at s = 314\.159"):
-        shunt_admittance(net.shunts[0], W0, s_grid)
+    with pytest.raises(EvaluationError, match=r"^shunt at bus 1 \(inductive\): inductive shunt at bus 1"
+                                              r" is singular at s = 314\.159"):
+        node_admittance(net.shunts[0], s_grid)
+
+
+def test_a_shunt_kind_without_a_formula_is_named_in_element_order():
+    """A shunt of a kind that has no admittance formula fails where Y is
+    evaluated, named as Y names it, unless an element before it in
+    element order fails first."""
+    net = NetworkDescription(
+        n_buses=2, omega0=W0,
+        branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.0, L=0.01),),
+        shunts=(ShuntElement(bus=2, kind="capacitive", value=1e-3),
+                ShuntElement(bus=2, kind="magnetic", value=0.5)),
+    )
+    with pytest.raises(AssemblyError, match=r"^shunt at bus 2 \(magnetic\): unknown shunt kind"):
+        WholeSystemModel(net).admittance(1j * 100.0)
+    with pytest.raises(EvaluationError, match=r"^branch 1-2 \(line\): "):
+        WholeSystemModel(net).admittance(1j * W0)
 
 
 def test_overlay_evaluates_each_apparatus_once(monkeypatch):
@@ -634,9 +650,8 @@ def test_admittance_names_the_first_failing_element_in_element_order(monkeypatch
     the first point and an inductive shunt at j w0: Y names the line, the
     first failing element, at its own first failing s, whichever point
     fails first; without the line, the shunt. The apparatus fault sits in
-    the group evaluation, which the table and ``apparatus_admittance``
-    both run: the table's pass meets it in apparatus 0's group of two
-    state-space models, and the naming pass in apparatus 0 alone."""
+    the group evaluation: the table's pass meets it in apparatus 0's group
+    of two state-space models, and the naming pass in apparatus 0 alone."""
     mixed = _mixed_net(sampled=False)
     net = replace(mixed,
                   branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.0, L=0.002),),
@@ -737,8 +752,8 @@ def _group_net() -> NetworkDescription:
 
 
 def test_apparatus_groups_equal_one_apparatus_at_a_time():
-    """Each apparatus in the table's grouped pass equals, bit for bit,
-    ``apparatus_admittance`` called on it alone: three rational models in
+    """Each apparatus in the table's grouped pass equals, bit for bit, the
+    table of a network that holds it alone: three rational models in
     one group, the 2-state and the 3-state models in one group each, the
     surrogate and the sampled response alone; on the j omega axis (all
     models) and off it (without the sampled one), at a scalar s and over a
@@ -756,5 +771,5 @@ def test_apparatus_groups_equal_one_apparatus_at_a_time():
         for s in (s_grid, s_grid[1]):
             y = table.evaluate(s)
             for a, app in enumerate(net_.apparatus):
-                alone = apparatus_admittance(app.model, s, app.theta)
+                alone = node_admittance(app.model, s, app.theta)
                 assert same_bits(y[..., first + a, :, :], alone), a

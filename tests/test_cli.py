@@ -12,11 +12,7 @@ import pytest
 
 from impedmodal import admittance_assembly as assembly
 from impedmodal import cli_reporting, mai_core, mass_oracle, network_model, rational_fit
-from impedmodal.admittance_assembly import (
-    EvaluationError,
-    element_admittance,
-    network_elements,
-)
+from impedmodal.admittance_assembly import EvaluationError, network_elements
 from impedmodal.cli_reporting import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -730,7 +726,7 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
         return np.all(np.abs(have - want) <= 1e-11 * np.abs(want) + 1e-300)
 
     labels = [assembly.element_label(net, ref) for ref in refs]
-    locations = [mai_core.element_location(net, ref) for ref in refs]
+    table = assembly.StampTable(net)
     params = [mai_core.LAYER3_PARAMS[kind] for kind, _ in refs]
     for k, mode in enumerate(modes):
         (layers,) = mai_core.mode_layers(net, [mode])
@@ -750,8 +746,8 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
         parsed = np.array([_parse_floats(row, ("s_rho_real", "s_rho_imag")) for row in rows])
         assert close(parsed[:, 0], s_rho.real) and close(parsed[:, 1], s_rho.imag)
         pairs = {}
-        for loc, v in zip(locations, want):
-            pair = tuple(sorted((loc.i, loc.j or loc.i)))
+        for i, j, v in zip(table.i.tolist(), table.j.tolist(), want):
+            pair = tuple(sorted((i, j or i)))
             count, total = pairs.get(pair, (0, 0.0))
             pairs[pair] = (count + 1, total + v)
         rows = _bus_pairs(out / f"mode{k}_bus_pairs.csv")
@@ -764,9 +760,9 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
 
 
 def _fragile_apparatus(net, failing):
-    """The evaluation of an apparatus group (which ``apparatus_admittance``
-    runs as a group of one), except that the model of apparatus a of
-    ``net`` raises at the mode values ``failing[a]``, naming its s."""
+    """The evaluation of an apparatus group (alone, or in a table's grouped
+    pass), except that the model of apparatus a of ``net`` raises at the
+    mode values ``failing[a]``, naming its s."""
     models = [app.model for app in net.apparatus]
     exact = assembly._ApparatusGroup.evaluate
 
@@ -784,11 +780,11 @@ def _fragile_apparatus(net, failing):
 def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypatch, capsys,
                                                             modes_arg, per_chunk):
     """Apparatus 0 fails at modes 4 and 6, apparatus 1 at mode 4: analyze
-    exits numerical with the error a per-mode loop over the selected modes,
-    element by element, raises first: apparatus 0 at mode 4 for all modes
-    in order, at mode 6 for the order 1, 6, 4, 5, with s as that mode
-    alone passes it; whether the modes are stacked in one chunk or in
-    chunks of 3."""
+    exits numerical with the error a per-mode loop over the selected modes
+    raises first, named as Y names it: apparatus 0 (at bus 3) at mode 4
+    for all modes in order, at mode 6 for the order 1, 6, 4, 5, with s as
+    that mode alone passes it; whether the modes are stacked in one chunk
+    or in chunks of 3."""
     net = network_model.parse_network(NETWORK.read_text())
     refs = network_elements(net)
     records = mai_core.solve_modes(net)
@@ -800,13 +796,14 @@ def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypat
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
     selected = range(len(records)) if modes_arg == "all" else map(int, modes_arg.split(","))
+    table = assembly.StampTable(net)
     try:
         for k in selected:
-            for ref in refs:
-                element_admittance(net, ref, records[k].lam)
+            table.evaluate(records[k].lam)
     except EvaluationError as exc:
         expected = {"error": "numerical", "type": type(exc).__name__, "message": str(exc)}
-    assert expected["message"].startswith("apparatus 0 fails at s = ")
+    assert net.apparatus[0].bus == 3
+    assert expected["message"].startswith("apparatus at bus 3: apparatus 0 fails at s = ")
     assert main(["analyze", str(NETWORK), "--no-validate", "--modes", modes_arg,
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().err) == expected

@@ -25,19 +25,15 @@ from impedmodal.admittance_assembly import (
     WholeSystemModel,
     block_slice,
     dq_series_impedance,
-    element_admittance,
     network_elements,
     omega_block,
-    shunt_admittance,
 )
 from impedmodal.mai_core import (
     AnalysisError,
-    Location,
+    ModeRecord,
     TrackingError,
-    admittance_sensitivity,
     branch_parameter_sensitivity,
     element_layer_report,
-    element_location,
     enhanced_layer1,
     frobenius_inner,
     layer1_cauchy,
@@ -53,11 +49,12 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import (W0, generated_ring, mixed_ring_doc, rl_load_apparatus, same_bits,
-                      scaled_net)
+from conftest import (W0, dense_residue, generated_ring, mixed_ring_doc, rl_load_apparatus,
+                      same_bits, scaled_net, table_admittance)
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
+    residue_sensitivity,
     split_branch,
     split_node_impedances,
     split_node_residues,
@@ -103,7 +100,8 @@ def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
     system = mai_core.oracle_system(three_bus_net)
     records = solve_modes(three_bus_net, system=system)
     assert [r.lam for r in records] == [r.lam for r in three_bus_modes]
-    assert all(np.array_equal(a.residue, b.residue) for a, b in zip(records, three_bus_modes))
+    assert all(np.array_equal(dense_residue(a), dense_residue(b))
+               for a, b in zip(records, three_bus_modes))
     refs = network_elements(three_bus_net)
     assert (mai_core.validate_mode_predictions(three_bus_net, records[:2], refs, system=system)
             == mai_core.validate_mode_predictions(three_bus_net, records[:2], refs))
@@ -122,11 +120,11 @@ def _dense_bus_blocks(res):
 
 @pytest.mark.parametrize("case", ["three_bus", "mixed_ring"])
 def test_factored_residues_give_the_dense_bits(three_bus_net, case):
-    """A mode keeps its residue as two factors. ``residue`` forms the dense
-    matrix bit for bit as each route's formula does (C x . y^H B on the
-    oracle route, u v^T / (v^T Y' u) on the impedance route), and the
-    sensitivity factors gathered from the factors are bit for bit the ones
-    cut from that matrix. The mixed ring (impedance route) has a
+    """A mode keeps its residue as two factors. Their product (over the
+    denominator) is the dense matrix bit for bit as each route's formula
+    forms it (C x . y^H B on the oracle route, u v^T / (v^T Y' u) on the
+    impedance route), and the sensitivity factors gathered from the
+    factors are bit for bit the ones cut from that matrix. The mixed ring (impedance route) has a
     transformer, parallel lines, an inductive shunt and grounded node
     elements."""
     if case == "three_bus":
@@ -146,13 +144,13 @@ def test_factored_residues_give_the_dense_bits(three_bus_net, case):
     assert len(records) >= 7
     for rec, res in zip(records, want):
         assert rec.left.shape == rec.right.shape == (2 * net.n_buses,)
-        assert same_bits(rec.residue, res)
+        assert same_bits(dense_residue(rec), res)
     table = admittance_assembly.StampTable(net)
     s, y = mai_core._mode_stack(table, records)
     i, j, k = table.i, table.j, table.ratio[:, None, None]
     assert same_bits(y, table.evaluate(np.array([r.lam for r in records])))
     for m, rec in enumerate(records):
-        b = _dense_bus_blocks(rec.residue)
+        b = _dense_bus_blocks(dense_residue(rec))
         d = mai_core._ratio_sensitivity(b[i, i], b[j, j], b[i, j], b[j, i], k)
         assert same_bits(s[m], np.conj(d).swapaxes(-1, -2))
 
@@ -201,28 +199,36 @@ def test_a_fitted_surrogate_is_not_oracle_capable():
 
 
 def test_zero_residue_zero_sensitivity():
-    s = admittance_sensitivity(np.zeros((6, 6), dtype=complex), Location("node", 2))
-    assert np.allclose(s, 0.0)
+    zero = np.zeros(6, dtype=complex)
+    mode = ModeRecord(lam=1j, left=zero, right=zero, provenance="state-space")
+    assert np.allclose(mai_core._sensitivity_factors([2], [0], [1.0], [mode]), 0.0)
 
 
 def test_branch_to_ground_degenerates_to_node():
+    """An element between bus 1 and ground (j = 0) takes the node formula
+    -Res_11 on the gathered blocks."""
     rng = np.random.default_rng(3)
-    res = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    node = admittance_sensitivity(res, Location("node", 1))
-    grounded = admittance_sensitivity(res, Location("branch", 1, 0))
-    assert np.array_equal(node, grounded)
+    left, right = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    mode = ModeRecord(lam=1j, left=left, right=right, provenance="state-space")
+    [[grounded]] = mai_core._sensitivity_factors([1], [0], [1.0], [mode])
+    assert np.array_equal(grounded, -dense_residue(mode)[:2, :2].conj().T)
 
 
 def test_transformer_unit_ratio_equals_branch(three_bus_modes):
-    res = three_bus_modes[1].residue
-    plain = admittance_sensitivity(res, Location("branch", 2, 3))
-    corrected = admittance_sensitivity(res, Location("transformer", 2, 3, 1.0))
-    assert np.array_equal(plain, corrected)
+    """The gathered factor at ratio 1 is the branch formula on the dense
+    residue's blocks, and at k = 0.932 the transformer formula, bit for
+    bit."""
+    mode = three_bus_modes[1]
+    for k in (1.0, 0.932):
+        [[s]] = mai_core._sensitivity_factors([2], [3], [k], [mode])
+        assert same_bits(s, residue_sensitivity(dense_residue(mode), 2, 3, k))
 
 
-def test_transformer_zero_ratio_rejected():
-    with pytest.raises(AnalysisError):
-        admittance_sensitivity(np.zeros((4, 4)), Location("transformer", 1, 2, 0.0))
+def test_transformer_zero_ratio_rejected(three_bus_net, three_bus_modes):
+    net = three_bus_net.with_branch(1, ratio=0.0)
+    with pytest.raises(admittance_assembly.AssemblyError,
+                       match=r"^branch 2-3 \(transformer\): degenerate transformer ratio k = 0$"):
+        next(mode_layers(net, three_bus_modes[:1]))
 
 
 def test_predict_mode_shift_arithmetic():
@@ -255,7 +261,7 @@ def test_node_prediction_first_order(three_bus_net, three_bus_modes):
 def test_branch_prediction_two_bus(two_bus_net):
     records = solve_modes(two_bus_net, method="state_space")
     refs = [r.lam for r in records]
-    mode = max(records, key=lambda r: np.linalg.norm(r.residue))
+    mode = max(records, key=lambda r: np.linalg.norm(dense_residue(r)))
     v = validate_element_prediction(two_bus_net, ("branch", 0), mode, epsilon=1e-4,
                                     reference_modes=refs)
     assert v.error <= 1e-2
@@ -284,8 +290,10 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
 
 def _predicted_shift(net, ref, mode, eps):
     """First-order shift of ``mode`` for a (1 + eps) scaling of ``ref``."""
-    s = admittance_sensitivity(mode.residue, element_location(net, ref))
-    return predict_mode_shift(s, eps * element_admittance(net, ref, mode.lam))
+    table = admittance_assembly.StampTable(net)
+    s, y = mai_core._mode_stack(table, [mode])
+    e = table.index[ref]
+    return predict_mode_shift(s[0, e], eps * y[0, e])
 
 
 def _fallback_resolve(A, anchor, gap):
@@ -522,7 +530,9 @@ def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_mod
     escapes the overlay route's run. At that mode, the elements predicted
     to move it by less than 1e-4 keep, bit for bit, the results of the
     apparatus valid everywhere; those predicted to move it further, and
-    every element at the other modes, end in the EvaluationError."""
+    every element at the other modes, end in the EvaluationError, named as
+    Y names apparatus 0 (at bus 3). The layers of all modes raise it at
+    the first mode."""
     refs = network_elements(three_bus_net)
     lam1 = three_bus_modes[1].lam
     exact = admittance_assembly._ApparatusGroup.evaluate
@@ -537,6 +547,7 @@ def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_mod
     want = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
     monkeypatch.setattr(admittance_assembly._ApparatusGroup, "evaluate", fragile)
     got = mai_core.validate_mode_predictions(three_bus_net, three_bus_modes, refs, 0.05)
+    named = f"apparatus at bus 3: apparatus 0 is defined within 1e-3 of {lam1} only"
     kept = 0
     for k, (mode_want, mode_got) in enumerate(zip(want, got)):
         for a, b in zip(mode_want, mode_got):
@@ -544,9 +555,11 @@ def test_an_evaluation_error_stays_with_its_element(three_bus_net, three_bus_mod
                 assert b == a
                 kept += 1
             else:
-                assert isinstance(b, EvaluationError)
+                assert isinstance(b, EvaluationError) and str(b) == named
                 assert k != 1 or abs(a.predicted) > 1e-3
     assert 0 < kept < len(refs)
+    with pytest.raises(EvaluationError, match=f"^{re.escape(named)}$"):
+        list(mode_layers(three_bus_net, three_bus_modes))
 
 
 def _algebraic_bus_net(three_bus_net):
@@ -916,9 +929,7 @@ def test_layer2_damping_sign_on_resolve(rc_bus_net):
     records = solve_modes(rc_bus_net, method="state_space")
     mode = records[0]
     ref = ("shunt", 0)  # the resistive shunt
-    s = admittance_sensitivity(mode.residue, element_location(rc_bus_net, ref))
-    y = element_admittance(rc_bus_net, ref, mode.lam)
-    sigma2 = layer2(s, y).real
+    sigma2 = element_layer_report(rc_bus_net, ref, mode).layer2[0].real
     eps = 1e-3
     perturbed = scaled_net(rc_bus_net, ref, 1.0 + eps)
     eig = mass_oracle.eigendecompose(mass_oracle.interconnect(perturbed).A)
@@ -978,9 +989,9 @@ def _augmented_oracle(net, branch_idx, s):
         Y[si, sj] -= y / br.ratio
         Y[sj, si] -= y / br.ratio
         Y[sj, sj] += y
-    for sh in net.shunts:
+    for k, sh in enumerate(net.shunts):
         sb = block_slice(sh.bus)
-        Y[sb, sb] += shunt_admittance(sh, net.omega0, s)
+        Y[sb, sb] += table_admittance(net, ("shunt", k), s)
     split = split_branch(b.R, b.L, net.omega0, s)
     sf = slice(2 * n, 2 * n + 2)
     sj_ = block_slice(b.from_bus)
@@ -1067,7 +1078,7 @@ def test_split_node_residues_match_limit(three_bus_net, three_bus_modes):
     lam = mode.lam
     b = three_bus_net.branches[0]
     split = split_branch(b.R, b.L, three_bus_net.omega0, lam)
-    blocks = split_node_residues(mode.residue, b.from_bus, b.to_bus, split.z1, split.z2)
+    blocks = split_node_residues(dense_residue(mode), b.from_bus, b.to_bus, split.z1, split.z2)
     s = lam + 1e-6 * (1 + abs(lam)) * np.exp(0.7j)
     Z_aug, _ = _augmented_oracle(three_bus_net, 0, s)
     # the augmented oracle above has no apparatus; rebuild with the full Y
@@ -1100,7 +1111,7 @@ def test_split_node_residues_match_limit(three_bus_net, three_bus_modes):
 
     R_lim = (s - lam) * aug_Z(s)
     sf = slice(2 * n, 2 * n + 2)
-    scale = np.linalg.norm(mode.residue)
+    scale = np.linalg.norm(dense_residue(mode))
     assert np.allclose(blocks.Z_ff, R_lim[sf, sf], atol=1e-4 * scale)
     assert np.allclose(blocks.row, R_lim[sf, : 2 * n], atol=1e-4 * scale)
     assert np.allclose(blocks.col, R_lim[: 2 * n, sf], atol=1e-4 * scale)
@@ -1132,7 +1143,7 @@ def _split_route_layer3(net, idx, mode):
     """Layer 3 (L, R) of line ``idx`` by the paper's route: the inductive part
     is a branch j-f and the resistive part a branch f-k against the virtual
     node f, with residue blocks from the split-node identities."""
-    res = mode.residue
+    res = dense_residue(mode)
     b = net.branches[idx]
     j, k = b.from_bus, b.to_bus
     split = split_branch(b.R, b.L, net.omega0, mode.lam)
@@ -1148,10 +1159,23 @@ def test_split_and_direct_parameter_routes_agree(three_bus_net, three_bus_modes)
     for mode in three_bus_modes[:3]:
         s_split = _split_route_layer3(three_bus_net, 0, mode)
         for param in ("L", "R"):
-            s_direct = branch_parameter_sensitivity(
-                three_bus_net, 0, mode.residue, mode.lam, param
-            )
+            s_direct = branch_parameter_sensitivity(three_bus_net, 0, mode, param)
             assert abs(s_split[param] - s_direct) <= 1e-8 * abs(s_direct)
+
+
+@pytest.mark.parametrize("method", ["state_space", "impedance"])
+def test_branch_parameter_sensitivity_is_the_layer3_of_mode_layers(three_bus_net, method):
+    """At every mode of three_bus, from the oracle route's factors or the
+    impedance route's (with their denominators), the one-branch
+    sensitivity of line 1-2 and of the k = 0.932 transformer 2-3 equals
+    that branch's layer-3 columns of mode_layers bit for bit."""
+    modes = solve_modes(three_bus_net, band=BAND, method=method)
+    assert len(modes) == 7
+    for mode, layers in zip(modes, mode_layers(three_bus_net, modes)):
+        for b in (0, 1):
+            for c, param in enumerate(mai_core.LAYER3_PARAMS["branch"]):
+                got = branch_parameter_sensitivity(three_bus_net, b, mode, param)
+                assert same_bits(got, layers.layer3[b, c]), (mode.lam, b, param)
 
 
 def test_low_loss_line_layer3_matches_state_space(three_bus_net):
@@ -1184,12 +1208,14 @@ def test_low_loss_line_layer3_matches_state_space(three_bus_net):
 
 def _reference_layers(net, ref, mode):
     """One element's layers from the one-element formulas: the sensitivity
-    factor, the element admittance, the split-node residue blocks (lines),
-    the unsplit derivative (transformers, R = 0 lines) and closed-form shunt
-    derivatives."""
-    res, lam = mode.residue, mode.lam
-    s = admittance_sensitivity(res, element_location(net, ref))
-    y = element_admittance(net, ref, lam)
+    factor cut from the dense residue, the element admittance, the
+    split-node residue blocks (lines), the unsplit derivative
+    (transformers, R = 0 lines) and closed-form shunt derivatives."""
+    res, lam = dense_residue(mode), mode.lam
+    table = admittance_assembly.StampTable(net)
+    e = table.index[ref]
+    s = residue_sensitivity(res, table.i[e], table.j[e], table.ratio[e])
+    y = table_admittance(net, ref, lam)
     l2 = frobenius_inner(s, y)
     out = {"layer1_cauchy": np.linalg.norm(s) * np.linalg.norm(y), "layer2": l2,
            "layer1_enhanced": abs(l2)}
@@ -1200,7 +1226,7 @@ def _reference_layers(net, ref, mode):
             out.update(_split_route_layer3(net, idx, mode))
         else:
             for param in ("L", "R"):
-                out[param] = branch_parameter_sensitivity(net, idx, res, lam, param)
+                out[param] = branch_parameter_sensitivity(net, idx, mode, param)
     elif kind == "shunt":
         sh = net.shunts[idx]
         om = omega_block(lam, net.omega0)
@@ -1301,9 +1327,9 @@ def test_zero_resistance_line_takes_direct_route(request):
     b = net.branches[0]
     split = split_branch(b.R, b.L, net.omega0, mode.lam)
     with pytest.raises(DegenerateSplitError):
-        split_node_residues(mode.residue, b.from_bus, b.to_bus, split.z1, split.z2)
+        split_node_residues(dense_residue(mode), b.from_bus, b.to_bus, split.z1, split.z2)
     for param in ("L", "R"):
-        direct = branch_parameter_sensitivity(net, 0, mode.residue, mode.lam, param)
+        direct = branch_parameter_sensitivity(net, 0, mode, param)
         row = element_layer_report(net, ("branch", 0), mode).layer3[0]
         batched = row[mai_core.LAYER3_PARAMS["branch"].index(param)]
         assert batched == pytest.approx(direct, rel=1e-12)
@@ -1313,7 +1339,7 @@ def test_layer3_inductance_prediction_on_resolve(three_bus_net, three_bus_modes)
     """Layer-3 prediction for a small L change matches the re-solved mode."""
     mode = three_bus_modes[2]
     b = three_bus_net.branches[0]
-    s_rho = branch_parameter_sensitivity(three_bus_net, 0, mode.residue, mode.lam, "L")
+    s_rho = branch_parameter_sensitivity(three_bus_net, 0, mode, "L")
     d_rho = 1e-4 * b.L
     predicted = s_rho * d_rho
     perturbed = three_bus_net.with_branch(0, L=b.L + d_rho)
@@ -1343,9 +1369,7 @@ def test_mass_mai_equivalence_branch_R_L(three_bus_net, three_bus_modes):
             Am = mass_oracle.interconnect(three_bus_net.with_branch(0, **{param: rho - h})).A
             dA = (Ap - Am) / (2 * h)
             sens_ss = parameter_sensitivity_ss(eig, i, dA)
-            sens_mai = branch_parameter_sensitivity(
-                three_bus_net, 0, mode.residue, mode.lam, param
-            )
+            sens_mai = branch_parameter_sensitivity(three_bus_net, 0, mode, param)
             assert abs(sens_ss - sens_mai) <= 1e-6 * abs(sens_ss)
 
 
@@ -1447,10 +1471,10 @@ def _resolved_sweep(net, branch_index, param, factor, n_steps, mode_seed=None):
     steps = []
     for _ in range(n_steps):
         rho = getattr(net.branches[branch_index], param)
-        shift = branch_parameter_sensitivity(net, branch_index, current.residue, current.lam,
-                                             param) * (rho * (factor - 1.0))
-        resolved = (np.linalg.norm(current.residue)
-                    > 1e-12 * max(np.linalg.norm(r.residue) for r in records))
+        shift = branch_parameter_sensitivity(net, branch_index, current, param) * (
+            rho * (factor - 1.0))
+        resolved = (np.linalg.norm(dense_residue(current))
+                    > 1e-12 * max(np.linalg.norm(dense_residue(r)) for r in records))
         net = net.with_branch(branch_index, **{param: rho * factor})
         new = solve_modes(net)
         gap = mai_core._nearest_other_distance([r.lam for r in records], records.index(current))
@@ -1650,19 +1674,22 @@ def test_secular_sweep_matches_the_dense_sweep(ring, branch_index, param, factor
 def _residues_beside_the_lu(net, *args, **kwargs):
     """The sweep's outcome and, for each residue it forms at a step whose
     spectrum is not dense, that residue beside the one from the LU of
-    ``eigenvector_pair`` (the dense step's)."""
-    residue, pairs = mai_core._OracleSweep.residue, []
+    ``eigenvector_pair`` (the dense step's), dense (None for rounding)."""
+    record, pairs = mai_core._OracleSweep.record, []
+
+    def residue(mode):
+        return None if mode is None else dense_residue(mode)
 
     def beside_the_lu(route, k):
-        got = residue(route, k)
+        got = record(route, k)
         if not route.dense:
             route.dense = True
-            pairs.append((got, residue(route, k)))
+            pairs.append((residue(got), residue(record(route, k))))
             route.dense = False
         return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mai_core._OracleSweep, "residue", beside_the_lu)
+        mp.setattr(mai_core._OracleSweep, "record", beside_the_lu)
         return _sweep_outcome(net, *args, **kwargs), pairs
 
 
@@ -1804,8 +1831,8 @@ def test_the_impedance_route_flags_a_rounding_residue(three_bus_net):
     route = mai_core._ResolvedSweep(None)
     lams = route.modes(three_bus_net.with_branch(0, L=three_bus_net.branches[0].L * 1.25))
     k = int(np.argmin(np.abs(lams - (-20 + 1j * W0))))
-    assert route.residue(k) is None
-    assert all(route.residue(j) is not None for j in range(lams.size) if j != k)
+    assert route.record(k) is None
+    assert all(route.record(j) is not None for j in range(lams.size) if j != k)
 
 
 def test_impedance_route_sweep_follows_the_oracle_sweep_of_its_twin():
@@ -1835,8 +1862,7 @@ def test_frobenius_inner_conjugates_first_argument():
 def test_prediction_equals_trace_form(three_bus_modes):
     """<s, dy> with s = (dl/dy)^H reproduces tr((dl/dy) dy)."""
     rng = np.random.default_rng(31)
-    res = three_bus_modes[0].residue
-    s = admittance_sensitivity(res, Location("branch", 1, 2))
+    s = residue_sensitivity(dense_residue(three_bus_modes[0]), 1, 2)
     dy = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.isclose(predict_mode_shift(s, dy), np.trace(s.conj().T @ dy))
 
@@ -1945,7 +1971,7 @@ def test_impedance_residues_match_the_state_space_twin(seed):
     got = rational_fit.admittance_residues(model.admittance, [r.lam for r in twin], model.dim)
     assert any(abs(r.lam.imag - W0) < 1.0 for r in twin)
     for rec, (u, v, denom) in zip(twin, got):
-        want = rec.residue
+        want = dense_residue(rec)
         err = np.linalg.norm(np.outer(u, v) / denom - want) / np.linalg.norm(want)
         assert err <= (2e-6 if abs(rec.lam.imag - W0) < 1.0 else 1e-8), (rec.lam, err)
 
@@ -2004,8 +2030,8 @@ def test_impedance_path_residues_match_the_state_space_twin(three_bus_net, case)
     exact = solve_modes(twin, band=BAND, method="state_space")
     assert len(records) == len(exact)
     for rec in records:
-        want = min(exact, key=lambda m: abs(m.lam - rec.lam)).residue
-        assert np.linalg.norm(rec.residue - want) <= 1e-6 * np.linalg.norm(want), rec.lam
+        want = dense_residue(min(exact, key=lambda m: abs(m.lam - rec.lam)))
+        assert np.linalg.norm(dense_residue(rec) - want) <= 1e-6 * np.linalg.norm(want), rec.lam
 
 
 def test_impedance_path_residues_take_one_admittance_call(three_bus_net, monkeypatch):

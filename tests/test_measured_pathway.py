@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from impedmodal import mai_core
-from impedmodal.admittance_assembly import apparatus_admittance
 from impedmodal.cli_reporting import EXIT_OK, main
 from impedmodal.mass_oracle import eigendecompose, interconnect
 from impedmodal.network_model import (
@@ -22,8 +21,8 @@ from impedmodal.network_model import (
 )
 from impedmodal.rational_fit import fit_apparatus_surrogate
 
-from conftest import W0, rl_load_apparatus
-from paper_reference import resolvent_residue
+from conftest import W0, dense_residue, node_admittance, rl_load_apparatus
+from paper_reference import residue_sensitivity, resolvent_residue
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +45,7 @@ def twin_pair():
     )
     # measure the local-frame response on a dense grid
     grid = np.geomspace(2.0, 8e3, 220)
-    blocks = np.array([apparatus_admittance(app_ss, 1j * w, 0.0) for w in grid])
+    blocks = node_admittance(app_ss, 1j * grid)
     sampled = SampledResponse(frequencies=grid, blocks=blocks, path="measured.csv")
     net_meas = NetworkDescription(
         **base, apparatus=(ApparatusAttachment(bus=2, model=sampled, theta=theta),)
@@ -90,12 +89,11 @@ def test_measured_sensitivities_match_twin(twin_pair):
     ss = interconnect(net_ss)
     records = mai_core.solve_modes(_with_surrogate(net_meas), band=(5.0, 5e3),
                                    method="impedance")
-    rec = max(records, key=lambda r: np.linalg.norm(r.residue))
+    rec = max(records, key=lambda r: np.linalg.norm(dense_residue(r)))
     R_ss = ss.C @ resolvent_residue(ss.A, rec.lam) @ ss.B
-    assert np.linalg.norm(rec.residue - R_ss) <= 1e-4 * np.linalg.norm(R_ss)
-    at = mai_core.element_location(net_meas, ("branch", 0))
-    s_meas = mai_core.admittance_sensitivity(rec.residue, at)
-    s_true = mai_core.admittance_sensitivity(R_ss, at)
+    assert np.linalg.norm(dense_residue(rec) - R_ss) <= 1e-4 * np.linalg.norm(R_ss)
+    [[s_meas]] = mai_core._sensitivity_factors([1], [2], [1.0], [rec])
+    s_true = residue_sensitivity(R_ss, 1, 2)
     assert np.allclose(s_meas, s_true, rtol=1e-4)
 
 
