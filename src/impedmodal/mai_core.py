@@ -658,7 +658,9 @@ class _OracleSweep:
     differs in the swept branch alone, whose rows are written into them.
     Its eigenvalues are then the roots of the secular function of those
     rows' update from the first A, on that A's eigenbasis
-    (:func:`mass_oracle.swept_eigenvalues`). Root m is anchored at the m-th
+    (:func:`mass_oracle.swept_eigenvalues`), solved for the poles of
+    Im >= 0 alone, each conjugate pair's other root the conjugate of the
+    one solved; the roots are kept as all n. Root m is anchored at the m-th
     root of the last step that had them plus its change over that step: a
     secant predictor, since a root anchored where it was can be drawn onto
     a neighbour that the swept mode passes. Where the roots are not
@@ -701,7 +703,8 @@ class _OracleSweep:
         ||B|| ||x|| ||y_h||. Its eigenvectors are the first A's at the
         first step, the secular equation's at a certified step (O(n^2)),
         and from one LU near it, with its conditioning check, at a dense
-        step or where the secular ones are not finite."""
+        step, where the secular ones are not finite, or for a root whose
+        pole has Im < 0 (no column of the step's secular equations)."""
         m, lam = self.index[k], self.lams[k]
         if self.dense:
             pair = None
@@ -750,14 +753,15 @@ def parameter_sweep(
     assembled and eigendecomposed once. Each later step writes the swept
     branch's rows into working copies of A and B, takes all eigenvalues as
     certified roots of the secular function of its rows' update on that one
-    eigenbasis, or from a dense solve where they are not certified (see
-    :class:`_OracleSweep`), and the tracked mode's residue, where a next
-    step reads it, from the secular equation's eigenvectors in O(n^2), or
-    from one LU at a dense step. The conditioning check
-    (DefectiveMatrixError beyond 1e12) covers the tracked eigenvalue at
-    every step: the certificate's bound, or the LU's check at a dense
-    step, the last included. Otherwise every step re-solves all modes
-    through :func:`solve_modes`.
+    eigenbasis (Newton on the poles of Im >= 0, each conjugate pair's other
+    root the conjugate of the one solved), or from a dense solve where they
+    are not certified (see :class:`_OracleSweep`), and the tracked mode's
+    residue, where a next step reads it, from the secular equation's
+    eigenvectors in O(n^2), or from one LU at a dense step. The
+    conditioning check (DefectiveMatrixError beyond 1e12) covers the
+    tracked eigenvalue at every step: the certificate's bound, or the LU's
+    check at a dense step, the last included. Otherwise every step
+    re-solves all modes through :func:`solve_modes`.
     """
     if param not in ("L", "R"):
         raise AnalysisError(f"sweep parameter must be 'L' or 'R', got '{param}'")

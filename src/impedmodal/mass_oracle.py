@@ -272,6 +272,11 @@ class Interconnection:
         return eigendecompose(self.model.A)
 
     @functools.cached_property
+    def a_norm(self) -> float:
+        """||A||_F of the state matrix."""
+        return float(np.linalg.norm(self.model.A))
+
+    @functools.cached_property
     def eig_errors(self) -> tuple[np.ndarray, float]:
         """How far ``eig`` is from exact: the column residuals
         ||A X_j - lambda_j X_j|| of the right eigenvectors X, and
@@ -663,7 +668,7 @@ class _SecularGrid:
         w, z = np.linalg.norm(self.W, axis=1), np.linalg.norm(self.Zt, axis=1)
         # ||z_j||^2, ||w_j||^2, ||z_j|| rho_j and ||w_j z_j^T||, per update and state
         self.norms = np.stack([z * z, w * w, z * system.eig_errors[0], w * z])
-        self.a_norm = np.linalg.norm(A) + np.linalg.norm(self.Vt, axis=(1, 2))
+        self.a_norm = system.a_norm + np.linalg.norm(self.Vt, axis=(1, 2))
 
     def select(self, indices, far: bool = True) -> "_SecularGrid":
         """Make eigenvalues ``indices`` the grid's columns: the poles i, with
@@ -955,22 +960,27 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
     certified to be the whole spectrum.
 
     Root m is that of the secular function g of pole m (see
-    :func:`updated_eigenvalues`), by Newton from ``anchors[m]``, with every
-    pole summed exactly: M0 - I = C T, one Cauchy-matrix product per
-    iteration for all n roots, O(n^2 k^2). Newton's last evaluation bounds
-    each root's backward error and condition number (as in
-    :func:`updated_eigenvalues`, without far poles), and their product with
-    ||A'|| its error radius, to first order. The roots are the spectrum of
-    A' when all n have converged within the 1e-12 and 1e12 limits, no two
-    lie within the sum of their radii (so they are n distinct eigenvalues),
-    and the conjugate of each lies within the radii of a root (A' is real).
-    Each pair is then made exactly conjugate, and a root that is its own
-    partner exactly real, as LAPACK gives them: ``(eigenvalues, grid)``.
+    :func:`updated_eigenvalues`). A' is real, so its roots come in
+    conjugate pairs: only the poles of Im >= 0 are solved, by Newton from
+    ``anchors[m]``, with every pole summed exactly: M0 - I = C T, one
+    Cauchy-matrix product per iteration, O(n^2 k^2). Newton's last
+    evaluation bounds each root's backward error and condition number (as
+    in :func:`updated_eigenvalues`, without far poles), and their product
+    with ||A'|| its error radius, to first order. Each complex pair's
+    second root is the conjugate of its first, with the same radius. The
+    roots are the spectrum of A' when all solved ones have converged within
+    the 1e-12 and 1e12 limits, no two of the n lie within the sum of their
+    radii (so they are n distinct eigenvalues: the solved roots against
+    each other and against the conjugates of the complex poles' roots,
+    each its own included), and the root of each real pole lies within its
+    radius of the real axis. It is then made exactly real, as LAPACK gives
+    it: ``(eigenvalues, grid)``, the grid's columns the poles of Im >= 0.
     """
-    n = system.eig.n
-    grid = _SecularGrid(system, [(rows, A_rows)]).select(np.arange(n), far=False)
+    eig = system.eig
+    upper = np.flatnonzero(eig.eigenvalues.imag >= 0)
+    grid = _SecularGrid(system, [(rows, A_rows)]).select(upper, far=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None])
+        mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None, upper])
         if not converged.all():
             return None
         backward, cond = grid.certificate(*np.nonzero(converged), last)
@@ -978,16 +988,20 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
         radius = cond * backward * grid.a_norm[0]
         if not np.all((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT)):
             return None
-        apart = np.abs(mu[:, None] - mu) > radius[:, None] + radius
-        np.fill_diagonal(apart, True)
+        real = eig.eigenvalues.imag[upper] == 0
+        if np.any(np.abs(mu.imag[real]) > radius[real]):
+            return None
+        # the n roots are mu and the conjugates of the complex poles' roots
+        others, reach = np.concatenate([mu, mu[~real].conj()]), np.append(radius, radius[~real])
+        apart = np.abs(mu[:, None] - others) > radius[:, None] + reach
+        apart[np.arange(mu.size), np.arange(mu.size)] = True
         if not apart.all():
             return None
-        gap = np.abs(mu.conj()[:, None] - mu)
-        partner = np.argmin(gap, axis=1)
-        at = np.arange(n)
-        if np.any(gap[at, partner] > radius + radius[partner]) or np.any(partner[partner] != at):
-            return None
-    return (mu + mu[partner].conj()) / 2, grid
+    mu.imag[real] = 0.0
+    out = np.empty(eig.n, dtype=complex)
+    out[upper] = mu
+    out[eig.pairs + 1] = out[eig.pairs].conj()
+    return out, grid
 
 
 def swept_eigenvector_pair(grid: _SecularGrid, m: int, mu: complex):
@@ -997,10 +1011,14 @@ def swept_eigenvector_pair(grid: _SecularGrid, m: int, mu: complex):
     evaluation at ``mu`` of the secular equations ``grid`` that
     :func:`swept_eigenvalues` returned with it, every pole summed exactly.
     None where they are not finite (``mu`` on another pole, or M0(mu)
-    singular). Their condition number is left unchecked: a certified
-    root's is within 1e12.
+    singular), and for a pole that is not a column of ``grid`` (Im < 0).
+    Their condition number is left unchecked: a certified root's is within
+    1e12.
     """
-    at, first, pole = np.array([mu], dtype=complex), np.zeros(1, dtype=int), np.array([m])
+    column = int(np.searchsorted(grid.pole, m))
+    if column == grid.pole.size or grid.pole[column] != m:
+        return None
+    at, first, pole = np.array([mu], dtype=complex), np.zeros(1, dtype=int), np.array([column])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b, *_ = grid.evaluate(first, pole, at, None, moments=False)
         (x,), (y_h,) = grid.vectors(first, pole, at, a, b)

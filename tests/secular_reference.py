@@ -1,14 +1,25 @@
-"""Reference secular Newton for the oracle's validation re-solves.
+"""Reference secular Newton for the oracle's validation re-solves and sweeps.
 
 The per-entry deflated secular function that ``mass_oracle.updated_eigenvalues``
 evaluated before it summed the far poles as Cauchy-matrix moments: every
 Newton iteration forms M0(mu) = I + W D(mu) Z over all N states for every
 (update, eigenvalue) entry. The product form is checked against it.
+
+``all_swept_roots`` is ``mass_oracle.swept_eigenvalues`` as it was before it
+solved one root per conjugate pair: Newton and the certificate on all n
+roots, then the set checked closed under conjugation and each pair averaged.
 """
 
 import numpy as np
 
-from impedmodal.mass_oracle import _NEWTON_MAX_ITERATIONS, _NEWTON_STEP_TOL, _solve_each
+from impedmodal.mass_oracle import (
+    _BACKWARD_LIMIT,
+    _COND_LIMIT,
+    _NEWTON_MAX_ITERATIONS,
+    _NEWTON_STEP_TOL,
+    _SecularGrid,
+    _solve_each,
+)
 
 
 class DeflatedSecular:
@@ -87,3 +98,33 @@ def reference_roots(system, indices, updates, anchors):
     conj = np.abs(np.conj(mu) - anchors) < np.abs(mu - anchors)
     mu[conj] = np.conj(mu[conj])
     return mu.T, converged.T
+
+
+def all_swept_roots(system, rows, A_rows, anchors):
+    """The eigenvalues of A with rows ``rows`` replaced by ``A_rows`` from
+    Newton on every pole's secular function, or None where they are not
+    certified: every root's backward error and condition number within the
+    1e-12 and 1e12 limits, no two within the sum of their error radii, and
+    the conjugate of each within the radii of a root. Each root is then
+    averaged with its partner's conjugate."""
+    n = system.eig.n
+    grid = _SecularGrid(system, [(rows, A_rows)]).select(np.arange(n), far=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None])
+        if not converged.all():
+            return None
+        backward, cond = grid.certificate(*np.nonzero(converged), last)
+        mu = mu[0]
+        radius = cond * backward * grid.a_norm[0]
+        if not np.all((backward <= _BACKWARD_LIMIT) & (cond <= _COND_LIMIT)):
+            return None
+        apart = np.abs(mu[:, None] - mu) > radius[:, None] + radius
+        np.fill_diagonal(apart, True)
+        if not apart.all():
+            return None
+        gap = np.abs(mu.conj()[:, None] - mu)
+        partner = np.argmin(gap, axis=1)
+        at = np.arange(n)
+        if np.any(gap[at, partner] > radius + radius[partner]) or np.any(partner[partner] != at):
+            return None
+    return (mu + mu[partner].conj()) / 2

@@ -60,7 +60,7 @@ from paper_reference import (
     split_node_residues,
     split_parameter_derivatives,
 )
-from secular_reference import reference_roots
+from secular_reference import all_swept_roots, reference_roots
 
 
 @pytest.fixture(scope="module")
@@ -1636,6 +1636,111 @@ def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
         roots, motion = found, found - roots
 
 
+@pytest.mark.parametrize("moved", ["onto another's conjugate", "onto the real axis",
+                                   "off the real axis"])
+def test_a_root_on_a_conjugate_is_refused(moved, three_bus_net):
+    """Line 1-2 at R x 0.9, with Newton's root of one pole of Im > 0 moved
+    onto the conjugate of another's, or onto the real axis (its own
+    conjugate), on the 10-bus ring, or with the root of a real pole moved
+    1e-6 relative off the real axis, on three_bus with 2 real eigenvalues,
+    and nothing else changed: the set is refused, as the all-roots solve
+    refuses it."""
+    net = (_three_bus_with_real_eigenvalues(three_bus_net) if moved == "off the real axis"
+           else _rl_ring(10, 0, "state_space"))
+    system = mass_oracle.Interconnection(net)
+    branch = net.with_branch(0, R=net.branches[0].R * 0.9).branches[0]
+    [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
+    anchors = system.eig.eigenvalues
+    p, q = (np.flatnonzero(anchors.imag == 0) if moved == "off the real axis"
+            else system.eig.pairs)[:2]
+    newton = mass_oracle._SecularGrid.newton
+
+    def moving(grid, start):
+        mu, converged, last = newton(grid, start)
+        at_p, at_q = np.searchsorted(grid.pole, [p, q])
+        mu[0, at_p] = {"onto another's conjugate": mu[0, at_q].conj(),
+                       "onto the real axis": mu[0, at_p].real,
+                       "off the real axis": mu[0, at_p] * (1.0 + 1e-6j)}[moved]
+        return mu, converged, last
+
+    assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is not None
+    assert all_swept_roots(system, rows, A_rows, anchors) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle._SecularGrid, "newton", moving)
+        assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is None
+        assert all_swept_roots(system, rows, A_rows, anchors) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_swept_eigenvalues_solve_one_root_per_conjugate_pair(seed):
+    """On the benchmark's 30-bus rings of seeds 0-2, each certified step's
+    first secular evaluation covers exactly the 75 poles of Im >= 0 of the
+    150, and its roots equal, bit for bit, those of Newton on all 150
+    (``secular_reference.all_swept_roots``)."""
+    swept, evaluate = mass_oracle.swept_eigenvalues, mass_oracle._SecularGrid.evaluate
+    first = []  # per step, the poles of its first evaluation
+
+    def solve(system, rows, A_rows, anchors):
+        first.append(None)
+        found = swept(system, rows, A_rows, anchors)
+        assert found is not None
+        assert same_bits(found[0], all_swept_roots(system, rows, A_rows, anchors))
+        return found
+
+    def evaluate_first(grid, e, m, *args, **kwargs):
+        if first and first[-1] is None:
+            first[-1] = np.sort(grid.pole[m])
+        return evaluate(grid, e, m, *args, **kwargs)
+
+    net = _benchmark_ring(seed)
+    lam = mass_oracle.Interconnection(net).eig.eigenvalues
+    upper = np.flatnonzero(lam.imag >= 0)
+    assert (upper.size, lam.size) == (75, 150)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle, "swept_eigenvalues", solve)
+        mp.setattr(mass_oracle._SecularGrid, "evaluate", evaluate_first)
+        assert len(parameter_sweep(net, 0, "L", 1.005, 10)) == 10
+    assert len(first) == 10
+    assert all(np.array_equal(poles, upper) for poles in first)
+
+
+def _three_bus_with_real_eigenvalues(three_bus_net):
+    """three_bus with an overdamped 2-state apparatus at bus 2 (A =
+    diag(-150, -90), B = C = I, theta = 0): 2 of its 16 eigenvalues are
+    real."""
+    model = network_model.StateSpaceRealization(A=np.diag([-150.0, -90.0]), B=np.eye(2),
+                                                C=np.eye(2), D=np.zeros((2, 2)))
+    return replace(three_bus_net, apparatus=three_bus_net.apparatus
+                   + (network_model.ApparatusAttachment(bus=2, model=model, theta=0.0),))
+
+
+@pytest.mark.parametrize("branch_index", [0, 1])
+@pytest.mark.parametrize("param, factor", [("L", 1.1), ("L", 0.9), ("R", 0.8), ("R", 1.25)])
+def test_a_sweep_with_real_eigenvalues_matches_the_dense_sweep(three_bus_net, branch_index,
+                                                               param, factor):
+    """three_bus with 2 real eigenvalues, each branch swept 6 steps: every
+    step's spectrum is certified from the secular roots, the 2 real ones
+    exactly real, with no dense step, and the sweep ends as the dense
+    sweep does."""
+    net = _three_bus_with_real_eigenvalues(three_bus_net)
+    lam = mass_oracle.Interconnection(net).eig.eigenvalues
+    assert (lam.size, np.count_nonzero(lam.imag == 0)) == (16, 2)
+    swept, spectra = mass_oracle.swept_eigenvalues, []
+
+    def solve(*args):
+        found = swept(*args)
+        spectra.append(found[0])
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle, "swept_eigenvalues", solve)
+        steps, counts = _counted_sweep(net, branch_index, param, factor, 6)
+    assert len(steps) == 6
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0}
+    assert [np.count_nonzero(found.imag == 0) for found in spectra] == [2] * 6
+    _same_sweeps(steps, _dense_sweep(net, branch_index, param, factor, 6), 1e-12)
+
+
 def _same_sweeps(first, second, tol):
     """Both the same outcome kind; ``actual`` within ``tol`` x |actual| and
     the same steps without a prediction."""
@@ -1727,28 +1832,38 @@ def test_secular_residues_match_the_lu(ring, branch_index, param, factor, n_step
 
 def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
     """A root exactly on another pole of the first A makes the secular
-    vectors divide by zero: ``swept_eigenvector_pair`` gives None there.
-    With every certified step's residue asked at such a pole, the sweep
-    takes each from the LU instead (steps 1-6; step 0 reads the
-    eigenbasis, and step 7's residue is read by no step), and predicts
-    every step as the normal sweep does, no nan."""
+    vectors divide by zero, and a pole of Im < 0 is no column of the
+    step's grid: ``swept_eigenvector_pair`` gives None for both. With
+    every certified step's residue asked at such a pole, or of the tracked
+    root's conjugate at its pole, the sweep takes each from the LU instead
+    (steps 1-6; step 0 reads the eigenbasis, and step 7's residue is read
+    by no step), and predicts every step as the normal sweep does, no
+    nan."""
     secular = mass_oracle.swept_eigenvector_pair
 
     def on_another_pole(grid, m, mu):
         others = np.delete(grid.lam, m)
-        pair = secular(grid, m, others[np.argmin(np.abs(others - mu))])
-        assert pair is None
-        return pair
+        return secular(grid, m, others[np.argmin(np.abs(others - mu))])
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mass_oracle, "swept_eigenvector_pair", on_another_pole)
-        steps, counts = _counted_sweep(three_bus_net, 0, "L", 0.8, 7)
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 6}
+    def on_no_column(grid, m, mu):
+        assert grid.lam[m + 1] == grid.lam[m].conjugate() and m + 1 not in grid.pole
+        return secular(grid, m + 1, mu.conjugate())
+
     normal = parameter_sweep(three_bus_net, 0, "L", 0.8, 7)
-    assert len(steps) == len(normal) == 7
-    for st, ref in zip(steps, normal):
-        assert np.isfinite(st.error) and st.actual == ref.actual
-        assert abs(st.predicted - ref.predicted) <= 1e-9 * abs(ref.predicted - ref.lam_before)
+    for asked in (on_another_pole, on_no_column):
+        def none_there(grid, m, mu):
+            pair = asked(grid, m, mu)
+            assert pair is None
+            return pair
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mass_oracle, "swept_eigenvector_pair", none_there)
+            steps, counts = _counted_sweep(three_bus_net, 0, "L", 0.8, 7)
+        assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 6}
+        assert len(steps) == len(normal) == 7
+        for st, ref in zip(steps, normal):
+            assert np.isfinite(st.error) and st.actual == ref.actual
+            assert abs(st.predicted - ref.predicted) <= 1e-9 * abs(ref.predicted - ref.lam_before)
 
 
 def _symmetric_star():

@@ -12,6 +12,7 @@ from impedmodal.mass_oracle import (
     Interconnection,
     OracleError,
     UnsupportedForOracleError,
+    _SecularGrid,
     eigendecompose,
     eigenvector_pair,
     interconnect,
@@ -238,6 +239,20 @@ def test_eigenbasis_of_generated_rings(n_buses, seed):
     n, eps, (x_norm, x_inv_norm) = A.shape[0], np.finfo(float).eps, system.eig.norms
     assert np.all(rho <= 64 * n * eps * (np.linalg.norm(A) + np.abs(system.eig.eigenvalues)))
     assert delta <= 64 * n * eps * x_norm * x_inv_norm
+
+
+def test_the_state_matrix_norm_is_formed_once(three_bus_net):
+    """``Interconnection.a_norm`` is ||A||_F bit for bit, formed at its
+    first use: a secular grid adds its update's ||V^T||_F to the cached
+    value, and recomputes nothing of A."""
+    system = Interconnection(three_bus_net)
+    assert same_bits(system.a_norm, np.linalg.norm(system.model.A))
+    branch = three_bus_net.with_branch(0, L=0.003).branches[0]
+    [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
+    update_norm = np.linalg.norm(A_rows - system.model.A[rows])
+    system.a_norm = 2.0  # a stand-in for the cached norm
+    grid = _SecularGrid(system, [(rows, A_rows)])
+    assert same_bits(grid.a_norm, np.array([2.0 + update_norm]))
 
 
 def test_eigenbasis_of_hand_matrices():
