@@ -654,8 +654,10 @@ class _ResolvedSweep:
 class _OracleSweep:
     """How a sweep gets its modes on the oracle route, with the interface of
     :class:`_ResolvedSweep`. The network is assembled once, into working
-    copies of A and B, and its A eigendecomposed once; every later network
-    differs in the swept branch alone, whose rows are written into them.
+    copies of A and B, and its A eigendecomposed once, the real columns Xr
+    of that eigenbasis read off once for every step; every later network
+    differs in the swept branch alone, whose rows are written into them
+    (into A only for a step that needs it, see :attr:`A`).
     Its eigenvalues are then the roots of the secular function of those
     rows' update from the first A, on that A's eigenbasis
     (:func:`mass_oracle.swept_eigenvalues`), solved for the poles of
@@ -673,20 +675,32 @@ class _OracleSweep:
         self.system = mass_oracle.Interconnection(net)
         self.ref = ("branch", branch_index)
         self.band = band
-        self.A, self.B = self.system.model.A.copy(), self.system.model.B.copy()
+        self.B, self.update, self._A = self.system.model.B.copy(), None, None
         try:
             self.roots, self.motion = self.system.eig.eigenvalues, 0.0
+            self.real_right = self.system.eig.real_right()
         except mass_oracle.DefectiveMatrixError:
             self.roots = None
 
+    @property
+    def A(self) -> np.ndarray:
+        """The step's A: the first A with the swept rows written in, formed
+        at most once per step, for a step that takes a dense solve or an
+        LU; a certified step holds no n x n copy of A beside Xr."""
+        if self._A is None:
+            self._A = self.system.model.A.copy()
+            if self.update is not None:
+                self._A[self.update[0]] = self.update[1]
+        return self._A
+
     def modes(self, net: NetworkDescription) -> np.ndarray:
-        lam, self.grid = self.roots, None
+        lam, self.grid, self._A = self.roots, None, None
         if net is not self.system.net:
             [(rows, A_rows, B_rows)] = self.system.element_rows(
                 [(self.ref, net.branches[self.ref[1]])])
-            self.A[rows], self.B[rows] = A_rows, B_rows
+            self.update, self.B[rows] = (rows, A_rows), B_rows
             found = None if lam is None else mass_oracle.swept_eigenvalues(
-                self.system, rows, A_rows, self.roots + self.motion)
+                self.system, rows, A_rows, self.roots + self.motion, self.real_right)
             lam, self.grid = found or (None, None)
         self.dense = lam is None
         if self.dense:

@@ -517,10 +517,9 @@ def eigendecompose(A: np.ndarray) -> EigenStructure:
     """Eigenvalues with mutually normalized right/left eigenvectors of a
     real matrix A.
 
-    ``numpy.linalg.eig`` (LAPACK ``geev``, the routine ``scipy.linalg.eig``
-    calls too) gives the eigenvalues and right eigenvectors X; both are
-    cast to complex128, which numpy returns as float64 when every
-    eigenvalue is real. The rest is real arithmetic on the real columns Xr
+    ``numpy.linalg.eig`` (LAPACK ``geev``) gives the eigenvalues and right
+    eigenvectors X; both are cast to complex128, which numpy returns as
+    float64 when every eigenvalue is real. The rest is real arithmetic on the real columns Xr
     of X (see :class:`EigenStructure`): the singular values of X are those
     of Xr D, from one real SVD, and the left eigenvectors, the rows of
     X^-1 = U^H D^-1 Xr^-1, come from one real inverse, which enforces
@@ -610,8 +609,8 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
         If the eigenvalue's condition number exceeds 1e12.
     """
     # imported here, not at module level: numpy has no LU to reuse for the
-    # conjugate-transposed solves, and neither an oracle analyze nor a sweep
-    # whose steps are all certified comes here
+    # conjugate-transposed solves, and no impedance-route run, oracle
+    # analyze or sweep whose steps are all certified comes here
     from scipy.linalg.lapack import get_lapack_funcs
 
     n = A.shape[0]
@@ -648,9 +647,11 @@ class _SecularGrid:
     laid out (update, eigenvalue), its entries given as index arrays ``e``
     and ``m``. V^T, W = V^T X, Z^T and T, which stacks w_j z_j^T over the
     updates in one row per state j, are formed once; :meth:`select` takes
-    the eigenvalues of the grid's columns and forms their moments."""
+    the eigenvalues of the grid's columns and forms their moments. A caller
+    that builds many grids on one eigenbasis passes its Xr
+    (:meth:`EigenStructure.real_right`) as ``real_right``."""
 
-    def __init__(self, system: Interconnection, updates):
+    def __init__(self, system: Interconnection, updates, real_right=None):
         A, eig = system.model.A, system.eig
         self.system, self.lam = system, eig.eigenvalues
         n_up, n = len(updates), A.shape[0]
@@ -661,7 +662,8 @@ class _SecularGrid:
             self.rows[e, :len(r)] = r
             self.Vt[e, :len(r)] = a - A[r]
         padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
-        self.W = eig.complex_columns(self.Vt.reshape(-1, n) @ eig.real_right()).reshape(n_up, k, n)
+        Xr = eig.real_right() if real_right is None else real_right
+        self.W = eig.complex_columns(self.Vt.reshape(-1, n) @ Xr).reshape(n_up, k, n)
         self.Zt = eig.left.T[self.rows]
         self.Zt[padded] = 0.0
         self.T = (self.W[:, :, None] * self.Zt[:, None]).transpose(3, 0, 1, 2).reshape(n, -1)
@@ -952,7 +954,25 @@ def updated_eigenvalues(system: Interconnection, indices, updates, anchors):
     return roots, failures
 
 
-def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
+def _apart(mu: np.ndarray, radius: np.ndarray, others: np.ndarray, reach: np.ndarray) -> bool:
+    """Whether every root mu_i lies farther than radius_i + reach_j from
+    every point others_j but itself (``others`` starts with ``mu``). Only
+    points whose real parts lie within r_i + max(reach) of mu_i's can be
+    that close; those within twice that (a margin over the rounding of the
+    window's bounds) are found by bisection of the points sorted by real
+    part, and only they are compared, each pair by the test of every pair."""
+    order = np.argsort(others.real, kind="stable")
+    x = others.real[order]
+    window = 2.0 * (radius + reach.max(initial=0.0))
+    lo = np.searchsorted(x, mu.real - window, side="left")
+    count = np.searchsorted(x, mu.real + window, side="right") - lo
+    i = np.repeat(np.arange(mu.size), count)
+    j = order[np.arange(i.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+    i, j = i[i != j], j[i != j]
+    return bool(np.all(np.abs(mu[i] - others[j]) > radius[i] + reach[j]))
+
+
+def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors, real_right):
     """Every eigenvalue of A' = A + U V^T, the network's state matrix A with
     rows ``rows`` replaced by ``A_rows``, from the eigenbasis of A alone,
     with the secular equations they solve, for
@@ -975,10 +995,12 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
     each its own included), and the root of each real pole lies within its
     radius of the real axis. It is then made exactly real, as LAPACK gives
     it: ``(eigenvalues, grid)``, the grid's columns the poles of Im >= 0.
+    ``real_right`` is Xr of A's eigenbasis (:meth:`EigenStructure.real_right`),
+    which a sweep reads once for all its steps.
     """
     eig = system.eig
     upper = np.flatnonzero(eig.eigenvalues.imag >= 0)
-    grid = _SecularGrid(system, [(rows, A_rows)]).select(upper, far=False)
+    grid = _SecularGrid(system, [(rows, A_rows)], real_right).select(upper, far=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None, upper])
         if not converged.all():
@@ -993,9 +1015,7 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
             return None
         # the n roots are mu and the conjugates of the complex poles' roots
         others, reach = np.concatenate([mu, mu[~real].conj()]), np.append(radius, radius[~real])
-        apart = np.abs(mu[:, None] - others) > radius[:, None] + reach
-        apart[np.arange(mu.size), np.arange(mu.size)] = True
-        if not apart.all():
+        if not _apart(mu, radius, others, reach):
             return None
     mu.imag[real] = 0.0
     out = np.empty(eig.n, dtype=complex)

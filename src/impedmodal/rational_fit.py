@@ -511,13 +511,16 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
     ``band``: alternately right and left data, with their conjugates and one
     fixed-seed random real direction d each (x = Z d from Y x = d; d^T Z from Y^T).
     The order is the rank of x0 E - A ((E, A) the real Loewner pencil, x0 the
-    band's centre); the poles are the finite eigenvalues of the projected pencil.
-    The pencil starts at 50 points and doubles, up to 1600, until the rank fills
-    at most half of them: the smallest pencil the network's rank allows."""
-    # imported here, not at module level: numpy has no generalized
-    # eigensolver, and a run on the oracle route never loads scipy
-    import scipy.linalg
-
+    band's centre). The pencil starts at 50 points and doubles, up to 1600,
+    until the rank fills at most half of them: the smallest pencil the
+    network's rank allows. The poles are the finite eigenvalues of the pencil
+    (A_r, E_r) projected on the rank's singular vectors, from a standard
+    eigenproblem shift-inverted at x0: x0 E_r - A_r is diag(sv_r) to rounding,
+    so nonsingular, and A_r v = lam E_r v exactly when
+    (x0 E_r - A_r)^-1 E_r v = v / (x0 - lam), so lam = x0 - 1/nu for the
+    eigenvalues nu of (x0 E_r - A_r)^-1 E_r. A nu that is 0 to rounding is an
+    infinite pole (Z's direct term, Z(inf) != 0) and is dropped, as the QZ
+    algorithm drops a generalized eigenvalue of beta = 0."""
     w_lo, w_hi = band
     x0 = np.sqrt(w_lo * w_hi)
     model.admittance(x0)  # Newton needs Y off the axis: a model without it fails here
@@ -543,8 +546,13 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
             break
     else:
         raise FitError(f"Loewner rank {rank} fills more than half of {n_points} points")
-    poles = scipy.linalg.eigvals(*(U[:, :rank].T @ M @ Vt[:rank].T for M in (A, E)))
-    return _canonical_poles(poles[np.isfinite(poles)]), rank
+    A_r, E_r = (U[:, :rank].T @ M @ Vt[:rank].T for M in (A, E))
+    nu = np.linalg.eigvals(np.linalg.solve(x0 * E_r - A_r, E_r))
+    # x0 E_r - A_r is diag(sv) to rounding, so row i of the solve carries an
+    # error of about eps ||E_r|| / sv_i; a nu within rank times the largest
+    # such error of 0 is an infinite pole
+    finite = np.abs(nu) > rank * np.finfo(float).eps * np.linalg.norm(E_r) / sv[rank - 1]
+    return _canonical_poles(x0 - 1.0 / nu[finite]), rank
 
 
 def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:

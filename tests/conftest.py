@@ -29,14 +29,20 @@ def rl_load_apparatus(Ra: float, La: float, w0: float = W0) -> StateSpaceRealiza
     return StateSpaceRealization(A=A, B=B, C=np.eye(2), D=np.zeros((2, 2)))
 
 
-def generated_ring(n_buses: int, seed: int) -> NetworkDescription:
-    """The ring of ``n_buses`` that the benchmark's generator
-    (perfbench/netgen.py) draws for ``seed``."""
+def generated_ring_doc(n_buses: int, seed: int, apparatus: str = "state_space") -> dict:
+    """The network document of the ring of ``n_buses`` that the benchmark's
+    generator (perfbench/netgen.py) draws for ``seed``, its apparatus given
+    as ``state_space`` models or as their exact ``rational`` twins."""
     spec = importlib.util.spec_from_file_location(
         "netgen", Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py")
     netgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(netgen)
-    return network_model.parse_network(json.dumps(netgen.generate(n_buses, seed)))
+    return netgen.generate(n_buses, seed, apparatus=apparatus)
+
+
+def generated_ring(n_buses: int, seed: int, apparatus: str = "state_space") -> NetworkDescription:
+    """The parsed network of :func:`generated_ring_doc`."""
+    return network_model.parse_network(json.dumps(generated_ring_doc(n_buses, seed, apparatus)))
 
 
 def same_bits(a, b) -> bool:

@@ -22,7 +22,7 @@ from impedmodal.cli_reporting import (
     run,
 )
 
-from conftest import mixed_ring_doc
+from conftest import generated_ring_doc, mixed_ring_doc
 
 REPO = Path(__file__).resolve().parents[1]
 NETWORK = REPO / "networks" / "three_bus.json"
@@ -142,8 +142,8 @@ def test_oracle_cli_runs_never_load_scipy(tmp_path):
     """In a fresh interpreter, importing the package, a validated analyze of
     the oracle-capable three_bus and a sweep of it whose every step is
     certified from the secular roots (its residues from the secular
-    vectors, not an LU) load no scipy module; the impedance path, which
-    imports it where it needs it, still runs."""
+    vectors, not an LU) load no scipy module; an impedance-route analyze
+    then runs in the same interpreter."""
     script = (
         "import sys\n"
         "import impedmodal\n"
@@ -164,6 +164,38 @@ def test_oracle_cli_runs_never_load_scipy(tmp_path):
     assert (tmp_path / "a" / "validation.json").exists()
     assert (tmp_path / "m" / "validation.json").exists()
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 7
+
+
+def test_impedance_cli_runs_never_load_scipy(tmp_path):
+    """In a fresh interpreter, the impedance route loads no scipy module: a
+    validated analyze of the measured network over 5:5000 rad/s, a
+    validated analyze of a generated 4-bus ring of rational apparatus, and
+    a sweep of the measured network (its modes re-solved from Y at every
+    step). The Loewner poles come from numpy alone."""
+    ring = tmp_path / "rational_4.json"
+    ring.write_text(json.dumps(generated_ring_doc(4, 0, apparatus="rational")))
+    measured = str(REPO / "networks" / "measured_two_bus.json")
+    script = (
+        "import sys\n"
+        "from impedmodal.cli_reporting import main\n"
+        f"assert main(['analyze', {measured!r}, '--band', '5:5000',"
+        f" '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        f"assert main(['analyze', {str(ring)!r}, '--band', '5:5000',"
+        f" '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        f"assert main(['sweep', {measured!r}, '--branch', '1:2', '--param', 'L',"
+        f" '--factor', '1.05', '--steps', '3', '--band', '5:5000',"
+        f" '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+    for tree in ("m", "r"):
+        assert json.loads((tmp_path / tree / "validation.json").read_text())["modes"]
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 5
 
 
 def test_forced_fallback_matches_the_secular_roots(tmp_path):

@@ -60,6 +60,7 @@ from paper_reference import (
     split_node_residues,
     split_parameter_derivatives,
 )
+import loewner_reference
 from secular_reference import all_swept_roots, reference_roots
 
 
@@ -1569,8 +1570,10 @@ def _sweep_outcome(net, *args, **kwargs):
 
 def _counted_sweep(net, *args, **kwargs):
     """The sweep's outcome and the calls it makes of ``Interconnection``,
-    ``eigendecompose``, ``np.linalg.eigvals`` and ``eigenvector_pair``."""
-    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0, "eigenvector_pair": 0}
+    ``eigendecompose``, ``np.linalg.eigvals``, ``eigenvector_pair`` and
+    ``EigenStructure.real_right``."""
+    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0, "eigenvector_pair": 0,
+              "real_right": 0}
 
     def counting(name, f):
         def call(*a):
@@ -1586,6 +1589,8 @@ def _counted_sweep(net, *args, **kwargs):
         mp.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
         mp.setattr(mass_oracle, "eigenvector_pair",
                    counting("eigenvector_pair", mass_oracle.eigenvector_pair))
+        mp.setattr(mass_oracle.EigenStructure, "real_right",
+                   counting("real_right", mass_oracle.EigenStructure.real_right))
         return _sweep_outcome(net, *args, **kwargs), counts
 
 
@@ -1599,8 +1604,10 @@ def _dense_sweep(net, *args, **kwargs):
 
 @pytest.mark.parametrize("case", ["ring10", 0, 1, 2])
 def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
-    """An oracle sweep assembles and eigendecomposes the network once; no
-    step takes a dense eigvals or an LU for its residue: on the 10-bus ring
+    """An oracle sweep assembles and eigendecomposes the network once, and
+    reads the real columns Xr of that eigenbasis twice: once for its error
+    bounds and once for every step's secular equations. No step takes a
+    dense eigvals or an LU for its residue: on the 10-bus ring
     of seed 9 and on the benchmark's 30-bus rings of seeds 0-2 every step's
     spectrum is certified from the secular roots, and every residue comes
     from the secular vectors."""
@@ -1610,7 +1617,8 @@ def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
         net, args = _benchmark_ring(case), (0, "L", 1.005, 10)
     steps, counts = _counted_sweep(net, *args)
     assert len(steps) == 10
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0,
+                      "real_right": 2}
 
 
 def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
@@ -1621,13 +1629,13 @@ def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
     Im = w0), and the set is refused."""
     net = _rl_ring(10, 0, "state_space")
     system = mass_oracle.Interconnection(net)
-    roots, motion = system.eig.eigenvalues, 0.0
+    roots, motion, Xr = system.eig.eigenvalues, 0.0, system.eig.real_right()
     for k in range(1, 7):
         branch = net.with_branch(0, R=net.branches[0].R * 0.9 ** k).branches[0]
         [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
-        anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots)
+        anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots, Xr)
         assert (anchored_where_they_were is None) == (k == 6), k
-        found, _ = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion)
+        found, _ = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion, Xr)
         dense = np.linalg.eigvals(_perturbed(system, (rows, A_rows)))
         dist = np.abs(found[:, None] - dense)
         assert np.all(np.min(dist, axis=0) <= 1e-12 * np.abs(dense)), k
@@ -1650,7 +1658,7 @@ def test_a_root_on_a_conjugate_is_refused(moved, three_bus_net):
     system = mass_oracle.Interconnection(net)
     branch = net.with_branch(0, R=net.branches[0].R * 0.9).branches[0]
     [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
-    anchors = system.eig.eigenvalues
+    anchors, Xr = system.eig.eigenvalues, system.eig.real_right()
     p, q = (np.flatnonzero(anchors.imag == 0) if moved == "off the real axis"
             else system.eig.pairs)[:2]
     newton = mass_oracle._SecularGrid.newton
@@ -1663,11 +1671,11 @@ def test_a_root_on_a_conjugate_is_refused(moved, three_bus_net):
                        "off the real axis": mu[0, at_p] * (1.0 + 1e-6j)}[moved]
         return mu, converged, last
 
-    assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is not None
+    assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors, Xr) is not None
     assert all_swept_roots(system, rows, A_rows, anchors) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mass_oracle._SecularGrid, "newton", moving)
-        assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is None
+        assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors, Xr) is None
         assert all_swept_roots(system, rows, A_rows, anchors) is None
 
 
@@ -1676,13 +1684,15 @@ def test_swept_eigenvalues_solve_one_root_per_conjugate_pair(seed):
     """On the benchmark's 30-bus rings of seeds 0-2, each certified step's
     first secular evaluation covers exactly the 75 poles of Im >= 0 of the
     150, and its roots equal, bit for bit, those of Newton on all 150
-    (``secular_reference.all_swept_roots``)."""
+    (``secular_reference.all_swept_roots``). The Xr that the sweep passes
+    to every step is the eigenbasis's, bit for bit."""
     swept, evaluate = mass_oracle.swept_eigenvalues, mass_oracle._SecularGrid.evaluate
     first = []  # per step, the poles of its first evaluation
 
-    def solve(system, rows, A_rows, anchors):
+    def solve(system, rows, A_rows, anchors, real_right):
         first.append(None)
-        found = swept(system, rows, A_rows, anchors)
+        assert same_bits(real_right, system.eig.real_right())
+        found = swept(system, rows, A_rows, anchors, real_right)
         assert found is not None
         assert same_bits(found[0], all_swept_roots(system, rows, A_rows, anchors))
         return found
@@ -1736,7 +1746,8 @@ def test_a_sweep_with_real_eigenvalues_matches_the_dense_sweep(three_bus_net, br
         mp.setattr(mass_oracle, "swept_eigenvalues", solve)
         steps, counts = _counted_sweep(net, branch_index, param, factor, 6)
     assert len(steps) == 6
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0,
+                      "real_right": 2}
     assert [np.count_nonzero(found.imag == 0) for found in spectra] == [2] * 6
     _same_sweeps(steps, _dense_sweep(net, branch_index, param, factor, 6), 1e-12)
 
@@ -1859,7 +1870,8 @@ def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mass_oracle, "swept_eigenvector_pair", none_there)
             steps, counts = _counted_sweep(three_bus_net, 0, "L", 0.8, 7)
-        assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 6}
+        assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0,
+                          "eigenvector_pair": 6, "real_right": 2}
         assert len(steps) == len(normal) == 7
         for st, ref in zip(steps, normal):
             assert np.isfinite(st.error) and st.actual == ref.actual
@@ -1917,7 +1929,8 @@ def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
         mass_oracle.Interconnection(net).eig
     steps, counts = _counted_sweep(net, 0, "L", 0.8, 7)
     assert len(steps) == 7
-    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8, "eigenvector_pair": 8}
+    assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8, "eigenvector_pair": 8,
+                      "real_right": 0}
     for st in steps:
         net = net.with_branch(0, L=st.rho_after)
         eigenvalues = np.linalg.eigvals(mass_oracle.interconnect(net).A)
@@ -2043,6 +2056,57 @@ def test_loewner_ladder_fails_past_its_last_pencil(three_bus_net, monkeypatch):
     with pytest.raises(rational_fit.FitError,
                        match=re.escape("Loewner rank 14 fills more than half of 16 points")):
         rational_fit.loewner_poles(WholeSystemModel(three_bus_net), BAND)
+
+
+def _resistive_bus_net():
+    """Two buses joined by a line, bus 1 with a resistor but no capacitor:
+    Z(inf) is that resistor's there, so the Loewner pencil has rank 6 for
+    the 4 states and 2 infinite eigenvalues."""
+    doc = {"n_buses": 2, "omega0": W0,
+           "branches": [{"kind": "line", "from": 1, "to": 2, "R": 0.03, "L": 0.002}],
+           "shunts": [{"bus": 1, "kind": "resistive", "value": 2.5},
+                      {"bus": 2, "kind": "capacitive", "value": 1e-3}],
+           "apparatus": []}
+    return network_model.parse_network(json.dumps(doc))
+
+
+def _loewner_cases():
+    cases = [pytest.param(n, seed, id=f"ring{n}-{seed}")
+             for n in (3, 4, 6, 10, 20) for seed in (0, 1, 2)]
+    cases += [pytest.param("measured", order, id=f"measured-{order}") for order in (8, 12, 16)]
+    return cases + [pytest.param("resistive_bus", None, id="infinite-poles")]
+
+
+@pytest.mark.parametrize("case, seed", _loewner_cases())
+def test_loewner_poles_agree_with_the_qz_reference(case, seed):
+    """The shift-inverted standard eigenproblem gives the poles that QZ on
+    the projected pencil gave (``loewner_reference.loewner_poles``): the
+    same rank, as many finite poles and as many mode-search seeds (Im >= 0,
+    |Im| within 0.5 w_lo and 1.5 w_hi), each seed within 1e-11 |p| of one
+    of the reference's. Generated rational rings of 3-20 buses, the
+    measured network's surrogate at orders 8, 12 and 16, and a Z with a
+    direct term, whose pencil's infinite eigenvalues both drop."""
+    if case == "measured":
+        path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
+        net = cli_reporting._with_surrogates(cli_reporting._load_network(str(path)), seed)
+    elif case == "resistive_bus":
+        net = _resistive_bus_net()
+    else:
+        net = generated_ring(case, seed, apparatus="rational")
+    poles, rank = rational_fit.loewner_poles(WholeSystemModel(net), BAND)
+    want, want_rank = loewner_reference.loewner_poles(WholeSystemModel(net), BAND)
+    assert rank == want_rank
+    if case == "resistive_bus":
+        assert (rank, want.size) == (6, 4)
+    assert poles.size == want.size
+
+    def seeds(p):
+        return p[(p.imag >= 0) & (BAND[0] * 0.5 <= abs(p.imag)) & (abs(p.imag) <= BAND[1] * 1.5)]
+
+    got, ref = seeds(poles), seeds(want)
+    assert got.size == ref.size > 0
+    for p in got:
+        assert np.min(np.abs(ref - p)) <= 1e-11 * abs(p), p
 
 
 def _rl_ring(n_buses, seed, apparatus):

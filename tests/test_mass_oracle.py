@@ -13,6 +13,7 @@ from impedmodal.mass_oracle import (
     OracleError,
     UnsupportedForOracleError,
     _SecularGrid,
+    _apart,
     eigendecompose,
     eigenvector_pair,
     interconnect,
@@ -253,6 +254,40 @@ def test_the_state_matrix_norm_is_formed_once(three_bus_net):
     system.a_norm = 2.0  # a stand-in for the cached norm
     grid = _SecularGrid(system, [(rows, A_rows)])
     assert same_bits(grid.a_norm, np.array([2.0 + update_norm]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_separation_among_neighbours_is_that_of_every_pair(seed):
+    """``_apart``, which compares each root with the points near it by real
+    part, decides as the test of every pair decides: on 400 random sets of
+    roots in clusters, with the conjugates of the complex ones among the
+    points, exact ties of real parts, real roots and radii from 0 to
+    about the clusters' spacing, so that about half the sets are refused;
+    and at pairs placed exactly at and just inside or outside the sum of
+    their radii."""
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(400):
+        h = int(rng.integers(1, 40))
+        centres = rng.normal(size=3) * 10.0 ** rng.integers(-2, 4)
+        mu = rng.choice(centres, h) + rng.normal(size=h) + 1j * np.abs(rng.normal(size=h))
+        mu.real[rng.random(h) < 0.3] = mu.real[0]  # ties of real parts
+        real = rng.random(h) < 0.2
+        mu.imag[real] = 0.0
+        radius = np.abs(rng.normal(size=h)) * 10.0 ** rng.uniform(-6, -1, size=h)
+        radius[rng.random(h) < 0.1] = 0.0
+        others = np.concatenate([mu, mu[~real].conj()])
+        reach = np.append(radius, radius[~real])
+        if h > 1 and rng.random() < 0.5:  # a pair at the sum of its radii
+            i, j = rng.choice(h, 2, replace=False)
+            gap = abs(mu[i] - others[j])
+            radius[i] = reach[i] = max(0.0, gap - reach[j]) * (1.0 + rng.choice([-1, 0, 1]) * 1e-15)
+            reach[h:] = radius[~real]
+        every_pair = np.abs(mu[:, None] - others) > radius[:, None] + reach
+        every_pair[np.arange(h), np.arange(h)] = True
+        outcomes.append(every_pair.all())
+        assert _apart(mu, radius, others, reach) == outcomes[-1]
+    assert 0.2 < np.mean(outcomes) < 0.8
 
 
 def test_eigenbasis_of_hand_matrices():
