@@ -1,11 +1,11 @@
 """Command-line front end and machine-readable report emission.
 
 Runs the analysis pipeline end to end and writes CSV/JSON reports: the
-mode list, per-mode element tables with their sums per bus pair, layer-3
-parameter tables, prediction-validation records and sweep trajectories.
-All emitted numbers carry 12 significant digits so reports re-parse to the
-printed precision, and a fixed run configuration yields byte-identical
-files.
+mode list, the element, layer-3 and bus-pair tables of all selected modes
+(three long-form CSVs, each row led by its mode's index), validation
+records and sweep trajectories. All emitted numbers carry 12 significant
+digits so reports re-parse to the printed precision, and a fixed run
+configuration yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -111,14 +112,14 @@ def _literal(text: str) -> str:
 # one report number: 12 significant digits, as _fmt
 _NUMBER = "%.12g"
 _LAYERS = "layer1_cauchy,layer1_enhanced,layer2_real,layer2_imag"
-_ELEMENTS_HEAD = f"element,location,{_LAYERS},epsilon\n"
 
 
 class _ModeWriter:
-    """Renders each mode's element, layer-3 and bus-pair files from its
-    :class:`mai_core.ModeLayers`. What depends on the elements alone is
-    prepared once per run: each file is a %-format template with a number
-    field wherever a mode's value goes.
+    """Renders the element, layer-3 and bus-pair tables of the selected
+    modes from their :class:`mai_core.ModeLayers`: one group of rows per
+    mode, each row led by its ``mode`` index. What depends on the elements
+    alone is prepared once per run: a mode's group is a %-format template
+    with a field for the index and for each of the mode's values.
 
     The bus-pair table has one row per bus pair i <= j that holds an
     element: a branch sits on its two buses, an apparatus or shunt on (i, i).
@@ -126,6 +127,10 @@ class _ModeWriter:
     one bus) are summed into its row in element order, and ``elements``
     counts them; the element table keeps them apart.
     """
+
+    tables = {"mode_elements.csv": f"mode,element,location,{_LAYERS},epsilon\n",
+              "mode_layer3.csv": "mode,element,parameter,s_rho_real,s_rho_imag\n",
+              "mode_bus_pairs.csv": f"mode,bus_i,bus_j,elements,{_LAYERS}\n"}
 
     def __init__(self, net, epsilon: float):
         table = assembly.StampTable(net)
@@ -136,34 +141,34 @@ class _ModeWriter:
                  for e, k in enumerate(table.ratio.tolist())]
         tail = _literal(f",{epsilon:.12g}\n")
         numbers = ",".join([_NUMBER] * 4)
-        self.elements = _ELEMENTS_HEAD + "".join(
-            _literal(f"{label},{kind}:{a}" + (f"-{b}," if b else ",")) + numbers + tail
+        elements = "".join(
+            "%d," + _literal(f"{label},{kind}:{a}" + (f"-{b}," if b else ",")) + numbers + tail
             for label, kind, a, b in zip(self.labels, kinds, i, j))
         entries = [(e, c, f"{label},{name},")
                    for e, (label, (kind, _)) in enumerate(zip(self.labels, refs))
                    for c, name in enumerate(mai_core.LAYER3_PARAMS[kind])]
-        self.layer3 = "element,parameter,s_rho_real,s_rho_imag\n" + "".join(
-            f"{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
-        self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], dtype=int)
-                               .reshape(-1, 2).T)
+        layer3 = "".join(f"%d,{_literal(row)}{_NUMBER},{_NUMBER}\n" for _, _, row in entries)
+        self.layer3_at = tuple(np.array([(e, c) for e, c, _ in entries], int).reshape(-1, 2).T)
         # a node element (j = 0) sits on pair (i, i)
         ij = np.sort([(a, b or a) for a, b in zip(i, j)], axis=1)
         pairs, self.pair_of = np.unique(ij, axis=0, return_inverse=True)
-        self.n_pairs = len(pairs)
-        self.bus_pairs = f"bus_i,bus_j,elements,{_LAYERS}\n" + "".join(
-            f"{i},{j},{count},{numbers}\n"
+        bus_pairs = "".join(
+            f"%d,{i},{j},{count},{numbers}\n"
             for (i, j), count in zip(pairs.tolist(), np.bincount(self.pair_of).tolist()))
+        self.templates = (elements, layer3, bus_pairs)
 
-    def files(self, layers: mai_core.ModeLayers):
-        """(suffix, text) of each of one mode's report files."""
-        l2 = layers.layer2
-        values = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, l2.real, l2.imag], -1)
-        yield "elements", self.elements % tuple(values.ravel().tolist())
-        # a complex array viewed as float interleaves real and imaginary parts
-        yield "layer3", self.layer3 % tuple(layers.layer3[self.layer3_at].view(float).tolist())
-        sums = np.zeros((self.n_pairs, 4))
-        np.add.at(sums, self.pair_of, values)
-        yield "bus_pairs", self.bus_pairs % tuple(sums.ravel().tolist())
+    def texts(self, selected, mode_layers):
+        """Tuples of text, one piece per table in the order of ``tables``: the
+        head lines, then the rows of each mode of ``selected`` from ``mode_layers``."""
+        yield tuple(self.tables.values())
+        for k, layers in zip(selected, mode_layers):
+            l2 = layers.layer2
+            values = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, l2.real, l2.imag], -1)
+            sums = np.stack([np.bincount(self.pair_of, weights=v) for v in values.T], -1)
+            # a complex array viewed as float interleaves real and imaginary parts
+            s_rho = layers.layer3[self.layer3_at].view(float).reshape(-1, 2)
+            yield tuple(template % tuple(np.column_stack((np.full(len(x), k), x)).ravel().tolist())
+                        for template, x in zip(self.templates, (values, s_rho, sums)))
 
 
 def _csv(header: str, rows) -> str:
@@ -289,33 +294,28 @@ def run(config: AnalysisConfig) -> int:
     selected = list(range(len(records))) if config.modes is None else list(config.modes)
     for k in selected:
         if not 0 <= k < len(records):
-            raise ConfigError(
-                f"mode index {k} does not exist: {len(records)} modes found"
-            )
+            raise ConfigError(f"mode index {k} does not exist: {len(records)} modes found")
 
-    files: list[str] = []
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def emit(name: str, parts) -> None:
-        """Write the pieces of text ``parts`` in turn to file ``name``."""
-        with open(out_dir / name, "w", encoding="utf-8") as f:
-            f.writelines(parts)
-        files.append(name)
-
-    emit("modes.csv", [_modes_csv(records)])
-
+    (out_dir / "modes.csv").write_text(_modes_csv(records), encoding="utf-8")
     writer = _ModeWriter(net, config.epsilon)
     modes = [records[k] for k in selected]
-    for k, layers in zip(selected, mai_core.mode_layers(net, modes)):
-        for suffix, text in writer.files(layers):
-            emit(f"mode{k}_{suffix}.csv", [text])
+    with ExitStack() as stack:
+        tables = [stack.enter_context(open(out_dir / name, "w", encoding="utf-8"))
+                  for name in writer.tables]
+        for texts in writer.texts(selected, mai_core.mode_layers(net, modes)):
+            for f, text in zip(tables, texts):
+                f.write(text)
+    files = ["modes.csv", *writer.tables]
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
             net, modes, assembly.network_elements(net), epsilon=config.epsilon,
             reference_modes=[r.lam for r in records], system=system,
         )
-        emit("validation.json",
-             _validation_json(config.epsilon, writer.labels, selected, modes, outcomes))
+        with open(out_dir / "validation.json", "w", encoding="utf-8") as f:
+            f.writelines(_validation_json(config.epsilon, writer.labels, selected, modes,
+                                          outcomes))
+        files.append("validation.json")
 
     summary = {
         "network": os.path.basename(config.network_path),

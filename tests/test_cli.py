@@ -33,9 +33,10 @@ def test_analyze_smoke(tmp_path):
                             modes=[0, 1], epsilon=0.05)
     assert run(config) == EXIT_OK
     out = tmp_path / "rep"
-    for name in ("modes.csv", "summary.json", "validation.json",
-                 "mode0_elements.csv", "mode1_bus_pairs.csv", "mode0_layer3.csv"):
+    for name in ("modes.csv", "summary.json", "validation.json"):
         assert (out / name).exists()
+    for name, k in (("mode_elements.csv", 0), ("mode_bus_pairs.csv", 1), ("mode_layer3.csv", 0)):
+        assert _mode_groups(out / name)[k]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_modes"] == 7
 
@@ -45,8 +46,10 @@ def test_analyze_deterministic(tmp_path):
     c2 = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path / "b"), modes=[1])
     run(c1)
     run(c2)
-    for f in sorted((tmp_path / "a").iterdir()):
-        assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+    files = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_impedance_path_analyze_deterministic(tmp_path):
@@ -343,8 +346,7 @@ def test_emitted_numbers_round_trip(tmp_path):
     config = AnalysisConfig(network_path=str(NETWORK), out_dir=str(tmp_path),
                             modes=[2], validate_predictions=False)
     run(config)
-    with open(tmp_path / "mode2_elements.csv") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _mode_groups(tmp_path / "mode_elements.csv")[2]
     for row in rows:
         for key in ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag"):
             value = float(row[key])
@@ -697,7 +699,9 @@ def test_vector_fit_does_not_depend_on_the_batch(tmp_path, monkeypatch):
         assert main(["analyze", str(measured), "--band", "5:5000", "--out", str(out)]) == EXIT_OK
         trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
     assert models[0] == models[1]
-    assert len(trees[0]) > 10 and trees[0] == trees[1]
+    # the tree carries the rows of at least 3 modes
+    assert len(_mode_groups(tmp_path / str(rational_fit._BATCH_BYTES) / "mode_elements.csv")) >= 3
+    assert trees[0] == trees[1]
 
 
 def test_validation_json_is_json_dumps(tmp_path):
@@ -737,6 +741,20 @@ def _parse_floats(row, keys):
     return np.array([float(row[k]) for k in keys])
 
 
+def _close(have, want):
+    return np.all(np.abs(have - want) <= 1e-11 * np.abs(want) + 1e-300)
+
+
+def _mode_groups(path) -> dict:
+    """{mode: [row, ...]} of a long-form report table, without the mode
+    column, in the order the modes first appear."""
+    groups = {}
+    with open(path) as fh:
+        for row in csv.DictReader(fh):
+            groups.setdefault(int(row.pop("mode")), []).append(row)
+    return groups
+
+
 def test_report_csvs_parse_back_to_the_layers(tmp_path):
     """On a ring with a transformer, all three shunt kinds, parallel branches
     and rational apparatus (impedance route), every element and layer-3
@@ -754,41 +772,39 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
     assert len(modes) == json.loads((out / "summary.json").read_text())["n_modes"] >= 7
     keys = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
 
-    def close(have, want):
-        return np.all(np.abs(have - want) <= 1e-11 * np.abs(want) + 1e-300)
-
     labels = [assembly.element_label(net, ref) for ref in refs]
     table = assembly.StampTable(net)
     params = [mai_core.LAYER3_PARAMS[kind] for kind, _ in refs]
+    elements, layer3 = (_mode_groups(out / name) for name in ("mode_elements.csv",
+                                                               "mode_layer3.csv"))
+    assert list(elements) == list(layer3) == list(range(len(modes)))
     for k, mode in enumerate(modes):
         (layers,) = mai_core.mode_layers(net, [mode])
         want = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, layers.layer2.real,
                          layers.layer2.imag], axis=-1)
-        with open(out / f"mode{k}_elements.csv") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = elements[k]
         assert [row["element"] for row in rows] == labels
         assert all(float(row["epsilon"]) == 0.05 for row in rows)
-        assert close(np.array([_parse_floats(row, keys) for row in rows]), want)
-        with open(out / f"mode{k}_layer3.csv") as fh:
-            rows = list(csv.DictReader(fh))
+        assert _close(np.array([_parse_floats(row, keys) for row in rows]), want)
+        rows = layer3[k]
         assert [(row["element"], row["parameter"]) for row in rows] == [
             (label, p) for label, names in zip(labels, params) for p in sorted(names)]
         s_rho = np.array([layers.layer3[e, names.index(p)] for e, names in enumerate(params)
                           for p in sorted(names)])
         parsed = np.array([_parse_floats(row, ("s_rho_real", "s_rho_imag")) for row in rows])
-        assert close(parsed[:, 0], s_rho.real) and close(parsed[:, 1], s_rho.imag)
+        assert _close(parsed[:, 0], s_rho.real) and _close(parsed[:, 1], s_rho.imag)
         pairs = {}
         for i, j, v in zip(table.i.tolist(), table.j.tolist(), want):
             pair = tuple(sorted((i, j or i)))
             count, total = pairs.get(pair, (0, 0.0))
             pairs[pair] = (count + 1, total + v)
-        rows = _bus_pairs(out / f"mode{k}_bus_pairs.csv")
+        rows = _bus_pairs(out / "mode_bus_pairs.csv", k)
         assert list(rows) == sorted(pairs)
         assert pairs[(2, 3)][0] == 2
         for pair, row in rows.items():
             count, total = pairs[pair]
             assert int(row["elements"]) == count
-            assert close(_parse_floats(row, keys), total), (k, pair)
+            assert _close(_parse_floats(row, keys), total), (k, pair)
 
 
 def _fragile_apparatus(net, failing):
@@ -857,13 +873,12 @@ def test_console_script_entry():
 # ---------------------------------------------------------------------------
 
 
-def _bus_pairs(path) -> dict:
-    """{(bus_i, bus_j): row} of a bus-pair CSV."""
-    with open(path) as fh:
-        return {(int(r["bus_i"]), int(r["bus_j"])): r for r in csv.DictReader(fh)}
+def _bus_pairs(path, k: int) -> dict:
+    """{(bus_i, bus_j): row} of mode ``k``'s rows of a bus-pair table."""
+    return {(int(r["bus_i"]), int(r["bus_j"])): r for r in _mode_groups(path)[k]}
 
 
-def test_heatmap_single_apparatus_only_diagonal(tmp_path):
+def test_bus_pairs_single_apparatus_only_diagonal(tmp_path):
     doc = {
         "n_buses": 2, "omega0": 314.159265358979,
         "branches": [{"kind": "line", "from": 1, "to": 2, "R": 0.05, "L": 0.002}],
@@ -884,13 +899,13 @@ def test_heatmap_single_apparatus_only_diagonal(tmp_path):
     net_file.write_text(json.dumps(doc))
     assert main(["analyze", str(net_file), "--modes", "0", "--no-validate",
                  "--out", str(tmp_path)]) == EXIT_OK
-    rows = _bus_pairs(tmp_path / "mode0_bus_pairs.csv")
+    rows = _bus_pairs(tmp_path / "mode_bus_pairs.csv", 0)
     # apparatus and shunt on (1,1); (2,2) is shunt-only, still a node row
     assert list(rows) == [(1, 1), (1, 2), (2, 2)]
     assert [rows[pair]["elements"] for pair in rows] == ["2", "1", "1"]
 
 
-def test_heatmap_parallel_branches_summed(tmp_path):
+def test_bus_pairs_parallel_branches_summed(tmp_path):
     doc = {
         "n_buses": 2, "omega0": 314.159265358979,
         "branches": [
@@ -906,16 +921,63 @@ def test_heatmap_parallel_branches_summed(tmp_path):
     net_file.write_text(json.dumps(doc))
     assert main(["analyze", str(net_file), "--modes", "0", "--no-validate",
                  "--out", str(tmp_path)]) == EXIT_OK
-    pairs = _bus_pairs(tmp_path / "mode0_bus_pairs.csv")
+    pairs = _bus_pairs(tmp_path / "mode_bus_pairs.csv", 0)
     assert list(pairs) == [(1, 1), (1, 2), (2, 2)]
     assert pairs[(1, 2)]["elements"] == "2"
     # the element table keeps both branches separate, and the pair row is their sum
-    with open(tmp_path / "mode0_elements.csv") as fh:
-        lines = [r for r in csv.DictReader(fh) if r["element"].startswith("line:")]
+    lines = [r for r in _mode_groups(tmp_path / "mode_elements.csv")[0]
+             if r["element"].startswith("line:")]
     assert len(lines) == 2
     for key in ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag"):
         parts = [float(r[key]) for r in lines]
         assert abs(float(pairs[(1, 2)][key]) - sum(parts)) <= 1e-11 * sum(map(abs, parts))
+
+
+def test_mode_tables_are_grouped_in_selection_order(tmp_path):
+    """With --modes 2,0 each table holds mode 2's rows, then mode 0's, its
+    mode column naming them; a group has a row per element, layer-3
+    parameter or bus pair, and parses back to that mode's one-mode
+    mode_layers at the 12 printed digits. The tree holds the same five
+    files for two modes as for all of them."""
+    net = network_model.parse_network(NETWORK.read_text())
+    refs = network_elements(net)
+    records = mai_core.solve_modes(net)
+    out = tmp_path / "rep"
+    assert main(["analyze", str(NETWORK), "--modes", "2,0", "--no-validate",
+                 "--out", str(out)]) == EXIT_OK
+    n_params = sum(len(mai_core.LAYER3_PARAMS[kind]) for kind, _ in refs)
+    table = assembly.StampTable(net)
+    on_pair = [tuple(sorted((i, j or i))) for i, j in zip(table.i.tolist(), table.j.tolist())]
+    for name, n_rows in (("mode_elements.csv", len(refs)), ("mode_layer3.csv", n_params),
+                         ("mode_bus_pairs.csv", len(set(on_pair)))):
+        with open(out / name) as fh:
+            column = [int(row["mode"]) for row in csv.DictReader(fh)]
+        assert column == [2] * n_rows + [0] * n_rows, name
+    keys = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
+
+    elements, layer3 = (_mode_groups(out / name) for name in ("mode_elements.csv",
+                                                               "mode_layer3.csv"))
+    for k in (2, 0):
+        (layers,) = mai_core.mode_layers(net, [records[k]])
+        want = np.stack([layers.layer1_cauchy, layers.layer1_enhanced, layers.layer2.real,
+                         layers.layer2.imag], axis=-1)
+        assert _close(np.array([_parse_floats(row, keys) for row in elements[k]]), want)
+        s_rho = np.concatenate([layers.layer3[e, :len(mai_core.LAYER3_PARAMS[kind])]
+                                for e, (kind, _) in enumerate(refs)])
+        parsed = np.array([_parse_floats(row, ("s_rho_real", "s_rho_imag")) for row in layer3[k]])
+        assert _close(parsed[:, 0], s_rho.real) and _close(parsed[:, 1], s_rho.imag)
+        pairs = {}
+        for pair, v in zip(on_pair, want):
+            pairs[pair] = pairs.get(pair, 0.0) + v
+        rows = _bus_pairs(out / "mode_bus_pairs.csv", k)
+        assert list(rows) == sorted(pairs)
+        assert all(_close(_parse_floats(row, keys), pairs[pair]) for pair, row in rows.items())
+    tree = ["mode_bus_pairs.csv", "mode_elements.csv", "mode_layer3.csv", "modes.csv",
+            "summary.json"]
+    assert sorted(f.name for f in out.iterdir()) == tree
+    assert main(["analyze", str(NETWORK), "--no-validate",
+                 "--out", str(tmp_path / "all")]) == EXIT_OK
+    assert sorted(f.name for f in (tmp_path / "all").iterdir()) == tree
 
 
 BAD_BANDS = ["5:inf", "nan:5000", "5:nan", "5000:5", "0:10", "-5:10"]

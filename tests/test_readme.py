@@ -29,12 +29,12 @@ def test_library_sketch_runs(monkeypatch, capsys):
 
 
 def test_listed_mode_files_match_a_run(tmp_path):
-    """The per-mode files listed under "`analyze` writes" are those a run
-    of three_bus writes for mode 0, in its order."""
+    """The mode tables listed under "`analyze` writes" are those a run of
+    three_bus writes, in its order."""
     text = (REPO / "README.md").read_text(encoding="utf-8")
     section = text.split("\n`analyze` writes:\n\n", 1)[1].split("\n\n", 1)[0]
-    listed = re.findall(r"^- `mode<k>_(\w+\.csv)`", section, re.M)
+    listed = re.findall(r"^- `(mode_\w+\.csv)`", section, re.M)
     assert main(["analyze", str(REPO / "networks" / "three_bus.json"), "--no-validate",
                  "--out", str(tmp_path)]) == EXIT_OK
     files = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))["files"]
-    assert listed == [name[len("mode0_"):] for name in files if name.startswith("mode0_")]
+    assert listed == [name for name in files if name.startswith("mode_")]
