@@ -686,7 +686,7 @@ class _OracleSweep:
     def A(self) -> np.ndarray:
         """The step's A: the first A with the swept rows written in, formed
         at most once per step, for a step that takes a dense solve or an
-        LU; a certified step holds no n x n copy of A beside Xr."""
+        inverse; a certified step holds no n x n copy of A beside Xr."""
         if self._A is None:
             self._A = self.system.model.A.copy()
             if self.update is not None:
@@ -716,9 +716,10 @@ class _OracleSweep:
         C x and y_h B; None when ||C x|| ||y_h B|| is at most 1e-12 ||C||
         ||B|| ||x|| ||y_h||. Its eigenvectors are the first A's at the
         first step, the secular equation's at a certified step (O(n^2)),
-        and from one LU near it, with its conditioning check, at a dense
-        step, where the secular ones are not finite, or for a root whose
-        pole has Im < 0 (no column of the step's secular equations)."""
+        and from one inverse of A - sigma I near it, with its conditioning
+        check, at a dense step, where the secular ones are not finite, or
+        for a root whose pole has Im < 0 (no column of the step's secular
+        equations)."""
         m, lam = self.index[k], self.lams[k]
         if self.dense:
             pair = None
@@ -735,7 +736,7 @@ class _OracleSweep:
 
     def check(self, k: int) -> None:
         """The conditioning check of mode k without its residue: a dense
-        step's needs one LU."""
+        step's needs one inverse."""
         if self.dense:
             mass_oracle.eigenvector_pair(self.A, self.lams[k])
 
@@ -771,10 +772,10 @@ def parameter_sweep(
     root the conjugate of the one solved), or from a dense solve where they
     are not certified (see :class:`_OracleSweep`), and the tracked mode's
     residue, where a next step reads it, from the secular equation's
-    eigenvectors in O(n^2), or from one LU at a dense step. The
-    conditioning check (DefectiveMatrixError beyond 1e12) covers the
-    tracked eigenvalue at every step: the certificate's bound, or the LU's
-    check at a dense step, the last included. Otherwise every step
+    eigenvectors in O(n^2), or from one inverse of A - sigma I at a dense
+    step. The conditioning check (DefectiveMatrixError beyond 1e12) covers
+    the tracked eigenvalue at every step: the certificate's bound, or the
+    inverse's check at a dense step, the last included. Otherwise every step
     re-solves all modes through :func:`solve_modes`.
     """
     if param not in ("L", "R"):

@@ -560,7 +560,7 @@ def nearest_eigenvalue(A: np.ndarray, sigma: complex) -> complex:
     All eigenvalues come from ``numpy.linalg.eigvals`` (LAPACK ``geev``, as
     in :func:`eigendecompose`), cast to complex128. Exactly repeated values
     count as one eigenvalue, so that a Jordan block reaches the conditioning
-    check of :func:`eigenvector_pair`.
+    check of :func:`eigenvector_pair` (one inverse of A shifted near it).
 
     Raises
     ------
@@ -598,32 +598,27 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
     (sI - A)^{-1} at ``lam``.
 
     Two steps of inverse iteration each, from a fixed start vector, on one
-    complex LU of A - sigma I, with sigma a few rounding units of ||A|| off
-    ``lam``: at ``lam`` itself the LU can have an exactly zero pivot. The
-    eigenvalue's condition number ||x|| ||y|| / |y^H x| must not exceed the
-    1e12 limit of ``eigendecompose``; a defective eigenvalue has y^H x = 0.
+    inverse of M = A - sigma I (x <- M^{-1} x, y <- M^{-H} y; Ipsen, SIAM
+    Review 1997), with sigma a few rounding units of ||A|| off ``lam``: at
+    ``lam`` itself M can be exactly singular. The eigenvalue's condition
+    number ||x|| ||y|| / |y^H x| must not exceed the 1e12 limit of
+    ``eigendecompose``; a defective eigenvalue has y^H x = 0.
 
     Raises
     ------
     DefectiveMatrixError
         If the eigenvalue's condition number exceeds 1e12.
     """
-    # imported here, not at module level: numpy has no LU to reuse for the
-    # conjugate-transposed solves, and no impedance-route run, oracle
-    # analyze or sweep whose steps are all certified comes here
-    from scipy.linalg.lapack import get_lapack_funcs
-
     n = A.shape[0]
     sigma = lam + 16 * np.finfo(float).eps * (np.linalg.norm(A) or 1.0)
-    M = A - sigma * np.eye(n)
+    try:
+        inverse = np.linalg.inv(A - sigma * np.eye(n))
+    except np.linalg.LinAlgError:  # M is exactly singular at the shift too
+        _check_condition(lam, np.inf)
     x = y = np.random.default_rng(0).standard_normal(n).astype(complex)
-    # LAPACK's LU (real at a real sigma) and its complex solves, as scipy's
-    # lu_factor and lu_solve call them, without their per-call checks
-    (getrf,), (getrs,) = get_lapack_funcs(("getrf",), (M,)), get_lapack_funcs(("getrs",), (M, x))
-    lu, piv, _ = getrf(M, overwrite_a=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(2):
-            x, y = getrs(lu, piv, x)[0], getrs(lu, piv, y, trans=2)[0]
+            x, y = inverse @ x, inverse.conj().T @ y
             x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         overlap = np.vdot(y, x)
         _check_condition(lam, 1.0 / abs(overlap))

@@ -267,15 +267,15 @@ def fit_residues(samples: SampledResponse, poles: np.ndarray):
     scale = np.linalg.norm(A_r, axis=0)
     scale[scale == 0] = 1.0
     A_s = A_r / scale
-    cond = np.linalg.cond(A_s)
-    if not np.isfinite(cond) or cond > _FIT_COND_LIMIT:
+    F = samples.blocks.reshape(M, dim * dim)
+    B_r = np.vstack([F.real, F.imag])
+    X, _, _, sv = np.linalg.lstsq(A_s, B_r, rcond=None)
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+    if not cond <= _FIT_COND_LIMIT:
         raise ConditioningError(
             f"residue least-squares matrix condition number {cond:.3e} "
             f"exceeds {_FIT_COND_LIMIT:.1e}"
         )
-    F = samples.blocks.reshape(M, dim * dim)
-    B_r = np.vstack([F.real, F.imag])
-    X, *_ = np.linalg.lstsq(A_s, B_r, rcond=None)
     X = X / scale[:, None]
 
     residues = np.zeros((N, dim * dim), dtype=complex)

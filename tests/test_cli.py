@@ -145,7 +145,7 @@ def test_oracle_cli_runs_never_load_scipy(tmp_path):
     """In a fresh interpreter, importing the package, a validated analyze of
     the oracle-capable three_bus and a sweep of it whose every step is
     certified from the secular roots (its residues from the secular
-    vectors, not an LU) load no scipy module; an impedance-route analyze
+    vectors, not a dense inverse) load no scipy module; an impedance-route analyze
     then runs in the same interpreter."""
     script = (
         "import sys\n"
@@ -199,6 +199,54 @@ def test_impedance_cli_runs_never_load_scipy(tmp_path):
     for tree in ("m", "r"):
         assert json.loads((tmp_path / tree / "validation.json").read_text())["modes"]
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 5
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """In a fresh interpreter where every scipy import raises
+    ModuleNotFoundError, each command runs to exit 0: a validated analyze
+    of three_bus, an impedance-route analyze of the measured network, a
+    fit of its shipped samples, a sweep whose every step is dense (the
+    symmetric star from its simple mode, each step's residue and the last
+    conditioning check from eigenvector_pair), and a validated analyze with
+    every secular root sent to the dense fallback (nearest_eigenvalue)."""
+    from test_mai_core import _symmetric_star
+
+    star = tmp_path / "star.json"
+    star.write_text(network_model.serialize_network(_symmetric_star()))
+    measured = REPO / "networks" / "measured_two_bus"
+    script = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'no module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from impedmodal import mass_oracle\n"
+        "from impedmodal.cli_reporting import main\n"
+        f"assert main(['analyze', {str(NETWORK)!r}, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+        f"assert main(['analyze', {str(measured) + '.json'!r}, '--band', '5:5000',"
+        f" '--out', {str(tmp_path / 'm')!r}]) == 0\n"
+        f"assert main(['fit', {str(measured) + '_samples.csv'!r}, '--order', '16',"
+        f" '--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        f"assert main(['sweep', {str(star)!r}, '--branch', '1:2', '--param', 'L',"
+        f" '--factor', '1.1', '--steps', '5', '--mode-seed=-98.64:725.04',"
+        f" '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "mass_oracle._BACKWARD_LIMIT = -1.0\n"
+        f"assert main(['analyze', {str(NETWORK)!r}, '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ModuleNotFoundError:\n"
+        "    print('scipy blocked')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith("scipy blocked\n")
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 7
+    for tree in ("a", "m", "b"):
+        assert json.loads((tmp_path / tree / "validation.json").read_text())["modes"]
 
 
 def test_forced_fallback_matches_the_secular_roots(tmp_path):

@@ -110,6 +110,13 @@ def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
         solve_modes(two_bus_net, system=system)
 
 
+def test_solve_modes_refuses_a_missing_band_and_an_unknown_method(three_bus_net):
+    with pytest.raises(AnalysisError, match="needs an explicit band"):
+        solve_modes(three_bus_net, method="impedance")
+    with pytest.raises(AnalysisError, match="unknown mode-solving method 'qz'"):
+        solve_modes(three_bus_net, method="qz")
+
+
 def _dense_bus_blocks(res):
     """The dense residue cut into (n + 1, n + 1, 2, 2) bus blocks, with a
     zero ground row and column at index 0."""
@@ -1607,7 +1614,7 @@ def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
     """An oracle sweep assembles and eigendecomposes the network once, and
     reads the real columns Xr of that eigenbasis twice: once for its error
     bounds and once for every step's secular equations. No step takes a
-    dense eigvals or an LU for its residue: on the 10-bus ring
+    dense eigvals or an inverse for its residue: on the 10-bus ring
     of seed 9 and on the benchmark's 30-bus rings of seeds 0-2 every step's
     spectrum is certified from the secular roots, and every residue comes
     from the secular vectors."""
@@ -1789,7 +1796,7 @@ def test_secular_sweep_matches_the_dense_sweep(ring, branch_index, param, factor
 
 def _residues_beside_the_lu(net, *args, **kwargs):
     """The sweep's outcome and, for each residue it forms at a step whose
-    spectrum is not dense, that residue beside the one from the LU of
+    spectrum is not dense, that residue beside the one from the inverse of
     ``eigenvector_pair`` (the dense step's), dense (None for rounding)."""
     record, pairs = mai_core._OracleSweep.record, []
 
@@ -1816,7 +1823,7 @@ def test_secular_residues_match_the_lu(ring, branch_index, param, factor, n_step
     """On the cases of the differential test and the benchmark's 30-bus
     rings of seeds 0-2, each step's residue from the first eigenbasis (step
     0) or the secular vectors (certified steps) is within 1e-11 relative
-    of the LU's, and rounding at exactly the same steps: three_bus's
+    of the inverse's, and rounding at exactly the same steps: three_bus's
     default mode at step 1 of line 1-2's L x 1.25 and R x 0.8. A sweep
     that completes forms a residue for each of its steps and none after
     the last."""
@@ -1846,7 +1853,7 @@ def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
     vectors divide by zero, and a pole of Im < 0 is no column of the
     step's grid: ``swept_eigenvector_pair`` gives None for both. With
     every certified step's residue asked at such a pole, or of the tracked
-    root's conjugate at its pole, the sweep takes each from the LU instead
+    root's conjugate at its pole, the sweep takes each from the inverse instead
     (steps 1-6; step 0 reads the eigenbasis, and step 7's residue is read
     by no step), and predicts every step as the normal sweep does, no
     nan."""
@@ -1901,7 +1908,7 @@ def test_a_repeated_eigenvalue_takes_the_dense_spectrum(mode_seed):
     (two poles coincide), so every step takes a dense eigvals, and the
     sweep ends as the dense sweep does: from the default mode, a double
     one, in a TrackingError at its zero spacing; from a simple one in 5
-    steps, whose dense steps take the LU: for the residue of steps 1-4 and
+    steps, whose dense steps take the inverse: for the residue of steps 1-4 and
     the conditioning check of step 5 (step 0 reads the eigenbasis)."""
     net = _symmetric_star()
     lam = mass_oracle.Interconnection(net).eig.eigenvalues
@@ -1918,7 +1925,7 @@ def test_a_repeated_eigenvalue_takes_the_dense_spectrum(mode_seed):
 def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
     """An apparatus whose A is a Jordan block, with B = C = 0, leaves it in
     the network's A: eigendecompose raises DefectiveMatrixError, every step
-    takes a dense eigvals and an LU (for the residue of steps 0-6 and the
+    takes a dense eigvals and an inverse (for the residue of steps 0-6 and the
     conditioning check of step 7), and the sweep completes on the rebuilt
     networks' eigenvalues."""
     jordan = network_model.StateSpaceRealization(A=[[-5.0, 1.0], [0.0, -5.0]], B=np.zeros((2, 2)),

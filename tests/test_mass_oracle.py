@@ -4,7 +4,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from impedmodal.admittance_assembly import WholeSystemModel, state_space_response
 from impedmodal.mass_oracle import (
@@ -290,6 +289,15 @@ def test_separation_among_neighbours_is_that_of_every_pair(seed):
     assert 0.2 < np.mean(outcomes) < 0.8
 
 
+def _block_diag(*blocks):
+    """The block-diagonal matrix of square ``blocks``."""
+    sizes = np.cumsum([0] + [len(b) for b in blocks])
+    out = np.zeros((sizes[-1], sizes[-1]))
+    for b, at in zip(blocks, sizes):
+        out[at:at + len(b), at:at + len(b)] = b
+    return out
+
+
 def test_eigenbasis_of_hand_matrices():
     """An all-real spectrum, a repeated real eigenvalue, a repeated complex
     pair, near-defective pairs on either side of the 1e12 limit, real
@@ -304,7 +312,7 @@ def test_eigenbasis_of_hand_matrices():
     cases = {
         "real spectrum": S @ np.diag([-1.0, -2.0, 3.0, 0.5]) @ np.linalg.inv(S),
         "repeated real": S @ np.diag([-1.0, -1.0, 2.0, 2.0]) @ np.linalg.inv(S),
-        "repeated pair": S @ scipy.linalg.block_diag(R, R) @ np.linalg.inv(S),
+        "repeated pair": S @ _block_diag(R, R) @ np.linalg.inv(S),
         "jordan": np.array([[0.0, 1.0], [0.0, 0.0]]),
         "complex jordan": jordan,
         "split complex jordan": S @ jordan @ np.linalg.inv(S),
@@ -320,7 +328,7 @@ def test_eigenbasis_of_hand_matrices():
 def _real_modal_matrix(pairs, rng):
     """Real matrix with eigenvalues a +- jw for each (a, w), mixed by a
     random similarity so that no entry pattern gives the pairs away."""
-    A = scipy.linalg.block_diag(*[np.array([[a, w], [-w, a]]) for a, w in pairs])
+    A = _block_diag(*[np.array([[a, w], [-w, a]]) for a, w in pairs])
     S = rng.normal(size=A.shape)
     return S @ A @ np.linalg.inv(S)
 
@@ -343,7 +351,7 @@ def test_nearest_eigenvalue_jordan_block_defective():
     # in floating point an m-fold Jordan eigenvalue reads a condition number
     # of about eps^(1/m - 1), so a 4-block is the smallest beyond 1e12
     J = np.eye(4) + np.diag(np.ones(3), 1)
-    A = scipy.linalg.block_diag(J, np.diag([5.0, -3.0, 7.0]))
+    A = _block_diag(J, np.diag([5.0, -3.0, 7.0]))
     with pytest.raises(DefectiveMatrixError):
         nearest_eigenvalue(A, 1.05 + 0.02j)
     assert nearest_eigenvalue(A, 6.5 + 0.5j) == pytest.approx(7.0, rel=1e-12)
@@ -356,7 +364,7 @@ def test_nearest_eigenvalue_shift_on_an_eigenvalue():
 def test_eigenvector_pair_gives_the_resolvent_residue():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(8, 8))
-    for lam in scipy.linalg.eigvals(A):
+    for lam in np.linalg.eigvals(A):
         x, y_h = eigenvector_pair(A, lam)
         assert y_h @ x == pytest.approx(1.0, abs=1e-14)
         R = resolvent_residue(A, lam)
@@ -367,12 +375,18 @@ def test_eigenvector_pair_at_an_exactly_singular_shift():
     # A - lam I has an exactly zero pivot at lam = 2; the shift sits off it
     x, y_h = eigenvector_pair(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
     assert np.allclose(np.outer(x, y_h), np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-14)
+    # a lam whose shift lands exactly on the eigenvalue 1: A - sigma I has
+    # no inverse, and the pair is refused as unconditioned
+    A = np.diag([1.0, 2.0])
+    lam = 1.0 - 16 * np.finfo(float).eps * np.linalg.norm(A)
+    with pytest.raises(DefectiveMatrixError):
+        eigenvector_pair(A, lam)
 
 
 def test_eigenvector_pair_jordan_block_defective():
     J = np.eye(4) + np.diag(np.ones(3), 1)
-    A = scipy.linalg.block_diag(J, np.diag([5.0, -3.0, 7.0]))
-    eigenvalues = scipy.linalg.eigvals(A)
+    A = _block_diag(J, np.diag([5.0, -3.0, 7.0]))
+    eigenvalues = np.linalg.eigvals(A)
     with pytest.raises(DefectiveMatrixError):
         eigenvector_pair(A, eigenvalues[np.argmin(np.abs(eigenvalues - (1.05 + 0.02j)))])
     with pytest.raises(DefectiveMatrixError):

@@ -13,10 +13,13 @@ from impedmodal.network_model import (
     write_response_csv,
 )
 from impedmodal.rational_fit import (
+    ConditioningError,
     FitError,
     RationalModel,
     RefinementError,
+    ResidueError,
     admittance_residue,
+    admittance_residues,
     critical_resonance_mode,
     find_modes,
     frequency_grid,
@@ -341,6 +344,16 @@ def test_fit_needs_enough_samples():
         )
 
 
+def test_residue_fit_refuses_a_repeated_pole():
+    """A pole given twice makes two equal columns of the design matrix: the
+    residue fit raises ConditioningError, as it does for no distinct pair."""
+    omegas = np.geomspace(5.0, 5000.0, 60)
+    samples = _synthetic_response(omegas, dim=2, n_pairs=1, seed=2)
+    fit_residues(samples, np.array([-40.0, -900.0]))
+    with pytest.raises(ConditioningError, match="condition number"):
+        fit_residues(samples, np.array([-40.0, -40.0]))
+
+
 def test_fit_conjugate_symmetry():
     """Real-coefficient data yields conjugate pole/residue pairs, and the
     enforced pairing leaves the reconstruction unchanged."""
@@ -406,6 +419,27 @@ def test_refine_mode_divergence():
     flat = lambda s: np.diag([2.0 + 0.0j, 3.0 + 0.0j])
     with pytest.raises(RefinementError):
         refine_mode(flat, seed=0.0 + 0.0j)
+
+
+def test_refine_mode_without_convergence():
+    """Newton on the 1 x 1 Y(s) = s^2 + 1 stays real from a real seed, so it
+    never reaches the roots +-j: its step (x^2 + 1) / 2x is at least 1 in
+    magnitude. From 1/sqrt(3) the iterates stay real and bounded, neither
+    converging nor diverging, until the iteration cap."""
+    iterates = []
+
+    def Yfun(s, rows):
+        iterates.append(s[0])
+        return (s * s + 1.0)[:, None, None]
+
+    seed = 1.0 / np.sqrt(3.0)
+    (outcome,) = refine_modes(Yfun, [seed])
+    assert len(iterates) == rational_fit._NEWTON_MAX_ITERATIONS
+    assert np.all(np.imag(iterates) == 0)
+    assert 1e-3 < np.min(np.abs(iterates)) <= np.max(np.abs(iterates)) < 1e3
+    assert isinstance(outcome, RefinementError)
+    with pytest.raises(RefinementError, match="no convergence from seed"):
+        refine_mode(lambda s: np.array([[s * s + 1.0]]), seed)
 
 
 def test_refine_modes_gives_each_seed_its_bits_alone_in_bounded_batches(two_bus_net,
@@ -565,6 +599,14 @@ def test_admittance_residue_at_an_exactly_singular_point():
     want = np.array([[1.0, -1.0 / (a - b)], [0.0, 0.0]])  # of Z = Y^-1 at a
     got = admittance_residue(_singular_at(a, b), a)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_admittance_residues_refuse_a_constant_singular_admittance():
+    """A constant Y that is singular everywhere has Y' = 0, so v^T Y' u = 0
+    at its null vectors: ResidueError, not an infinite residue."""
+    Y = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ResidueError, match="degenerate null vectors"):
+        admittance_residues(lambda s: np.tile(Y, (len(s), 1, 1)), [-5.0 + 300.0j])
 
 
 def test_find_modes_deduplicates(rc_bus_net):
