@@ -7,7 +7,7 @@ network_model
     Network description data model, parser/serializer and validation.
 admittance_assembly
     dq 2x2 element admittances, evaluated in one stacked pass, and
-    whole-system Y(s)/Z(s) stamped from one table per network.
+    whole-system Y(s)/Z(s) of one ``WholeSystemModel`` per network.
 mass_oracle
     State-space interconnection, eigenstructure and the secular re-solves
     of scaled elements: the ground truth the impedance path is checked

@@ -7,12 +7,12 @@ and columns 2(j-1)..2j-1 (0-based slices, 1-based bus numbering).
 The whole-system admittance is Y(s) = Y_G(s) + Y_N(s), where Y_G is the
 block-diagonal apparatus admittance and Y_N the passive nodal admittance;
 the whole-system impedance is Z(s) = Y(s)^{-1}. A network's
-:class:`StampTable` is the one source of an element's own admittance y(s)
-and of its bus pair and transformer ratio: it evaluates every element once
-per call, in one stacked pass per element kind (per group of apparatus),
-names the first element that cannot be evaluated, and adds the elements'
-bus blocks into Y from one table; an overlay that scales one element per
-point scales it in that stack before the one stamp.
+:class:`WholeSystemModel` is the one source of Y, Z, an element's own
+admittance y(s) and its bus pair and transformer ratio: it evaluates every
+element once per call, in one stacked pass per element kind (per group of
+apparatus), names the first element that cannot be evaluated, and adds the
+elements' bus blocks into Y from one table; an overlay that scales one
+element per point scales it in that stack before the one stamp.
 
 Every evaluator takes a scalar s or a 1-D array of M values of s (a
 frequency grid); an array gives the matrices stacked as (M, ..., ...), each
@@ -47,7 +47,6 @@ __all__ = [
     "transformer_stamp",
     "shunt_admittances",
     "state_space_response",
-    "StampTable",
     "WholeSystemModel",
     "PerturbedModel",
     "ElementRef",
@@ -325,10 +324,11 @@ def element_label(net: NetworkDescription, ref: ElementRef) -> str:
     raise AssemblyError(f"unknown element kind '{kind}'")
 
 
-class StampTable:
-    """Every element of one network, in :func:`network_elements` order:
-    their admittances from one stacked evaluation, and the table of the bus
-    blocks they add to Y(s). Built once per network.
+class WholeSystemModel:
+    """Y(s) = Y_G(s) + Y_N(s) and Z(s) = Y(s)^{-1} of one network, from the
+    table of its elements in :func:`network_elements` order: their
+    admittances from one stacked evaluation, and the bus blocks they add to
+    Y(s). Built once per network.
 
     ``i``/``j`` hold each element's bus pair (j = 0, ground, for a shunt or
     an apparatus) and ``ratio`` its transformer ratio (1 for lines and node
@@ -339,6 +339,12 @@ class StampTable:
     each apparatus: the order in which Y adds them up. ``groups`` holds the
     apparatus as one group of every ``RationalMatrix``, one per state count
     of the state-space models and one per model of another kind.
+
+    Every evaluation is a pure function of s (a scalar, or a 1-D array for
+    the stacked (M, ...) values over a grid); safe for concurrent use. A
+    sampled (measured) apparatus is evaluable on the imaginary axis only;
+    replace it by its fitted ``RationalModel`` surrogate to evaluate at
+    complex s.
     """
 
     def __init__(self, net: NetworkDescription):
@@ -364,7 +370,7 @@ class StampTable:
     @functools.cached_property
     def groups(self) -> list:
         """(positions in the element stack, group) per group of apparatus,
-        built at the first evaluation: a table read for its bus pairs and
+        built at the first evaluation: a model read for its bus pairs and
         ratios alone stacks no apparatus model."""
         net, groups = self.net, {}
         for a, app in enumerate(net.apparatus):
@@ -499,27 +505,12 @@ class StampTable:
         Y[..., cells] = total
         return Y.reshape(lead + (dim, dim))
 
-
-class WholeSystemModel:
-    """Evaluator for Y(s) = Y_G(s) + Y_N(s) and Z(s) over one network, stamped
-    from its :class:`StampTable`.
-
-    Pure functions of s (a scalar, or a 1-D array for the stacked (M, 2n, 2n)
-    matrices over a grid); safe for concurrent evaluation. A sampled
-    (measured) apparatus is evaluable on the imaginary axis only; replace it
-    by its fitted ``RationalModel`` surrogate to evaluate at complex s.
-    """
-
-    def __init__(self, net: NetworkDescription):
-        self.net = net
-        self.table = StampTable(net)
-
     @property
     def dim(self) -> int:
         return 2 * self.net.n_buses
 
     def admittance(self, s) -> np.ndarray:
-        return self.table.stamp(self.table.evaluate(s))
+        return self.stamp(self.evaluate(s))
 
     def impedance(self, s) -> np.ndarray:
         Y = self.admittance(s)
@@ -557,9 +548,19 @@ def overlay_admittance(model: WholeSystemModel, refs, factor: float, s, rows) ->
     point m's element scaled by ``factor`` in that stack, and one stamp of
     the table. Point m equals ``PerturbedModel(model.net, refs[rows[m]],
     factor).admittance(s[m])`` bit for bit."""
-    table = model.table
-    positions = np.array([table.index[tuple(ref)] for ref in refs], dtype=int)
-    y = table.evaluate(s)
+    positions = np.array([model.index[tuple(ref)] for ref in refs], dtype=int)
+    y = model.evaluate(s)
     at = positions[np.asarray(rows)]  # point m's element, shaped like s
     y[(*np.indices(at.shape), at)] *= factor
-    return table.stamp(y)
+    return model.stamp(y)
+
+
+def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(A, B) over a stack; where A is exactly singular the
+    solution is infinite, and that matrix holds up no other."""
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full(B.shape, np.inf, dtype=complex)
+        return np.concatenate([_solve_each(A[m:m + 1], B[m:m + 1]) for m in range(len(A))])

@@ -133,12 +133,12 @@ class _ModeWriter:
               "mode_bus_pairs.csv": f"mode,bus_i,bus_j,elements,{_LAYERS}\n"}
 
     def __init__(self, net, epsilon: float):
-        table = assembly.StampTable(net)
-        refs, i, j = table.refs, table.i.tolist(), table.j.tolist()
+        model = assembly.WholeSystemModel(net)
+        refs, i, j = model.refs, model.i.tolist(), model.j.tolist()
         self.labels = [assembly.element_label(net, ref) for ref in refs]
         # a branch of ratio other than 1 is a transformer; a shunt or an apparatus sits on a node
-        kinds = ["node" if e >= table.n_branches else "branch" if k == 1.0 else "transformer"
-                 for e, k in enumerate(table.ratio.tolist())]
+        kinds = ["node" if e >= model.n_branches else "branch" if k == 1.0 else "transformer"
+                 for e, k in enumerate(model.ratio.tolist())]
         tail = _literal(f",{epsilon:.12g}\n")
         numbers = ",".join([_NUMBER] * 4)
         elements = "".join(
@@ -431,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="modes, participation layers and validation")
     p.add_argument("network")
     p.add_argument("--band", default=None, help="mode-search band MIN:MAX in rad/s")
-    p.add_argument("--order", type=int, default=16, help="sampled-apparatus surrogate order")
+    p.add_argument("--order", type=int, default=AnalysisConfig.order,
+                   help="sampled-apparatus surrogate order")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--modes", default="all")
     p.add_argument("--out", default=None)

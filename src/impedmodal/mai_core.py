@@ -4,9 +4,9 @@ From the rank-one factors of the whole-system impedance residue at a mode,
 this module derives every element's admittance sensitivity dlambda/dy
 (with the transformer ratio correction) from the element's bus blocks of
 those factors, gathered for all elements of a
-:class:`admittance_assembly.StampTable` at once (bus pairs and ratios
-from that table, y(lambda) from its one evaluation). From those two blocks
-per element come the three participation layers, per-parameter
+:class:`admittance_assembly.WholeSystemModel` at once (bus pairs and
+ratios from its element table, y(lambda) from its one evaluation). From
+those two blocks per element come the three participation layers, per-parameter
 sensitivities from the derivative of each element's own admittance,
 first-order mode-shift predictions, and sweep/validation bookkeeping
 against re-solved modes. The paper's branch splitting (closed-form
@@ -221,8 +221,9 @@ def branch_parameter_sensitivity(
     same value, bit for bit, as the branch's layer 3 in :func:`mode_layers`.
 
     The paper reaches it by splitting the branch at a virtual node
-    (:func:`split_branch`, :func:`split_node_residues`,
-    :func:`split_parameter_derivatives`); that route is equal to first
+    (``split_branch``, ``split_node_residues`` and
+    ``split_parameter_derivatives`` in the test suite's
+    ``tests/paper_reference.py``); that route is equal to first
     order, but it subtracts nearly equal residue blocks when R is small
     against the inductive part, and it does not exist for R = 0.
     Transformers need no special case: the parameter sits in y, behind the
@@ -282,22 +283,22 @@ class ModeLayers:
     layer3: np.ndarray  # (N, 2) complex, one column per name in LAYER3_PARAMS[kind]
 
 
-def _mode_stack(table: assembly.StampTable, modes: Sequence[ModeRecord]):
+def _mode_stack(model: WholeSystemModel, modes: Sequence[ModeRecord]):
     """Every element's sensitivity factor s and admittance y(lambda) at
-    every mode, stacked (M, N, 2, 2) in ``table`` order: what the layers
-    and the predicted shifts are formed from. s is
-    :func:`_sensitivity_factors` on the table's bus pairs and ratios, y one
-    :meth:`admittance_assembly.StampTable.evaluate` over all the modes.
-    Where some element cannot be evaluated, raises what that evaluation
-    raises at the first such mode alone."""
+    every mode, stacked (M, N, 2, 2) in ``model``'s element order: what the
+    layers and the predicted shifts are formed from. s is
+    :func:`_sensitivity_factors` on the elements' bus pairs and ratios, y
+    one :meth:`admittance_assembly.WholeSystemModel.evaluate` over all the
+    modes. Where some element cannot be evaluated, raises what that
+    evaluation raises at the first such mode alone."""
     lam = np.array([mode.lam for mode in modes], dtype=complex)
     try:
-        y = table.evaluate(lam)
+        y = model.evaluate(lam)
     except Exception:  # whatever failed, re-raised as the first failing mode alone raises
         for x in lam:
-            table.evaluate(x)
+            model.evaluate(x)
         raise
-    return _sensitivity_factors(table.i, table.j, table.ratio, modes), y
+    return _sensitivity_factors(model.i, model.j, model.ratio, modes), y
 
 
 # bytes of one (M, N, 2, 2) complex stack of a chunk of modes: a few such
@@ -325,16 +326,16 @@ def mode_layers(net: NetworkDescription, modes: Sequence[ModeRecord]) -> Iterato
     modeled here). Where an element cannot be evaluated, raises the error
     of the first such mode, as that mode alone would.
     """
-    w0, table = net.omega0, assembly.StampTable(net)
-    br = slice(0, table.n_branches)
-    for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs)):
-        s, y = _mode_stack(table, chunk)
+    w0, model = net.omega0, WholeSystemModel(net)
+    br = slice(0, model.n_branches)
+    for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(model.refs)):
+        s, y = _mode_stack(model, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
         l1 = layer1_cauchy(s, y)
         l3 = np.zeros(l2.shape + (2,), dtype=complex)
         l3[:, br, 0], l3[:, br, 1] = _direct_layer3(s[:, br], y[:, br], lam, w0)
-        for kind, (at, value) in table.shunts.items():
+        for kind, (at, value) in model.shunts.items():
             dy = _shunt_value_derivative(kind, value, y[:, at], lam, w0)
             l3[:, at, 0] = layer3(s[:, at], dy)
         l1e = enhanced_layer1(l2.real, l2.imag)
@@ -401,7 +402,7 @@ def _solve_modes_impedance(model, band):
                                           for lam in modes):
             raise AnalysisError(f"realized pole {p} in the band refined to no mode")
     lams = [complex(lam) for lam in modes[_in_band(modes, band)]]
-    residues = rational_fit.admittance_residues(model.admittance, lams, model.dim)
+    residues = rational_fit.admittance_residues(model, lams)
     return [ModeRecord(lam=lam, left=u, right=v, provenance="newton-refined", denom=denom)
             for lam, (u, v, denom) in zip(lams, residues)]
 
@@ -548,8 +549,7 @@ def validate_mode_predictions(
     modes; by default the lambdas of ``modes``) and their conjugates.
     """
     model = WholeSystemModel(net)
-    table = model.table
-    at = [table.index[tuple(ref)] for ref in refs]
+    at = [model.index[tuple(ref)] for ref in refs]
     oracle = None
     if mass_oracle.oracle_capable(net):
         oracle = _system_of(net, system)
@@ -563,12 +563,12 @@ def validate_mode_predictions(
 
     def shifts(chunk):
         try:
-            s, y = _mode_stack(table, chunk)
+            s, y = _mode_stack(model, chunk)
         except _VALIDATION_ERRORS as exc:  # mode by mode, to give each failing mode its error
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
         return list(predict_mode_shift(s[:, at], epsilon * y[:, at]))
 
-    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(table.refs))
+    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(model.refs))
                    for p in shifts(chunk)]
     live = [m for m, p in enumerate(predictions) if not isinstance(p, Exception)]
     lams = np.array([modes[m].lam for m in live], dtype=complex)

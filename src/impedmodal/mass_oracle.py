@@ -20,6 +20,7 @@ from .admittance_assembly import (
     _I2,
     _J,
     ElementRef,
+    _solve_each,
     block_slice,
     frame_rotation,
 )
@@ -599,21 +600,28 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
 
     Two steps of inverse iteration each, from a fixed start vector, on one
     inverse of M = A - sigma I (x <- M^{-1} x, y <- M^{-H} y; Ipsen, SIAM
-    Review 1997), with sigma a few rounding units of ||A|| off ``lam``: at
-    ``lam`` itself M can be exactly singular. The eigenvalue's condition
-    number ||x|| ||y|| / |y^H x| must not exceed the 1e12 limit of
-    ``eigendecompose``; a defective eigenvalue has y^H x = 0.
+    Review 1997), with sigma = lam + 16 eps ||A||: at ``lam`` itself M can
+    be exactly singular. Where M is exactly singular at that shift too (it
+    landed on an eigenvalue), sigma = lam + 32 eps ||A|| is tried once,
+    and the eigenvalue is refused only if M is singular there as well. The
+    eigenvalue's condition number ||x|| ||y|| / |y^H x| must not exceed
+    the 1e12 limit of ``eigendecompose``; a defective eigenvalue has
+    y^H x = 0.
 
     Raises
     ------
     DefectiveMatrixError
-        If the eigenvalue's condition number exceeds 1e12.
+        If the eigenvalue's condition number exceeds 1e12, or M is exactly
+        singular at both shifts.
     """
-    n = A.shape[0]
-    sigma = lam + 16 * np.finfo(float).eps * (np.linalg.norm(A) or 1.0)
-    try:
-        inverse = np.linalg.inv(A - sigma * np.eye(n))
-    except np.linalg.LinAlgError:  # M is exactly singular at the shift too
+    n, norm = A.shape[0], np.linalg.norm(A) or 1.0
+    for k in (16, 32):
+        try:
+            inverse = np.linalg.inv(A - (lam + k * np.finfo(float).eps * norm) * np.eye(n))
+            break
+        except np.linalg.LinAlgError:  # M is exactly singular at this shift too
+            pass
+    else:
         _check_condition(lam, np.inf)
     x = y = np.random.default_rng(0).standard_normal(n).astype(complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -623,17 +631,6 @@ def eigenvector_pair(A: np.ndarray, lam: complex) -> tuple[np.ndarray, np.ndarra
         overlap = np.vdot(y, x)
         _check_condition(lam, 1.0 / abs(overlap))
     return x, y.conj() / overlap
-
-
-def _solve_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(A, B) over a stack; where A is exactly singular the
-    solution is infinite, and that matrix holds up no other."""
-    try:
-        return np.linalg.solve(A, B)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full(B.shape, np.inf, dtype=complex)
-        return np.concatenate([_solve_each(A[m:m + 1], B[m:m + 1]) for m in range(len(A))])
 
 
 class _SecularGrid:

@@ -10,11 +10,11 @@ serves sampled responses (apparatus surrogates, the ``fit`` command).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .mass_oracle import _solve_each
+from .admittance_assembly import SingularSystemError, WholeSystemModel, _solve_each
 from .network_model import RationalModel, SampledResponse
 
 __all__ = [
@@ -55,6 +55,7 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITERATIONS = 50
 _LOEWNER_RANK_TOL = 1e-11  # relative singular value of the Loewner pencil counted as zero
 _LOEWNER_POINTS = (50, 100, 200, 400, 800, 1600)  # sizes of the Loewner pencil, tried in turn
+_SURROGATE_ITERATIONS = 12  # pole relocations of an apparatus surrogate's vector fit
 # modes whose imaginary parts agree to this relative level tie in frequency
 _FREQ_TIE = 1e-9
 # eigenvalue magnitudes within this fraction of max(1, ||Y||_F) of the
@@ -101,24 +102,18 @@ def frequency_grid(omega_min: float, omega_max: float, n_points: int = 400) -> n
     return np.geomspace(omega_min, omega_max, n_points)
 
 
-def sample_response(model, grid: Sequence[float]) -> SampledResponse:
-    """Evaluate Z(j omega) over a strictly increasing grid of frequencies.
-
-    ``model`` is a WholeSystemModel, whose ``impedance`` is evaluated once
-    over the whole grid, or any callable s -> matrix, called point by point.
-    A singular system at a grid point propagates with the first offending
-    frequency in the message.
+def sample_response(model: WholeSystemModel, grid: Sequence[float]) -> SampledResponse:
+    """Evaluate Z(j omega) over a strictly increasing grid of frequencies:
+    ``model.impedance`` once over the whole grid. A singular system at a
+    grid point propagates with the first offending frequency in the
+    message.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise FitError("frequency grid must be a nonempty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise FitError("frequency grid must be strictly increasing")
-    if hasattr(model, "impedance"):
-        values = model.impedance(1j * grid)
-    else:
-        values = np.array([np.asarray(model(1j * w), dtype=complex) for w in grid])
-    return SampledResponse(frequencies=grid, blocks=values)
+    return SampledResponse(frequencies=grid, blocks=model.impedance(1j * grid))
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +354,15 @@ def vector_fit(samples: SampledResponse, order: int, n_iterations: int = 10) -> 
     )
 
 
-def fit_apparatus_surrogate(
-    response: SampledResponse, order: int = 8, n_iterations: int = 12
-) -> RationalModel:
-    """Rational surrogate for a measured apparatus response, so that networks
-    with sampled models stay evaluable at complex s."""
-    return vector_fit(response, order=order, n_iterations=n_iterations)
+def fit_apparatus_surrogate(response: SampledResponse, order: int) -> RationalModel:
+    """Rational surrogate of ``order`` for a measured apparatus response, so
+    that networks with sampled models stay evaluable at complex s."""
+    return vector_fit(response, order=order, n_iterations=_SURROGATE_ITERATIONS)
 
 
 # ---------------------------------------------------------------------------
 # Mode refinement
 # ---------------------------------------------------------------------------
-
-
-def _pointwise(Yfun: Callable[[complex], np.ndarray]):
-    """A one-point callable s -> Y as a row-aware evaluator, called point by point."""
-    return lambda s, rows=None: np.array([np.asarray(Yfun(complex(x)), dtype=complex) for x in s])
 
 
 def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outcomes: list):
@@ -421,7 +409,7 @@ def _newton_step(Yfun, s: np.ndarray, seeds: np.ndarray, rows: np.ndarray, outco
 
 
 def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Sequence[complex],
-                 dim: Optional[int] = None) -> list:
+                 dim: int) -> list:
     """Newton-refine many seeds at once to zeros of det Y(s) by Newton on
     log det Y, whose step is 1/tr(Y^-1 Y') (Jacobi's formula; Ruhe, SIAM J.
     Numer. Anal. 1973): no eigenvalue branch of Y is chosen.
@@ -430,7 +418,7 @@ def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Se
     stacked (len(s), dim, dim); point m is evaluated for seed ``rows[m]``,
     so each seed may see its own Y (an overlaid element, say). An iteration
     evaluates s and s +- h of every seed still moving in one call, holding
-    at most ``_BATCH_BYTES`` of Y (all seeds when ``dim`` is None), and runs
+    at most ``_BATCH_BYTES`` of Y (of ``dim`` x ``dim`` each), and runs
     one stacked solve of Y against the central difference. A seed stops
     once its step is within ``_NEWTON_TOL`` (1 + |s|) and returns the
     iterate less that step. Returns, per seed, its root or the exception it
@@ -441,7 +429,7 @@ def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Se
     seeds = np.array(seeds, dtype=complex).reshape(-1)
     s = seeds.copy()
     outcomes: list = [None] * s.size
-    batch = s.size if dim is None else max(1, _BATCH_BYTES // (48 * dim**2))
+    batch = max(1, _BATCH_BYTES // (48 * dim**2))
     active = np.arange(s.size)
     for _ in range(_NEWTON_MAX_ITERATIONS):
         if not active.size:
@@ -455,33 +443,29 @@ def refine_modes(Yfun: Callable[[np.ndarray, np.ndarray], np.ndarray], seeds: Se
     return outcomes
 
 
-def refine_mode(Yfun: Callable[[complex], np.ndarray], seed: complex) -> complex:
+def refine_mode(model: WholeSystemModel, seed: complex) -> complex:
     """Newton-refine a zero of det Y(s) from one seed: the one-seed case of
-    :func:`refine_modes`, with ``Yfun`` called point by point.
+    :func:`refine_modes` on ``model.admittance``.
 
     Raises what the refinement ended in: RefinementError on divergence, or
-    what ``Yfun`` raised.
+    what ``model.admittance`` raised.
     """
-    (lam,) = refine_modes(_pointwise(Yfun), [seed])
+    (lam,) = refine_modes(lambda s, rows: model.admittance(s), [seed], model.dim)
     if isinstance(lam, Exception):
         raise lam
     return lam
 
 
-def find_modes(model, seeds: Iterable[complex]) -> list[complex]:
+def find_modes(model: WholeSystemModel, seeds: Iterable[complex]) -> list[complex]:
     """Refine many seeds in one :func:`refine_modes` and merge them in seed
     order: a root within the merge tolerance of an earlier one is dropped,
     and seeds whose refinement fails are skipped (any other error
     propagates, the first in seed order).
 
-    ``model`` is a WholeSystemModel, whose ``admittance`` is evaluated
-    stacked, or any callable s -> Y, called point by point. Returned modes
-    are in :func:`frequency_order`.
+    ``model.admittance`` is evaluated stacked. Returned modes are in
+    :func:`frequency_order`.
     """
-    if hasattr(model, "admittance"):
-        outcomes = refine_modes(lambda s, rows: model.admittance(s), list(seeds), model.dim)
-    else:
-        outcomes = refine_modes(_pointwise(model), list(seeds))
+    outcomes = refine_modes(lambda s, rows: model.admittance(s), list(seeds), model.dim)
     modes: list[complex] = []
     for lam in outcomes:
         if isinstance(lam, RefinementError):
@@ -505,7 +489,7 @@ def frequency_order(lams) -> np.ndarray:
     return idx[np.lexsort((lams.real[idx], run))]
 
 
-def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
+def loewner_poles(model: WholeSystemModel, band: tuple[float, float]) -> tuple[np.ndarray, int]:
     """Poles of Z = Y^-1 (canonical order) and its order, from a tangential
     Loewner realization (Mayo & Antoulas, LAA 2007) on log-spaced points over
     ``band``: alternately right and left data, with their conjugates and one
@@ -520,7 +504,8 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
     (x0 E_r - A_r)^-1 E_r v = v / (x0 - lam), so lam = x0 - 1/nu for the
     eigenvalues nu of (x0 E_r - A_r)^-1 E_r. A nu that is 0 to rounding is an
     infinite pole (Z's direct term, Z(inf) != 0) and is dropped, as the QZ
-    algorithm drops a generalized eigenvalue of beta = 0."""
+    algorithm drops a generalized eigenvalue of beta = 0. A sample point
+    where Y is exactly singular raises SingularSystemError at that s."""
     w_lo, w_hi = band
     x0 = np.sqrt(w_lo * w_hi)
     model.admittance(x0)  # Newton needs Y off the axis: a model without it fails here
@@ -532,7 +517,10 @@ def loewner_poles(model, band: tuple[float, float]) -> tuple[np.ndarray, int]:
         for k in range(0, n_points, batch):  # solve with Y at even points, Y^T at odd
             Y = model.admittance(s[k:k + batch])
             Y[1::2] = np.swapaxes(Y[1::2], 1, 2).copy()
-            x[k:k + batch] = np.linalg.solve(Y, d[k:k + batch, :, None])[..., 0]
+            x[k:k + batch] = _solve_each(Y, d[k:k + batch, :, None])[..., 0]
+        singular = np.isinf(x).all(axis=1)  # _solve_each's mark of an exactly singular Y
+        if singular.any():
+            raise SingularSystemError(complex(s[np.argmax(singular)]), np.inf)
         # l_j^T Z r_i at lam_i and at mu_j; the (shifted) Loewner blocks at
         # (mu, lam) and (mu, conj lam); those at conj mu are their conjugates
         lam, mu, LW, VR = s[None, 0::2], s[1::2, None], d[1::2] @ x[0::2].T, x[1::2] @ d[0::2].T
@@ -577,25 +565,24 @@ def critical_resonance_mode(Y: np.ndarray) -> CriticalMode:
 # ---------------------------------------------------------------------------
 
 
-def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence[complex],
-                        dim: Optional[int] = None) -> list[tuple]:
+def admittance_residues(model: WholeSystemModel, lams: Sequence[complex]) -> list[tuple]:
     """Residues of Z = Y^{-1} at simple zeros ``lams`` of det Y, from Y
     around them alone, each as the factors (u, v, v^T Y'(lam) u) of Res =
     u v^T / (v^T Y'(lam) u), O(dim) per mode: u and v the right and left
     null vectors of Y(lam) (one inverse-iteration solve each, with Y
     and Y^T against a fixed-seed real vector; the SVD where Y(lam) is exactly
     singular) and Y' the fourth-order central difference at h = 1e-6 (1 +
-    |lam|). ``Yfun(s)`` evaluates Y over a 1-D array of points: all five of
-    every mode in one call, or ``_BATCH_BYTES`` of Y at a time when ``dim``
-    is given. Works for any evaluable system, fitted or analytic.
+    |lam|). ``model.admittance`` evaluates the five points of every mode
+    over ``_BATCH_BYTES`` of Y at a time. Works for any evaluable system,
+    fitted or analytic.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    batch = max(1, lams.size if dim is None else _BATCH_BYTES // (80 * dim**2))
+    batch = max(1, _BATCH_BYTES // (80 * model.dim**2))
     residues = []
     for k in range(0, lams.size, batch):
         lam = lams[k:k + batch]
         h = 1e-6 * (1.0 + np.abs(lam))
-        Y = np.asarray(Yfun((lam + np.outer([0, 1, -1, 2, -2], h)).ravel()), dtype=complex)
+        Y = model.admittance((lam + np.outer([0, 1, -1, 2, -2], h)).ravel())
         Y = Y.reshape(5, lam.size, *Y.shape[1:])
         dY = (8.0 * (Y[1] - Y[2]) - (Y[3] - Y[4])) / (12.0 * h)[:, None, None]
         b = np.tile(np.random.default_rng(0).standard_normal((Y.shape[-1], 1)), (lam.size, 1, 1))
@@ -611,8 +598,8 @@ def admittance_residues(Yfun: Callable[[np.ndarray], np.ndarray], lams: Sequence
     return residues
 
 
-def admittance_residue(Yfun: Callable[[complex], np.ndarray], lam: complex) -> np.ndarray:
-    """The one-mode case of :func:`admittance_residues`, ``Yfun`` called point
-    by point, as the dense matrix u v^T / (v^T Y' u)."""
-    u, v, denom = admittance_residues(_pointwise(Yfun), [lam])[0]
+def admittance_residue(model: WholeSystemModel, lam: complex) -> np.ndarray:
+    """The one-mode case of :func:`admittance_residues`, as the dense matrix
+    u v^T / (v^T Y' u)."""
+    u, v, denom = admittance_residues(model, [lam])[0]
     return np.outer(u, v) / denom

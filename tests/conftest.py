@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from impedmodal import mass_oracle, network_model
-from impedmodal.admittance_assembly import StampTable
+from impedmodal.admittance_assembly import WholeSystemModel
 from impedmodal.network_model import (
     ApparatusAttachment,
     NetworkDescription,
@@ -61,21 +61,21 @@ def dense_residue(mode) -> np.ndarray:
 
 def table_admittance(net: NetworkDescription, ref, s) -> np.ndarray:
     """Element ``ref``'s own admittance y(s) (a branch's series admittance),
-    cut from one evaluation of its network's StampTable."""
-    table = StampTable(net)
+    cut from one evaluation of its network's WholeSystemModel."""
+    table = WholeSystemModel(net)
     return table.evaluate(s)[..., table.index[tuple(ref)], :, :]
 
 
 def node_admittance(element, s, theta: float = 0.0) -> np.ndarray:
     """The admittance y(s) of one ``ShuntElement``, or of one apparatus
     model at frame angle ``theta``, alone on its bus of a network at W0,
-    from that network's StampTable."""
+    from that network's WholeSystemModel."""
     if isinstance(element, ShuntElement):
         net = NetworkDescription(n_buses=element.bus, omega0=W0, shunts=(element,))
     else:
         net = NetworkDescription(n_buses=1, omega0=W0,
                                  apparatus=(ApparatusAttachment(bus=1, model=element, theta=theta),))
-    return StampTable(net).evaluate(s)[..., 0, :, :]
+    return WholeSystemModel(net).evaluate(s)[..., 0, :, :]
 
 
 def scaled_net(net: NetworkDescription, ref, factor: float) -> NetworkDescription:
@@ -153,6 +153,20 @@ def rl_shunt_impedance(s: complex, R: float = 0.1, L: float = 0.01, w0: float = 
 def rl_shunt_admittance(s: complex, R: float = 0.1, L: float = 0.01, w0: float = W0):
     """Admittance of the series RL shunt: poles at -R/L +- j w0."""
     return np.linalg.inv(rl_shunt_impedance(s, R, L, w0))
+
+
+class PointwiseModel:
+    """A toy Y(s), a callable of one s giving a ``dim`` x ``dim`` matrix, as
+    the model that the impedance-route routines take: ``admittance``
+    evaluates it at a scalar s, or point by point over an array of s."""
+
+    def __init__(self, Y, dim: int):
+        self.Y, self.dim = Y, dim
+
+    def admittance(self, s) -> np.ndarray:
+        if np.ndim(s) == 0:
+            return np.asarray(self.Y(complex(s)), dtype=complex)
+        return np.array([np.asarray(self.Y(complex(x)), dtype=complex) for x in s])
 
 
 def mixed_ring_doc() -> dict:

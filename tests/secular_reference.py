@@ -12,13 +12,13 @@ roots, then the set checked closed under conjugation and each pair averaged.
 
 import numpy as np
 
+from impedmodal.admittance_assembly import _solve_each
 from impedmodal.mass_oracle import (
     _BACKWARD_LIMIT,
     _COND_LIMIT,
     _NEWTON_MAX_ITERATIONS,
     _NEWTON_STEP_TOL,
     _SecularGrid,
-    _solve_each,
 )
 
 

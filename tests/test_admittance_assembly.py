@@ -12,7 +12,6 @@ from impedmodal.admittance_assembly import (
     EvaluationError,
     PerturbedModel,
     SingularSystemError,
-    StampTable,
     WholeSystemModel,
     block_slice,
     dq_series_impedance,
@@ -536,7 +535,7 @@ def test_stacked_element_helpers_match_pointwise():
     the stamp table's stack and alone on a bus of its own."""
     net = _mixed_net(sampled=False)
     s_grid = -2.0 + 1j * np.linspace(10.0, 900.0, 23)
-    table = StampTable(net)
+    table = WholeSystemModel(net)
     stack = table.evaluate(s_grid)
     assert stack.shape == (s_grid.size, len(table.refs), 2, 2)
     for e, ref in enumerate(network_elements(net)):
@@ -685,9 +684,9 @@ def test_admittance_names_the_first_failing_element_in_element_order(monkeypatch
 # ---------------------------------------------------------------------------
 
 
-def _add_at_stamp(table: StampTable, y: np.ndarray) -> np.ndarray:
+def _add_at_stamp(table: WholeSystemModel, y: np.ndarray) -> np.ndarray:
     """Y from the element stack ``y`` by one ``np.add.at`` over the table's
-    blocks: the reference of :meth:`StampTable.stamp`."""
+    blocks: the reference of :meth:`WholeSystemModel.stamp`."""
     nb, dim = table.n_branches, 2 * table.net.n_buses
     branch = np.stack(transformer_stamp(y[..., :nb, :, :], table.ratio[:nb, None, None]),
                       axis=-3).reshape(y.shape[:-3] + (4 * nb, 2, 2))
@@ -715,7 +714,7 @@ def test_stamp_equals_add_at_bit_for_bit():
     assert len(set(pairs)) < len(pairs)  # parallel branches share their cells
     s_grid = -3.0 + 1j * np.linspace(20.0, 900.0, 7)
     for net in nets:
-        table = StampTable(net)
+        table = WholeSystemModel(net)
         stacks = [table.evaluate(s_grid), table.evaluate(s_grid[2])]
         for shape in ((5,), ()):
             parts = rng.choice([-0.0, 0.0, 1.0], size=shape + (len(table.refs), 2, 2, 2))
@@ -759,14 +758,14 @@ def test_apparatus_groups_equal_one_apparatus_at_a_time():
     models) and off it (without the sampled one), at a scalar s and over a
     grid."""
     net = _group_net()
-    table = StampTable(net)
+    table = WholeSystemModel(net)
     sizes = sorted(len(group.models) for _, group in table.groups)
     assert sizes == [1, 1, 2, 2, 3]
     off_axis = replace(net, apparatus=net.apparatus[:-1], shunts=net.shunts[:-1],
                        n_buses=net.n_buses - 1)
     for net_, s_grid in ((net, 1j * np.geomspace(6.0, 4000.0, 11)),
                          (off_axis, np.array([-7.0 + 90.0j, 3.0 + 0.0j, -40.0 - 250.0j, 1200.0j]))):
-        table = StampTable(net_)
+        table = WholeSystemModel(net_)
         first = len(table.refs) - len(net_.apparatus)
         for s in (s_grid, s_grid[1]):
             y = table.evaluate(s)

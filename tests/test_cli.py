@@ -821,7 +821,7 @@ def test_report_csvs_parse_back_to_the_layers(tmp_path):
     keys = ("layer1_cauchy", "layer1_enhanced", "layer2_real", "layer2_imag")
 
     labels = [assembly.element_label(net, ref) for ref in refs]
-    table = assembly.StampTable(net)
+    table = assembly.WholeSystemModel(net)
     params = [mai_core.LAYER3_PARAMS[kind] for kind, _ in refs]
     elements, layer3 = (_mode_groups(out / name) for name in ("mode_elements.csv",
                                                                "mode_layer3.csv"))
@@ -892,7 +892,7 @@ def test_layer_evaluation_error_names_the_first_failing_mode(tmp_path, monkeypat
     if per_chunk is not None:
         monkeypatch.setattr(mai_core, "_CHUNK_BYTES", per_chunk * 64 * len(refs))
     selected = range(len(records)) if modes_arg == "all" else map(int, modes_arg.split(","))
-    table = assembly.StampTable(net)
+    table = assembly.WholeSystemModel(net)
     try:
         for k in selected:
             table.evaluate(records[k].lam)
@@ -994,7 +994,7 @@ def test_mode_tables_are_grouped_in_selection_order(tmp_path):
     assert main(["analyze", str(NETWORK), "--modes", "2,0", "--no-validate",
                  "--out", str(out)]) == EXIT_OK
     n_params = sum(len(mai_core.LAYER3_PARAMS[kind]) for kind, _ in refs)
-    table = assembly.StampTable(net)
+    table = assembly.WholeSystemModel(net)
     on_pair = [tuple(sorted((i, j or i))) for i, j in zip(table.i.tolist(), table.j.tolist())]
     for name, n_rows in (("mode_elements.csv", len(refs)), ("mode_layer3.csv", n_params),
                          ("mode_bus_pairs.csv", len(set(on_pair)))):
@@ -1049,6 +1049,32 @@ def test_sweep_rejects_bad_band(tmp_path, capsys, band):
     assert code == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
     assert not (tmp_path / "sweep.csv").exists()
+
+
+SWEEP_ARGS = ["--param", "L", "--factor", "1.05", "--steps", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--band=5-5000"], "band must be MIN:MAX, got '5-5000'"),
+    (["analyze", "--band=5:50:500"], "band must be MIN:MAX, got '5:50:500'"),
+    (["analyze", "--band=low:high"], "band must be MIN:MAX, got 'low:high'"),
+    (["analyze", "--modes=0,x"],
+     "modes must be 'all' or a comma-separated index list, got '0,x'"),
+    (["sweep", "--branch=1-2", *SWEEP_ARGS], "branch must be I:J, got '1-2'"),
+    (["sweep", "--branch=1:b", *SWEEP_ARGS], "branch must be I:J, got '1:b'"),
+    (["sweep", "--branch=1:2", "--mode-seed=-5+300j", *SWEEP_ARGS],
+     "mode seed must be RE:IM, got '-5+300j'"),
+    (["sweep", "--branch=1:2", "--mode-seed=-5:300:1", *SWEEP_ARGS],
+     "mode seed must be RE:IM, got '-5:300:1'"),
+    (["sweep", "--branch=1:2", "--band=5", *SWEEP_ARGS], "band must be MIN:MAX, got '5'"),
+])
+def test_malformed_options_are_input_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code = main([argv[0], str(NETWORK), *argv[1:], "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "input", "type": "ConfigError", "message": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,12 +14,7 @@ from impedmodal.network_model import (
     ShuntElement,
     StateSpaceRealization,
 )
-from impedmodal.rational_fit import (
-    RationalModel,
-    frequency_grid,
-    sample_response,
-    vector_fit,
-)
+from impedmodal.rational_fit import RationalModel, vector_fit
 
 from conftest import W0, dense_residue, node_admittance
 
@@ -92,12 +87,6 @@ def test_rational_model_repeated_pole_warning():
         linear=np.zeros((1, 1), dtype=complex),
     )
     assert model.warning is not None and "coincide" in model.warning
-
-
-def test_sample_response_accepts_callable():
-    fun = lambda s: np.array([[1.0 / (s + 3.0)]])
-    samples = sample_response(fun, frequency_grid(0.1, 10.0, 5))
-    assert np.allclose(samples.blocks[:, 0, 0], 1.0 / (1j * samples.frequencies + 3.0))
 
 
 @pytest.mark.parametrize("kind,value", [

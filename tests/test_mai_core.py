@@ -49,8 +49,8 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import (W0, dense_residue, generated_ring, mixed_ring_doc, rl_load_apparatus,
-                      same_bits, scaled_net, table_admittance)
+from conftest import (W0, PointwiseModel, dense_residue, generated_ring, mixed_ring_doc,
+                      rl_load_apparatus, same_bits, scaled_net, table_admittance)
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
@@ -148,12 +148,12 @@ def test_factored_residues_give_the_dense_bits(three_bus_net, case):
         records = solve_modes(net, band=(5.0, 5000.0))
         model = WholeSystemModel(net)
         want = [np.outer(u, v) / denom for u, v, denom in rational_fit.admittance_residues(
-            model.admittance, [r.lam for r in records], model.dim)]
+            model, [r.lam for r in records])]
     assert len(records) >= 7
     for rec, res in zip(records, want):
         assert rec.left.shape == rec.right.shape == (2 * net.n_buses,)
         assert same_bits(dense_residue(rec), res)
-    table = admittance_assembly.StampTable(net)
+    table = admittance_assembly.WholeSystemModel(net)
     s, y = mai_core._mode_stack(table, records)
     i, j, k = table.i, table.j, table.ratio[:, None, None]
     assert same_bits(y, table.evaluate(np.array([r.lam for r in records])))
@@ -298,7 +298,7 @@ def test_first_order_convergence_all_elements(three_bus_net, three_bus_modes):
 
 def _predicted_shift(net, ref, mode, eps):
     """First-order shift of ``mode`` for a (1 + eps) scaling of ``ref``."""
-    table = admittance_assembly.StampTable(net)
+    table = admittance_assembly.WholeSystemModel(net)
     s, y = mai_core._mode_stack(table, [mode])
     e = table.index[ref]
     return predict_mode_shift(s[0, e], eps * y[0, e])
@@ -518,13 +518,13 @@ def test_impedance_route_evaluates_the_model_per_iteration_not_per_mode(
     stacked Newton: fewer than 10 evaluations of the network's elements in
     all, not about 10 per mode."""
     calls = []
-    evaluate = admittance_assembly.StampTable.evaluate
+    evaluate = admittance_assembly.WholeSystemModel.evaluate
 
     def counting(self, s):
         calls.append(np.size(s))
         return evaluate(self, s)
 
-    monkeypatch.setattr(admittance_assembly.StampTable, "evaluate", counting)
+    monkeypatch.setattr(admittance_assembly.WholeSystemModel, "evaluate", counting)
     _overlay_route(monkeypatch)
     mai_core.validate_mode_predictions(
         three_bus_net, three_bus_modes, network_elements(three_bus_net), 0.05)
@@ -1220,7 +1220,7 @@ def _reference_layers(net, ref, mode):
     split-node residue blocks (lines), the unsplit derivative
     (transformers, R = 0 lines) and closed-form shunt derivatives."""
     res, lam = dense_residue(mode), mode.lam
-    table = admittance_assembly.StampTable(net)
+    table = admittance_assembly.WholeSystemModel(net)
     e = table.index[ref]
     s = residue_sensitivity(res, table.i[e], table.j[e], table.ratio[e])
     y = table_admittance(net, ref, lam)
@@ -2065,6 +2065,18 @@ def test_loewner_ladder_fails_past_its_last_pencil(three_bus_net, monkeypatch):
         rational_fit.loewner_poles(WholeSystemModel(three_bus_net), BAND)
 
 
+@pytest.mark.parametrize("k", [6, 7])
+def test_loewner_names_the_sample_point_where_y_is_singular(k):
+    """A Y exactly singular at sample k of the first pencil (solved with Y
+    at an even k, with Y^T at an odd one) raises SingularSystemError at that
+    s, not numpy's bare LinAlgError."""
+    s0 = 1j * rational_fit.frequency_grid(*BAND, rational_fit._LOEWNER_POINTS[0])[k]
+    model = PointwiseModel(lambda s: np.array([[s - s0, 1.0], [0.0, 1.0]]), 2)
+    with pytest.raises(admittance_assembly.SingularSystemError) as exc:
+        rational_fit.loewner_poles(model, BAND)
+    assert exc.value.s == s0
+
+
 def _resistive_bus_net():
     """Two buses joined by a line, bus 1 with a resistor but no capacitor:
     Z(inf) is that resistor's there, so the Loewner pencil has rank 6 for
@@ -2154,7 +2166,7 @@ def test_impedance_residues_match_the_state_space_twin(seed):
     step reaches the neighbours) and within 1e-8 elsewhere."""
     twin = solve_modes(_rl_ring(20, seed, "state_space"), band=BAND)
     model = WholeSystemModel(_rl_ring(20, seed, "rational"))
-    got = rational_fit.admittance_residues(model.admittance, [r.lam for r in twin], model.dim)
+    got = rational_fit.admittance_residues(model, [r.lam for r in twin])
     assert any(abs(r.lam.imag - W0) < 1.0 for r in twin)
     for rec, (u, v, denom) in zip(twin, got):
         want = dense_residue(rec)
@@ -2190,7 +2202,8 @@ def test_impedance_path_modes_are_polished_roots(n_buses, seed):
         assert np.min(np.abs(reference - rec.lam)) <= 1e-13 * abs(rec.lam)
         if abs(rec.lam.imag - W0) > 1.0:
             seeds = [rec.lam * (1 + 1e-3), rec.lam * (1 - 1e-3j)]
-            for root in rational_fit.refine_modes(lambda s, rows: model.admittance(s), seeds):
+            for root in rational_fit.refine_modes(lambda s, rows: model.admittance(s), seeds,
+                                                  model.dim):
                 assert abs(root - rec.lam) <= 1e-13 * abs(rec.lam), rec.lam
 
 
@@ -2249,8 +2262,8 @@ def _drop_one_mode(monkeypatch):
     """Make find_modes lose its middle mode; returns the list it went to."""
     find_modes, dropped = rational_fit.find_modes, []
 
-    def losing(Yfun, seeds):
-        modes = find_modes(Yfun, seeds)
+    def losing(model, seeds):
+        modes = find_modes(model, seeds)
         dropped.append(modes.pop(len(modes) // 2))
         return modes
 

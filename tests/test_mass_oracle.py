@@ -376,10 +376,23 @@ def test_eigenvector_pair_at_an_exactly_singular_shift():
     x, y_h = eigenvector_pair(np.diag([1.0, 2.0, 3.0, 4.0]), 2.0)
     assert np.allclose(np.outer(x, y_h), np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-14)
     # a lam whose shift lands exactly on the eigenvalue 1: A - sigma I has
-    # no inverse, and the pair is refused as unconditioned
+    # no inverse, and the second shift gives the pair
+    eps = np.finfo(float).eps
     A = np.diag([1.0, 2.0])
-    lam = 1.0 - 16 * np.finfo(float).eps * np.linalg.norm(A)
-    with pytest.raises(DefectiveMatrixError):
+    lam = 1.0 - 16 * eps * np.linalg.norm(A)
+    assert lam + 16 * eps * np.linalg.norm(A) == 1.0
+    x, y_h = eigenvector_pair(A, lam)
+    assert np.allclose(np.outer(x, y_h), np.diag([1.0, 0.0]), atol=1e-14)
+    # both shifts land exactly on an eigenvalue: the pair is refused
+    b = 1.0
+    for _ in range(3):  # b = lam + 32 eps ||diag(1, b)||, to its fixed point
+        norm = np.linalg.norm(np.diag([1.0, b]))
+        lam = 1.0 - 16 * eps * norm
+        b = lam + 32 * eps * norm
+    A = np.diag([1.0, b])
+    lam = 1.0 - 16 * eps * np.linalg.norm(A)
+    assert lam + 16 * eps * np.linalg.norm(A) == 1.0 and lam + 32 * eps * np.linalg.norm(A) == b
+    with pytest.raises(DefectiveMatrixError, match="condition number inf"):
         eigenvector_pair(A, lam)
 
 

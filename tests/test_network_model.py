@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,105 @@ def test_parse_samples_apparatus(tmp_path):
     assert isinstance(model, SampledResponse)
     assert model.frequencies.tolist() == [10.0, 20.0, 40.0]
     assert model.blocks[1][0, 0] == 1.0 + 2.0j
+
+
+def _two_bus_doc() -> dict:
+    """A valid document: two buses, a line, a capacitor on each bus and a
+    one-state apparatus on bus 2."""
+    return {
+        "n_buses": 2,
+        "omega0": 314.0,
+        "branches": [{"kind": "line", "from": 1, "to": 2, "R": 0.01, "L": 0.001}],
+        "shunts": [{"bus": 1, "kind": "capacitive", "value": 0.01},
+                   {"bus": 2, "kind": "capacitive", "value": 0.01}],
+        "apparatus": [{"bus": 2, "model": {"kind": "state_space", "A": [[-10.0]],
+                                           "B": [[1.0, 0.0]], "C": [[1.0], [0.0]],
+                                           "D": [[0.0, 0.0], [0.0, 0.0]]}}],
+    }
+
+
+def _rational_model(p: int = 0, q: int = 0, entry=None) -> dict:
+    """A 2x2 rational apparatus model, its entry (p, q) replaced by ``entry``
+    when one is given."""
+    entries = [[{"num": [1.0], "den": [1.0, 2.0]} for _ in range(2)] for _ in range(2)]
+    if entry is not None:
+        entries[p][q] = entry
+    return {"kind": "rational", "entries": entries}
+
+
+_DELETE = object()
+MODEL = ("apparatus", 0, "model")
+
+
+@pytest.mark.parametrize("path, value, error, message", [
+    ((), [1, 2], NetworkFormatError, "top level must be an object"),
+    (("n_buses",), _DELETE, NetworkFormatError, "missing field 'n_buses' in top level"),
+    (("n_buses",), "2", NetworkFormatError, "field 'n_buses' in top level must be an integer"),
+    (("omega0",), True, NetworkFormatError, "field 'omega0' in top level must be a number"),
+    (("branches",), {}, NetworkFormatError, "field 'branches' must be an array"),
+    (("branches", 0), 5, NetworkFormatError, "branches[0] must be an object"),
+    (("branches", 0, "kind"), "cable", NetworkFormatError,
+     "branches[0]: kind must be 'line' or 'transformer', got 'cable'"),
+    (("shunts", 0), "x", NetworkFormatError, "shunts[0] must be an object"),
+    (("shunts", 0, "kind"), "magnetic", NetworkFormatError,
+     "shunts[0]: kind must be 'resistive', 'inductive' or 'capacitive', got 'magnetic'"),
+    (("apparatus", 0), 3, NetworkFormatError, "apparatus[0] must be an object"),
+    (MODEL, 3, NetworkFormatError, "apparatus[0].model must be an object"),
+    (MODEL + ("kind",), "neural", NetworkFormatError,
+     "apparatus[0].model: model kind must be 'state_space', 'rational' or 'samples', "
+     "got 'neural'"),
+    (MODEL, {"kind": "rational", "entries": [[{}]]}, NetworkFormatError,
+     "apparatus[0].model: entries must be a 2x2 array of objects"),
+    (MODEL, _rational_model(0, 1, 1.0), NetworkFormatError,
+     "apparatus[0].model: entries[0][1] must be an object"),
+    (MODEL, {"kind": "samples", "path": 5}, NetworkFormatError,
+     "apparatus[0].model: path must be a string"),
+    (MODEL, {"kind": "samples", "path": "missing.csv"}, NetworkFormatError,
+     "apparatus[0].model: cannot read samples file 'missing.csv'"),
+    (MODEL + ("A",), [[1.0], [2.0, 3.0]], NetworkFormatError,
+     "field 'A' in apparatus[0].model is not a numeric matrix"),
+    (MODEL + ("D",), [], NetworkFormatError, "field 'D' in apparatus[0].model must not be empty"),
+    (MODEL + ("A",), [[[-10.0]]], NetworkFormatError,
+     "field 'A' in apparatus[0].model must be a row-major 2-D array"),
+    (("n_buses",), 0, NetworkValidationError, "n_buses must be positive, got 0"),
+    (("branches", 0, "to"), 1, NetworkValidationError,
+     "branch[0] (1-1): from and to buses are equal"),
+    (("branches", 0, "ratio"), 0.9, NetworkValidationError,
+     "branch[0] (1-2): a line must have unit ratio"),
+    (("shunts", 0, "bus"), 5, NetworkValidationError, "shunt[0] (bus 5): bus 5 outside [1, 2]"),
+    (("apparatus", 0, "bus"), 7, NetworkValidationError,
+     "apparatus[0] (bus 7): bus 7 outside [1, 2]"),
+    (MODEL + ("A",), [[-10.0, 1.0]], NetworkValidationError, "apparatus[0] (bus 2): A must be square"),
+    (MODEL + ("D",), [0.0, 0.0], NetworkValidationError,  # a 1-D matrix is one row
+     "apparatus[0] (bus 2): expected B (1x2), C (2x1), D (2x2); got B (1, 2), C (2, 1), D (1, 2)"),
+    (MODEL, _rational_model(1, 0, {"num": [], "den": [1.0]}), NetworkValidationError,
+     "apparatus[0] (bus 2): entry (1,0) numerator is empty"),
+    (MODEL, {"kind": "samples", "path": "one_row.csv"}, NetworkValidationError,
+     "apparatus[0] (bus 2): needs at least 2 samples"),
+])
+def test_parse_rejects_a_malformed_document(tmp_path, path, value, error, message):
+    """Each document breaks the valid two-bus one in one place; parsing
+    raises the error class of that defect, naming it."""
+    (tmp_path / "one_row.csv").write_text("10.0,1,0,0,0,0,0,1,0\n")
+    doc = _two_bus_doc()
+    if not path:
+        doc = value
+    else:
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    with pytest.raises(error, match=re.escape(message)):
+        parse_network(json.dumps(doc), base_dir=str(tmp_path))
+
+
+def test_parse_accepts_the_two_bus_document():
+    net = parse_network(json.dumps(_two_bus_doc()))
+    assert net.n_buses == 2 and len(net.apparatus) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from impedmodal import rational_fit
-from impedmodal.admittance_assembly import WholeSystemModel
-from impedmodal.mass_oracle import _solve_each, interconnect
+from impedmodal.admittance_assembly import WholeSystemModel, _solve_each
+from impedmodal.mass_oracle import interconnect
 from impedmodal.network_model import (
     NetworkFormatError,
     SampledResponse,
@@ -38,7 +38,7 @@ from impedmodal.rational_fit import (
     fit_residues,
 )
 
-from conftest import W0, rl_shunt_admittance, rl_shunt_impedance
+from conftest import W0, PointwiseModel, rl_shunt_admittance, rl_shunt_impedance
 from paper_reference import resolvent_residue
 
 RC_MODE = complex(-10.0, W0)  # mode of the parallel-RC bus benchmark
@@ -104,8 +104,8 @@ def test_sample_evaluates_the_grid_in_one_call(three_bus_net):
     samples = sample_response(Counting(three_bus_net), grid)
     assert Counting.calls == 1
     model = WholeSystemModel(three_bus_net)
-    by_point = sample_response(lambda s: model.impedance(s), grid)  # a bare callable
-    assert np.array_equal(samples.blocks, by_point.blocks)
+    by_point = np.array([model.impedance(1j * w) for w in grid])
+    assert np.array_equal(samples.blocks, by_point)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +397,20 @@ def test_initial_poles_layout():
 
 
 def test_refine_mode_rl_shunt_impedance_zero():
-    lam = refine_mode(rl_shunt_impedance, seed=-8.0 + 300.0j)
+    lam = refine_mode(PointwiseModel(rl_shunt_impedance, 2), seed=-8.0 + 300.0j)
     assert abs(lam - RC_MODE) <= 1e-8 * abs(RC_MODE)
 
 
 def test_refine_mode_on_whole_system(rc_bus_net):
     model = WholeSystemModel(rc_bus_net)
-    lam = refine_mode(model.admittance, seed=-8.0 + 300.0j)
+    lam = refine_mode(model, seed=-8.0 + 300.0j)
     assert abs(lam - RC_MODE) <= 1e-8 * abs(RC_MODE)
 
 
 def test_refine_mode_immediate_convergence(rc_bus_net):
     model = WholeSystemModel(rc_bus_net)
-    lam0 = refine_mode(model.admittance, seed=-8.0 + 300.0j)
-    lam1 = refine_mode(model.admittance, seed=lam0)
+    lam0 = refine_mode(model, seed=-8.0 + 300.0j)
+    lam1 = refine_mode(model, seed=lam0)
     assert lam1 == lam0
 
 
@@ -418,7 +418,7 @@ def test_refine_mode_divergence():
     # constant nonsingular response: no zeros anywhere
     flat = lambda s: np.diag([2.0 + 0.0j, 3.0 + 0.0j])
     with pytest.raises(RefinementError):
-        refine_mode(flat, seed=0.0 + 0.0j)
+        refine_mode(PointwiseModel(flat, 2), seed=0.0 + 0.0j)
 
 
 def test_refine_mode_without_convergence():
@@ -433,13 +433,13 @@ def test_refine_mode_without_convergence():
         return (s * s + 1.0)[:, None, None]
 
     seed = 1.0 / np.sqrt(3.0)
-    (outcome,) = refine_modes(Yfun, [seed])
+    (outcome,) = refine_modes(Yfun, [seed], 1)
     assert len(iterates) == rational_fit._NEWTON_MAX_ITERATIONS
     assert np.all(np.imag(iterates) == 0)
     assert 1e-3 < np.min(np.abs(iterates)) <= np.max(np.abs(iterates)) < 1e3
     assert isinstance(outcome, RefinementError)
     with pytest.raises(RefinementError, match="no convergence from seed"):
-        refine_mode(lambda s: np.array([[s * s + 1.0]]), seed)
+        refine_mode(PointwiseModel(lambda s: np.array([[s * s + 1.0]]), 1), seed)
 
 
 def test_refine_modes_gives_each_seed_its_bits_alone_in_bounded_batches(two_bus_net,
@@ -453,7 +453,7 @@ def test_refine_modes_gives_each_seed_its_bits_alone_in_bounded_batches(two_bus_
     eig = eigendecompose(interconnect(two_bus_net).A)
     seeds = [complex(lam) * 1.02 + 5.0 for lam in eig.eigenvalues if lam.imag > 0]
     assert len(seeds) == 3
-    alone = [refine_mode(model.admittance, seed) for seed in seeds]
+    alone = [refine_mode(model, seed) for seed in seeds]
     points = []
 
     def Yfun(s, rows):
@@ -482,11 +482,11 @@ def test_refine_modes_keeps_each_failure_with_its_seed():
         return out
 
     seeds = [a + 1.0, b - 1.0, a, b + 0.5j]
-    got = refine_modes(Yfun, seeds)
-    assert got[0] == refine_mode(Y, seeds[0])
+    got = refine_modes(Yfun, seeds, 2)
+    assert got[0] == refine_mode(PointwiseModel(Y, 2), seeds[0])
     assert isinstance(got[1], RefinementError)
     assert isinstance(got[2], ValueError)
-    assert got[3] == refine_mode(Y, seeds[3])
+    assert got[3] == refine_mode(PointwiseModel(Y, 2), seeds[3])
 
 
 def _singular_at(a, b):
@@ -499,12 +499,12 @@ def test_refine_modes_takes_an_exactly_singular_iterate_as_its_root():
     solve of its batch does not fail for the other seeds, which end on the
     bits they reach alone."""
     a, b = complex(-5.0, 300.0), complex(-3.0, 200.0)
-    Y = _singular_at(a, b)
+    model = PointwiseModel(_singular_at(a, b), 2)
     seeds = [a + 1.0, a, b - 0.5j]
-    got = refine_modes(lambda s, rows: np.array([Y(x) for x in s]), seeds)
+    got = refine_modes(lambda s, rows: model.admittance(s), seeds, 2)
     assert got[1] == a
-    assert got[0] == refine_mode(Y, seeds[0])
-    assert got[2] == refine_mode(Y, seeds[2])
+    assert got[0] == refine_mode(model, seeds[0])
+    assert got[2] == refine_mode(model, seeds[2])
     assert abs(got[0] - a) <= 1e-13 * abs(a) and abs(got[2] - b) <= 1e-13 * abs(b)
 
 
@@ -584,7 +584,7 @@ def test_newton_step_bookkeeping_equals_the_row_loop(monkeypatch):
             return moving
 
         monkeypatch.setattr(rational_fit, "_newton_step", traced)
-        runs.append((refine_modes(Yfun, seeds), trail))
+        runs.append((refine_modes(Yfun, seeds, 2), trail))
     (got, got_trail), (want, want_trail) = runs
     assert got_trail == want_trail
     assert all(_same_outcome(a, b) for a, b in zip(got, want))
@@ -597,7 +597,7 @@ def test_newton_step_bookkeeping_equals_the_row_loop(monkeypatch):
 def test_admittance_residue_at_an_exactly_singular_point():
     a, b = complex(-5.0, 300.0), complex(-3.0, 200.0)
     want = np.array([[1.0, -1.0 / (a - b)], [0.0, 0.0]])  # of Z = Y^-1 at a
-    got = admittance_residue(_singular_at(a, b), a)
+    got = admittance_residue(PointwiseModel(_singular_at(a, b), 2), a)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
@@ -606,17 +606,27 @@ def test_admittance_residues_refuse_a_constant_singular_admittance():
     at its null vectors: ResidueError, not an infinite residue."""
     Y = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ResidueError, match="degenerate null vectors"):
-        admittance_residues(lambda s: np.tile(Y, (len(s), 1, 1)), [-5.0 + 300.0j])
+        admittance_residues(PointwiseModel(lambda s: Y, 2), [-5.0 + 300.0j])
 
 
 def test_find_modes_deduplicates(rc_bus_net):
     """Point by point or stacked over the model, the same one mode."""
     model = WholeSystemModel(rc_bus_net)
     seeds = [-8 + 300j, -12 + 320j, -8 + 300j]
-    modes = find_modes(model.admittance, seeds)
+    modes = find_modes(PointwiseModel(model.admittance, model.dim), seeds)
     assert len(modes) == 1
     assert abs(modes[0] - RC_MODE) <= 1e-8 * abs(RC_MODE)
     assert find_modes(model, seeds) == modes
+
+
+def test_find_modes_skips_a_seed_whose_refinement_fails():
+    """A seed whose Newton ends in RefinementError (Y not finite at it) is
+    skipped; the other seed's mode is returned."""
+    a, bad = complex(-5.0, 300.0), complex(-1.0, 900.0)
+    model = PointwiseModel(lambda s: np.array([[np.nan if s == bad else s - a]]), 1)
+    assert isinstance(refine_modes(lambda s, rows: model.admittance(s), [bad], 1)[0],
+                      RefinementError)
+    assert find_modes(model, [a + 1.0, bad]) == [refine_mode(model, a + 1.0)]
 
 
 def test_find_modes_orders_frequency_ties_by_real_part():
@@ -629,7 +639,7 @@ def test_find_modes_orders_frequency_ties_by_real_part():
     def Y(s):
         return np.diag([s - a, s - b, s - c])
 
-    modes = find_modes(Y, [b + 0.5, a + 0.5j, c - 0.5])
+    modes = find_modes(PointwiseModel(Y, 3), [b + 0.5, a + 0.5j, c - 0.5])
     assert len(modes) == 3
     assert np.allclose(modes, [c, a, b], rtol=1e-12, atol=0)
 
@@ -643,7 +653,7 @@ def test_refined_zeros_match_state_space(two_bus_net):
         if lam_true.imag <= 0:
             continue
         seed = complex(lam_true) * (1.0 + 0.02) + 5.0
-        lam = refine_mode(model.admittance, seed)
+        lam = refine_mode(model, seed)
         assert abs(lam - lam_true) <= 1e-8 * abs(lam_true)
 
 
@@ -662,7 +672,7 @@ def test_critical_mode_diagonal():
 
 def test_critical_mode_at_refined_mode(rc_bus_net):
     model = WholeSystemModel(rc_bus_net)
-    lam = refine_mode(model.admittance, seed=-8.0 + 300.0j)
+    lam = refine_mode(model, seed=-8.0 + 300.0j)
     Y = model.admittance(lam)
     crit = critical_resonance_mode(Y)
     assert abs(crit.eigenvalue) <= 1e-8
@@ -741,7 +751,7 @@ def test_admittance_residue_matches_state_space(three_bus_net):
     lam = complex(eig.eigenvalues[int(np.argmax(eig.eigenvalues.real))])
     if lam.imag < 0:
         lam = np.conj(lam)
-    R_imp = admittance_residue(model.admittance, lam)
+    R_imp = admittance_residue(model, lam)
     R_ss = ss.C @ resolvent_residue(ss.A, lam) @ ss.B
     assert np.linalg.norm(R_imp - R_ss) <= 1e-6 * np.linalg.norm(R_ss)
 
