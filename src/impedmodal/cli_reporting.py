@@ -286,8 +286,7 @@ def run(config: AnalysisConfig) -> int:
     out_dir = Path(config.out_dir)
     _check_band_given(net, config.band)
     net = _with_surrogates(net, config.order)
-    system = mai_core.oracle_system(net)
-    records = mai_core.solve_modes(net, band=config.band, system=system)
+    records = mai_core.solve_modes(net, band=config.band)
     if not records:
         raise mai_core.AnalysisError("no modes found in the requested band")
 
@@ -310,8 +309,7 @@ def run(config: AnalysisConfig) -> int:
     if config.validate_predictions:
         outcomes = mai_core.validate_mode_predictions(
             net, modes, assembly.network_elements(net), epsilon=config.epsilon,
-            reference_modes=[r.lam for r in records], system=system,
-        )
+            reference_modes=[r.lam for r in records])
         with open(out_dir / "validation.json", "w", encoding="utf-8") as f:
             f.writelines(_validation_json(config.epsilon, writer.labels, selected, modes,
                                           outcomes))

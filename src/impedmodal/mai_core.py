@@ -20,7 +20,7 @@ in a mode, layer 2 resolves it into damping (real) and frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "ModeLayers",
     "mode_layers",
     "branch_parameter_sensitivity",
-    "oracle_system",
     "solve_modes",
     "track_mode",
     "validate_element_prediction",
@@ -73,14 +72,16 @@ class ModeRecord:
 
     ``provenance`` names the path that found the mode: "state-space" (an
     eigenvalue of the interconnected state matrix) or "newton-refined" (a
-    zero of det Y refined from impedance data).
-    """
+    zero of det Y refined from impedance data). ``system`` is the
+    :class:`mass_oracle.Interconnection` that the state-space route took
+    ``lam`` from, for the validation to re-solve on."""
 
     lam: complex
     left: np.ndarray  # (2n,): C x on the state-space route, u on the impedance route
     right: np.ndarray  # (2n,): y^H B on the state-space route, v on the impedance route
     provenance: str
     denom: Optional[complex] = None  # v^T Y'(lambda) u on the impedance route
+    system: Optional[mass_oracle.Interconnection] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,9 +307,10 @@ def _mode_stack(model: WholeSystemModel, modes: Sequence[ModeRecord]):
 _CHUNK_BYTES = 1 << 17
 
 
-def _chunks(modes: list, budget: int, mode_bytes: int) -> list:
-    """``modes`` in consecutive chunks of at most ``budget`` bytes (or one mode)."""
-    step = max(1, budget // max(1, mode_bytes))
+def _chunks(modes: list, n_elements: int) -> list:
+    """``modes`` in consecutive chunks whose (M, N, 2, 2) complex stacks
+    over ``n_elements`` elements hold at most ``_CHUNK_BYTES`` (or one mode)."""
+    step = max(1, _CHUNK_BYTES // max(1, 64 * n_elements))
     return [modes[k:k + step] for k in range(0, len(modes), step)]
 
 
@@ -328,7 +330,7 @@ def mode_layers(net: NetworkDescription, modes: Sequence[ModeRecord]) -> Iterato
     """
     w0, model = net.omega0, WholeSystemModel(net)
     br = slice(0, model.n_branches)
-    for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(model.refs)):
+    for chunk in _chunks(modes, len(model.refs)):
         s, y = _mode_stack(model, chunk)
         lam = np.array([mode.lam for mode in chunk])[:, None]
         l2 = layer2(s, y)
@@ -382,10 +384,10 @@ def _solve_modes_state_space(system: mass_oracle.Interconnection, band):
     eig = system.eig
     idx = _in_band(eig.eigenvalues, band)
     # every mode's factors in two products, C X and Psi B over the modes' eigenvectors
-    left = (system.model.C @ eig.right[:, idx]).T.copy()
+    left = (system.model.C @ eig.right_columns(idx)).T.copy()
     right = eig.left[idx, :] @ system.model.B
     return [ModeRecord(lam=complex(eig.eigenvalues[i]), left=left[m], right=right[m],
-                       provenance="state-space") for m, i in enumerate(idx)]
+                       provenance="state-space", system=system) for m, i in enumerate(idx)]
 
 
 def _solve_modes_impedance(model, band):
@@ -407,37 +409,11 @@ def _solve_modes_impedance(model, band):
             for lam, (u, v, denom) in zip(lams, residues)]
 
 
-def oracle_system(net: NetworkDescription) -> Optional[mass_oracle.Interconnection]:
-    """The :class:`mass_oracle.Interconnection` of ``net`` when its modes are
-    solved and validated on the oracle route (as in :func:`solve_modes`),
-    else None. Built once, it serves :func:`solve_modes` and
-    :func:`validate_mode_predictions` of one run through their ``system``
-    keyword, so A is assembled and eigendecomposed once.
-
-    Raises
-    ------
-    UnsupportedForOracleError
-        As :func:`mass_oracle.interconnect`, if a bus voltage is undefined.
-    """
-    return mass_oracle.Interconnection(net) if mass_oracle.oracle_capable(net) else None
-
-
-def _system_of(net: NetworkDescription, system) -> mass_oracle.Interconnection:
-    """``system`` if given (it must be built from ``net`` itself), else a new
-    Interconnection of ``net``."""
-    if system is None:
-        return mass_oracle.Interconnection(net)
-    if system.net is not net:
-        raise AnalysisError("the given Interconnection was built from another network")
-    return system
-
-
 def solve_modes(
     net: NetworkDescription,
     band: Optional[tuple[float, float]] = None,
     order: Optional[int] = None,
     method: str = "auto",
-    system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[ModeRecord]:
     """Find the system's oscillatory modes with their impedance residues,
     each kept as its rank-one factors (:class:`ModeRecord`), O(n) per mode.
@@ -447,14 +423,13 @@ def solve_modes(
     a Loewner realization of Z over ``band`` to zeros of det Y by Newton on
     log det Y (AnalysisError if one in the band ends in no mode), and takes
     all residues from one stacked evaluation of Y around the modes. ``"auto"``
-    prefers the state-space path when available; ``order`` is ignored. The
-    state-space path takes A and its eigenstructure from ``system`` (see
-    :func:`oracle_system`) when given.
+    prefers the state-space path when available; ``order`` is ignored. Its
+    modes carry the one :class:`mass_oracle.Interconnection` they came from.
     """
     if method == "auto":
         method = "state_space" if mass_oracle.oracle_capable(net) else "impedance"
     if method == "state_space":
-        return _solve_modes_state_space(_system_of(net, system), band)
+        return _solve_modes_state_space(mass_oracle.Interconnection(net), band)
     if method == "impedance":
         return _solve_modes_impedance(WholeSystemModel(net), band)
     raise AnalysisError(f"unknown mode-solving method '{method}'")
@@ -532,7 +507,6 @@ def validate_mode_predictions(
     refs: Sequence[ElementRef],
     epsilon: float = 0.05,
     reference_modes: Optional[Sequence[complex]] = None,
-    system: Optional[mass_oracle.Interconnection] = None,
 ) -> list[list]:
     """Predict each mode's shift for a (1 + eps) scaling of each element and
     compare it against the re-solved mode of the perturbed system.
@@ -544,15 +518,18 @@ def validate_mode_predictions(
     evaluated gives every element that error. Each re-solve is anchored at
     lambda + its predicted shift and gated at 0.3 x the distance from
     lambda to its nearest other mode: among the eigenvalues of the state
-    matrix on the oracle route (as in :func:`solve_modes`; built from
-    ``system`` when given), else among ``reference_modes`` (the run's
-    modes; by default the lambdas of ``modes``) and their conjugates.
+    matrix on the oracle route (as in :func:`solve_modes`), else among
+    ``reference_modes`` (the run's modes; by default the lambdas of
+    ``modes``) and their conjugates. The oracle route re-solves on the
+    Interconnection that ``modes`` carry if it was built from ``net``, so a
+    run eigendecomposes its state matrix once; else it builds its own.
     """
     model = WholeSystemModel(net)
     at = [model.index[tuple(ref)] for ref in refs]
     oracle = None
     if mass_oracle.oracle_capable(net):
-        oracle = _system_of(net, system)
+        carried = [mode.system for mode in modes if getattr(mode.system, "net", None) is net]
+        oracle = carried[0] if carried else mass_oracle.Interconnection(net)
         updates = oracle.element_updates(refs, 1.0 + epsilon)
         spectrum = oracle.eig.eigenvalues
     else:
@@ -568,7 +545,7 @@ def validate_mode_predictions(
             return [exc] if len(chunk) == 1 else [p for mode in chunk for p in shifts([mode])]
         return list(predict_mode_shift(s[:, at], epsilon * y[:, at]))
 
-    predictions = [p for chunk in _chunks(modes, _CHUNK_BYTES, 64 * len(model.refs))
+    predictions = [p for chunk in _chunks(modes, len(model.refs))
                    for p in shifts(chunk)]
     live = [m for m, p in enumerate(predictions) if not isinstance(p, Exception)]
     lams = np.array([modes[m].lam for m in live], dtype=complex)
@@ -654,8 +631,7 @@ class _ResolvedSweep:
 class _OracleSweep:
     """How a sweep gets its modes on the oracle route, with the interface of
     :class:`_ResolvedSweep`. The network is assembled once, into working
-    copies of A and B, and its A eigendecomposed once, the real columns Xr
-    of that eigenbasis read off once for every step; every later network
+    copies of A and B, and its A eigendecomposed once; every later network
     differs in the swept branch alone, whose rows are written into them
     (into A only for a step that needs it, see :attr:`A`).
     Its eigenvalues are then the roots of the secular function of those
@@ -678,7 +654,6 @@ class _OracleSweep:
         self.B, self.update, self._A = self.system.model.B.copy(), None, None
         try:
             self.roots, self.motion = self.system.eig.eigenvalues, 0.0
-            self.real_right = self.system.eig.real_right()
         except mass_oracle.DefectiveMatrixError:
             self.roots = None
 
@@ -700,7 +675,7 @@ class _OracleSweep:
                 [(self.ref, net.branches[self.ref[1]])])
             self.update, self.B[rows] = (rows, A_rows), B_rows
             found = None if lam is None else mass_oracle.swept_eigenvalues(
-                self.system, rows, A_rows, self.roots + self.motion, self.real_right)
+                self.system, rows, A_rows, self.roots + self.motion)
             lam, self.grid = found or (None, None)
         self.dense = lam is None
         if self.dense:
@@ -724,7 +699,8 @@ class _OracleSweep:
         if self.dense:
             pair = None
         elif self.grid is None:
-            pair = self.system.eig.right[:, m], self.system.eig.left[m]
+            eig = self.system.eig
+            pair = eig.right_columns(self.index[k:k + 1])[:, 0], eig.left[m]
         else:
             pair = mass_oracle.swept_eigenvector_pair(self.grid, m, lam)
         x, y_h = pair or mass_oracle.eigenvector_pair(self.A, lam)

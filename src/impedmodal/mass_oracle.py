@@ -91,13 +91,13 @@ class EigenStructure:
     Of a real matrix, as LAPACK's ``dgeev`` gives them: a complex pair is
     two adjacent columns, the eigenvalue of positive imaginary part first,
     with x_j = a + ib and x_{j+1} = a - ib exactly. So X = Xr D U, with the
-    real Xr = [.. a b ..] (:meth:`real_right`), D = sqrt(2) on each pair's
-    two columns and 1 elsewhere, and U unitary; and the left rows of a pair
-    are (r_j -+ i r_{j+1}) / 2 exactly, with r the rows of Xr^-1
-    (:meth:`real_left`)."""
+    real Xr = [.. a b ..] (``real_right``, the form in which X is kept),
+    D = sqrt(2) on each pair's two columns and 1 elsewhere, and U unitary;
+    and the left rows of a pair are (r_j -+ i r_{j+1}) / 2 exactly, with r
+    the rows of Xr^-1 (:meth:`real_left`)."""
 
     eigenvalues: np.ndarray
-    right: np.ndarray
+    real_right: np.ndarray
     left: np.ndarray
     # ||right||_2 and ||right^-1||_2: the extreme singular values of Xr D,
     # which are those of X, since U is unitary
@@ -112,10 +112,19 @@ class EigenStructure:
         """The first column j of each complex pair; j + 1 is its conjugate."""
         return np.flatnonzero(self.eigenvalues.imag > 0)
 
-    def real_right(self) -> np.ndarray:
-        """Xr, read off ``right`` exactly: Re x_j and Re x_{j+1} = a, and
-        -Im x_{j+1} = b of each pair; Re x of a real eigenvalue."""
-        return _real_columns(self.eigenvalues, self.right)
+    @functools.cached_property
+    def right(self) -> np.ndarray:
+        """X, rebuilt from Xr bit for bit (:meth:`complex_columns`) on first
+        use and kept."""
+        return self.complex_columns(self.real_right)
+
+    def right_columns(self, idx) -> np.ndarray:
+        """Columns ``idx`` (an index array, eigenvalues of Im >= 0 alone) of
+        X from Xr: a + ib of a pair's first column, a of a real eigenvalue."""
+        out = self.real_right[:, idx].astype(complex)
+        pair = self.eigenvalues.imag[idx] > 0
+        out.imag[:, pair] = self.real_right[:, idx[pair] + 1]
+        return out
 
     def real_left(self) -> np.ndarray:
         """Xr^-1, read off ``left`` exactly: 2 Re y_j = r_j and
@@ -285,7 +294,7 @@ class Interconnection:
         on the real columns Xr of X: one product A Xr and one Xr Xr^-1,
         which equals X X^-1 (see :class:`EigenStructure`)."""
         eig = self.eig
-        lam, j, Xr = eig.eigenvalues, eig.pairs, eig.real_right()
+        lam, j, Xr = eig.eigenvalues, eig.pairs, eig.real_right
         # A x - lambda x = (A a - alpha a + beta b) + i (A b - alpha b - beta a)
         # for x = a + ib and lambda = alpha + i beta; its conjugate's is the
         # conjugate
@@ -508,23 +517,18 @@ def interconnect(net: NetworkDescription) -> StateSpaceRealization:
 # ---------------------------------------------------------------------------
 
 
-def _real_columns(lam: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Xr of :class:`EigenStructure` from eigenvalues ``lam`` and their
-    complex right eigenvectors."""
-    return np.where(lam.imag < 0, -right.imag, right.real)
-
-
 def eigendecompose(A: np.ndarray) -> EigenStructure:
     """Eigenvalues with mutually normalized right/left eigenvectors of a
     real matrix A.
 
     ``numpy.linalg.eig`` (LAPACK ``geev``) gives the eigenvalues and right
     eigenvectors X; both are cast to complex128, which numpy returns as
-    float64 when every eigenvalue is real. The rest is real arithmetic on the real columns Xr
-    of X (see :class:`EigenStructure`): the singular values of X are those
-    of Xr D, from one real SVD, and the left eigenvectors, the rows of
-    X^-1 = U^H D^-1 Xr^-1, come from one real inverse, which enforces
-    left @ right = I up to inversion error.
+    float64 when every eigenvalue is real. Only the real columns Xr of X
+    are kept (see :class:`EigenStructure`), read off exactly: Re x_j = a and
+    -Im x_{j+1} = b of each pair. The rest is real arithmetic on Xr: the
+    singular values of X are those of Xr D, from one real SVD, and the left
+    eigenvectors, the rows of X^-1 = U^H D^-1 Xr^-1, come from one real
+    inverse, which enforces left @ right = I up to inversion error.
 
     Raises DefectiveMatrixError when the eigenvector matrix condition number
     exceeds 1e12 (near-defective A).
@@ -533,7 +537,8 @@ def eigendecompose(A: np.ndarray) -> EigenStructure:
     if not np.isrealobj(A):
         raise OracleError("eigendecompose needs a real matrix")
     lam, right = (a.astype(complex, copy=False) for a in np.linalg.eig(A))
-    Xr = _real_columns(lam, right)
+    Xr = np.where(lam.imag < 0, -right.imag, right.real)
+    del right
     sv = np.linalg.svd(Xr * np.where(lam.imag != 0, np.sqrt(2.0), 1.0), compute_uv=False)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -541,7 +546,6 @@ def eigendecompose(A: np.ndarray) -> EigenStructure:
             f"eigenvector matrix condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}"
         )
     Ri = np.linalg.inv(Xr)
-    del Xr
     # (r_j - i r_{j+1}) / 2 and its conjugate for each pair; r_j at a real
     # eigenvalue
     j = np.flatnonzero(lam.imag > 0)
@@ -550,7 +554,7 @@ def eigendecompose(A: np.ndarray) -> EigenStructure:
     left.imag[j] = -Ri[j + 1]
     left.imag[j + 1] = Ri[j + 1]
     left.real[j + 1] = Ri[j]
-    return EigenStructure(eigenvalues=lam, right=right, left=left,
+    return EigenStructure(eigenvalues=lam, real_right=Xr, left=left,
                           norms=(float(sv[0]), float(1.0 / sv[-1])))
 
 
@@ -639,11 +643,11 @@ class _SecularGrid:
     laid out (update, eigenvalue), its entries given as index arrays ``e``
     and ``m``. V^T, W = V^T X, Z^T and T, which stacks w_j z_j^T over the
     updates in one row per state j, are formed once; :meth:`select` takes
-    the eigenvalues of the grid's columns and forms their moments. A caller
-    that builds many grids on one eigenbasis passes its Xr
-    (:meth:`EigenStructure.real_right`) as ``real_right``."""
+    the eigenvalues of the grid's columns and forms their moments. W is
+    one real product with Xr (``EigenStructure.real_right``); only
+    :meth:`vectors` reads the complex X, which the eigenbasis forms once."""
 
-    def __init__(self, system: Interconnection, updates, real_right=None):
+    def __init__(self, system: Interconnection, updates):
         A, eig = system.model.A, system.eig
         self.system, self.lam = system, eig.eigenvalues
         n_up, n = len(updates), A.shape[0]
@@ -654,8 +658,7 @@ class _SecularGrid:
             self.rows[e, :len(r)] = r
             self.Vt[e, :len(r)] = a - A[r]
         padded = np.arange(k)[None, :] >= np.array([len(r) for r, _ in updates])[:, None]
-        Xr = eig.real_right() if real_right is None else real_right
-        self.W = eig.complex_columns(self.Vt.reshape(-1, n) @ Xr).reshape(n_up, k, n)
+        self.W = eig.complex_columns(self.Vt.reshape(-1, n) @ eig.real_right).reshape(n_up, k, n)
         self.Zt = eig.left.T[self.rows]
         self.Zt[padded] = 0.0
         self.T = (self.W[:, :, None] * self.Zt[:, None]).transpose(3, 0, 1, 2).reshape(n, -1)
@@ -964,7 +967,7 @@ def _apart(mu: np.ndarray, radius: np.ndarray, others: np.ndarray, reach: np.nda
     return bool(np.all(np.abs(mu[i] - others[j]) > radius[i] + reach[j]))
 
 
-def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors, real_right):
+def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors):
     """Every eigenvalue of A' = A + U V^T, the network's state matrix A with
     rows ``rows`` replaced by ``A_rows``, from the eigenbasis of A alone,
     with the secular equations they solve, for
@@ -987,12 +990,11 @@ def swept_eigenvalues(system: Interconnection, rows, A_rows, anchors, real_right
     each its own included), and the root of each real pole lies within its
     radius of the real axis. It is then made exactly real, as LAPACK gives
     it: ``(eigenvalues, grid)``, the grid's columns the poles of Im >= 0.
-    ``real_right`` is Xr of A's eigenbasis (:meth:`EigenStructure.real_right`),
-    which a sweep reads once for all its steps.
+    Every step of a sweep reads the one Xr that A's eigenbasis keeps.
     """
     eig = system.eig
     upper = np.flatnonzero(eig.eigenvalues.imag >= 0)
-    grid = _SecularGrid(system, [(rows, A_rows)], real_right).select(upper, far=False)
+    grid = _SecularGrid(system, [(rows, A_rows)]).select(upper, far=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mu, converged, last = grid.newton(np.asarray(anchors, dtype=complex)[None, upper])
         if not converged.all():

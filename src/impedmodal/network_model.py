@@ -196,10 +196,6 @@ class RationalModel:
                 self.warning = f"{self.warning}; {note}" if self.warning else note
                 break
 
-    @property
-    def dim(self) -> int:
-        return self.const.shape[0]
-
     def evaluate(self, s) -> np.ndarray:
         """Model value at s; stacked (M, dim, dim) over an array of s."""
         s = np.asarray(s, dtype=complex)

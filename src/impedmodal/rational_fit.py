@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .admittance_assembly import SingularSystemError, WholeSystemModel, _solve_each
+from .admittance_assembly import EvaluationError, SingularSystemError, WholeSystemModel, _solve_each
 from .network_model import RationalModel, SampledResponse
 
 __all__ = [
@@ -505,7 +505,8 @@ def loewner_poles(model: WholeSystemModel, band: tuple[float, float]) -> tuple[n
     eigenvalues nu of (x0 E_r - A_r)^-1 E_r. A nu that is 0 to rounding is an
     infinite pole (Z's direct term, Z(inf) != 0) and is dropped, as the QZ
     algorithm drops a generalized eigenvalue of beta = 0. A sample point
-    where Y is exactly singular raises SingularSystemError at that s."""
+    where Y is exactly singular raises SingularSystemError at that s, and
+    the first where Y is not finite EvaluationError naming that s."""
     w_lo, w_hi = band
     x0 = np.sqrt(w_lo * w_hi)
     model.admittance(x0)  # Newton needs Y off the axis: a model without it fails here
@@ -516,6 +517,9 @@ def loewner_poles(model: WholeSystemModel, band: tuple[float, float]) -> tuple[n
         x = np.empty(d.shape, dtype=complex)
         for k in range(0, n_points, batch):  # solve with Y at even points, Y^T at odd
             Y = model.admittance(s[k:k + batch])
+            if not np.isfinite(Y).all():
+                bad = complex(s[k + np.argmin(np.isfinite(Y).all(axis=(1, 2)))])
+                raise EvaluationError(f"whole-system admittance is not finite at s = {bad}")
             Y[1::2] = np.swapaxes(Y[1::2], 1, 2).copy()
             x[k:k + batch] = _solve_each(Y, d[k:k + batch, :, None])[..., 0]
         singular = np.isinf(x).all(axis=1)  # _solve_each's mark of an exactly singular Y

@@ -1,5 +1,6 @@
 """Shared fixtures: small benchmark networks with known modal structure."""
 
+import functools
 import importlib.util
 import json
 from dataclasses import replace
@@ -167,6 +168,33 @@ class PointwiseModel:
         if np.ndim(s) == 0:
             return np.asarray(self.Y(complex(s)), dtype=complex)
         return np.array([np.asarray(self.Y(complex(x)), dtype=complex) for x in s])
+
+
+def count_formed_x(mp: pytest.MonkeyPatch, formed: list) -> None:
+    """Patch, through ``mp``, ``EigenStructure.right`` so that every
+    formation of an eigenbasis's complex eigenvector matrix X appends that
+    eigenbasis to ``formed``; X is still formed once and kept."""
+    form = mass_oracle.EigenStructure.right.func
+
+    def counted(eig):
+        formed.append(eig)
+        return form(eig)
+
+    right = functools.cached_property(counted)
+    right.__set_name__(mass_oracle.EigenStructure, "right")
+    mp.setattr(mass_oracle.EigenStructure, "right", right)
+
+
+def overflowing_three_bus_doc() -> dict:
+    """The shipped three_bus network document with apparatus 0 a valid 2 x 2
+    ``rational`` model whose diagonal, (1e300 s^3 + 1) / (1e300 s^3 + 2),
+    overflows in the Horner pass above about 565 rad/s: Y is not finite
+    there."""
+    path = Path(__file__).resolve().parents[1] / "networks" / "three_bus.json"
+    doc = json.loads(path.read_text())
+    diag, off = {"num": [1e300, 0, 0, 1], "den": [1e300, 0, 0, 2]}, {"num": [0], "den": [1]}
+    doc["apparatus"][0]["model"] = {"kind": "rational", "entries": [[diag, off], [off, diag]]}
+    return doc
 
 
 def mixed_ring_doc() -> dict:

@@ -22,7 +22,7 @@ from impedmodal.cli_reporting import (
     run,
 )
 
-from conftest import generated_ring_doc, mixed_ring_doc
+from conftest import count_formed_x, generated_ring_doc, mixed_ring_doc, overflowing_three_bus_doc
 
 REPO = Path(__file__).resolve().parents[1]
 NETWORK = REPO / "networks" / "three_bus.json"
@@ -126,19 +126,29 @@ def test_static_apparatus_at_a_capacitive_bus_is_validated(tmp_path):
 
 
 def test_validated_analyze_eigendecomposes_once(tmp_path, monkeypatch):
-    """Mode solving and validation share the run's Interconnection: A is
-    eigendecomposed once per validated analyze."""
-    decompose = mass_oracle.eigendecompose
-    calls = []
+    """Mode solving and validation share the Interconnection that the modes
+    carry: a validated analyze assembles and eigendecomposes A once, and
+    never forms the complex eigenvector matrix X, only its real columns
+    Xr and the modes' columns."""
+    decompose, init = mass_oracle.eigendecompose, mass_oracle.Interconnection.__init__
+    calls, built, formed = [], [], []
 
     def counting(A):
         calls.append(A.shape)
         return decompose(A)
 
+    def building(self, net):
+        built.append(net.n_buses)
+        init(self, net)
+
     monkeypatch.setattr(mass_oracle, "eigendecompose", counting)
+    monkeypatch.setattr(mass_oracle.Interconnection, "__init__", building)
+    count_formed_x(monkeypatch, formed)
     assert main(["analyze", str(NETWORK), "--out", str(tmp_path)]) == EXIT_OK
     assert len(json.loads((tmp_path / "validation.json").read_text())["modes"]) == 7
     assert calls == [(14, 14)]
+    assert built == [3]
+    assert formed == []
 
 
 def test_oracle_cli_runs_never_load_scipy(tmp_path):
@@ -457,6 +467,24 @@ def test_sweep_cli(tmp_path):
         assert float(r[7]) <= 5.0  # per-step error in percent
 
 
+def test_sweep_starts_at_the_mode_seed(tmp_path):
+    """``--mode-seed RE:IM`` starts the sweep at the mode nearest the seed,
+    here three_bus's highest, not the default least-damped mode."""
+    net = network_model.parse_network(NETWORK.read_text())
+    lams = [r.lam for r in mai_core.solve_modes(net)]
+    default = mai_core.parameter_sweep(net, 0, "L", 1.05, 1)[0].lam_before
+    lam = lams[-1]
+    assert lam != default
+    code = main(["sweep", str(NETWORK), "--branch", "1:2", "--param", "L", "--factor", "1.05",
+                 "--steps", "2", f"--mode-seed={lam.real + 1.0}:{lam.imag - 1.0}",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    with open(tmp_path / "sweep.csv") as fh:
+        endpoints = list(csv.reader(fh))[-1]
+    assert endpoints[0] == "endpoints"
+    assert endpoints[3:5] == [cli_reporting._fmt(lam.real), cli_reporting._fmt(lam.imag)]
+
+
 def test_sweep_measured_network(tmp_path):
     """A sweep of the measured network replaces its sampled apparatus by the
     fitted surrogate, as analyze does, and tracks the mode at complex s."""
@@ -600,6 +628,34 @@ def test_fit_rejects_bad_order_or_iterations(tmp_path, capsys, order, iterations
     assert code == EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["type"] == "ConfigError"
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("argv, kind", [(["analyze"], "network"),
+                                        (["fit", "--order=4"], "samples")])
+def test_an_unreadable_input_file_is_an_input_error(tmp_path, capsys, argv, kind):
+    missing = tmp_path / "missing"
+    code = main([argv[0], str(missing), *argv[1:], "--out", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith(f"cannot read {kind} file '{missing}': ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_names_the_sample_point_where_y_is_not_finite(tmp_path, capsys):
+    """A valid rational apparatus whose Horner pass overflows in the band:
+    the impedance route exits 3 naming the first sample point where Y is
+    not finite, not numpy's bare "SVD did not converge"."""
+    doc = tmp_path / "overflow.json"
+    doc.write_text(json.dumps(overflowing_three_bus_doc()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["analyze", str(doc), "--band", "5:5000", "--no-validate",
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["type"]) == ("numerical", "EvaluationError")
+    assert err["message"].startswith("whole-system admittance is not finite at s = ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_an_order_its_samples_cannot_carry(tmp_path, capsys):
@@ -1067,6 +1123,7 @@ SWEEP_ARGS = ["--param", "L", "--factor", "1.05", "--steps", "1"]
     (["sweep", "--branch=1:2", "--mode-seed=-5:300:1", *SWEEP_ARGS],
      "mode seed must be RE:IM, got '-5:300:1'"),
     (["sweep", "--branch=1:2", "--band=5", *SWEEP_ARGS], "band must be MIN:MAX, got '5'"),
+    (["analyze", "--order=1"], "fit order must be >= 2, got 1"),
 ])
 def test_malformed_options_are_input_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -49,8 +49,9 @@ from impedmodal.mai_core import (
 )
 from impedmodal.network_model import NetworkDescription, SeriesBranch, ShuntElement
 
-from conftest import (W0, PointwiseModel, dense_residue, generated_ring, mixed_ring_doc,
-                      rl_load_apparatus, same_bits, scaled_net, table_admittance)
+from conftest import (W0, PointwiseModel, count_formed_x, dense_residue, generated_ring,
+                      mixed_ring_doc, overflowing_three_bus_doc, rl_load_apparatus, same_bits,
+                      scaled_net, table_admittance)
 from paper_reference import (
     DegenerateSplitError,
     parameter_sensitivity_ss,
@@ -96,18 +97,34 @@ def test_state_space_solve_modes_assembles_no_admittance(three_bus_net, monkeypa
 
 
 def test_shared_oracle_system(three_bus_net, three_bus_modes, two_bus_net):
-    """A run's Interconnection gives the same modes and validation as the
-    ones each call builds, and one of another network is refused."""
-    system = mai_core.oracle_system(three_bus_net)
-    records = solve_modes(three_bus_net, system=system)
+    """The records of one solve carry the one Interconnection they came
+    from, built from their network. Validating them re-solves on it and
+    builds none, and gives what records that carry no system, or a system
+    of another network, give by building their own."""
+    records = solve_modes(three_bus_net)
+    system = records[0].system
+    assert isinstance(system, mass_oracle.Interconnection) and system.net is three_bus_net
+    assert all(r.system is system for r in records)
+    assert "system" not in repr(records[0])
     assert [r.lam for r in records] == [r.lam for r in three_bus_modes]
     assert all(np.array_equal(dense_residue(a), dense_residue(b))
                for a, b in zip(records, three_bus_modes))
     refs = network_elements(three_bus_net)
-    assert (mai_core.validate_mode_predictions(three_bus_net, records[:2], refs, system=system)
-            == mai_core.validate_mode_predictions(three_bus_net, records[:2], refs))
-    with pytest.raises(AnalysisError, match="another network"):
-        solve_modes(two_bus_net, system=system)
+    bare = [replace(r, system=None) for r in records[:2]]
+    foreign = [replace(r, system=solve_modes(two_bus_net)[0].system) for r in records[:2]]
+    init, built = mass_oracle.Interconnection.__init__, []
+
+    def counting(self, net):
+        built.append(net)
+        init(self, net)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mass_oracle.Interconnection, "__init__", counting)
+        shared = mai_core.validate_mode_predictions(three_bus_net, records[:2], refs)
+        assert built == []
+        assert mai_core.validate_mode_predictions(three_bus_net, bare, refs) == shared
+        assert mai_core.validate_mode_predictions(three_bus_net, foreign, refs) == shared
+    assert built == [three_bus_net, three_bus_net]
 
 
 def test_solve_modes_refuses_a_missing_band_and_an_unknown_method(three_bus_net):
@@ -192,16 +209,16 @@ def test_modes_keep_their_residues_as_factors():
 
 def test_a_fitted_surrogate_is_not_oracle_capable():
     """The measured network with its sampled apparatus replaced by a fitted
-    RationalModel has no state-space oracle: ``oracle_system`` gives None
-    and ``solve_modes`` takes the impedance path without being told."""
+    RationalModel has no state-space oracle: ``solve_modes`` takes the
+    impedance path without being told, and its records carry no system."""
     path = Path(__file__).resolve().parents[1] / "networks" / "measured_two_bus.json"
     net = network_model.parse_network(path.read_text(), base_dir=str(path.parent))
     net = cli_reporting._with_surrogates(net, 12)
     assert isinstance(net.apparatus[0].model, network_model.RationalModel)
     assert not mass_oracle.oracle_capable(net)
-    assert mai_core.oracle_system(net) is None
     records = solve_modes(net, band=(5.0, 5000.0))
     assert records and all(r.provenance == "newton-refined" for r in records)
+    assert all(r.system is None for r in records)
     impedance = solve_modes(net, band=(5.0, 5000.0), method="impedance")
     assert [r.lam for r in records] == [r.lam for r in impedance]
 
@@ -1577,10 +1594,11 @@ def _sweep_outcome(net, *args, **kwargs):
 
 def _counted_sweep(net, *args, **kwargs):
     """The sweep's outcome and the calls it makes of ``Interconnection``,
-    ``eigendecompose``, ``np.linalg.eigvals``, ``eigenvector_pair`` and
-    ``EigenStructure.real_right``."""
-    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0, "eigenvector_pair": 0,
-              "real_right": 0}
+    ``eigendecompose``, ``np.linalg.eigvals`` and ``eigenvector_pair``,
+    with ``formed_x``, the times it forms an eigenbasis's complex X
+    (``EigenStructure.right``)."""
+    counts = {"assemble": 0, "eigendecompose": 0, "eigvals": 0, "eigenvector_pair": 0}
+    formed = []
 
     def counting(name, f):
         def call(*a):
@@ -1596,9 +1614,9 @@ def _counted_sweep(net, *args, **kwargs):
         mp.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
         mp.setattr(mass_oracle, "eigenvector_pair",
                    counting("eigenvector_pair", mass_oracle.eigenvector_pair))
-        mp.setattr(mass_oracle.EigenStructure, "real_right",
-                   counting("real_right", mass_oracle.EigenStructure.real_right))
-        return _sweep_outcome(net, *args, **kwargs), counts
+        count_formed_x(mp, formed)
+        outcome = _sweep_outcome(net, *args, **kwargs)
+    return outcome, {**counts, "formed_x": len(formed)}
 
 
 def _dense_sweep(net, *args, **kwargs):
@@ -1612,8 +1630,8 @@ def _dense_sweep(net, *args, **kwargs):
 @pytest.mark.parametrize("case", ["ring10", 0, 1, 2])
 def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
     """An oracle sweep assembles and eigendecomposes the network once, and
-    reads the real columns Xr of that eigenbasis twice: once for its error
-    bounds and once for every step's secular equations. No step takes a
+    forms the complex X of that eigenbasis once, for the secular
+    eigenvectors of every certified step. No step takes a
     dense eigvals or an inverse for its residue: on the 10-bus ring
     of seed 9 and on the benchmark's 30-bus rings of seeds 0-2 every step's
     spectrum is certified from the secular roots, and every residue comes
@@ -1625,7 +1643,7 @@ def test_oracle_sweep_assembles_and_eigendecomposes_once(case):
     steps, counts = _counted_sweep(net, *args)
     assert len(steps) == 10
     assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0,
-                      "real_right": 2}
+                      "formed_x": 1}
 
 
 def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
@@ -1636,13 +1654,13 @@ def test_swept_eigenvalues_are_the_whole_spectrum_or_refused():
     Im = w0), and the set is refused."""
     net = _rl_ring(10, 0, "state_space")
     system = mass_oracle.Interconnection(net)
-    roots, motion, Xr = system.eig.eigenvalues, 0.0, system.eig.real_right()
+    roots, motion = system.eig.eigenvalues, 0.0
     for k in range(1, 7):
         branch = net.with_branch(0, R=net.branches[0].R * 0.9 ** k).branches[0]
         [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
-        anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots, Xr)
+        anchored_where_they_were = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots)
         assert (anchored_where_they_were is None) == (k == 6), k
-        found, _ = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion, Xr)
+        found, _ = mass_oracle.swept_eigenvalues(system, rows, A_rows, roots + motion)
         dense = np.linalg.eigvals(_perturbed(system, (rows, A_rows)))
         dist = np.abs(found[:, None] - dense)
         assert np.all(np.min(dist, axis=0) <= 1e-12 * np.abs(dense)), k
@@ -1665,7 +1683,7 @@ def test_a_root_on_a_conjugate_is_refused(moved, three_bus_net):
     system = mass_oracle.Interconnection(net)
     branch = net.with_branch(0, R=net.branches[0].R * 0.9).branches[0]
     [(rows, A_rows, _)] = system.element_rows([(("branch", 0), branch)])
-    anchors, Xr = system.eig.eigenvalues, system.eig.real_right()
+    anchors = system.eig.eigenvalues
     p, q = (np.flatnonzero(anchors.imag == 0) if moved == "off the real axis"
             else system.eig.pairs)[:2]
     newton = mass_oracle._SecularGrid.newton
@@ -1678,11 +1696,11 @@ def test_a_root_on_a_conjugate_is_refused(moved, three_bus_net):
                        "off the real axis": mu[0, at_p] * (1.0 + 1e-6j)}[moved]
         return mu, converged, last
 
-    assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors, Xr) is not None
+    assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is not None
     assert all_swept_roots(system, rows, A_rows, anchors) is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mass_oracle._SecularGrid, "newton", moving)
-        assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors, Xr) is None
+        assert mass_oracle.swept_eigenvalues(system, rows, A_rows, anchors) is None
         assert all_swept_roots(system, rows, A_rows, anchors) is None
 
 
@@ -1691,15 +1709,13 @@ def test_swept_eigenvalues_solve_one_root_per_conjugate_pair(seed):
     """On the benchmark's 30-bus rings of seeds 0-2, each certified step's
     first secular evaluation covers exactly the 75 poles of Im >= 0 of the
     150, and its roots equal, bit for bit, those of Newton on all 150
-    (``secular_reference.all_swept_roots``). The Xr that the sweep passes
-    to every step is the eigenbasis's, bit for bit."""
+    (``secular_reference.all_swept_roots``)."""
     swept, evaluate = mass_oracle.swept_eigenvalues, mass_oracle._SecularGrid.evaluate
     first = []  # per step, the poles of its first evaluation
 
-    def solve(system, rows, A_rows, anchors, real_right):
+    def solve(system, rows, A_rows, anchors):
         first.append(None)
-        assert same_bits(real_right, system.eig.real_right())
-        found = swept(system, rows, A_rows, anchors, real_right)
+        found = swept(system, rows, A_rows, anchors)
         assert found is not None
         assert same_bits(found[0], all_swept_roots(system, rows, A_rows, anchors))
         return found
@@ -1731,6 +1747,28 @@ def _three_bus_with_real_eigenvalues(three_bus_net):
                    + (network_model.ApparatusAttachment(bus=2, model=model, theta=0.0),))
 
 
+def test_a_sweep_without_modes_in_its_band_has_nothing_to_track(three_bus_net):
+    """three_bus has no mode above 2000 rad/s: a sweep over such a band
+    refuses to start."""
+    with pytest.raises(AnalysisError) as exc:
+        parameter_sweep(three_bus_net, 0, "L", 1.1, 3, band=(1e5, 2e5))
+    assert str(exc.value) == "no modes found to track"
+
+
+@pytest.mark.parametrize("param, factor", [("L", 1.1), ("R", 0.8)])
+def test_a_sweep_of_real_modes_tracks_the_least_damped(three_bus_net, param, factor):
+    """Over the band 0:1 rad/s three_bus with 2 real eigenvalues has no
+    mode of Im > 0: the default mode is then the least damped of all the
+    band's modes, the real eigenvalue near -91.5, and it stays real."""
+    net = _three_bus_with_real_eigenvalues(three_bus_net)
+    lam = mass_oracle.Interconnection(net).eig.eigenvalues
+    real = lam[lam.imag == 0]
+    steps = parameter_sweep(net, 0, param, factor, 3, band=(0.0, 1.0))
+    assert steps[0].lam_before == real[np.argmax(real.real)]
+    assert -92.0 < steps[0].lam_before.real < -91.0
+    assert all(st.actual.imag == 0 for st in steps)
+
+
 @pytest.mark.parametrize("branch_index", [0, 1])
 @pytest.mark.parametrize("param, factor", [("L", 1.1), ("L", 0.9), ("R", 0.8), ("R", 1.25)])
 def test_a_sweep_with_real_eigenvalues_matches_the_dense_sweep(three_bus_net, branch_index,
@@ -1754,7 +1792,7 @@ def test_a_sweep_with_real_eigenvalues_matches_the_dense_sweep(three_bus_net, br
         steps, counts = _counted_sweep(net, branch_index, param, factor, 6)
     assert len(steps) == 6
     assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0, "eigenvector_pair": 0,
-                      "real_right": 2}
+                      "formed_x": 1}
     assert [np.count_nonzero(found.imag == 0) for found in spectra] == [2] * 6
     _same_sweeps(steps, _dense_sweep(net, branch_index, param, factor, 6), 1e-12)
 
@@ -1877,8 +1915,10 @@ def test_secular_vectors_on_another_pole_fall_back_to_the_lu(three_bus_net):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mass_oracle, "swept_eigenvector_pair", none_there)
             steps, counts = _counted_sweep(three_bus_net, 0, "L", 0.8, 7)
+        # X is formed for the secular vectors at another pole; a pole of
+        # Im < 0 is refused before any
         assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 0,
-                          "eigenvector_pair": 6, "real_right": 2}
+                          "eigenvector_pair": 6, "formed_x": int(asked is on_another_pole)}
         assert len(steps) == len(normal) == 7
         for st, ref in zip(steps, normal):
             assert np.isfinite(st.error) and st.actual == ref.actual
@@ -1937,7 +1977,7 @@ def test_a_defective_state_matrix_takes_the_dense_spectrum(three_bus_net):
     steps, counts = _counted_sweep(net, 0, "L", 0.8, 7)
     assert len(steps) == 7
     assert counts == {"assemble": 1, "eigendecompose": 1, "eigvals": 8, "eigenvector_pair": 8,
-                      "real_right": 0}
+                      "formed_x": 0}
     for st in steps:
         net = net.with_branch(0, L=st.rho_after)
         eigenvalues = np.linalg.eigvals(mass_oracle.interconnect(net).A)
@@ -2075,6 +2115,23 @@ def test_loewner_names_the_sample_point_where_y_is_singular(k):
     with pytest.raises(admittance_assembly.SingularSystemError) as exc:
         rational_fit.loewner_poles(model, BAND)
     assert exc.value.s == s0
+
+
+def test_loewner_names_the_first_sample_point_where_y_is_not_finite():
+    """three_bus with a rational apparatus whose Horner pass overflows in
+    the band: Loewner raises EvaluationError naming the first sample of the
+    first pencil where Y is not finite, not numpy's bare LinAlgError from
+    the pencil's SVD."""
+    net = network_model.parse_network(json.dumps(overflowing_three_bus_doc()))
+    model = WholeSystemModel(net)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError) as exc:
+        rational_fit.loewner_poles(model, BAND)
+    s = 1j * rational_fit.frequency_grid(*BAND, rational_fit._LOEWNER_POINTS[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(model.admittance(s)).all(axis=(1, 2))
+    k = int(np.argmin(finite))
+    assert 0 < k and finite[:k].all() and not finite[k]
+    assert str(exc.value) == f"whole-system admittance is not finite at s = {complex(s[k])}"
 
 
 def _resistive_bus_net():

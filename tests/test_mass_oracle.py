@@ -17,6 +17,8 @@ from impedmodal.mass_oracle import (
     eigenvector_pair,
     interconnect,
     nearest_eigenvalue,
+    swept_eigenvalues,
+    updated_eigenvalues,
 )
 from impedmodal.network_model import (
     ApparatusAttachment,
@@ -119,6 +121,32 @@ def test_interconnect_undefined_bus_voltage():
         interconnect(net)
 
 
+def test_element_rows_keep_an_undefined_bus_voltage_with_its_change():
+    """Bus 1 has no capacitance, its voltage eliminated through its
+    resistor. Replacing that resistor by one of 1e13 ohm leaves the voltage
+    undefined: that change's entry is the UnsupportedForOracleError, and a
+    change of the line beside it still gets its rows, those of the rebuilt
+    network."""
+    from impedmodal.network_model import SeriesBranch
+
+    net = NetworkDescription(
+        n_buses=2, omega0=W0,
+        branches=(SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.03, L=0.002),),
+        shunts=(ShuntElement(bus=1, kind="resistive", value=2.5),
+                ShuntElement(bus=2, kind="capacitive", value=1e-3)),
+    )
+    line = SeriesBranch(kind="line", from_bus=1, to_bus=2, R=0.06, L=0.002)
+    open_bus = ShuntElement(bus=1, kind="resistive", value=1e13)
+    kept, lost = Interconnection(net).element_rows([(("branch", 0), line),
+                                                    (("shunt", 0), open_bus)])
+    assert isinstance(lost, UnsupportedForOracleError)
+    assert str(lost) == ("bus 1 voltage is undefined: no capacitive shunt and singular "
+                         "static conductance")
+    rows, A_rows, B_rows = kept
+    rebuilt = interconnect(net.with_branch(0, R=0.06))
+    assert np.array_equal(A_rows, rebuilt.A[rows]) and np.array_equal(B_rows, rebuilt.B[rows])
+
+
 def test_interconnect_rejects_sampled_apparatus():
     model = SampledResponse(
         frequencies=np.array([1.0, 10.0]), blocks=np.zeros((2, 2, 2), dtype=complex)
@@ -203,8 +231,9 @@ def _complex_route(A):
 
 def _check_eigenbasis(A, rtol=1e-12):
     """``eigendecompose(A)`` raises DefectiveMatrixError exactly where the
-    complex SVD's condition number exceeds 1e12; else its ``right`` is
-    eig's, bit for bit, ``norms`` within ``rtol`` relative of the complex
+    complex SVD's condition number exceeds 1e12; else its ``right``, and
+    its ``right_columns`` of the eigenvalues of Im >= 0, are eig's, bit
+    for bit, ``norms`` within ``rtol`` relative of the complex
     SVD's (None: 16 eps x the condition number, the accuracy of the
     smallest singular value), the left rows of each pair exact
     conjugates, and left @ right = I to rounding. True if it raised."""
@@ -216,6 +245,8 @@ def _check_eigenbasis(A, rtol=1e-12):
     eig = eigendecompose(A)
     n, eps, kappa = eig.n, np.finfo(float).eps, sv[0] / sv[-1]
     rtol = 16 * eps * kappa if rtol is None else rtol
+    upper = np.flatnonzero(eig.eigenvalues.imag >= 0)
+    assert same_bits(eig.right_columns(upper), X[:, upper])
     assert same_bits(eig.right, X)
     assert abs(eig.norms[0] - sv[0]) <= rtol * sv[0]
     assert abs(eig.norms[1] - 1.0 / sv[-1]) <= rtol / sv[-1]
@@ -589,3 +620,66 @@ def test_state_space_response_on_selected_ports():
                              s)
     full = state_space_response(model.A, model.B, model.C, model.D, s)
     assert np.allclose(G, full[np.ix_(rows, cols)])
+
+
+# ---------------------------------------------------------------------------
+# Secular solves: the refusals
+# ---------------------------------------------------------------------------
+
+
+def test_updated_eigenvalues_refuse_an_ill_conditioned_certified_root(three_bus_net,
+                                                                      monkeypatch):
+    """A root whose backward error passes but whose condition number
+    exceeds 1e12 (here the first entry's, inflated to 1e13) is no root: its
+    entry is nan with a DefectiveMatrixError naming the root, and every
+    other entry keeps its value."""
+    system = Interconnection(three_bus_net)
+    updates = system.element_updates([("branch", 0), ("shunt", 0)], 1.05)
+    indices = system.eig.pairs[:3]
+    anchors = np.repeat(system.eig.eigenvalues[indices], len(updates)).reshape(3, -1)
+    roots, failures = updated_eigenvalues(system, indices, updates, anchors)
+    assert failures == {} and np.isfinite(roots).all()
+    checked = _SecularGrid.checked
+
+    def ill(grid, mu, converged, last):
+        good, cond = checked(grid, mu, converged, last)
+        assert good[0, 0]
+        cond[0, 0] = 1e13
+        return good, cond
+
+    monkeypatch.setattr(_SecularGrid, "checked", ill)
+    got, failed = updated_eigenvalues(system, indices, updates, anchors)
+    assert list(failed) == [(0, 0)] and type(failed[0, 0]) is DefectiveMatrixError
+    assert str(failed[0, 0]) == (f"eigenvalue {complex(roots[0, 0])} has condition number "
+                                 "1.000e+13 exceeding 1.0e+12")
+    assert np.isnan(got[0, 0]) and np.array_equal(np.delete(got, 0), np.delete(roots, 0))
+
+
+@pytest.mark.parametrize("refused", ["newton", "certificate"])
+def test_swept_eigenvalues_refuse_an_unconverged_or_uncertified_root(three_bus_net,
+                                                                     monkeypatch, refused):
+    """Line 1-2 of three_bus at R x 0.9: the swept roots are certified.
+    With one root's Newton left unconverged, or its backward-error bound
+    at 1e-10 (over the 1e-12 limit), the set is refused."""
+    system = Interconnection(three_bus_net)
+    line = three_bus_net.with_branch(0, R=three_bus_net.branches[0].R * 0.9).branches[0]
+    [(rows, A_rows, _)] = system.element_rows([(("branch", 0), line)])
+    anchors = system.eig.eigenvalues
+    assert swept_eigenvalues(system, rows, A_rows, anchors) is not None
+    newton, certificate = _SecularGrid.newton, _SecularGrid.certificate
+
+    def unconverged(grid, start):
+        mu, converged, last = newton(grid, start)
+        converged[0, 0] = False
+        return mu, converged, last
+
+    def uncertified(grid, e, m, last):
+        backward, cond = certificate(grid, e, m, last)
+        backward[0] = 1e-10
+        return backward, cond
+
+    if refused == "newton":
+        monkeypatch.setattr(_SecularGrid, "newton", unconverged)
+    else:
+        monkeypatch.setattr(_SecularGrid, "certificate", uncertified)
+    assert swept_eigenvalues(system, rows, A_rows, anchors) is None

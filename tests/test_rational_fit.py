@@ -92,6 +92,27 @@ def test_sample_grid_must_increase(rc_bus_net):
         sample_response(WholeSystemModel(rc_bus_net), [10.0, 5.0])
 
 
+@pytest.mark.parametrize("band", [(0.0, 10.0), (10.0, 10.0), (10.0, 5.0)])
+def test_frequency_grid_refuses_an_invalid_band(band):
+    with pytest.raises(FitError) as exc:
+        frequency_grid(*band)
+    assert str(exc.value) == f"invalid band [{band[0]}, {band[1]}]"
+
+
+@pytest.mark.parametrize("grid", [[[10.0, 20.0]], 10.0, []])
+def test_sample_grid_must_be_a_nonempty_1d_sequence(rc_bus_net, grid):
+    with pytest.raises(FitError) as exc:
+        sample_response(WholeSystemModel(rc_bus_net), grid)
+    assert str(exc.value) == "frequency grid must be a nonempty 1-D sequence"
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_initial_poles_refuse_an_order_below_one(order):
+    with pytest.raises(FitError) as exc:
+        initial_poles(5.0, 5000.0, order)
+    assert str(exc.value) == "fit order must be >= 1"
+
+
 def test_sample_evaluates_the_grid_in_one_call(three_bus_net):
     class Counting(WholeSystemModel):
         calls = 0
